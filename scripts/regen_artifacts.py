@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate committed artifacts: the golden honest-run trace and the PRF
-conformance vector files.  Run from the repository root."""
+"""Regenerate committed artifacts: the golden honest-run trace, the PRF
+conformance vector files and the layout table in frames.md.  Run from the
+repository root."""
 
 from pathlib import Path
 
-from wgiot import crypto
+from wgiot import crypto, wire
 from wgiot.scenario import load_scenario
 from wgiot.simnet import sim_run
 
@@ -23,6 +24,14 @@ def main():
         path = ROOT / "vectors" / f"{name}.txt"
         path.write_text(crypto.generate_vectors(crypto.get_backend(name)))
         print(f"wrote {path}")
+
+    # the table runs from its header row to the next blank line
+    frames = ROOT / "frames.md"
+    text = frames.read_text()
+    start = text.index("| Tag ")
+    end = text.index("\n\n", start) + 1
+    frames.write_text(text[:start] + wire.frame_table() + text[end:])
+    print(f"wrote {frames}")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ class MapPolicy:
     """
 
     rules: dict[frozenset, str] = field(default_factory=dict)
-    on_challenge_fail: str = DENY
 
     def action_for(self, mismatch: frozenset) -> str:
         if mismatch in self.rules:
@@ -71,10 +70,9 @@ class MapRecord:
 
 
 class MapAgent:
-    def __init__(self, agent_id: str, wbrac_id: str, rng, policy: MapPolicy | None = None):
+    def __init__(self, agent_id: str, wbrac_id: str, policy: MapPolicy | None = None):
         self.agent_id = agent_id
         self.wbrac_id = wbrac_id
-        self.rng = rng
         self.policy = policy or MapPolicy()
         self.records: dict[int, MapRecord] = {}
         self._by_agent: dict[str, int] = {}
@@ -185,9 +183,6 @@ class MapAgent:
 
         return unexpected(self.state_name, msg)
 
-    def tick(self, now: int) -> Transition:
-        return Transition()
-
     # -- internals --
 
     def _handle_auth_request(self, sender: str, req: wire.AuthRequest) -> Transition:
@@ -234,11 +229,6 @@ class MapAgent:
         rec.challenge_outstanding = False
         if msg.auth_sign_map == rec.challenge_sign.bits:
             return Transition(out=[(sender, wire.AuthAccept())], note="challenge-passed")
-        if self.policy.on_challenge_fail == UPDATE and rec.pending is None:
-            return Transition(
-                out=[(self.wbrac_id, wire.UpdateRequest(icd_in))],
-                note="challenge-failed -> update",
-            )
         return Transition(
             out=[(sender, wire.AccessDenied(REASON_VERIFY_FAILED))],
             note="challenge-failed -> deny",

@@ -1,4 +1,13 @@
-"""Shared plumbing for the three protocol agents."""
+"""Shared plumbing for the three protocol agents.
+
+Every agent (IcdAgent, MapAgent, WbracService) offers the same interface:
+
+- agent_id: its name in the simulator;
+- state_name: a short name of its current state, written to the trace;
+- handle(sender, msg, now) -> Transition: feed one delivered frame;
+- tick(now) -> Transition: only on agents that ever return tick_at (which
+  only IcdAgent does), called when the requested time arrives.
+"""
 
 from __future__ import annotations
 

@@ -113,7 +113,7 @@ class IcdAgent:
             ]
         )
 
-    def handle(self, msg: wire.WireMessage, now: int) -> Transition:
+    def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
         cfg = self.cfg
         state = self.state
 
@@ -138,10 +138,10 @@ class IcdAgent:
                 crypto.SdPair.from_packed(msg.rand),
                 cfg.wgie.esn,
                 cfg.wgie.icd_in,
-                self.sc_auth_k,
+                cfg.sc_auth_k,
                 self.backend,
             )
-            sd_new = crypto.sd_generation(aac_from_rand, cfg.wgie.esn, self.sc_auth_k, self.backend)
+            sd_new = crypto.sd_generation(aac_from_rand, cfg.wgie.esn, cfg.sc_auth_k, self.backend)
             to_map = crypto.gen_to_map(self.rng)
             local_sign = crypto.authorization_signature(
                 sd_new, to_map.bits, cfg.wgie.esn, cfg.wgie.icd_in, self.backend
@@ -196,7 +196,3 @@ class IcdAgent:
             self.state = Idle()
             return Transition(note="update-timeout")
         return Transition()
-
-    @property
-    def sc_auth_k(self) -> crypto.ScAuthKey:
-        return self.cfg.sc_auth_k

@@ -14,8 +14,6 @@ from numpy.random import Generator, PCG64
 class SimRng:
     """Wrapper around numpy's PCG64 with the few draw shapes the harness needs."""
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int):
         self.seed = seed
         self._gen = Generator(PCG64(seed))

@@ -65,6 +65,16 @@ def _parse_hex(line: _Line, token: str, nbytes: int) -> bytes:
     return value
 
 
+def _parse_probability(line: _Line, token: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        line.fail(f"expected probability, got {token!r}")
+    if not 0.0 <= value <= 1.0:
+        line.fail(f"probability {token!r} outside [0, 1]")
+    return value
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
@@ -163,10 +173,10 @@ def _parse_link(line: _Line) -> tuple[str, str, LinkModel]:
         key, _, value = token.partition("=")
         if key == "delay":
             kwargs["delay_ms"] = _parse_int(line, value)
-        elif key == "drop":
-            kwargs["drop_prob"] = float(value)
-        elif key == "dup":
-            kwargs["dup_prob"] = float(value)
+            if kwargs["delay_ms"] < 0:
+                line.fail(f"negative delay {value!r}")
+        elif key in ("drop", "dup"):
+            kwargs[f"{key}_prob"] = _parse_probability(line, value)
         else:
             line.fail(f"unknown link attribute {key!r}")
     return parts[0], parts[1], LinkModel(**kwargs)
@@ -236,13 +246,13 @@ def check_expects(scenario: Scenario, sim, trace) -> list[str]:
             agent = sim.agents.get(agent_id)
             if agent is None:
                 failures.append(f"reaches: unknown agent {agent_id!r}")
-            elif getattr(agent, "state_name", "-") != target and not any(
+            elif agent.state_name != target and not any(
                 e.receiver == agent_id and e.note.endswith(f"-> {target}")
                 for e in trace.entries
             ):
                 failures.append(
                     f"{agent_id} never reached {target} "
-                    f"(final state {getattr(agent, 'state_name', '-')})"
+                    f"(final state {agent.state_name})"
                 )
         elif kind == "frame-count":
             _, tag, op, want = expect

@@ -1,6 +1,6 @@
 """Deterministic discrete-event harness for the wg-IoT protocol.
 
-One WBRAC, one or more access points, and any number of devices exchange
+One WBRAC, one access point (map-1), and any number of devices exchange
 frames over links with configurable delay/drop/duplication.  Virtual time is
 integer milliseconds; events at equal times process in insertion order, so a
 (scenario, seed) pair fully determines the trace.  An adversary can capture,
@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from . import crypto, wire
-from .access_point import MapAgent, MapPolicy, MapRecord
+from .access_point import MapAgent, MapRecord
 from .icd import IcdAgent, IcdConfig
 from .rng import SimRng
 from .wbrac import DEFAULT_WBRAC_ID, WbracService
@@ -112,7 +112,6 @@ class Scenario:
     max_time: int = DEFAULT_MAX_TIME_MS
     wbrac_id: int = DEFAULT_WBRAC_ID
     mpc_period: int = 60_000
-    map_policy: MapPolicy | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +187,9 @@ class Simulator:
 
     def _build_agents(self):
         sc = self.scenario
-        self.wbrac = WbracService(
-            "wbrac", wbrac_id=sc.wbrac_id, backend=self.backend
-        )
+        self.wbrac = WbracService("wbrac", sc.wbrac_id, self.backend, rng=self.rng)
         self.wbrac.schedule.period_ms = sc.mpc_period
-        self.map = MapAgent("map-1", "wbrac", self.rng, policy=sc.map_policy)
+        self.map = MapAgent("map-1", "wbrac")
         self.icds: dict[str, IcdAgent] = {}
         for i, sub in enumerate(sc.subscribers, start=1):
             agent_id = f"icd-{i}"
@@ -210,7 +207,7 @@ class Simulator:
                 wbrac_id=sc.wbrac_id,
             )
             self.icds[agent_id] = IcdAgent(agent_id, cfg, "map-1", self.rng, self.backend)
-            prov = self.wbrac.map_provision(rec, self.rng)
+            prov = self.wbrac.map_provision(rec)
             self.map.provision(
                 sub.icd_in,
                 MapRecord(
@@ -297,7 +294,7 @@ class Simulator:
             self._apply(item.agent_id, result)
         elif isinstance(item, RotateMpc):
             try:
-                frame = self.wbrac.rotate_mpc(self.rng, self.now)
+                frame = self.wbrac.rotate_mpc(self.now)
             except Exception as exc:
                 self.trace.add(self.now, "wbrac", "-", "rotate", None, f"skipped: {exc}")
                 return
@@ -330,18 +327,10 @@ class Simulator:
         if agent is None:
             self.trace.add(self.now, ev.src, ev.dst, tag, payload, ("sink " + ev.note).strip())
             return
-        result = self._dispatch(agent, ev.src, msg)
-        state = getattr(agent, "state_name", "-")
-        note = " ".join(x for x in (ev.note, result.note, f"-> {state}") if x)
+        result = agent.handle(ev.src, msg, self.now)
+        note = " ".join(x for x in (ev.note, result.note, f"-> {agent.state_name}") if x)
         self.trace.add(self.now, ev.src, ev.dst, tag, payload, note)
         self._apply(ev.dst, result)
-
-    def _dispatch(self, agent, sender: str, msg: wire.WireMessage):
-        if isinstance(agent, IcdAgent):
-            return agent.handle(msg, self.now)
-        if isinstance(agent, MapAgent):
-            return agent.handle(sender, msg, self.now)
-        return agent.handle(sender, msg, self.now, rng=self.rng)
 
     def _apply(self, agent_id: str, result) -> None:
         for dst, msg in result.out:

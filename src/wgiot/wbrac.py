@@ -72,10 +72,12 @@ class WbracService:
         wbrac_id: int = DEFAULT_WBRAC_ID,
         backend: crypto.PrfBackend = crypto.DEFAULT_BACKEND,
         schedule: MpcSchedule | None = None,
+        rng=None,
     ):
         self.agent_id = agent_id
         self.wbrac_id = wbrac_id
         self.backend = backend
+        self.rng = rng
         self.registry: dict[int, SubscriberRecord] = {}
         self.schedule = schedule or MpcSchedule()
 
@@ -89,12 +91,11 @@ class WbracService:
         wgie: crypto.WgieRecord,
         sc_auth_k: crypto.ScAuthKey,
         sd: crypto.SdPair | None = None,
-        rng=None,
     ) -> SubscriberRecord:
         if icd_in in self.registry:
             raise DuplicateIcd(icd_in)
         if sd is None:
-            sd = crypto.SdPair.from_packed(rng.draw_bytes(16))
+            sd = crypto.SdPair.from_packed(self.rng.draw_bytes(16))
         rec = SubscriberRecord(icd_in, wgie, sc_auth_k, sd, crypto.Rmc(0))
         self.registry[icd_in] = rec
         return rec
@@ -105,13 +106,13 @@ class WbracService:
         )
 
     def map_provision(
-        self, rec: SubscriberRecord, rng, sd: crypto.SdPair | None = None
+        self, rec: SubscriberRecord, sd: crypto.SdPair | None = None
     ) -> wire.MapProvision:
         """Verification material for an access point: the expected AAC plus a
         precomputed unique-challenge pair for the given (default: current)
         service data."""
         sd = sd or rec.sd
-        wmap = crypto.gen_wmap(rng)
+        wmap = crypto.gen_wmap(self.rng)
         composite = crypto.compose_unique_challenge(wmap, self.wbrac_id)
         sign = crypto.authorization_signature(
             sd, composite, rec.wgie.esn, rec.icd_in, self.backend
@@ -122,23 +123,23 @@ class WbracService:
 
     # -- MPC rotation --
 
-    def rotate_mpc(self, rng, now: int) -> wire.AccessParameterMessage:
+    def rotate_mpc(self, now: int) -> wire.AccessParameterMessage:
         sched = self.schedule
         if sched.last_rotation is not None and now < sched.last_rotation + sched.period_ms:
             raise TooEarly(f"rotation at {now}, last at {sched.last_rotation}")
         sched.history.insert(0, sched.current)
         del sched.history[MPC_HISTORY_LIMIT - 1 :]
-        sched.current = crypto.Mpc(rng.draw_bytes(16))
+        sched.current = crypto.Mpc(self.rng.draw_bytes(16))
         sched.last_rotation = now
         return wire.AccessParameterMessage(sched.current.bits)
 
     # -- update-value flow --
 
-    def begin_update(self, icd_in: int, rng) -> wire.UpdateMessage:
+    def begin_update(self, icd_in: int) -> wire.UpdateMessage:
         rec = self.registry[icd_in]
         if rec.pending_sd_new is not None:
             raise UpdateInProgress(icd_in)
-        rand = crypto.gen_update_rand(rng)
+        rand = crypto.gen_update_rand(self.rng)
         aac_from_rand = crypto.authenticate_signature(
             crypto.SdPair.from_packed(rand), rec.wgie.esn, rec.icd_in, rec.sc_auth_k, self.backend
         )
@@ -165,13 +166,13 @@ class WbracService:
 
     # -- frame handling (requests relayed by the access point) --
 
-    def handle(self, sender: str, msg: wire.WireMessage, now: int, rng=None) -> Transition:
+    def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
         if isinstance(msg, wire.UpdateRequest):
             rec = self.registry.get(msg.icd_in)
             if rec is None:
                 return Transition(note=f"update request for unknown icd {msg.icd_in}")
             try:
-                update = self.begin_update(msg.icd_in, rng)
+                update = self.begin_update(msg.icd_in)
             except UpdateInProgress:
                 return Transition(note="update already in progress")
             return Transition(out=[(sender, update)])
@@ -186,7 +187,7 @@ class WbracService:
                 return Transition(note="no pending update")
             # push the post-commit expectations ahead of the response so the
             # access point can verify the device's re-authentication
-            prov = self.map_provision(rec, rng, sd=rec.pending_sd_new)
+            prov = self.map_provision(rec, sd=rec.pending_sd_new)
             return Transition(
                 out=[(sender, prov), (sender, wire.MapChallengeResponse(sign.bits))]
             )
@@ -200,9 +201,6 @@ class WbracService:
             return Transition(note="committed" if confirmed else "rejected")
 
         return unexpected(self.state_name, msg)
-
-    def tick(self, now: int) -> Transition:
-        return Transition()
 
     def _unique_pending(self) -> SubscriberRecord | None:
         candidates = [

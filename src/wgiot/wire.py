@@ -7,6 +7,8 @@ strict: unknown tags, length mismatches, and trailing bytes are errors.
 
 from __future__ import annotations
 
+import inspect
+import struct
 from dataclasses import dataclass
 
 
@@ -26,29 +28,45 @@ class Truncated(WireError):
     pass
 
 
-# Field kinds: "u64" (8-byte big-endian int), "u8" (1-byte int),
-# ("bytes", n) (fixed-length byte string).
+# Field kinds, used as the annotations of frame fields: u64 (8-byte
+# big-endian int), u8 (1-byte int), bN (N-byte string).
+u64 = u8 = int
+b8 = b16 = b32 = b48 = bytes
+
+_INT_CODES = {"u64": "Q", "u8": "B"}
 
 
 class WireMessage:
-    TAG = None
-    FIELDS = ()
+    """Base of every frame.  A frame declares its payload once, as dataclass
+    fields annotated with a field kind.  Derived from that declaration when
+    the class is created: FIELDS, its (name, kind) pairs with kind "u64",
+    "u8" or ("bytes", N); SIZE, the payload length; and the struct that
+    packs the whole frame."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.FIELDS = tuple(
+            (name, kind if kind in _INT_CODES else ("bytes", int(kind.removeprefix("b"))))
+            for name, kind in inspect.get_annotations(cls).items()
+        )
+        cls._sized = tuple((name, kind[1]) for name, kind in cls.FIELDS if kind not in _INT_CODES)
+        codes = (_INT_CODES.get(kind) or f"{kind[1]}s" for _, kind in cls.FIELDS)
+        cls._frame = struct.Struct(">BH" + "".join(codes))
+        cls.SIZE = cls._frame.size - 3
 
 
 @dataclass(frozen=True)
 class SecureActivation(WireMessage):
-    icd_in: int
+    icd_in: u64
     TAG = 0x01
-    FIELDS = (("icd_in", "u64"),)
 
 
 @dataclass(frozen=True)
 class AccessParameterMessage(WireMessage):
     """Periodic network broadcast carrying the current MPC."""
 
-    mpc: bytes
+    mpc: b16
     TAG = 0x02
-    FIELDS = (("mpc", ("bytes", 16)),)
 
 
 @dataclass(frozen=True)
@@ -60,11 +78,10 @@ class ParameterUpdateOrder(WireMessage):
 
 @dataclass(frozen=True)
 class AuthRequest(WireMessage):
-    icd_in: int
-    esn: int
-    guid: bytes
+    icd_in: u64
+    esn: u64
+    guid: b48
     TAG = 0x04
-    FIELDS = (("icd_in", "u64"), ("esn", "u64"), ("guid", ("bytes", 48)))
 
 
 @dataclass(frozen=True)
@@ -76,24 +93,21 @@ class AuthAccept(WireMessage):
 class UpdateMessage(WireMessage):
     """WBRAC → access point: start an update for icd_in using this value."""
 
-    icd_in: int
-    rand: bytes
+    icd_in: u64
+    rand: b16
     TAG = 0x06
-    FIELDS = (("icd_in", "u64"), ("rand", ("bytes", 16)))
 
 
 @dataclass(frozen=True)
 class UpdateOrder(WireMessage):
-    rand: bytes
+    rand: b16
     TAG = 0x07
-    FIELDS = (("rand", ("bytes", 16)),)
 
 
 @dataclass(frozen=True)
 class MobileAccessChallengeOrder(WireMessage):
-    to_map: bytes
+    to_map: b32
     TAG = 0x08
-    FIELDS = (("to_map", ("bytes", 32)),)
 
 
 @dataclass(frozen=True)
@@ -103,24 +117,21 @@ class ChallengeAck(WireMessage):
 
 @dataclass(frozen=True)
 class MapChallengeForward(WireMessage):
-    icd_in: int
-    to_map: bytes
+    icd_in: u64
+    to_map: b32
     TAG = 0x0A
-    FIELDS = (("icd_in", "u64"), ("to_map", ("bytes", 32)))
 
 
 @dataclass(frozen=True)
 class MapChallengeResponse(WireMessage):
-    auth_sign_map: bytes
+    auth_sign_map: b16
     TAG = 0x0B
-    FIELDS = (("auth_sign_map", ("bytes", 16)),)
 
 
 @dataclass(frozen=True)
 class MapChallengeResponseOrder(WireMessage):
-    auth_sign_map: bytes
+    auth_sign_map: b16
     TAG = 0x0C
-    FIELDS = (("auth_sign_map", ("bytes", 16)),)
 
 
 @dataclass(frozen=True)
@@ -135,32 +146,28 @@ class UpdateConfirmation(WireMessage):
 
 @dataclass(frozen=True)
 class AuthenticationChallenge(WireMessage):
-    wmap: bytes
+    wmap: b8
     TAG = 0x0F
-    FIELDS = (("wmap", ("bytes", 8)),)
 
 
 @dataclass(frozen=True)
 class AuthChallengeAnswer(WireMessage):
-    auth_sign_map: bytes
+    auth_sign_map: b16
     TAG = 0x10
-    FIELDS = (("auth_sign_map", ("bytes", 16)),)
 
 
 @dataclass(frozen=True)
 class AccessDenied(WireMessage):
-    reason: int
+    reason: u8
     TAG = 0x11
-    FIELDS = (("reason", "u8"),)
 
 
 @dataclass(frozen=True)
 class UpdateRequest(WireMessage):
     """Access point → WBRAC: ask for an update-value run for icd_in."""
 
-    icd_in: int
+    icd_in: u64
     TAG = 0x12
-    FIELDS = (("icd_in", "u64"),)
 
 
 @dataclass(frozen=True)
@@ -171,17 +178,11 @@ class MapProvision(WireMessage):
     only the WBRAC holds the secrets needed to derive them.
     """
 
-    icd_in: int
-    expected_aac: bytes
-    wmap: bytes
-    challenge_sign: bytes
+    icd_in: u64
+    expected_aac: b16
+    wmap: b8
+    challenge_sign: b16
     TAG = 0x13
-    FIELDS = (
-        ("icd_in", "u64"),
-        ("expected_aac", ("bytes", 16)),
-        ("wmap", ("bytes", 8)),
-        ("challenge_sign", ("bytes", 16)),
-    )
 
 
 MESSAGE_TYPES = (
@@ -209,37 +210,18 @@ MESSAGE_TYPES = (
 _BY_TAG = {cls.TAG: cls for cls in MESSAGE_TYPES}
 
 
-def _field_size(kind) -> int:
-    if kind == "u64":
-        return 8
-    if kind == "u8":
-        return 1
-    return kind[1]
-
-
 def payload_size(cls) -> int:
-    return sum(_field_size(kind) for _, kind in cls.FIELDS)
-
-
-def encode_payload(msg: WireMessage) -> bytes:
-    parts = []
-    for name, kind in type(msg).FIELDS:
-        value = getattr(msg, name)
-        if kind == "u64":
-            parts.append(value.to_bytes(8, "big"))
-        elif kind == "u8":
-            parts.append(value.to_bytes(1, "big"))
-        else:
-            size = kind[1]
-            if len(value) != size:
-                raise WireError(f"{name} must be {size} bytes, got {len(value)}")
-            parts.append(value)
-    return b"".join(parts)
+    return cls.SIZE
 
 
 def encode(msg: WireMessage) -> bytes:
-    payload = encode_payload(msg)
-    return bytes([type(msg).TAG]) + len(payload).to_bytes(2, "big") + payload
+    cls = type(msg)
+    # struct pads or truncates a wrong-length string silently
+    for name, size in cls._sized:
+        value = getattr(msg, name)
+        if len(value) != size:
+            raise WireError(f"{name} must be {size} bytes, got {len(value)}")
+    return cls._frame.pack(cls.TAG, cls.SIZE, *[getattr(msg, name) for name, _ in cls.FIELDS])
 
 
 def decode(raw: bytes) -> WireMessage:
@@ -247,27 +229,17 @@ def decode(raw: bytes) -> WireMessage:
         raise Truncated(f"frame shorter than 3-byte header ({len(raw)} bytes)")
     tag = raw[0]
     declared = int.from_bytes(raw[1:3], "big")
-    payload = raw[3:]
     cls = _BY_TAG.get(tag)
     if cls is None:
         raise UnknownTag(f"tag {tag:#04x}")
-    expected = payload_size(cls)
-    if declared != expected:
-        raise LengthMismatch(
-            f"{cls.__name__}: declared {declared}, layout requires {expected}"
-        )
-    if len(payload) < declared:
-        raise Truncated(f"{cls.__name__}: payload {len(payload)} < declared {declared}")
-    if len(payload) > declared:
-        raise LengthMismatch(f"{cls.__name__}: {len(payload) - declared} trailing bytes")
-    values = {}
-    offset = 0
-    for name, kind in cls.FIELDS:
-        size = _field_size(kind)
-        chunk = payload[offset : offset + size]
-        offset += size
-        values[name] = chunk if isinstance(kind, tuple) else int.from_bytes(chunk, "big")
-    return cls(**values)
+    if declared != cls.SIZE:
+        raise LengthMismatch(f"{cls.__name__}: declared {declared}, layout requires {cls.SIZE}")
+    payload = len(raw) - 3
+    if payload < declared:
+        raise Truncated(f"{cls.__name__}: payload {payload} < declared {declared}")
+    if payload > declared:
+        raise LengthMismatch(f"{cls.__name__}: {payload - declared} trailing bytes")
+    return cls(*cls._frame.unpack(raw)[2:])
 
 
 def tag_name(msg_or_tag) -> str:
@@ -281,3 +253,19 @@ def tag_by_name(name: str) -> int:
         if cls.__name__ == name:
             return cls.TAG
     raise UnknownTag(name)
+
+
+def frame_table() -> str:
+    """The layout table of frames.md: one Markdown row per frame type."""
+    width = max(len(cls.__name__) for cls in MESSAGE_TYPES)
+    rows = [
+        f"| Tag  | {'Frame':<{width}} | Payload bytes | Fields |",
+        f"|------|{'-' * (width + 2)}|---------------|--------|",
+    ]
+    for cls in MESSAGE_TYPES:
+        fields = ", ".join(
+            f"`{name}` " + (kind if kind in _INT_CODES else f"{kind[1]} bytes")
+            for name, kind in cls.FIELDS
+        )
+        rows.append(f"| 0x{cls.TAG:02X} | {cls.__name__:<{width}} | {cls.SIZE:<13} | {fields or '—'} |")
+    return "\n".join(rows) + "\n"

@@ -12,7 +12,6 @@ from wgiot.access_point import (
     MapRecord,
     UnknownIcd,
 )
-from wgiot.rng import SimRng
 
 ICD_IN = 7
 EXPECTED_AAC = b"\x0a" * 16
@@ -22,7 +21,7 @@ CHALLENGE_SIGN = b"\x0d" * 16
 
 
 def make_map(policy=None):
-    agent = MapAgent("map-1", "wbrac", SimRng(0), policy=policy)
+    agent = MapAgent("map-1", "wbrac", policy=policy)
     agent.provision(
         ICD_IN,
         MapRecord(

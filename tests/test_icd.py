@@ -39,11 +39,11 @@ def make_agent(seed=0):
 
 def drive_to_confirmation(agent, rand=bytes(16), t0=0):
     """Hand-executed update script: order, challenge, ack."""
-    result = agent.handle(wire.UpdateOrder(rand), t0)
+    result = agent.handle("map-1", wire.UpdateOrder(rand), t0)
     assert isinstance(agent.state, UpdateAwaitingAck)
     (_, challenge), = result.out
     assert isinstance(challenge, wire.MobileAccessChallengeOrder)
-    agent.handle(wire.ChallengeAck(), t0)
+    agent.handle("map-1", wire.ChallengeAck(), t0)
     assert isinstance(agent.state, UpdateAwaitingConfirmation)
     return agent.state.sd_new, agent.state.local_sign
 
@@ -71,7 +71,7 @@ def test_start_twice_raises():
 
 def test_unsolicited_frame_is_dropped():
     agent = make_agent()
-    result = agent.handle(wire.ChallengeAck(), 0)
+    result = agent.handle("map-1", wire.ChallengeAck(), 0)
     assert result.out == [] and result.note.startswith("unexpected")
     assert isinstance(agent.state, Idle)
 
@@ -79,16 +79,16 @@ def test_unsolicited_frame_is_dropped():
 def test_auth_accept_derives_session_key():
     agent = make_agent()
     agent.start(0)
-    agent.handle(wire.AuthAccept(), 5)
+    agent.handle("map-1", wire.AuthAccept(), 5)
     assert isinstance(agent.state, Authenticated)
     assert agent.state.session.bits == prf_oracle.session_key(agent.cfg.sd.sd2)
 
 
 def test_access_parameter_and_update_order_bookkeeping():
     agent = make_agent()
-    agent.handle(wire.AccessParameterMessage(b"\x07" * 16), 0)
+    agent.handle("map-1", wire.AccessParameterMessage(b"\x07" * 16), 0)
     assert agent.cfg.mpc.bits == b"\x07" * 16
-    agent.handle(wire.ParameterUpdateOrder(), 0)
+    agent.handle("map-1", wire.ParameterUpdateOrder(), 0)
     assert agent.cfg.rmc.counter == 1
 
 
@@ -96,7 +96,7 @@ def test_matching_confirmation_commits_once():
     agent = make_agent()
     old_sd = agent.cfg.sd
     sd_new, local_sign = drive_to_confirmation(agent)
-    result = agent.handle(wire.MapChallengeResponseOrder(local_sign.bits), 10)
+    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), 10)
     assert [type(m) for _, m in result.out] == [wire.UpdateConfirmation, wire.AuthRequest]
     assert agent.cfg.sd == sd_new != old_sd
     assert isinstance(agent.state, AwaitingAuthResult)
@@ -107,7 +107,7 @@ def test_mismatching_confirmation_rejects():
     old_sd = agent.cfg.sd
     _, local_sign = drive_to_confirmation(agent)
     bad = bytes(16) if local_sign.bits != bytes(16) else b"\x01" * 16
-    result = agent.handle(wire.MapChallengeResponseOrder(bad), 10)
+    result = agent.handle("map-1", wire.MapChallengeResponseOrder(bad), 10)
     assert [type(m) for _, m in result.out] == [wire.UpdateRejection]
     assert agent.cfg.sd == old_sd
     assert isinstance(agent.state, Idle)
@@ -130,7 +130,7 @@ def test_timer_inclusive_boundary():
     # tick at exactly the deadline: still in time
     agent.tick(deadline)
     assert isinstance(agent.state, UpdateAwaitingConfirmation)
-    result = agent.handle(wire.MapChallengeResponseOrder(local_sign.bits), deadline)
+    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), deadline)
     assert any(isinstance(m, wire.UpdateConfirmation) for _, m in result.out)
     assert agent.cfg.sd == sd_new
 
@@ -145,7 +145,7 @@ def test_timer_expiry_discards_without_frames():
     assert isinstance(agent.state, Idle)
     assert agent.cfg.sd == old_sd
     # a late confirmation can no longer commit
-    late = agent.handle(wire.MapChallengeResponseOrder(local_sign.bits), deadline + 2)
+    late = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), deadline + 2)
     assert late.out == []
     assert agent.cfg.sd == old_sd
 
@@ -154,7 +154,7 @@ def test_late_confirmation_without_tick_still_discards():
     agent = make_agent()
     old_sd = agent.cfg.sd
     _, local_sign = drive_to_confirmation(agent, t0=0)
-    result = agent.handle(wire.MapChallengeResponseOrder(local_sign.bits), CONFIRM_TIMEOUT_MS + 1)
+    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), CONFIRM_TIMEOUT_MS + 1)
     assert result.out == [] and result.note == "update-timeout"
     assert agent.cfg.sd == old_sd and isinstance(agent.state, Idle)
 
@@ -162,7 +162,7 @@ def test_late_confirmation_without_tick_still_discards():
 def test_unique_challenge_answer():
     agent = make_agent()
     wmap = b"\x5a" * 8
-    result = agent.handle(wire.AuthenticationChallenge(wmap), 0)
+    result = agent.handle("map-1", wire.AuthenticationChallenge(wmap), 0)
     (_, answer), = result.out
     composite = wmap + (WBRAC_ID & 0xFFFF).to_bytes(2, "big")
     assert answer.auth_sign_map == prf_oracle.authz(
@@ -173,7 +173,7 @@ def test_unique_challenge_answer():
 
 def test_access_denied_is_terminal():
     agent = make_agent()
-    agent.handle(wire.AccessDenied(1), 0)
+    agent.handle("map-1", wire.AccessDenied(1), 0)
     assert isinstance(agent.state, Denied)
 
 
@@ -187,7 +187,7 @@ def test_handle_total_over_all_tags():
             values[name] = r.getrandbits(64 if kind == "u64" else 8) if not isinstance(
                 kind, tuple
             ) else r.randbytes(kind[1])
-        agent.handle(cls(**values), 0)
+        agent.handle("map-1", cls(**values), 0)
 
 
 def test_single_commit_over_random_interleavings():
@@ -218,7 +218,7 @@ def test_single_commit_over_random_interleavings():
                 msg = wire.AuthAccept()
             else:
                 msg = wire.UpdateRejection()
-            result = agent.handle(msg, now)
+            result = agent.handle("map-1", msg, now)
             if agent.cfg.sd != sd_before:
                 assert isinstance(msg, wire.MapChallengeResponseOrder)
                 assert isinstance(state_before, UpdateAwaitingConfirmation)
@@ -242,7 +242,7 @@ def test_no_key_material_in_outbound_frames():
         payloads += [wire.encode(m) for _, m in result.out]
         sd_new, local_sign = drive_to_confirmation(agent)
         secrets += [sd_new.packed, sd_new.sd1, sd_new.sd2]
-        result = agent.handle(wire.MapChallengeResponseOrder(local_sign.bits), 10)
+        result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), 10)
         payloads += [wire.encode(m) for _, m in result.out]
         blob = b"|".join(payloads)
         for secret in secrets:

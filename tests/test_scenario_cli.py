@@ -1,5 +1,7 @@
 """Scenario file parsing and CLI exit-code behavior."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,12 @@ def test_comments_and_blanks_ignored():
         ("wgiot-scenario v1\n[registry]\n" + REGISTRY_LINE[:-1] + "x\n", 3),
         ("wgiot-scenario v1\n[links]\nicd-1\n", 3),
         ("wgiot-scenario v1\n[links]\nicd-1 map-1 warp=1\n", 3),
+        ("wgiot-scenario v1\n[links]\nicd-1 map-1 drop=abc\n", 3),
+        ("wgiot-scenario v1\n[links]\nicd-1 map-1 dup=abc\n", 3),
+        ("wgiot-scenario v1\n[links]\nicd-1 map-1 drop=2.5\n", 3),
+        ("wgiot-scenario v1\n[links]\nicd-1 map-1 dup=-0.1\n", 3),
+        ("wgiot-scenario v1\n[links]\nicd-1 map-1 drop=nan\n", 3),
+        ("wgiot-scenario v1\n[links]\nicd-1 map-1 delay=-5\n", 3),
         ("wgiot-scenario v1\n[schedule]\nlaunch icd-1 at 0\n", 3),
         ("wgiot-scenario v1\n[adversary]\ncapture NoSuchTag\n", 3),
         ("wgiot-scenario v1\n[adversary]\ninject zz to icd-1 at 0\n", 3),
@@ -133,6 +141,15 @@ def test_load_missing_file():
 def test_run_honest_scenario_exits_zero(capsys):
     assert cli.main(["run", str(SCENARIOS / "honest.scn")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_module_entry_point_exits_zero_with_empty_stderr():
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgiot.cli", "run", str(SCENARIOS / "honest.scn")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_run_update_and_replay_scenarios_exit_zero():

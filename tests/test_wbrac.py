@@ -17,8 +17,8 @@ from wgiot.wbrac import (
 
 
 def make_wbrac(seed=0, period=100):
-    svc = WbracService(schedule=MpcSchedule(period_ms=period))
     rng = SimRng(seed)
+    svc = WbracService(schedule=MpcSchedule(period_ms=period), rng=rng)
     r = random.Random(seed)
     wgie = crypto.WgieRecord(r.randbytes(32), 2, 1)
     svc.provision(1, wgie, crypto.ScAuthKey(r.randbytes(16)), sd=crypto.SdPair.from_packed(r.randbytes(16)))
@@ -34,7 +34,7 @@ def test_provision_initial_counter_and_duplicate():
 
 def test_provision_random_sd_when_unspecified():
     svc, rng = make_wbrac()
-    rec = svc.provision(2, crypto.WgieRecord(bytes(32), 2, 2), crypto.ScAuthKey(bytes(16)), rng=rng)
+    rec = svc.provision(2, crypto.WgieRecord(bytes(32), 2, 2), crypto.ScAuthKey(bytes(16)))
     assert len(rec.sd.packed) == 16
 
 
@@ -49,29 +49,29 @@ def test_expected_aac_matches_oracle():
 def test_rotate_mpc_and_too_early():
     svc, rng = make_wbrac(period=100)
     before = svc.schedule.current
-    frame = svc.rotate_mpc(rng, now=0)
+    frame = svc.rotate_mpc(now=0)
     assert frame.mpc == svc.schedule.current.bits != before.bits
     assert svc.schedule.history == [before]
     with pytest.raises(TooEarly):
-        svc.rotate_mpc(rng, now=50)
-    svc.rotate_mpc(rng, now=100)
-    svc.rotate_mpc(rng, now=200)
+        svc.rotate_mpc(now=50)
+    svc.rotate_mpc(now=100)
+    svc.rotate_mpc(now=200)
     assert len(svc.schedule.history) <= 2
 
 
 def test_begin_update_once_and_frame_round_trip():
     svc, rng = make_wbrac()
-    msg = svc.begin_update(1, rng)
+    msg = svc.begin_update(1)
     assert wire.decode(wire.encode(msg)) == msg
     assert msg.icd_in == 1 and len(msg.rand) == 16
     with pytest.raises(UpdateInProgress):
-        svc.begin_update(1, rng)
+        svc.begin_update(1)
 
 
 def test_update_derivation_matches_oracle_chain():
     svc, rng = make_wbrac()
     rec = svc.registry[1]
-    msg = svc.begin_update(1, rng)
+    msg = svc.begin_update(1)
     aac_from_rand = prf_oracle.aac(msg.rand, rec.wgie.esn, rec.icd_in, rec.sc_auth_k.bits)
     assert rec.pending_sd_new.packed == prf_oracle.sd_gen(
         aac_from_rand, rec.wgie.esn, rec.sc_auth_k.bits
@@ -82,7 +82,7 @@ def test_answer_challenge_requires_pending():
     svc, rng = make_wbrac()
     with pytest.raises(NoPendingUpdate):
         svc.answer_challenge(1, crypto.ToMap(bytes(32)))
-    svc.begin_update(1, rng)
+    svc.begin_update(1)
     sign = svc.answer_challenge(1, crypto.ToMap(bytes(32)))
     assert len(sign.bits) == 16
     rec = svc.registry[1]
@@ -93,14 +93,14 @@ def test_answer_challenge_requires_pending():
 
 def test_commit_confirmed_and_rejected():
     svc, rng = make_wbrac()
-    svc.begin_update(1, rng)
+    svc.begin_update(1)
     pending = svc.registry[1].pending_sd_new
     svc.commit(1, confirmed=True)
     assert svc.registry[1].sd == pending
     with pytest.raises(NoPendingUpdate):
         svc.commit(1, confirmed=True)
 
-    svc.begin_update(1, rng)
+    svc.begin_update(1)
     old = svc.registry[1].sd
     svc.commit(1, confirmed=False)
     assert svc.registry[1].sd == old
@@ -123,8 +123,8 @@ def test_cross_agent_sd_agreement():
             wbrac_id=svc.wbrac_id,
         )
         icd = IcdAgent("icd-1", cfg, "map-1", rng)
-        msg = svc.begin_update(1, rng)
-        icd.handle(wire.UpdateOrder(msg.rand), 0)
+        msg = svc.begin_update(1)
+        icd.handle("map-1", wire.UpdateOrder(msg.rand), 0)
         assert icd.state.sd_new == rec.pending_sd_new
         assert icd.state.local_sign == svc.answer_challenge(1, icd.state.to_map)
 
@@ -132,7 +132,7 @@ def test_cross_agent_sd_agreement():
 def test_commit_atomicity():
     svc, rng = make_wbrac()
     old = svc.registry[1].sd
-    svc.begin_update(1, rng)
+    svc.begin_update(1)
     new = svc.registry[1].pending_sd_new
     svc.commit(1, confirmed=True)
     assert svc.registry[1].sd in (old, new)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -40,6 +41,18 @@ def test_auth_request_layout():
     )
     assert raw == expected
     assert len(raw) == 3 + 64
+
+
+def test_encode_rejects_wrong_length_bytes_field():
+    with pytest.raises(wire.WireError, match=r"^mpc must be 16 bytes, got 15$"):
+        wire.encode(wire.AccessParameterMessage(bytes(15)))
+    with pytest.raises(wire.WireError, match=r"^guid must be 48 bytes, got 49$"):
+        wire.encode(wire.AuthRequest(icd_in=1, esn=2, guid=bytes(49)))
+
+
+def test_frames_md_table_is_rendered_from_message_types():
+    frames_md = (Path(__file__).resolve().parent.parent / "frames.md").read_text()
+    assert f"\n\n{wire.frame_table()}\n" in frames_md
 
 
 def test_unknown_tag():
