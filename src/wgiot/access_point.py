@@ -1,9 +1,10 @@
 """State machine for the mobile access point (MAP).
 
 The access point verifies presented GUIDs against expectations provisioned
-by the WBRAC (it never holds device secrets), relays challenge traffic
-between device and WBRAC, and chooses between the unique-challenge and
-update-value remediation paths when a comparison fails.
+by the WBRAC (it never holds device secrets) and relays challenge traffic
+between device and WBRAC.  A failed comparison is remedied by a fixed rule
+(`remedy`): an MPC or RMC mismatch starts the update-value flow, an
+AAC-only mismatch gets a unique challenge, and all three wrong is denied.
 """
 
 from __future__ import annotations
@@ -21,67 +22,62 @@ class UnknownIcd(ProtocolError):
     pass
 
 
-# Remediation actions selectable by policy.
 CHALLENGE = "challenge"
 UPDATE = "update"
 DENY = "deny"
 
 
-@dataclass
-class MapPolicy:
-    """Maps the set of mismatched GUID fields to a remediation action.
+def remedy(mismatch: frozenset) -> str:
+    """The remediation action for a set of mismatched GUID fields.
 
-    Default: any mismatch involving MPC or RMC starts an update-value run
-    (those drift by design as the network reissues them); an AAC-only
-    mismatch gets a unique challenge; all three wrong is denied outright.
+    Any mismatch involving MPC or RMC starts an update-value run (those
+    drift by design as the network reissues them); an AAC-only mismatch
+    gets a unique challenge; all three wrong is denied outright.
     """
-
-    rules: dict[frozenset, str] = field(default_factory=dict)
-
-    def action_for(self, mismatch: frozenset) -> str:
-        if mismatch in self.rules:
-            return self.rules[mismatch]
-        if mismatch == frozenset({"AAC", "MPC", "RMC"}):
-            return DENY
-        if "MPC" in mismatch or "RMC" in mismatch:
-            return UPDATE
-        return CHALLENGE
+    if mismatch == frozenset({"AAC", "MPC", "RMC"}):
+        return DENY
+    if "MPC" in mismatch or "RMC" in mismatch:
+        return UPDATE
+    return CHALLENGE
 
 
 @dataclass
 class PendingUpdate:
-    rand: bytes
     expected_sign: crypto.AuthSignMap | None = None
     next_provision: wire.MapProvision | None = None
 
 
 @dataclass
 class MapRecord:
-    """Per-device expectations cached from WBRAC provisioning."""
+    """Per-device expectations; the provision-derived fields are filled in
+    by `MapAgent._apply_provision` only."""
 
+    icd_in: int
     icd_agent_id: str
-    expected_aac: crypto.Aac
-    expected_mpc: crypto.Mpc
     expected_rmc: crypto.Rmc
-    challenge_wmap: crypto.Wmap | None = None
-    challenge_sign: crypto.AuthSignMap | None = None
+    expected_aac: crypto.Aac = field(init=False)
+    challenge_wmap: crypto.Wmap = field(init=False)
+    challenge_sign: crypto.AuthSignMap = field(init=False)
     challenge_outstanding: bool = False
     pending: PendingUpdate | None = None
 
 
 class MapAgent:
-    def __init__(self, agent_id: str, wbrac_id: str, policy: MapPolicy | None = None):
+    def __init__(self, agent_id: str, wbrac_id: str, mpc: crypto.Mpc):
         self.agent_id = agent_id
         self.wbrac_id = wbrac_id
-        self.policy = policy or MapPolicy()
+        self.mpc = mpc  # network-wide; every device's GUID is checked against it
         self.records: dict[int, MapRecord] = {}
-        self._by_agent: dict[str, int] = {}
+        self._by_agent: dict[str, MapRecord] = {}
 
     state_name = "-"
 
-    def provision(self, icd_in: int, record: MapRecord) -> None:
-        self.records[icd_in] = record
-        self._by_agent[record.icd_agent_id] = icd_in
+    def provision(self, icd_agent_id: str, rmc: crypto.Rmc, prov: wire.MapProvision) -> None:
+        """Register a device from the WBRAC's provisioning frame."""
+        rec = MapRecord(prov.icd_in, icd_agent_id, rmc)
+        self._apply_provision(rec, prov)
+        self.records[rec.icd_in] = rec
+        self._by_agent[icd_agent_id] = rec
 
     # -- verification --
 
@@ -94,7 +90,7 @@ class MapAgent:
         mismatch = set()
         if guid.aac != rec.expected_aac:
             mismatch.add("AAC")
-        if guid.mpc != rec.expected_mpc:
+        if guid.mpc != self.mpc:
             mismatch.add("MPC")
         if guid.rmc != rec.expected_rmc:
             mismatch.add("RMC")
@@ -107,8 +103,7 @@ class MapAgent:
             return Transition(note="activation")
 
         if isinstance(msg, wire.AccessParameterMessage):
-            for rec in self.records.values():
-                rec.expected_mpc = crypto.Mpc(msg.mpc)
+            self.mpc = crypto.Mpc(msg.mpc)
             return Transition(note="mpc-updated")
 
         if isinstance(msg, wire.ParameterUpdateOrder):
@@ -123,17 +118,17 @@ class MapAgent:
             rec = self.records.get(msg.icd_in)
             if rec is None:
                 return Transition(note=f"update for unknown icd {msg.icd_in}")
-            rec.pending = PendingUpdate(rand=msg.rand)
+            rec.pending = PendingUpdate()
             return Transition(out=[(rec.icd_agent_id, wire.UpdateOrder(msg.rand))])
 
         if isinstance(msg, wire.MobileAccessChallengeOrder):
-            icd_in = self._by_agent.get(sender)
-            if icd_in is None:
+            rec = self._by_agent.get(sender)
+            if rec is None:
                 return unexpected(self.state_name, msg)
             return Transition(
                 out=[
                     (sender, wire.ChallengeAck()),
-                    (self.wbrac_id, wire.MapChallengeForward(icd_in, msg.to_map)),
+                    (self.wbrac_id, wire.MapChallengeForward(rec.icd_in, msg.to_map)),
                 ]
             )
 
@@ -157,8 +152,7 @@ class MapAgent:
             return Transition(note="provision-applied")
 
         if isinstance(msg, wire.UpdateConfirmation):
-            icd_in = self._by_agent.get(sender)
-            rec = self.records.get(icd_in) if icd_in is not None else None
+            rec = self._by_agent.get(sender)
             if rec is None or rec.pending is None:
                 return unexpected(self.state_name, msg)
             if rec.pending.next_provision is not None:
@@ -169,8 +163,7 @@ class MapAgent:
             )
 
         if isinstance(msg, wire.UpdateRejection):
-            icd_in = self._by_agent.get(sender)
-            rec = self.records.get(icd_in) if icd_in is not None else None
+            rec = self._by_agent.get(sender)
             if rec is None or rec.pending is None:
                 return unexpected(self.state_name, msg)
             rec.pending = None
@@ -198,9 +191,9 @@ class MapAgent:
         if not mismatch:
             return Transition(out=[(sender, wire.AuthAccept())], note="guid-match")
 
-        action = self.policy.action_for(mismatch)
+        action = remedy(mismatch)
         note = "mismatch " + ",".join(sorted(mismatch))
-        if action == CHALLENGE and rec.challenge_wmap is not None:
+        if action == CHALLENGE:
             rec.challenge_outstanding = True
             return Transition(
                 out=[(sender, wire.AuthenticationChallenge(rec.challenge_wmap.bits))],
@@ -213,7 +206,7 @@ class MapAgent:
             return Transition(
                 out=[
                     (self.wbrac_id, wire.UpdateRequest(req.icd_in)),
-                    (sender, wire.AccessParameterMessage(rec.expected_mpc.bits)),
+                    (sender, wire.AccessParameterMessage(self.mpc.bits)),
                 ],
                 note=note + " -> update",
             )
@@ -222,9 +215,8 @@ class MapAgent:
         )
 
     def _handle_challenge_answer(self, sender: str, msg: wire.AuthChallengeAnswer) -> Transition:
-        icd_in = self._by_agent.get(sender)
-        rec = self.records.get(icd_in) if icd_in is not None else None
-        if rec is None or not rec.challenge_outstanding or rec.challenge_sign is None:
+        rec = self._by_agent.get(sender)
+        if rec is None or not rec.challenge_outstanding:
             return unexpected(self.state_name, msg)
         rec.challenge_outstanding = False
         if msg.auth_sign_map == rec.challenge_sign.bits:

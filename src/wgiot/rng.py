@@ -15,7 +15,6 @@ class SimRng:
     """Wrapper around numpy's PCG64 with the few draw shapes the harness needs."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._gen = Generator(PCG64(seed))
 
     def draw_bytes(self, n: int) -> bytes:

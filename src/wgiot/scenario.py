@@ -182,7 +182,7 @@ def _parse_link(line: _Line) -> tuple[str, str, LinkModel]:
     return parts[0], parts[1], LinkModel(**kwargs)
 
 
-def _targets(line: _Line, token: str) -> tuple[str, ...]:
+def _targets(token: str) -> tuple[str, ...]:
     return tuple(t for t in token.split(",") if t)
 
 
@@ -192,10 +192,10 @@ def _parse_schedule(line: _Line):
         if parts[0] == "start" and parts[2] == "at":
             return StartIcd(parts[1], at=_parse_int(line, parts[3]))
         if parts[0] == "rotate" and parts[1] == "at" and parts[3] == "to":
-            return RotateMpc(at=_parse_int(line, parts[2]), targets=_targets(line, parts[4]))
+            return RotateMpc(at=_parse_int(line, parts[2]), targets=_targets(parts[4]))
         if parts[0] == "param-update" and parts[1] == "at" and parts[3] == "to":
             return SendParameterUpdate(
-                at=_parse_int(line, parts[2]), targets=_targets(line, parts[4])
+                at=_parse_int(line, parts[2]), targets=_targets(parts[4])
             )
     except IndexError:
         pass

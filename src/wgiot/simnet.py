@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from . import crypto, wire
-from .access_point import MapAgent, MapRecord
+from .access_point import MapAgent
 from .icd import IcdAgent, IcdConfig
 from .rng import SimRng
 from .wbrac import DEFAULT_WBRAC_ID, WbracService
@@ -189,7 +189,7 @@ class Simulator:
         sc = self.scenario
         self.wbrac = WbracService("wbrac", sc.wbrac_id, self.backend, rng=self.rng)
         self.wbrac.schedule.period_ms = sc.mpc_period
-        self.map = MapAgent("map-1", "wbrac")
+        self.map = MapAgent("map-1", "wbrac", self.wbrac.schedule.current)
         self.icds: dict[str, IcdAgent] = {}
         for i, sub in enumerate(sc.subscribers, start=1):
             agent_id = f"icd-{i}"
@@ -207,18 +207,7 @@ class Simulator:
                 wbrac_id=sc.wbrac_id,
             )
             self.icds[agent_id] = IcdAgent(agent_id, cfg, "map-1", self.rng, self.backend)
-            prov = self.wbrac.map_provision(rec)
-            self.map.provision(
-                sub.icd_in,
-                MapRecord(
-                    icd_agent_id=agent_id,
-                    expected_aac=crypto.Aac(prov.expected_aac),
-                    expected_mpc=self.wbrac.schedule.current,
-                    expected_rmc=crypto.Rmc(sub.rmc),
-                    challenge_wmap=crypto.Wmap(prov.wmap),
-                    challenge_sign=crypto.AuthSignMap(prov.challenge_sign),
-                ),
-            )
+            self.map.provision(agent_id, rec.rmc, self.wbrac.map_provision(rec))
         self.agents = {"wbrac": self.wbrac, "map-1": self.map, **self.icds}
 
     def _load_schedule(self):

@@ -210,10 +210,6 @@ MESSAGE_TYPES = (
 _BY_TAG = {cls.TAG: cls for cls in MESSAGE_TYPES}
 
 
-def payload_size(cls) -> int:
-    return cls.SIZE
-
-
 def encode(msg: WireMessage) -> bytes:
     cls = type(msg)
     # struct pads or truncates a wrong-length string silently

@@ -22,7 +22,7 @@ from conftest import (
     update_scenario,
 )
 from wgiot import crypto, wire
-from wgiot.access_point import MapAgent, MapRecord
+from wgiot.access_point import MapAgent
 from wgiot.icd import Authenticated
 from wgiot.rng import SimRng
 from wgiot.scenario import load_scenario
@@ -85,17 +85,9 @@ def _challenged_map(backend) -> tuple[MapAgent, crypto.AuthSignMap]:
     wmap = crypto.Wmap(bytes(8))
     challenge = crypto.compose_unique_challenge(wmap, 0x5747_0000_0000_0001)
     sign = crypto.authorization_signature(sd, challenge, sub.esn, sub.icd_in, backend=backend)
-    agent = MapAgent("map-1", "wbrac")
+    agent = MapAgent("map-1", "wbrac", crypto.Mpc(bytes(16)))
     agent.provision(
-        sub.icd_in,
-        MapRecord(
-            icd_agent_id="icd-1",
-            expected_aac=crypto.Aac(bytes(16)),
-            expected_mpc=crypto.Mpc(bytes(16)),
-            expected_rmc=crypto.Rmc(0),
-            challenge_wmap=wmap,
-            challenge_sign=sign,
-        ),
+        "icd-1", crypto.Rmc(0), wire.MapProvision(sub.icd_in, bytes(16), wmap.bits, sign.bits)
     )
     return agent, sign
 

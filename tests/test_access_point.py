@@ -3,15 +3,7 @@ import random
 import pytest
 
 from wgiot import crypto, wire
-from wgiot.access_point import (
-    CHALLENGE,
-    DENY,
-    UPDATE,
-    MapAgent,
-    MapPolicy,
-    MapRecord,
-    UnknownIcd,
-)
+from wgiot.access_point import CHALLENGE, DENY, UPDATE, MapAgent, UnknownIcd, remedy
 
 ICD_IN = 7
 EXPECTED_AAC = b"\x0a" * 16
@@ -20,18 +12,12 @@ CHALLENGE_WMAP = b"\x0c" * 8
 CHALLENGE_SIGN = b"\x0d" * 16
 
 
-def make_map(policy=None):
-    agent = MapAgent("map-1", "wbrac", policy=policy)
+def make_map():
+    agent = MapAgent("map-1", "wbrac", crypto.Mpc(EXPECTED_MPC))
     agent.provision(
-        ICD_IN,
-        MapRecord(
-            icd_agent_id="icd-1",
-            expected_aac=crypto.Aac(EXPECTED_AAC),
-            expected_mpc=crypto.Mpc(EXPECTED_MPC),
-            expected_rmc=crypto.Rmc(0),
-            challenge_wmap=crypto.Wmap(CHALLENGE_WMAP),
-            challenge_sign=crypto.AuthSignMap(CHALLENGE_SIGN),
-        ),
+        "icd-1",
+        crypto.Rmc(0),
+        wire.MapProvision(ICD_IN, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN),
     )
     return agent
 
@@ -65,7 +51,6 @@ def test_verify_unknown_icd():
 
 
 def test_default_policy_covers_all_seven_subsets():
-    policy = MapPolicy()
     fields = ("AAC", "MPC", "RMC")
     subsets = [
         frozenset(c)
@@ -73,17 +58,12 @@ def test_default_policy_covers_all_seven_subsets():
         for c in __import__("itertools").combinations(fields, n)
     ]
     assert len(subsets) == 7
-    actions = {s: policy.action_for(s) for s in subsets}
+    actions = {s: remedy(s) for s in subsets}
     assert actions[frozenset({"AAC"})] == CHALLENGE
     assert actions[frozenset({"AAC", "MPC", "RMC"})] == DENY
     for s, action in actions.items():
         if s not in (frozenset({"AAC"}), frozenset({"AAC", "MPC", "RMC"})):
             assert action == UPDATE
-
-
-def test_policy_override():
-    policy = MapPolicy(rules={frozenset({"MPC"}): DENY})
-    assert policy.action_for(frozenset({"MPC"})) == DENY
 
 
 # -- frame handling --------------------------------------------------------------
@@ -204,9 +184,24 @@ def test_unsolicited_challenge_answer_never_accepts():
 def test_broadcasts_update_expectations():
     agent = make_map()
     agent.handle("wbrac", wire.AccessParameterMessage(b"\x44" * 16), 0)
-    assert agent.records[ICD_IN].expected_mpc.bits == b"\x44" * 16
+    assert agent.mpc.bits == b"\x44" * 16
     agent.handle("wbrac", wire.ParameterUpdateOrder(), 0)
     assert agent.records[ICD_IN].expected_rmc.counter == 1
+
+
+def test_mpc_broadcast_reaches_every_provisioned_device():
+    agent = make_map()
+    agent.provision(
+        "icd-2", crypto.Rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
+    )
+    new_mpc = b"\x44" * 16
+    agent.handle("wbrac", wire.AccessParameterMessage(new_mpc), 0)
+    for sender, icd_in in (("icd-1", ICD_IN), ("icd-2", 8)):
+        assert agent.verify(icd_in, auth_request(mpc=new_mpc, icd_in=icd_in)) == frozenset()
+        result = agent.handle(sender, auth_request(icd_in=icd_in), 0)  # the old MPC
+        assert result.note == "mismatch MPC -> update"
+        assert (sender, wire.AccessParameterMessage(new_mpc)) in result.out
+        assert ("wbrac", wire.UpdateRequest(icd_in)) in result.out
 
 
 def test_no_pending_leak_after_adversarial_interleavings():

@@ -7,6 +7,7 @@ from wgiot import crypto, wire
 from wgiot.rng import SimRng
 from wgiot.wbrac import (
     DuplicateIcd,
+    IoFailure,
     MpcSchedule,
     NoPendingUpdate,
     ParseError,
@@ -203,3 +204,11 @@ def test_bad_header(tmp_path):
     with pytest.raises(ParseError) as err:
         WbracService().load(path)
     assert err.value.line_no == 1
+
+
+def test_unwritable_or_missing_registry_raises_io_failure(tmp_path):
+    svc, _ = make_wbrac()
+    with pytest.raises(IoFailure):
+        svc.save(tmp_path)  # a directory, not a file
+    with pytest.raises(IoFailure):
+        WbracService().load(tmp_path / "missing.txt")

@@ -82,7 +82,7 @@ def test_round_trip_all_types_fuzz():
     for _ in range(20_000):
         msg = random_message(r)
         raw = wire.encode(msg)
-        assert len(raw) == 3 + wire.payload_size(type(msg))
+        assert len(raw) == 3 + type(msg).SIZE
         assert wire.decode(raw) == msg
 
 
