@@ -5,6 +5,8 @@ by the WBRAC (it never holds device secrets) and relays challenge traffic
 between device and WBRAC.  A failed comparison is remedied by a fixed rule
 (`remedy`): an MPC or RMC mismatch starts the update-value flow, an
 AAC-only mismatch gets a unique challenge, and all three wrong is denied.
+The access point obeys the WBRAC's frames only when they come from the
+WBRAC, and answers an AuthRequest only for the sending device's own icd_in.
 """
 
 from __future__ import annotations
@@ -99,95 +101,65 @@ class MapAgent:
     # -- transitions --
 
     def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
-        if isinstance(msg, wire.SecureActivation):
-            return Transition(note="activation")
+        table = self._FROM_WBRAC if sender == self.wbrac_id else self._FROM_DEVICE
+        handler = table.get(type(msg))
+        if handler is None:
+            return unexpected(self.state_name, msg)
+        return handler(self, sender, msg)
 
-        if isinstance(msg, wire.AccessParameterMessage):
-            self.mpc = crypto.Mpc(msg.mpc)
-            return Transition(note="mpc-updated")
+    # frames from the WBRAC
 
-        if isinstance(msg, wire.ParameterUpdateOrder):
-            for rec in self.records.values():
-                rec.expected_rmc = rec.expected_rmc.incremented()
-            return Transition(note="rmc-incremented")
+    def _on_access_parameter(self, sender: str, msg: wire.AccessParameterMessage) -> Transition:
+        self.mpc = crypto.Mpc(msg.mpc)
+        return Transition(note="mpc-updated")
 
-        if isinstance(msg, wire.AuthRequest):
-            return self._handle_auth_request(sender, msg)
+    def _on_parameter_update(self, sender: str, msg: wire.ParameterUpdateOrder) -> Transition:
+        for rec in self.records.values():
+            rec.expected_rmc = rec.expected_rmc.incremented()
+        return Transition(note="rmc-incremented")
 
-        if isinstance(msg, wire.UpdateMessage):
-            rec = self.records.get(msg.icd_in)
-            if rec is None:
-                return Transition(note=f"update for unknown icd {msg.icd_in}")
-            rec.pending = PendingUpdate()
-            return Transition(out=[(rec.icd_agent_id, wire.UpdateOrder(msg.rand))])
+    def _on_update_message(self, sender: str, msg: wire.UpdateMessage) -> Transition:
+        rec = self.records.get(msg.icd_in)
+        if rec is None:
+            return Transition(note=f"update for unknown icd {msg.icd_in}")
+        rec.pending = PendingUpdate()
+        return Transition(out=[(rec.icd_agent_id, wire.UpdateOrder(msg.rand))])
 
-        if isinstance(msg, wire.MobileAccessChallengeOrder):
-            rec = self._by_agent.get(sender)
-            if rec is None:
-                return unexpected(self.state_name, msg)
-            return Transition(
-                out=[
-                    (sender, wire.ChallengeAck()),
-                    (self.wbrac_id, wire.MapChallengeForward(rec.icd_in, msg.to_map)),
-                ]
-            )
+    def _on_challenge_response(self, sender: str, msg: wire.MapChallengeResponse) -> Transition:
+        rec = self._unique_pending()
+        if rec is None:
+            return unexpected(self.state_name, msg)
+        rec.pending.expected_sign = crypto.AuthSignMap(msg.auth_sign_map)
+        return Transition(
+            out=[(rec.icd_agent_id, wire.MapChallengeResponseOrder(msg.auth_sign_map))]
+        )
 
-        if isinstance(msg, wire.MapChallengeResponse):
-            rec = self._unique_pending(want_sign=True)
-            if rec is None:
-                return unexpected(self.state_name, msg)
-            rec.pending.expected_sign = crypto.AuthSignMap(msg.auth_sign_map)
-            return Transition(
-                out=[(rec.icd_agent_id, wire.MapChallengeResponseOrder(msg.auth_sign_map))]
-            )
+    def _on_provision(self, sender: str, msg: wire.MapProvision) -> Transition:
+        rec = self.records.get(msg.icd_in)
+        if rec is None:
+            return Transition(note=f"provision for unknown icd {msg.icd_in}")
+        if rec.pending is not None:
+            rec.pending.next_provision = msg
+            return Transition(note="provision-stashed")
+        self._apply_provision(rec, msg)
+        return Transition(note="provision-applied")
 
-        if isinstance(msg, wire.MapProvision):
-            rec = self.records.get(msg.icd_in)
-            if rec is None:
-                return Transition(note=f"provision for unknown icd {msg.icd_in}")
-            if rec.pending is not None:
-                rec.pending.next_provision = msg
-                return Transition(note="provision-stashed")
-            self._apply_provision(rec, msg)
-            return Transition(note="provision-applied")
+    # frames from devices
 
-        if isinstance(msg, wire.UpdateConfirmation):
-            rec = self._by_agent.get(sender)
-            if rec is None or rec.pending is None:
-                return unexpected(self.state_name, msg)
-            if rec.pending.next_provision is not None:
-                self._apply_provision(rec, rec.pending.next_provision)
-            rec.pending = None
-            return Transition(
-                out=[(self.wbrac_id, wire.UpdateConfirmation())], note="update-committed"
-            )
+    def _on_activation(self, sender: str, msg: wire.SecureActivation) -> Transition:
+        return Transition(note="activation")
 
-        if isinstance(msg, wire.UpdateRejection):
-            rec = self._by_agent.get(sender)
-            if rec is None or rec.pending is None:
-                return unexpected(self.state_name, msg)
-            rec.pending = None
-            return Transition(
-                out=[(self.wbrac_id, wire.UpdateRejection())], note="update-discarded"
-            )
-
-        if isinstance(msg, wire.AuthChallengeAnswer):
-            return self._handle_challenge_answer(sender, msg)
-
-        return unexpected(self.state_name, msg)
-
-    # -- internals --
-
-    def _handle_auth_request(self, sender: str, req: wire.AuthRequest) -> Transition:
-        try:
-            mismatch = self.verify(req.icd_in, req)
-        except UnknownIcd:
+    def _on_auth_request(self, sender: str, req: wire.AuthRequest) -> Transition:
+        rec = self.records.get(req.icd_in)
+        if rec is None or self._by_agent.get(sender) is not rec:
+            # unknown, or not the sender's own icd_in
             return Transition(
                 out=[(sender, wire.AccessDenied(REASON_UNKNOWN_ICD))], note="unknown-icd"
             )
+        try:
+            mismatch = self.verify(req.icd_in, req)
         except crypto.BadLength as exc:
             return Transition(note=f"malformed guid: {exc}")
-        rec = self.records[req.icd_in]
         if not mismatch:
             return Transition(out=[(sender, wire.AuthAccept())], note="guid-match")
 
@@ -214,7 +186,38 @@ class MapAgent:
             out=[(sender, wire.AccessDenied(REASON_VERIFY_FAILED))], note=note + " -> deny"
         )
 
-    def _handle_challenge_answer(self, sender: str, msg: wire.AuthChallengeAnswer) -> Transition:
+    def _on_challenge_order(
+        self, sender: str, msg: wire.MobileAccessChallengeOrder
+    ) -> Transition:
+        rec = self._by_agent.get(sender)
+        if rec is None:
+            return unexpected(self.state_name, msg)
+        return Transition(
+            out=[
+                (sender, wire.ChallengeAck()),
+                (self.wbrac_id, wire.MapChallengeForward(rec.icd_in, msg.to_map)),
+            ]
+        )
+
+    def _on_confirmation(self, sender: str, msg: wire.UpdateConfirmation) -> Transition:
+        rec = self._by_agent.get(sender)
+        if rec is None or rec.pending is None:
+            return unexpected(self.state_name, msg)
+        if rec.pending.next_provision is not None:
+            self._apply_provision(rec, rec.pending.next_provision)
+        rec.pending = None
+        return Transition(
+            out=[(self.wbrac_id, wire.UpdateConfirmation())], note="update-committed"
+        )
+
+    def _on_rejection(self, sender: str, msg: wire.UpdateRejection) -> Transition:
+        rec = self._by_agent.get(sender)
+        if rec is None or rec.pending is None:
+            return unexpected(self.state_name, msg)
+        rec.pending = None
+        return Transition(out=[(self.wbrac_id, wire.UpdateRejection())], note="update-discarded")
+
+    def _on_challenge_answer(self, sender: str, msg: wire.AuthChallengeAnswer) -> Transition:
         rec = self._by_agent.get(sender)
         if rec is None or not rec.challenge_outstanding:
             return unexpected(self.state_name, msg)
@@ -226,18 +229,40 @@ class MapAgent:
             note="challenge-failed -> deny",
         )
 
+    _FROM_WBRAC = {
+        wire.AccessParameterMessage: _on_access_parameter,
+        wire.ParameterUpdateOrder: _on_parameter_update,
+        wire.UpdateMessage: _on_update_message,
+        wire.MapChallengeResponse: _on_challenge_response,
+        wire.MapProvision: _on_provision,
+    }
+    _FROM_DEVICE = {
+        wire.SecureActivation: _on_activation,
+        wire.AuthRequest: _on_auth_request,
+        wire.MobileAccessChallengeOrder: _on_challenge_order,
+        wire.UpdateConfirmation: _on_confirmation,
+        wire.UpdateRejection: _on_rejection,
+        wire.AuthChallengeAnswer: _on_challenge_answer,
+    }
+
+    # -- internals --
+
     def _apply_provision(self, rec: MapRecord, prov: wire.MapProvision) -> None:
         rec.expected_aac = crypto.Aac(prov.expected_aac)
         rec.challenge_wmap = crypto.Wmap(prov.wmap)
         rec.challenge_sign = crypto.AuthSignMap(prov.challenge_sign)
         rec.challenge_outstanding = False
 
-    def _unique_pending(self, want_sign: bool) -> MapRecord | None:
-        """The response frames carry no device id; attribute them to the single
-        record with a pending update (lowest icd_in on the rare tie)."""
-        candidates = [
-            rec
-            for _, rec in sorted(self.records.items())
-            if rec.pending is not None and (not want_sign or rec.pending.expected_sign is None)
-        ]
-        return candidates[0] if candidates else None
+    def _unique_pending(self) -> MapRecord | None:
+        """The response frames carry no device id; attribute them to the
+        record with a pending update still waiting for its signature
+        (lowest icd_in on the rare tie)."""
+        return min(
+            (
+                rec
+                for rec in self.records.values()
+                if rec.pending is not None and rec.pending.expected_sign is None
+            ),
+            key=lambda rec: rec.icd_in,
+            default=None,
+        )

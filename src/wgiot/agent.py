@@ -7,6 +7,14 @@ Every agent (IcdAgent, MapAgent, WbracService) offers the same interface:
 - handle(sender, msg, now) -> Transition: feed one delivered frame;
 - tick(now) -> Transition: only on agents that ever return tick_at (which
   only IcdAgent does), called when the requested time arrives.
+
+Each agent's handle looks the frame's exact type up in a class-level table
+of per-frame handlers; a type with no entry returns unexpected(...).  The
+access point keeps two tables, one for frames from the WBRAC and one for
+frames from devices, so a frame from the wrong side is unexpected too.  The
+device's handlers check its state themselves.  Handlers reach crypto, wire,
+unexpected and the agents' public methods by attribute lookup at call time,
+which is what lets an outside tracer wrap them.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ class NotIdle(ProtocolError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Transition:
     """Result of feeding one message or tick to an agent.
 

@@ -114,82 +114,95 @@ class IcdAgent:
         )
 
     def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
-        cfg = self.cfg
-        state = self.state
-
-        if isinstance(msg, wire.AccessParameterMessage):
-            cfg.mpc = crypto.Mpc(msg.mpc)
-            return Transition(note="mpc-updated")
-
-        if isinstance(msg, wire.ParameterUpdateOrder):
-            cfg.rmc = cfg.rmc.incremented()
-            return Transition(note="rmc-incremented")
-
-        if isinstance(msg, wire.AuthAccept):
-            if isinstance(state, AwaitingAuthResult):
-                self.state = Authenticated(crypto.derive_session_key(cfg.sd, self.backend))
-                return Transition(note="authenticated")
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
             return unexpected(self.state_name, msg)
+        return handler(self, msg, now)
 
-        if isinstance(msg, wire.UpdateOrder):
-            if isinstance(state, Denied):
-                return unexpected(self.state_name, msg)
-            aac_from_rand = crypto.authenticate_signature(
-                crypto.SdPair.from_packed(msg.rand),
-                cfg.wgie.esn,
-                cfg.wgie.icd_in,
-                cfg.sc_auth_k,
-                self.backend,
-            )
-            sd_new = crypto.sd_generation(aac_from_rand, cfg.wgie.esn, cfg.sc_auth_k, self.backend)
-            to_map = crypto.gen_to_map(self.rng)
-            local_sign = crypto.authorization_signature(
-                sd_new, to_map.bits, cfg.wgie.esn, cfg.wgie.icd_in, self.backend
-            )
-            self.state = UpdateAwaitingAck(sd_new, to_map, local_sign)
-            return Transition(out=[(self.map_id, wire.MobileAccessChallengeOrder(to_map.bits))])
+    def _on_access_parameter(self, msg: wire.AccessParameterMessage, now: int) -> Transition:
+        self.cfg.mpc = crypto.Mpc(msg.mpc)
+        return Transition(note="mpc-updated")
 
-        if isinstance(msg, wire.ChallengeAck):
-            if isinstance(state, UpdateAwaitingAck):
-                deadline = now + CONFIRM_TIMEOUT_MS
-                self.state = UpdateAwaitingConfirmation(state.sd_new, state.local_sign, deadline)
-                return Transition(tick_at=deadline + 1)
-            return unexpected(self.state_name, msg)
+    def _on_parameter_update(self, msg: wire.ParameterUpdateOrder, now: int) -> Transition:
+        self.cfg.rmc = self.cfg.rmc.incremented()
+        return Transition(note="rmc-incremented")
 
-        if isinstance(msg, wire.MapChallengeResponseOrder):
-            if isinstance(state, UpdateAwaitingConfirmation):
-                if now > state.deadline:
-                    self.state = Idle()
-                    return Transition(note="update-timeout")
-                if msg.auth_sign_map == state.local_sign.bits:
-                    cfg.sd = state.sd_new
-                    self.state = AwaitingAuthResult()
-                    # re-authenticate with the committed service data
-                    return Transition(
-                        out=[
-                            (self.map_id, wire.UpdateConfirmation()),
-                            (self.map_id, self._auth_request()),
-                        ],
-                        note="update-committed",
-                    )
-                self.state = Idle()
-                return Transition(
-                    out=[(self.map_id, wire.UpdateRejection())], note="update-rejected"
-                )
-            return unexpected(self.state_name, msg)
-
-        if isinstance(msg, wire.AuthenticationChallenge):
-            composite = crypto.compose_unique_challenge(crypto.Wmap(msg.wmap), cfg.wbrac_id)
-            answer = crypto.authorization_signature(
-                cfg.sd, composite, cfg.wgie.esn, cfg.wgie.icd_in, self.backend
-            )
-            return Transition(out=[(self.map_id, wire.AuthChallengeAnswer(answer.bits))])
-
-        if isinstance(msg, wire.AccessDenied):
-            self.state = Denied()
-            return Transition(note=f"denied reason={msg.reason}")
-
+    def _on_auth_accept(self, msg: wire.AuthAccept, now: int) -> Transition:
+        if isinstance(self.state, AwaitingAuthResult):
+            self.state = Authenticated(crypto.derive_session_key(self.cfg.sd, self.backend))
+            return Transition(note="authenticated")
         return unexpected(self.state_name, msg)
+
+    def _on_update_order(self, msg: wire.UpdateOrder, now: int) -> Transition:
+        if isinstance(self.state, Denied):
+            return unexpected(self.state_name, msg)
+        cfg = self.cfg
+        aac_from_rand = crypto.authenticate_signature(
+            crypto.SdPair.from_packed(msg.rand),
+            cfg.wgie.esn,
+            cfg.wgie.icd_in,
+            cfg.sc_auth_k,
+            self.backend,
+        )
+        sd_new = crypto.sd_generation(aac_from_rand, cfg.wgie.esn, cfg.sc_auth_k, self.backend)
+        to_map = crypto.gen_to_map(self.rng)
+        local_sign = crypto.authorization_signature(
+            sd_new, to_map.bits, cfg.wgie.esn, cfg.wgie.icd_in, self.backend
+        )
+        self.state = UpdateAwaitingAck(sd_new, to_map, local_sign)
+        return Transition(out=[(self.map_id, wire.MobileAccessChallengeOrder(to_map.bits))])
+
+    def _on_challenge_ack(self, msg: wire.ChallengeAck, now: int) -> Transition:
+        state = self.state
+        if isinstance(state, UpdateAwaitingAck):
+            deadline = now + CONFIRM_TIMEOUT_MS
+            self.state = UpdateAwaitingConfirmation(state.sd_new, state.local_sign, deadline)
+            return Transition(tick_at=deadline + 1)
+        return unexpected(self.state_name, msg)
+
+    def _on_response_order(self, msg: wire.MapChallengeResponseOrder, now: int) -> Transition:
+        state = self.state
+        if not isinstance(state, UpdateAwaitingConfirmation):
+            return unexpected(self.state_name, msg)
+        if now > state.deadline:
+            self.state = Idle()
+            return Transition(note="update-timeout")
+        if msg.auth_sign_map == state.local_sign.bits:
+            self.cfg.sd = state.sd_new
+            self.state = AwaitingAuthResult()
+            # re-authenticate with the committed service data
+            return Transition(
+                out=[
+                    (self.map_id, wire.UpdateConfirmation()),
+                    (self.map_id, self._auth_request()),
+                ],
+                note="update-committed",
+            )
+        self.state = Idle()
+        return Transition(out=[(self.map_id, wire.UpdateRejection())], note="update-rejected")
+
+    def _on_challenge(self, msg: wire.AuthenticationChallenge, now: int) -> Transition:
+        cfg = self.cfg
+        composite = crypto.compose_unique_challenge(crypto.Wmap(msg.wmap), cfg.wbrac_id)
+        answer = crypto.authorization_signature(
+            cfg.sd, composite, cfg.wgie.esn, cfg.wgie.icd_in, self.backend
+        )
+        return Transition(out=[(self.map_id, wire.AuthChallengeAnswer(answer.bits))])
+
+    def _on_access_denied(self, msg: wire.AccessDenied, now: int) -> Transition:
+        self.state = Denied()
+        return Transition(note=f"denied reason={msg.reason}")
+
+    _HANDLERS = {
+        wire.AccessParameterMessage: _on_access_parameter,
+        wire.ParameterUpdateOrder: _on_parameter_update,
+        wire.AuthAccept: _on_auth_accept,
+        wire.UpdateOrder: _on_update_order,
+        wire.ChallengeAck: _on_challenge_ack,
+        wire.MapChallengeResponseOrder: _on_response_order,
+        wire.AuthenticationChallenge: _on_challenge,
+        wire.AccessDenied: _on_access_denied,
+    }
 
     def tick(self, now: int) -> Transition:
         if isinstance(self.state, UpdateAwaitingConfirmation) and now > self.state.deadline:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import crypto, wire
 from .access_point import MapAgent
@@ -38,6 +39,9 @@ class LinkModel:
     delay_ms: int = 0
     drop_prob: float = 0.0
     dup_prob: float = 0.0
+
+
+NO_IMPAIRMENT = LinkModel()  # a link the scenario does not list
 
 
 @dataclass(frozen=True)
@@ -118,8 +122,7 @@ class Scenario:
 # Trace
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     time: int
     sender: str
     receiver: str
@@ -153,8 +156,11 @@ class Trace:
 # Simulator
 
 
-@dataclass(frozen=True)
-class _Deliver:
+# Queued events are named tuples, which are cheaper to build than frozen
+# dataclasses: the queue holds one per frame in flight.
+
+
+class _Deliver(NamedTuple):
     src: str
     dst: str
     raw: bytes
@@ -162,8 +168,7 @@ class _Deliver:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class _Tick:
+class _Tick(NamedTuple):
     agent_id: str
 
 
@@ -236,23 +241,29 @@ class Simulator:
     # -- frame transport --
 
     def send(self, src: str, dst: str, msg: wire.WireMessage) -> None:
-        raw = wire.encode(msg)
+        self._transmit(src, dst, wire.encode(msg))
+
+    def _transmit(self, src: str, dst: str, raw: bytes) -> None:
+        """Put one encoded frame on the src -> dst link: the adversary's
+        hooks, then the link's drop and duplicate draws."""
+        tag = raw[0]
         note = ""
-        if type(msg).TAG in self._capture_tags:
+        if tag in self._capture_tags:
             self.captured.append((src, dst, raw))
             note = "captured"
         for i, action in enumerate(self._corrupt_queue):
-            if action.tag == type(msg).TAG:
+            if action.tag == tag:
                 raw = self._flip_payload_bit(raw, action.bit_index)
                 del self._corrupt_queue[i]
                 note = (note + " corrupted").strip()
                 break
-        link = self.scenario.links.get((src, dst), LinkModel())
+        link = self.scenario.links.get((src, dst), NO_IMPAIRMENT)
         dropped = self.rng.chance(link.drop_prob)
         duplicated = self.rng.chance(link.dup_prob)
-        self._push(self.now + link.delay_ms, _Deliver(src, dst, raw, dropped, note))
+        at = self.now + link.delay_ms
+        self._push(at, _Deliver(src, dst, raw, dropped, note))
         if duplicated and not dropped:
-            self._push(self.now + link.delay_ms, _Deliver(src, dst, raw, False, "duplicate"))
+            self._push(at, _Deliver(src, dst, raw, False, "duplicate"))
 
     @staticmethod
     def _flip_payload_bit(raw: bytes, bit_index: int) -> bytes:
@@ -270,62 +281,82 @@ class Simulator:
             raise NoEvents()
         at, _, item = heapq.heappop(self._heap)
         self.now = at
-        if isinstance(item, _Deliver):
-            self._process_deliver(item)
-        elif isinstance(item, _Tick):
-            agent = self.agents[item.agent_id]
-            result = agent.tick(self.now)
-            if result.note:
-                self.trace.add(self.now, "-", item.agent_id, "tick", None, result.note)
-            self._apply(item.agent_id, result)
-        elif isinstance(item, StartIcd):
-            result = self.icds[item.agent_id].start(self.now)
-            self._apply(item.agent_id, result)
-        elif isinstance(item, RotateMpc):
-            try:
-                frame = self.wbrac.rotate_mpc(self.now)
-            except Exception as exc:
-                self.trace.add(self.now, "wbrac", "-", "rotate", None, f"skipped: {exc}")
-                return
-            for target in item.targets:
-                self.send("wbrac", target, frame)
-        elif isinstance(item, SendParameterUpdate):
-            for target in item.targets:
-                self.send("wbrac", target, wire.ParameterUpdateOrder())
-        elif isinstance(item, ReplayCaptured):
-            if item.index >= len(self.captured):
-                self.trace.add(self.now, "adversary", "-", "replay", None, "no-op: nothing captured")
-                return
-            src, dst, raw = self.captured[item.index]
-            self._push(self.now, _Deliver(src, dst, raw, False, "replayed"))
-        elif isinstance(item, Inject):
-            self._push(self.now, _Deliver(item.src, item.to, wire.encode(item.frame), False, "injected"))
+        self._EVENT_HANDLERS[type(item)](self, item)
 
-    def _process_deliver(self, ev: _Deliver) -> None:
+    def _broadcast(self, targets: tuple[str, ...], frame: wire.WireMessage) -> None:
+        raw = wire.encode(frame)
+        for target in targets:
+            self._transmit("wbrac", target, raw)
+
+    def _on_tick(self, item: _Tick) -> None:
+        result = self.agents[item.agent_id].tick(self.now)
+        if result.note:
+            self.trace.add(self.now, "-", item.agent_id, "tick", None, result.note)
+        self._apply(item.agent_id, result)
+
+    def _on_start(self, item: StartIcd) -> None:
+        self._apply(item.agent_id, self.icds[item.agent_id].start(self.now))
+
+    def _on_rotate(self, item: RotateMpc) -> None:
         try:
-            msg = wire.decode(ev.raw)
-            tag = wire.tag_name(msg)
+            frame = self.wbrac.rotate_mpc(self.now)
+        except Exception as exc:
+            self.trace.add(self.now, "wbrac", "-", "rotate", None, f"skipped: {exc}")
+            return
+        self._broadcast(item.targets, frame)
+
+    def _on_parameter_update(self, item: SendParameterUpdate) -> None:
+        self._broadcast(item.targets, wire.ParameterUpdateOrder())
+
+    def _on_replay(self, item: ReplayCaptured) -> None:
+        if item.index >= len(self.captured):
+            self.trace.add(self.now, "adversary", "-", "replay", None, "no-op: nothing captured")
+            return
+        src, dst, raw = self.captured[item.index]
+        self._push(self.now, _Deliver(src, dst, raw, False, "replayed"))
+
+    def _on_inject(self, item: Inject) -> None:
+        self._push(self.now, _Deliver(item.src, item.to, wire.encode(item.frame), False, "injected"))
+
+    def _on_deliver(self, ev: _Deliver) -> None:
+        src, dst, raw, dropped, note = ev
+        now = self.now
+        try:
+            msg = wire.decode(raw)
         except wire.WireError as exc:
-            self.trace.add(self.now, ev.src, ev.dst, "?", ev.raw, f"undecodable: {exc}")
+            self.trace.add(now, src, dst, "?", raw, f"undecodable: {exc}")
             return
-        payload = ev.raw[3:]
-        if ev.dropped:
-            self.trace.add(self.now, ev.src, ev.dst, tag, payload, ("dropped " + ev.note).strip())
+        tag = type(msg).__name__
+        payload = raw[3:]
+        if dropped:
+            self.trace.add(now, src, dst, tag, payload, ("dropped " + note).strip())
             return
-        agent = self.agents.get(ev.dst)
+        agent = self.agents.get(dst)
         if agent is None:
-            self.trace.add(self.now, ev.src, ev.dst, tag, payload, ("sink " + ev.note).strip())
+            self.trace.add(now, src, dst, tag, payload, ("sink " + note).strip())
             return
-        result = agent.handle(ev.src, msg, self.now)
-        note = " ".join(x for x in (ev.note, result.note, f"-> {agent.state_name}") if x)
-        self.trace.add(self.now, ev.src, ev.dst, tag, payload, note)
-        self._apply(ev.dst, result)
+        result = agent.handle(src, msg, now)
+        outcome = f"-> {agent.state_name}"
+        if result.note:
+            outcome = f"{result.note} {outcome}"
+        self.trace.add(now, src, dst, tag, payload, f"{note} {outcome}" if note else outcome)
+        self._apply(dst, result)
 
     def _apply(self, agent_id: str, result) -> None:
         for dst, msg in result.out:
             self.send(agent_id, dst, msg)
         if result.tick_at is not None:
             self._push(result.tick_at, _Tick(agent_id))
+
+    _EVENT_HANDLERS = {
+        _Deliver: _on_deliver,
+        _Tick: _on_tick,
+        StartIcd: _on_start,
+        RotateMpc: _on_rotate,
+        SendParameterUpdate: _on_parameter_update,
+        ReplayCaptured: _on_replay,
+        Inject: _on_inject,
+    }
 
     def run(self) -> Trace:
         while self._heap and self._heap[0][0] <= self.scenario.max_time:

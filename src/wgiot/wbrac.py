@@ -167,46 +167,59 @@ class WbracService:
     # -- frame handling (requests relayed by the access point) --
 
     def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
-        if isinstance(msg, wire.UpdateRequest):
-            rec = self.registry.get(msg.icd_in)
-            if rec is None:
-                return Transition(note=f"update request for unknown icd {msg.icd_in}")
-            try:
-                update = self.begin_update(msg.icd_in)
-            except UpdateInProgress:
-                return Transition(note="update already in progress")
-            return Transition(out=[(sender, update)])
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
+            return unexpected(self.state_name, msg)
+        return handler(self, sender, msg)
 
-        if isinstance(msg, wire.MapChallengeForward):
-            rec = self.registry.get(msg.icd_in)
-            if rec is None:
-                return Transition(note=f"challenge for unknown icd {msg.icd_in}")
-            try:
-                sign = self.answer_challenge(msg.icd_in, crypto.ToMap(msg.to_map))
-            except NoPendingUpdate:
-                return Transition(note="no pending update")
-            # push the post-commit expectations ahead of the response so the
-            # access point can verify the device's re-authentication
-            prov = self.map_provision(rec, sd=rec.pending_sd_new)
-            return Transition(
-                out=[(sender, prov), (sender, wire.MapChallengeResponse(sign.bits))]
-            )
+    def _on_update_request(self, sender: str, msg: wire.UpdateRequest) -> Transition:
+        rec = self.registry.get(msg.icd_in)
+        if rec is None:
+            return Transition(note=f"update request for unknown icd {msg.icd_in}")
+        try:
+            update = self.begin_update(msg.icd_in)
+        except UpdateInProgress:
+            return Transition(note="update already in progress")
+        return Transition(out=[(sender, update)])
 
-        if isinstance(msg, (wire.UpdateConfirmation, wire.UpdateRejection)):
-            rec = self._unique_pending()
-            if rec is None:
-                return unexpected(self.state_name, msg)
-            confirmed = isinstance(msg, wire.UpdateConfirmation)
-            self.commit(rec.icd_in, confirmed)
-            return Transition(note="committed" if confirmed else "rejected")
+    def _on_challenge_forward(self, sender: str, msg: wire.MapChallengeForward) -> Transition:
+        rec = self.registry.get(msg.icd_in)
+        if rec is None:
+            return Transition(note=f"challenge for unknown icd {msg.icd_in}")
+        try:
+            sign = self.answer_challenge(msg.icd_in, crypto.ToMap(msg.to_map))
+        except NoPendingUpdate:
+            return Transition(note="no pending update")
+        # push the post-commit expectations ahead of the response so the
+        # access point can verify the device's re-authentication
+        prov = self.map_provision(rec, sd=rec.pending_sd_new)
+        return Transition(out=[(sender, prov), (sender, wire.MapChallengeResponse(sign.bits))])
 
-        return unexpected(self.state_name, msg)
+    def _on_update_outcome(
+        self, sender: str, msg: wire.UpdateConfirmation | wire.UpdateRejection
+    ) -> Transition:
+        rec = self._unique_pending()
+        if rec is None:
+            return unexpected(self.state_name, msg)
+        confirmed = type(msg) is wire.UpdateConfirmation
+        self.commit(rec.icd_in, confirmed)
+        return Transition(note="committed" if confirmed else "rejected")
+
+    _HANDLERS = {
+        wire.UpdateRequest: _on_update_request,
+        wire.MapChallengeForward: _on_challenge_forward,
+        wire.UpdateConfirmation: _on_update_outcome,
+        wire.UpdateRejection: _on_update_outcome,
+    }
 
     def _unique_pending(self) -> SubscriberRecord | None:
-        candidates = [
-            rec for _, rec in sorted(self.registry.items()) if rec.pending_sd_new is not None
-        ]
-        return candidates[0] if candidates else None
+        """The forwarded outcome frames carry no device id; attribute them to
+        the record with a pending update (lowest icd_in on the rare tie)."""
+        return min(
+            (rec for rec in self.registry.values() if rec.pending_sd_new is not None),
+            key=lambda rec: rec.icd_in,
+            default=None,
+        )
 
     # -- persistence --
 

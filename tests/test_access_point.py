@@ -229,3 +229,38 @@ def test_no_pending_leak_after_adversarial_interleavings():
                 res = agent.handle("icd-1", wire.AuthChallengeAnswer(r.randbytes(16)), 0)
             accepted = accepted or any(isinstance(m, wire.AuthAccept) for _, m in res.out)
         assert not accepted
+
+
+def test_wbrac_frames_from_a_device_are_ignored():
+    agent = make_map()
+    agent.provision(
+        "icd-2", crypto.Rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
+    )
+    rec = agent.records[ICD_IN]
+    for frame in (
+        wire.MapProvision(ICD_IN, bytes(16), bytes(8), bytes(16)),
+        wire.AccessParameterMessage(bytes(16)),
+        wire.ParameterUpdateOrder(),
+        wire.UpdateMessage(ICD_IN, bytes(16)),
+        wire.MapChallengeResponse(bytes(16)),
+    ):
+        result = agent.handle("icd-2", frame, 0)
+        assert result.out == [] and result.note == f"unexpected {type(frame).__name__} in -"
+    assert agent.mpc.bits == EXPECTED_MPC
+    assert rec.expected_aac.bits == EXPECTED_AAC and rec.challenge_sign.bits == CHALLENGE_SIGN
+    assert rec.expected_rmc.counter == 0 and rec.pending is None
+    forged = agent.handle("icd-2", auth_request(aac=bytes(16), mpc=bytes(16), icd_in=ICD_IN), 0)
+    assert not any(isinstance(m, wire.AuthAccept) for _, m in forged.out)
+
+
+def test_auth_request_for_another_devices_icd_in_is_denied():
+    agent = make_map()
+    agent.provision(
+        "icd-2", crypto.Rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
+    )
+    for aac in (EXPECTED_AAC, bytes(16)):  # device 1's valid GUID, then one that arms a challenge
+        result = agent.handle("icd-2", auth_request(aac=aac, icd_in=ICD_IN), 0)
+        assert result.out == [("icd-2", wire.AccessDenied(0x02))]
+        assert result.note == "unknown-icd"
+    assert not agent.records[ICD_IN].challenge_outstanding
+    assert agent.handle("icd-1", auth_request(icd_in=ICD_IN), 0).note == "guid-match"
