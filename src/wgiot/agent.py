@@ -12,9 +12,12 @@ Each agent's handle looks the frame's exact type up in a class-level table
 of per-frame handlers; a type with no entry returns unexpected(...).  The
 access point keeps two tables, one for frames from the WBRAC and one for
 frames from devices, so a frame from the wrong side is unexpected too.  The
-device's handlers check its state themselves.  Handlers reach crypto, wire,
-unexpected and the agents' public methods by attribute lookup at call time,
-which is what lets an outside tracer wrap them.
+device takes frames only from its access point, and from the WBRAC only the
+network broadcasts (AccessParameterMessage, ParameterUpdateOrder); a frame
+from any other sender is unexpected.  The device's handlers check its state
+themselves.  Handlers reach crypto, wire, unexpected and the agents' public
+methods by attribute lookup at call time, which is what lets an outside
+tracer wrap them.
 """
 
 from __future__ import annotations

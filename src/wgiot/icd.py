@@ -4,6 +4,11 @@ The device initiates activation, assembles its GUID, answers update-value
 and unique-challenge flows, and enforces the 1 s confirmation timer.  The
 new service data computed during an update is committed exactly once (on a
 matching confirmation order) or discarded exactly once (mismatch/timeout).
+
+The device obeys frames only from its access point (`map_id`), and from the
+WBRAC (`wbrac_agent_id`) only the two network broadcasts,
+AccessParameterMessage and ParameterUpdateOrder.  A frame from any other
+sender is noted as unexpected and changes nothing.
 """
 
 from __future__ import annotations
@@ -76,10 +81,12 @@ class IcdAgent:
         map_id: str,
         rng,
         backend: crypto.PrfBackend = crypto.DEFAULT_BACKEND,
+        wbrac_agent_id: str = "wbrac",
     ):
         self.agent_id = agent_id
         self.cfg = cfg
         self.map_id = map_id
+        self.wbrac_agent_id = wbrac_agent_id
         self.rng = rng
         self.backend = backend
         self.state = Idle()
@@ -114,7 +121,12 @@ class IcdAgent:
         )
 
     def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
-        handler = self._HANDLERS.get(type(msg))
+        if sender == self.map_id:
+            handler = self._FROM_MAP.get(type(msg))
+        elif sender == self.wbrac_agent_id:
+            handler = self._FROM_WBRAC.get(type(msg))
+        else:
+            handler = None
         if handler is None:
             return unexpected(self.state_name, msg)
         return handler(self, msg, now)
@@ -193,9 +205,12 @@ class IcdAgent:
         self.state = Denied()
         return Transition(note=f"denied reason={msg.reason}")
 
-    _HANDLERS = {
+    _FROM_WBRAC = {
         wire.AccessParameterMessage: _on_access_parameter,
         wire.ParameterUpdateOrder: _on_parameter_update,
+    }
+    _FROM_MAP = {
+        **_FROM_WBRAC,
         wire.AuthAccept: _on_auth_accept,
         wire.UpdateOrder: _on_update_order,
         wire.ChallengeAck: _on_challenge_ack,

@@ -27,8 +27,6 @@ from .simnet import (
 
 SCENARIO_HEADER = "wgiot-scenario v1"
 
-_SECTIONS = ("options", "registry", "links", "schedule", "adversary", "expect")
-
 _FRAME_COUNT_OPS = {
     "==": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
@@ -87,9 +85,22 @@ def load_scenario(path) -> Scenario:
 def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     base_dir = base_dir or Path(".")
     scenario = Scenario(subscribers=[])
-    section = None
+    link_models: dict[str, LinkModel] = {}  # attribute text -> its model, for this file
+
+    def add_link(line: _Line) -> None:
+        src, dst, model = _parse_link(line, link_models)
+        scenario.links[(src, dst)] = model
+
+    section_parsers = {
+        "options": lambda line: _parse_option(scenario, line),
+        "registry": lambda line: scenario.subscribers.append(_parse_subscriber(line)),
+        "links": add_link,
+        "schedule": lambda line: scenario.schedule.append(_parse_schedule(line)),
+        "adversary": lambda line: scenario.adversary.append(_parse_adversary(line)),
+        "expect": lambda line: scenario.expects.append(_parse_expect(line, base_dir)),
+    }
+    parse_line = None
     saw_header = False
-    explicit_starts = False
 
     for no, raw_line in enumerate(text.splitlines(), start=1):
         line = _Line(no, raw_line.strip())
@@ -102,31 +113,17 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
             continue
         if line.text.startswith("[") and line.text.endswith("]"):
             section = line.text[1:-1]
-            if section not in _SECTIONS:
+            parse_line = section_parsers.get(section)
+            if parse_line is None:
                 line.fail(f"unknown section [{section}]")
             continue
-        if section is None:
+        if parse_line is None:
             line.fail("content before any section")
-        if section == "options":
-            _parse_option(scenario, line)
-        elif section == "registry":
-            scenario.subscribers.append(_parse_subscriber(line))
-        elif section == "links":
-            src, dst, model = _parse_link(line)
-            scenario.links[(src, dst)] = model
-        elif section == "schedule":
-            item = _parse_schedule(line)
-            if isinstance(item, StartIcd):
-                explicit_starts = True
-            scenario.schedule.append(item)
-        elif section == "adversary":
-            scenario.adversary.append(_parse_adversary(line))
-        elif section == "expect":
-            scenario.expects.append(_parse_expect(line, base_dir))
+        parse_line(line)
 
     if not saw_header:
         raise ScenarioError("empty scenario file")
-    if not explicit_starts:
+    if not any(isinstance(item, StartIcd) for item in scenario.schedule):
         for i in range(len(scenario.subscribers)):
             scenario.schedule.append(StartIcd(f"icd-{i + 1}", at=0))
     return scenario
@@ -162,12 +159,22 @@ def _parse_subscriber(line: _Line) -> SubscriberSpec:
     )
 
 
-def _parse_link(line: _Line) -> tuple[str, str, LinkModel]:
-    parts = line.text.split()
+def _parse_link(line: _Line, models: dict[str, LinkModel]) -> tuple[str, str, LinkModel]:
+    """<src> <dst> and the model for the rest of the line, parsed the first
+    time that text appears in the file and shared after (LinkModel is frozen)."""
+    parts = line.text.split(None, 2)
     if len(parts) < 2:
         line.fail("link line needs: <src> <dst> [delay=N] [drop=P] [dup=P]")
+    attrs = parts[2] if len(parts) == 3 else ""
+    model = models.get(attrs)
+    if model is None:
+        model = models[attrs] = _parse_link_model(line, attrs)
+    return parts[0], parts[1], model
+
+
+def _parse_link_model(line: _Line, attrs: str) -> LinkModel:
     kwargs = {}
-    for token in parts[2:]:
+    for token in attrs.split():
         if "=" not in token:
             line.fail(f"expected key=value, got {token!r}")
         key, _, value = token.partition("=")
@@ -179,7 +186,7 @@ def _parse_link(line: _Line) -> tuple[str, str, LinkModel]:
             kwargs[f"{key}_prob"] = _parse_probability(line, value)
         else:
             line.fail(f"unknown link attribute {key!r}")
-    return parts[0], parts[1], LinkModel(**kwargs)
+    return LinkModel(**kwargs)
 
 
 def _targets(token: str) -> tuple[str, ...]:

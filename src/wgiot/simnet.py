@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from . import crypto, wire
 from .access_point import MapAgent
+from .agent import NotIdle
 from .icd import IcdAgent, IcdConfig
 from .rng import SimRng
 from .wbrac import DEFAULT_WBRAC_ID, WbracService
@@ -211,7 +212,9 @@ class Simulator:
                 rmc=crypto.Rmc(sub.rmc),
                 wbrac_id=sc.wbrac_id,
             )
-            self.icds[agent_id] = IcdAgent(agent_id, cfg, "map-1", self.rng, self.backend)
+            self.icds[agent_id] = IcdAgent(
+                agent_id, cfg, "map-1", self.rng, self.backend, wbrac_agent_id="wbrac"
+            )
             self.map.provision(agent_id, rec.rmc, self.wbrac.map_provision(rec))
         self.agents = {"wbrac": self.wbrac, "map-1": self.map, **self.icds}
 
@@ -295,7 +298,12 @@ class Simulator:
         self._apply(item.agent_id, result)
 
     def _on_start(self, item: StartIcd) -> None:
-        self._apply(item.agent_id, self.icds[item.agent_id].start(self.now))
+        try:
+            result = self.icds[item.agent_id].start(self.now)
+        except NotIdle as exc:
+            self.trace.add(self.now, "-", item.agent_id, "start", None, f"skipped: {exc}")
+            return
+        self._apply(item.agent_id, result)
 
     def _on_rotate(self, item: RotateMpc) -> None:
         try:

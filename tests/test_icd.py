@@ -177,6 +177,14 @@ def test_access_denied_is_terminal():
     assert isinstance(agent.state, Denied)
 
 
+@pytest.mark.parametrize("sender", ["icd-2", "wbrac", "adversary"])
+def test_access_denied_only_from_the_access_point(sender):
+    agent = make_agent()
+    result = agent.handle(sender, wire.AccessDenied(1), 0)
+    assert result.note == "unexpected AccessDenied in Idle"
+    assert isinstance(agent.state, Idle)
+
+
 def test_handle_total_over_all_tags():
     # every frame type is either handled or dropped as unexpected; never raises
     agent = make_agent()

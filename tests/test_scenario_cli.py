@@ -67,6 +67,19 @@ def test_links_section():
     assert (model.delay_ms, model.drop_prob, model.dup_prob) == (40, 0.5, 0.25)
 
 
+def test_link_models_shared_within_one_file_only():
+    text = MINIMAL + (
+        "[links]\nicd-1 map-1 delay=5 drop=0.1\nmap-1 icd-1 delay=5 drop=0.1\n"
+        "map-1 wbrac delay=7\n"
+    )
+    a, b = parse_scenario(text), parse_scenario(text)
+    assert a.links[("icd-1", "map-1")] is a.links[("map-1", "icd-1")]
+    assert a.links[("map-1", "wbrac")] is not a.links[("icd-1", "map-1")]
+    assert a.links[("map-1", "wbrac")].delay_ms == 7
+    assert a.links[("icd-1", "map-1")] is not b.links[("icd-1", "map-1")]
+    assert a.links == b.links
+
+
 def test_schedule_and_adversary_sections():
     text = MINIMAL + (
         "[schedule]\nstart icd-1 at 0\nrotate at 100 to map-1,icd-1\n"
@@ -113,6 +126,7 @@ def test_comments_and_blanks_ignored():
         ("wgiot-scenario v1\n[links]\nicd-1 map-1 dup=-0.1\n", 3),
         ("wgiot-scenario v1\n[links]\nicd-1 map-1 drop=nan\n", 3),
         ("wgiot-scenario v1\n[links]\nicd-1 map-1 delay=-5\n", 3),
+        ("wgiot-scenario v1\n[links]\na b delay=5\nc d delay=5\ne f delay=5 x\n", 5),
         ("wgiot-scenario v1\n[schedule]\nlaunch icd-1 at 0\n", 3),
         ("wgiot-scenario v1\n[adversary]\ncapture NoSuchTag\n", 3),
         ("wgiot-scenario v1\n[adversary]\ninject zz to icd-1 at 0\n", 3),
@@ -195,6 +209,17 @@ def test_max_time_flag_truncates_run(tmp_path):
     )
     # the request would arrive at t=100; capping earlier keeps it undelivered
     assert cli.main(["run", str(scn), "--max-time", "50"]) == 0
+
+
+def test_repeated_start_is_traced_as_skipped_not_raised(tmp_path):
+    scn = tmp_path / "twice.scn"
+    scn.write_text(MINIMAL + "[schedule]\nstart icd-1 at 0\nstart icd-1 at 500\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgiot.cli", "run", str(scn)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # -- CLI vectors ---------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import honest_scenario, make_subscriber, update_scenario
 from wgiot import simnet, wire
-from wgiot.icd import Authenticated, Idle
+from wgiot.icd import Authenticated, Denied, Idle
 from wgiot.simnet import (
     CaptureMatching,
     CorruptBit,
@@ -164,6 +164,38 @@ def test_injected_frames_indistinguishable_to_receiver():
     trace = sim2.run()
     replayed = [e for e in trace.entries if "replayed" in e.note]
     assert replayed and "guid-match" in replayed[0].note  # accepted like the original
+
+
+def test_device_obeys_only_its_access_point_and_the_wbrac_broadcasts():
+    sc = Scenario(
+        subscribers=[make_subscriber(0, icd_in=1), make_subscriber(1, icd_in=2)],
+        mpc_period=1,
+        schedule=[RotateMpc(at=10, targets=("icd-1",))],
+        adversary=[
+            Inject(wire.AccessParameterMessage(b"\x07" * 16), to="icd-1", at=20, src="icd-2"),
+            Inject(wire.AccessDenied(1), to="icd-1", at=20, src="icd-2"),
+        ],
+    )
+    sim = Simulator(sc, seed=0)
+    provisioned = sim.icds["icd-1"].cfg.mpc
+    trace = sim.run()
+    icd = sim.icds["icd-1"]
+    assert icd.cfg.mpc == sim.wbrac.schedule.current != provisioned  # the broadcast took
+    assert isinstance(icd.state, Idle)
+    assert [e.note for e in trace.entries if e.sender == "icd-2"] == [
+        "injected unexpected AccessParameterMessage in Idle -> Idle",
+        "injected unexpected AccessDenied in Idle -> Idle",
+    ]
+
+
+def test_start_of_a_busy_device_is_traced_as_skipped():
+    sc = honest_scenario()
+    sc.schedule = [StartIcd("icd-1", at=10)]
+    sc.adversary = [Inject(wire.AccessDenied(1), to="icd-1", at=0, src="map-1")]
+    sim = Simulator(sc, seed=0)
+    trace = sim.run()
+    assert isinstance(sim.icds["icd-1"].state, Denied)
+    assert trace.entries[-1] == (10, "-", "icd-1", "start", None, "skipped: start() in Denied")
 
 
 def test_parameter_update_broadcast_keeps_counters_in_sync():
