@@ -17,6 +17,7 @@ from wgiot import wire
 from wgiot.scenario import load_scenario
 from wgiot.simnet import (
     CaptureMatching,
+    CorruptBit,
     LinkModel,
     ReplayCaptured,
     RotateMpc,
@@ -81,6 +82,30 @@ def lossy_broadcasts(seed: int) -> Scenario:
     )
 
 
+def impaired_broadcasts(seed: int) -> Scenario:
+    """30 devices whose copies of the WBRAC's broadcasts are themselves
+    dropped, duplicated and corrupted: the wbrac -> icd-k links drop 0.3 and
+    duplicate 0.2, the first copies of the MPC broadcast get a payload bit
+    flipped, and captured MPC broadcasts are replayed."""
+    r = random.Random(f"impaired-broadcasts/{seed}")
+    subscribers, ids, links = _devices(r, 30)
+    for a in ids:
+        links[("wbrac", a)] = LinkModel(r.randint(1, 100), 0.3, 0.2)
+    everyone = (*ids, "map-1")
+    schedule = [StartIcd(a, at=r.randrange(2_000)) for a in ids]
+    schedule += [RotateMpc(at=at, targets=everyone) for at in range(500, 3_000, 500)]
+    schedule += [SendParameterUpdate(at=1_250, targets=everyone)]
+    tag = wire.AccessParameterMessage.TAG
+    adversary = [CorruptBit(tag, bit) for bit in r.sample(range(128), 3)]
+    adversary += [CaptureMatching(tag)]
+    adversary += [
+        ReplayCaptured(r.randrange(60), at=2_000 + r.randrange(1_000)) for _ in range(5)
+    ]
+    return Scenario(
+        subscribers=subscribers, links=links, schedule=schedule, adversary=adversary, mpc_period=1
+    )
+
+
 SCN_DIGESTS = {  # seeds 0-9
     "honest": [
         "4d0d95733661b7f4273b0a691fdb8faec5812404e020c1a87fea6dbcc62672ac",
@@ -130,6 +155,11 @@ GENERATED_DIGESTS = {  # seeds 0-2
         "3cc68a21925a93a56087b6efe3419e0c840b256ee0c32236203ae02eb92f9428",
         "5a822da6eaa2a7279efdf7b966844ba674af78a58158914a12d6611f9d52af3b",
         "20d113ce86923d183fd50dd63ac3c80c793c3043b5c7f8b025017d45ee88ac01",
+    ],
+    impaired_broadcasts: [
+        "6cdc3c5ab173a5b6bb211bffe5fcdea04521628955510b657e90b9647d8c640f",
+        "23d54aabe428b366ec421466742b9974d6d10ba0355ba5e7ebcabda772e52979",
+        "a400cced9785986d3813abbc412e686ba941d361458a1e87e6c34ff6ed78d66d",
     ],
 }
 
