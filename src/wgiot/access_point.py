@@ -84,17 +84,18 @@ class MapAgent:
     # -- verification --
 
     def verify(self, icd_in: int, req: wire.AuthRequest) -> frozenset:
-        """Return the set of mismatched GUID fields; empty means accept."""
+        """Return the set of mismatched GUID fields; empty means accept.
+        The fields are compared as packed bytes."""
         rec = self.records.get(icd_in)
         if rec is None:
             raise UnknownIcd(icd_in)
-        guid = crypto.decompose_guid(req.guid)
+        aac, mpc, rmc = crypto.split_guid(req.guid)
         mismatch = set()
-        if guid.aac != rec.expected_aac:
+        if aac != rec.expected_aac.bits:
             mismatch.add("AAC")
-        if guid.mpc != self.mpc:
+        if mpc != self.mpc.bits:
             mismatch.add("MPC")
-        if guid.rmc != rec.expected_rmc:
+        if rmc != rec.expected_rmc.packed:
             mismatch.add("RMC")
         return frozenset(mismatch)
 

@@ -3,13 +3,18 @@
 All values are fixed-width byte strings packed MSB-first.  Every derivation
 goes through a pluggable PRF backend; "first N bits" of a PRF output always
 means the most significant N bits (a byte-string prefix).
+
+The reference PRF is HMAC-SHA256 (RFC 2104), computed in one pass by
+`hmac_sha256`: the key, hashed first if longer than the 64-byte block, is
+zero-padded to the block, xored with ipad and opad through two translation
+tables, and fed to two sha256 calls.  The digest equals the stdlib's
+`hmac.new(key, msg, sha256).digest()` without its per-call HMAC object.
 """
 
 from __future__ import annotations
 
-import hmac
-import hashlib
 from dataclasses import dataclass
+from hashlib import sha256
 
 
 class CryptoError(Exception):
@@ -182,6 +187,20 @@ class SessionKey:
 # ---------------------------------------------------------------------------
 # PRF backends
 
+_BLOCK = 64  # sha256 block size in bytes
+_IPAD = bytes(b ^ 0x36 for b in range(256))  # byte -> byte ^ ipad, for bytes.translate
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256(key, message) as RFC 2104 defines it: two sha256 calls,
+    plus one to hash a key longer than the block."""
+    if len(key) > _BLOCK:
+        key = sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    inner = sha256(key.translate(_IPAD) + message).digest()
+    return sha256(key.translate(_OPAD) + inner).digest()
+
 
 class PrfBackend:
     """Deterministic keyed PRF: evaluate(key, domain_tag, message) -> 32 bytes.
@@ -202,7 +221,7 @@ class HmacSha256Backend(PrfBackend):
     name = "hmac-sha256"
 
     def evaluate(self, key: bytes, domain_tag: int, message: bytes) -> bytes:
-        return hmac.new(key, bytes([domain_tag]) + message, hashlib.sha256).digest()
+        return hmac_sha256(key, bytes((domain_tag,)) + message)
 
 
 class Trunc16Backend(PrfBackend):
@@ -216,8 +235,7 @@ class Trunc16Backend(PrfBackend):
     name = "trunc16"
 
     def evaluate(self, key: bytes, domain_tag: int, message: bytes) -> bytes:
-        head = hmac.new(key, bytes([domain_tag]) + message, hashlib.sha256).digest()[:2]
-        return head * 16
+        return hmac_sha256(key, bytes((domain_tag,)) + message)[:2] * 16
 
 
 DEFAULT_BACKEND = HmacSha256Backend()
@@ -293,10 +311,17 @@ def compose_guid(aac: Aac, mpc: Mpc, rmc: Rmc) -> bytes:
     return aac.bits + mpc.bits + rmc.packed
 
 
-def decompose_guid(packed: bytes) -> Guid:
+def split_guid(packed: bytes) -> tuple[bytes, bytes, bytes]:
+    """The packed AAC, MPC and RMC of a 48-byte GUID, unchecked beyond its
+    length: the access point compares them as bytes."""
     if len(packed) != 48:
         raise BadLength(f"guid must be 48 bytes, got {len(packed)}")
-    return Guid(Aac(packed[:16]), Mpc(packed[16:32]), Rmc.from_packed(packed[32:]))
+    return packed[:16], packed[16:32], packed[32:]
+
+
+def decompose_guid(packed: bytes) -> Guid:
+    aac, mpc, rmc = split_guid(packed)
+    return Guid(Aac(aac), Mpc(mpc), Rmc.from_packed(rmc))
 
 
 def compose_unique_challenge(wmap: Wmap, wbrac_id: int) -> bytes:

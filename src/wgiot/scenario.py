@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from . import wire
+from . import crypto, wire
 from .simnet import (
     CaptureMatching,
     CorruptBit,
@@ -53,6 +53,13 @@ def _parse_int(line: _Line, token: str) -> int:
         line.fail(f"expected integer, got {token!r}")
 
 
+def _parse_uint(line: _Line, name: str, token: str, bits: int) -> int:
+    value = _parse_int(line, token)
+    if not 0 <= value < 1 << bits:
+        line.fail(f"{name} {token} does not fit in {bits} bits")
+    return value
+
+
 def _parse_hex(line: _Line, token: str, nbytes: int) -> bytes:
     try:
         value = bytes.fromhex(token)
@@ -86,6 +93,14 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     base_dir = base_dir or Path(".")
     scenario = Scenario(subscribers=[])
     link_models: dict[str, LinkModel] = {}  # attribute text -> its model, for this file
+    registry_lines: dict[int, int] = {}  # icd_in -> line that registered it
+
+    def add_subscriber(line: _Line) -> None:
+        sub = _parse_subscriber(line)
+        first = registry_lines.setdefault(sub.icd_in, line.no)
+        if first != line.no:
+            line.fail(f"duplicate icd_in {sub.icd_in}, first registered on line {first}")
+        scenario.subscribers.append(sub)
 
     def add_link(line: _Line) -> None:
         src, dst, model = _parse_link(line, link_models)
@@ -93,7 +108,7 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
 
     section_parsers = {
         "options": lambda line: _parse_option(scenario, line),
-        "registry": lambda line: scenario.subscribers.append(_parse_subscriber(line)),
+        "registry": add_subscriber,
         "links": add_link,
         "schedule": lambda line: scenario.schedule.append(_parse_schedule(line)),
         "adversary": lambda line: scenario.adversary.append(_parse_adversary(line)),
@@ -134,13 +149,15 @@ def _parse_option(scenario: Scenario, line: _Line) -> None:
         line.fail("expected key = value")
     key, _, value = (t.strip() for t in line.text.partition("="))
     if key == "backend":
+        if value not in crypto.BACKENDS:
+            line.fail(f"unknown backend {value!r}")
         scenario.backend = value
     elif key == "max_time":
         scenario.max_time = _parse_int(line, value)
     elif key == "mpc_period":
         scenario.mpc_period = _parse_int(line, value)
     elif key == "wbrac_id":
-        scenario.wbrac_id = _parse_int(line, value)
+        scenario.wbrac_id = _parse_uint(line, "wbrac_id", value, 64)
     else:
         line.fail(f"unknown option {key!r}")
 
@@ -150,12 +167,12 @@ def _parse_subscriber(line: _Line) -> SubscriberSpec:
     if len(parts) != 6:
         line.fail(f"registry line needs 6 fields, got {len(parts)}")
     return SubscriberSpec(
-        icd_in=_parse_int(line, parts[0]),
-        esn=_parse_int(line, parts[1]),
+        icd_in=_parse_uint(line, "icd_in", parts[0], 64),
+        esn=_parse_uint(line, "esn", parts[1], 64),
         key=_parse_hex(line, parts[2], 32),
         sc_auth_k=_parse_hex(line, parts[3], 16),
         sd=_parse_hex(line, parts[4], 16),
-        rmc=_parse_int(line, parts[5]),
+        rmc=_parse_uint(line, "rmc", parts[5], 128),
     )
 
 
@@ -215,9 +232,16 @@ def _parse_adversary(line: _Line):
         if parts[0] == "capture":
             return CaptureMatching(wire.tag_by_name(parts[1]))
         if parts[0] == "replay" and parts[2] == "at":
-            return ReplayCaptured(index=_parse_int(line, parts[1]), at=_parse_int(line, parts[3]))
+            index = _parse_int(line, parts[1])
+            if index < 0:
+                line.fail(f"negative replay index {index}")
+            return ReplayCaptured(index=index, at=_parse_int(line, parts[3]))
         if parts[0] == "corrupt" and parts[2] == "bit":
-            return CorruptBit(wire.tag_by_name(parts[1]), bit_index=_parse_int(line, parts[3]))
+            cls = wire.frame_by_name(parts[1])
+            bit = _parse_int(line, parts[3])
+            if not 0 <= bit < 8 * cls.SIZE:
+                line.fail(f"bit {bit} outside the {8 * cls.SIZE}-bit payload of {cls.__name__}")
+            return CorruptBit(cls.TAG, bit_index=bit)
         if parts[0] == "inject" and parts[2] == "to" and parts[4] == "at":
             frame = wire.decode(bytes.fromhex(parts[1]))
             src = parts[7] if len(parts) >= 8 and parts[6] == "from" else "adversary"

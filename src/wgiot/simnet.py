@@ -5,6 +5,13 @@ frames over links with configurable delay/drop/duplication.  Virtual time is
 integer milliseconds; events at equal times process in insertion order, so a
 (scenario, seed) pair fully determines the trace.  An adversary can capture,
 replay, inject, and corrupt frames in flight.
+
+Each raw frame is decoded once.  A broadcast is encoded and decoded once, and
+every copy carries that decoded frame and its trace payload, shared by all
+targets (frames are frozen); a copy the adversary corrupts decodes its own
+bytes at delivery, as do unicast frames, replays and injections.  A frame
+that is dropped or has no receiver is only labelled, so it gets decode's
+checks (`wire.frame_type`) but is not unpacked.
 """
 
 from __future__ import annotations
@@ -167,6 +174,7 @@ class _Deliver(NamedTuple):
     raw: bytes
     dropped: bool
     note: str = ""
+    decoded: tuple | None = None  # (frame, raw[3:]) when raw was decoded already
 
 
 class _Tick(NamedTuple):
@@ -246,9 +254,10 @@ class Simulator:
     def send(self, src: str, dst: str, msg: wire.WireMessage) -> None:
         self._transmit(src, dst, wire.encode(msg))
 
-    def _transmit(self, src: str, dst: str, raw: bytes) -> None:
+    def _transmit(self, src: str, dst: str, raw: bytes, decoded: tuple | None = None) -> None:
         """Put one encoded frame on the src -> dst link: the adversary's
-        hooks, then the link's drop and duplicate draws."""
+        hooks, then the link's drop and duplicate draws.  `decoded` is
+        raw's (frame, payload) if known; a corrupted copy drops it."""
         tag = raw[0]
         note = ""
         if tag in self._capture_tags:
@@ -257,6 +266,7 @@ class Simulator:
         for i, action in enumerate(self._corrupt_queue):
             if action.tag == tag:
                 raw = self._flip_payload_bit(raw, action.bit_index)
+                decoded = None
                 del self._corrupt_queue[i]
                 note = (note + " corrupted").strip()
                 break
@@ -264,9 +274,9 @@ class Simulator:
         dropped = self.rng.chance(link.drop_prob)
         duplicated = self.rng.chance(link.dup_prob)
         at = self.now + link.delay_ms
-        self._push(at, _Deliver(src, dst, raw, dropped, note))
+        self._push(at, _Deliver(src, dst, raw, dropped, note, decoded))
         if duplicated and not dropped:
-            self._push(at, _Deliver(src, dst, raw, False, "duplicate"))
+            self._push(at, _Deliver(src, dst, raw, False, "duplicate", decoded))
 
     @staticmethod
     def _flip_payload_bit(raw: bytes, bit_index: int) -> bytes:
@@ -288,8 +298,9 @@ class Simulator:
 
     def _broadcast(self, targets: tuple[str, ...], frame: wire.WireMessage) -> None:
         raw = wire.encode(frame)
+        decoded = (wire.decode(raw), raw[3:])
         for target in targets:
-            self._transmit("wbrac", target, raw)
+            self._transmit("wbrac", target, raw, decoded)
 
     def _on_tick(self, item: _Tick) -> None:
         result = self.agents[item.agent_id].tick(self.now)
@@ -327,21 +338,28 @@ class Simulator:
         self._push(self.now, _Deliver(item.src, item.to, wire.encode(item.frame), False, "injected"))
 
     def _on_deliver(self, ev: _Deliver) -> None:
-        src, dst, raw, dropped, note = ev
+        src, dst, raw, dropped, note, decoded = ev
         now = self.now
-        try:
-            msg = wire.decode(raw)
-        except wire.WireError as exc:
-            self.trace.add(now, src, dst, "?", raw, f"undecodable: {exc}")
-            return
-        tag = type(msg).__name__
-        payload = raw[3:]
-        if dropped:
-            self.trace.add(now, src, dst, tag, payload, ("dropped " + note).strip())
-            return
-        agent = self.agents.get(dst)
+        agent = None if dropped else self.agents.get(dst)
+        if decoded is not None:
+            msg, payload = decoded
+            cls = type(msg)
+        else:
+            try:
+                # a frame nobody handles is checked for its trace line, not unpacked
+                if agent is None:
+                    cls = wire.frame_type(raw)
+                else:
+                    msg = wire.decode(raw)
+                    cls = type(msg)
+            except wire.WireError as exc:
+                self.trace.add(now, src, dst, "?", raw, f"undecodable: {exc}")
+                return
+            payload = raw[3:]
+        tag = cls.__name__
         if agent is None:
-            self.trace.add(now, src, dst, tag, payload, ("sink " + note).strip())
+            label = "dropped " if dropped else "sink "
+            self.trace.add(now, src, dst, tag, payload, (label + note).strip())
             return
         result = agent.handle(src, msg, now)
         outcome = f"-> {agent.state_name}"

@@ -3,6 +3,9 @@
 Layout: tag (1 byte) ∥ payload length (2 bytes, MSB-first) ∥ payload.
 Payload fields are packed MSB-first in declaration order.  Decoding is
 strict: unknown tags, length mismatches, and trailing bytes are errors.
+`frame_type` makes all of those checks from the header and the length alone
+and returns the frame class; `decode` is `frame_type` plus the unpack, so a
+frame that is only labelled (a dropped one, say) need not be unpacked.
 """
 
 from __future__ import annotations
@@ -220,7 +223,9 @@ def encode(msg: WireMessage) -> bytes:
     return cls._frame.pack(cls.TAG, cls.SIZE, *[getattr(msg, name) for name, _ in cls.FIELDS])
 
 
-def decode(raw: bytes) -> WireMessage:
+def frame_type(raw: bytes) -> type[WireMessage]:
+    """The frame class of raw, after every check decode makes; the payload
+    is not unpacked."""
     if len(raw) < 3:
         raise Truncated(f"frame shorter than 3-byte header ({len(raw)} bytes)")
     tag = raw[0]
@@ -235,6 +240,11 @@ def decode(raw: bytes) -> WireMessage:
         raise Truncated(f"{cls.__name__}: payload {payload} < declared {declared}")
     if payload > declared:
         raise LengthMismatch(f"{cls.__name__}: {payload - declared} trailing bytes")
+    return cls
+
+
+def decode(raw: bytes) -> WireMessage:
+    cls = frame_type(raw)
     return cls(*cls._frame.unpack(raw)[2:])
 
 
@@ -244,11 +254,15 @@ def tag_name(msg_or_tag) -> str:
     return cls.__name__ if cls else f"tag_{tag:#04x}"
 
 
-def tag_by_name(name: str) -> int:
+def frame_by_name(name: str) -> type[WireMessage]:
     for cls in MESSAGE_TYPES:
         if cls.__name__ == name:
-            return cls.TAG
+            return cls
     raise UnknownTag(name)
+
+
+def tag_by_name(name: str) -> int:
+    return frame_by_name(name).TAG
 
 
 def frame_table() -> str:

@@ -1,8 +1,9 @@
 """Independent oracle for the reference PRF and the derivations built on it.
 
-Deliberately avoids the stdlib `hmac` module used by the package: the keyed
-hash is assembled by hand from sha256 with ipad/opad so the two code paths
-share nothing but the hash primitive.
+The keyed hash is assembled by hand from sha256 with ipad/opad, written
+independently of the package's `crypto.hmac_sha256` (no translation tables,
+no shared constants), so the two share nothing but the hash primitive.  Both
+are also checked against the stdlib `hmac` module in `test_crypto.py`.
 """
 
 import hashlib

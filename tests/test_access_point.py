@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wgiot import crypto, wire
 from wgiot.access_point import CHALLENGE, DENY, UPDATE, MapAgent, UnknownIcd, remedy
@@ -45,6 +47,36 @@ def test_verify_reports_exact_mismatch_subset():
 def test_verify_unknown_icd():
     with pytest.raises(UnknownIcd):
         make_map().verify(99, auth_request(icd_in=99))
+
+
+def _lane(expected: bytes):
+    """A GUID lane equal to the expected bytes, or drawn (and so usually not)."""
+    return st.one_of(st.just(expected), st.binary(min_size=16, max_size=16))
+
+
+@given(_lane(EXPECTED_AAC), _lane(EXPECTED_MPC), _lane(crypto.Rmc(0).packed))
+def test_verify_matches_decomposed_guid_comparison(aac, mpc, rmc):
+    agent = make_map()
+    req = wire.AuthRequest(icd_in=ICD_IN, esn=2, guid=aac + mpc + rmc)
+    # the comparison verify made before it compared packed bytes
+    rec, guid = agent.records[ICD_IN], crypto.decompose_guid(req.guid)
+    lanes = {
+        "AAC": guid.aac == rec.expected_aac,
+        "MPC": guid.mpc == agent.mpc,
+        "RMC": guid.rmc == rec.expected_rmc,
+    }
+    want = frozenset(name for name, equal in lanes.items() if not equal)
+    assert agent.verify(ICD_IN, req) == want
+
+
+def test_short_guid_is_malformed():
+    agent = make_map()
+    req = wire.AuthRequest(icd_in=ICD_IN, esn=2, guid=bytes(47))  # built without wire.decode
+    with pytest.raises(crypto.BadLength, match=r"^guid must be 48 bytes, got 47$"):
+        agent.verify(ICD_IN, req)
+    result = agent.handle("icd-1", req, 0)
+    assert result.note == "malformed guid: guid must be 48 bytes, got 47"
+    assert result.out == []
 
 
 # -- policy --------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -239,3 +241,17 @@ def test_vector_file_round_trip_and_oracle_agreement():
 def test_unknown_backend():
     with pytest.raises(crypto.UnknownBackend):
         crypto.get_backend("rot13")
+
+
+def test_prf_backends_and_oracle_equal_stdlib_hmac():
+    # key lengths 0-130 cover empty, short, exactly one 64-byte block, and
+    # keys longer than the block, which RFC 2104 hashes first
+    r = random.Random(2104)
+    trunc16 = crypto.get_backend("trunc16")
+    for key_len in range(131):
+        key = r.randbytes(key_len)
+        for tag, msg in ((0x01, b""), (0x03, r.randbytes(42)), (0xFF, r.randbytes(200))):
+            want = hmac.new(key, bytes([tag]) + msg, hashlib.sha256).digest()
+            assert crypto.DEFAULT_BACKEND.evaluate(key, tag, msg) == want
+            assert trunc16.evaluate(key, tag, msg) == want[:2] * 16
+            assert prf_oracle.prf(key, tag, msg) == want

@@ -130,6 +130,16 @@ def test_comments_and_blanks_ignored():
         ("wgiot-scenario v1\n[schedule]\nlaunch icd-1 at 0\n", 3),
         ("wgiot-scenario v1\n[adversary]\ncapture NoSuchTag\n", 3),
         ("wgiot-scenario v1\n[adversary]\ninject zz to icd-1 at 0\n", 3),
+        ("wgiot-scenario v1\n[adversary]\nreplay -1 at 50\n", 3),
+        ("wgiot-scenario v1\n[adversary]\ncorrupt AuthRequest bit -3\n", 3),
+        ("wgiot-scenario v1\n[adversary]\ncorrupt AuthRequest bit 512\n", 3),
+        ("wgiot-scenario v1\n[adversary]\ncorrupt AuthAccept bit 0\n", 3),
+        (MINIMAL + REGISTRY_LINE + "\n", 4),
+        ("wgiot-scenario v1\n[registry]\n" + f"{2**64} " + REGISTRY_LINE[2:] + "\n", 3),
+        ("wgiot-scenario v1\n[registry]\n1 -1 " + REGISTRY_LINE[4:] + "\n", 3),
+        ("wgiot-scenario v1\n[registry]\n" + REGISTRY_LINE[:-1] + f"{2**128}\n", 3),
+        ("wgiot-scenario v1\n[options]\nbackend = nope\n", 3),
+        ("wgiot-scenario v1\n[options]\nwbrac_id = -1\n", 3),
         ("wgiot-scenario v1\n[expect]\nicd-1 becomes happy\n", 3),
         ("wgiot-scenario v1\n[expect]\nframe-count AuthAccept ~= 1\n", 3),
     ],
@@ -137,6 +147,17 @@ def test_comments_and_blanks_ignored():
 def test_malformed_lines_fail_with_line_number(text, lineno):
     with pytest.raises(ScenarioError, match=f"line {lineno}:"):
         parse_scenario(text)
+
+
+def test_duplicate_icd_in_names_the_first_line():
+    want = "^line 5: duplicate icd_in 1, first registered on line 3$"
+    with pytest.raises(ScenarioError, match=want):
+        parse_scenario(MINIMAL + "# again\n" + REGISTRY_LINE + "\n")
+
+
+def test_corrupt_bit_may_be_any_payload_bit():
+    text = MINIMAL + "[adversary]\ncorrupt AuthRequest bit 0\ncorrupt AuthRequest bit 511\n"
+    assert [a.bit_index for a in parse_scenario(text).adversary] == [0, 511]
 
 
 def test_empty_file_rejected():
@@ -181,6 +202,28 @@ def test_run_malformed_scenario_exits_one(tmp_path, capsys):
     bad.write_text("wgiot-scenario v1\n[registry]\nnot enough fields\n")
     assert cli.main(["run", str(bad)]) == 1
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        (MINIMAL + REGISTRY_LINE + "\n", 4),
+        ("wgiot-scenario v1\n[registry]\n" + f"{2**64} " + REGISTRY_LINE[2:] + "\n", 3),
+        ("wgiot-scenario v1\n[registry]\n1 -1 " + REGISTRY_LINE[4:] + "\n", 3),
+        ("wgiot-scenario v1\n[registry]\n" + REGISTRY_LINE[:-1] + f"{2**128}\n", 3),
+        ("wgiot-scenario v1\n[options]\nbackend = nope\n[registry]\n" + REGISTRY_LINE + "\n", 3),
+    ],
+    ids=["duplicate-icd_in", "icd_in-65-bits", "negative-esn", "rmc-129-bits", "backend"],
+)
+def test_bad_registry_or_backend_exits_one_with_line_number(tmp_path, text, lineno):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgiot.cli", "run", str(scn)], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert f"line {lineno}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_failed_expectation_exits_two_and_still_writes_trace(tmp_path, capsys):

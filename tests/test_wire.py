@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,49 @@ def test_tag_name_lookup():
     assert wire.tag_by_name("AuthRequest") == 0x04
     with pytest.raises(wire.UnknownTag):
         wire.tag_by_name("NotAFrame")
+
+
+def test_every_frame_is_frozen():
+    # the simulator hands one decoded broadcast frame to every receiver
+    for cls in wire.MESSAGE_TYPES:
+        assert cls.__dataclass_params__.frozen, cls.__name__
+
+
+def test_frame_type_is_decode_without_the_unpack():
+    r = random.Random(7)
+    for _ in range(2_000):
+        raw = wire.encode(random_message(r))
+        assert wire.frame_type(raw) is type(wire.decode(raw))
+
+
+BAD_FRAMES = [
+    b"",
+    b"\x09\x00",
+    b"\xfe\x00\x00",
+    b"\x09\x00\x01\x00",
+    b"\x09\x00\x00\x00",
+    b"\x07\x00\x10" + bytes(4),
+    b"\x07\x00\x10" + bytes(17),
+    b"\x04\x00\x44" + bytes(68),
+]
+
+
+@pytest.mark.parametrize("raw", BAD_FRAMES, ids=lambda raw: raw.hex() or "empty")
+def test_frame_type_rejects_what_decode_rejects(raw):
+    with pytest.raises(wire.WireError) as from_decode:
+        wire.decode(raw)
+    with pytest.raises(wire.WireError) as from_frame_type:
+        wire.frame_type(raw)
+    assert type(from_frame_type.value) is type(from_decode.value)
+    assert str(from_frame_type.value) == str(from_decode.value)
+
+
+@given(st.binary(max_size=80))
+def test_frame_type_agrees_with_decode_on_garbage(raw):
+    try:
+        want = type(wire.decode(raw))
+    except wire.WireError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            wire.frame_type(raw)
+    else:
+        assert wire.frame_type(raw) is want
