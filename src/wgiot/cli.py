@@ -23,6 +23,8 @@ def _cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.max_time is not None:
+            if args.max_time < 0:
+                raise ScenarioError(f"negative --max-time {args.max_time}")
             scenario.max_time = args.max_time
         sim = Simulator(scenario, seed=args.seed)
         trace = sim.run()

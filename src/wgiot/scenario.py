@@ -53,6 +53,13 @@ def _parse_int(line: _Line, token: str) -> int:
         line.fail(f"expected integer, got {token!r}")
 
 
+def _parse_nonneg(line: _Line, name: str, token: str) -> int:
+    value = _parse_int(line, token)
+    if value < 0:
+        line.fail(f"negative {name} {token!r}")
+    return value
+
+
 def _parse_uint(line: _Line, name: str, token: str, bits: int) -> int:
     value = _parse_int(line, token)
     if not 0 <= value < 1 << bits:
@@ -153,9 +160,9 @@ def _parse_option(scenario: Scenario, line: _Line) -> None:
             line.fail(f"unknown backend {value!r}")
         scenario.backend = value
     elif key == "max_time":
-        scenario.max_time = _parse_int(line, value)
+        scenario.max_time = _parse_nonneg(line, "max_time", value)
     elif key == "mpc_period":
-        scenario.mpc_period = _parse_int(line, value)
+        scenario.mpc_period = _parse_nonneg(line, "mpc_period", value)
     elif key == "wbrac_id":
         scenario.wbrac_id = _parse_uint(line, "wbrac_id", value, 64)
     else:
@@ -196,9 +203,7 @@ def _parse_link_model(line: _Line, attrs: str) -> LinkModel:
             line.fail(f"expected key=value, got {token!r}")
         key, _, value = token.partition("=")
         if key == "delay":
-            kwargs["delay_ms"] = _parse_int(line, value)
-            if kwargs["delay_ms"] < 0:
-                line.fail(f"negative delay {value!r}")
+            kwargs["delay_ms"] = _parse_nonneg(line, "delay", value)
         elif key in ("drop", "dup"):
             kwargs[f"{key}_prob"] = _parse_probability(line, value)
         else:
@@ -214,12 +219,14 @@ def _parse_schedule(line: _Line):
     parts = line.text.split()
     try:
         if parts[0] == "start" and parts[2] == "at":
-            return StartIcd(parts[1], at=_parse_int(line, parts[3]))
+            return StartIcd(parts[1], at=_parse_nonneg(line, "time", parts[3]))
         if parts[0] == "rotate" and parts[1] == "at" and parts[3] == "to":
-            return RotateMpc(at=_parse_int(line, parts[2]), targets=_targets(parts[4]))
+            return RotateMpc(
+                at=_parse_nonneg(line, "time", parts[2]), targets=_targets(parts[4])
+            )
         if parts[0] == "param-update" and parts[1] == "at" and parts[3] == "to":
             return SendParameterUpdate(
-                at=_parse_int(line, parts[2]), targets=_targets(parts[4])
+                at=_parse_nonneg(line, "time", parts[2]), targets=_targets(parts[4])
             )
     except IndexError:
         pass
@@ -232,10 +239,10 @@ def _parse_adversary(line: _Line):
         if parts[0] == "capture":
             return CaptureMatching(wire.tag_by_name(parts[1]))
         if parts[0] == "replay" and parts[2] == "at":
-            index = _parse_int(line, parts[1])
-            if index < 0:
-                line.fail(f"negative replay index {index}")
-            return ReplayCaptured(index=index, at=_parse_int(line, parts[3]))
+            return ReplayCaptured(
+                index=_parse_nonneg(line, "replay index", parts[1]),
+                at=_parse_nonneg(line, "time", parts[3]),
+            )
         if parts[0] == "corrupt" and parts[2] == "bit":
             cls = wire.frame_by_name(parts[1])
             bit = _parse_int(line, parts[3])
@@ -245,7 +252,8 @@ def _parse_adversary(line: _Line):
         if parts[0] == "inject" and parts[2] == "to" and parts[4] == "at":
             frame = wire.decode(bytes.fromhex(parts[1]))
             src = parts[7] if len(parts) >= 8 and parts[6] == "from" else "adversary"
-            return Inject(frame=frame, to=parts[3], at=_parse_int(line, parts[5]), src=src)
+            at = _parse_nonneg(line, "time", parts[5])
+            return Inject(frame=frame, to=parts[3], at=at, src=src)
     except IndexError:
         pass
     except (wire.WireError, ValueError) as exc:

@@ -9,7 +9,6 @@ through provisioning pushes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import crypto, wire
 from .agent import ProtocolError, Transition, unexpected
@@ -31,20 +30,8 @@ class NoPendingUpdate(ProtocolError):
     pass
 
 
-class IoFailure(Exception):
-    pass
-
-
-class ParseError(Exception):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-
-
-REGISTRY_HEADER = "wgiot-registry v1"
 DEFAULT_MPC_PERIOD_MS = 60_000
 DEFAULT_WBRAC_ID = 0x5747_0000_0000_0001
-MPC_HISTORY_LIMIT = 2  # current plus immediately-previous
 
 
 @dataclass
@@ -61,7 +48,6 @@ class SubscriberRecord:
 class MpcSchedule:
     period_ms: int = DEFAULT_MPC_PERIOD_MS
     current: crypto.Mpc = field(default_factory=lambda: crypto.Mpc(bytes(16)))
-    history: list[crypto.Mpc] = field(default_factory=list)
     last_rotation: int | None = None
 
 
@@ -127,8 +113,6 @@ class WbracService:
         sched = self.schedule
         if sched.last_rotation is not None and now < sched.last_rotation + sched.period_ms:
             raise TooEarly(f"rotation at {now}, last at {sched.last_rotation}")
-        sched.history.insert(0, sched.current)
-        del sched.history[MPC_HISTORY_LIMIT - 1 :]
         sched.current = crypto.Mpc(self.rng.draw_bytes(16))
         sched.last_rotation = now
         return wire.AccessParameterMessage(sched.current.bits)
@@ -220,68 +204,3 @@ class WbracService:
             key=lambda rec: rec.icd_in,
             default=None,
         )
-
-    # -- persistence --
-
-    def save(self, path) -> None:
-        lines = [REGISTRY_HEADER]
-        sched = self.schedule
-        last = "-" if sched.last_rotation is None else str(sched.last_rotation)
-        mpc_line = f"mpc {sched.period_ms} {last} {sched.current.bits.hex()}"
-        for prev in sched.history:
-            mpc_line += f" {prev.bits.hex()}"
-        lines.append(mpc_line)
-        for icd_in, rec in sorted(self.registry.items()):
-            line = (
-                f"{icd_in} {rec.wgie.esn} {rec.wgie.key.hex()} "
-                f"{rec.sc_auth_k.bits.hex()} {rec.sd.packed.hex()} {rec.rmc.counter}"
-            )
-            if rec.pending_sd_new is not None:
-                line += f" {rec.pending_sd_new.packed.hex()}"
-            lines.append(line)
-        try:
-            Path(path).write_text("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-
-    def load(self, path) -> None:
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != REGISTRY_HEADER:
-            raise ParseError(1, f"expected header {REGISTRY_HEADER!r}")
-        self.registry = {}
-        self.schedule = MpcSchedule()
-        for line_no, line in enumerate(lines[1:], start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "mpc":
-                    self.schedule.period_ms = int(parts[1])
-                    self.schedule.last_rotation = None if parts[2] == "-" else int(parts[2])
-                    self.schedule.current = crypto.Mpc(bytes.fromhex(parts[3]))
-                    self.schedule.history = [
-                        crypto.Mpc(bytes.fromhex(h)) for h in parts[4:]
-                    ]
-                    continue
-                if len(parts) not in (6, 7):
-                    raise ValueError(f"expected 6 or 7 fields, got {len(parts)}")
-                icd_in, esn = int(parts[0]), int(parts[1])
-                rec = SubscriberRecord(
-                    icd_in=icd_in,
-                    wgie=crypto.WgieRecord(bytes.fromhex(parts[2]), esn, icd_in),
-                    sc_auth_k=crypto.ScAuthKey(bytes.fromhex(parts[3])),
-                    sd=crypto.SdPair.from_packed(bytes.fromhex(parts[4])),
-                    rmc=crypto.Rmc(int(parts[5])),
-                )
-                if len(parts) == 7:
-                    rec.pending_sd_new = crypto.SdPair.from_packed(bytes.fromhex(parts[6]))
-            except (ValueError, crypto.CryptoError) as exc:
-                raise ParseError(line_no, str(exc)) from exc
-            if icd_in in self.registry:
-                raise ParseError(line_no, f"duplicate icd_in {icd_in}")
-            self.registry[icd_in] = rec

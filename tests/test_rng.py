@@ -8,7 +8,7 @@ from numpy.random import PCG64, Generator
 from wgiot.rng import SimRng
 
 
-@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 + 5, 2**127 + 3, 2**73 + 12345])
 def test_draws_match_numpy_generator_in_order(seed):
     r = random.Random(seed)
     ours, reference = SimRng(seed), Generator(PCG64(seed))
@@ -25,3 +25,8 @@ def test_draws_match_numpy_generator_in_order(seed):
 def test_draw_of_partial_word_rejected(n):
     with pytest.raises(ValueError):
         SimRng(0).draw_bytes(n)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        SimRng(-1)

@@ -140,6 +140,13 @@ def test_comments_and_blanks_ignored():
         ("wgiot-scenario v1\n[registry]\n" + REGISTRY_LINE[:-1] + f"{2**128}\n", 3),
         ("wgiot-scenario v1\n[options]\nbackend = nope\n", 3),
         ("wgiot-scenario v1\n[options]\nwbrac_id = -1\n", 3),
+        ("wgiot-scenario v1\n[options]\nmax_time = -5\n", 3),
+        ("wgiot-scenario v1\n[options]\nmpc_period = -1\n", 3),
+        ("wgiot-scenario v1\n[schedule]\nstart icd-1 at -100\n", 3),
+        ("wgiot-scenario v1\n[schedule]\nrotate at -1 to map-1\n", 3),
+        ("wgiot-scenario v1\n[schedule]\nparam-update at -1 to map-1\n", 3),
+        ("wgiot-scenario v1\n[adversary]\nreplay 0 at -50\n", 3),
+        ("wgiot-scenario v1\n[adversary]\ninject 090000 to icd-1 at -10\n", 3),
         ("wgiot-scenario v1\n[expect]\nicd-1 becomes happy\n", 3),
         ("wgiot-scenario v1\n[expect]\nframe-count AuthAccept ~= 1\n", 3),
     ],
@@ -252,6 +259,33 @@ def test_max_time_flag_truncates_run(tmp_path):
     )
     # the request would arrive at t=100; capping earlier keeps it undelivered
     assert cli.main(["run", str(scn), "--max-time", "50"]) == 0
+
+
+def test_negative_max_time_flag_exits_one(capsys):
+    assert cli.main(["run", str(SCENARIOS / "honest.scn"), "--max-time", "-5"]) == 1
+    assert "negative --max-time" in capsys.readouterr().err
+
+
+# Runs the CLI module with every import of numpy failing.
+NO_NUMPY_CLI = (
+    "import runpy, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "runpy.run_module('wgiot.cli', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("name", ["honest", "update", "replay"])
+def test_run_needs_no_numpy(tmp_path, name):
+    scn = str(SCENARIOS / f"{name}.scn")
+    blocked, normal = tmp_path / "blocked.trace", tmp_path / "normal.trace"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_CLI, "run", scn, "--trace", str(blocked)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert cli.main(["run", scn, "--trace", str(normal)]) == 0
+    assert blocked.read_text() == normal.read_text()
 
 
 def test_repeated_start_is_traced_as_skipped_not_raised(tmp_path):
