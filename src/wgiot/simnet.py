@@ -6,12 +6,10 @@ integer milliseconds; events at equal times process in insertion order, so a
 (scenario, seed) pair fully determines the trace.  An adversary can capture,
 replay, inject, and corrupt frames in flight.
 
-Each raw frame is decoded once.  A broadcast is encoded and decoded once, and
-every copy carries that decoded frame and its trace payload, shared by all
-targets (frames are frozen); a copy the adversary corrupts decodes its own
-bytes at delivery, as do unicast frames, replays and injections.  A frame
-that is dropped or has no receiver is only labelled, so it gets decode's
-checks (`wire.frame_type`) but is not unpacked.
+A frame reaches its receiver as it was sent: each encode is paired with its
+frame and trace payload, and every copy on a link (all targets of a
+broadcast, a duplicate) shares that pair; frames are frozen.  Only bytes the
+adversary made, a corrupted copy or a replay, are decoded at delivery.
 """
 
 from __future__ import annotations
@@ -173,8 +171,8 @@ class _Deliver(NamedTuple):
     dst: str
     raw: bytes
     dropped: bool
-    note: str = ""
-    decoded: tuple | None = None  # (frame, raw[3:]) when raw was decoded already
+    note: str
+    decoded: tuple | None  # (frame, raw[3:]); None for adversary bytes
 
 
 class _Tick(NamedTuple):
@@ -252,12 +250,13 @@ class Simulator:
     # -- frame transport --
 
     def send(self, src: str, dst: str, msg: wire.WireMessage) -> None:
-        self._transmit(src, dst, wire.encode(msg))
+        raw = wire.encode(msg)
+        self._transmit(src, dst, raw, (msg, raw[3:]))
 
-    def _transmit(self, src: str, dst: str, raw: bytes, decoded: tuple | None = None) -> None:
+    def _transmit(self, src: str, dst: str, raw: bytes, decoded: tuple) -> None:
         """Put one encoded frame on the src -> dst link: the adversary's
         hooks, then the link's drop and duplicate draws.  `decoded` is
-        raw's (frame, payload) if known; a corrupted copy drops it."""
+        raw's (frame, payload); a corrupted copy drops it."""
         tag = raw[0]
         note = ""
         if tag in self._capture_tags:
@@ -298,7 +297,7 @@ class Simulator:
 
     def _broadcast(self, targets: tuple[str, ...], frame: wire.WireMessage) -> None:
         raw = wire.encode(frame)
-        decoded = (wire.decode(raw), raw[3:])
+        decoded = (frame, raw[3:])
         for target in targets:
             self._transmit("wbrac", target, raw, decoded)
 
@@ -332,31 +331,25 @@ class Simulator:
             self.trace.add(self.now, "adversary", "-", "replay", None, "no-op: nothing captured")
             return
         src, dst, raw = self.captured[item.index]
-        self._push(self.now, _Deliver(src, dst, raw, False, "replayed"))
+        self._push(self.now, _Deliver(src, dst, raw, False, "replayed", None))
 
     def _on_inject(self, item: Inject) -> None:
-        self._push(self.now, _Deliver(item.src, item.to, wire.encode(item.frame), False, "injected"))
+        raw = wire.encode(item.frame)
+        decoded = (item.frame, raw[3:])
+        self._push(self.now, _Deliver(item.src, item.to, raw, False, "injected", decoded))
 
     def _on_deliver(self, ev: _Deliver) -> None:
         src, dst, raw, dropped, note, decoded = ev
         now = self.now
-        agent = None if dropped else self.agents.get(dst)
-        if decoded is not None:
-            msg, payload = decoded
-            cls = type(msg)
-        else:
+        if decoded is None:
             try:
-                # a frame nobody handles is checked for its trace line, not unpacked
-                if agent is None:
-                    cls = wire.frame_type(raw)
-                else:
-                    msg = wire.decode(raw)
-                    cls = type(msg)
+                decoded = wire.decode(raw), raw[3:]
             except wire.WireError as exc:
                 self.trace.add(now, src, dst, "?", raw, f"undecodable: {exc}")
                 return
-            payload = raw[3:]
-        tag = cls.__name__
+        msg, payload = decoded
+        tag = type(msg).__name__
+        agent = None if dropped else self.agents.get(dst)
         if agent is None:
             label = "dropped " if dropped else "sink "
             self.trace.add(now, src, dst, tag, payload, (label + note).strip())

@@ -3,9 +3,9 @@
 Layout: tag (1 byte) ∥ payload length (2 bytes, MSB-first) ∥ payload.
 Payload fields are packed MSB-first in declaration order.  Decoding is
 strict: unknown tags, length mismatches, and trailing bytes are errors.
-`frame_type` makes all of those checks from the header and the length alone
-and returns the frame class; `decode` is `frame_type` plus the unpack, so a
-frame that is only labelled (a dropped one, say) need not be unpacked.
+For a frame whose fields hold `int` and `bytes`, `decode(encode(m)) == m`
+with the same field types, so the simulator hands a sent frame to its
+receiver without decoding it.
 """
 
 from __future__ import annotations
@@ -223,9 +223,7 @@ def encode(msg: WireMessage) -> bytes:
     return cls._frame.pack(cls.TAG, cls.SIZE, *[getattr(msg, name) for name, _ in cls.FIELDS])
 
 
-def frame_type(raw: bytes) -> type[WireMessage]:
-    """The frame class of raw, after every check decode makes; the payload
-    is not unpacked."""
+def decode(raw: bytes) -> WireMessage:
     if len(raw) < 3:
         raise Truncated(f"frame shorter than 3-byte header ({len(raw)} bytes)")
     tag = raw[0]
@@ -240,11 +238,6 @@ def frame_type(raw: bytes) -> type[WireMessage]:
         raise Truncated(f"{cls.__name__}: payload {payload} < declared {declared}")
     if payload > declared:
         raise LengthMismatch(f"{cls.__name__}: {payload - declared} trailing bytes")
-    return cls
-
-
-def decode(raw: bytes) -> WireMessage:
-    cls = frame_type(raw)
     return cls(*cls._frame.unpack(raw)[2:])
 
 

@@ -23,6 +23,7 @@ from wgiot.simnet import (
     RotateMpc,
     Scenario,
     SendParameterUpdate,
+    Simulator,
     StartIcd,
     SubscriberSpec,
     sim_run,
@@ -173,3 +174,44 @@ def test_scenario_file_traces_are_pinned(name):
 @pytest.mark.parametrize("build", list(GENERATED_DIGESTS), ids=lambda f: f.__name__)
 def test_generated_fleet_traces_are_pinned(build):
     assert [digest(build(seed), seed) for seed in range(3)] == GENERATED_DIGESTS[build]
+
+
+
+def _scenario_file(name: str):
+    return lambda seed: load_scenario(SCENARIOS / f"{name}.scn")
+
+
+# name -> (scenario for a seed, number of seeds): every run pinned above
+PINNED_RUNS = {name: (_scenario_file(name), len(SCN_DIGESTS[name])) for name in sorted(SCN_DIGESTS)}
+PINNED_RUNS.update({b.__name__: (b, len(GENERATED_DIGESTS[b])) for b in GENERATED_DIGESTS})
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_every_sent_frame_is_what_its_bytes_decode_to(monkeypatch, name):
+    """The simulator delivers the frame an agent hands over instead of
+    decoding its bytes; that is only sound if decoding them would give the
+    same frame, with fields of the same types (bytes, not bytearray; int,
+    not bool)."""
+    sent = []
+    send, broadcast = Simulator.send, Simulator._broadcast
+
+    def spy_send(self, src, dst, msg):
+        sent.append(msg)
+        send(self, src, dst, msg)
+
+    def spy_broadcast(self, targets, frame):
+        sent.append(frame)
+        broadcast(self, targets, frame)
+
+    monkeypatch.setattr(Simulator, "send", spy_send)
+    monkeypatch.setattr(Simulator, "_broadcast", spy_broadcast)
+    build, seeds = PINNED_RUNS[name]
+    for seed in range(seeds):
+        sim_run(build(seed), seed)
+    assert sent
+    for msg in sent:
+        decoded = wire.decode(wire.encode(msg))
+        assert decoded == msg
+        assert type(decoded) is type(msg)
+        for field, _ in msg.FIELDS:
+            assert type(getattr(decoded, field)) is type(getattr(msg, field)), (msg, field)
