@@ -3,7 +3,9 @@
 A scenario file declares the subscriber registry, link models, scheduled
 events, an optional adversary script, and the expectations the CLI checks
 after the run.  The format is line-oriented and diff-friendly; any unknown
-section or malformed line fails at load time with its line number.
+section, malformed line or unknown agent or frame name fails at load time
+with its line number.  Sections may come in any order, so agent names are
+checked once the whole file is read.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ _FRAME_COUNT_OPS = {
     ">": lambda a, b: a > b,
     "<": lambda a, b: a < b,
 }
+
+_LINK_FIELDS = {"delay": "delay_ms", "drop": "drop_prob", "dup": "dup_prob"}
+
+_BROADCASTS = {"rotate": RotateMpc, "param-update": SendParameterUpdate}
 
 
 class _Line:
@@ -101,6 +107,9 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     scenario = Scenario(subscribers=[])
     link_models: dict[str, LinkModel] = {}  # attribute text -> its model, for this file
     registry_lines: dict[int, int] = {}  # icd_in -> line that registered it
+    link_lines: dict[tuple[str, str], int] = {}  # (src, dst) -> line that declared it
+    agent_uses: dict[str, int] = {}  # agent name -> first line naming it, [links] aside
+    device_uses: dict[str, int] = {}  # device name -> first `start` line naming it
 
     def add_subscriber(line: _Line) -> None:
         sub = _parse_subscriber(line)
@@ -111,15 +120,40 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
 
     def add_link(line: _Line) -> None:
         src, dst, model = _parse_link(line, link_models)
-        scenario.links[(src, dst)] = model
+        pair = (src, dst)  # one key object for both dicts
+        first = link_lines.setdefault(pair, line.no)
+        if first != line.no:
+            line.fail(f"duplicate link {src} -> {dst}, first declared on line {first}")
+        scenario.links[pair] = model
+
+    def add_schedule(line: _Line) -> None:
+        item = _parse_schedule(line)
+        scenario.schedule.append(item)
+        if isinstance(item, StartIcd):
+            device_uses.setdefault(item.agent_id, line.no)
+        else:
+            for target in item.targets:
+                agent_uses.setdefault(target, line.no)
+
+    def add_adversary(line: _Line) -> None:
+        action = _parse_adversary(line)
+        scenario.adversary.append(action)
+        if isinstance(action, Inject):
+            agent_uses.setdefault(action.to, line.no)
+
+    def add_expect(line: _Line) -> None:
+        expect = _parse_expect(line, base_dir)
+        scenario.expects.append(expect)
+        if expect[0] == "reaches":
+            agent_uses.setdefault(expect[1], line.no)
 
     section_parsers = {
         "options": lambda line: _parse_option(scenario, line),
         "registry": add_subscriber,
         "links": add_link,
-        "schedule": lambda line: scenario.schedule.append(_parse_schedule(line)),
-        "adversary": lambda line: scenario.adversary.append(_parse_adversary(line)),
-        "expect": lambda line: scenario.expects.append(_parse_expect(line, base_dir)),
+        "schedule": add_schedule,
+        "adversary": add_adversary,
+        "expect": add_expect,
     }
     parse_line = None
     saw_header = False
@@ -145,6 +179,18 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
 
     if not saw_header:
         raise ScenarioError("empty scenario file")
+    devices = {f"icd-{i}" for i in range(1, len(scenario.subscribers) + 1)}
+    agents = devices | {"wbrac", "map-1"}
+    unknown = [(no, f"unknown agent {a!r}") for a, no in agent_uses.items() if a not in agents]
+    unknown += [
+        (no, f"unknown agent {a!r}")
+        for pair, no in link_lines.items()
+        for a in pair
+        if a not in agents
+    ]
+    unknown += [(no, f"unknown device {a!r}") for a, no in device_uses.items() if a not in devices]
+    if unknown:
+        raise ScenarioError("line %d: %s" % min(unknown))
     if not any(isinstance(item, StartIcd) for item in scenario.schedule):
         for i in range(len(scenario.subscribers)):
             scenario.schedule.append(StartIcd(f"icd-{i + 1}", at=0))
@@ -202,60 +248,58 @@ def _parse_link_model(line: _Line, attrs: str) -> LinkModel:
         if "=" not in token:
             line.fail(f"expected key=value, got {token!r}")
         key, _, value = token.partition("=")
-        if key == "delay":
-            kwargs["delay_ms"] = _parse_nonneg(line, "delay", value)
-        elif key in ("drop", "dup"):
-            kwargs[f"{key}_prob"] = _parse_probability(line, value)
-        else:
+        name = _LINK_FIELDS.get(key)
+        if name is None:
             line.fail(f"unknown link attribute {key!r}")
+        if name in kwargs:
+            line.fail(f"repeated link attribute {key!r}")
+        if key == "delay":
+            kwargs[name] = _parse_nonneg(line, "delay", value)
+        else:
+            kwargs[name] = _parse_probability(line, value)
     return LinkModel(**kwargs)
-
-
-def _targets(token: str) -> tuple[str, ...]:
-    return tuple(t for t in token.split(",") if t)
 
 
 def _parse_schedule(line: _Line):
     parts = line.text.split()
-    try:
-        if parts[0] == "start" and parts[2] == "at":
-            return StartIcd(parts[1], at=_parse_nonneg(line, "time", parts[3]))
-        if parts[0] == "rotate" and parts[1] == "at" and parts[3] == "to":
-            return RotateMpc(
-                at=_parse_nonneg(line, "time", parts[2]), targets=_targets(parts[4])
-            )
-        if parts[0] == "param-update" and parts[1] == "at" and parts[3] == "to":
-            return SendParameterUpdate(
-                at=_parse_nonneg(line, "time", parts[2]), targets=_targets(parts[4])
-            )
-    except IndexError:
-        pass
+    if len(parts) == 4 and parts[0] == "start" and parts[2] == "at":
+        return StartIcd(parts[1], at=_parse_nonneg(line, "time", parts[3]))
+    broadcast = _BROADCASTS.get(parts[0])
+    if broadcast and len(parts) == 5 and parts[1] == "at" and parts[3] == "to":
+        targets = tuple(t for t in parts[4].split(",") if t)
+        if not targets:
+            line.fail("broadcast has no targets")
+        return broadcast(at=_parse_nonneg(line, "time", parts[2]), targets=targets)
     line.fail(f"unrecognized schedule line {line.text!r}")
 
 
 def _parse_adversary(line: _Line):
     parts = line.text.split()
+    n = len(parts)
     try:
-        if parts[0] == "capture":
+        if n == 2 and parts[0] == "capture":
             return CaptureMatching(wire.tag_by_name(parts[1]))
-        if parts[0] == "replay" and parts[2] == "at":
+        if n == 4 and parts[0] == "replay" and parts[2] == "at":
             return ReplayCaptured(
                 index=_parse_nonneg(line, "replay index", parts[1]),
                 at=_parse_nonneg(line, "time", parts[3]),
             )
-        if parts[0] == "corrupt" and parts[2] == "bit":
+        if n == 4 and parts[0] == "corrupt" and parts[2] == "bit":
             cls = wire.frame_by_name(parts[1])
             bit = _parse_int(line, parts[3])
             if not 0 <= bit < 8 * cls.SIZE:
                 line.fail(f"bit {bit} outside the {8 * cls.SIZE}-bit payload of {cls.__name__}")
             return CorruptBit(cls.TAG, bit_index=bit)
-        if parts[0] == "inject" and parts[2] == "to" and parts[4] == "at":
+        if (
+            parts[0] == "inject"
+            and (n == 6 or (n == 8 and parts[6] == "from"))
+            and parts[2] == "to"
+            and parts[4] == "at"
+        ):
             frame = wire.decode(bytes.fromhex(parts[1]))
-            src = parts[7] if len(parts) >= 8 and parts[6] == "from" else "adversary"
+            src = parts[7] if n == 8 else "adversary"
             at = _parse_nonneg(line, "time", parts[5])
             return Inject(frame=frame, to=parts[3], at=at, src=src)
-    except IndexError:
-        pass
     except (wire.WireError, ValueError) as exc:
         line.fail(f"bad adversary line: {exc}")
     line.fail(f"unrecognized adversary line {line.text!r}")
@@ -263,15 +307,17 @@ def _parse_adversary(line: _Line):
 
 def _parse_expect(line: _Line, base_dir: Path):
     parts = line.text.split()
-    try:
-        if len(parts) == 3 and parts[1] == "reaches":
-            return ("reaches", parts[0], parts[2])
-        if parts[0] == "frame-count" and parts[2] in _FRAME_COUNT_OPS:
-            return ("frame-count", parts[1], parts[2], _parse_int(line, parts[3]))
-        if parts[0] == "trace-golden":
-            return ("trace-golden", base_dir / parts[1])
-    except IndexError:
-        pass
+    n = len(parts)
+    if n == 3 and parts[1] == "reaches":
+        return ("reaches", parts[0], parts[2])
+    if n == 4 and parts[0] == "frame-count" and parts[2] in _FRAME_COUNT_OPS:
+        try:
+            wire.frame_by_name(parts[1])
+        except wire.UnknownTag:
+            line.fail(f"unknown frame {parts[1]!r}")
+        return ("frame-count", parts[1], parts[2], _parse_int(line, parts[3]))
+    if n == 2 and parts[0] == "trace-golden":
+        return ("trace-golden", base_dir / parts[1])
     line.fail(f"unrecognized expectation {line.text!r}")
 
 

@@ -23,7 +23,7 @@ from .access_point import MapAgent
 from .agent import NotIdle
 from .icd import IcdAgent, IcdConfig
 from .rng import SimRng
-from .wbrac import DEFAULT_WBRAC_ID, WbracService
+from .wbrac import DEFAULT_WBRAC_ID, TooEarly, WbracService
 
 DEFAULT_MAX_TIME_MS = 60_000
 
@@ -318,7 +318,7 @@ class Simulator:
     def _on_rotate(self, item: RotateMpc) -> None:
         try:
             frame = self.wbrac.rotate_mpc(self.now)
-        except Exception as exc:
+        except TooEarly as exc:
             self.trace.add(self.now, "wbrac", "-", "rotate", None, f"skipped: {exc}")
             return
         self._broadcast(item.targets, frame)

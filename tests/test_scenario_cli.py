@@ -162,6 +162,134 @@ def test_duplicate_icd_in_names_the_first_line():
         parse_scenario(MINIMAL + "# again\n" + REGISTRY_LINE + "\n")
 
 
+# Inputs that loaded without complaint before names and trailing tokens were
+# checked, each with its whole error message.
+REJECTED = [
+    pytest.param(
+        MINIMAL + "[schedule]\nstart icd-1 at 5 extra junk\n",
+        "line 5: unrecognized schedule line 'start icd-1 at 5 extra junk'",
+        id="start-trailing",
+    ),
+    pytest.param(
+        MINIMAL + "[schedule]\nrotate at 5 to map-1 now\n",
+        "line 5: unrecognized schedule line 'rotate at 5 to map-1 now'",
+        id="rotate-trailing",
+    ),
+    pytest.param(
+        MINIMAL + "[expect]\nframe-count AuthAccept == 1 extra\n",
+        "line 5: unrecognized expectation 'frame-count AuthAccept == 1 extra'",
+        id="frame-count-trailing",
+    ),
+    pytest.param(
+        MINIMAL + "[expect]\ntrace-golden a.trace b.trace\n",
+        "line 5: unrecognized expectation 'trace-golden a.trace b.trace'",
+        id="trace-golden-trailing",
+    ),
+    pytest.param(
+        MINIMAL + "[adversary]\ninject 050000 to icd-1 at 3 from\n",
+        "line 5: unrecognized adversary line 'inject 050000 to icd-1 at 3 from'",
+        id="inject-dangling-from",
+    ),
+    pytest.param(
+        MINIMAL + "[adversary]\ninject 050000 to icd-1 at 3 via map-1\n",
+        "line 5: unrecognized adversary line 'inject 050000 to icd-1 at 3 via map-1'",
+        id="inject-not-from",
+    ),
+    pytest.param(
+        MINIMAL + "[adversary]\ncapture AuthRequest twice\n",
+        "line 5: unrecognized adversary line 'capture AuthRequest twice'",
+        id="capture-trailing",
+    ),
+    pytest.param(
+        MINIMAL + "[adversary]\nreplay 0 at 5 6\n",
+        "line 5: unrecognized adversary line 'replay 0 at 5 6'",
+        id="replay-trailing",
+    ),
+    pytest.param(
+        MINIMAL + "[links]\nicd-1 map-1 delay=5 delay=7\n",
+        "line 5: repeated link attribute 'delay'",
+        id="repeated-attribute",
+    ),
+    pytest.param(
+        MINIMAL + "[links]\nicd-1 map-1 delay=5\n# again\nicd-1 map-1 drop=0.1\n",
+        "line 7: duplicate link icd-1 -> map-1, first declared on line 5",
+        id="duplicate-link",
+    ),
+    pytest.param(
+        MINIMAL + "[links]\nicd-1 map1 delay=5\n",
+        "line 5: unknown agent 'map1'",
+        id="link-endpoint",
+    ),
+    pytest.param(
+        MINIMAL + "[schedule]\nstart icd-9 at 0\n",
+        "line 5: unknown device 'icd-9'",
+        id="start-agent",
+    ),
+    pytest.param(
+        MINIMAL + "[schedule]\nstart map-1 at 0\n",
+        "line 5: unknown device 'map-1'",
+        id="start-not-a-device",
+    ),
+    pytest.param(
+        MINIMAL + "[schedule]\nrotate at 5 to map-1,icd-2\n",
+        "line 5: unknown agent 'icd-2'",
+        id="rotate-target",
+    ),
+    pytest.param(
+        MINIMAL + "[schedule]\nrotate at 5 to ,\n",
+        "line 5: broadcast has no targets",
+        id="rotate-no-target",
+    ),
+    pytest.param(
+        MINIMAL + "[schedule]\nparam-update at 5 to icd-0\n",
+        "line 5: unknown agent 'icd-0'",
+        id="param-update-target",
+    ),
+    pytest.param(
+        MINIMAL + "[adversary]\ninject 090000 to icd-2 at 3\n",
+        "line 5: unknown agent 'icd-2'",
+        id="inject-target",
+    ),
+    pytest.param(
+        MINIMAL + "[expect]\nicd-2 reaches Authenticated\n",
+        "line 5: unknown agent 'icd-2'",
+        id="reaches-agent",
+    ),
+    pytest.param(
+        MINIMAL + "[expect]\nframe-count Nope == 0\n",
+        "line 5: unknown frame 'Nope'",
+        id="frame-count-frame",
+    ),
+    # names are checked once every section is read; the first bad line is named
+    pytest.param(
+        "wgiot-scenario v1\n[schedule]\nstart icd-2 at 0\n[links]\nicd-3 map-1\n"
+        "[registry]\n" + REGISTRY_LINE + "\n",
+        "line 3: unknown device 'icd-2'",
+        id="name-before-registry",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message", REJECTED)
+def test_rejected_input_exits_one_without_traceback(tmp_path, text, message):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgiot.cli", "run", str(scn)], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+
+
+def test_sections_may_name_agents_before_the_registry():
+    text = (
+        "wgiot-scenario v1\n[schedule]\nstart icd-1 at 3\nrotate at 5 to wbrac,map-1,icd-1\n"
+        "[links]\nicd-1 map-1 delay=5\n[adversary]\ninject 090000 to icd-1 at 3\n"
+        "[expect]\nicd-1 reaches Authenticated\n[registry]\n" + REGISTRY_LINE + "\n"
+    )
+    sc = parse_scenario(text)
+    assert [s.agent_id for s in sc.schedule if isinstance(s, StartIcd)] == ["icd-1"]
+
+
 def test_corrupt_bit_may_be_any_payload_bit():
     text = MINIMAL + "[adversary]\ncorrupt AuthRequest bit 0\ncorrupt AuthRequest bit 511\n"
     assert [a.bit_index for a in parse_scenario(text).adversary] == [0, 511]

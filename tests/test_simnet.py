@@ -18,6 +18,7 @@ from wgiot.simnet import (
     StartIcd,
     sim_run,
 )
+from wgiot.wbrac import WbracService
 
 
 def test_empty_scenario_empty_trace():
@@ -196,6 +197,27 @@ def test_start_of_a_busy_device_is_traced_as_skipped():
     trace = sim.run()
     assert isinstance(sim.icds["icd-1"].state, Denied)
     assert trace.entries[-1] == (10, "-", "icd-1", "start", None, "skipped: start() in Denied")
+
+
+def test_too_early_rotation_is_traced_as_skipped():
+    sc = honest_scenario()
+    sc.schedule = [RotateMpc(at=10, targets=("map-1",)), RotateMpc(at=20, targets=("map-1",))]
+    trace = sim_run(sc, seed=0)
+    assert trace.entries[-1] == (
+        20, "wbrac", "-", "rotate", None, "skipped: rotation at 20, last at 10"
+    )
+
+
+def test_fault_in_rotation_propagates_out_of_run(monkeypatch):
+    def rotate_mpc(self, now):
+        raise RuntimeError("rotation fault")
+
+    monkeypatch.setattr(WbracService, "rotate_mpc", rotate_mpc)
+    sc = honest_scenario()
+    sc.schedule = [RotateMpc(at=10, targets=("map-1",))]
+    sim = Simulator(sc, seed=0)
+    with pytest.raises(RuntimeError, match="^rotation fault$"):
+        sim.run()
 
 
 def test_parameter_update_broadcast_keeps_counters_in_sync():

@@ -182,7 +182,7 @@ def _scenario_file(name: str):
 
 
 # name -> (scenario for a seed, number of seeds): every run pinned above
-PINNED_RUNS = {name: (_scenario_file(name), len(SCN_DIGESTS[name])) for name in sorted(SCN_DIGESTS)}
+PINNED_RUNS = {n: (_scenario_file(n), len(SCN_DIGESTS[n])) for n in sorted(SCN_DIGESTS)}
 PINNED_RUNS.update({b.__name__: (b, len(GENERATED_DIGESTS[b])) for b in GENERATED_DIGESTS})
 
 

@@ -117,7 +117,11 @@ BAD_FRAMES = [
     (b"\x09\x00\x00\x00", wire.LengthMismatch, "ChallengeAck: 1 trailing bytes"),
     (b"\x07\x00\x10" + bytes(4), wire.Truncated, "UpdateOrder: payload 4 < declared 16"),
     (b"\x07\x00\x10" + bytes(17), wire.LengthMismatch, "UpdateOrder: 1 trailing bytes"),
-    (b"\x04\x00\x44" + bytes(68), wire.LengthMismatch, "AuthRequest: declared 68, layout requires 64"),
+    (
+        b"\x04\x00\x44" + bytes(68),
+        wire.LengthMismatch,
+        "AuthRequest: declared 68, layout requires 64",
+    ),
 ]
 
 
