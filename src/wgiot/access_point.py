@@ -5,8 +5,8 @@ by the WBRAC (it never holds device secrets) and relays challenge traffic
 between device and WBRAC.  A failed comparison is remedied by a fixed rule
 (`remedy`): an MPC or RMC mismatch starts the update-value flow, an
 AAC-only mismatch gets a unique challenge, and all three wrong is denied.
-The access point obeys the WBRAC's frames only when they come from the
-WBRAC, and answers an AuthRequest only for the sending device's own icd_in.
+The access point obeys the WBRAC's frames only when they come from WBRAC,
+and answers an AuthRequest only for the sending device's own icd_in.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import crypto, wire
-from .agent import ProtocolError, Transition, unexpected
+from .agent import WBRAC, ProtocolError, Transition, unexpected
 
 REASON_VERIFY_FAILED = 0x01
 REASON_UNKNOWN_ICD = 0x02
@@ -65,9 +65,7 @@ class MapRecord:
 
 
 class MapAgent:
-    def __init__(self, agent_id: str, wbrac_id: str, mpc: crypto.Mpc):
-        self.agent_id = agent_id
-        self.wbrac_id = wbrac_id
+    def __init__(self, mpc: crypto.Mpc):
         self.mpc = mpc  # network-wide; every device's GUID is checked against it
         self.records: dict[int, MapRecord] = {}
         self._by_agent: dict[str, MapRecord] = {}
@@ -102,8 +100,7 @@ class MapAgent:
     # -- transitions --
 
     def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
-        table = self._FROM_WBRAC if sender == self.wbrac_id else self._FROM_DEVICE
-        handler = table.get(type(msg))
+        handler = self._BY_SENDER.get(sender, self._FROM_DEVICE).get(type(msg))
         if handler is None:
             return unexpected(self.state_name, msg)
         return handler(self, sender, msg)
@@ -178,7 +175,7 @@ class MapAgent:
             # refresh the device's stale MPC alongside the update request
             return Transition(
                 out=[
-                    (self.wbrac_id, wire.UpdateRequest(req.icd_in)),
+                    (WBRAC, wire.UpdateRequest(req.icd_in)),
                     (sender, wire.AccessParameterMessage(self.mpc.bits)),
                 ],
                 note=note + " -> update",
@@ -196,7 +193,7 @@ class MapAgent:
         return Transition(
             out=[
                 (sender, wire.ChallengeAck()),
-                (self.wbrac_id, wire.MapChallengeForward(rec.icd_in, msg.to_map)),
+                (WBRAC, wire.MapChallengeForward(rec.icd_in, msg.to_map)),
             ]
         )
 
@@ -208,7 +205,7 @@ class MapAgent:
             self._apply_provision(rec, rec.pending.next_provision)
         rec.pending = None
         return Transition(
-            out=[(self.wbrac_id, wire.UpdateConfirmation())], note="update-committed"
+            out=[(WBRAC, wire.UpdateConfirmation())], note="update-committed"
         )
 
     def _on_rejection(self, sender: str, msg: wire.UpdateRejection) -> Transition:
@@ -216,7 +213,7 @@ class MapAgent:
         if rec is None or rec.pending is None:
             return unexpected(self.state_name, msg)
         rec.pending = None
-        return Transition(out=[(self.wbrac_id, wire.UpdateRejection())], note="update-discarded")
+        return Transition(out=[(WBRAC, wire.UpdateRejection())], note="update-discarded")
 
     def _on_challenge_answer(self, sender: str, msg: wire.AuthChallengeAnswer) -> Transition:
         rec = self._by_agent.get(sender)
@@ -245,6 +242,7 @@ class MapAgent:
         wire.UpdateRejection: _on_rejection,
         wire.AuthChallengeAnswer: _on_challenge_answer,
     }
+    _BY_SENDER = {WBRAC: _FROM_WBRAC}
 
     # -- internals --
 

@@ -1,30 +1,36 @@
 """Shared plumbing for the three protocol agents.
 
-Every agent (IcdAgent, MapAgent, WbracService) offers the same interface:
+The topology is fixed and named here once: the WBRAC is the agent WBRAC, the
+access point is MAP, and the devices are icd-<n>.  Every agent (IcdAgent,
+MapAgent, WbracService) offers the same interface:
 
-- agent_id: its name in the simulator;
 - state_name: a short name of its current state, written to the trace;
 - handle(sender, msg, now) -> Transition: feed one delivered frame;
 - tick(now) -> Transition: only on agents that ever return tick_at (which
   only IcdAgent does), called when the requested time arrives.
 
-Each agent's handle looks the frame's exact type up in a class-level table
-of per-frame handlers; a type with no entry returns unexpected(...).  The
-access point keeps two tables, one for frames from the WBRAC and one for
-frames from devices, so a frame from the wrong side is unexpected too.  The
-device takes frames only from its access point, and from the WBRAC only the
-network broadcasts (AccessParameterMessage, ParameterUpdateOrder); a frame
-from any other sender is unexpected.  The device's handlers check its state
-themselves.  Handlers reach crypto, wire, unexpected and the agents' public
-methods by attribute lookup at call time, which is what lets an outside
-tracer wrap them.
+One sender rule holds for all three: an agent picks a table of per-frame
+handlers by the frame's sender, then looks the frame's exact type up in it;
+a sender with no table, or a type with no entry, returns unexpected(...) and
+changes nothing.  The WBRAC obeys only MAP.  The access point keeps one
+table for frames from WBRAC and one for frames from devices.  A device obeys
+MAP, and from WBRAC only the network broadcasts (AccessParameterMessage,
+ParameterUpdateOrder).  The device's handlers check its state themselves.
+Handlers reach crypto, wire, unexpected and the agents' public methods by
+attribute lookup at call time, which is what lets an outside tracer wrap
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import wire
+
+WBRAC = "wbrac"  # the authentication center's agent name
+MAP = "map-1"  # the access point's agent name
+NO_HANDLERS = MappingProxyType({})  # the table of a sender an agent does not obey
 
 
 class ProtocolError(Exception):

@@ -5,10 +5,10 @@ and unique-challenge flows, and enforces the 1 s confirmation timer.  The
 new service data computed during an update is committed exactly once (on a
 matching confirmation order) or discarded exactly once (mismatch/timeout).
 
-The device obeys frames only from its access point (`map_id`), and from the
-WBRAC (`wbrac_agent_id`) only the two network broadcasts,
-AccessParameterMessage and ParameterUpdateOrder.  A frame from any other
-sender is noted as unexpected and changes nothing.
+The device obeys frames only from the access point (MAP), and from the
+WBRAC only the two network broadcasts, AccessParameterMessage and
+ParameterUpdateOrder.  A frame from any other sender is noted as unexpected
+and changes nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .agent import NotIdle, Transition, unexpected
+from .agent import MAP, NO_HANDLERS, WBRAC, NotIdle, Transition, unexpected
 
 CONFIRM_TIMEOUT_MS = 1000  # confirmation order must arrive within 1 s of the ack
 
@@ -74,19 +74,8 @@ class IcdConfig:
 
 
 class IcdAgent:
-    def __init__(
-        self,
-        agent_id: str,
-        cfg: IcdConfig,
-        map_id: str,
-        rng,
-        backend: crypto.PrfBackend = crypto.DEFAULT_BACKEND,
-        wbrac_agent_id: str = "wbrac",
-    ):
-        self.agent_id = agent_id
+    def __init__(self, cfg: IcdConfig, rng, backend: crypto.PrfBackend = crypto.DEFAULT_BACKEND):
         self.cfg = cfg
-        self.map_id = map_id
-        self.wbrac_agent_id = wbrac_agent_id
         self.rng = rng
         self.backend = backend
         self.state = Idle()
@@ -115,18 +104,13 @@ class IcdAgent:
         self.state = AwaitingAuthResult()
         return Transition(
             out=[
-                (self.map_id, wire.SecureActivation(self.cfg.wgie.icd_in)),
-                (self.map_id, self._auth_request()),
+                (MAP, wire.SecureActivation(self.cfg.wgie.icd_in)),
+                (MAP, self._auth_request()),
             ]
         )
 
     def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
-        if sender == self.map_id:
-            handler = self._FROM_MAP.get(type(msg))
-        elif sender == self.wbrac_agent_id:
-            handler = self._FROM_WBRAC.get(type(msg))
-        else:
-            handler = None
+        handler = self._BY_SENDER.get(sender, NO_HANDLERS).get(type(msg))
         if handler is None:
             return unexpected(self.state_name, msg)
         return handler(self, msg, now)
@@ -162,7 +146,7 @@ class IcdAgent:
             sd_new, to_map.bits, cfg.wgie.esn, cfg.wgie.icd_in, self.backend
         )
         self.state = UpdateAwaitingAck(sd_new, to_map, local_sign)
-        return Transition(out=[(self.map_id, wire.MobileAccessChallengeOrder(to_map.bits))])
+        return Transition(out=[(MAP, wire.MobileAccessChallengeOrder(to_map.bits))])
 
     def _on_challenge_ack(self, msg: wire.ChallengeAck, now: int) -> Transition:
         state = self.state
@@ -185,13 +169,13 @@ class IcdAgent:
             # re-authenticate with the committed service data
             return Transition(
                 out=[
-                    (self.map_id, wire.UpdateConfirmation()),
-                    (self.map_id, self._auth_request()),
+                    (MAP, wire.UpdateConfirmation()),
+                    (MAP, self._auth_request()),
                 ],
                 note="update-committed",
             )
         self.state = Idle()
-        return Transition(out=[(self.map_id, wire.UpdateRejection())], note="update-rejected")
+        return Transition(out=[(MAP, wire.UpdateRejection())], note="update-rejected")
 
     def _on_challenge(self, msg: wire.AuthenticationChallenge, now: int) -> Transition:
         cfg = self.cfg
@@ -199,7 +183,7 @@ class IcdAgent:
         answer = crypto.authorization_signature(
             cfg.sd, composite, cfg.wgie.esn, cfg.wgie.icd_in, self.backend
         )
-        return Transition(out=[(self.map_id, wire.AuthChallengeAnswer(answer.bits))])
+        return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer.bits))])
 
     def _on_access_denied(self, msg: wire.AccessDenied, now: int) -> Transition:
         self.state = Denied()
@@ -218,6 +202,7 @@ class IcdAgent:
         wire.AuthenticationChallenge: _on_challenge,
         wire.AccessDenied: _on_access_denied,
     }
+    _BY_SENDER = {MAP: _FROM_MAP, WBRAC: _FROM_WBRAC}
 
     def tick(self, now: int) -> Transition:
         if isinstance(self.state, UpdateAwaitingConfirmation) and now > self.state.deadline:

@@ -4,8 +4,10 @@ A scenario file declares the subscriber registry, link models, scheduled
 events, an optional adversary script, and the expectations the CLI checks
 after the run.  The format is line-oriented and diff-friendly; any unknown
 section, malformed line or unknown agent or frame name fails at load time
-with its line number.  Sections may come in any order, so agent names are
-checked once the whole file is read.
+with its line number.  Sections may come in any order, so agent names (and
+whether each item can run) are checked once the whole file is read, by
+`simnet.scenario_faults`, the check `Simulator` applies to scenarios built
+in code.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .simnet import (
     SendParameterUpdate,
     StartIcd,
     SubscriberSpec,
+    device_ids,
+    scenario_faults,
 )
 
 SCENARIO_HEADER = "wgiot-scenario v1"
@@ -107,9 +111,9 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     scenario = Scenario(subscribers=[])
     link_models: dict[str, LinkModel] = {}  # attribute text -> its model, for this file
     registry_lines: dict[int, int] = {}  # icd_in -> line that registered it
-    link_lines: dict[tuple[str, str], int] = {}  # (src, dst) -> line that declared it
-    agent_uses: dict[str, int] = {}  # agent name -> first line naming it, [links] aside
-    device_uses: dict[str, int] = {}  # device name -> first `start` line naming it
+    # a link's (src, dst) key, or a parsed schedule, adversary or expect
+    # item -> the first line that declared it
+    lines: dict = {}
 
     def add_subscriber(line: _Line) -> None:
         sub = _parse_subscriber(line)
@@ -121,39 +125,26 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     def add_link(line: _Line) -> None:
         src, dst, model = _parse_link(line, link_models)
         pair = (src, dst)  # one key object for both dicts
-        first = link_lines.setdefault(pair, line.no)
+        first = lines.setdefault(pair, line.no)
         if first != line.no:
             line.fail(f"duplicate link {src} -> {dst}, first declared on line {first}")
         scenario.links[pair] = model
 
-    def add_schedule(line: _Line) -> None:
-        item = _parse_schedule(line)
-        scenario.schedule.append(item)
-        if isinstance(item, StartIcd):
-            device_uses.setdefault(item.agent_id, line.no)
-        else:
-            for target in item.targets:
-                agent_uses.setdefault(target, line.no)
+    def adder(items: list, parse):
+        def add(line: _Line) -> None:
+            item = parse(line)
+            items.append(item)
+            lines.setdefault(item, line.no)
 
-    def add_adversary(line: _Line) -> None:
-        action = _parse_adversary(line)
-        scenario.adversary.append(action)
-        if isinstance(action, Inject):
-            agent_uses.setdefault(action.to, line.no)
-
-    def add_expect(line: _Line) -> None:
-        expect = _parse_expect(line, base_dir)
-        scenario.expects.append(expect)
-        if expect[0] == "reaches":
-            agent_uses.setdefault(expect[1], line.no)
+        return add
 
     section_parsers = {
         "options": lambda line: _parse_option(scenario, line),
         "registry": add_subscriber,
         "links": add_link,
-        "schedule": add_schedule,
-        "adversary": add_adversary,
-        "expect": add_expect,
+        "schedule": adder(scenario.schedule, _parse_schedule),
+        "adversary": adder(scenario.adversary, _parse_adversary),
+        "expect": adder(scenario.expects, lambda line: _parse_expect(line, base_dir)),
     }
     parse_line = None
     saw_header = False
@@ -179,21 +170,11 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
 
     if not saw_header:
         raise ScenarioError("empty scenario file")
-    devices = {f"icd-{i}" for i in range(1, len(scenario.subscribers) + 1)}
-    agents = devices | {"wbrac", "map-1"}
-    unknown = [(no, f"unknown agent {a!r}") for a, no in agent_uses.items() if a not in agents]
-    unknown += [
-        (no, f"unknown agent {a!r}")
-        for pair, no in link_lines.items()
-        for a in pair
-        if a not in agents
-    ]
-    unknown += [(no, f"unknown device {a!r}") for a, no in device_uses.items() if a not in devices]
-    if unknown:
-        raise ScenarioError("line %d: %s" % min(unknown))
+    faults = [(lines[item], reason) for item, reason in scenario_faults(scenario)]
+    if faults:
+        raise ScenarioError("line %d: %s" % min(faults))
     if not any(isinstance(item, StartIcd) for item in scenario.schedule):
-        for i in range(len(scenario.subscribers)):
-            scenario.schedule.append(StartIcd(f"icd-{i + 1}", at=0))
+        scenario.schedule += [StartIcd(a, at=0) for a in device_ids(scenario)]
     return scenario
 
 
@@ -267,8 +248,6 @@ def _parse_schedule(line: _Line):
     broadcast = _BROADCASTS.get(parts[0])
     if broadcast and len(parts) == 5 and parts[1] == "at" and parts[3] == "to":
         targets = tuple(t for t in parts[4].split(",") if t)
-        if not targets:
-            line.fail("broadcast has no targets")
         return broadcast(at=_parse_nonneg(line, "time", parts[2]), targets=targets)
     line.fail(f"unrecognized schedule line {line.text!r}")
 
@@ -285,11 +264,7 @@ def _parse_adversary(line: _Line):
                 at=_parse_nonneg(line, "time", parts[3]),
             )
         if n == 4 and parts[0] == "corrupt" and parts[2] == "bit":
-            cls = wire.frame_by_name(parts[1])
-            bit = _parse_int(line, parts[3])
-            if not 0 <= bit < 8 * cls.SIZE:
-                line.fail(f"bit {bit} outside the {8 * cls.SIZE}-bit payload of {cls.__name__}")
-            return CorruptBit(cls.TAG, bit_index=bit)
+            return CorruptBit(wire.tag_by_name(parts[1]), bit_index=_parse_int(line, parts[3]))
         if (
             parts[0] == "inject"
             and (n == 6 or (n == 8 and parts[6] == "from"))
@@ -328,10 +303,8 @@ def check_expects(scenario: Scenario, sim, trace) -> list[str]:
         kind = expect[0]
         if kind == "reaches":
             _, agent_id, target = expect
-            agent = sim.agents.get(agent_id)
-            if agent is None:
-                failures.append(f"reaches: unknown agent {agent_id!r}")
-            elif agent.state_name != target and not any(
+            agent = sim.agents[agent_id]
+            if agent.state_name != target and not any(
                 e.receiver == agent_id and e.note.endswith(f"-> {target}")
                 for e in trace.entries
             ):

@@ -1,10 +1,11 @@
 """Deterministic discrete-event harness for the wg-IoT protocol.
 
-One WBRAC, one access point (map-1), and any number of devices exchange
+One WBRAC, one access point (MAP), and any number of devices exchange
 frames over links with configurable delay/drop/duplication.  Virtual time is
 integer milliseconds; events at equal times process in insertion order, so a
 (scenario, seed) pair fully determines the trace.  An adversary can capture,
-replay, inject, and corrupt frames in flight.
+replay, inject, and corrupt frames in flight.  A scenario is checked before
+it runs (`scenario_faults`), whether it was built in code or parsed.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
@@ -20,10 +21,10 @@ from typing import NamedTuple
 
 from . import crypto, wire
 from .access_point import MapAgent
-from .agent import NotIdle
+from .agent import MAP, WBRAC, NotIdle
 from .icd import IcdAgent, IcdConfig
 from .rng import SimRng
-from .wbrac import DEFAULT_WBRAC_ID, TooEarly, WbracService
+from .wbrac import DEFAULT_WBRAC_ID, MpcSchedule, TooEarly, WbracService
 
 DEFAULT_MAX_TIME_MS = 60_000
 
@@ -124,6 +125,51 @@ class Scenario:
     mpc_period: int = 60_000
 
 
+def device_ids(sc: Scenario) -> list[str]:
+    """The devices' agent names, in registry order."""
+    return [f"icd-{i}" for i in range(1, len(sc.subscribers) + 1)]
+
+
+_PAYLOAD_BITS = {cls.TAG: 8 * cls.SIZE for cls in wire.MESSAGE_TYPES}
+
+
+def scenario_faults(sc: Scenario):
+    """Yield (item, reason) for every item of `sc` that names no agent or
+    cannot run: a link (by its (src, dst) key) with an unknown endpoint, a
+    start of a non-device, a broadcast with no targets or an unknown target,
+    an injection to an unknown agent, a `reaches` expectation of an unknown
+    agent, and a corrupted bit outside its frame's payload."""
+    devices = set(device_ids(sc))
+    agents = devices | {WBRAC, MAP}
+    for pair in sc.links:
+        for name in pair:
+            if name not in agents:
+                yield pair, f"unknown agent {name!r}"
+    for item in sc.schedule:
+        if isinstance(item, StartIcd):
+            if item.agent_id not in devices:
+                yield item, f"unknown device {item.agent_id!r}"
+        elif isinstance(item, (RotateMpc, SendParameterUpdate)):
+            if not item.targets:
+                yield item, "broadcast has no targets"
+            for name in item.targets:
+                if name not in agents:
+                    yield item, f"unknown agent {name!r}"
+        else:
+            yield item, f"unknown schedule item {item!r}"
+    for action in sc.adversary:
+        if isinstance(action, Inject) and action.to not in agents:
+            yield action, f"unknown agent {action.to!r}"
+        elif isinstance(action, CorruptBit):
+            bits = _PAYLOAD_BITS.get(action.tag, 0)
+            if not 0 <= action.bit_index < bits:
+                name = wire.tag_name(action.tag)
+                yield action, f"bit {action.bit_index} outside the {bits}-bit payload of {name}"
+    for expect in sc.expects:
+        if expect[0] == "reaches" and expect[1] not in agents:
+            yield expect, f"unknown agent {expect[1]!r}"
+
+
 # ---------------------------------------------------------------------------
 # Trace
 
@@ -181,6 +227,8 @@ class _Tick(NamedTuple):
 
 class Simulator:
     def __init__(self, scenario: Scenario, seed: int):
+        for _, reason in scenario_faults(scenario):
+            raise ScenarioError(reason)
         self.scenario = scenario
         self.rng = SimRng(seed)
         self.backend = crypto.get_backend(scenario.backend)
@@ -199,12 +247,11 @@ class Simulator:
 
     def _build_agents(self):
         sc = self.scenario
-        self.wbrac = WbracService("wbrac", sc.wbrac_id, self.backend, rng=self.rng)
-        self.wbrac.schedule.period_ms = sc.mpc_period
-        self.map = MapAgent("map-1", "wbrac", self.wbrac.schedule.current)
+        schedule = MpcSchedule(period_ms=sc.mpc_period)
+        self.wbrac = WbracService(sc.wbrac_id, self.backend, schedule, rng=self.rng)
+        self.map = MapAgent(schedule.current)
         self.icds: dict[str, IcdAgent] = {}
-        for i, sub in enumerate(sc.subscribers, start=1):
-            agent_id = f"icd-{i}"
+        for agent_id, sub in zip(device_ids(sc), sc.subscribers):
             wgie = crypto.WgieRecord(sub.key, sub.esn, sub.icd_in)
             k = crypto.ScAuthKey(sub.sc_auth_k)
             sd = crypto.SdPair.from_packed(sub.sd)
@@ -218,29 +265,15 @@ class Simulator:
                 rmc=crypto.Rmc(sub.rmc),
                 wbrac_id=sc.wbrac_id,
             )
-            self.icds[agent_id] = IcdAgent(
-                agent_id, cfg, "map-1", self.rng, self.backend, wbrac_agent_id="wbrac"
-            )
+            self.icds[agent_id] = IcdAgent(cfg, self.rng, self.backend)
             self.map.provision(agent_id, rec.rmc, self.wbrac.map_provision(rec))
-        self.agents = {"wbrac": self.wbrac, "map-1": self.map, **self.icds}
+        self.agents = {WBRAC: self.wbrac, MAP: self.map, **self.icds}
 
     def _load_schedule(self):
         for item in self.scenario.schedule:
-            if isinstance(item, StartIcd):
-                if item.agent_id not in self.icds:
-                    raise ScenarioError(f"unknown agent {item.agent_id!r} in schedule")
-                self._push(item.at, item)
-            elif isinstance(item, (RotateMpc, SendParameterUpdate)):
-                for target in item.targets:
-                    if target not in self.agents:
-                        raise ScenarioError(f"unknown broadcast target {target!r}")
-                self._push(item.at, item)
-            else:
-                raise ScenarioError(f"unknown schedule item {item!r}")
+            self._push(item.at, item)
         for action in self.scenario.adversary:
             if isinstance(action, (ReplayCaptured, Inject)):
-                if isinstance(action, Inject) and action.to not in self.agents:
-                    raise ScenarioError(f"inject target {action.to!r} unknown")
                 self._push(action.at, action)
 
     def _push(self, at: int, item) -> None:
@@ -280,8 +313,6 @@ class Simulator:
     @staticmethod
     def _flip_payload_bit(raw: bytes, bit_index: int) -> bytes:
         byte_at = 3 + bit_index // 8
-        if byte_at >= len(raw):
-            return raw
         buf = bytearray(raw)
         buf[byte_at] ^= 0x80 >> (bit_index % 8)
         return bytes(buf)
@@ -299,7 +330,7 @@ class Simulator:
         raw = wire.encode(frame)
         decoded = (frame, raw[3:])
         for target in targets:
-            self._transmit("wbrac", target, raw, decoded)
+            self._transmit(WBRAC, target, raw, decoded)
 
     def _on_tick(self, item: _Tick) -> None:
         result = self.agents[item.agent_id].tick(self.now)
@@ -319,7 +350,7 @@ class Simulator:
         try:
             frame = self.wbrac.rotate_mpc(self.now)
         except TooEarly as exc:
-            self.trace.add(self.now, "wbrac", "-", "rotate", None, f"skipped: {exc}")
+            self.trace.add(self.now, WBRAC, "-", "rotate", None, f"skipped: {exc}")
             return
         self._broadcast(item.targets, frame)
 

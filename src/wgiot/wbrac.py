@@ -2,8 +2,14 @@
 
 Holds the subscriber registry, rotates and broadcasts the MPC, and runs the
 server side of the update-value and unique-challenge computations.  Only the
-WBRAC holds device secrets; access points receive precomputed expectations
-through provisioning pushes.
+WBRAC holds device secrets; the access point receives precomputed
+expectations through provisioning pushes.
+
+The WBRAC obeys frames only from the access point (MAP): update requests,
+forwarded challenges and forwarded update outcomes, each answered to MAP.
+A frame from any other sender is noted as unexpected and changes nothing,
+so no one else can start or commit a device's update flow.  Its agent name,
+WBRAC, is not its 64-bit network identifier `wbrac_id`.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import crypto, wire
-from .agent import ProtocolError, Transition, unexpected
+from .agent import MAP, NO_HANDLERS, ProtocolError, Transition, unexpected
 
 
 class DuplicateIcd(ProtocolError):
@@ -54,13 +60,11 @@ class MpcSchedule:
 class WbracService:
     def __init__(
         self,
-        agent_id: str = "wbrac",
         wbrac_id: int = DEFAULT_WBRAC_ID,
         backend: crypto.PrfBackend = crypto.DEFAULT_BACKEND,
         schedule: MpcSchedule | None = None,
         rng=None,
     ):
-        self.agent_id = agent_id
         self.wbrac_id = wbrac_id
         self.backend = backend
         self.rng = rng
@@ -151,12 +155,12 @@ class WbracService:
     # -- frame handling (requests relayed by the access point) --
 
     def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
-        handler = self._HANDLERS.get(type(msg))
+        handler = self._BY_SENDER.get(sender, NO_HANDLERS).get(type(msg))
         if handler is None:
             return unexpected(self.state_name, msg)
-        return handler(self, sender, msg)
+        return handler(self, msg)
 
-    def _on_update_request(self, sender: str, msg: wire.UpdateRequest) -> Transition:
+    def _on_update_request(self, msg: wire.UpdateRequest) -> Transition:
         rec = self.registry.get(msg.icd_in)
         if rec is None:
             return Transition(note=f"update request for unknown icd {msg.icd_in}")
@@ -164,9 +168,9 @@ class WbracService:
             update = self.begin_update(msg.icd_in)
         except UpdateInProgress:
             return Transition(note="update already in progress")
-        return Transition(out=[(sender, update)])
+        return Transition(out=[(MAP, update)])
 
-    def _on_challenge_forward(self, sender: str, msg: wire.MapChallengeForward) -> Transition:
+    def _on_challenge_forward(self, msg: wire.MapChallengeForward) -> Transition:
         rec = self.registry.get(msg.icd_in)
         if rec is None:
             return Transition(note=f"challenge for unknown icd {msg.icd_in}")
@@ -177,11 +181,9 @@ class WbracService:
         # push the post-commit expectations ahead of the response so the
         # access point can verify the device's re-authentication
         prov = self.map_provision(rec, sd=rec.pending_sd_new)
-        return Transition(out=[(sender, prov), (sender, wire.MapChallengeResponse(sign.bits))])
+        return Transition(out=[(MAP, prov), (MAP, wire.MapChallengeResponse(sign.bits))])
 
-    def _on_update_outcome(
-        self, sender: str, msg: wire.UpdateConfirmation | wire.UpdateRejection
-    ) -> Transition:
+    def _on_update_outcome(self, msg: wire.UpdateConfirmation | wire.UpdateRejection) -> Transition:
         rec = self._unique_pending()
         if rec is None:
             return unexpected(self.state_name, msg)
@@ -189,12 +191,13 @@ class WbracService:
         self.commit(rec.icd_in, confirmed)
         return Transition(note="committed" if confirmed else "rejected")
 
-    _HANDLERS = {
+    _FROM_MAP = {
         wire.UpdateRequest: _on_update_request,
         wire.MapChallengeForward: _on_challenge_forward,
         wire.UpdateConfirmation: _on_update_outcome,
         wire.UpdateRejection: _on_update_outcome,
     }
+    _BY_SENDER = {MAP: _FROM_MAP}
 
     def _unique_pending(self) -> SubscriberRecord | None:
         """The forwarded outcome frames carry no device id; attribute them to

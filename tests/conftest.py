@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wgiot import simnet
+from wgiot import simnet, wire
 
 # Frozen oracle values, computed with tests/prf_oracle.py on all-zero inputs
 # before the package derivations were written.
@@ -40,7 +40,9 @@ def honest_scenario(seed: int = 0) -> simnet.Scenario:
 
 def update_scenario(seed: int = 0, start_at: int = 20) -> simnet.Scenario:
     """MPC rotates to the access point only, so the device's GUID goes stale
-    and its authentication attempt triggers the update-value flow."""
+    and its authentication attempt triggers the update-value flow.  Before
+    that, an adversary asks the WBRAC to start the device's update flow,
+    which the WBRAC must ignore: it obeys only the access point."""
     return simnet.Scenario(
         subscribers=[make_subscriber(seed)],
         mpc_period=1,
@@ -48,6 +50,7 @@ def update_scenario(seed: int = 0, start_at: int = 20) -> simnet.Scenario:
             simnet.RotateMpc(at=10, targets=("map-1",)),
             simnet.StartIcd("icd-1", at=start_at),
         ],
+        adversary=[simnet.Inject(wire.UpdateRequest(1), to="wbrac", at=5)],
     )
 
 

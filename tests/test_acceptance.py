@@ -85,7 +85,7 @@ def _challenged_map(backend) -> tuple[MapAgent, crypto.AuthSignMap]:
     wmap = crypto.Wmap(bytes(8))
     challenge = crypto.compose_unique_challenge(wmap, 0x5747_0000_0000_0001)
     sign = crypto.authorization_signature(sd, challenge, sub.esn, sub.icd_in, backend=backend)
-    agent = MapAgent("map-1", "wbrac", crypto.Mpc(bytes(16)))
+    agent = MapAgent(crypto.Mpc(bytes(16)))
     agent.provision(
         "icd-1", crypto.Rmc(0), wire.MapProvision(sub.icd_in, bytes(16), wmap.bits, sign.bits)
     )

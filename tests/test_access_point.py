@@ -15,7 +15,7 @@ CHALLENGE_SIGN = b"\x0d" * 16
 
 
 def make_map():
-    agent = MapAgent("map-1", "wbrac", crypto.Mpc(EXPECTED_MPC))
+    agent = MapAgent(crypto.Mpc(EXPECTED_MPC))
     agent.provision(
         "icd-1",
         crypto.Rmc(0),

@@ -1,7 +1,9 @@
 """Frame dispatch in the three agents: every frame type is handled or noted
-as unexpected, and update-flow frames that carry no device id go to the
-lowest pending icd_in."""
+as unexpected, the WBRAC obeys only the access point, and update-flow frames
+that carry no device id go to the lowest pending icd_in."""
 
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -98,13 +100,19 @@ def test_every_frame_type_to_the_access_point():
             assert result.out == [] and result.tick_at is None
 
 
-def test_every_frame_type_to_the_wbrac():
+@pytest.mark.parametrize("sender", ["map-1", "icd-1", "adversary", "wbrac"])
+def test_every_frame_type_to_the_wbrac(sender):
     r = random.Random(2)
     for cls in wire.MESSAGE_TYPES:
-        result = simulator().wbrac.handle("map-1", random_frame(cls, r), 0)  # never raises
-        if cls not in WBRAC_HANDLED:
+        frame = random_frame(cls, r)
+        if "icd_in" in dict(cls.FIELDS):
+            frame = dataclasses.replace(frame, icd_in=10)  # a registered device
+        sim = simulator()
+        registry = copy.deepcopy(sim.wbrac.registry)
+        result = sim.wbrac.handle(sender, frame, 0)  # never raises
+        if sender != "map-1" or cls not in WBRAC_HANDLED:
             assert result.note == f"unexpected {cls.__name__} in -"
-            assert result.out == []
+            assert result.out == [] and sim.wbrac.registry == registry
 
 
 @pytest.mark.parametrize("state_index", range(6))

@@ -34,7 +34,7 @@ def make_agent(seed=0):
         rmc=crypto.Rmc(0),
         wbrac_id=WBRAC_ID,
     )
-    return IcdAgent("icd-1", cfg, "map-1", SimRng(seed))
+    return IcdAgent(cfg, SimRng(seed))
 
 
 def drive_to_confirmation(agent, rand=bytes(16), t0=0):

@@ -1,19 +1,26 @@
 """Scenario file parsing and CLI exit-code behavior."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import make_subscriber
 from wgiot import cli, crypto, wire
 from wgiot.scenario import load_scenario, parse_scenario
 from wgiot.simnet import (
     CaptureMatching,
+    CorruptBit,
     Inject,
+    LinkModel,
     ReplayCaptured,
     RotateMpc,
+    Scenario,
     ScenarioError,
+    SendParameterUpdate,
+    Simulator,
     StartIcd,
 )
 
@@ -278,6 +285,81 @@ def test_rejected_input_exits_one_without_traceback(tmp_path, text, message):
         [sys.executable, "-m", "wgiot.cli", "run", str(scn)], capture_output=True, text=True
     )
     assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+
+
+# Each fault of REJECTED (and of the payload range) that names no agent or
+# cannot run, written as a file section and built in code: the file fails on
+# line 5 and Simulator fails on the built scenario, with the same reason.
+CODE_REJECTED = [
+    pytest.param(
+        "[links]\nicd-1 map1\n",
+        {"links": {("icd-1", "map1"): LinkModel()}},
+        "unknown agent 'map1'",
+        id="link-endpoint",
+    ),
+    pytest.param(
+        "[schedule]\nstart icd-9 at 0\n",
+        {"schedule": [StartIcd("icd-9", at=0)]},
+        "unknown device 'icd-9'",
+        id="start-agent",
+    ),
+    pytest.param(
+        "[schedule]\nstart map-1 at 0\n",
+        {"schedule": [StartIcd("map-1", at=0)]},
+        "unknown device 'map-1'",
+        id="start-not-a-device",
+    ),
+    pytest.param(
+        "[schedule]\nrotate at 5 to map-1,icd-2\n",
+        {"schedule": [RotateMpc(at=5, targets=("map-1", "icd-2"))]},
+        "unknown agent 'icd-2'",
+        id="rotate-target",
+    ),
+    pytest.param(
+        "[schedule]\nrotate at 5 to ,\n",
+        {"schedule": [RotateMpc(at=5, targets=())]},
+        "broadcast has no targets",
+        id="rotate-no-target",
+    ),
+    pytest.param(
+        "[schedule]\nparam-update at 5 to icd-0\n",
+        {"schedule": [SendParameterUpdate(at=5, targets=("icd-0",))]},
+        "unknown agent 'icd-0'",
+        id="param-update-target",
+    ),
+    pytest.param(
+        "[adversary]\ninject 090000 to icd-2 at 3\n",
+        {"adversary": [Inject(wire.ChallengeAck(), to="icd-2", at=3)]},
+        "unknown agent 'icd-2'",
+        id="inject-target",
+    ),
+    pytest.param(
+        "[expect]\nicd-2 reaches Authenticated\n",
+        {"expects": [("reaches", "icd-2", "Authenticated")]},
+        "unknown agent 'icd-2'",
+        id="reaches-agent",
+    ),
+    pytest.param(
+        "[adversary]\ncorrupt AuthAccept bit 3\n",
+        {"adversary": [CorruptBit(wire.AuthAccept.TAG, 3)]},
+        "bit 3 outside the 0-bit payload of AuthAccept",
+        id="corrupt-empty-payload",
+    ),
+    pytest.param(
+        "[adversary]\ncorrupt AuthRequest bit -3\n",
+        {"adversary": [CorruptBit(wire.AuthRequest.TAG, -3)]},
+        "bit -3 outside the 512-bit payload of AuthRequest",
+        id="corrupt-negative-bit",
+    ),
+]
+
+
+@pytest.mark.parametrize("section,fields,reason", CODE_REJECTED)
+def test_scenarios_built_in_code_get_the_file_checks(section, fields, reason):
+    with pytest.raises(ScenarioError, match=f"^line 5: {re.escape(reason)}$"):
+        parse_scenario(MINIMAL + section)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
+        Simulator(Scenario(subscribers=[make_subscriber()], **fields), seed=0)
 
 
 def test_sections_may_name_agents_before_the_registry():

@@ -189,6 +189,18 @@ def test_device_obeys_only_its_access_point_and_the_wbrac_broadcasts():
     ]
 
 
+def test_wbrac_ignores_an_update_request_not_from_the_access_point():
+    sim = Simulator(update_scenario(0), seed=0)
+    trace = sim.run()
+    assert trace.entries[0] == (
+        5, "adversary", "wbrac", "UpdateRequest", (1).to_bytes(8, "big"),
+        "injected unexpected UpdateRequest in - -> -",
+    )
+    icd = sim.icds["icd-1"]
+    assert isinstance(icd.state, Authenticated)
+    assert icd.cfg.sd == sim.wbrac.registry[1].sd
+
+
 def test_start_of_a_busy_device_is_traced_as_skipped():
     sc = honest_scenario()
     sc.schedule = [StartIcd("icd-1", at=10)]

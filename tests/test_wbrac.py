@@ -119,7 +119,7 @@ def test_cross_agent_sd_agreement():
             rmc=crypto.Rmc(0),
             wbrac_id=svc.wbrac_id,
         )
-        icd = IcdAgent("icd-1", cfg, "map-1", rng)
+        icd = IcdAgent(cfg, rng)
         msg = svc.begin_update(1)
         icd.handle("map-1", wire.UpdateOrder(msg.rand), 0)
         assert icd.state.sd_new == rec.pending_sd_new
