@@ -205,8 +205,9 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
 class PrfBackend:
     """Deterministic keyed PRF: evaluate(key, domain_tag, message) -> 32 bytes.
 
-    Backend identity is fixed per deployment and recorded in simulation
-    traces so independent runs can be compared bit for bit.
+    The simulator and its agents always use DEFAULT_BACKEND, whose name
+    heads every trace.  The derivations take another backend per call only
+    for the statistical forgery tests and the conformance vectors.
     """
 
     name: str

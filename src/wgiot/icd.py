@@ -74,10 +74,9 @@ class IcdConfig:
 
 
 class IcdAgent:
-    def __init__(self, cfg: IcdConfig, rng, backend: crypto.PrfBackend = crypto.DEFAULT_BACKEND):
+    def __init__(self, cfg: IcdConfig, rng):
         self.cfg = cfg
         self.rng = rng
-        self.backend = backend
         self.state = Idle()
 
     # -- helpers --
@@ -88,7 +87,7 @@ class IcdAgent:
 
     def _aac(self, sd: crypto.SdPair) -> crypto.Aac:
         return crypto.authenticate_signature(
-            sd, self.cfg.wgie.esn, self.cfg.wgie.icd_in, self.cfg.sc_auth_k, self.backend
+            sd, self.cfg.wgie.esn, self.cfg.wgie.icd_in, self.cfg.sc_auth_k
         )
 
     def _auth_request(self) -> wire.AuthRequest:
@@ -125,7 +124,7 @@ class IcdAgent:
 
     def _on_auth_accept(self, msg: wire.AuthAccept, now: int) -> Transition:
         if isinstance(self.state, AwaitingAuthResult):
-            self.state = Authenticated(crypto.derive_session_key(self.cfg.sd, self.backend))
+            self.state = Authenticated(crypto.derive_session_key(self.cfg.sd))
             return Transition(note="authenticated")
         return unexpected(self.state_name, msg)
 
@@ -134,16 +133,12 @@ class IcdAgent:
             return unexpected(self.state_name, msg)
         cfg = self.cfg
         aac_from_rand = crypto.authenticate_signature(
-            crypto.SdPair.from_packed(msg.rand),
-            cfg.wgie.esn,
-            cfg.wgie.icd_in,
-            cfg.sc_auth_k,
-            self.backend,
+            crypto.SdPair.from_packed(msg.rand), cfg.wgie.esn, cfg.wgie.icd_in, cfg.sc_auth_k
         )
-        sd_new = crypto.sd_generation(aac_from_rand, cfg.wgie.esn, cfg.sc_auth_k, self.backend)
+        sd_new = crypto.sd_generation(aac_from_rand, cfg.wgie.esn, cfg.sc_auth_k)
         to_map = crypto.gen_to_map(self.rng)
         local_sign = crypto.authorization_signature(
-            sd_new, to_map.bits, cfg.wgie.esn, cfg.wgie.icd_in, self.backend
+            sd_new, to_map.bits, cfg.wgie.esn, cfg.wgie.icd_in
         )
         self.state = UpdateAwaitingAck(sd_new, to_map, local_sign)
         return Transition(out=[(MAP, wire.MobileAccessChallengeOrder(to_map.bits))])
@@ -180,9 +175,7 @@ class IcdAgent:
     def _on_challenge(self, msg: wire.AuthenticationChallenge, now: int) -> Transition:
         cfg = self.cfg
         composite = crypto.compose_unique_challenge(crypto.Wmap(msg.wmap), cfg.wbrac_id)
-        answer = crypto.authorization_signature(
-            cfg.sd, composite, cfg.wgie.esn, cfg.wgie.icd_in, self.backend
-        )
+        answer = crypto.authorization_signature(cfg.sd, composite, cfg.wgie.esn, cfg.wgie.icd_in)
         return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer.bits))])
 
     def _on_access_denied(self, msg: wire.AccessDenied, now: int) -> Transition:

@@ -4,8 +4,10 @@ One WBRAC, one access point (MAP), and any number of devices exchange
 frames over links with configurable delay/drop/duplication.  Virtual time is
 integer milliseconds; events at equal times process in insertion order, so a
 (scenario, seed) pair fully determines the trace.  An adversary can capture,
-replay, inject, and corrupt frames in flight.  A scenario is checked before
-it runs (`scenario_faults`), whether it was built in code or parsed.
+replay, inject, and corrupt frames in flight.  Every scenario, built in code
+or parsed, is checked before it runs by `scenario_faults`, the one statement
+of the rules its values must meet.  All PRF work uses the reference backend,
+`crypto.DEFAULT_BACKEND`.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
@@ -24,7 +26,7 @@ from .access_point import MapAgent
 from .agent import MAP, WBRAC, NotIdle
 from .icd import IcdAgent, IcdConfig
 from .rng import SimRng
-from .wbrac import DEFAULT_WBRAC_ID, MpcSchedule, TooEarly, WbracService
+from .wbrac import DEFAULT_MPC_PERIOD_MS, DEFAULT_WBRAC_ID, MpcSchedule, TooEarly, WbracService
 
 DEFAULT_MAX_TIME_MS = 60_000
 
@@ -119,10 +121,9 @@ class Scenario:
     schedule: list = field(default_factory=list)
     adversary: list = field(default_factory=list)
     expects: list = field(default_factory=list)
-    backend: str = "hmac-sha256"
     max_time: int = DEFAULT_MAX_TIME_MS
     wbrac_id: int = DEFAULT_WBRAC_ID
-    mpc_period: int = 60_000
+    mpc_period: int = DEFAULT_MPC_PERIOD_MS
 
 
 def device_ids(sc: Scenario) -> list[str]:
@@ -131,20 +132,59 @@ def device_ids(sc: Scenario) -> list[str]:
 
 
 _PAYLOAD_BITS = {cls.TAG: 8 * cls.SIZE for cls in wire.MESSAGE_TYPES}
+_FRAME_NAMES = {cls.__name__ for cls in wire.MESSAGE_TYPES}
 
 
 def scenario_faults(sc: Scenario):
-    """Yield (item, reason) for every item of `sc` that names no agent or
-    cannot run: a link (by its (src, dst) key) with an unknown endpoint, a
-    start of a non-device, a broadcast with no targets or an unknown target,
-    an injection to an unknown agent, a `reaches` expectation of an unknown
-    agent, and a corrupted bit outside its frame's payload."""
-    devices = set(device_ids(sc))
+    """Yield (key, reason) for every value of `sc` that breaks a rule; this
+    is the only statement of those rules.  The key says where the value was
+    set: an option by its field name, a registry row by its device's agent
+    name, a link by its (src, dst) pair, any other item by itself.
+
+    The rules: `max_time`, `mpc_period`, a link's delay and every scheduled
+    time are non-negative; `wbrac_id`, a row's `icd_in` and `esn` fit in 64
+    bits and its `rmc` in 128; a row's key, k and sd have their lengths and
+    no two rows share an `icd_in`; drop and dup probabilities lie in [0, 1];
+    a link endpoint, a broadcast or injection target and a `reaches` agent
+    name an agent, a start names a device and a broadcast has a target; a
+    replay index is non-negative, a corrupted bit lies inside its frame's
+    payload and a `frame-count` names a frame."""
+    for name in ("max_time", "mpc_period"):
+        if getattr(sc, name) < 0:
+            yield name, f"negative {name} {getattr(sc, name)}"
+    if not 0 <= sc.wbrac_id < 1 << 64:
+        yield "wbrac_id", f"wbrac_id {sc.wbrac_id} does not fit in 64 bits"
+    names = device_ids(sc)
+    first_with = {}  # icd_in -> the device registered with it first
+    for device, sub in zip(names, sc.subscribers):
+        # spelled out rather than looped over a table: a fleet has thousands of rows
+        if not 0 <= sub.icd_in < 1 << 64:
+            yield device, f"icd_in {sub.icd_in} does not fit in 64 bits"
+        if not 0 <= sub.esn < 1 << 64:
+            yield device, f"esn {sub.esn} does not fit in 64 bits"
+        if not 0 <= sub.rmc < 1 << 128:
+            yield device, f"rmc {sub.rmc} does not fit in 128 bits"
+        if len(sub.key) != 32:
+            yield device, f"key must be 32 bytes, got {len(sub.key)}"
+        if len(sub.sc_auth_k) != 16:
+            yield device, f"sc_auth_k must be 16 bytes, got {len(sub.sc_auth_k)}"
+        if len(sub.sd) != 16:
+            yield device, f"sd must be 16 bytes, got {len(sub.sd)}"
+        first = first_with.setdefault(sub.icd_in, device)
+        if first != device:
+            yield device, f"duplicate icd_in {sub.icd_in}, first registered by {first}"
+    devices = set(names)
     agents = devices | {WBRAC, MAP}
-    for pair in sc.links:
+    for pair, link in sc.links.items():
         for name in pair:
             if name not in agents:
                 yield pair, f"unknown agent {name!r}"
+        if link.delay_ms < 0:
+            yield pair, f"negative delay {link.delay_ms}"
+        if not 0.0 <= link.drop_prob <= 1.0:  # NaN fails too
+            yield pair, f"drop probability {link.drop_prob} outside [0, 1]"
+        if not 0.0 <= link.dup_prob <= 1.0:
+            yield pair, f"dup probability {link.dup_prob} outside [0, 1]"
     for item in sc.schedule:
         if isinstance(item, StartIcd):
             if item.agent_id not in devices:
@@ -157,17 +197,26 @@ def scenario_faults(sc: Scenario):
                     yield item, f"unknown agent {name!r}"
         else:
             yield item, f"unknown schedule item {item!r}"
+            continue
+        if item.at < 0:
+            yield item, f"negative time {item.at}"
     for action in sc.adversary:
         if isinstance(action, Inject) and action.to not in agents:
             yield action, f"unknown agent {action.to!r}"
+        elif isinstance(action, ReplayCaptured) and action.index < 0:
+            yield action, f"negative replay index {action.index}"
         elif isinstance(action, CorruptBit):
             bits = _PAYLOAD_BITS.get(action.tag, 0)
             if not 0 <= action.bit_index < bits:
                 name = wire.tag_name(action.tag)
                 yield action, f"bit {action.bit_index} outside the {bits}-bit payload of {name}"
+        if isinstance(action, (ReplayCaptured, Inject)) and action.at < 0:
+            yield action, f"negative time {action.at}"
     for expect in sc.expects:
         if expect[0] == "reaches" and expect[1] not in agents:
             yield expect, f"unknown agent {expect[1]!r}"
+        elif expect[0] == "frame-count" and expect[1] not in _FRAME_NAMES:
+            yield expect, f"unknown frame {expect[1]!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +233,7 @@ class TraceEntry(NamedTuple):
 
 
 class Trace:
-    def __init__(self, backend_name: str):
-        self.backend_name = backend_name
+    def __init__(self):
         self.entries: list[TraceEntry] = []
 
     def add(self, time, sender, receiver, tag, payload, note):
@@ -197,7 +245,7 @@ class Trace:
         )
 
     def serialize(self) -> str:
-        lines = ["wgiot-trace v1", f"backend {self.backend_name}"]
+        lines = ["wgiot-trace v1", f"backend {crypto.DEFAULT_BACKEND.name}"]
         for e in self.entries:
             payload = e.payload.hex() if e.payload else "-"
             lines.append(f"{e.time}\t{e.sender}\t{e.receiver}\t{e.tag}\t{payload}\t{e.note or '-'}")
@@ -231,11 +279,10 @@ class Simulator:
             raise ScenarioError(reason)
         self.scenario = scenario
         self.rng = SimRng(seed)
-        self.backend = crypto.get_backend(scenario.backend)
         self.now = 0
         self._seq = 0
         self._heap: list = []
-        self.trace = Trace(self.backend.name)
+        self.trace = Trace()
         self.captured: list[tuple[str, str, bytes]] = []
         self._capture_tags = {a.tag for a in scenario.adversary if isinstance(a, CaptureMatching)}
         self._corrupt_queue = [a for a in scenario.adversary if isinstance(a, CorruptBit)]
@@ -248,25 +295,25 @@ class Simulator:
     def _build_agents(self):
         sc = self.scenario
         schedule = MpcSchedule(period_ms=sc.mpc_period)
-        self.wbrac = WbracService(sc.wbrac_id, self.backend, schedule, rng=self.rng)
+        self.wbrac = WbracService(sc.wbrac_id, schedule, rng=self.rng)
         self.map = MapAgent(schedule.current)
         self.icds: dict[str, IcdAgent] = {}
         for agent_id, sub in zip(device_ids(sc), sc.subscribers):
             wgie = crypto.WgieRecord(sub.key, sub.esn, sub.icd_in)
             k = crypto.ScAuthKey(sub.sc_auth_k)
             sd = crypto.SdPair.from_packed(sub.sd)
-            rec = self.wbrac.provision(sub.icd_in, wgie, k, sd=sd)
-            rec.rmc = crypto.Rmc(sub.rmc)
+            rmc = crypto.Rmc(sub.rmc)
+            rec = self.wbrac.provision(sub.icd_in, wgie, k, sd)
             cfg = IcdConfig(
                 wgie=wgie,
                 sc_auth_k=k,
                 sd=sd,
                 mpc=self.wbrac.schedule.current,
-                rmc=crypto.Rmc(sub.rmc),
+                rmc=rmc,
                 wbrac_id=sc.wbrac_id,
             )
-            self.icds[agent_id] = IcdAgent(cfg, self.rng, self.backend)
-            self.map.provision(agent_id, rec.rmc, self.wbrac.map_provision(rec))
+            self.icds[agent_id] = IcdAgent(cfg, self.rng)
+            self.map.provision(agent_id, rmc, self.wbrac.map_provision(rec))
         self.agents = {WBRAC: self.wbrac, MAP: self.map, **self.icds}
 
     def _load_schedule(self):

@@ -46,7 +46,6 @@ class SubscriberRecord:
     wgie: crypto.WgieRecord
     sc_auth_k: crypto.ScAuthKey
     sd: crypto.SdPair
-    rmc: crypto.Rmc
     pending_sd_new: crypto.SdPair | None = None
 
 
@@ -61,12 +60,10 @@ class WbracService:
     def __init__(
         self,
         wbrac_id: int = DEFAULT_WBRAC_ID,
-        backend: crypto.PrfBackend = crypto.DEFAULT_BACKEND,
         schedule: MpcSchedule | None = None,
         rng=None,
     ):
         self.wbrac_id = wbrac_id
-        self.backend = backend
         self.rng = rng
         self.registry: dict[int, SubscriberRecord] = {}
         self.schedule = schedule or MpcSchedule()
@@ -76,24 +73,16 @@ class WbracService:
     # -- registry management --
 
     def provision(
-        self,
-        icd_in: int,
-        wgie: crypto.WgieRecord,
-        sc_auth_k: crypto.ScAuthKey,
-        sd: crypto.SdPair | None = None,
+        self, icd_in: int, wgie: crypto.WgieRecord, sc_auth_k: crypto.ScAuthKey, sd: crypto.SdPair
     ) -> SubscriberRecord:
         if icd_in in self.registry:
             raise DuplicateIcd(icd_in)
-        if sd is None:
-            sd = crypto.SdPair.from_packed(self.rng.draw_bytes(16))
-        rec = SubscriberRecord(icd_in, wgie, sc_auth_k, sd, crypto.Rmc(0))
+        rec = SubscriberRecord(icd_in, wgie, sc_auth_k, sd)
         self.registry[icd_in] = rec
         return rec
 
     def expected_aac(self, rec: SubscriberRecord, sd: crypto.SdPair | None = None) -> crypto.Aac:
-        return crypto.authenticate_signature(
-            sd or rec.sd, rec.wgie.esn, rec.icd_in, rec.sc_auth_k, self.backend
-        )
+        return crypto.authenticate_signature(sd or rec.sd, rec.wgie.esn, rec.icd_in, rec.sc_auth_k)
 
     def map_provision(
         self, rec: SubscriberRecord, sd: crypto.SdPair | None = None
@@ -104,9 +93,7 @@ class WbracService:
         sd = sd or rec.sd
         wmap = crypto.gen_wmap(self.rng)
         composite = crypto.compose_unique_challenge(wmap, self.wbrac_id)
-        sign = crypto.authorization_signature(
-            sd, composite, rec.wgie.esn, rec.icd_in, self.backend
-        )
+        sign = crypto.authorization_signature(sd, composite, rec.wgie.esn, rec.icd_in)
         return wire.MapProvision(
             rec.icd_in, self.expected_aac(rec, sd).bits, wmap.bits, sign.bits
         )
@@ -129,11 +116,9 @@ class WbracService:
             raise UpdateInProgress(icd_in)
         rand = crypto.gen_update_rand(self.rng)
         aac_from_rand = crypto.authenticate_signature(
-            crypto.SdPair.from_packed(rand), rec.wgie.esn, rec.icd_in, rec.sc_auth_k, self.backend
+            crypto.SdPair.from_packed(rand), rec.wgie.esn, rec.icd_in, rec.sc_auth_k
         )
-        rec.pending_sd_new = crypto.sd_generation(
-            aac_from_rand, rec.wgie.esn, rec.sc_auth_k, self.backend
-        )
+        rec.pending_sd_new = crypto.sd_generation(aac_from_rand, rec.wgie.esn, rec.sc_auth_k)
         return wire.UpdateMessage(icd_in, rand)
 
     def answer_challenge(self, icd_in: int, to_map: crypto.ToMap) -> crypto.AuthSignMap:
@@ -141,7 +126,7 @@ class WbracService:
         if rec.pending_sd_new is None:
             raise NoPendingUpdate(icd_in)
         return crypto.authorization_signature(
-            rec.pending_sd_new, to_map.bits, rec.wgie.esn, rec.icd_in, self.backend
+            rec.pending_sd_new, to_map.bits, rec.wgie.esn, rec.icd_in
         )
 
     def commit(self, icd_in: int, confirmed: bool) -> None:

@@ -38,16 +38,22 @@ b8 = b16 = b32 = b48 = bytes
 
 _INT_CODES = {"u64": "Q", "u8": "B"}
 
+_BY_TAG: dict[int, type[WireMessage]] = {}  # every frame class, by tag
+
 
 class WireMessage:
     """Base of every frame.  A frame declares its payload once, as dataclass
     fields annotated with a field kind.  Derived from that declaration when
     the class is created: FIELDS, its (name, kind) pairs with kind "u64",
     "u8" or ("bytes", N); SIZE, the payload length; and the struct that
-    packs the whole frame."""
+    packs the whole frame.  Creating the class also registers it under its
+    TAG, which no other frame may have."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        taken = _BY_TAG.get(cls.TAG)
+        if taken is not None:
+            raise ValueError(f"{cls.__name__} reuses tag {cls.TAG:#04x} of {taken.__name__}")
         cls.FIELDS = tuple(
             (name, kind if kind in _INT_CODES else ("bytes", int(kind.removeprefix("b"))))
             for name, kind in inspect.get_annotations(cls).items()
@@ -56,6 +62,7 @@ class WireMessage:
         codes = (_INT_CODES.get(kind) or f"{kind[1]}s" for _, kind in cls.FIELDS)
         cls._frame = struct.Struct(">BH" + "".join(codes))
         cls.SIZE = cls._frame.size - 3
+        _BY_TAG[cls.TAG] = cls
 
 
 @dataclass(frozen=True)
@@ -188,29 +195,7 @@ class MapProvision(WireMessage):
     TAG = 0x13
 
 
-MESSAGE_TYPES = (
-    SecureActivation,
-    AccessParameterMessage,
-    ParameterUpdateOrder,
-    AuthRequest,
-    AuthAccept,
-    UpdateMessage,
-    UpdateOrder,
-    MobileAccessChallengeOrder,
-    ChallengeAck,
-    MapChallengeForward,
-    MapChallengeResponse,
-    MapChallengeResponseOrder,
-    UpdateRejection,
-    UpdateConfirmation,
-    AuthenticationChallenge,
-    AuthChallengeAnswer,
-    AccessDenied,
-    UpdateRequest,
-    MapProvision,
-)
-
-_BY_TAG = {cls.TAG: cls for cls in MESSAGE_TYPES}
+MESSAGE_TYPES = tuple(_BY_TAG.values())  # in declaration order
 
 
 def encode(msg: WireMessage) -> bytes:

@@ -3,6 +3,7 @@
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -58,11 +59,10 @@ def test_explicit_start_suppresses_implicit_ones():
 
 def test_options_section():
     text = (
-        "wgiot-scenario v1\n[options]\nbackend = trunc16\nmax_time = 500\n"
+        "wgiot-scenario v1\n[options]\nmax_time = 500\n"
         "mpc_period = 9\nwbrac_id = 0x1234\n[registry]\n" + REGISTRY_LINE + "\n"
     )
     sc = parse_scenario(text)
-    assert sc.backend == "trunc16"
     assert sc.max_time == 500
     assert sc.mpc_period == 9
     assert sc.wbrac_id == 0x1234
@@ -164,7 +164,7 @@ def test_malformed_lines_fail_with_line_number(text, lineno):
 
 
 def test_duplicate_icd_in_names_the_first_line():
-    want = "^line 5: duplicate icd_in 1, first registered on line 3$"
+    want = "^line 5: duplicate icd_in 1, first registered by icd-1$"
     with pytest.raises(ScenarioError, match=want):
         parse_scenario(MINIMAL + "# again\n" + REGISTRY_LINE + "\n")
 
@@ -287,9 +287,11 @@ def test_rejected_input_exits_one_without_traceback(tmp_path, text, message):
     assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
 
 
-# Each fault of REJECTED (and of the payload range) that names no agent or
-# cannot run, written as a file section and built in code: the file fails on
-# line 5 and Simulator fails on the built scenario, with the same reason.
+# Each fault of REJECTED, of the payload range and of the value rules, written
+# as a file section and built in code: the file fails on line 5 and Simulator
+# fails on the built scenario, with the same reason.
+REGISTRY_ROW_2 = "2 2 " + "00" * 31 + " " + "11" * 16 + " " + "22" * 16 + " 0"
+
 CODE_REJECTED = [
     pytest.param(
         "[links]\nicd-1 map1\n",
@@ -351,6 +353,90 @@ CODE_REJECTED = [
         "bit -3 outside the 512-bit payload of AuthRequest",
         id="corrupt-negative-bit",
     ),
+    pytest.param(
+        "[schedule]\nstart icd-1 at -100\n",
+        {"schedule": [StartIcd("icd-1", at=-100)]},
+        "negative time -100",
+        id="start-negative-time",
+    ),
+    pytest.param(
+        "[schedule]\nrotate at -1 to map-1\n",
+        {"schedule": [RotateMpc(at=-1, targets=("map-1",))]},
+        "negative time -1",
+        id="rotate-negative-time",
+    ),
+    pytest.param(
+        "[adversary]\ninject 090000 to icd-1 at -10\n",
+        {"adversary": [Inject(wire.ChallengeAck(), to="icd-1", at=-10)]},
+        "negative time -10",
+        id="inject-negative-time",
+    ),
+    pytest.param(
+        "[options]\nmax_time = -5\n",
+        {"max_time": -5},
+        "negative max_time -5",
+        id="negative-max-time",
+    ),
+    pytest.param(
+        "[options]\nmpc_period = -1\n",
+        {"mpc_period": -1},
+        "negative mpc_period -1",
+        id="negative-mpc-period",
+    ),
+    pytest.param(
+        "[links]\nicd-1 map-1 delay=-50\n",
+        {"links": {("icd-1", "map-1"): LinkModel(delay_ms=-50)}},
+        "negative delay -50",
+        id="negative-delay",
+    ),
+    pytest.param(
+        "[links]\nicd-1 map-1 drop=1.5\n",
+        {"links": {("icd-1", "map-1"): LinkModel(drop_prob=1.5)}},
+        "drop probability 1.5 outside [0, 1]",
+        id="drop-above-one",
+    ),
+    pytest.param(
+        "[links]\nicd-1 map-1 dup=nan\n",
+        {"links": {("icd-1", "map-1"): LinkModel(dup_prob=float("nan"))}},
+        "dup probability nan outside [0, 1]",
+        id="dup-nan",
+    ),
+    pytest.param(
+        "[adversary]\nreplay -1 at 50\n",
+        {"adversary": [ReplayCaptured(index=-1, at=50)]},
+        "negative replay index -1",
+        id="negative-replay-index",
+    ),
+    pytest.param(
+        "[registry]\n" + REGISTRY_LINE + "\n",
+        {"subscribers": [make_subscriber(), make_subscriber(seed=1)]},
+        "duplicate icd_in 1, first registered by icd-1",
+        id="duplicate-icd_in",
+    ),
+    pytest.param(
+        "[registry]\n2" + REGISTRY_LINE[1:-1] + f"{2**128}\n",
+        {"subscribers": [make_subscriber(), replace(make_subscriber(icd_in=2), rmc=2**128)]},
+        f"rmc {2**128} does not fit in 128 bits",
+        id="rmc-129-bits",
+    ),
+    pytest.param(
+        "[registry]\n" + REGISTRY_ROW_2 + "\n",
+        {"subscribers": [make_subscriber(), replace(make_subscriber(icd_in=2), key=bytes(31))]},
+        "key must be 32 bytes, got 31",
+        id="key-31-bytes",
+    ),
+    pytest.param(
+        "[expect]\nframe-count Nope == 0\n",
+        {"expects": [("frame-count", "Nope", "==", 0)]},
+        "unknown frame 'Nope'",
+        id="frame-count-frame",
+    ),
+    pytest.param(
+        "[options]\nwbrac_id = 0x10000000000000000\n",
+        {"wbrac_id": 2**64},
+        f"wbrac_id {2**64} does not fit in 64 bits",
+        id="wbrac-id-65-bits",
+    ),
 ]
 
 
@@ -359,7 +445,7 @@ def test_scenarios_built_in_code_get_the_file_checks(section, fields, reason):
     with pytest.raises(ScenarioError, match=f"^line 5: {re.escape(reason)}$"):
         parse_scenario(MINIMAL + section)
     with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
-        Simulator(Scenario(subscribers=[make_subscriber()], **fields), seed=0)
+        Simulator(Scenario(**{"subscribers": [make_subscriber()], **fields}), seed=0)
 
 
 def test_sections_may_name_agents_before_the_registry():

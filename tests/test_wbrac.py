@@ -26,15 +26,8 @@ def make_wbrac(seed=0, period=100):
 
 def test_provision_initial_counter_and_duplicate():
     svc, rng = make_wbrac()
-    assert svc.registry[1].rmc.counter == 0
     with pytest.raises(DuplicateIcd):
         svc.provision(1, svc.registry[1].wgie, svc.registry[1].sc_auth_k, sd=svc.registry[1].sd)
-
-
-def test_provision_random_sd_when_unspecified():
-    svc, rng = make_wbrac()
-    rec = svc.provision(2, crypto.WgieRecord(bytes(32), 2, 2), crypto.ScAuthKey(bytes(16)))
-    assert len(rec.sd.packed) == 16
 
 
 def test_expected_aac_matches_oracle():

@@ -103,6 +103,15 @@ def test_tag_name_lookup():
         wire.tag_by_name("NotAFrame")
 
 
+def test_a_frame_class_reusing_a_tag_raises():
+    with pytest.raises(ValueError, match="^Impostor reuses tag 0x04 of AuthRequest$"):
+
+        class Impostor(wire.WireMessage):
+            TAG = wire.AuthRequest.TAG
+
+    assert wire.tag_name(wire.AuthRequest.TAG) == "AuthRequest"
+
+
 def test_every_frame_is_frozen():
     # the simulator hands the one frame a sender built to every receiver
     for cls in wire.MESSAGE_TYPES:
