@@ -43,13 +43,13 @@ def remedy(mismatch: frozenset) -> str:
     return CHALLENGE
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingUpdate:
     expected_sign: crypto.AuthSignMap | None = None
     next_provision: wire.MapProvision | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MapRecord:
     """Per-device expectations; the provision-derived fields are filled in
     by `MapAgent._apply_provision` only."""

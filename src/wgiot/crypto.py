@@ -57,7 +57,7 @@ def _check_u64(name: str, value: int) -> None:
 # Domain types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WgieRecord:
     """Per-subscriber root material: 256-bit key plus ESN and ICD_IN."""
 
@@ -71,7 +71,7 @@ class WgieRecord:
         _check_u64("icd_in", self.icd_in)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SdPair:
     """128-bit service data: sd1 authenticates, sd2 feeds the session key."""
 
@@ -92,7 +92,7 @@ class SdPair:
         return cls(raw[:8], raw[8:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScAuthKey:
     """128-bit permanent device authentication key.  Never leaves the device."""
 
@@ -102,7 +102,7 @@ class ScAuthKey:
         _check_bytes("sc_auth_k", self.bits, 16)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Aac:
     bits: bytes  # 128-bit authentication value
 
@@ -110,7 +110,7 @@ class Aac:
         _check_bytes("aac", self.bits, 16)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mpc:
     bits: bytes  # 128-bit network-issued presence value
 
@@ -118,7 +118,7 @@ class Mpc:
         _check_bytes("mpc", self.bits, 16)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rmc:
     """128-bit unsigned update counter.  Wraparound is an error."""
 
@@ -143,7 +143,7 @@ class Rmc:
         return cls(int.from_bytes(raw, "big"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Guid:
     """384-bit AAC∥MPC∥RMC credential presented by the device."""
 
@@ -152,7 +152,7 @@ class Guid:
     rmc: Rmc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToMap:
     bits: bytes  # 256-bit device-generated challenge nonce
 
@@ -160,7 +160,7 @@ class ToMap:
         _check_bytes("to_map", self.bits, 32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wmap:
     bits: bytes  # 64-bit network-generated challenge nonce
 
@@ -168,7 +168,7 @@ class Wmap:
         _check_bytes("wmap", self.bits, 8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthSignMap:
     bits: bytes  # 128-bit authorization signature
 
@@ -176,7 +176,7 @@ class AuthSignMap:
         _check_bytes("auth_sign_map", self.bits, 16)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionKey:
     bits: bytes  # 128-bit confidentiality key
 

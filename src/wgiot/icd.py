@@ -24,17 +24,17 @@ CONFIRM_TIMEOUT_MS = 1000  # confirmation order must arrive within 1 s of the ac
 # -- states -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Idle:
     name = "Idle"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AwaitingAuthResult:
     name = "AwaitingAuthResult"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateAwaitingAck:
     sd_new: crypto.SdPair
     to_map: crypto.ToMap
@@ -42,7 +42,7 @@ class UpdateAwaitingAck:
     name = "UpdateAwaitingAck"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateAwaitingConfirmation:
     sd_new: crypto.SdPair
     local_sign: crypto.AuthSignMap
@@ -50,18 +50,18 @@ class UpdateAwaitingConfirmation:
     name = "UpdateAwaitingConfirmation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Authenticated:
     session: crypto.SessionKey
     name = "Authenticated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Denied:
     name = "Denied"
 
 
-@dataclass
+@dataclass(slots=True)
 class IcdConfig:
     """Provisioned material plus the mutable MPC/RMC mirrors."""
 
@@ -74,6 +74,8 @@ class IcdConfig:
 
 
 class IcdAgent:
+    __slots__ = ("cfg", "rng", "state")
+
     def __init__(self, cfg: IcdConfig, rng):
         self.cfg = cfg
         self.rng = rng

@@ -15,6 +15,7 @@ way a bad file fails at load time with its line number.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from . import wire
@@ -192,8 +193,9 @@ def _parse_subscriber(line: _Line) -> SubscriberSpec:
 
 
 def _parse_link(line: _Line, models: dict[str, LinkModel]) -> tuple[str, str, LinkModel]:
-    """<src> <dst> and the model for the rest of the line, parsed the first
-    time that text appears in the file and shared after (LinkModel is frozen)."""
+    """<src> <dst>, interned, and the model for the rest of the line, parsed
+    the first time that text appears in the file and shared after (LinkModel
+    is frozen)."""
     parts = line.text.split(None, 2)
     if len(parts) < 2:
         line.fail("link line needs: <src> <dst> [delay=N] [drop=P] [dup=P]")
@@ -201,7 +203,7 @@ def _parse_link(line: _Line, models: dict[str, LinkModel]) -> tuple[str, str, Li
     model = models.get(attrs)
     if model is None:
         model = models[attrs] = _parse_link_model(line, attrs)
-    return parts[0], parts[1], model
+    return sys.intern(parts[0]), sys.intern(parts[1]), model
 
 
 def _parse_link_model(line: _Line, attrs: str) -> LinkModel:
@@ -225,10 +227,10 @@ def _parse_link_model(line: _Line, attrs: str) -> LinkModel:
 def _parse_schedule(line: _Line):
     parts = line.text.split()
     if len(parts) == 4 and parts[0] == "start" and parts[2] == "at":
-        return StartIcd(parts[1], at=_parse_int(line, parts[3]))
+        return StartIcd(sys.intern(parts[1]), at=_parse_int(line, parts[3]))
     broadcast = _BROADCASTS.get(parts[0])
     if broadcast and len(parts) == 5 and parts[1] == "at" and parts[3] == "to":
-        targets = tuple(t for t in parts[4].split(",") if t)
+        targets = tuple(sys.intern(t) for t in parts[4].split(",") if t)
         return broadcast(at=_parse_int(line, parts[2]), targets=targets)
     line.fail(f"unrecognized schedule line {line.text!r}")
 

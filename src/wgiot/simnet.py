@@ -13,11 +13,21 @@ A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
 broadcast, a duplicate) shares that pair; frames are frozen.  Only bytes the
 adversary made, a corrupted copy or a replay, are decoded at delivery.
+
+What is kept per device, frame or trace line is shared where it can be, as a
+memory saving that no result depends on: `Trace.add` keeps one copy of each
+distinct note, and agent names are interned (`device_ids`, and the names the
+scenario parser reads from links and the schedule), so a fleet holds one
+string per name.  The scenario items, `Scenario`, the crypto value types,
+the device's states and `IcdConfig`, `IcdAgent`, the access point's
+`MapRecord`/`PendingUpdate` and the WBRAC's `SubscriberRecord`/`MpcSchedule`
+are slotted, with no per-instance attribute dict.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,7 +53,7 @@ class NoEvents(Exception):
 # Scenario description
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkModel:
     delay_ms: int = 0
     drop_prob: float = 0.0
@@ -53,7 +63,7 @@ class LinkModel:
 NO_IMPAIRMENT = LinkModel()  # a link the scenario does not list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubscriberSpec:
     """One registry row; the device agent is named icd-<position> (1-based)."""
 
@@ -65,19 +75,19 @@ class SubscriberSpec:
     rmc: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StartIcd:
     agent_id: str
     at: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotateMpc:
     at: int
     targets: tuple[str, ...]  # agents receiving the broadcast
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SendParameterUpdate:
     """Broadcast a parameter update order, bumping RMC at the targets."""
 
@@ -89,18 +99,18 @@ class SendParameterUpdate:
 # replay and inject are scheduled events.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaptureMatching:
     tag: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplayCaptured:
     index: int
     at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inject:
     frame: wire.WireMessage
     to: str
@@ -108,13 +118,13 @@ class Inject:
     src: str = "adversary"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorruptBit:
     tag: int
     bit_index: int  # bit offset into the payload, MSB-first
 
 
-@dataclass
+@dataclass(slots=True)
 class Scenario:
     subscribers: list[SubscriberSpec]
     links: dict[tuple[str, str], LinkModel] = field(default_factory=dict)
@@ -127,8 +137,8 @@ class Scenario:
 
 
 def device_ids(sc: Scenario) -> list[str]:
-    """The devices' agent names, in registry order."""
-    return [f"icd-{i}" for i in range(1, len(sc.subscribers) + 1)]
+    """The devices' agent names, in registry order, interned."""
+    return [sys.intern(f"icd-{i}") for i in range(1, len(sc.subscribers) + 1)]
 
 
 _PAYLOAD_BITS = {cls.TAG: 8 * cls.SIZE for cls in wire.MESSAGE_TYPES}
@@ -235,8 +245,10 @@ class TraceEntry(NamedTuple):
 class Trace:
     def __init__(self):
         self.entries: list[TraceEntry] = []
+        self._notes: dict[str, str] = {}  # each distinct note -> its one copy
 
     def add(self, time, sender, receiver, tag, payload, note):
+        note = self._notes.setdefault(note, note)
         self.entries.append(TraceEntry(time, sender, receiver, tag, payload, note))
 
     def frame_count(self, tag: str) -> int:

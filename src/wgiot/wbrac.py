@@ -40,7 +40,7 @@ DEFAULT_MPC_PERIOD_MS = 60_000
 DEFAULT_WBRAC_ID = 0x5747_0000_0000_0001
 
 
-@dataclass
+@dataclass(slots=True)
 class SubscriberRecord:
     icd_in: int
     wgie: crypto.WgieRecord
@@ -49,7 +49,7 @@ class SubscriberRecord:
     pending_sd_new: crypto.SdPair | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MpcSchedule:
     period_ms: int = DEFAULT_MPC_PERIOD_MS
     current: crypto.Mpc = field(default_factory=lambda: crypto.Mpc(bytes(16)))

@@ -65,6 +65,8 @@ class WireMessage:
         _BY_TAG[cls.TAG] = cls
 
 
+# Frames are not slotted: dataclass(slots=True) builds a second class, whose
+# creation would register the tag again, and a frame lives only until delivery.
 @dataclass(frozen=True)
 class SecureActivation(WireMessage):
     icd_in: u64

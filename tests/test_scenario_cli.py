@@ -559,7 +559,7 @@ def test_max_time_flag_truncates_run(tmp_path):
 
 def test_negative_max_time_flag_exits_one(capsys):
     assert cli.main(["run", str(SCENARIOS / "honest.scn"), "--max-time", "-5"]) == 1
-    assert "negative --max-time" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: negative max_time -5\n"
 
 
 # Runs the CLI module with every import of numpy failing.

@@ -1,0 +1,110 @@
+"""The simulator keeps one copy of each agent name and trace note, and its
+per-device records carry no per-instance attribute dict.  Sharing is only a
+memory saving: a scenario whose equal names are distinct objects runs the
+same."""
+
+from conftest import make_subscriber
+from wgiot import crypto
+from wgiot.access_point import MapRecord
+from wgiot.icd import IcdAgent, IcdConfig
+from wgiot.scenario import parse_scenario
+from wgiot.simnet import (
+    LinkModel,
+    RotateMpc,
+    Scenario,
+    Simulator,
+    StartIcd,
+    SubscriberSpec,
+)
+from wgiot.wbrac import SubscriberRecord
+
+SUBSCRIBERS = [make_subscriber(seed=n, icd_in=n) for n in (1, 2, 3)]
+LINKS = {
+    ("icd-1", "map-1"): LinkModel(delay_ms=3, drop_prob=0.2),
+    ("map-1", "icd-2"): LinkModel(delay_ms=7),
+    ("icd-3", "map-1"): LinkModel(dup_prob=0.5),
+    ("map-1", "wbrac"): LinkModel(delay_ms=5),
+    ("wbrac", "map-1"): LinkModel(delay_ms=5),
+}
+STARTS = {"icd-1": 0, "icd-2": 2, "icd-3": 4}
+
+TEXT = "\n".join(
+    [
+        "wgiot-scenario v1",
+        "[options]",
+        "mpc_period = 1",
+        "[registry]",
+        *(
+            f"{s.icd_in} {s.esn} {s.key.hex()} {s.sc_auth_k.hex()} {s.sd.hex()} {s.rmc}"
+            for s in SUBSCRIBERS
+        ),
+        "[links]",
+        "icd-1 map-1 delay=3 drop=0.2",
+        "map-1 icd-2 delay=7",
+        "icd-3 map-1 dup=0.5",
+        "map-1 wbrac delay=5",
+        "wbrac map-1 delay=5",
+        "[schedule]",
+        *(f"start {name} at {at}" for name, at in STARTS.items()),
+        "rotate at 5 to map-1,icd-1,icd-2,icd-3",
+    ]
+) + "\n"
+
+
+def _fresh(name: str) -> str:
+    """An equal string that is a new object, as a name built at run time is."""
+    return "".join([name[:2], name[2:]])
+
+
+def test_parsed_names_notes_and_records_are_shared():
+    sc = parse_scenario(TEXT)
+    sim = Simulator(sc, seed=3)
+    trace = sim.run()
+
+    first = {}
+    for e in trace.entries:
+        assert e.note is first.setdefault(e.note, e.note)
+    assert len(first) < len(trace.entries)
+
+    key_of = {name: name for name in sim.icds}  # equal text -> the key object itself
+    named = [name for pair in sc.links for name in pair]
+    for item in sc.schedule:
+        named += [item.agent_id] if isinstance(item, StartIcd) else list(item.targets)
+    devices = [name for name in named if name.startswith("icd-")]
+    assert sorted(set(devices)) == sorted(key_of)
+    for name in devices:
+        assert name is key_of[name]
+
+    icd = sim.icds["icd-1"]
+    records = {
+        IcdAgent: icd,
+        IcdConfig: icd.cfg,
+        MapRecord: sim.map.records[1],
+        SubscriberRecord: sim.wbrac.registry[1],
+        SubscriberSpec: sc.subscribers[0],
+        crypto.SdPair: icd.cfg.sd,
+        crypto.WgieRecord: icd.cfg.wgie,
+    }
+    for kind, record in records.items():
+        assert type(record) is kind
+        assert not hasattr(record, "__dict__"), kind.__name__
+
+
+def test_names_built_at_run_time_give_the_same_trace():
+    parsed = parse_scenario(TEXT)
+    built = Scenario(
+        subscribers=[
+            SubscriberSpec(s.icd_in, s.esn, s.key, s.sc_auth_k, s.sd, s.rmc) for s in SUBSCRIBERS
+        ],
+        links={(_fresh(src), _fresh(dst)): model for (src, dst), model in LINKS.items()},
+        schedule=[
+            *(StartIcd(_fresh(name), at=at) for name, at in STARTS.items()),
+            RotateMpc(at=5, targets=tuple(map(_fresh, ("map-1", "icd-1", "icd-2", "icd-3")))),
+        ],
+        mpc_period=1,
+    )
+    assert built.links == parsed.links and built.schedule == parsed.schedule
+    assert built.schedule[0].agent_id is not parsed.schedule[0].agent_id
+
+    want = Simulator(parsed, seed=3).run().serialize()
+    assert Simulator(built, seed=3).run().serialize() == want
