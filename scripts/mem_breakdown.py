@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Where a benchmark fleet's memory goes: run the first fleet of a workload
 through `bench/measure.run_fleet` under tracemalloc, the way the benchmark
-measures `peak_mem_mb`, then print the peak and the source lines whose
+measures `peak_mem_mb` (after the same environment record), then print the peak and the source lines whose
 allocations are still held once the run is over (the simulator and its
 trace are kept alive while the snapshot is taken).
 
@@ -22,6 +22,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import fleet  # noqa: E402
 import measure  # noqa: E402
+import run  # noqa: E402
 
 
 def _where(frame) -> str:
@@ -39,6 +40,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     first = fleet.generate(args.workload, args.seed)[0]
+    # bench/run.py records its environment before the measured fleet; what
+    # that imports leaves the interpreter's interned-string table with room,
+    # which changes the peak by several hundred kB
+    run.environment(args.seed, args.workload)
     tracemalloc.start(2)  # the caller names a generated constructor's line
     try:
         sim, trace, _, _ = measure.run_fleet(first)

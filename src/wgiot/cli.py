@@ -1,7 +1,8 @@
 """Command-line front end: run scenario files and emit PRF conformance vectors.
 
-Exit codes: 0 all expectations held, 1 scenario/parse error, 2 expectation
-failed.  The trace file, when requested, is written even on failure.
+Exit codes: 0 all expectations held, 1 scenario/parse error or an output
+file that cannot be written, 2 expectation failed.  The trace file, when
+requested, is written even on failure.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ def _cmd_run(args) -> int:
     except (ScenarioError, crypto.CryptoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.trace:
-        Path(args.trace).write_text(trace.serialize())
+    if args.trace and not _write(args.trace, trace.serialize()):
+        return EXIT_ERROR
     failures = check_expects(scenario, sim, trace)
     for failure in failures:
         print(f"expect failed: {failure}", file=sys.stderr)
@@ -44,11 +45,21 @@ def _cmd_vectors(args) -> int:
         print(f"error: unknown backend {args.backend!r}", file=sys.stderr)
         return EXIT_ERROR
     text = crypto.generate_vectors(backend)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+    elif not _write(args.out, text):
+        return EXIT_ERROR
     return EXIT_OK
+
+
+def _write(path: str, text: str) -> bool:
+    """Write `text` to `path`; on failure print the reason and return False."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

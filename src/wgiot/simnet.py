@@ -9,6 +9,14 @@ or parsed, is checked before it runs by `scenario_faults`, the one statement
 of the rules its values must meet.  All PRF work uses the reference backend,
 `crypto.DEFAULT_BACKEND`.
 
+Pending events sit in a calendar: a heap of the distinct pending times
+(`Simulator._heap`) and, for each time, a list of its events in push order.
+`step()` takes exactly one event, the next one in the earliest time's list;
+a time leaves the heap when its list is used up.  No event is pushed before
+`now` (`_push` raises `ValueError`), so an event pushed at `now`, such as a
+reply sent with no delay during a broadcast burst, joins the end of the
+current list and runs after every event already pending at that time.
+
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
 broadcast, a duplicate) shares that pair; frames are frozen.  Only bytes the
@@ -18,14 +26,17 @@ What is kept per device, frame or trace line is shared where it can be, as a
 memory saving that no result depends on: `Trace.add` keeps one copy of each
 distinct note, and agent names are interned (`device_ids`, and the names the
 scenario parser reads from links and the schedule), so a fleet holds one
-string per name.  The scenario items, `Scenario`, the crypto value types,
-the device's states and `IcdConfig`, `IcdAgent`, the access point's
-`MapRecord`/`PendingUpdate` and the WBRAC's `SubscriberRecord`/`MpcSchedule`
-are slotted, with no per-instance attribute dict.
+string per name; the simulator composes a delivery's note once per distinct
+(frame note, agent note, agent state) and reuses that string.  The scenario
+items, `Scenario`, the crypto value types, the device's states and
+`IcdConfig`, `IcdAgent`, the access point's `MapRecord`/`PendingUpdate` and
+the WBRAC's `SubscriberRecord`/`MpcSchedule` are slotted, with no
+per-instance attribute dict.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import sys
 from dataclasses import dataclass, field
@@ -136,9 +147,15 @@ class Scenario:
     mpc_period: int = DEFAULT_MPC_PERIOD_MS
 
 
-def device_ids(sc: Scenario) -> list[str]:
-    """The devices' agent names, in registry order, interned."""
-    return [sys.intern(f"icd-{i}") for i in range(1, len(sc.subscribers) + 1)]
+def device_ids(sc: Scenario) -> tuple[str, ...]:
+    """The devices' agent names, in registry order, interned; built once per
+    registry size."""
+    return _device_names(len(sc.subscribers))
+
+
+@functools.lru_cache(maxsize=8)
+def _device_names(count: int) -> tuple[str, ...]:
+    return tuple(sys.intern(f"icd-{i}") for i in range(1, count + 1))
 
 
 _PAYLOAD_BITS = {cls.TAG: 8 * cls.SIZE for cls in wire.MESSAGE_TYPES}
@@ -233,6 +250,11 @@ def scenario_faults(sc: Scenario):
 # Trace
 
 
+# Builds a named tuple from a tuple of its fields without the NamedTuple's
+# Python-level __new__; the per-frame paths use it.
+_new = tuple.__new__
+
+
 class TraceEntry(NamedTuple):
     time: int
     sender: str
@@ -249,7 +271,7 @@ class Trace:
 
     def add(self, time, sender, receiver, tag, payload, note):
         note = self._notes.setdefault(note, note)
-        self.entries.append(TraceEntry(time, sender, receiver, tag, payload, note))
+        self.entries.append(_new(TraceEntry, (time, sender, receiver, tag, payload, note)))
 
     def frame_count(self, tag: str) -> int:
         return sum(
@@ -292,8 +314,11 @@ class Simulator:
         self.scenario = scenario
         self.rng = SimRng(seed)
         self.now = 0
-        self._seq = 0
-        self._heap: list = []
+        self._heap: list[int] = []  # the distinct pending times
+        self._calendar: dict[int, list] = {}  # pending time -> its events, in push order
+        self._taken = 0  # events of the earliest time's list already stepped
+        self._links = scenario.links
+        self._delivery_notes: dict[tuple[str, str, str], str] = {}  # note by its parts
         self.trace = Trace()
         self.captured: list[tuple[str, str, bytes]] = []
         self._capture_tags = {a.tag for a in scenario.adversary if isinstance(a, CaptureMatching)}
@@ -329,15 +354,24 @@ class Simulator:
         self.agents = {WBRAC: self.wbrac, MAP: self.map, **self.icds}
 
     def _load_schedule(self):
+        calendar = self._calendar
         for item in self.scenario.schedule:
-            self._push(item.at, item)
+            calendar.setdefault(item.at, []).append(item)
         for action in self.scenario.adversary:
             if isinstance(action, (ReplayCaptured, Inject)):
-                self._push(action.at, action)
+                calendar.setdefault(action.at, []).append(action)
+        self._heap = list(calendar)
+        heapq.heapify(self._heap)
 
     def _push(self, at: int, item) -> None:
-        heapq.heappush(self._heap, (at, self._seq, item))
-        self._seq += 1
+        events = self._calendar.get(at)
+        if events is not None:  # `at` is pending, so it is not before now
+            events.append(item)
+        elif at < self.now:
+            raise ValueError(f"event at {at} ms pushed at {self.now} ms")
+        else:
+            self._calendar[at] = [item]
+            heapq.heappush(self._heap, at)
 
     # -- frame transport --
 
@@ -361,13 +395,17 @@ class Simulator:
                 del self._corrupt_queue[i]
                 note = (note + " corrupted").strip()
                 break
-        link = self.scenario.links.get((src, dst), NO_IMPAIRMENT)
-        dropped = self.rng.chance(link.drop_prob)
-        duplicated = self.rng.chance(link.dup_prob)
+        link = self._links.get((src, dst), NO_IMPAIRMENT)
+        # chance() draws nothing at probability 0; skipping the call there
+        # leaves the draws as they were
+        p = link.drop_prob
+        dropped = p > 0.0 and self.rng.chance(p)
+        p = link.dup_prob
+        duplicated = p > 0.0 and self.rng.chance(p)
         at = self.now + link.delay_ms
-        self._push(at, _Deliver(src, dst, raw, dropped, note, decoded))
+        self._push(at, _new(_Deliver, (src, dst, raw, dropped, note, decoded)))
         if duplicated and not dropped:
-            self._push(at, _Deliver(src, dst, raw, False, "duplicate", decoded))
+            self._push(at, _new(_Deliver, (src, dst, raw, False, "duplicate", decoded)))
 
     @staticmethod
     def _flip_payload_bit(raw: bytes, bit_index: int) -> bytes:
@@ -379,10 +417,19 @@ class Simulator:
     # -- event loop --
 
     def step(self) -> None:
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise NoEvents()
-        at, _, item = heapq.heappop(self._heap)
-        self.now = at
+        self.now = at = heap[0]
+        events = self._calendar[at]
+        taken = self._taken
+        item = events[taken]
+        taken += 1
+        if taken == len(events):
+            heapq.heappop(heap)
+            del self._calendar[at]
+            taken = 0
+        self._taken = taken
         self._EVENT_HANDLERS[type(item)](self, item)
 
     def _broadcast(self, targets: tuple[str, ...], frame: wire.WireMessage) -> None:
@@ -395,7 +442,8 @@ class Simulator:
         result = self.agents[item.agent_id].tick(self.now)
         if result.note:
             self.trace.add(self.now, "-", item.agent_id, "tick", None, result.note)
-        self._apply(item.agent_id, result)
+        if result.out or result.tick_at is not None:
+            self._apply(item.agent_id, result)
 
     def _on_start(self, item: StartIcd) -> None:
         try:
@@ -421,7 +469,7 @@ class Simulator:
             self.trace.add(self.now, "adversary", "-", "replay", None, "no-op: nothing captured")
             return
         src, dst, raw = self.captured[item.index]
-        self._push(self.now, _Deliver(src, dst, raw, False, "replayed", None))
+        self._push(self.now, _new(_Deliver, (src, dst, raw, False, "replayed", None)))
 
     def _on_inject(self, item: Inject) -> None:
         raw = wire.encode(item.frame)
@@ -445,11 +493,17 @@ class Simulator:
             self.trace.add(now, src, dst, tag, payload, (label + note).strip())
             return
         result = agent.handle(src, msg, now)
-        outcome = f"-> {agent.state_name}"
-        if result.note:
-            outcome = f"{result.note} {outcome}"
-        self.trace.add(now, src, dst, tag, payload, f"{note} {outcome}" if note else outcome)
-        self._apply(dst, result)
+        state = agent.state_name
+        key = (note, result.note, state)
+        text = self._delivery_notes.get(key)
+        if text is None:
+            outcome = f"-> {state}"
+            if result.note:
+                outcome = f"{result.note} {outcome}"
+            text = self._delivery_notes[key] = f"{note} {outcome}" if note else outcome
+        self.trace.add(now, src, dst, tag, payload, text)
+        if result.out or result.tick_at is not None:
+            self._apply(dst, result)
 
     def _apply(self, agent_id: str, result) -> None:
         for dst, msg in result.out:
@@ -468,7 +522,8 @@ class Simulator:
     }
 
     def run(self) -> Trace:
-        while self._heap and self._heap[0][0] <= self.scenario.max_time:
+        heap, max_time = self._heap, self.scenario.max_time
+        while heap and heap[0] <= max_time:
             self.step()
         return self.trace
 

@@ -547,6 +547,13 @@ def test_trace_flag_writes_serialized_trace(tmp_path):
     assert out.read_text() == golden
 
 
+def test_unwritable_trace_path_exits_one_without_traceback(tmp_path, capsys):
+    out = tmp_path / "missing" / "run.trace"
+    assert cli.main(["run", str(SCENARIOS / "honest.scn"), "--trace", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
 def test_max_time_flag_truncates_run(tmp_path):
     scn = tmp_path / "slow.scn"
     scn.write_text(
@@ -609,6 +616,14 @@ def test_vectors_out_file_matches_committed_artifact(tmp_path):
     out = tmp_path / "v.txt"
     assert cli.main(["vectors", "--out", str(out)]) == 0
     assert out.read_text() == committed.read_text()
+
+
+def test_vectors_unwritable_out_path_exits_one_without_traceback(tmp_path, capsys):
+    out = tmp_path / "missing" / "vectors.txt"
+    assert cli.main(["vectors", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == ""
 
 
 def test_vectors_unknown_backend_exits_one(capsys):

@@ -1,7 +1,12 @@
+import heapq
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import honest_scenario, make_subscriber, update_scenario
 from wgiot import simnet, wire
+from wgiot.agent import MAP, WBRAC, Transition
 from wgiot.icd import Authenticated, Denied, Idle
 from wgiot.simnet import (
     CaptureMatching,
@@ -60,6 +65,84 @@ def test_virtual_time_never_decreases():
     trace = sim_run(update_scenario(0), seed=0)
     times = [e.time for e in trace.entries]
     assert times == sorted(times)
+
+
+class _Recorder:
+    """An agent that logs each tick it gets and each frame it is handed,
+    answering a frame with `reply` sent to the access point."""
+
+    state_name = "recorder"
+
+    def __init__(self, name, log, reply=None):
+        self.name, self.log, self.reply = name, log, reply
+
+    def tick(self, now):
+        self.log.append((now, self.name))
+        return Transition()
+
+    def handle(self, sender, msg, now):
+        self.log.append((now, self.name))
+        return Transition(out=[(MAP, self.reply)] if self.reply else [])
+
+
+# ("push", delay after now) or ("step",)
+_ORDER_OPS = st.lists(
+    st.one_of(st.tuples(st.just("push"), st.integers(0, 4)), st.tuples(st.just("step"))),
+    max_size=60,
+)
+
+
+@given(_ORDER_OPS)
+def test_events_run_in_time_then_push_order(ops):
+    """Pushes at or after now, mixed with steps, come out in (time, push
+    order), as from a heap keyed by (time, sequence number)."""
+    sim = Simulator(Scenario(subscribers=[]), seed=0)
+    log, reference = [], []
+    for op in ops + [("step",)] * len(ops):
+        if op[0] == "push":
+            name = f"e{len(sim.agents)}"
+            sim.agents[name] = _Recorder(name, log)
+            at = sim.now + op[1]
+            sim._push(at, simnet._Tick(name))
+            heapq.heappush(reference, (at, len(sim.agents), name))
+        elif reference:
+            sim.step()
+            at, _, name = heapq.heappop(reference)
+            assert log[-1] == (at, name) and sim.now == at
+        else:
+            with pytest.raises(NoEvents):
+                sim.step()
+    assert not sim._heap and not sim._calendar
+
+
+def test_push_before_now_raises():
+    sim = Simulator(Scenario(subscribers=[]), seed=0)
+    sim.agents["e"] = _Recorder("e", [])
+    sim._push(5, simnet._Tick("e"))
+    sim.step()
+    with pytest.raises(ValueError):
+        sim._push(4, simnet._Tick("e"))
+
+
+def test_replies_sent_without_delay_follow_the_whole_broadcast():
+    """A reply sent at delay 0 while a broadcast is delivered runs after
+    every copy of that broadcast, not between them."""
+    n = 5
+    devices = [f"icd-{i}" for i in range(1, n + 1)]
+    sc = Scenario(
+        subscribers=[make_subscriber(i, icd_in=i + 1) for i in range(n)],
+        schedule=[RotateMpc(at=10, targets=tuple(devices))],
+        mpc_period=1,
+    )
+    sim = Simulator(sc, seed=0)
+    log = []
+    for name in devices:
+        sim.agents[name] = _Recorder(name, log, reply=wire.SecureActivation(1))
+    sim.agents[MAP] = _Recorder(MAP, log)
+    trace = sim.run()
+    assert [(e.time, e.sender, e.receiver) for e in trace.entries] == (
+        [(10, WBRAC, d) for d in devices] + [(10, d, MAP) for d in devices]
+    )
 
 
 def test_unknown_agent_in_schedule():

@@ -107,6 +107,21 @@ def impaired_broadcasts(seed: int) -> Scenario:
     )
 
 
+def burst_broadcasts(seed: int) -> Scenario:
+    """300 devices that start in bursts and get every MPC broadcast at one
+    instant: the wbrac -> icd-k links have no delay and duplicate 0.2, and
+    the device <-> map-1 links drop 0.1 and duplicate 0.1, so hundreds of
+    events share each broadcast time."""
+    r = random.Random(f"burst-broadcasts/{seed}")
+    subscribers, ids, links = _devices(r, 300, drop=0.1, dup=0.1)
+    for a in ids:
+        links[("wbrac", a)] = LinkModel(0, 0.0, 0.2)
+    everyone = ("map-1", *ids)
+    schedule = [StartIcd(a, at=100 * r.randrange(10)) for a in ids]
+    schedule += [RotateMpc(at=at, targets=everyone) for at in range(250, 2_000, 250)]
+    return Scenario(subscribers=subscribers, links=links, schedule=schedule, mpc_period=1)
+
+
 SCN_DIGESTS = {  # seeds 0-9
     "honest": [
         "4d0d95733661b7f4273b0a691fdb8faec5812404e020c1a87fea6dbcc62672ac",
@@ -161,6 +176,11 @@ GENERATED_DIGESTS = {  # seeds 0-2
         "6cdc3c5ab173a5b6bb211bffe5fcdea04521628955510b657e90b9647d8c640f",
         "23d54aabe428b366ec421466742b9974d6d10ba0355ba5e7ebcabda772e52979",
         "a400cced9785986d3813abbc412e686ba941d361458a1e87e6c34ff6ed78d66d",
+    ],
+    burst_broadcasts: [
+        "616f589d18be43857ac726784b6e2beb777685d3af29afce6d263d79bde31355",
+        "6ff2c1497510dea5adbc7a38a9ec308ff88038ab15f0e56ee635003041604eef",
+        "0628cea5aa3e869ca2478294239923ff6da21a66400f1e86bed12737a0f68b17",
     ],
 }
 
