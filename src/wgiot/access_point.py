@@ -11,7 +11,7 @@ and answers an AuthRequest only for the sending device's own icd_in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto, wire
 from .agent import WBRAC, ProtocolError, Transition, unexpected
@@ -45,28 +45,28 @@ def remedy(mismatch: frozenset) -> str:
 
 @dataclass(slots=True)
 class PendingUpdate:
-    expected_sign: crypto.AuthSignMap | None = None
+    expected_sign: bytes | None = None  # the WBRAC's AUTH_SIGN_MAP, as relayed
     next_provision: wire.MapProvision | None = None
 
 
 @dataclass(slots=True)
 class MapRecord:
-    """Per-device expectations; the provision-derived fields are filled in
-    by `MapAgent._apply_provision` only."""
+    """Per-device expectations.  `prov` is the applied `wire.MapProvision`
+    frame as the WBRAC sent it; its expected AAC and unique-challenge pair
+    are read as the frame's bytes.  After registration only
+    `MapAgent._apply_provision` replaces it."""
 
     icd_in: int
     icd_agent_id: str
     expected_rmc: crypto.Rmc
-    expected_aac: crypto.Aac = field(init=False)
-    challenge_wmap: crypto.Wmap = field(init=False)
-    challenge_sign: crypto.AuthSignMap = field(init=False)
+    prov: wire.MapProvision
     challenge_outstanding: bool = False
     pending: PendingUpdate | None = None
 
 
 class MapAgent:
-    def __init__(self, mpc: crypto.Mpc):
-        self.mpc = mpc  # network-wide; every device's GUID is checked against it
+    def __init__(self, mpc: bytes):
+        self.mpc = mpc  # network-wide 16 bytes; every device's GUID is checked against it
         self.records: dict[int, MapRecord] = {}
         self._by_agent: dict[str, MapRecord] = {}
 
@@ -74,8 +74,7 @@ class MapAgent:
 
     def provision(self, icd_agent_id: str, rmc: crypto.Rmc, prov: wire.MapProvision) -> None:
         """Register a device from the WBRAC's provisioning frame."""
-        rec = MapRecord(prov.icd_in, icd_agent_id, rmc)
-        self._apply_provision(rec, prov)
+        rec = MapRecord(prov.icd_in, icd_agent_id, rmc, prov)
         self.records[rec.icd_in] = rec
         self._by_agent[icd_agent_id] = rec
 
@@ -89,9 +88,9 @@ class MapAgent:
             raise UnknownIcd(icd_in)
         aac, mpc, rmc = crypto.split_guid(req.guid)
         mismatch = set()
-        if aac != rec.expected_aac.bits:
+        if aac != rec.prov.expected_aac:
             mismatch.add("AAC")
-        if mpc != self.mpc.bits:
+        if mpc != self.mpc:
             mismatch.add("MPC")
         if rmc != rec.expected_rmc.packed:
             mismatch.add("RMC")
@@ -108,7 +107,7 @@ class MapAgent:
     # frames from the WBRAC
 
     def _on_access_parameter(self, sender: str, msg: wire.AccessParameterMessage) -> Transition:
-        self.mpc = crypto.Mpc(msg.mpc)
+        self.mpc = msg.mpc
         return Transition(note="mpc-updated")
 
     def _on_parameter_update(self, sender: str, msg: wire.ParameterUpdateOrder) -> Transition:
@@ -127,7 +126,7 @@ class MapAgent:
         rec = self._unique_pending()
         if rec is None:
             return unexpected(self.state_name, msg)
-        rec.pending.expected_sign = crypto.AuthSignMap(msg.auth_sign_map)
+        rec.pending.expected_sign = msg.auth_sign_map
         return Transition(
             out=[(rec.icd_agent_id, wire.MapChallengeResponseOrder(msg.auth_sign_map))]
         )
@@ -166,7 +165,7 @@ class MapAgent:
         if action == CHALLENGE:
             rec.challenge_outstanding = True
             return Transition(
-                out=[(sender, wire.AuthenticationChallenge(rec.challenge_wmap.bits))],
+                out=[(sender, wire.AuthenticationChallenge(rec.prov.wmap))],
                 note=note + " -> challenge",
             )
         if action == UPDATE:
@@ -176,7 +175,7 @@ class MapAgent:
             return Transition(
                 out=[
                     (WBRAC, wire.UpdateRequest(req.icd_in)),
-                    (sender, wire.AccessParameterMessage(self.mpc.bits)),
+                    (sender, wire.AccessParameterMessage(self.mpc)),
                 ],
                 note=note + " -> update",
             )
@@ -220,7 +219,7 @@ class MapAgent:
         if rec is None or not rec.challenge_outstanding:
             return unexpected(self.state_name, msg)
         rec.challenge_outstanding = False
-        if msg.auth_sign_map == rec.challenge_sign.bits:
+        if msg.auth_sign_map == rec.prov.challenge_sign:
             return Transition(out=[(sender, wire.AuthAccept())], note="challenge-passed")
         return Transition(
             out=[(sender, wire.AccessDenied(REASON_VERIFY_FAILED))],
@@ -247,9 +246,7 @@ class MapAgent:
     # -- internals --
 
     def _apply_provision(self, rec: MapRecord, prov: wire.MapProvision) -> None:
-        rec.expected_aac = crypto.Aac(prov.expected_aac)
-        rec.challenge_wmap = crypto.Wmap(prov.wmap)
-        rec.challenge_sign = crypto.AuthSignMap(prov.challenge_sign)
+        rec.prov = prov
         rec.challenge_outstanding = False
 
     def _unique_pending(self) -> MapRecord | None:

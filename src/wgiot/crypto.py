@@ -1,8 +1,17 @@
 """Key material types and keyed derivation procedures for the wg-IoT protocol.
 
-All values are fixed-width byte strings packed MSB-first.  Every derivation
-goes through a pluggable PRF backend; "first N bits" of a PRF output always
-means the most significant N bits (a byte-string prefix).
+All values are fixed-width byte strings packed MSB-first.  A value an agent
+only stores, compares or forwards stays as the `bytes` its frame carries,
+whose wire layout already fixes its length: the MPC (16 bytes) and the WMAP
+challenge nonce (8 bytes) have no type here, and `compose_guid` and
+`compose_unique_challenge` check their lengths where they are used.  Types
+remain for keys and for the inputs and outputs of the derivations.  `ToMap`
+stays for its 32-byte check: it keeps a 10-byte value out of
+`WbracService.answer_challenge`, where `authorization_signature` would sign
+it in the unique-challenge domain.
+
+Every derivation goes through a pluggable PRF backend; "first N bits" of a
+PRF output always means the most significant N bits (a byte-string prefix).
 
 The reference PRF is HMAC-SHA256 (RFC 2104), computed in one pass by
 `hmac_sha256`: the key, hashed first if longer than the 64-byte block, is
@@ -111,14 +120,6 @@ class Aac:
 
 
 @dataclass(frozen=True, slots=True)
-class Mpc:
-    bits: bytes  # 128-bit network-issued presence value
-
-    def __post_init__(self):
-        _check_bytes("mpc", self.bits, 16)
-
-
-@dataclass(frozen=True, slots=True)
 class Rmc:
     """128-bit unsigned update counter.  Wraparound is an error."""
 
@@ -148,7 +149,7 @@ class Guid:
     """384-bit AAC∥MPC∥RMC credential presented by the device."""
 
     aac: Aac
-    mpc: Mpc
+    mpc: bytes  # 16 bytes
     rmc: Rmc
 
 
@@ -158,14 +159,6 @@ class ToMap:
 
     def __post_init__(self):
         _check_bytes("to_map", self.bits, 32)
-
-
-@dataclass(frozen=True, slots=True)
-class Wmap:
-    bits: bytes  # 64-bit network-generated challenge nonce
-
-    def __post_init__(self):
-        _check_bytes("wmap", self.bits, 8)
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,9 +300,10 @@ def derive_session_key(sd: SdPair, backend: PrfBackend = DEFAULT_BACKEND) -> Ses
 # GUID and challenge composition
 
 
-def compose_guid(aac: Aac, mpc: Mpc, rmc: Rmc) -> bytes:
+def compose_guid(aac: Aac, mpc: bytes, rmc: Rmc) -> bytes:
     """Pack AAC∥MPC∥RMC into the 48-byte GUID, MSB-first."""
-    return aac.bits + mpc.bits + rmc.packed
+    _check_bytes("mpc", mpc, 16)
+    return aac.bits + mpc + rmc.packed
 
 
 def split_guid(packed: bytes) -> tuple[bytes, bytes, bytes]:
@@ -322,14 +316,15 @@ def split_guid(packed: bytes) -> tuple[bytes, bytes, bytes]:
 
 def decompose_guid(packed: bytes) -> Guid:
     aac, mpc, rmc = split_guid(packed)
-    return Guid(Aac(aac), Mpc(mpc), Rmc.from_packed(rmc))
+    return Guid(Aac(aac), mpc, Rmc.from_packed(rmc))
 
 
-def compose_unique_challenge(wmap: Wmap, wbrac_id: int) -> bytes:
-    """Build the 10-byte unique-challenge composite: WMAP ∥ low 16 bits of the
-    network identifier."""
+def compose_unique_challenge(wmap: bytes, wbrac_id: int) -> bytes:
+    """Build the 10-byte unique-challenge composite: the 8-byte WMAP ∥ low
+    16 bits of the network identifier."""
+    _check_bytes("wmap", wmap, 8)
     _check_u64("wbrac_id", wbrac_id)
-    return wmap.bits + (wbrac_id & 0xFFFF).to_bytes(2, "big")
+    return wmap + (wbrac_id & 0xFFFF).to_bytes(2, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +335,8 @@ def gen_to_map(rng) -> ToMap:
     return ToMap(rng.draw_bytes(32))
 
 
-def gen_wmap(rng) -> Wmap:
-    return Wmap(rng.draw_bytes(8))
+def gen_wmap(rng) -> bytes:
+    return rng.draw_bytes(8)
 
 
 def gen_update_rand(rng) -> bytes:

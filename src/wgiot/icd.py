@@ -37,7 +37,6 @@ class AwaitingAuthResult:
 @dataclass(frozen=True, slots=True)
 class UpdateAwaitingAck:
     sd_new: crypto.SdPair
-    to_map: crypto.ToMap
     local_sign: crypto.AuthSignMap
     name = "UpdateAwaitingAck"
 
@@ -63,12 +62,14 @@ class Denied:
 
 @dataclass(slots=True)
 class IcdConfig:
-    """Provisioned material plus the mutable MPC/RMC mirrors."""
+    """Provisioned material plus the mutable MPC/RMC mirrors.  The MPC is
+    the 16 bytes of the last AccessParameterMessage, kept as the frame
+    carries them."""
 
     wgie: crypto.WgieRecord
     sc_auth_k: crypto.ScAuthKey
     sd: crypto.SdPair
-    mpc: crypto.Mpc
+    mpc: bytes
     rmc: crypto.Rmc
     wbrac_id: int  # provisioned 64-bit network identifier for unique challenges
 
@@ -117,7 +118,7 @@ class IcdAgent:
         return handler(self, msg, now)
 
     def _on_access_parameter(self, msg: wire.AccessParameterMessage, now: int) -> Transition:
-        self.cfg.mpc = crypto.Mpc(msg.mpc)
+        self.cfg.mpc = msg.mpc
         return Transition(note="mpc-updated")
 
     def _on_parameter_update(self, msg: wire.ParameterUpdateOrder, now: int) -> Transition:
@@ -142,7 +143,7 @@ class IcdAgent:
         local_sign = crypto.authorization_signature(
             sd_new, to_map.bits, cfg.wgie.esn, cfg.wgie.icd_in
         )
-        self.state = UpdateAwaitingAck(sd_new, to_map, local_sign)
+        self.state = UpdateAwaitingAck(sd_new, local_sign)
         return Transition(out=[(MAP, wire.MobileAccessChallengeOrder(to_map.bits))])
 
     def _on_challenge_ack(self, msg: wire.ChallengeAck, now: int) -> Transition:
@@ -176,7 +177,7 @@ class IcdAgent:
 
     def _on_challenge(self, msg: wire.AuthenticationChallenge, now: int) -> Transition:
         cfg = self.cfg
-        composite = crypto.compose_unique_challenge(crypto.Wmap(msg.wmap), cfg.wbrac_id)
+        composite = crypto.compose_unique_challenge(msg.wmap, cfg.wbrac_id)
         answer = crypto.authorization_signature(cfg.sd, composite, cfg.wgie.esn, cfg.wgie.icd_in)
         return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer.bits))])
 

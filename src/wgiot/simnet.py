@@ -27,7 +27,10 @@ memory saving that no result depends on: `Trace.add` keeps one copy of each
 distinct note, and agent names are interned (`device_ids`, and the names the
 scenario parser reads from links and the schedule), so a fleet holds one
 string per name; the simulator composes a delivery's note once per distinct
-(frame note, agent note, agent state) and reuses that string.  The scenario
+(frame note, agent note, agent state) and reuses that string.  A value an
+agent only stores is the frame's own bytes, so after a broadcast the MPC is
+one object in the WBRAC's schedule, the access point and every device, and
+each `MapRecord` holds its provision frame itself.  The scenario
 items, `Scenario`, the crypto value types, the device's states and
 `IcdConfig`, `IcdAgent`, the access point's `MapRecord`/`PendingUpdate` and
 the WBRAC's `SubscriberRecord`/`MpcSchedule` are slotted, with no
@@ -345,7 +348,7 @@ class Simulator:
                 wgie=wgie,
                 sc_auth_k=k,
                 sd=sd,
-                mpc=self.wbrac.schedule.current,
+                mpc=schedule.current,
                 rmc=rmc,
                 wbrac_id=sc.wbrac_id,
             )

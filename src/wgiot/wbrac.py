@@ -14,7 +14,7 @@ WBRAC, is not its 64-bit network identifier `wbrac_id`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto, wire
 from .agent import MAP, NO_HANDLERS, ProtocolError, Transition, unexpected
@@ -51,8 +51,11 @@ class SubscriberRecord:
 
 @dataclass(slots=True)
 class MpcSchedule:
+    """The network's MPC rotation.  `current` is the 16-byte MPC last drawn,
+    the bytes object its AccessParameterMessage carries."""
+
     period_ms: int = DEFAULT_MPC_PERIOD_MS
-    current: crypto.Mpc = field(default_factory=lambda: crypto.Mpc(bytes(16)))
+    current: bytes = bytes(16)
     last_rotation: int | None = None
 
 
@@ -94,9 +97,7 @@ class WbracService:
         wmap = crypto.gen_wmap(self.rng)
         composite = crypto.compose_unique_challenge(wmap, self.wbrac_id)
         sign = crypto.authorization_signature(sd, composite, rec.wgie.esn, rec.icd_in)
-        return wire.MapProvision(
-            rec.icd_in, self.expected_aac(rec, sd).bits, wmap.bits, sign.bits
-        )
+        return wire.MapProvision(rec.icd_in, self.expected_aac(rec, sd).bits, wmap, sign.bits)
 
     # -- MPC rotation --
 
@@ -104,9 +105,9 @@ class WbracService:
         sched = self.schedule
         if sched.last_rotation is not None and now < sched.last_rotation + sched.period_ms:
             raise TooEarly(f"rotation at {now}, last at {sched.last_rotation}")
-        sched.current = crypto.Mpc(self.rng.draw_bytes(16))
+        sched.current = self.rng.draw_bytes(16)
         sched.last_rotation = now
-        return wire.AccessParameterMessage(sched.current.bits)
+        return wire.AccessParameterMessage(sched.current)
 
     # -- update-value flow --
 

@@ -234,15 +234,11 @@ def tag_name(msg_or_tag) -> str:
     return cls.__name__ if cls else f"tag_{tag:#04x}"
 
 
-def frame_by_name(name: str) -> type[WireMessage]:
+def tag_by_name(name: str) -> int:
     for cls in MESSAGE_TYPES:
         if cls.__name__ == name:
-            return cls
+            return cls.TAG
     raise UnknownTag(name)
-
-
-def tag_by_name(name: str) -> int:
-    return frame_by_name(name).TAG
 
 
 def frame_table() -> str:

@@ -82,12 +82,12 @@ def test_criterion_2_update_value_state_sync():
 def _challenged_map(backend) -> tuple[MapAgent, crypto.AuthSignMap]:
     sub = make_subscriber(0)
     sd = crypto.SdPair.from_packed(sub.sd)
-    wmap = crypto.Wmap(bytes(8))
+    wmap = bytes(8)
     challenge = crypto.compose_unique_challenge(wmap, 0x5747_0000_0000_0001)
     sign = crypto.authorization_signature(sd, challenge, sub.esn, sub.icd_in, backend=backend)
-    agent = MapAgent(crypto.Mpc(bytes(16)))
+    agent = MapAgent(bytes(16))
     agent.provision(
-        "icd-1", crypto.Rmc(0), wire.MapProvision(sub.icd_in, bytes(16), wmap.bits, sign.bits)
+        "icd-1", crypto.Rmc(0), wire.MapProvision(sub.icd_in, bytes(16), wmap, sign.bits)
     )
     return agent, sign
 
@@ -259,7 +259,7 @@ def test_criterion_8_crypto_conformance():
     rng = SimRng(42)
     if crypto.gen_to_map(rng).bits != TO_MAP_SEED42:
         failures.append(("to_map seed42",))
-    if crypto.gen_wmap(rng).bits != WMAP_SEED42:
+    if crypto.gen_wmap(rng) != WMAP_SEED42:
         failures.append(("wmap seed42",))
     if crypto.gen_update_rand(rng) != UPDATE_RAND_SEED42:
         failures.append(("update rand seed42",))

@@ -15,7 +15,7 @@ CHALLENGE_SIGN = b"\x0d" * 16
 
 
 def make_map():
-    agent = MapAgent(crypto.Mpc(EXPECTED_MPC))
+    agent = MapAgent(EXPECTED_MPC)
     agent.provision(
         "icd-1",
         crypto.Rmc(0),
@@ -25,7 +25,7 @@ def make_map():
 
 
 def auth_request(aac=EXPECTED_AAC, mpc=EXPECTED_MPC, rmc=0, icd_in=ICD_IN):
-    guid = crypto.compose_guid(crypto.Aac(aac), crypto.Mpc(mpc), crypto.Rmc(rmc))
+    guid = crypto.compose_guid(crypto.Aac(aac), mpc, crypto.Rmc(rmc))
     return wire.AuthRequest(icd_in=icd_in, esn=2, guid=guid)
 
 
@@ -61,7 +61,7 @@ def test_verify_matches_decomposed_guid_comparison(aac, mpc, rmc):
     # the comparison verify made before it compared packed bytes
     rec, guid = agent.records[ICD_IN], crypto.decompose_guid(req.guid)
     lanes = {
-        "AAC": guid.aac == rec.expected_aac,
+        "AAC": guid.aac == crypto.Aac(rec.prov.expected_aac),
         "MPC": guid.mpc == agent.mpc,
         "RMC": guid.rmc == rec.expected_rmc,
     }
@@ -159,7 +159,7 @@ def test_response_recorded_and_relayed():
     result = agent.handle("wbrac", wire.MapChallengeResponse(sig), 0)
     (dst, order), = result.out
     assert dst == "icd-1" and order.auth_sign_map == sig
-    assert agent.records[ICD_IN].pending.expected_sign.bits == sig
+    assert agent.records[ICD_IN].pending.expected_sign == sig
 
 
 def test_confirmation_applies_stashed_provision_and_clears_pending():
@@ -171,8 +171,8 @@ def test_confirmation_applies_stashed_provision_and_clears_pending():
     assert ("wbrac", wire.UpdateConfirmation()) in result.out
     rec = agent.records[ICD_IN]
     assert rec.pending is None
-    assert rec.expected_aac.bits == b"\x20" * 16
-    assert rec.challenge_sign.bits == b"\x22" * 16
+    assert rec.prov.expected_aac == b"\x20" * 16
+    assert rec.prov.challenge_sign == b"\x22" * 16
 
 
 def test_rejection_clears_pending_without_commit():
@@ -183,14 +183,14 @@ def test_rejection_clears_pending_without_commit():
     agent.handle("icd-1", wire.UpdateRejection(), 0)
     rec = agent.records[ICD_IN]
     assert rec.pending is None
-    assert rec.expected_aac.bits == EXPECTED_AAC  # stash discarded
+    assert rec.prov.expected_aac == EXPECTED_AAC  # stash discarded
 
 
 def test_immediate_provision_applies_when_no_pending():
     agent = make_map()
     prov = wire.MapProvision(ICD_IN, b"\x30" * 16, b"\x31" * 8, b"\x32" * 16)
     assert agent.handle("wbrac", prov, 0).note == "provision-applied"
-    assert agent.records[ICD_IN].expected_aac.bits == b"\x30" * 16
+    assert agent.records[ICD_IN].prov.expected_aac == b"\x30" * 16
 
 
 def test_challenge_answer_right_and_wrong():
@@ -216,7 +216,7 @@ def test_unsolicited_challenge_answer_never_accepts():
 def test_broadcasts_update_expectations():
     agent = make_map()
     agent.handle("wbrac", wire.AccessParameterMessage(b"\x44" * 16), 0)
-    assert agent.mpc.bits == b"\x44" * 16
+    assert agent.mpc == b"\x44" * 16
     agent.handle("wbrac", wire.ParameterUpdateOrder(), 0)
     assert agent.records[ICD_IN].expected_rmc.counter == 1
 
@@ -278,8 +278,8 @@ def test_wbrac_frames_from_a_device_are_ignored():
     ):
         result = agent.handle("icd-2", frame, 0)
         assert result.out == [] and result.note == f"unexpected {type(frame).__name__} in -"
-    assert agent.mpc.bits == EXPECTED_MPC
-    assert rec.expected_aac.bits == EXPECTED_AAC and rec.challenge_sign.bits == CHALLENGE_SIGN
+    assert agent.mpc == EXPECTED_MPC
+    assert rec.prov.expected_aac == EXPECTED_AAC and rec.prov.challenge_sign == CHALLENGE_SIGN
     assert rec.expected_rmc.counter == 0 and rec.pending is None
     forged = agent.handle("icd-2", auth_request(aac=bytes(16), mpc=bytes(16), icd_in=ICD_IN), 0)
     assert not any(isinstance(m, wire.AuthAccept) for _, m in forged.out)

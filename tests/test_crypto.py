@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import hmac
 import random
@@ -135,14 +136,22 @@ def test_key_sensitivity_single_bit_flips():
 
 # -- type invariants ----------------------------------------------------------
 
+# The MPC and the WMAP have no type; the compositions that use them check them.
+_compose_guid_with_mpc = functools.partial(
+    crypto.compose_guid, crypto.Aac(bytes(16)), rmc=crypto.Rmc(0)
+)
+_unique_challenge_with_wmap = functools.partial(crypto.compose_unique_challenge, wbrac_id=0)
+
 
 @pytest.mark.parametrize(
     "ctor,raw",
     [
         (crypto.Aac, bytes(15)),
-        (crypto.Mpc, bytes(17)),
+        (_compose_guid_with_mpc, bytes(15)),
+        (_compose_guid_with_mpc, bytes(17)),
         (crypto.ToMap, bytes(31)),
-        (crypto.Wmap, bytes(9)),
+        (_unique_challenge_with_wmap, bytes(7)),
+        (_unique_challenge_with_wmap, bytes(9)),
         (crypto.AuthSignMap, bytes(8)),
         (crypto.SessionKey, b""),
         (crypto.ScAuthKey, bytes(32)),
@@ -165,7 +174,7 @@ def test_rmc_never_wraps():
 
 def test_compose_guid_lane_layout():
     aac = crypto.Aac(bytes(15) + b"\x01")
-    mpc = crypto.Mpc(bytes(15) + b"\x02")
+    mpc = bytes(15) + b"\x02"
     rmc = crypto.Rmc(3)
     packed = crypto.compose_guid(aac, mpc, rmc)
     assert len(packed) == 48
@@ -174,7 +183,7 @@ def test_compose_guid_lane_layout():
 
 def test_decompose_guid_zero_and_bad_length():
     guid = crypto.decompose_guid(bytes(48))
-    assert guid == crypto.Guid(crypto.Aac(bytes(16)), crypto.Mpc(bytes(16)), crypto.Rmc(0))
+    assert guid == crypto.Guid(crypto.Aac(bytes(16)), bytes(16), crypto.Rmc(0))
     with pytest.raises(crypto.BadLength):
         crypto.decompose_guid(bytes(47))
 
@@ -186,16 +195,13 @@ def test_guid_compose_decompose_inverse(raw):
 
 
 def test_unique_challenge_bit_placement():
-    assert crypto.compose_unique_challenge(crypto.Wmap(bytes(8)), 0xFFFF) == bytes(8) + b"\xff\xff"
-    assert (
-        crypto.compose_unique_challenge(crypto.Wmap(b"\xff" * 8), 0)
-        == b"\xff" * 8 + b"\x00\x00"
-    )
+    assert crypto.compose_unique_challenge(bytes(8), 0xFFFF) == bytes(8) + b"\xff\xff"
+    assert crypto.compose_unique_challenge(b"\xff" * 8, 0) == b"\xff" * 8 + b"\x00\x00"
 
 
 @given(bytes8, u64)
 def test_unique_challenge_length_and_low_bits(wmap_raw, wbrac_id):
-    composite = crypto.compose_unique_challenge(crypto.Wmap(wmap_raw), wbrac_id)
+    composite = crypto.compose_unique_challenge(wmap_raw, wbrac_id)
     assert len(composite) == 10
     assert composite[:8] == wmap_raw
     assert int.from_bytes(composite[8:], "big") == wbrac_id & 0xFFFF
@@ -210,15 +216,15 @@ def test_seed42_nonce_vectors():
     wmap = crypto.gen_wmap(rng)
     rand = crypto.gen_update_rand(rng)
     assert to_map.bits == TO_MAP_SEED42
-    assert wmap.bits == WMAP_SEED42
+    assert wmap == WMAP_SEED42
     assert rand == UPDATE_RAND_SEED42
-    assert to_map.bits[:8] != wmap.bits
+    assert to_map.bits[:8] != wmap
 
 
 def test_nonce_widths():
     rng = SimRng(0)
     assert len(crypto.gen_to_map(rng).bits) == 32
-    assert len(crypto.gen_wmap(rng).bits) == 8
+    assert len(crypto.gen_wmap(rng)) == 8
     assert len(crypto.gen_update_rand(rng)) == 16
 
 

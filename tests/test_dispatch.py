@@ -81,7 +81,7 @@ def icd_states(r: random.Random):
     return [
         Idle(),
         AwaitingAuthResult(),
-        UpdateAwaitingAck(sd, crypto.ToMap(r.randbytes(32)), sign),
+        UpdateAwaitingAck(sd, sign),
         UpdateAwaitingConfirmation(sd, sign, deadline=1000),
         Authenticated(crypto.SessionKey(r.randbytes(16))),
         Denied(),

@@ -30,7 +30,7 @@ def make_agent(seed=0):
         wgie=wgie,
         sc_auth_k=crypto.ScAuthKey(r.randbytes(16)),
         sd=crypto.SdPair.from_packed(r.randbytes(16)),
-        mpc=crypto.Mpc(r.randbytes(16)),
+        mpc=r.randbytes(16),
         rmc=crypto.Rmc(0),
         wbrac_id=WBRAC_ID,
     )
@@ -87,7 +87,7 @@ def test_auth_accept_derives_session_key():
 def test_access_parameter_and_update_order_bookkeeping():
     agent = make_agent()
     agent.handle("map-1", wire.AccessParameterMessage(b"\x07" * 16), 0)
-    assert agent.cfg.mpc.bits == b"\x07" * 16
+    assert agent.cfg.mpc == b"\x07" * 16
     agent.handle("map-1", wire.ParameterUpdateOrder(), 0)
     assert agent.cfg.rmc.counter == 1
 

@@ -1,10 +1,11 @@
 """The simulator keeps one copy of each agent name and trace note, and its
-per-device records carry no per-instance attribute dict.  Sharing is only a
-memory saving: a scenario whose equal names are distinct objects runs the
-same."""
+per-device records carry no per-instance attribute dict.  A value an agent
+only stores is the frame's own bytes, so the MPC is one object everywhere.
+Sharing is only a memory saving: a scenario whose equal names are distinct
+objects runs the same."""
 
 from conftest import make_subscriber
-from wgiot import crypto
+from wgiot import crypto, wire
 from wgiot.access_point import MapRecord
 from wgiot.icd import IcdAgent, IcdConfig
 from wgiot.scenario import parse_scenario
@@ -88,6 +89,18 @@ def test_parsed_names_notes_and_records_are_shared():
     for kind, record in records.items():
         assert type(record) is kind
         assert not hasattr(record, "__dict__"), kind.__name__
+
+
+def test_the_mpc_and_the_provisions_are_the_frames_bytes():
+    sim = Simulator(parse_scenario(TEXT), seed=3)
+    sim.run()
+    mpc = sim.wbrac.schedule.current
+    assert mpc != bytes(16)  # the rotation took
+    assert sim.map.mpc is mpc
+    for icd in sim.icds.values():
+        assert icd.cfg.mpc is mpc
+    for rec in sim.map.records.values():
+        assert type(rec.prov) is wire.MapProvision
 
 
 def test_names_built_at_run_time_give_the_same_trace():

@@ -42,7 +42,7 @@ def test_rotate_mpc_and_too_early():
     svc, rng = make_wbrac(period=100)
     before = svc.schedule.current
     frame = svc.rotate_mpc(now=0)
-    assert frame.mpc == svc.schedule.current.bits != before.bits
+    assert frame.mpc is svc.schedule.current != before
     with pytest.raises(TooEarly):
         svc.rotate_mpc(now=50)
     svc.rotate_mpc(now=100)
@@ -108,15 +108,15 @@ def test_cross_agent_sd_agreement():
             wgie=rec.wgie,
             sc_auth_k=rec.sc_auth_k,
             sd=rec.sd,
-            mpc=crypto.Mpc(bytes(16)),
+            mpc=bytes(16),
             rmc=crypto.Rmc(0),
             wbrac_id=svc.wbrac_id,
         )
         icd = IcdAgent(cfg, rng)
         msg = svc.begin_update(1)
-        icd.handle("map-1", wire.UpdateOrder(msg.rand), 0)
+        (_, order), = icd.handle("map-1", wire.UpdateOrder(msg.rand), 0).out
         assert icd.state.sd_new == rec.pending_sd_new
-        assert icd.state.local_sign == svc.answer_challenge(1, icd.state.to_map)
+        assert icd.state.local_sign == svc.answer_challenge(1, crypto.ToMap(order.to_map))
 
 
 def test_commit_atomicity():
