@@ -8,7 +8,9 @@ challenge nonce (8 bytes) have no type here, and `compose_guid` and
 remain for keys and for the inputs and outputs of the derivations.  `ToMap`
 stays for its 32-byte check: it keeps a 10-byte value out of
 `WbracService.answer_challenge`, where `authorization_signature` would sign
-it in the unique-challenge domain.
+it in the unique-challenge domain.  The service data is one 16-byte
+`SdPair`; the update-value flow's RAND→SD derivation, which the device and
+the WBRAC both run, lives in `sd_from_rand`.
 
 Every derivation goes through a pluggable PRF backend; "first N bits" of a
 PRF output always means the most significant N bits (a byte-string prefix).
@@ -82,23 +84,17 @@ class WgieRecord:
 
 @dataclass(frozen=True, slots=True)
 class SdPair:
-    """128-bit service data: sd1 authenticates, sd2 feeds the session key."""
+    """128-bit service data SD1∥SD2: all 16 bytes key the signatures, and
+    SD2 alone feeds the session key."""
 
-    sd1: bytes  # 8 bytes
-    sd2: bytes  # 8 bytes
+    packed: bytes
 
     def __post_init__(self):
-        _check_bytes("sd1", self.sd1, 8)
-        _check_bytes("sd2", self.sd2, 8)
+        _check_bytes("sd", self.packed, 16)
 
     @property
-    def packed(self) -> bytes:
-        return self.sd1 + self.sd2
-
-    @classmethod
-    def from_packed(cls, raw: bytes) -> "SdPair":
-        _check_bytes("sd", raw, 16)
-        return cls(raw[:8], raw[8:])
+    def sd2(self) -> bytes:
+        return self.packed[8:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,7 +264,12 @@ def sd_generation(
     """Derive a fresh 128-bit service-data pair during the update-value flow."""
     _check_u64("esn", esn)
     out = backend.evaluate(k.bits, TAG_SD_GENERATION, aac.bits + esn.to_bytes(8, "big"))[:16]
-    return SdPair(out[:8], out[8:])
+    return SdPair(out)
+
+
+def sd_from_rand(rand: bytes, esn: int, icd_in: int, k: ScAuthKey) -> SdPair:
+    """The update-value flow's new SD: `sd_generation` of the AAC the 16-byte RAND signs as SD."""
+    return sd_generation(authenticate_signature(SdPair(rand), esn, icd_in, k), esn, k)
 
 
 def authorization_signature(

@@ -135,10 +135,7 @@ class IcdAgent:
         if isinstance(self.state, Denied):
             return unexpected(self.state_name, msg)
         cfg = self.cfg
-        aac_from_rand = crypto.authenticate_signature(
-            crypto.SdPair.from_packed(msg.rand), cfg.wgie.esn, cfg.wgie.icd_in, cfg.sc_auth_k
-        )
-        sd_new = crypto.sd_generation(aac_from_rand, cfg.wgie.esn, cfg.sc_auth_k)
+        sd_new = crypto.sd_from_rand(msg.rand, cfg.wgie.esn, cfg.wgie.icd_in, cfg.sc_auth_k)
         to_map = crypto.gen_to_map(self.rng)
         local_sign = crypto.authorization_signature(
             sd_new, to_map.bits, cfg.wgie.esn, cfg.wgie.icd_in

@@ -30,11 +30,12 @@ string per name; the simulator composes a delivery's note once per distinct
 (frame note, agent note, agent state) and reuses that string.  A value an
 agent only stores is the frame's own bytes, so after a broadcast the MPC is
 one object in the WBRAC's schedule, the access point and every device, and
-each `MapRecord` holds its provision frame itself.  The scenario
-items, `Scenario`, the crypto value types, the device's states and
+each `MapRecord` holds its provision frame itself.  A device's SD is its
+registry row's bytes, one `SdPair` shared by the WBRAC and the device.  The
+scenario items, `Scenario`, the crypto value types, the device's states and
 `IcdConfig`, `IcdAgent`, the access point's `MapRecord`/`PendingUpdate` and
-the WBRAC's `SubscriberRecord`/`MpcSchedule` are slotted, with no
-per-instance attribute dict.
+the WBRAC's `SubscriberRecord`/`MpcSchedule` are slotted, with no per-instance
+attribute dict.
 """
 
 from __future__ import annotations
@@ -312,6 +313,8 @@ class _Tick(NamedTuple):
 
 class Simulator:
     def __init__(self, scenario: Scenario, seed: int):
+        if seed < 0:
+            raise ScenarioError(f"negative seed {seed}")
         for _, reason in scenario_faults(scenario):
             raise ScenarioError(reason)
         self.scenario = scenario
@@ -341,7 +344,7 @@ class Simulator:
         for agent_id, sub in zip(device_ids(sc), sc.subscribers):
             wgie = crypto.WgieRecord(sub.key, sub.esn, sub.icd_in)
             k = crypto.ScAuthKey(sub.sc_auth_k)
-            sd = crypto.SdPair.from_packed(sub.sd)
+            sd = crypto.SdPair(sub.sd)
             rmc = crypto.Rmc(sub.rmc)
             rec = self.wbrac.provision(sub.icd_in, wgie, k, sd)
             cfg = IcdConfig(

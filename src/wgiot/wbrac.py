@@ -116,10 +116,7 @@ class WbracService:
         if rec.pending_sd_new is not None:
             raise UpdateInProgress(icd_in)
         rand = crypto.gen_update_rand(self.rng)
-        aac_from_rand = crypto.authenticate_signature(
-            crypto.SdPair.from_packed(rand), rec.wgie.esn, rec.icd_in, rec.sc_auth_k
-        )
-        rec.pending_sd_new = crypto.sd_generation(aac_from_rand, rec.wgie.esn, rec.sc_auth_k)
+        rec.pending_sd_new = crypto.sd_from_rand(rand, rec.wgie.esn, rec.icd_in, rec.sc_auth_k)
         return wire.UpdateMessage(icd_in, rand)
 
     def answer_challenge(self, icd_in: int, to_map: crypto.ToMap) -> crypto.AuthSignMap:

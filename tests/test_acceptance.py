@@ -81,7 +81,7 @@ def test_criterion_2_update_value_state_sync():
 
 def _challenged_map(backend) -> tuple[MapAgent, crypto.AuthSignMap]:
     sub = make_subscriber(0)
-    sd = crypto.SdPair.from_packed(sub.sd)
+    sd = crypto.SdPair(sub.sd)
     wmap = bytes(8)
     challenge = crypto.compose_unique_challenge(wmap, 0x5747_0000_0000_0001)
     sign = crypto.authorization_signature(sd, challenge, sub.esn, sub.icd_in, backend=backend)
@@ -245,7 +245,7 @@ def test_criterion_8_crypto_conformance():
                 failures.append((name, tag, key.hex()))
 
     # frozen derivation values on all-zero inputs
-    zero_sd = crypto.SdPair(bytes(8), bytes(8))
+    zero_sd = crypto.SdPair(bytes(8) + bytes(8))
     zero_k = crypto.ScAuthKey(bytes(16))
     checks = [
         (crypto.authenticate_signature(zero_sd, 0, 0, zero_k).bits, V0, "V0"),

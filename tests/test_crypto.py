@@ -21,7 +21,7 @@ from conftest import (
 from wgiot import crypto
 from wgiot.rng import SimRng
 
-ZERO_SD = crypto.SdPair(bytes(8), bytes(8))
+ZERO_SD = crypto.SdPair(bytes(8) + bytes(8))
 ZERO_K = crypto.ScAuthKey(bytes(16))
 
 bytes8 = st.binary(min_size=8, max_size=8)
@@ -37,7 +37,7 @@ def test_authenticate_signature_zero_vector():
 
 
 def test_authenticate_signature_bit_flip_changes_output():
-    flipped = crypto.SdPair(bytes([0x80]) + bytes(7), bytes(8))
+    flipped = crypto.SdPair(bytes([0x80]) + bytes(7) + bytes(8))
     out = crypto.authenticate_signature(flipped, 0, 0, ZERO_K).bits
     assert out == V0_SD1_TOPBIT_FLIPPED
     assert out != V0
@@ -46,7 +46,7 @@ def test_authenticate_signature_bit_flip_changes_output():
 def test_sd_generation_zero_vector():
     sd = crypto.sd_generation(crypto.Aac(bytes(16)), 0, ZERO_K)
     assert sd.packed == W0
-    assert sd.sd1 == W0[:8]
+    assert sd.packed[:8] == W0[:8]
 
 
 def test_sd_generation_distinct_aacs_give_distinct_pairs():
@@ -70,14 +70,14 @@ def test_session_key_zero_vector():
 
 
 def test_session_key_ignores_sd1():
-    a = crypto.derive_session_key(crypto.SdPair(b"\xaa" * 8, bytes(8)))
-    b = crypto.derive_session_key(crypto.SdPair(b"\xbb" * 8, bytes(8)))
+    a = crypto.derive_session_key(crypto.SdPair(b"\xaa" * 8 + bytes(8)))
+    b = crypto.derive_session_key(crypto.SdPair(b"\xbb" * 8 + bytes(8)))
     assert a == b == crypto.derive_session_key(ZERO_SD)
 
 
 @given(bytes16, u64, u64, bytes16)
 def test_derivations_match_oracle(sd_raw, esn, icd_in, k_raw):
-    sd = crypto.SdPair.from_packed(sd_raw)
+    sd = crypto.SdPair(sd_raw)
     k = crypto.ScAuthKey(k_raw)
     assert crypto.authenticate_signature(sd, esn, icd_in, k).bits == prf_oracle.aac(
         sd_raw, esn, icd_in, k_raw
@@ -92,7 +92,7 @@ def test_derivations_match_oracle(sd_raw, esn, icd_in, k_raw):
 
 
 def test_repeat_call_equality():
-    args = (crypto.SdPair(b"\x11" * 8, b"\x22" * 8), 7, 9, crypto.ScAuthKey(b"\x33" * 16))
+    args = (crypto.SdPair(b"\x11" * 8 + b"\x22" * 8), 7, 9, crypto.ScAuthKey(b"\x33" * 16))
     assert crypto.authenticate_signature(*args) == crypto.authenticate_signature(*args)
     assert crypto.derive_session_key(args[0]) == crypto.derive_session_key(args[0])
 
@@ -100,7 +100,7 @@ def test_repeat_call_equality():
 def test_width_closure_fuzz():
     r = random.Random(1)
     for _ in range(100_000):
-        sd = crypto.SdPair(r.randbytes(8), r.randbytes(8))
+        sd = crypto.SdPair(r.randbytes(8) + r.randbytes(8))
         k = crypto.ScAuthKey(r.randbytes(16))
         esn, icd_in = r.getrandbits(64), r.getrandbits(64)
         assert len(crypto.authenticate_signature(sd, esn, icd_in, k).bits) == 16
@@ -122,7 +122,7 @@ def test_key_sensitivity_single_bit_flips():
     r = random.Random(3)
     changed = 0
     for _ in range(1000):
-        sd = crypto.SdPair(r.randbytes(8), r.randbytes(8))
+        sd = crypto.SdPair(r.randbytes(8) + r.randbytes(8))
         esn, icd_in = r.getrandbits(64), r.getrandbits(64)
         k_raw = r.randbytes(16)
         bit = r.randrange(128)
@@ -147,6 +147,8 @@ _unique_challenge_with_wmap = functools.partial(crypto.compose_unique_challenge,
     "ctor,raw",
     [
         (crypto.Aac, bytes(15)),
+        (crypto.SdPair, bytes(15)),
+        (crypto.SdPair, bytes(17)),
         (_compose_guid_with_mpc, bytes(15)),
         (_compose_guid_with_mpc, bytes(17)),
         (crypto.ToMap, bytes(31)),

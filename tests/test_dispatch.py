@@ -76,7 +76,7 @@ def random_frame(cls, r: random.Random) -> wire.WireMessage:
 
 
 def icd_states(r: random.Random):
-    sd = crypto.SdPair.from_packed(r.randbytes(16))
+    sd = crypto.SdPair(r.randbytes(16))
     sign = crypto.AuthSignMap(r.randbytes(16))
     return [
         Idle(),

@@ -29,7 +29,7 @@ def make_agent(seed=0):
     cfg = IcdConfig(
         wgie=wgie,
         sc_auth_k=crypto.ScAuthKey(r.randbytes(16)),
-        sd=crypto.SdPair.from_packed(r.randbytes(16)),
+        sd=crypto.SdPair(r.randbytes(16)),
         mpc=r.randbytes(16),
         rmc=crypto.Rmc(0),
         wbrac_id=WBRAC_ID,
@@ -241,7 +241,7 @@ def test_no_key_material_in_outbound_frames():
         secrets = [
             agent.cfg.sc_auth_k.bits,
             agent.cfg.sd.packed,
-            agent.cfg.sd.sd1,
+            agent.cfg.sd.packed[:8],
             agent.cfg.sd.sd2,
             agent.cfg.wgie.key,
         ]
@@ -249,7 +249,7 @@ def test_no_key_material_in_outbound_frames():
         result = agent.start(0)
         payloads += [wire.encode(m) for _, m in result.out]
         sd_new, local_sign = drive_to_confirmation(agent)
-        secrets += [sd_new.packed, sd_new.sd1, sd_new.sd2]
+        secrets += [sd_new.packed, sd_new.packed[:8], sd_new.sd2]
         result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), 10)
         payloads += [wire.encode(m) for _, m in result.out]
         blob = b"|".join(payloads)

@@ -569,6 +569,11 @@ def test_negative_max_time_flag_exits_one(capsys):
     assert capsys.readouterr().err == "error: negative max_time -5\n"
 
 
+def test_negative_seed_exits_one(capsys):
+    assert cli.main(["run", str(SCENARIOS / "honest.scn"), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: negative seed -1\n"
+
+
 # Runs the CLI module with every import of numpy failing.
 NO_NUMPY_CLI = (
     "import runpy, sys\n"

@@ -89,6 +89,9 @@ def test_parsed_names_notes_and_records_are_shared():
     for kind, record in records.items():
         assert type(record) is kind
         assert not hasattr(record, "__dict__"), kind.__name__
+    # SD is the registry row's bytes, in one SdPair the WBRAC and the device share
+    assert icd.cfg.sd.packed is sc.subscribers[0].sd
+    assert sim.wbrac.registry[1].sd is icd.cfg.sd
 
 
 def test_the_mpc_and_the_provisions_are_the_frames_bytes():

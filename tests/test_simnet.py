@@ -1,4 +1,5 @@
 import heapq
+import math
 
 import pytest
 from hypothesis import given
@@ -158,6 +159,29 @@ def test_drop_prob_one_records_dropped_and_receiver_untouched():
     trace = sim.run()
     assert all("dropped" in e.note for e in trace.entries)
     assert trace.frame_count("AuthAccept") == 0
+
+
+@pytest.mark.parametrize("drop", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_lossy_first_hop_auth_rate_matches_the_loss_model(drop):
+    """With drop p on the device->MAP hop only, a device authenticates exactly
+    when its AuthRequest arrives, so over n seeds the auth rate is binomial
+    with mean 1 - p; it must lie within 4 sigma of that."""
+    runs = 1000
+    ok = 0
+    for seed in range(runs):
+        sc = Scenario(
+            subscribers=[make_subscriber(seed)],
+            schedule=[StartIcd("icd-1", at=0)],
+            links={("icd-1", "map-1"): LinkModel(delay_ms=5, drop_prob=drop)},
+            max_time=10_000,
+        )
+        sim = Simulator(sc, seed=seed)
+        trace = sim.run()
+        authenticated = isinstance(sim.icds["icd-1"].state, Authenticated)
+        assert authenticated == (trace.frame_count("AuthRequest") == 1)
+        ok += authenticated
+    p = 1 - drop
+    assert abs(ok / runs - p) <= 4 * math.sqrt(p * (1 - p) / runs)
 
 
 def test_dup_prob_one_duplicates_each_send():

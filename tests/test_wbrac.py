@@ -20,7 +20,7 @@ def make_wbrac(seed=0, period=100):
     svc = WbracService(schedule=MpcSchedule(period_ms=period), rng=rng)
     r = random.Random(seed)
     wgie = crypto.WgieRecord(r.randbytes(32), 2, 1)
-    svc.provision(1, wgie, crypto.ScAuthKey(r.randbytes(16)), sd=crypto.SdPair.from_packed(r.randbytes(16)))
+    svc.provision(1, wgie, crypto.ScAuthKey(r.randbytes(16)), sd=crypto.SdPair(r.randbytes(16)))
     return svc, rng
 
 
