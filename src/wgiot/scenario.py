@@ -86,9 +86,17 @@ def _parse_probability(line: _Line, token: str) -> float:
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
     except OSError as exc:
         raise ScenarioError(str(exc)) from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines before the bad byte decode; a character after them
+        # falls on the bad byte's line, numbered as parse_scenario numbers it
+        before = raw[: exc.start].decode("utf-8")
+        no = len((before + "x").splitlines())
+        raise ScenarioError(f"line {no}: not UTF-8: {exc.reason}") from exc
     return parse_scenario(text, base_dir=path.parent)
 
 
@@ -279,9 +287,10 @@ def check_expects(scenario: Scenario, sim, trace) -> list[str]:
         if kind == "reaches":
             _, agent_id, target = expect
             agent = sim.agents[agent_id]
+            reached = f"-> {target}"
             if agent.state_name != target and not any(
-                e.receiver == agent_id and e.note.endswith(f"-> {target}")
-                for e in trace.entries
+                receiver == agent_id and note.endswith(reached)
+                for receiver, note in zip(trace.receivers, trace.notes)
             ):
                 failures.append(
                     f"{agent_id} never reached {target} "

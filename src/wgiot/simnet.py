@@ -23,19 +23,23 @@ broadcast, a duplicate) shares that pair; frames are frozen.  Only bytes the
 adversary made, a corrupted copy or a replay, are decoded at delivery.
 
 What is kept per device, frame or trace line is shared where it can be, as a
-memory saving that no result depends on: `Trace.add` keeps one copy of each
-distinct note, and agent names are interned (`device_ids`, and the names the
-scenario parser reads from links and the schedule), so a fleet holds one
-string per name; the simulator composes a delivery's note once per distinct
-(frame note, agent note, agent state) and reuses that string.  A value an
-agent only stores is the frame's own bytes, so after a broadcast the MPC is
-one object in the WBRAC's schedule, the access point and every device, and
-each `MapRecord` holds its provision frame itself.  A device's SD is its
-registry row's bytes, one `SdPair` shared by the WBRAC and the device.  The
-scenario items, `Scenario`, the crypto value types, the device's states and
-`IcdConfig`, `IcdAgent`, the access point's `MapRecord`/`PendingUpdate` and
-the WBRAC's `SubscriberRecord`/`MpcSchedule` are slotted, with no per-instance
-attribute dict.
+memory saving that no result depends on.  The trace is held as columns, one
+list per field, so a line is six references and no object of its own
+(`Trace.entries` builds a `TraceEntry` only when a line is read); the lines
+of one time share its `int`, and the copies of a broadcast share one payload.
+`Trace.add` keeps one copy of each distinct note, and agent names are
+interned (`device_ids`, and the names the scenario parser reads from links
+and the schedule), so a fleet holds one string per name; the simulator
+composes a delivery's note once per distinct (frame note, agent note, agent
+state) and reuses that string.  A value an agent only stores is the frame's
+own bytes, so after a broadcast the MPC is one object in the WBRAC's
+schedule, the access point and every device, and each `MapRecord` holds its
+provision frame itself.  A device's SD is its registry row's bytes, one
+`SdPair` shared by the WBRAC and the device.  The scenario items, `Scenario`,
+the crypto value types, the device's states and `IcdConfig`, `IcdAgent`, the
+access point's `MapRecord`/`PendingUpdate`, the WBRAC's
+`SubscriberRecord`/`MpcSchedule` and `Trace` are slotted, with no
+per-instance attribute dict.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from __future__ import annotations
 import functools
 import heapq
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -268,26 +273,90 @@ class TraceEntry(NamedTuple):
     note: str
 
 
+_entry = functools.partial(_new, TraceEntry)
+
+
 class Trace:
+    """The lines of a run, held as columns: one list per `TraceEntry` field
+    (`times`, `senders`, `receivers`, `tags`, `payloads`, `notes`), where
+    line i is the i-th item of each.  A line costs one reference in each
+    list and no object of its own; its values are the objects the simulator
+    passed in, so the lines of one time share its `int`, all copies of a
+    broadcast share one payload, and `add` keeps one copy of each distinct
+    note.  `entries` is a read-only view that builds a `TraceEntry` per line
+    read; `serialize`, `frame_count` and `scenario.check_expects` read the
+    columns themselves."""
+
+    __slots__ = ("times", "senders", "receivers", "tags", "payloads", "notes", "_note_copies")
+
     def __init__(self):
-        self.entries: list[TraceEntry] = []
-        self._notes: dict[str, str] = {}  # each distinct note -> its one copy
+        self.times: list[int] = []
+        self.senders: list[str] = []
+        self.receivers: list[str] = []
+        self.tags: list[str] = []
+        self.payloads: list[bytes | None] = []
+        self.notes: list[str] = []
+        self._note_copies: dict[str, str] = {}  # each distinct note -> its one copy
 
     def add(self, time, sender, receiver, tag, payload, note):
-        note = self._notes.setdefault(note, note)
-        self.entries.append(_new(TraceEntry, (time, sender, receiver, tag, payload, note)))
+        self.times.append(time)
+        self.senders.append(sender)
+        self.receivers.append(receiver)
+        self.tags.append(tag)
+        self.payloads.append(payload)
+        self.notes.append(self._note_copies.setdefault(note, note))
+
+    def _columns(self) -> tuple[list, ...]:
+        """The columns in `TraceEntry` field order."""
+        return self.times, self.senders, self.receivers, self.tags, self.payloads, self.notes
+
+    @property
+    def entries(self) -> TraceEntries:
+        return TraceEntries(self._columns())
 
     def frame_count(self, tag: str) -> int:
         return sum(
-            1 for e in self.entries if e.tag == tag and not e.note.startswith("dropped")
+            1 for t, note in zip(self.tags, self.notes)
+            if t == tag and not note.startswith("dropped")
         )
 
     def serialize(self) -> str:
         lines = ["wgiot-trace v1", f"backend {crypto.DEFAULT_BACKEND.name}"]
-        for e in self.entries:
-            payload = e.payload.hex() if e.payload else "-"
-            lines.append(f"{e.time}\t{e.sender}\t{e.receiver}\t{e.tag}\t{payload}\t{e.note or '-'}")
+        for time, sender, receiver, tag, payload, note in zip(*self._columns()):
+            payload = payload.hex() if payload else "-"
+            lines.append(f"{time}\t{sender}\t{receiver}\t{tag}\t{payload}\t{note or '-'}")
         return "\n".join(lines) + "\n"
+
+
+class TraceEntries(Sequence):
+    """A read-only view of a trace's lines as `TraceEntry` tuples, each built
+    when it is read; it equals a list of equal tuples."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple[list, ...]):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(_entry, zip(*(column[index] for column in self._columns))))
+        return _entry(column[index] for column in self._columns)
+
+    def __iter__(self):
+        return map(_entry, zip(*self._columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, TraceEntries)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TraceEntries({list(self)!r})"
 
 
 # ---------------------------------------------------------------------------

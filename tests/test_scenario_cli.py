@@ -508,6 +508,27 @@ def test_run_malformed_scenario_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"wgiot-scenario v1\n[options]\nmax_time = 10\n\xff\n", "line 4: not UTF-8: invalid start byte"),
+        (
+            b"wgiot-scenario v1\r\n[options]\r\nmax_time = 1\xc3\r\n",
+            "line 3: not UTF-8: invalid continuation byte",
+        ),
+        (b"\xfe", "line 1: not UTF-8: invalid start byte"),
+    ],
+    ids=["own-line", "crlf-mid-line", "first-byte"],
+)
+def test_non_utf8_scenario_exits_one_with_line_number(tmp_path, data, message):
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgiot.cli", "run", str(scn)], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "text,lineno",
     [
         (MINIMAL + REGISTRY_LINE + "\n", 4),

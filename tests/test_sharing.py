@@ -1,10 +1,13 @@
-"""The simulator keeps one copy of each agent name and trace note, and its
-per-device records carry no per-instance attribute dict.  A value an agent
-only stores is the frame's own bytes, so the MPC is one object everywhere.
-Sharing is only a memory saving: a scenario whose equal names are distinct
-objects runs the same."""
+"""The simulator keeps one copy of each agent name and trace note, its trace
+holds no object per line, and its per-device records carry no per-instance
+attribute dict.  A value an agent only stores is the frame's own bytes, so
+the MPC is one object everywhere.  Sharing is only a memory saving: a
+scenario whose equal names are distinct objects runs the same."""
+
+import gc
 
 from conftest import make_subscriber
+from test_trace_digests import lossy_broadcasts
 from wgiot import crypto, wire
 from wgiot.access_point import MapRecord
 from wgiot.icd import IcdAgent, IcdConfig
@@ -16,6 +19,7 @@ from wgiot.simnet import (
     Simulator,
     StartIcd,
     SubscriberSpec,
+    TraceEntry,
 )
 from wgiot.wbrac import SubscriberRecord
 
@@ -92,6 +96,14 @@ def test_parsed_names_notes_and_records_are_shared():
     # SD is the registry row's bytes, in one SdPair the WBRAC and the device share
     assert icd.cfg.sd.packed is sc.subscribers[0].sd
     assert sim.wbrac.registry[1].sd is icd.cfg.sd
+
+
+def test_a_fleet_trace_holds_no_entry_objects():
+    sim = Simulator(lossy_broadcasts(0), seed=0)
+    trace = sim.run()
+    gc.collect()
+    assert len(trace.entries) > 300
+    assert not [o for o in gc.get_objects() if type(o) is TraceEntry]
 
 
 def test_the_mpc_and_the_provisions_are_the_frames_bytes():

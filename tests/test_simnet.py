@@ -22,6 +22,7 @@ from wgiot.simnet import (
     SendParameterUpdate,
     Simulator,
     StartIcd,
+    TraceEntry,
     sim_run,
 )
 from wgiot.wbrac import WbracService
@@ -30,6 +31,43 @@ from wgiot.wbrac import WbracService
 def test_empty_scenario_empty_trace():
     trace = sim_run(Scenario(subscribers=[]), seed=0)
     assert trace.entries == []
+
+
+def test_trace_entries_view_reads_the_columns():
+    empty = sim_run(Scenario(subscribers=[]), seed=0).entries
+    assert len(empty) == 0 and empty == [] and [] == empty and list(empty) == []
+
+    trace = sim_run(update_scenario(0), seed=0)
+    entries = trace.entries
+    n = len(entries)
+    assert n == len(trace.times) > 3
+    assert entries[0] == TraceEntry(
+        5, "adversary", "wbrac", "UpdateRequest", (1).to_bytes(8, "big"),
+        "injected unexpected UpdateRequest in - -> -",
+    )
+    assert type(entries[0]) is TraceEntry and entries[0].note == trace.notes[0]
+    assert entries[-1] == entries[n - 1] == (
+        trace.times[-1], trace.senders[-1], trace.receivers[-1],
+        trace.tags[-1], trace.payloads[-1], trace.notes[-1],
+    )
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            entries[index]
+    assert entries[1:3] == [entries[1], entries[2]]
+
+    # iteration yields the serialized lines, in order
+    lines = trace.serialize().splitlines()[2:]
+    assert len(lines) == n
+    for e, line in zip(entries, lines):
+        payload = e.payload.hex() if e.payload else "-"
+        assert line == f"{e.time}\t{e.sender}\t{e.receiver}\t{e.tag}\t{payload}\t{e.note or '-'}"
+    assert entries == list(entries) != list(entries)[:-1]
+
+    assert not hasattr(entries, "append")
+    with pytest.raises(TypeError):
+        entries[0] = entries[1]
+    trace.add(9_999, "-", "icd-1", "tick", None, "late")
+    assert len(entries) == n + 1 and entries[-1].note == "late"  # a view, not a copy
 
 
 def test_honest_run_frame_sequence():
