@@ -86,7 +86,7 @@ class MapAgent:
         rec = self.records.get(icd_in)
         if rec is None:
             raise UnknownIcd(icd_in)
-        aac, mpc, rmc = crypto.split_guid(req.guid)
+        aac, mpc, rmc = crypto.decompose_guid(req.guid)
         mismatch = set()
         if aac != rec.prov.expected_aac:
             mismatch.add("AAC")

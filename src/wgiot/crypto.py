@@ -1,16 +1,18 @@
 """Key material types and keyed derivation procedures for the wg-IoT protocol.
 
-All values are fixed-width byte strings packed MSB-first.  A value an agent
-only stores, compares or forwards stays as the `bytes` its frame carries,
-whose wire layout already fixes its length: the MPC (16 bytes) and the WMAP
-challenge nonce (8 bytes) have no type here, and `compose_guid` and
-`compose_unique_challenge` check their lengths where they are used.  Types
-remain for keys and for the inputs and outputs of the derivations.  `ToMap`
-stays for its 32-byte check: it keeps a 10-byte value out of
-`WbracService.answer_challenge`, where `authorization_signature` would sign
-it in the unique-challenge domain.  The service data is one 16-byte
-`SdPair`; the update-value flow's RAND→SD derivation, which the device and
-the WBRAC both run, lives in `sd_from_rand`.
+All values are fixed-width byte strings packed MSB-first.  A type remains
+only where its check can fail: the keys (`WgieRecord`, `ScAuthKey`), the
+service data (`SdPair`) and the update counter (`Rmc`).  Every derived value
+(the AAC, the AUTH_SIGN_MAP, the session key, the GUID) is the `bytes` the
+PRF returns, and every value an agent only stores, compares or forwards
+(the MPC, the WMAP, the TO_MAP) stays as the `bytes` its frame carries.
+Their lengths are checked where a wrong one would matter: the AAC in
+`sd_generation` and `compose_guid`, the MPC in `compose_guid`, the WMAP in
+`compose_unique_challenge`, and the 32-byte TO_MAP in
+`WbracService.answer_challenge`, which would otherwise sign a 10-byte value
+in the unique-challenge domain.  The update-value flow's RAND→SD
+derivation, which the device and the WBRAC both run, lives in
+`sd_from_rand`.
 
 Every derivation goes through a pluggable PRF backend; "first N bits" of a
 PRF output always means the most significant N bits (a byte-string prefix).
@@ -54,7 +56,7 @@ TAG_AUTHZ_SIGNATURE = 0x03
 TAG_SESSION_KEY = 0x04
 
 
-def _check_bytes(name: str, value: bytes, length: int) -> None:
+def check_bytes(name: str, value: bytes, length: int) -> None:
     if not isinstance(value, bytes) or len(value) != length:
         raise BadLength(f"{name} must be exactly {length} bytes")
 
@@ -77,7 +79,7 @@ class WgieRecord:
     icd_in: int  # 64-bit device identification number
 
     def __post_init__(self):
-        _check_bytes("key", self.key, 32)
+        check_bytes("key", self.key, 32)
         _check_u64("esn", self.esn)
         _check_u64("icd_in", self.icd_in)
 
@@ -90,7 +92,7 @@ class SdPair:
     packed: bytes
 
     def __post_init__(self):
-        _check_bytes("sd", self.packed, 16)
+        check_bytes("sd", self.packed, 16)
 
     @property
     def sd2(self) -> bytes:
@@ -104,15 +106,7 @@ class ScAuthKey:
     bits: bytes
 
     def __post_init__(self):
-        _check_bytes("sc_auth_k", self.bits, 16)
-
-
-@dataclass(frozen=True, slots=True)
-class Aac:
-    bits: bytes  # 128-bit authentication value
-
-    def __post_init__(self):
-        _check_bytes("aac", self.bits, 16)
+        check_bytes("sc_auth_k", self.bits, 16)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,44 +127,6 @@ class Rmc:
     @property
     def packed(self) -> bytes:
         return self.counter.to_bytes(16, "big")
-
-    @classmethod
-    def from_packed(cls, raw: bytes) -> "Rmc":
-        _check_bytes("rmc", raw, 16)
-        return cls(int.from_bytes(raw, "big"))
-
-
-@dataclass(frozen=True, slots=True)
-class Guid:
-    """384-bit AAC∥MPC∥RMC credential presented by the device."""
-
-    aac: Aac
-    mpc: bytes  # 16 bytes
-    rmc: Rmc
-
-
-@dataclass(frozen=True, slots=True)
-class ToMap:
-    bits: bytes  # 256-bit device-generated challenge nonce
-
-    def __post_init__(self):
-        _check_bytes("to_map", self.bits, 32)
-
-
-@dataclass(frozen=True, slots=True)
-class AuthSignMap:
-    bits: bytes  # 128-bit authorization signature
-
-    def __post_init__(self):
-        _check_bytes("auth_sign_map", self.bits, 16)
-
-
-@dataclass(frozen=True, slots=True)
-class SessionKey:
-    bits: bytes  # 128-bit confidentiality key
-
-    def __post_init__(self):
-        _check_bytes("session_key", self.bits, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +206,21 @@ def get_backend(name: str) -> PrfBackend:
 
 def authenticate_signature(
     sd: SdPair, esn: int, icd_in: int, k: ScAuthKey, backend: PrfBackend = DEFAULT_BACKEND
-) -> Aac:
+) -> bytes:
     """Derive the 128-bit AAC from the service data and device identifiers."""
     _check_u64("esn", esn)
     _check_u64("icd_in", icd_in)
     msg = sd.packed + esn.to_bytes(8, "big") + icd_in.to_bytes(8, "big")
-    return Aac(backend.evaluate(k.bits, TAG_AUTH_SIGNATURE, msg)[:16])
+    return backend.evaluate(k.bits, TAG_AUTH_SIGNATURE, msg)[:16]
 
 
 def sd_generation(
-    aac: Aac, esn: int, k: ScAuthKey, backend: PrfBackend = DEFAULT_BACKEND
+    aac: bytes, esn: int, k: ScAuthKey, backend: PrfBackend = DEFAULT_BACKEND
 ) -> SdPair:
     """Derive a fresh 128-bit service-data pair during the update-value flow."""
+    check_bytes("aac", aac, 16)
     _check_u64("esn", esn)
-    out = backend.evaluate(k.bits, TAG_SD_GENERATION, aac.bits + esn.to_bytes(8, "big"))[:16]
+    out = backend.evaluate(k.bits, TAG_SD_GENERATION, aac + esn.to_bytes(8, "big"))[:16]
     return SdPair(out)
 
 
@@ -278,7 +235,7 @@ def authorization_signature(
     esn: int,
     icd_in: int,
     backend: PrfBackend = DEFAULT_BACKEND,
-) -> AuthSignMap:
+) -> bytes:
     """Sign a challenge with the service data, yielding the AUTH_SIGN_MAP.
 
     The challenge is either a packed TO_MAP (32 bytes) or the 10-byte
@@ -289,25 +246,26 @@ def authorization_signature(
     _check_u64("esn", esn)
     _check_u64("icd_in", icd_in)
     msg = challenge + esn.to_bytes(8, "big") + icd_in.to_bytes(8, "big")
-    return AuthSignMap(backend.evaluate(sd.packed, TAG_AUTHZ_SIGNATURE, msg)[:16])
+    return backend.evaluate(sd.packed, TAG_AUTHZ_SIGNATURE, msg)[:16]
 
 
-def derive_session_key(sd: SdPair, backend: PrfBackend = DEFAULT_BACKEND) -> SessionKey:
+def derive_session_key(sd: SdPair, backend: PrfBackend = DEFAULT_BACKEND) -> bytes:
     """Derive the 128-bit confidentiality key from the privacy half (sd2 only)."""
-    return SessionKey(backend.evaluate(sd.sd2, TAG_SESSION_KEY, b"")[:16])
+    return backend.evaluate(sd.sd2, TAG_SESSION_KEY, b"")[:16]
 
 
 # ---------------------------------------------------------------------------
 # GUID and challenge composition
 
 
-def compose_guid(aac: Aac, mpc: bytes, rmc: Rmc) -> bytes:
+def compose_guid(aac: bytes, mpc: bytes, rmc: Rmc) -> bytes:
     """Pack AAC∥MPC∥RMC into the 48-byte GUID, MSB-first."""
-    _check_bytes("mpc", mpc, 16)
-    return aac.bits + mpc + rmc.packed
+    check_bytes("aac", aac, 16)
+    check_bytes("mpc", mpc, 16)
+    return aac + mpc + rmc.packed
 
 
-def split_guid(packed: bytes) -> tuple[bytes, bytes, bytes]:
+def decompose_guid(packed: bytes) -> tuple[bytes, bytes, bytes]:
     """The packed AAC, MPC and RMC of a 48-byte GUID, unchecked beyond its
     length: the access point compares them as bytes."""
     if len(packed) != 48:
@@ -315,15 +273,10 @@ def split_guid(packed: bytes) -> tuple[bytes, bytes, bytes]:
     return packed[:16], packed[16:32], packed[32:]
 
 
-def decompose_guid(packed: bytes) -> Guid:
-    aac, mpc, rmc = split_guid(packed)
-    return Guid(Aac(aac), mpc, Rmc.from_packed(rmc))
-
-
 def compose_unique_challenge(wmap: bytes, wbrac_id: int) -> bytes:
     """Build the 10-byte unique-challenge composite: the 8-byte WMAP ∥ low
     16 bits of the network identifier."""
-    _check_bytes("wmap", wmap, 8)
+    check_bytes("wmap", wmap, 8)
     _check_u64("wbrac_id", wbrac_id)
     return wmap + (wbrac_id & 0xFFFF).to_bytes(2, "big")
 
@@ -332,8 +285,8 @@ def compose_unique_challenge(wmap: bytes, wbrac_id: int) -> bytes:
 # Nonce generation (all randomness flows from the harness's seeded generator)
 
 
-def gen_to_map(rng) -> ToMap:
-    return ToMap(rng.draw_bytes(32))
+def gen_to_map(rng) -> bytes:
+    return rng.draw_bytes(32)
 
 
 def gen_wmap(rng) -> bytes:

@@ -37,21 +37,21 @@ class AwaitingAuthResult:
 @dataclass(frozen=True, slots=True)
 class UpdateAwaitingAck:
     sd_new: crypto.SdPair
-    local_sign: crypto.AuthSignMap
+    local_sign: bytes
     name = "UpdateAwaitingAck"
 
 
 @dataclass(frozen=True, slots=True)
 class UpdateAwaitingConfirmation:
     sd_new: crypto.SdPair
-    local_sign: crypto.AuthSignMap
+    local_sign: bytes
     deadline: int  # virtual ms; arrival at exactly the deadline is in time
     name = "UpdateAwaitingConfirmation"
 
 
 @dataclass(frozen=True, slots=True)
 class Authenticated:
-    session: crypto.SessionKey
+    session: bytes
     name = "Authenticated"
 
 
@@ -88,7 +88,7 @@ class IcdAgent:
     def state_name(self) -> str:
         return self.state.name
 
-    def _aac(self, sd: crypto.SdPair) -> crypto.Aac:
+    def _aac(self, sd: crypto.SdPair) -> bytes:
         return crypto.authenticate_signature(
             sd, self.cfg.wgie.esn, self.cfg.wgie.icd_in, self.cfg.sc_auth_k
         )
@@ -137,11 +137,9 @@ class IcdAgent:
         cfg = self.cfg
         sd_new = crypto.sd_from_rand(msg.rand, cfg.wgie.esn, cfg.wgie.icd_in, cfg.sc_auth_k)
         to_map = crypto.gen_to_map(self.rng)
-        local_sign = crypto.authorization_signature(
-            sd_new, to_map.bits, cfg.wgie.esn, cfg.wgie.icd_in
-        )
+        local_sign = crypto.authorization_signature(sd_new, to_map, cfg.wgie.esn, cfg.wgie.icd_in)
         self.state = UpdateAwaitingAck(sd_new, local_sign)
-        return Transition(out=[(MAP, wire.MobileAccessChallengeOrder(to_map.bits))])
+        return Transition(out=[(MAP, wire.MobileAccessChallengeOrder(to_map))])
 
     def _on_challenge_ack(self, msg: wire.ChallengeAck, now: int) -> Transition:
         state = self.state
@@ -158,7 +156,7 @@ class IcdAgent:
         if now > state.deadline:
             self.state = Idle()
             return Transition(note="update-timeout")
-        if msg.auth_sign_map == state.local_sign.bits:
+        if msg.auth_sign_map == state.local_sign:
             self.cfg.sd = state.sd_new
             self.state = AwaitingAuthResult()
             # re-authenticate with the committed service data
@@ -176,7 +174,7 @@ class IcdAgent:
         cfg = self.cfg
         composite = crypto.compose_unique_challenge(msg.wmap, cfg.wbrac_id)
         answer = crypto.authorization_signature(cfg.sd, composite, cfg.wgie.esn, cfg.wgie.icd_in)
-        return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer.bits))])
+        return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer))])
 
     def _on_access_denied(self, msg: wire.AccessDenied, now: int) -> Transition:
         self.state = Denied()

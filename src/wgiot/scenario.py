@@ -304,10 +304,10 @@ def check_expects(scenario: Scenario, sim, trace) -> list[str]:
         elif kind == "trace-golden":
             _, path = expect
             try:
-                golden = Path(path).read_text()
+                golden = Path(path).read_bytes()
             except OSError as exc:
                 failures.append(f"trace-golden: {exc}")
                 continue
-            if trace.serialize() != golden:
+            if trace.serialize().encode() != golden:
                 failures.append(f"trace differs from golden file {path}")
     return failures

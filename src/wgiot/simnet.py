@@ -35,10 +35,11 @@ state) and reuses that string.  A value an agent only stores is the frame's
 own bytes, so after a broadcast the MPC is one object in the WBRAC's
 schedule, the access point and every device, and each `MapRecord` holds its
 provision frame itself.  A device's SD is its registry row's bytes, one
-`SdPair` shared by the WBRAC and the device.  The scenario items, `Scenario`,
-the crypto value types, the device's states and `IcdConfig`, `IcdAgent`, the
-access point's `MapRecord`/`PendingUpdate`, the WBRAC's
-`SubscriberRecord`/`MpcSchedule` and `Trace` are slotted, with no
+`SdPair` shared by the WBRAC and the device; derived values (AAC,
+AUTH_SIGN_MAP, session key) are plain `bytes`.  The scenario items,
+`Scenario`, the crypto key and counter types, the device's states and
+`IcdConfig`, `IcdAgent`, the access point's `MapRecord`/`PendingUpdate`, the
+WBRAC's `SubscriberRecord`/`MpcSchedule` and `Trace` are slotted, with no
 per-instance attribute dict.
 """
 

@@ -84,7 +84,7 @@ class WbracService:
         self.registry[icd_in] = rec
         return rec
 
-    def expected_aac(self, rec: SubscriberRecord, sd: crypto.SdPair | None = None) -> crypto.Aac:
+    def expected_aac(self, rec: SubscriberRecord, sd: crypto.SdPair | None = None) -> bytes:
         return crypto.authenticate_signature(sd or rec.sd, rec.wgie.esn, rec.icd_in, rec.sc_auth_k)
 
     def map_provision(
@@ -97,7 +97,7 @@ class WbracService:
         wmap = crypto.gen_wmap(self.rng)
         composite = crypto.compose_unique_challenge(wmap, self.wbrac_id)
         sign = crypto.authorization_signature(sd, composite, rec.wgie.esn, rec.icd_in)
-        return wire.MapProvision(rec.icd_in, self.expected_aac(rec, sd).bits, wmap, sign.bits)
+        return wire.MapProvision(rec.icd_in, self.expected_aac(rec, sd), wmap, sign)
 
     # -- MPC rotation --
 
@@ -119,13 +119,15 @@ class WbracService:
         rec.pending_sd_new = crypto.sd_from_rand(rand, rec.wgie.esn, rec.icd_in, rec.sc_auth_k)
         return wire.UpdateMessage(icd_in, rand)
 
-    def answer_challenge(self, icd_in: int, to_map: crypto.ToMap) -> crypto.AuthSignMap:
+    def answer_challenge(self, icd_in: int, to_map: bytes) -> bytes:
+        """Sign the device's 32-byte TO_MAP with the pending service data.
+        The length check keeps a 10-byte value from being signed in the
+        unique-challenge domain."""
+        crypto.check_bytes("to_map", to_map, 32)
         rec = self.registry[icd_in]
         if rec.pending_sd_new is None:
             raise NoPendingUpdate(icd_in)
-        return crypto.authorization_signature(
-            rec.pending_sd_new, to_map.bits, rec.wgie.esn, rec.icd_in
-        )
+        return crypto.authorization_signature(rec.pending_sd_new, to_map, rec.wgie.esn, rec.icd_in)
 
     def commit(self, icd_in: int, confirmed: bool) -> None:
         rec = self.registry[icd_in]
@@ -158,13 +160,13 @@ class WbracService:
         if rec is None:
             return Transition(note=f"challenge for unknown icd {msg.icd_in}")
         try:
-            sign = self.answer_challenge(msg.icd_in, crypto.ToMap(msg.to_map))
+            sign = self.answer_challenge(msg.icd_in, msg.to_map)
         except NoPendingUpdate:
             return Transition(note="no pending update")
         # push the post-commit expectations ahead of the response so the
         # access point can verify the device's re-authentication
         prov = self.map_provision(rec, sd=rec.pending_sd_new)
-        return Transition(out=[(MAP, prov), (MAP, wire.MapChallengeResponse(sign.bits))])
+        return Transition(out=[(MAP, prov), (MAP, wire.MapChallengeResponse(sign))])
 
     def _on_update_outcome(self, msg: wire.UpdateConfirmation | wire.UpdateRejection) -> Transition:
         rec = self._unique_pending()

@@ -74,12 +74,12 @@ def test_criterion_2_update_value_state_sync():
         dev_sign = crypto.authorization_signature(
             icd.cfg.sd, to_map, icd.cfg.wgie.esn, icd.cfg.wgie.icd_in
         )
-        if dev_sign.bits != net_sign:
+        if dev_sign != net_sign:
             failures.append((seed, "signature copies differ"))
     report(2, "update-value state sync", not failures, f"{failures[:5]}")
 
 
-def _challenged_map(backend) -> tuple[MapAgent, crypto.AuthSignMap]:
+def _challenged_map(backend) -> tuple[MapAgent, bytes]:
     sub = make_subscriber(0)
     sd = crypto.SdPair(sub.sd)
     wmap = bytes(8)
@@ -87,7 +87,7 @@ def _challenged_map(backend) -> tuple[MapAgent, crypto.AuthSignMap]:
     sign = crypto.authorization_signature(sd, challenge, sub.esn, sub.icd_in, backend=backend)
     agent = MapAgent(bytes(16))
     agent.provision(
-        "icd-1", crypto.Rmc(0), wire.MapProvision(sub.icd_in, bytes(16), wmap, sign.bits)
+        "icd-1", crypto.Rmc(0), wire.MapProvision(sub.icd_in, bytes(16), wmap, sign)
     )
     return agent, sign
 
@@ -107,7 +107,7 @@ def test_criterion_3_forgery_resistance():
     # truncated backend: valid-format guesses carry 16 bits of entropy, so the
     # acceptance rate over 2e6 trials must sit in the binomial sanity band
     agent16, sign16 = _challenged_map(crypto.get_backend("trunc16"))
-    target = int.from_bytes(sign16.bits[:2], "big")
+    target = int.from_bytes(sign16[:2], "big")
     guesses = np.random.Generator(np.random.PCG64(7)).integers(
         0, 2**16, size=2_000_000, dtype=np.uint32
     )
@@ -117,7 +117,7 @@ def test_criterion_3_forgery_resistance():
 
     # bridge the vectorized count to the real handler: a matching structured
     # guess is accepted, an off-by-one one is not
-    hit_guess = sign16.bits[:2] * 8
+    hit_guess = sign16[:2] * 8
     miss_guess = ((target ^ 1).to_bytes(2, "big")) * 8
     bridged = _answer_accepted(agent16, hit_guess) and not _answer_accepted(agent16, miss_guess)
 
@@ -248,16 +248,16 @@ def test_criterion_8_crypto_conformance():
     zero_sd = crypto.SdPair(bytes(8) + bytes(8))
     zero_k = crypto.ScAuthKey(bytes(16))
     checks = [
-        (crypto.authenticate_signature(zero_sd, 0, 0, zero_k).bits, V0, "V0"),
-        (crypto.sd_generation(crypto.Aac(bytes(16)), 0, zero_k).packed, W0, "W0"),
-        (crypto.authorization_signature(zero_sd, bytes(32), 0, 0).bits, S0, "S0"),
-        (crypto.derive_session_key(zero_sd).bits, K0, "K0"),
+        (crypto.authenticate_signature(zero_sd, 0, 0, zero_k), V0, "V0"),
+        (crypto.sd_generation(bytes(16), 0, zero_k).packed, W0, "W0"),
+        (crypto.authorization_signature(zero_sd, bytes(32), 0, 0), S0, "S0"),
+        (crypto.derive_session_key(zero_sd), K0, "K0"),
     ]
     failures += [(label,) for got, want, label in checks if got != want]
 
     # nonce draws at the frozen seed
     rng = SimRng(42)
-    if crypto.gen_to_map(rng).bits != TO_MAP_SEED42:
+    if crypto.gen_to_map(rng) != TO_MAP_SEED42:
         failures.append(("to_map seed42",))
     if crypto.gen_wmap(rng) != WMAP_SEED42:
         failures.append(("wmap seed42",))

@@ -25,7 +25,7 @@ def make_map():
 
 
 def auth_request(aac=EXPECTED_AAC, mpc=EXPECTED_MPC, rmc=0, icd_in=ICD_IN):
-    guid = crypto.compose_guid(crypto.Aac(aac), mpc, crypto.Rmc(rmc))
+    guid = crypto.compose_guid(aac, mpc, crypto.Rmc(rmc))
     return wire.AuthRequest(icd_in=icd_in, esn=2, guid=guid)
 
 
@@ -58,12 +58,13 @@ def _lane(expected: bytes):
 def test_verify_matches_decomposed_guid_comparison(aac, mpc, rmc):
     agent = make_map()
     req = wire.AuthRequest(icd_in=ICD_IN, esn=2, guid=aac + mpc + rmc)
-    # the comparison verify made before it compared packed bytes
-    rec, guid = agent.records[ICD_IN], crypto.decompose_guid(req.guid)
+    # the comparison verify made before it compared packed bytes: the RMC as a counter
+    rec = agent.records[ICD_IN]
+    guid_aac, guid_mpc, guid_rmc = crypto.decompose_guid(req.guid)
     lanes = {
-        "AAC": guid.aac == crypto.Aac(rec.prov.expected_aac),
-        "MPC": guid.mpc == agent.mpc,
-        "RMC": guid.rmc == rec.expected_rmc,
+        "AAC": guid_aac == rec.prov.expected_aac,
+        "MPC": guid_mpc == agent.mpc,
+        "RMC": crypto.Rmc(int.from_bytes(guid_rmc, "big")) == rec.expected_rmc,
     }
     want = frozenset(name for name, equal in lanes.items() if not equal)
     assert agent.verify(ICD_IN, req) == want

@@ -33,31 +33,31 @@ u64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 
 def test_authenticate_signature_zero_vector():
-    assert crypto.authenticate_signature(ZERO_SD, 0, 0, ZERO_K).bits == V0
+    assert crypto.authenticate_signature(ZERO_SD, 0, 0, ZERO_K) == V0
 
 
 def test_authenticate_signature_bit_flip_changes_output():
     flipped = crypto.SdPair(bytes([0x80]) + bytes(7) + bytes(8))
-    out = crypto.authenticate_signature(flipped, 0, 0, ZERO_K).bits
+    out = crypto.authenticate_signature(flipped, 0, 0, ZERO_K)
     assert out == V0_SD1_TOPBIT_FLIPPED
     assert out != V0
 
 
 def test_sd_generation_zero_vector():
-    sd = crypto.sd_generation(crypto.Aac(bytes(16)), 0, ZERO_K)
+    sd = crypto.sd_generation(bytes(16), 0, ZERO_K)
     assert sd.packed == W0
     assert sd.packed[:8] == W0[:8]
 
 
 def test_sd_generation_distinct_aacs_give_distinct_pairs():
-    a = crypto.sd_generation(crypto.Aac(bytes(16)), 0, ZERO_K)
-    b = crypto.sd_generation(crypto.Aac(b"\x01" + bytes(15)), 0, ZERO_K)
+    a = crypto.sd_generation(bytes(16), 0, ZERO_K)
+    b = crypto.sd_generation(b"\x01" + bytes(15), 0, ZERO_K)
     assert a != b
     assert b.packed == prf_oracle.sd_gen(b"\x01" + bytes(15), 0, bytes(16))
 
 
 def test_authorization_signature_zero_vector():
-    assert crypto.authorization_signature(ZERO_SD, bytes(32), 0, 0).bits == S0
+    assert crypto.authorization_signature(ZERO_SD, bytes(32), 0, 0) == S0
 
 
 def test_authorization_signature_rejects_bad_challenge_length():
@@ -66,7 +66,7 @@ def test_authorization_signature_rejects_bad_challenge_length():
 
 
 def test_session_key_zero_vector():
-    assert crypto.derive_session_key(ZERO_SD).bits == K0
+    assert crypto.derive_session_key(ZERO_SD) == K0
 
 
 def test_session_key_ignores_sd1():
@@ -79,13 +79,11 @@ def test_session_key_ignores_sd1():
 def test_derivations_match_oracle(sd_raw, esn, icd_in, k_raw):
     sd = crypto.SdPair(sd_raw)
     k = crypto.ScAuthKey(k_raw)
-    assert crypto.authenticate_signature(sd, esn, icd_in, k).bits == prf_oracle.aac(
+    assert crypto.authenticate_signature(sd, esn, icd_in, k) == prf_oracle.aac(
         sd_raw, esn, icd_in, k_raw
     )
-    assert crypto.sd_generation(crypto.Aac(k_raw), esn, k).packed == prf_oracle.sd_gen(
-        k_raw, esn, k_raw
-    )
-    assert crypto.derive_session_key(sd).bits == prf_oracle.session_key(sd.sd2)
+    assert crypto.sd_generation(k_raw, esn, k).packed == prf_oracle.sd_gen(k_raw, esn, k_raw)
+    assert crypto.derive_session_key(sd) == prf_oracle.session_key(sd.sd2)
 
 
 # -- determinism and width closure -------------------------------------------
@@ -103,10 +101,10 @@ def test_width_closure_fuzz():
         sd = crypto.SdPair(r.randbytes(8) + r.randbytes(8))
         k = crypto.ScAuthKey(r.randbytes(16))
         esn, icd_in = r.getrandbits(64), r.getrandbits(64)
-        assert len(crypto.authenticate_signature(sd, esn, icd_in, k).bits) == 16
-        assert len(crypto.sd_generation(crypto.Aac(r.randbytes(16)), esn, k).packed) == 16
-        assert len(crypto.authorization_signature(sd, r.randbytes(32), esn, icd_in).bits) == 16
-        assert len(crypto.derive_session_key(sd).bits) == 16
+        assert len(crypto.authenticate_signature(sd, esn, icd_in, k)) == 16
+        assert len(crypto.sd_generation(r.randbytes(16), esn, k).packed) == 16
+        assert len(crypto.authorization_signature(sd, r.randbytes(32), esn, icd_in)) == 16
+        assert len(crypto.derive_session_key(sd)) == 16
 
 
 def test_domain_separation():
@@ -136,26 +134,27 @@ def test_key_sensitivity_single_bit_flips():
 
 # -- type invariants ----------------------------------------------------------
 
-# The MPC and the WMAP have no type; the compositions that use them check them.
-_compose_guid_with_mpc = functools.partial(
-    crypto.compose_guid, crypto.Aac(bytes(16)), rmc=crypto.Rmc(0)
-)
+# Derived values, the MPC and the WMAP have no type; the functions that take
+# them check their lengths.
+_compose_guid_with_aac = functools.partial(crypto.compose_guid, mpc=bytes(16), rmc=crypto.Rmc(0))
+_compose_guid_with_mpc = functools.partial(crypto.compose_guid, bytes(16), rmc=crypto.Rmc(0))
+_sd_generation_with_aac = functools.partial(crypto.sd_generation, esn=0, k=ZERO_K)
 _unique_challenge_with_wmap = functools.partial(crypto.compose_unique_challenge, wbrac_id=0)
 
 
 @pytest.mark.parametrize(
     "ctor,raw",
     [
-        (crypto.Aac, bytes(15)),
         (crypto.SdPair, bytes(15)),
         (crypto.SdPair, bytes(17)),
         (_compose_guid_with_mpc, bytes(15)),
         (_compose_guid_with_mpc, bytes(17)),
-        (crypto.ToMap, bytes(31)),
+        (_compose_guid_with_aac, bytes(15)),
+        (_compose_guid_with_aac, bytes(17)),
+        (_sd_generation_with_aac, bytes(15)),
+        (_sd_generation_with_aac, bytes(17)),
         (_unique_challenge_with_wmap, bytes(7)),
         (_unique_challenge_with_wmap, bytes(9)),
-        (crypto.AuthSignMap, bytes(8)),
-        (crypto.SessionKey, b""),
         (crypto.ScAuthKey, bytes(32)),
     ],
 )
@@ -175,7 +174,7 @@ def test_rmc_never_wraps():
 
 
 def test_compose_guid_lane_layout():
-    aac = crypto.Aac(bytes(15) + b"\x01")
+    aac = bytes(15) + b"\x01"
     mpc = bytes(15) + b"\x02"
     rmc = crypto.Rmc(3)
     packed = crypto.compose_guid(aac, mpc, rmc)
@@ -184,16 +183,15 @@ def test_compose_guid_lane_layout():
 
 
 def test_decompose_guid_zero_and_bad_length():
-    guid = crypto.decompose_guid(bytes(48))
-    assert guid == crypto.Guid(crypto.Aac(bytes(16)), bytes(16), crypto.Rmc(0))
+    assert crypto.decompose_guid(bytes(48)) == (bytes(16), bytes(16), bytes(16))
     with pytest.raises(crypto.BadLength):
         crypto.decompose_guid(bytes(47))
 
 
 @given(st.binary(min_size=48, max_size=48))
 def test_guid_compose_decompose_inverse(raw):
-    guid = crypto.decompose_guid(raw)
-    assert crypto.compose_guid(guid.aac, guid.mpc, guid.rmc) == raw
+    aac, mpc, rmc = crypto.decompose_guid(raw)
+    assert crypto.compose_guid(aac, mpc, crypto.Rmc(int.from_bytes(rmc, "big"))) == raw
 
 
 def test_unique_challenge_bit_placement():
@@ -217,15 +215,15 @@ def test_seed42_nonce_vectors():
     to_map = crypto.gen_to_map(rng)
     wmap = crypto.gen_wmap(rng)
     rand = crypto.gen_update_rand(rng)
-    assert to_map.bits == TO_MAP_SEED42
+    assert to_map == TO_MAP_SEED42
     assert wmap == WMAP_SEED42
     assert rand == UPDATE_RAND_SEED42
-    assert to_map.bits[:8] != wmap
+    assert to_map[:8] != wmap
 
 
 def test_nonce_widths():
     rng = SimRng(0)
-    assert len(crypto.gen_to_map(rng).bits) == 32
+    assert len(crypto.gen_to_map(rng)) == 32
     assert len(crypto.gen_wmap(rng)) == 8
     assert len(crypto.gen_update_rand(rng)) == 16
 

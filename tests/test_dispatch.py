@@ -77,13 +77,13 @@ def random_frame(cls, r: random.Random) -> wire.WireMessage:
 
 def icd_states(r: random.Random):
     sd = crypto.SdPair(r.randbytes(16))
-    sign = crypto.AuthSignMap(r.randbytes(16))
+    sign = r.randbytes(16)
     return [
         Idle(),
         AwaitingAuthResult(),
         UpdateAwaitingAck(sd, sign),
         UpdateAwaitingConfirmation(sd, sign, deadline=1000),
-        Authenticated(crypto.SessionKey(r.randbytes(16))),
+        Authenticated(r.randbytes(16)),
         Denied(),
     ]
 

@@ -54,9 +54,9 @@ def test_start_emits_activation_then_guid():
     assert [type(m) for _, m in result.out] == [wire.SecureActivation, wire.AuthRequest]
     req = result.out[1][1]
     assert len(wire.encode(req)) == 3 + 64
-    guid = crypto.decompose_guid(req.guid)
-    assert guid.mpc == agent.cfg.mpc and guid.rmc == agent.cfg.rmc
-    assert guid.aac.bits == prf_oracle.aac(
+    aac, mpc, rmc = crypto.decompose_guid(req.guid)
+    assert mpc == agent.cfg.mpc and rmc == agent.cfg.rmc.packed
+    assert aac == prf_oracle.aac(
         agent.cfg.sd.packed, ESN, ICD_IN, agent.cfg.sc_auth_k.bits
     )
     assert isinstance(agent.state, AwaitingAuthResult)
@@ -81,7 +81,7 @@ def test_auth_accept_derives_session_key():
     agent.start(0)
     agent.handle("map-1", wire.AuthAccept(), 5)
     assert isinstance(agent.state, Authenticated)
-    assert agent.state.session.bits == prf_oracle.session_key(agent.cfg.sd.sd2)
+    assert agent.state.session == prf_oracle.session_key(agent.cfg.sd.sd2)
 
 
 def test_access_parameter_and_update_order_bookkeeping():
@@ -96,7 +96,7 @@ def test_matching_confirmation_commits_once():
     agent = make_agent()
     old_sd = agent.cfg.sd
     sd_new, local_sign = drive_to_confirmation(agent)
-    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), 10)
+    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), 10)
     assert [type(m) for _, m in result.out] == [wire.UpdateConfirmation, wire.AuthRequest]
     assert agent.cfg.sd == sd_new != old_sd
     assert isinstance(agent.state, AwaitingAuthResult)
@@ -106,7 +106,7 @@ def test_mismatching_confirmation_rejects():
     agent = make_agent()
     old_sd = agent.cfg.sd
     _, local_sign = drive_to_confirmation(agent)
-    bad = bytes(16) if local_sign.bits != bytes(16) else b"\x01" * 16
+    bad = bytes(16) if local_sign != bytes(16) else b"\x01" * 16
     result = agent.handle("map-1", wire.MapChallengeResponseOrder(bad), 10)
     assert [type(m) for _, m in result.out] == [wire.UpdateRejection]
     assert agent.cfg.sd == old_sd
@@ -130,7 +130,7 @@ def test_timer_inclusive_boundary():
     # tick at exactly the deadline: still in time
     agent.tick(deadline)
     assert isinstance(agent.state, UpdateAwaitingConfirmation)
-    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), deadline)
+    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), deadline)
     assert any(isinstance(m, wire.UpdateConfirmation) for _, m in result.out)
     assert agent.cfg.sd == sd_new
 
@@ -145,7 +145,7 @@ def test_timer_expiry_discards_without_frames():
     assert isinstance(agent.state, Idle)
     assert agent.cfg.sd == old_sd
     # a late confirmation can no longer commit
-    late = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), deadline + 2)
+    late = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), deadline + 2)
     assert late.out == []
     assert agent.cfg.sd == old_sd
 
@@ -154,7 +154,7 @@ def test_late_confirmation_without_tick_still_discards():
     agent = make_agent()
     old_sd = agent.cfg.sd
     _, local_sign = drive_to_confirmation(agent, t0=0)
-    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), CONFIRM_TIMEOUT_MS + 1)
+    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), CONFIRM_TIMEOUT_MS + 1)
     assert result.out == [] and result.note == "update-timeout"
     assert agent.cfg.sd == old_sd and isinstance(agent.state, Idle)
 
@@ -219,7 +219,7 @@ def test_single_commit_over_random_interleavings():
             elif choice == 1:
                 msg = wire.ChallengeAck()
             elif choice == 2 and isinstance(state_before, UpdateAwaitingConfirmation) and r.random() < 0.5:
-                msg = wire.MapChallengeResponseOrder(state_before.local_sign.bits)
+                msg = wire.MapChallengeResponseOrder(state_before.local_sign)
             elif choice == 2:
                 msg = wire.MapChallengeResponseOrder(r.randbytes(16))
             elif choice == 3:
@@ -230,7 +230,7 @@ def test_single_commit_over_random_interleavings():
             if agent.cfg.sd != sd_before:
                 assert isinstance(msg, wire.MapChallengeResponseOrder)
                 assert isinstance(state_before, UpdateAwaitingConfirmation)
-                assert msg.auth_sign_map == state_before.local_sign.bits
+                assert msg.auth_sign_map == state_before.local_sign
                 assert now <= state_before.deadline
                 assert any(isinstance(m, wire.UpdateConfirmation) for _, m in result.out)
 
@@ -250,7 +250,7 @@ def test_no_key_material_in_outbound_frames():
         payloads += [wire.encode(m) for _, m in result.out]
         sd_new, local_sign = drive_to_confirmation(agent)
         secrets += [sd_new.packed, sd_new.packed[:8], sd_new.sd2]
-        result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign.bits), 10)
+        result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), 10)
         payloads += [wire.encode(m) for _, m in result.out]
         blob = b"|".join(payloads)
         for secret in secrets:

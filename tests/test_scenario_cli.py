@@ -561,6 +561,18 @@ def test_failed_expectation_exits_two_and_still_writes_trace(tmp_path, capsys):
     assert "AuthAccept" in body
 
 
+def test_non_utf8_golden_file_is_a_trace_mismatch(tmp_path):
+    (tmp_path / "bad.trace").write_bytes(b"\xff\xfe")
+    scn = tmp_path / "golden.scn"
+    scn.write_text(MINIMAL + "[expect]\ntrace-golden bad.trace\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgiot.cli", "run", str(scn)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "trace differs from golden file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_trace_flag_writes_serialized_trace(tmp_path):
     out = tmp_path / "honest.trace"
     assert cli.main(["run", str(SCENARIOS / "honest.scn"), "--trace", str(out)]) == 0

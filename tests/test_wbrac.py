@@ -33,7 +33,7 @@ def test_provision_initial_counter_and_duplicate():
 def test_expected_aac_matches_oracle():
     svc, _ = make_wbrac()
     rec = svc.registry[1]
-    assert svc.expected_aac(rec).bits == prf_oracle.aac(
+    assert svc.expected_aac(rec) == prf_oracle.aac(
         rec.sd.packed, rec.wgie.esn, rec.icd_in, rec.sc_auth_k.bits
     )
 
@@ -71,14 +71,22 @@ def test_update_derivation_matches_oracle_chain():
 def test_answer_challenge_requires_pending():
     svc, rng = make_wbrac()
     with pytest.raises(NoPendingUpdate):
-        svc.answer_challenge(1, crypto.ToMap(bytes(32)))
+        svc.answer_challenge(1, bytes(32))
     svc.begin_update(1)
-    sign = svc.answer_challenge(1, crypto.ToMap(bytes(32)))
-    assert len(sign.bits) == 16
+    sign = svc.answer_challenge(1, bytes(32))
+    assert len(sign) == 16
     rec = svc.registry[1]
-    assert sign.bits == prf_oracle.authz(
-        rec.pending_sd_new.packed, bytes(32), rec.wgie.esn, rec.icd_in
-    )
+    assert sign == prf_oracle.authz(rec.pending_sd_new.packed, bytes(32), rec.wgie.esn, rec.icd_in)
+
+
+@pytest.mark.parametrize("length", [10, 31])
+def test_answer_challenge_rejects_wrong_length_to_map(length):
+    svc, rng = make_wbrac()
+    svc.begin_update(1)
+    pending = svc.registry[1].pending_sd_new
+    with pytest.raises(crypto.BadLength):
+        svc.answer_challenge(1, bytes(length))
+    assert svc.registry[1].pending_sd_new is pending
 
 
 def test_commit_confirmed_and_rejected():
@@ -116,7 +124,7 @@ def test_cross_agent_sd_agreement():
         msg = svc.begin_update(1)
         (_, order), = icd.handle("map-1", wire.UpdateOrder(msg.rand), 0).out
         assert icd.state.sd_new == rec.pending_sd_new
-        assert icd.state.local_sign == svc.answer_challenge(1, crypto.ToMap(order.to_map))
+        assert icd.state.local_sign == svc.answer_challenge(1, order.to_map)
 
 
 def test_commit_atomicity():
