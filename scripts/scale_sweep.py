@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Scale curve of the `update-storm` workload: one fleet of N devices per
+size, with the start window and `max_time` grown with N so that starts stay
+as dense as in the workload (300 devices over 20 s).
+
+    python3 scripts/scale_sweep.py --label change --out BENCH_17.json
+    python3 scripts/scale_sweep.py --checkout ../parent --label parent --out BENCH_17.json
+    python3 scripts/scale_sweep.py --sizes 1,100 --repeats 1 --out /tmp/scale.json
+
+For each N it prints and records the best of `--repeats` timed runs:
+set-up plus run in µs per device, run in µs per trace line, and the traced
+peak memory of one more run (tracemalloc, as `peak_mem_mb` is measured) in
+bytes per device.  A run whose cost per device stays flat as N grows does a
+bounded amount of work per frame.
+
+Times are calibrated as the benchmark's end-to-end times are: each run sits
+between two runs of `bench/measure.py`'s fixed reference loop and is scaled
+by `REF_S / reference time`, so a host whose speed drifts during the sweep
+does not move one size against another.  The sizes also take turns, one run
+of each per repeat.  `host_s` is the best run's uncalibrated set-up plus run.
+
+The program and the fleet generator are imported from `--checkout`'s `src/`
+and `bench/` (default: this checkout), so one script measures two commits
+alike.  The run is stored under `--label` in `--out`, beside the runs of
+other labels already there, with `bench/run.py`'s environment record, which
+holds the measured checkout's git revision.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOAD = "update-storm"
+SIZES = (1, 100, 300, 1_000, 3_000, 6_000)
+SEED = 1
+SETTLE_MS = 40_000  # max_time beyond the last start, as in the workload
+
+
+def sized_params(fleet, devices: int):
+    """The workload's parameters for one fleet of `devices`, with the start
+    window grown in proportion and `max_time` SETTLE_MS past it."""
+    base = fleet.WORKLOADS[WORKLOAD]
+    window = max(1, base.start_window_ms * devices // base.devices)
+    return dataclasses.replace(
+        base,
+        devices=devices,
+        fleets=1,
+        start_window_ms=window,
+        max_time=base.start_at + window + SETTLE_MS,
+    )
+
+
+def sweep(fleet, measure, sizes: list[int], repeats: int) -> list[dict]:
+    params = {n: sized_params(fleet, n) for n in sizes}
+    fleets = {n: fleet.generate(WORKLOAD, SEED, params[n])[0] for n in sizes}
+    best = {}  # N -> (calibrated setup_s, calibrated run_s, host_s)
+    outcome = {}  # N -> (trace lines, devices authenticated), the same every run
+    reference = measure.reference_s()
+    for _ in range(repeats):
+        for n in sizes:
+            sim, trace, setup_s, run_s = measure.run_fleet(fleets[n])
+            before, reference = reference, measure.reference_s()
+            scale = measure.REF_S * 2 / (before + reference)
+            run = setup_s * scale, run_s * scale, setup_s + run_s
+            if n not in best or run[0] + run[1] < best[n][0] + best[n][1]:
+                best[n] = run
+            authenticated = sum(a.state_name == "Authenticated" for a in sim.icds.values())
+            outcome[n] = len(trace.notes), authenticated
+            del sim, trace
+    rows = []
+    for n in sizes:
+        setup_s, run_s, host_s = best[n]
+        lines, authenticated = outcome[n]
+        rows.append({
+            "devices": n,
+            "start_window_ms": params[n].start_window_ms,
+            "max_time": params[n].max_time,
+            "trace_lines": lines,
+            "authenticated": authenticated,
+            "setup_s": setup_s,
+            "run_s": run_s,
+            "host_s": host_s,
+            "us_per_device": (setup_s + run_s) * 1e6 / n,
+            "us_per_trace_line": run_s * 1e6 / lines,
+            "peak_bytes_per_device": peak_bytes(measure, fleets[n]) / n,
+        })
+    return rows
+
+
+def peak_bytes(measure, f) -> int:
+    tracemalloc.start()
+    try:
+        measure.run_fleet(f)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, default=ROOT, help="checkout to measure")
+    parser.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated N")
+    parser.add_argument("--repeats", type=int, default=5, help="timed runs per size; best kept")
+    parser.add_argument("--label", default="change", help="key of this run in --out")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to add the run to")
+    args = parser.parse_args(argv)
+    try:
+        sizes = [int(n) for n in args.sizes.split(",")]
+    except ValueError:
+        parser.error(f"--sizes must be comma-separated integers, got {args.sizes!r}")
+    if not sizes or min(sizes) < 1 or args.repeats < 1:
+        parser.error("every size and --repeats must be at least 1")
+
+    sys.path.insert(0, str(args.checkout.resolve() / "bench"))
+    import fleet
+    import run
+
+    run.use_checkout_program()
+    import measure
+
+    environment = run.environment(SEED, WORKLOAD)
+    print(f"{WORKLOAD} seed {SEED}, revision {environment['git_revision']}")
+    started = time.perf_counter()
+    rows = sweep(fleet, measure, sizes, args.repeats)
+    for row in rows:
+        print(
+            f"  N={row['devices']:>6}  {row['us_per_device']:8.1f} us/device  "
+            f"{row['us_per_trace_line']:6.2f} us/line  "
+            f"{row['peak_bytes_per_device']:8.0f} B/device  "
+            f"({row['authenticated']}/{row['devices']} authenticated, "
+            f"{row['trace_lines']} lines)"
+        )
+    print(f"  swept in {time.perf_counter() - started:.1f} s")
+
+    try:
+        doc = json.loads(args.out.read_text())
+    except FileNotFoundError:
+        doc = {"workload": WORKLOAD, "seed": SEED, "runs": {}}
+    doc["runs"][args.label] = {"environment": environment, "repeats": args.repeats, "sizes": rows}
+    try:
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,8 +5,11 @@ by the WBRAC (it never holds device secrets) and relays challenge traffic
 between device and WBRAC.  A failed comparison is remedied by a fixed rule
 (`remedy`): an MPC or RMC mismatch starts the update-value flow, an
 AAC-only mismatch gets a unique challenge, and all three wrong is denied.
-The access point obeys the WBRAC's frames only when they come from WBRAC,
-and answers an AuthRequest only for the sending device's own icd_in.
+Every update-flow frame names its device by icd_in, so each flow's record
+is found by that id however many flows are in progress.  The access point
+obeys the WBRAC's frames only when they come from WBRAC, and acts on a
+device's AuthRequest, UpdateConfirmation or UpdateRejection only when its
+icd_in is the sending device's own.
 """
 
 from __future__ import annotations
@@ -120,11 +123,13 @@ class MapAgent:
         if rec is None:
             return Transition(note=f"update for unknown icd {msg.icd_in}")
         rec.pending = PendingUpdate()
-        return Transition(out=[(rec.icd_agent_id, wire.UpdateOrder(msg.rand))])
+        order = wire.UpdateOrder(msg.rand, rec.expected_rmc.packed)
+        return Transition(out=[(rec.icd_agent_id, order)])
 
     def _on_challenge_response(self, sender: str, msg: wire.MapChallengeResponse) -> Transition:
-        rec = self._unique_pending()
-        if rec is None:
+        rec = self.records.get(msg.icd_in)
+        if rec is None or rec.pending is None or rec.pending.expected_sign is not None:
+            # unknown, no update pending, or the flow's response already relayed
             return unexpected(self.state_name, msg)
         rec.pending.expected_sign = msg.auth_sign_map
         return Transition(
@@ -197,22 +202,20 @@ class MapAgent:
         )
 
     def _on_confirmation(self, sender: str, msg: wire.UpdateConfirmation) -> Transition:
-        rec = self._by_agent.get(sender)
-        if rec is None or rec.pending is None:
+        rec = self._pending_of(sender, msg.icd_in)
+        if rec is None:
             return unexpected(self.state_name, msg)
         if rec.pending.next_provision is not None:
             self._apply_provision(rec, rec.pending.next_provision)
         rec.pending = None
-        return Transition(
-            out=[(WBRAC, wire.UpdateConfirmation())], note="update-committed"
-        )
+        return Transition(out=[(WBRAC, msg)], note="update-committed")
 
     def _on_rejection(self, sender: str, msg: wire.UpdateRejection) -> Transition:
-        rec = self._by_agent.get(sender)
-        if rec is None or rec.pending is None:
+        rec = self._pending_of(sender, msg.icd_in)
+        if rec is None:
             return unexpected(self.state_name, msg)
         rec.pending = None
-        return Transition(out=[(WBRAC, wire.UpdateRejection())], note="update-discarded")
+        return Transition(out=[(WBRAC, msg)], note="update-discarded")
 
     def _on_challenge_answer(self, sender: str, msg: wire.AuthChallengeAnswer) -> Transition:
         rec = self._by_agent.get(sender)
@@ -249,16 +252,10 @@ class MapAgent:
         rec.prov = prov
         rec.challenge_outstanding = False
 
-    def _unique_pending(self) -> MapRecord | None:
-        """The response frames carry no device id; attribute them to the
-        record with a pending update still waiting for its signature
-        (lowest icd_in on the rare tie)."""
-        return min(
-            (
-                rec
-                for rec in self.records.values()
-                if rec.pending is not None and rec.pending.expected_sign is None
-            ),
-            key=lambda rec: rec.icd_in,
-            default=None,
-        )
+    def _pending_of(self, sender: str, icd_in: int) -> MapRecord | None:
+        """The sender's record if icd_in is its own and an update is pending
+        for it, else None."""
+        rec = self._by_agent.get(sender)
+        if rec is None or rec.icd_in != icd_in or rec.pending is None:
+            return None
+        return rec

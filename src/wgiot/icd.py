@@ -135,6 +135,9 @@ class IcdAgent:
         if isinstance(self.state, Denied):
             return unexpected(self.state_name, msg)
         cfg = self.cfg
+        # the access point's expected RMC ends any drift from lost or
+        # duplicated ParameterUpdateOrder broadcasts
+        cfg.rmc = crypto.Rmc(int.from_bytes(msg.rmc, "big"))
         sd_new = crypto.sd_from_rand(msg.rand, cfg.wgie.esn, cfg.wgie.icd_in, cfg.sc_auth_k)
         to_map = crypto.gen_to_map(self.rng)
         local_sign = crypto.authorization_signature(sd_new, to_map, cfg.wgie.esn, cfg.wgie.icd_in)
@@ -156,19 +159,20 @@ class IcdAgent:
         if now > state.deadline:
             self.state = Idle()
             return Transition(note="update-timeout")
+        icd_in = self.cfg.wgie.icd_in
         if msg.auth_sign_map == state.local_sign:
             self.cfg.sd = state.sd_new
             self.state = AwaitingAuthResult()
             # re-authenticate with the committed service data
             return Transition(
                 out=[
-                    (MAP, wire.UpdateConfirmation()),
+                    (MAP, wire.UpdateConfirmation(icd_in)),
                     (MAP, self._auth_request()),
                 ],
                 note="update-committed",
             )
         self.state = Idle()
-        return Transition(out=[(MAP, wire.UpdateRejection())], note="update-rejected")
+        return Transition(out=[(MAP, wire.UpdateRejection(icd_in))], note="update-rejected")
 
     def _on_challenge(self, msg: wire.AuthenticationChallenge, now: int) -> Transition:
         cfg = self.cfg

@@ -23,10 +23,11 @@ broadcast, a duplicate) shares that pair; frames are frozen.  Only bytes the
 adversary made, a corrupted copy or a replay, are decoded at delivery.
 
 What is kept per device, frame or trace line is shared where it can be, as a
-memory saving that no result depends on.  The trace is held as columns, one
-list per field, so a line is six references and no object of its own
-(`Trace.entries` builds a `TraceEntry` only when a line is read); the lines
-of one time share its `int`, and the copies of a broadcast share one payload.
+memory saving that no result depends on.  The trace is held as columns, an
+array of 8-byte times and one list per other field, so a line is eight bytes
+and five references and no object of its own (`Trace.entries` builds a
+`TraceEntry` only when a line is read); the copies of a broadcast share one
+payload.
 `Trace.add` keeps one copy of each distinct note, and agent names are
 interned (`device_ids`, and the names the scenario parser reads from links
 and the schedule), so a fleet holds one string per name; the simulator
@@ -48,6 +49,7 @@ from __future__ import annotations
 import functools
 import heapq
 import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -278,12 +280,14 @@ _entry = functools.partial(_new, TraceEntry)
 
 
 class Trace:
-    """The lines of a run, held as columns: one list per `TraceEntry` field
-    (`times`, `senders`, `receivers`, `tags`, `payloads`, `notes`), where
-    line i is the i-th item of each.  A line costs one reference in each
-    list and no object of its own; its values are the objects the simulator
-    passed in, so the lines of one time share its `int`, all copies of a
-    broadcast share one payload, and `add` keeps one copy of each distinct
+    """The lines of a run, held as columns: one sequence per `TraceEntry`
+    field (`times`, `senders`, `receivers`, `tags`, `payloads`, `notes`),
+    where line i is the i-th item of each.  `times` is an `array('q')` of
+    8-byte machine integers, turned into a list by the first time that does
+    not fit in one (2**63 ms or more); the other columns are lists.  A line
+    costs eight bytes and five references and no object of its own; its
+    other values are the objects the simulator passed in, so all copies of
+    a broadcast share one payload, and `add` keeps one copy of each distinct
     note.  `entries` is a read-only view that builds a `TraceEntry` per line
     read; `serialize`, `frame_count` and `scenario.check_expects` read the
     columns themselves."""
@@ -291,7 +295,7 @@ class Trace:
     __slots__ = ("times", "senders", "receivers", "tags", "payloads", "notes", "_note_copies")
 
     def __init__(self):
-        self.times: list[int] = []
+        self.times: array | list[int] = array("q")  # a list from the first time >= 2**63
         self.senders: list[str] = []
         self.receivers: list[str] = []
         self.tags: list[str] = []
@@ -300,20 +304,23 @@ class Trace:
         self._note_copies: dict[str, str] = {}  # each distinct note -> its one copy
 
     def add(self, time, sender, receiver, tag, payload, note):
-        self.times.append(time)
+        try:
+            self.times.append(time)
+        except OverflowError:  # a time of 2**63 ms or more
+            self.times = [*self.times, time]
         self.senders.append(sender)
         self.receivers.append(receiver)
         self.tags.append(tag)
         self.payloads.append(payload)
         self.notes.append(self._note_copies.setdefault(note, note))
 
-    def _columns(self) -> tuple[list, ...]:
+    def _columns(self) -> tuple[Sequence, ...]:
         """The columns in `TraceEntry` field order."""
         return self.times, self.senders, self.receivers, self.tags, self.payloads, self.notes
 
     @property
     def entries(self) -> TraceEntries:
-        return TraceEntries(self._columns())
+        return TraceEntries(self)
 
     def frame_count(self, tag: str) -> int:
         return sum(
@@ -331,23 +338,26 @@ class Trace:
 
 class TraceEntries(Sequence):
     """A read-only view of a trace's lines as `TraceEntry` tuples, each built
-    when it is read; it equals a list of equal tuples."""
+    when it is read; it equals a list of equal tuples.  It reads the trace's
+    columns at each access, so it also sees a `times` column that `add`
+    has since turned into a list."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_trace",)
 
-    def __init__(self, columns: tuple[list, ...]):
-        self._columns = columns
+    def __init__(self, trace: Trace):
+        self._trace = trace
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._trace.notes)
 
     def __getitem__(self, index):
+        columns = self._trace._columns()
         if isinstance(index, slice):
-            return list(map(_entry, zip(*(column[index] for column in self._columns))))
-        return _entry(column[index] for column in self._columns)
+            return list(map(_entry, zip(*(column[index] for column in columns))))
+        return _entry(column[index] for column in columns)
 
     def __iter__(self):
-        return map(_entry, zip(*self._columns))
+        return map(_entry, zip(*self._trace._columns()))
 
     def __eq__(self, other):
         if not isinstance(other, (list, TraceEntries)):

@@ -6,7 +6,8 @@ WBRAC holds device secrets; the access point receives precomputed
 expectations through provisioning pushes.
 
 The WBRAC obeys frames only from the access point (MAP): update requests,
-forwarded challenges and forwarded update outcomes, each answered to MAP.
+forwarded challenges and forwarded update outcomes, each naming its device
+by icd_in and answered to MAP.
 A frame from any other sender is noted as unexpected and changes nothing,
 so no one else can start or commit a device's update flow.  Its agent name,
 WBRAC, is not its 64-bit network identifier `wbrac_id`.
@@ -166,11 +167,11 @@ class WbracService:
         # push the post-commit expectations ahead of the response so the
         # access point can verify the device's re-authentication
         prov = self.map_provision(rec, sd=rec.pending_sd_new)
-        return Transition(out=[(MAP, prov), (MAP, wire.MapChallengeResponse(sign))])
+        return Transition(out=[(MAP, prov), (MAP, wire.MapChallengeResponse(msg.icd_in, sign))])
 
     def _on_update_outcome(self, msg: wire.UpdateConfirmation | wire.UpdateRejection) -> Transition:
-        rec = self._unique_pending()
-        if rec is None:
+        rec = self.registry.get(msg.icd_in)
+        if rec is None or rec.pending_sd_new is None:
             return unexpected(self.state_name, msg)
         confirmed = type(msg) is wire.UpdateConfirmation
         self.commit(rec.icd_in, confirmed)
@@ -183,12 +184,3 @@ class WbracService:
         wire.UpdateRejection: _on_update_outcome,
     }
     _BY_SENDER = {MAP: _FROM_MAP}
-
-    def _unique_pending(self) -> SubscriberRecord | None:
-        """The forwarded outcome frames carry no device id; attribute them to
-        the record with a pending update (lowest icd_in on the rare tie)."""
-        return min(
-            (rec for rec in self.registry.values() if rec.pending_sd_new is not None),
-            key=lambda rec: rec.icd_in,
-            default=None,
-        )

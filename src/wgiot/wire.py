@@ -112,7 +112,11 @@ class UpdateMessage(WireMessage):
 
 @dataclass(frozen=True)
 class UpdateOrder(WireMessage):
+    """Access point → device: start the update flow with this value, and
+    take rmc, the access point's expected RMC for the device, as its own."""
+
     rand: b16
+    rmc: b16
     TAG = 0x07
 
 
@@ -136,6 +140,7 @@ class MapChallengeForward(WireMessage):
 
 @dataclass(frozen=True)
 class MapChallengeResponse(WireMessage):
+    icd_in: u64
     auth_sign_map: b16
     TAG = 0x0B
 
@@ -148,11 +153,13 @@ class MapChallengeResponseOrder(WireMessage):
 
 @dataclass(frozen=True)
 class UpdateRejection(WireMessage):
+    icd_in: u64
     TAG = 0x0D
 
 
 @dataclass(frozen=True)
 class UpdateConfirmation(WireMessage):
+    icd_in: u64
     TAG = 0x0E
 
 

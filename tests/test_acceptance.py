@@ -57,6 +57,11 @@ def test_criterion_1_honest_run_reproduction():
     report(1, "honest-run reproduction", not bad, f"seeds off golden: {bad}")
 
 
+def _decode_payload(cls, payload: bytes) -> wire.WireMessage:
+    """The frame of type cls whose traced payload this is."""
+    return wire.decode(bytes([cls.TAG]) + cls.SIZE.to_bytes(2, "big") + payload)
+
+
 def test_criterion_2_update_value_state_sync():
     failures = []
     for seed in range(1000):
@@ -67,10 +72,12 @@ def test_criterion_2_update_value_state_sync():
         if icd.cfg.sd != rec.sd:
             failures.append((seed, "sd diverged"))
             continue
-        # the network's signature copy travels in MapChallengeResponse; the
-        # device's copy is recomputed here from the committed service data
+        # the network's signature copy travels in MapChallengeResponse's
+        # auth_sign_map field; the device's copy is recomputed here from the
+        # committed service data
         to_map = next(e.payload for e in trace.entries if e.tag == "MobileAccessChallengeOrder")
-        net_sign = next(e.payload for e in trace.entries if e.tag == "MapChallengeResponse")
+        response = next(e.payload for e in trace.entries if e.tag == "MapChallengeResponse")
+        net_sign = _decode_payload(wire.MapChallengeResponse, response).auth_sign_map
         dev_sign = crypto.authorization_signature(
             icd.cfg.sd, to_map, icd.cfg.wgie.esn, icd.cfg.wgie.icd_in
         )

@@ -140,6 +140,7 @@ def test_update_message_relays_rand_bit_identical():
     result = agent.handle("wbrac", wire.UpdateMessage(ICD_IN, rand), 0)
     (dst, order), = result.out
     assert dst == "icd-1" and order.rand == rand
+    assert order.rmc == crypto.Rmc(0).packed  # the device's expected RMC
     assert agent.records[ICD_IN].pending is not None
 
 
@@ -157,7 +158,7 @@ def test_response_recorded_and_relayed():
     agent = make_map()
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
     sig = b"\x99" * 16
-    result = agent.handle("wbrac", wire.MapChallengeResponse(sig), 0)
+    result = agent.handle("wbrac", wire.MapChallengeResponse(ICD_IN, sig), 0)
     (dst, order), = result.out
     assert dst == "icd-1" and order.auth_sign_map == sig
     assert agent.records[ICD_IN].pending.expected_sign == sig
@@ -168,8 +169,8 @@ def test_confirmation_applies_stashed_provision_and_clears_pending():
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
     prov = wire.MapProvision(ICD_IN, b"\x20" * 16, b"\x21" * 8, b"\x22" * 16)
     assert agent.handle("wbrac", prov, 0).note == "provision-stashed"
-    result = agent.handle("icd-1", wire.UpdateConfirmation(), 0)
-    assert ("wbrac", wire.UpdateConfirmation()) in result.out
+    result = agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0)
+    assert ("wbrac", wire.UpdateConfirmation(ICD_IN)) in result.out
     rec = agent.records[ICD_IN]
     assert rec.pending is None
     assert rec.prov.expected_aac == b"\x20" * 16
@@ -181,7 +182,8 @@ def test_rejection_clears_pending_without_commit():
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
     prov = wire.MapProvision(ICD_IN, b"\x20" * 16, b"\x21" * 8, b"\x22" * 16)
     agent.handle("wbrac", prov, 0)
-    agent.handle("icd-1", wire.UpdateRejection(), 0)
+    result = agent.handle("icd-1", wire.UpdateRejection(ICD_IN), 0)
+    assert result.out == [("wbrac", wire.UpdateRejection(ICD_IN))]
     rec = agent.records[ICD_IN]
     assert rec.pending is None
     assert rec.prov.expected_aac == EXPECTED_AAC  # stash discarded
@@ -251,12 +253,13 @@ def test_no_pending_leak_after_adversarial_interleavings():
             elif roll == 1:
                 res = agent.handle("wbrac", wire.UpdateMessage(ICD_IN, r.randbytes(16)), 0)
             elif roll == 2:
-                res = agent.handle("wbrac", wire.MapChallengeResponse(r.randbytes(16)), 0)
+                sign = r.randbytes(16)
+                res = agent.handle("wbrac", wire.MapChallengeResponse(ICD_IN, sign), 0)
             elif roll == 3:
-                res = agent.handle("icd-1", wire.UpdateConfirmation(), 0)
+                res = agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0)
                 assert agent.records[ICD_IN].pending is None
             elif roll == 4:
-                res = agent.handle("icd-1", wire.UpdateRejection(), 0)
+                res = agent.handle("icd-1", wire.UpdateRejection(ICD_IN), 0)
                 assert agent.records[ICD_IN].pending is None
             else:
                 res = agent.handle("icd-1", wire.AuthChallengeAnswer(r.randbytes(16)), 0)
@@ -275,7 +278,7 @@ def test_wbrac_frames_from_a_device_are_ignored():
         wire.AccessParameterMessage(bytes(16)),
         wire.ParameterUpdateOrder(),
         wire.UpdateMessage(ICD_IN, bytes(16)),
-        wire.MapChallengeResponse(bytes(16)),
+        wire.MapChallengeResponse(ICD_IN, bytes(16)),
     ):
         result = agent.handle("icd-2", frame, 0)
         assert result.out == [] and result.note == f"unexpected {type(frame).__name__} in -"
@@ -297,3 +300,44 @@ def test_auth_request_for_another_devices_icd_in_is_denied():
         assert result.note == "unknown-icd"
     assert not agent.records[ICD_IN].challenge_outstanding
     assert agent.handle("icd-1", auth_request(icd_in=ICD_IN), 0).note == "guid-match"
+
+
+def test_update_outcome_naming_another_device_is_unexpected():
+    """A device's UpdateConfirmation or UpdateRejection counts only for its
+    own icd_in, the rule AuthRequest follows."""
+    agent = make_map()
+    agent.provision(
+        "icd-2", crypto.Rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
+    )
+    agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
+    prov = wire.MapProvision(ICD_IN, b"\x20" * 16, b"\x21" * 8, b"\x22" * 16)
+    agent.handle("wbrac", prov, 0)
+    rec = agent.records[ICD_IN]
+    pending = rec.pending
+    for sender, frame in (
+        ("icd-2", wire.UpdateConfirmation(ICD_IN)),  # another device's id
+        ("icd-2", wire.UpdateRejection(ICD_IN)),
+        ("icd-1", wire.UpdateConfirmation(8)),  # the sender's own flow, another id
+        ("icd-2", wire.UpdateConfirmation(8)),  # its own id, but no flow pending
+    ):
+        result = agent.handle(sender, frame, 0)
+        assert result.out == [] and result.note == f"unexpected {type(frame).__name__} in -"
+    assert rec.pending is pending and rec.pending.next_provision is prov
+    assert rec.prov.expected_aac == EXPECTED_AAC
+    assert agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0).note == "update-committed"
+
+
+def test_challenge_response_finds_its_record_by_icd_in():
+    agent = make_map()
+    agent.provision(
+        "icd-2", crypto.Rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
+    )
+    agent.handle("wbrac", wire.UpdateMessage(8, bytes(16)), 0)
+    agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
+    for icd_in, dst in ((8, "icd-2"), (ICD_IN, "icd-1")):
+        sign = bytes([icd_in]) * 16
+        result = agent.handle("wbrac", wire.MapChallengeResponse(icd_in, sign), 0)
+        assert result.out == [(dst, wire.MapChallengeResponseOrder(sign))]
+    for icd_in in (8, 99):  # already answered; unknown
+        result = agent.handle("wbrac", wire.MapChallengeResponse(icd_in, bytes(16)), 0)
+        assert result.out == [] and result.note == "unexpected MapChallengeResponse in -"

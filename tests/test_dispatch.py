@@ -1,6 +1,6 @@
 """Frame dispatch in the three agents: every frame type is handled or noted
-as unexpected, the WBRAC obeys only the access point, and update-flow frames
-that carry no device id go to the lowest pending icd_in."""
+as unexpected, the WBRAC obeys only the access point, and each update-flow
+frame reaches the flow of the device it names, whatever the order."""
 
 import copy
 import dataclasses
@@ -128,26 +128,33 @@ def test_every_frame_type_to_the_device_in_every_state(state_index):
             assert result.out == [] and device.state_name == name
 
 
-def test_update_frames_without_device_id_go_to_lowest_pending_icd_in():
+def test_update_frames_reach_the_device_they_name():
     sim = simulator()
     for icd_in, agent_id in ((30, "icd-1"), (10, "icd-2"), (20, "icd-3")):
         (_, update), = sim.wbrac.handle("map-1", wire.UpdateRequest(icd_in), 0).out
         (dst, _), = sim.map.handle("wbrac", update, 0).out
         assert dst == agent_id and sim.map.records[icd_in].pending is not None
-    for dst_expected in ("icd-2", "icd-3", "icd-1"):
+    # responses in an order that is neither the flows' nor icd_in's
+    for icd_in, dst_expected in ((20, "icd-3"), (30, "icd-1"), (10, "icd-2")):
         sign = random.Random(dst_expected).randbytes(16)
-        (dst, order), = sim.map.handle("wbrac", wire.MapChallengeResponse(sign), 0).out
+        response = wire.MapChallengeResponse(icd_in, sign)
+        (dst, order), = sim.map.handle("wbrac", response, 0).out
         assert (dst, order) == (dst_expected, wire.MapChallengeResponseOrder(sign))
-    assert sim.map.handle("wbrac", wire.MapChallengeResponse(bytes(16)), 0).note == (
-        "unexpected MapChallengeResponse in -"
-    )
+        assert sim.map.records[icd_in].pending.expected_sign == sign
+    for icd_in in (20, 99):  # answered already; not registered
+        response = wire.MapChallengeResponse(icd_in, bytes(16))
+        assert sim.map.handle("wbrac", response, 0).note == "unexpected MapChallengeResponse in -"
 
     registry = sim.wbrac.registry
     sd_before = {icd_in: rec.sd for icd_in, rec in registry.items()}
-    new_sd_10 = registry[10].pending_sd_new
-    assert sim.wbrac.handle("map-1", wire.UpdateConfirmation(), 0).note == "committed"
-    assert registry[10].sd == new_sd_10 and registry[10].pending_sd_new is None
-    assert registry[20].pending_sd_new is not None and registry[30].pending_sd_new is not None
-    assert sim.wbrac.handle("map-1", wire.UpdateRejection(), 0).note == "rejected"
-    assert registry[20].sd == sd_before[20] and registry[20].pending_sd_new is None
-    assert registry[30].pending_sd_new is not None
+    new_sd_20 = registry[20].pending_sd_new
+    assert sim.wbrac.handle("map-1", wire.UpdateConfirmation(20), 0).note == "committed"
+    assert registry[20].sd == new_sd_20 and registry[20].pending_sd_new is None
+    assert registry[10].pending_sd_new is not None and registry[30].pending_sd_new is not None
+    assert sim.wbrac.handle("map-1", wire.UpdateRejection(30), 0).note == "rejected"
+    assert registry[30].sd == sd_before[30] and registry[30].pending_sd_new is None
+    assert registry[10].pending_sd_new is not None and registry[10].sd == sd_before[10]
+    for frame in (wire.UpdateConfirmation(20), wire.UpdateRejection(99)):  # not pending; unknown
+        result = sim.wbrac.handle("map-1", frame, 0)
+        assert result.note == f"unexpected {type(frame).__name__} in -" and result.out == []
+    assert registry[20].sd == new_sd_20 and registry[10].pending_sd_new is not None

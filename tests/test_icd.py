@@ -37,9 +37,9 @@ def make_agent(seed=0):
     return IcdAgent(cfg, SimRng(seed))
 
 
-def drive_to_confirmation(agent, rand=bytes(16), t0=0):
+def drive_to_confirmation(agent, rand=bytes(16), t0=0, rmc=0):
     """Hand-executed update script: order, challenge, ack."""
-    result = agent.handle("map-1", wire.UpdateOrder(rand), t0)
+    result = agent.handle("map-1", wire.UpdateOrder(rand, crypto.Rmc(rmc).packed), t0)
     assert isinstance(agent.state, UpdateAwaitingAck)
     (_, challenge), = result.out
     assert isinstance(challenge, wire.MobileAccessChallengeOrder)
@@ -97,9 +97,24 @@ def test_matching_confirmation_commits_once():
     old_sd = agent.cfg.sd
     sd_new, local_sign = drive_to_confirmation(agent)
     result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), 10)
+    assert result.out[0] == ("map-1", wire.UpdateConfirmation(ICD_IN))
     assert [type(m) for _, m in result.out] == [wire.UpdateConfirmation, wire.AuthRequest]
     assert agent.cfg.sd == sd_new != old_sd
     assert isinstance(agent.state, AwaitingAuthResult)
+
+
+@pytest.mark.parametrize("broadcasts", [0, 2])  # one lost, one duplicated
+def test_update_order_sets_the_rmc_the_access_point_expects(broadcasts):
+    """A device that missed a ParameterUpdateOrder, or got it twice, takes
+    the access point's RMC from the UpdateOrder, so its next GUID carries it."""
+    agent = make_agent()
+    for _ in range(broadcasts):
+        agent.handle("wbrac", wire.ParameterUpdateOrder(), 0)
+    _, local_sign = drive_to_confirmation(agent, rmc=1)
+    assert agent.cfg.rmc == crypto.Rmc(1)
+    result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), 10)
+    (_, req), = [(dst, m) for dst, m in result.out if isinstance(m, wire.AuthRequest)]
+    assert crypto.decompose_guid(req.guid)[2] == crypto.Rmc(1).packed
 
 
 def test_mismatching_confirmation_rejects():
@@ -108,7 +123,7 @@ def test_mismatching_confirmation_rejects():
     _, local_sign = drive_to_confirmation(agent)
     bad = bytes(16) if local_sign != bytes(16) else b"\x01" * 16
     result = agent.handle("map-1", wire.MapChallengeResponseOrder(bad), 10)
-    assert [type(m) for _, m in result.out] == [wire.UpdateRejection]
+    assert result.out == [("map-1", wire.UpdateRejection(ICD_IN))]
     assert agent.cfg.sd == old_sd
     assert isinstance(agent.state, Idle)
 
@@ -215,7 +230,7 @@ def test_single_commit_over_random_interleavings():
                 continue
             choice = r.randrange(5)
             if choice == 0:
-                msg = wire.UpdateOrder(r.randbytes(16))
+                msg = wire.UpdateOrder(r.randbytes(16), r.randbytes(16))
             elif choice == 1:
                 msg = wire.ChallengeAck()
             elif choice == 2 and isinstance(state_before, UpdateAwaitingConfirmation) and r.random() < 0.5:
@@ -225,7 +240,7 @@ def test_single_commit_over_random_interleavings():
             elif choice == 3:
                 msg = wire.AuthAccept()
             else:
-                msg = wire.UpdateRejection()
+                msg = wire.UpdateRejection(ICD_IN)
             result = agent.handle("map-1", msg, now)
             if agent.cfg.sd != sd_before:
                 assert isinstance(msg, wire.MapChallengeResponseOrder)

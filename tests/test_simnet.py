@@ -431,3 +431,20 @@ def test_two_subscribers_authenticate_independently():
     trace = sim.run()
     assert trace.frame_count("AuthAccept") == 2
     assert all(isinstance(a.state, Authenticated) for a in sim.icds.values())
+
+
+def test_trace_times_of_64_bits_and_more_are_kept():
+    """The times column is an array of 8-byte integers until a time needs
+    more; from then on it is a list, and the run still serializes."""
+    at = 2**63 + 5
+    sc = honest_scenario()
+    sc.schedule = [StartIcd("icd-1", at=at)]
+    sc.max_time = 2**64
+    sim = Simulator(sc, seed=0)
+    entries = sim.trace.entries  # a view made before the column changes
+    trace = sim.run()
+    assert type(trace.times) is list and trace.times[0] == at
+    assert sim.icds["icd-1"].state_name == "Authenticated"
+    assert [e.time for e in entries] == list(trace.times) and len(entries) == 3
+    assert trace.serialize().splitlines()[2].startswith(f"{at}\ticd-1\tmap-1\tSecureActivation")
+    assert type(sim_run(honest_scenario(), seed=0).times) is not list

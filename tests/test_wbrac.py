@@ -122,7 +122,7 @@ def test_cross_agent_sd_agreement():
         )
         icd = IcdAgent(cfg, rng)
         msg = svc.begin_update(1)
-        (_, order), = icd.handle("map-1", wire.UpdateOrder(msg.rand), 0).out
+        (_, order), = icd.handle("map-1", wire.UpdateOrder(msg.rand, cfg.rmc.packed), 0).out
         assert icd.state.sd_new == rec.pending_sd_new
         assert icd.state.local_sign == svc.answer_challenge(1, order.to_map)
 

@@ -27,7 +27,16 @@ def test_challenge_ack_layout():
 
 
 def test_update_order_layout():
-    assert wire.encode(wire.UpdateOrder(bytes(16))) == b"\x07\x00\x10" + bytes(16)
+    rmc = (5).to_bytes(16, "big")
+    assert wire.encode(wire.UpdateOrder(bytes(16), rmc)) == b"\x07\x00\x20" + bytes(16) + rmc
+
+
+def test_update_flow_frames_name_their_device():
+    icd_in = (0x0102030405060708).to_bytes(8, "big")
+    assert wire.encode(wire.UpdateConfirmation(0x0102030405060708)) == b"\x0e\x00\x08" + icd_in
+    assert wire.encode(wire.UpdateRejection(0x0102030405060708)) == b"\x0d\x00\x08" + icd_in
+    raw = wire.encode(wire.MapChallengeResponse(0x0102030405060708, b"\x09" * 16))
+    assert raw == b"\x0b\x00\x18" + icd_in + b"\x09" * 16
 
 
 def test_auth_request_layout():
@@ -69,7 +78,7 @@ def test_truncated_header_and_payload():
     with pytest.raises(wire.Truncated):
         wire.decode(b"\x09\x00")
     with pytest.raises(wire.Truncated):
-        wire.decode(b"\x07\x00\x10" + bytes(4))
+        wire.decode(b"\x07\x00\x20" + bytes(4))
 
 
 def test_trailing_bytes_rejected():
@@ -124,8 +133,8 @@ BAD_FRAMES = [
     (b"\xfe\x00\x00", wire.UnknownTag, "tag 0xfe"),
     (b"\x09\x00\x01\x00", wire.LengthMismatch, "ChallengeAck: declared 1, layout requires 0"),
     (b"\x09\x00\x00\x00", wire.LengthMismatch, "ChallengeAck: 1 trailing bytes"),
-    (b"\x07\x00\x10" + bytes(4), wire.Truncated, "UpdateOrder: payload 4 < declared 16"),
-    (b"\x07\x00\x10" + bytes(17), wire.LengthMismatch, "UpdateOrder: 1 trailing bytes"),
+    (b"\x07\x00\x20" + bytes(4), wire.Truncated, "UpdateOrder: payload 4 < declared 32"),
+    (b"\x07\x00\x20" + bytes(33), wire.LengthMismatch, "UpdateOrder: 1 trailing bytes"),
     (
         b"\x04\x00\x44" + bytes(68),
         wire.LengthMismatch,
