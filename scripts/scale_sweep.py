@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Scale curve of the `update-storm` workload: one fleet of N devices per
-size, with the start window and `max_time` grown with N so that starts stay
-as dense as in the workload (300 devices over 20 s).
+"""Scale curve of a benchmark workload: one fleet of N devices per size,
+with the start window and `max_time` grown with N so that starts stay as
+dense as in the workload (`update-storm`: 300 devices over 20 s, the
+default; `lossy-churn`: 1,500 devices over 5 s).
 
-    python3 scripts/scale_sweep.py --label change --out BENCH_17.json
-    python3 scripts/scale_sweep.py --checkout ../parent --label parent --out BENCH_17.json
-    python3 scripts/scale_sweep.py --sizes 1,100 --repeats 1 --out /tmp/scale.json
+    python3 scripts/scale_sweep.py --label change --out BENCH_18.json
+    python3 scripts/scale_sweep.py --checkout ../parent --label parent --out BENCH_18.json
+    python3 scripts/scale_sweep.py --workload lossy-churn --sizes 1,100 --repeats 1 --out /tmp/scale.json
 
 For each N it prints and records the best of `--repeats` timed runs:
 set-up plus run in µs per device, run in µs per trace line, and the traced
 peak memory of one more run (tracemalloc, as `peak_mem_mb` is measured) in
 bytes per device.  A run whose cost per device stays flat as N grows does a
-bounded amount of work per frame.
+bounded amount of work per frame.  It also records `broadcast_lines`, the
+trace lines of the WBRAC's MPC broadcasts (`AccessParameterMessage`).  `lossy-churn`
+broadcasts to every device each second of a window that grows with N, so
+these lines grow as N² and most of its lines are broadcasts at large N: µs
+per trace line is its fair unit, not µs per device.
 
 Times are calibrated as the benchmark's end-to-end times are: each run sits
 between two runs of `bench/measure.py`'s fixed reference loop and is scaled
@@ -22,8 +27,9 @@ of each per repeat.  `host_s` is the best run's uncalibrated set-up plus run.
 The program and the fleet generator are imported from `--checkout`'s `src/`
 and `bench/` (default: this checkout), so one script measures two commits
 alike.  The run is stored under `--label` in `--out`, beside the runs of
-other labels already there, with `bench/run.py`'s environment record, which
-holds the measured checkout's git revision.
+other labels already there, which must be of the same workload, with
+`bench/run.py`'s environment record, which holds the measured checkout's
+git revision.
 """
 
 from __future__ import annotations
@@ -37,31 +43,33 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOAD = "update-storm"
 SIZES = (1, 100, 300, 1_000, 3_000, 6_000)
 SEED = 1
-SETTLE_MS = 40_000  # max_time beyond the last start, as in the workload
+# max_time beyond the end of the start window, as in each workload
+SETTLE_MS = {"update-storm": 40_000, "lossy-churn": 55_000}
+BROADCAST = "AccessParameterMessage"
 
 
-def sized_params(fleet, devices: int):
+def sized_params(fleet, workload: str, devices: int):
     """The workload's parameters for one fleet of `devices`, with the start
-    window grown in proportion and `max_time` SETTLE_MS past it."""
-    base = fleet.WORKLOADS[WORKLOAD]
+    window grown in proportion and `max_time` the workload's settling time
+    past it."""
+    base = fleet.WORKLOADS[workload]
     window = max(1, base.start_window_ms * devices // base.devices)
     return dataclasses.replace(
         base,
         devices=devices,
         fleets=1,
         start_window_ms=window,
-        max_time=base.start_at + window + SETTLE_MS,
+        max_time=base.start_at + window + SETTLE_MS[workload],
     )
 
 
-def sweep(fleet, measure, sizes: list[int], repeats: int) -> list[dict]:
-    params = {n: sized_params(fleet, n) for n in sizes}
-    fleets = {n: fleet.generate(WORKLOAD, SEED, params[n])[0] for n in sizes}
+def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list[dict]:
+    params = {n: sized_params(fleet, workload, n) for n in sizes}
+    fleets = {n: fleet.generate(workload, SEED, params[n])[0] for n in sizes}
     best = {}  # N -> (calibrated setup_s, calibrated run_s, host_s)
-    outcome = {}  # N -> (trace lines, devices authenticated), the same every run
+    outcome = {}  # N -> (trace lines, broadcast lines, devices authenticated), the same every run
     reference = measure.reference_s()
     for _ in range(repeats):
         for n in sizes:
@@ -72,17 +80,21 @@ def sweep(fleet, measure, sizes: list[int], repeats: int) -> list[dict]:
             if n not in best or run[0] + run[1] < best[n][0] + best[n][1]:
                 best[n] = run
             authenticated = sum(a.state_name == "Authenticated" for a in sim.icds.values())
-            outcome[n] = len(trace.notes), authenticated
+            broadcasts = sum(
+                1 for src, tag in zip(trace.senders, trace.tags) if tag == BROADCAST and src == "wbrac"
+            )
+            outcome[n] = len(trace.notes), broadcasts, authenticated
             del sim, trace
     rows = []
     for n in sizes:
         setup_s, run_s, host_s = best[n]
-        lines, authenticated = outcome[n]
+        lines, broadcast_lines, authenticated = outcome[n]
         rows.append({
             "devices": n,
             "start_window_ms": params[n].start_window_ms,
             "max_time": params[n].max_time,
             "trace_lines": lines,
+            "broadcast_lines": broadcast_lines,
             "authenticated": authenticated,
             "setup_s": setup_s,
             "run_s": run_s,
@@ -105,6 +117,7 @@ def peak_bytes(measure, f) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(SETTLE_MS), default="update-storm")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="checkout to measure")
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated N")
     parser.add_argument("--repeats", type=int, default=5, help="timed runs per size; best kept")
@@ -125,24 +138,29 @@ def main(argv=None) -> int:
     run.use_checkout_program()
     import measure
 
-    environment = run.environment(SEED, WORKLOAD)
-    print(f"{WORKLOAD} seed {SEED}, revision {environment['git_revision']}")
+    workload = args.workload
+    try:
+        doc = json.loads(args.out.read_text())
+    except FileNotFoundError:
+        doc = {"workload": workload, "seed": SEED, "runs": {}}
+    if doc["workload"] != workload:
+        print(f"error: {args.out} holds {doc['workload']} runs, not {workload}", file=sys.stderr)
+        return 1
+
+    environment = run.environment(SEED, workload)
+    print(f"{workload} seed {SEED}, revision {environment['git_revision']}")
     started = time.perf_counter()
-    rows = sweep(fleet, measure, sizes, args.repeats)
+    rows = sweep(fleet, measure, workload, sizes, args.repeats)
     for row in rows:
         print(
             f"  N={row['devices']:>6}  {row['us_per_device']:8.1f} us/device  "
             f"{row['us_per_trace_line']:6.2f} us/line  "
             f"{row['peak_bytes_per_device']:8.0f} B/device  "
             f"({row['authenticated']}/{row['devices']} authenticated, "
-            f"{row['trace_lines']} lines)"
+            f"{row['trace_lines']} lines, {row['broadcast_lines']} broadcast)"
         )
     print(f"  swept in {time.perf_counter() - started:.1f} s")
 
-    try:
-        doc = json.loads(args.out.read_text())
-    except FileNotFoundError:
-        doc = {"workload": WORKLOAD, "seed": SEED, "runs": {}}
     doc["runs"][args.label] = {"environment": environment, "repeats": args.repeats, "sizes": rows}
     try:
         args.out.write_text(json.dumps(doc, indent=2) + "\n")

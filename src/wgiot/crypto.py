@@ -54,6 +54,7 @@ TAG_AUTH_SIGNATURE = 0x01
 TAG_SD_GENERATION = 0x02
 TAG_AUTHZ_SIGNATURE = 0x03
 TAG_SESSION_KEY = 0x04
+_TAG_BYTES = {tag: bytes((tag,)) for tag in range(256)}  # a tag as the byte the PRF signs
 
 
 def check_bytes(name: str, value: bytes, length: int) -> None:
@@ -64,6 +65,17 @@ def check_bytes(name: str, value: bytes, length: int) -> None:
 def _check_u64(name: str, value: int) -> None:
     if not 0 <= value <= U64_MAX:
         raise BadLength(f"{name} must fit in 64 bits")
+
+
+def _pack_ids(esn: int, icd_in: int) -> bytes:
+    """esn ∥ icd_in, 8 bytes each, MSB-first; a value outside 64 bits is the
+    `BadLength` that names it, esn first."""
+    try:
+        return esn.to_bytes(8, "big") + icd_in.to_bytes(8, "big")
+    except OverflowError:
+        _check_u64("esn", esn)
+        _check_u64("icd_in", icd_in)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +179,7 @@ class HmacSha256Backend(PrfBackend):
     name = "hmac-sha256"
 
     def evaluate(self, key: bytes, domain_tag: int, message: bytes) -> bytes:
-        return hmac_sha256(key, bytes((domain_tag,)) + message)
+        return hmac_sha256(key, _TAG_BYTES[domain_tag] + message)
 
 
 class Trunc16Backend(PrfBackend):
@@ -181,7 +193,7 @@ class Trunc16Backend(PrfBackend):
     name = "trunc16"
 
     def evaluate(self, key: bytes, domain_tag: int, message: bytes) -> bytes:
-        return hmac_sha256(key, bytes((domain_tag,)) + message)[:2] * 16
+        return hmac_sha256(key, _TAG_BYTES[domain_tag] + message)[:2] * 16
 
 
 DEFAULT_BACKEND = HmacSha256Backend()
@@ -208,9 +220,7 @@ def authenticate_signature(
     sd: SdPair, esn: int, icd_in: int, k: ScAuthKey, backend: PrfBackend = DEFAULT_BACKEND
 ) -> bytes:
     """Derive the 128-bit AAC from the service data and device identifiers."""
-    _check_u64("esn", esn)
-    _check_u64("icd_in", icd_in)
-    msg = sd.packed + esn.to_bytes(8, "big") + icd_in.to_bytes(8, "big")
+    msg = sd.packed + _pack_ids(esn, icd_in)
     return backend.evaluate(k.bits, TAG_AUTH_SIGNATURE, msg)[:16]
 
 
@@ -219,8 +229,12 @@ def sd_generation(
 ) -> SdPair:
     """Derive a fresh 128-bit service-data pair during the update-value flow."""
     check_bytes("aac", aac, 16)
-    _check_u64("esn", esn)
-    out = backend.evaluate(k.bits, TAG_SD_GENERATION, aac + esn.to_bytes(8, "big"))[:16]
+    try:
+        packed_esn = esn.to_bytes(8, "big")
+    except OverflowError:
+        _check_u64("esn", esn)
+        raise
+    out = backend.evaluate(k.bits, TAG_SD_GENERATION, aac + packed_esn)[:16]
     return SdPair(out)
 
 
@@ -243,9 +257,7 @@ def authorization_signature(
     """
     if len(challenge) not in (32, 10):
         raise ChallengeLength(f"challenge must be 32 or 10 bytes, got {len(challenge)}")
-    _check_u64("esn", esn)
-    _check_u64("icd_in", icd_in)
-    msg = challenge + esn.to_bytes(8, "big") + icd_in.to_bytes(8, "big")
+    msg = challenge + _pack_ids(esn, icd_in)
     return backend.evaluate(sd.packed, TAG_AUTHZ_SIGNATURE, msg)[:16]
 
 

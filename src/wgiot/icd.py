@@ -60,6 +60,12 @@ class Denied:
     name = "Denied"
 
 
+# The states without fields, one shared instance each.
+IDLE = Idle()
+AWAITING_AUTH_RESULT = AwaitingAuthResult()
+DENIED = Denied()
+
+
 @dataclass(slots=True)
 class IcdConfig:
     """Provisioned material plus the mutable MPC/RMC mirrors.  The MPC is
@@ -80,7 +86,7 @@ class IcdAgent:
     def __init__(self, cfg: IcdConfig, rng):
         self.cfg = cfg
         self.rng = rng
-        self.state = Idle()
+        self.state = IDLE
 
     # -- helpers --
 
@@ -103,7 +109,7 @@ class IcdAgent:
         """Send the secure activation signal followed by the GUID."""
         if not isinstance(self.state, Idle):
             raise NotIdle(f"start() in {self.state_name}")
-        self.state = AwaitingAuthResult()
+        self.state = AWAITING_AUTH_RESULT
         return Transition(
             out=[
                 (MAP, wire.SecureActivation(self.cfg.wgie.icd_in)),
@@ -157,12 +163,12 @@ class IcdAgent:
         if not isinstance(state, UpdateAwaitingConfirmation):
             return unexpected(self.state_name, msg)
         if now > state.deadline:
-            self.state = Idle()
+            self.state = IDLE
             return Transition(note="update-timeout")
         icd_in = self.cfg.wgie.icd_in
         if msg.auth_sign_map == state.local_sign:
             self.cfg.sd = state.sd_new
-            self.state = AwaitingAuthResult()
+            self.state = AWAITING_AUTH_RESULT
             # re-authenticate with the committed service data
             return Transition(
                 out=[
@@ -171,7 +177,7 @@ class IcdAgent:
                 ],
                 note="update-committed",
             )
-        self.state = Idle()
+        self.state = IDLE
         return Transition(out=[(MAP, wire.UpdateRejection(icd_in))], note="update-rejected")
 
     def _on_challenge(self, msg: wire.AuthenticationChallenge, now: int) -> Transition:
@@ -181,7 +187,7 @@ class IcdAgent:
         return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer))])
 
     def _on_access_denied(self, msg: wire.AccessDenied, now: int) -> Transition:
-        self.state = Denied()
+        self.state = DENIED
         return Transition(note=f"denied reason={msg.reason}")
 
     _FROM_WBRAC = {
@@ -201,6 +207,6 @@ class IcdAgent:
 
     def tick(self, now: int) -> Transition:
         if isinstance(self.state, UpdateAwaitingConfirmation) and now > self.state.deadline:
-            self.state = Idle()
+            self.state = IDLE
             return Transition(note="update-timeout")
         return Transition()

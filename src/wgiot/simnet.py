@@ -37,11 +37,14 @@ own bytes, so after a broadcast the MPC is one object in the WBRAC's
 schedule, the access point and every device, and each `MapRecord` holds its
 provision frame itself.  A device's SD is its registry row's bytes, one
 `SdPair` shared by the WBRAC and the device; derived values (AAC,
-AUTH_SIGN_MAP, session key) are plain `bytes`.  The scenario items,
-`Scenario`, the crypto key and counter types, the device's states and
+AUTH_SIGN_MAP, session key) are plain `bytes`.  The frames, the scenario
+items, `Scenario`, the crypto key and counter types, the device's states and
 `IcdConfig`, `IcdAgent`, the access point's `MapRecord`/`PendingUpdate`, the
 WBRAC's `SubscriberRecord`/`MpcSchedule` and `Trace` are slotted, with no
-per-instance attribute dict.
+per-instance attribute dict; the device states without fields (`Idle`,
+`AwaitingAuthResult`, `Denied`) are one shared instance each.  The
+adversary's capture and corrupt hooks run on the send path only while one
+is armed.
 """
 
 from __future__ import annotations
@@ -469,6 +472,24 @@ class Simulator:
         """Put one encoded frame on the src -> dst link: the adversary's
         hooks, then the link's drop and duplicate draws.  `decoded` is
         raw's (frame, payload); a corrupted copy drops it."""
+        note = ""
+        if self._capture_tags or self._corrupt_queue:
+            raw, decoded, note = self._adversary_hooks(src, dst, raw, decoded)
+        link = self._links.get((src, dst), NO_IMPAIRMENT)
+        # chance() draws nothing at probability 0; skipping the call there
+        # leaves the draws as they were
+        p = link.drop_prob
+        dropped = p > 0.0 and self.rng.chance(p)
+        p = link.dup_prob
+        duplicated = p > 0.0 and self.rng.chance(p)
+        at = self.now + link.delay_ms
+        self._push(at, _new(_Deliver, (src, dst, raw, dropped, note, decoded)))
+        if duplicated and not dropped:
+            self._push(at, _new(_Deliver, (src, dst, raw, False, "duplicate", decoded)))
+
+    def _adversary_hooks(self, src: str, dst: str, raw: bytes, decoded: tuple):
+        """Capture and corrupt one frame on the send path, as armed; return
+        its (raw, decoded, note) after them."""
         tag = raw[0]
         note = ""
         if tag in self._capture_tags:
@@ -481,17 +502,7 @@ class Simulator:
                 del self._corrupt_queue[i]
                 note = (note + " corrupted").strip()
                 break
-        link = self._links.get((src, dst), NO_IMPAIRMENT)
-        # chance() draws nothing at probability 0; skipping the call there
-        # leaves the draws as they were
-        p = link.drop_prob
-        dropped = p > 0.0 and self.rng.chance(p)
-        p = link.dup_prob
-        duplicated = p > 0.0 and self.rng.chance(p)
-        at = self.now + link.delay_ms
-        self._push(at, _new(_Deliver, (src, dst, raw, dropped, note, decoded)))
-        if duplicated and not dropped:
-            self._push(at, _new(_Deliver, (src, dst, raw, False, "duplicate", decoded)))
+        return raw, decoded, note
 
     @staticmethod
     def _flip_payload_bit(raw: bytes, bit_index: int) -> bytes:

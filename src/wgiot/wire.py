@@ -1,11 +1,14 @@
 """Binary wire codec for every wg-IoT protocol frame.
 
 Layout: tag (1 byte) ∥ payload length (2 bytes, MSB-first) ∥ payload.
-Payload fields are packed MSB-first in declaration order.  Decoding is
-strict: unknown tags, length mismatches, and trailing bytes are errors.
-For a frame whose fields hold `int` and `bytes`, `decode(encode(m)) == m`
-with the same field types, so the simulator hands a sent frame to its
-receiver without decoding it.
+Payload fields are packed MSB-first in declaration order.  Each frame
+class's encoder is generated once, when the class is created, from its
+field declaration, as `dataclasses` generates `__init__`: one length check
+per byte-string field, then one struct pack of the whole frame.  `encode`
+only dispatches to it.  Decoding is strict: unknown tags, length
+mismatches, and trailing bytes are errors.  For a frame whose fields hold
+`int` and `bytes`, `decode(encode(m)) == m` with the same field types, so
+the simulator hands a sent frame to its receiver without decoding it.
 """
 
 from __future__ import annotations
@@ -45,35 +48,65 @@ class WireMessage:
     """Base of every frame.  A frame declares its payload once, as dataclass
     fields annotated with a field kind.  Derived from that declaration when
     the class is created: FIELDS, its (name, kind) pairs with kind "u64",
-    "u8" or ("bytes", N); SIZE, the payload length; and the struct that
-    packs the whole frame.  Creating the class also registers it under its
-    TAG, which no other frame may have."""
+    "u8" or ("bytes", N); SIZE, the payload length; the struct that packs
+    the whole frame; and `_encode`, the frame's encoder.  Creating the class
+    also registers it under its TAG, which no other frame may have; the
+    class that `dataclass(slots=True)` rebuilds from it takes its place."""
+
+    __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         taken = _BY_TAG.get(cls.TAG)
-        if taken is not None:
+        if taken is not None and not _is_slots_rebuild(cls, taken):
             raise ValueError(f"{cls.__name__} reuses tag {cls.TAG:#04x} of {taken.__name__}")
         cls.FIELDS = tuple(
             (name, kind if kind in _INT_CODES else ("bytes", int(kind.removeprefix("b"))))
             for name, kind in inspect.get_annotations(cls).items()
         )
-        cls._sized = tuple((name, kind[1]) for name, kind in cls.FIELDS if kind not in _INT_CODES)
         codes = (_INT_CODES.get(kind) or f"{kind[1]}s" for _, kind in cls.FIELDS)
         cls._frame = struct.Struct(">BH" + "".join(codes))
         cls.SIZE = cls._frame.size - 3
+        cls._encode = _encoder(cls)
         _BY_TAG[cls.TAG] = cls
 
 
-# Frames are not slotted: dataclass(slots=True) builds a second class, whose
-# creation would register the tag again, and a frame lives only until delivery.
-@dataclass(frozen=True)
+def _is_slots_rebuild(cls: type, taken: type) -> bool:
+    """Whether `cls` is the slotted copy `dataclass(slots=True)` builds of
+    `taken`: the same class, already a dataclass when it is created."""
+    return (
+        (cls.__module__, cls.__name__) == (taken.__module__, taken.__name__)
+        and "__dataclass_fields__" in cls.__dict__
+    )
+
+
+def _encoder(cls: type):
+    """The encoder of frame class `cls`, compiled from its FIELDS: struct
+    pads or truncates a wrong-length string silently, so each byte-string
+    field is checked first."""
+    lines = ["def _encode(m):"]
+    for name, kind in cls.FIELDS:
+        if kind not in _INT_CODES:
+            lines += [
+                f"    if len(m.{name}) != {kind[1]}:",
+                f"        raise WireError(f'{name} must be {kind[1]} bytes, got {{len(m.{name})}}')",
+            ]
+    values = "".join(f", m.{name}" for name, _ in cls.FIELDS)
+    lines.append(f"    return pack({cls.TAG}, {cls.SIZE}{values})")
+    namespace = {"pack": cls._frame.pack, "WireError": WireError}
+    exec("\n".join(lines), namespace)
+    return namespace["_encode"]
+
+
+# Frames are slotted and frozen: a frame holds only its fields, and some
+# outlive their delivery (each `MapRecord` keeps its `MapProvision`).
+@dataclass(frozen=True, slots=True)
 class SecureActivation(WireMessage):
     icd_in: u64
     TAG = 0x01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessParameterMessage(WireMessage):
     """Periodic network broadcast carrying the current MPC."""
 
@@ -81,14 +114,14 @@ class AccessParameterMessage(WireMessage):
     TAG = 0x02
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterUpdateOrder(WireMessage):
     """Increments the receiver's RMC; no payload."""
 
     TAG = 0x03
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthRequest(WireMessage):
     icd_in: u64
     esn: u64
@@ -96,12 +129,12 @@ class AuthRequest(WireMessage):
     TAG = 0x04
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthAccept(WireMessage):
     TAG = 0x05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateMessage(WireMessage):
     """WBRAC → access point: start an update for icd_in using this value."""
 
@@ -110,7 +143,7 @@ class UpdateMessage(WireMessage):
     TAG = 0x06
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateOrder(WireMessage):
     """Access point → device: start the update flow with this value, and
     take rmc, the access point's expected RMC for the device, as its own."""
@@ -120,68 +153,68 @@ class UpdateOrder(WireMessage):
     TAG = 0x07
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MobileAccessChallengeOrder(WireMessage):
     to_map: b32
     TAG = 0x08
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChallengeAck(WireMessage):
     TAG = 0x09
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapChallengeForward(WireMessage):
     icd_in: u64
     to_map: b32
     TAG = 0x0A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapChallengeResponse(WireMessage):
     icd_in: u64
     auth_sign_map: b16
     TAG = 0x0B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapChallengeResponseOrder(WireMessage):
     auth_sign_map: b16
     TAG = 0x0C
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateRejection(WireMessage):
     icd_in: u64
     TAG = 0x0D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateConfirmation(WireMessage):
     icd_in: u64
     TAG = 0x0E
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthenticationChallenge(WireMessage):
     wmap: b8
     TAG = 0x0F
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthChallengeAnswer(WireMessage):
     auth_sign_map: b16
     TAG = 0x10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessDenied(WireMessage):
     reason: u8
     TAG = 0x11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateRequest(WireMessage):
     """Access point → WBRAC: ask for an update-value run for icd_in."""
 
@@ -189,7 +222,7 @@ class UpdateRequest(WireMessage):
     TAG = 0x12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapProvision(WireMessage):
     """WBRAC → access point: refreshed verification material for one device.
 
@@ -208,13 +241,7 @@ MESSAGE_TYPES = tuple(_BY_TAG.values())  # in declaration order
 
 
 def encode(msg: WireMessage) -> bytes:
-    cls = type(msg)
-    # struct pads or truncates a wrong-length string silently
-    for name, size in cls._sized:
-        value = getattr(msg, name)
-        if len(value) != size:
-            raise WireError(f"{name} must be {size} bytes, got {len(value)}")
-    return cls._frame.pack(cls.TAG, cls.SIZE, *[getattr(msg, name) for name, _ in cls.FIELDS])
+    return msg._encode()
 
 
 def decode(raw: bytes) -> WireMessage:

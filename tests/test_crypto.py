@@ -163,6 +163,35 @@ def test_fixed_width_types_reject_wrong_lengths(ctor, raw):
         ctor(raw)
 
 
+# Each derivation called with one identifier set to `bad`, the other valid.
+_DERIVATIONS_BY_ID = {
+    "authenticate_signature": lambda esn, icd_in: crypto.authenticate_signature(
+        ZERO_SD, esn, icd_in, ZERO_K
+    ),
+    "authorization_signature": lambda esn, icd_in: crypto.authorization_signature(
+        ZERO_SD, bytes(32), esn, icd_in
+    ),
+    "sd_generation": lambda esn, icd_in: crypto.sd_generation(bytes(16), esn, ZERO_K),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+@pytest.mark.parametrize(
+    "derivation,field",
+    [
+        ("authenticate_signature", "esn"),
+        ("authenticate_signature", "icd_in"),
+        ("authorization_signature", "esn"),
+        ("authorization_signature", "icd_in"),
+        ("sd_generation", "esn"),  # takes no icd_in
+    ],
+)
+def test_identifiers_outside_64_bits_are_bad_length(derivation, field, bad):
+    ids = {"esn": 3, "icd_in": 4, field: bad}
+    with pytest.raises(crypto.BadLength, match=f"^{field} must fit in 64 bits$"):
+        _DERIVATIONS_BY_ID[derivation](**ids)
+
+
 def test_rmc_never_wraps():
     with pytest.raises(crypto.CounterOverflow):
         crypto.Rmc(2**128 - 1).incremented()

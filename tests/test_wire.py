@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -125,6 +127,56 @@ def test_every_frame_is_frozen():
     # the simulator hands the one frame a sender built to every receiver
     for cls in wire.MESSAGE_TYPES:
         assert cls.__dataclass_params__.frozen, cls.__name__
+
+
+def _field_value(kind):
+    if kind == "u64":
+        return st.integers(0, 2**64 - 1)
+    if kind == "u8":
+        return st.integers(0, 255)
+    return st.binary(min_size=kind[1], max_size=kind[1])
+
+
+def _sized_fields(cls) -> list[tuple[str, int]]:
+    return [(name, kind[1]) for name, kind in cls.FIELDS if kind not in ("u64", "u8")]
+
+
+@st.composite
+def frames(draw, classes=wire.MESSAGE_TYPES):
+    cls = draw(st.sampled_from(classes))
+    return cls(*(draw(_field_value(kind)) for _, kind in cls.FIELDS))
+
+
+def _reference_encode(msg: wire.WireMessage) -> bytes:
+    """The frame packed field by field from its FIELDS declaration."""
+    cls = type(msg)
+    codes = "".join({"u64": "Q", "u8": "B"}.get(kind) or f"{kind[1]}s" for _, kind in cls.FIELDS)
+    values = [getattr(msg, name) for name, _ in cls.FIELDS]
+    return struct.pack(">BH" + codes, cls.TAG, cls.SIZE, *values)
+
+
+@given(frames())
+def test_generated_encoder_packs_the_declared_fields(msg):
+    assert wire.encode(msg) == _reference_encode(msg)
+
+
+@given(frames([cls for cls in wire.MESSAGE_TYPES if _sized_fields(cls)]), st.data())
+def test_generated_encoder_rejects_a_wrong_length_field(msg, data):
+    name, size = data.draw(st.sampled_from(_sized_fields(type(msg))))
+    wrong = data.draw(st.binary(max_size=size + 8).filter(lambda b: len(b) != size))
+    bad = dataclasses.replace(msg, **{name: wrong})
+    with pytest.raises(wire.WireError) as exc:
+        wire.encode(bad)
+    assert type(exc.value) is wire.WireError
+    assert str(exc.value) == f"{name} must be {size} bytes, got {len(wrong)}"
+
+
+@given(frames())
+def test_every_frame_is_frozen_and_slotted(msg):
+    assert not hasattr(msg, "__dict__")
+    for name, _ in type(msg).FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(msg, name, getattr(msg, name))
 
 
 BAD_FRAMES = [
