@@ -17,10 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .agent import WBRAC, ProtocolError, Transition, unexpected
+from .agent import MPC_UPDATED, RMC_INCREMENTED, WBRAC, ProtocolError, Transition, unexpected
 
 REASON_VERIFY_FAILED = 0x01
 REASON_UNKNOWN_ICD = 0x02
+
+# The access point's fixed results, shared (see agent.py).
+ACTIVATION = Transition(note="activation")
+PROVISION_APPLIED = Transition(note="provision-applied")
+PROVISION_STASHED = Transition(note="provision-stashed")
 
 
 class UnknownIcd(ProtocolError):
@@ -111,12 +116,12 @@ class MapAgent:
 
     def _on_access_parameter(self, sender: str, msg: wire.AccessParameterMessage) -> Transition:
         self.mpc = msg.mpc
-        return Transition(note="mpc-updated")
+        return MPC_UPDATED
 
     def _on_parameter_update(self, sender: str, msg: wire.ParameterUpdateOrder) -> Transition:
         for rec in self.records.values():
             rec.expected_rmc = rec.expected_rmc.incremented()
-        return Transition(note="rmc-incremented")
+        return RMC_INCREMENTED
 
     def _on_update_message(self, sender: str, msg: wire.UpdateMessage) -> Transition:
         rec = self.records.get(msg.icd_in)
@@ -142,14 +147,14 @@ class MapAgent:
             return Transition(note=f"provision for unknown icd {msg.icd_in}")
         if rec.pending is not None:
             rec.pending.next_provision = msg
-            return Transition(note="provision-stashed")
+            return PROVISION_STASHED
         self._apply_provision(rec, msg)
-        return Transition(note="provision-applied")
+        return PROVISION_APPLIED
 
     # frames from devices
 
     def _on_activation(self, sender: str, msg: wire.SecureActivation) -> Transition:
-        return Transition(note="activation")
+        return ACTIVATION
 
     def _on_auth_request(self, sender: str, req: wire.AuthRequest) -> Transition:
         rec = self.records.get(req.icd_in)

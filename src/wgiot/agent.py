@@ -19,6 +19,12 @@ ParameterUpdateOrder).  The device's handlers check its state themselves.
 Handlers reach crypto, wire, unexpected and the agents' public methods by
 attribute lookup at call time, which is what lets an outside tracer wrap
 them.
+
+Nothing changes a Transition once a handler has returned it: the simulator
+only reads it.  So a result that is only a fixed note, with no frames and no
+tick, is one shared module-level Transition per note (MPC_UPDATED and
+RMC_INCREMENTED here, the rest beside the agent that returns them) rather
+than a new one with a new list per delivery.
 """
 
 from __future__ import annotations
@@ -47,12 +53,18 @@ class Transition:
 
     out holds (destination agent id, frame) pairs; tick_at asks the harness
     for a future tick; note is a short trace annotation (e.g. the reason an
-    unexpected frame was dropped).
+    unexpected frame was dropped).  Nothing changes a Transition once it is
+    returned, so fixed results are shared.
     """
 
     out: list[tuple[str, wire.WireMessage]] = field(default_factory=list)
     tick_at: int | None = None
     note: str = ""
+
+
+# Fixed results that both the access point and the devices return.
+MPC_UPDATED = Transition(note="mpc-updated")
+RMC_INCREMENTED = Transition(note="rmc-incremented")
 
 
 def unexpected(state_name: str, msg: wire.WireMessage) -> Transition:

@@ -16,9 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .agent import MAP, NO_HANDLERS, WBRAC, NotIdle, Transition, unexpected
+from .agent import (
+    MAP,
+    MPC_UPDATED,
+    NO_HANDLERS,
+    RMC_INCREMENTED,
+    WBRAC,
+    NotIdle,
+    Transition,
+    unexpected,
+)
 
 CONFIRM_TIMEOUT_MS = 1000  # confirmation order must arrive within 1 s of the ack
+
+# The device's fixed results, shared (see agent.py).
+AUTHENTICATED = Transition(note="authenticated")
+UPDATE_TIMEOUT = Transition(note="update-timeout")
+NOTHING = Transition()  # a tick that finds nothing to do
 
 
 # -- states -----------------------------------------------------------------
@@ -125,16 +139,16 @@ class IcdAgent:
 
     def _on_access_parameter(self, msg: wire.AccessParameterMessage, now: int) -> Transition:
         self.cfg.mpc = msg.mpc
-        return Transition(note="mpc-updated")
+        return MPC_UPDATED
 
     def _on_parameter_update(self, msg: wire.ParameterUpdateOrder, now: int) -> Transition:
         self.cfg.rmc = self.cfg.rmc.incremented()
-        return Transition(note="rmc-incremented")
+        return RMC_INCREMENTED
 
     def _on_auth_accept(self, msg: wire.AuthAccept, now: int) -> Transition:
         if isinstance(self.state, AwaitingAuthResult):
             self.state = Authenticated(crypto.derive_session_key(self.cfg.sd))
-            return Transition(note="authenticated")
+            return AUTHENTICATED
         return unexpected(self.state_name, msg)
 
     def _on_update_order(self, msg: wire.UpdateOrder, now: int) -> Transition:
@@ -164,7 +178,7 @@ class IcdAgent:
             return unexpected(self.state_name, msg)
         if now > state.deadline:
             self.state = IDLE
-            return Transition(note="update-timeout")
+            return UPDATE_TIMEOUT
         icd_in = self.cfg.wgie.icd_in
         if msg.auth_sign_map == state.local_sign:
             self.cfg.sd = state.sd_new
@@ -208,5 +222,5 @@ class IcdAgent:
     def tick(self, now: int) -> Transition:
         if isinstance(self.state, UpdateAwaitingConfirmation) and now > self.state.deadline:
             self.state = IDLE
-            return Transition(note="update-timeout")
-        return Transition()
+            return UPDATE_TIMEOUT
+        return NOTHING

@@ -13,9 +13,10 @@ Pending events sit in a calendar: a heap of the distinct pending times
 (`Simulator._heap`) and, for each time, a list of its events in push order.
 `step()` takes exactly one event, the next one in the earliest time's list;
 a time leaves the heap when its list is used up.  No event is pushed before
-`now` (`_push` raises `ValueError`), so an event pushed at `now`, such as a
-reply sent with no delay during a broadcast burst, joins the end of the
-current list and runs after every event already pending at that time.
+`now` (`_open`, the one place a running simulator adds a time, raises
+`ValueError`), so an event pushed at `now`, such as a reply sent with no
+delay during a broadcast burst, joins the end of the current list and runs
+after every event already pending at that time.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
@@ -42,9 +43,10 @@ items, `Scenario`, the crypto key and counter types, the device's states and
 `IcdConfig`, `IcdAgent`, the access point's `MapRecord`/`PendingUpdate`, the
 WBRAC's `SubscriberRecord`/`MpcSchedule` and `Trace` are slotted, with no
 per-instance attribute dict; the device states without fields (`Idle`,
-`AwaitingAuthResult`, `Denied`) are one shared instance each.  The
-adversary's capture and corrupt hooks run on the send path only while one
-is armed.
+`AwaitingAuthResult`, `Denied`) are one shared instance each, as is each
+agent result that is only a fixed note (see `agent.Transition`).  The
+adversary's capture and corrupt hooks run on the send path only for frames
+of an armed tag.
 """
 
 from __future__ import annotations
@@ -412,6 +414,9 @@ class Simulator:
         self.captured: list[tuple[str, str, bytes]] = []
         self._capture_tags = {a.tag for a in scenario.adversary if isinstance(a, CaptureMatching)}
         self._corrupt_queue = [a for a in scenario.adversary if isinstance(a, CorruptBit)]
+        # the tags whose frames the hooks look at; a tag stays after its
+        # corrupt actions are used up, and the hooks then match nothing
+        self._hooked_tags = frozenset(self._capture_tags | {a.tag for a in self._corrupt_queue})
 
         self._build_agents()
         self._load_schedule()
@@ -456,11 +461,17 @@ class Simulator:
         events = self._calendar.get(at)
         if events is not None:  # `at` is pending, so it is not before now
             events.append(item)
-        elif at < self.now:
-            raise ValueError(f"event at {at} ms pushed at {self.now} ms")
         else:
-            self._calendar[at] = [item]
-            heapq.heappush(self._heap, at)
+            self._open(at, item)
+
+    def _open(self, at: int, item) -> None:
+        """Make `at`, a time with no pending events, pending with `item` as
+        its first event; the only code that adds a time once the schedule
+        is loaded."""
+        if at < self.now:
+            raise ValueError(f"event at {at} ms pushed at {self.now} ms")
+        self._calendar[at] = [item]
+        heapq.heappush(self._heap, at)
 
     # -- frame transport --
 
@@ -471,9 +482,11 @@ class Simulator:
     def _transmit(self, src: str, dst: str, raw: bytes, decoded: tuple) -> None:
         """Put one encoded frame on the src -> dst link: the adversary's
         hooks, then the link's drop and duplicate draws.  `decoded` is
-        raw's (frame, payload); a corrupted copy drops it."""
+        raw's (frame, payload); a corrupted copy drops it.  It queues the
+        copy itself when its time is already pending, as a broadcast copy at
+        `now` is, and through `_open` when the time is new."""
         note = ""
-        if self._capture_tags or self._corrupt_queue:
+        if raw[0] in self._hooked_tags:
             raw, decoded, note = self._adversary_hooks(src, dst, raw, decoded)
         link = self._links.get((src, dst), NO_IMPAIRMENT)
         # chance() draws nothing at probability 0; skipping the call there
@@ -483,7 +496,12 @@ class Simulator:
         p = link.dup_prob
         duplicated = p > 0.0 and self.rng.chance(p)
         at = self.now + link.delay_ms
-        self._push(at, _new(_Deliver, (src, dst, raw, dropped, note, decoded)))
+        item = _new(_Deliver, (src, dst, raw, dropped, note, decoded))
+        events = self._calendar.get(at)
+        if events is None:
+            self._open(at, item)
+        else:
+            events.append(item)
         if duplicated and not dropped:
             self._push(at, _new(_Deliver, (src, dst, raw, False, "duplicate", decoded)))
 

@@ -40,6 +40,10 @@ class NoPendingUpdate(ProtocolError):
 DEFAULT_MPC_PERIOD_MS = 60_000
 DEFAULT_WBRAC_ID = 0x5747_0000_0000_0001
 
+# The WBRAC's fixed results, shared (see agent.py).
+COMMITTED = Transition(note="committed")
+REJECTED = Transition(note="rejected")
+
 
 @dataclass(slots=True)
 class SubscriberRecord:
@@ -175,7 +179,7 @@ class WbracService:
             return unexpected(self.state_name, msg)
         confirmed = type(msg) is wire.UpdateConfirmation
         self.commit(rec.icd_in, confirmed)
-        return Transition(note="committed" if confirmed else "rejected")
+        return COMMITTED if confirmed else REJECTED
 
     _FROM_MAP = {
         wire.UpdateRequest: _on_update_request,

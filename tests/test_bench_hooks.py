@@ -1,5 +1,7 @@
 """The span tracer in `bench/spans.py` wraps program names by attribute; a
-rename in the program must fail here, not only in the per-layer bench run."""
+rename in the program must fail here, not only in the per-layer bench run.
+Nor may a change inline a wrapped call on the per-frame path, which would
+make the bench's call counts lie."""
 
 import sys
 from pathlib import Path
@@ -8,7 +10,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import spans  # noqa: E402
 from conftest import make_subscriber  # noqa: E402
-from wgiot import simnet  # noqa: E402
+from test_trace_digests import impaired_broadcasts, lossy_broadcasts  # noqa: E402
+from wgiot import access_point, agent, icd, simnet, wbrac  # noqa: E402
+from wgiot.agent import Transition  # noqa: E402
 
 
 def test_every_wrapped_name_resolves_to_a_callable():
@@ -26,3 +30,45 @@ def test_access_point_splits_each_guid_through_decompose_guid():
         simnet.Simulator(scenario, seed=0).run()
     calls = tracer.calls
     assert calls["crypto.decompose_guid"] == calls["access_point.verify"] > 0
+
+
+def _shared_results() -> dict[str, Transition]:
+    """Each module-level Transition once, by the first name it is found
+    under; agent.py's come first, as the others import them."""
+    found = {}
+    for module in (agent, icd, access_point, wbrac):
+        for name, value in vars(module).items():
+            if isinstance(value, Transition):
+                found.setdefault(id(value), (f"{module.__name__}.{name}", value))
+    return dict(found.values())
+
+
+def test_shared_results_are_unchanged_by_runs_that_return_them():
+    shared = _shared_results()
+    assert sorted(result.note for result in shared.values()) == [
+        "",
+        "activation",
+        "authenticated",
+        "committed",
+        "mpc-updated",
+        "provision-applied",
+        "provision-stashed",
+        "rejected",
+        "rmc-incremented",
+        "update-timeout",
+    ]
+    for build in (lossy_broadcasts, impaired_broadcasts):
+        simnet.sim_run(build(0), 0)
+    changed = [
+        name for name, result in shared.items() if result != Transition(note=result.note)
+    ]
+    assert changed == []
+
+
+def test_every_trace_line_and_event_goes_through_its_wrapped_name():
+    tracer = spans.Tracer()
+    with tracer.installed():
+        trace = simnet.sim_run(lossy_broadcasts(0), 0)
+    calls = tracer.calls
+    assert calls["simnet.trace_add"] == len(trace.notes) > 0
+    assert calls["simnet.step"] >= len(trace.notes)

@@ -292,6 +292,49 @@ def test_corrupt_response_order_triggers_rejection():
     assert icd.cfg.sd.packed == sc.subscribers[0].sd  # nothing committed
 
 
+def test_hooks_capture_every_armed_frame_and_corrupt_only_the_queued_ones():
+    # three devices start in turn; every AuthRequest is captured, and the
+    # two queued corrupt actions take the first two SecureActivation frames,
+    # in queue order, while MPC broadcasts and the rest pass untouched
+    ids = ("icd-1", "icd-2", "icd-3")
+    sc = Scenario(
+        subscribers=[make_subscriber(i, icd_in=10 + i) for i in range(3)],
+        links={("icd-3", MAP): LinkModel(5, drop_prob=0.5)},
+        mpc_period=1,
+        schedule=[StartIcd(a, at=10 * i) for i, a in enumerate(ids)]
+        + [RotateMpc(at=100, targets=(MAP, *ids))],
+        adversary=[
+            CaptureMatching(wire.AuthRequest.TAG),
+            CorruptBit(wire.SecureActivation.TAG, 0),
+            CorruptBit(wire.SecureActivation.TAG, 13),
+        ],
+    )
+    sim = Simulator(sc, seed=3)
+    entries = list(sim.run().entries)
+
+    requests = [e for e in entries if e.tag == "AuthRequest"]
+    assert len(requests) == 3
+    assert all("captured" in e.note.split() for e in requests)
+    assert [(src, dst) for src, dst, _ in sim.captured] == [(a, MAP) for a in ids]
+    assert [raw[3:] for _, _, raw in sim.captured] == [e.payload for e in requests]
+
+    activations = [e for e in entries if e.tag == "SecureActivation"]
+    assert [e.sender for e in activations] == list(ids)
+    sent = [(10 + i).to_bytes(8, "big") for i in range(3)]
+    flipped = [
+        bytes([sent[0][0] ^ 0x80]) + sent[0][1:],  # bit 0
+        sent[1][:1] + bytes([sent[1][1] ^ 0x04]) + sent[1][2:],  # bit 13
+        sent[2],
+    ]
+    assert [e.payload for e in activations] == flipped
+    assert ["corrupted" in e.note.split() for e in activations] == [True, True, False]
+
+    hooked = {id(e) for e in requests + activations[:2]}
+    others = [e.note for e in entries if id(e) not in hooked]
+    assert not [n for n in others if "captured" in n or "corrupted" in n]
+    assert any(e.tag == "AccessParameterMessage" for e in entries)
+
+
 def test_replay_of_nothing_is_recorded_noop():
     sc = honest_scenario()
     sc.adversary = [ReplayCaptured(0, at=50)]
