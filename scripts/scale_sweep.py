@@ -4,14 +4,18 @@ with the start window and `max_time` grown with N so that starts stay as
 dense as in the workload (`update-storm`: 300 devices over 20 s, the
 default; `lossy-churn`: 1,500 devices over 5 s).
 
-    python3 scripts/scale_sweep.py --label change --out BENCH_18.json
-    python3 scripts/scale_sweep.py --checkout ../parent --label parent --out BENCH_18.json
+    python3 scripts/scale_sweep.py --workload lossy-churn --repeats 15 --out BENCH_19.json
+    python3 scripts/scale_sweep.py --workload lossy-churn --repeats 15 --checkout ../parent --label parent --out BENCH_19.json
     python3 scripts/scale_sweep.py --workload lossy-churn --sizes 1,100 --repeats 1 --out /tmp/scale.json
 
 For each N it prints and records the best of `--repeats` timed runs:
 set-up plus run in µs per device, run in µs per trace line, and the traced
 peak memory of one more run (tracemalloc, as `peak_mem_mb` is measured) in
-bytes per device.  A run whose cost per device stays flat as N grows does a
+bytes per device.  Beside the best run it records the median, first and
+third quartile of the µs per trace line over all repeats
+(`us_per_trace_line_median`, `_q1`, `_q3`): a best-of-N time moves with
+host contention between two sweeps of one commit, and the quartiles show
+how far.  A run whose cost per device stays flat as N grows does a
 bounded amount of work per frame.  It also records `broadcast_lines`, the
 trace lines of the WBRAC's MPC broadcasts (`AccessParameterMessage`).  `lossy-churn`
 broadcasts to every device each second of a window that grows with N, so
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import statistics
 import sys
 import time
 import tracemalloc
@@ -69,6 +74,7 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
     params = {n: sized_params(fleet, workload, n) for n in sizes}
     fleets = {n: fleet.generate(workload, SEED, params[n])[0] for n in sizes}
     best = {}  # N -> (calibrated setup_s, calibrated run_s, host_s)
+    run_times = {n: [] for n in sizes}  # N -> calibrated run_s of every repeat
     outcome = {}  # N -> (trace lines, broadcast lines, devices authenticated), the same every run
     reference = measure.reference_s()
     for _ in range(repeats):
@@ -77,6 +83,7 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
             before, reference = reference, measure.reference_s()
             scale = measure.REF_S * 2 / (before + reference)
             run = setup_s * scale, run_s * scale, setup_s + run_s
+            run_times[n].append(run[1])
             if n not in best or run[0] + run[1] < best[n][0] + best[n][1]:
                 best[n] = run
             authenticated = sum(a.state_name == "Authenticated" for a in sim.icds.values())
@@ -89,6 +96,7 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
     for n in sizes:
         setup_s, run_s, host_s = best[n]
         lines, broadcast_lines, authenticated = outcome[n]
+        q1, median, q3 = quartiles([s * 1e6 / lines for s in run_times[n]])
         rows.append({
             "devices": n,
             "start_window_ms": params[n].start_window_ms,
@@ -101,9 +109,22 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
             "host_s": host_s,
             "us_per_device": (setup_s + run_s) * 1e6 / n,
             "us_per_trace_line": run_s * 1e6 / lines,
+            "us_per_trace_line_median": median,
+            "us_per_trace_line_q1": q1,
+            "us_per_trace_line_q3": q3,
             "peak_bytes_per_device": peak_bytes(measure, fleets[n]) / n,
         })
     return rows
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, interpolated between the
+    values (`statistics.quantiles`' inclusive method); one value is all
+    three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
 
 
 def peak_bytes(measure, f) -> int:
@@ -120,7 +141,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(SETTLE_MS), default="update-storm")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="checkout to measure")
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated N")
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per size; best kept")
+    parser.add_argument(
+        "--repeats", type=int, default=5, help="timed runs per size; best and quartiles kept"
+    )
     parser.add_argument("--label", default="change", help="key of this run in --out")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add the run to")
     args = parser.parse_args(argv)
@@ -154,7 +177,8 @@ def main(argv=None) -> int:
     for row in rows:
         print(
             f"  N={row['devices']:>6}  {row['us_per_device']:8.1f} us/device  "
-            f"{row['us_per_trace_line']:6.2f} us/line  "
+            f"{row['us_per_trace_line']:6.2f} us/line (median {row['us_per_trace_line_median']:.2f} "
+            f"[{row['us_per_trace_line_q1']:.2f}, {row['us_per_trace_line_q3']:.2f}])  "
             f"{row['peak_bytes_per_device']:8.0f} B/device  "
             f"({row['authenticated']}/{row['devices']} authenticated, "
             f"{row['trace_lines']} lines, {row['broadcast_lines']} broadcast)"

@@ -1,6 +1,6 @@
 """The scale sweep of `scripts/scale_sweep.py`, run small on each workload
-it sweeps, writes the record that the committed BENCH_17.json and
-BENCH_18.json hold for each measured commit."""
+it sweeps, writes the record that the committed BENCH_17.json,
+BENCH_18.json and BENCH_19.json hold for each measured commit."""
 
 import json
 import subprocess
@@ -26,8 +26,13 @@ SIZE_KEYS = {
     "host_s",
     "us_per_device",
     "us_per_trace_line",
+    "us_per_trace_line_median",
+    "us_per_trace_line_q1",
+    "us_per_trace_line_q3",
     "peak_bytes_per_device",
 }
+# recorded since the sweep kept the spread of its repeats
+QUARTILE_KEYS = {"us_per_trace_line_median", "us_per_trace_line_q1", "us_per_trace_line_q3"}
 
 
 def _check_run(run: dict, sizes: list[int], size_keys: set[str] = SIZE_KEYS) -> None:
@@ -37,11 +42,14 @@ def _check_run(run: dict, sizes: list[int], size_keys: set[str] = SIZE_KEYS) -> 
     for row in run["sizes"]:
         assert set(row) == size_keys
         assert row["us_per_device"] > 0 and row["peak_bytes_per_device"] > 0
+        if QUARTILE_KEYS <= size_keys:
+            assert 0 < row["us_per_trace_line_q1"] <= row["us_per_trace_line_median"]
+            assert row["us_per_trace_line_median"] <= row["us_per_trace_line_q3"]
 
 
 def _sweep(out: Path, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(SCRIPT), "--sizes", "1,100", "--repeats", "1", "--out", str(out), *args],
+        [sys.executable, str(SCRIPT), "--sizes", "1,100", "--repeats", "3", "--out", str(out), *args],
         capture_output=True, text=True, timeout=120,
     )
 
@@ -79,11 +87,19 @@ def test_committed_record_has_the_parent_and_the_change():
     assert set(doc["runs"]) == {"parent", "change"}
     for run in doc["runs"].values():
         # recorded before the sweep counted broadcast lines
-        _check_run(run, ALL_SIZES, SIZE_KEYS - {"broadcast_lines"})
+        _check_run(run, ALL_SIZES, SIZE_KEYS - QUARTILE_KEYS - {"broadcast_lines"})
 
 
 def test_committed_per_frame_record_has_the_parent_and_the_change():
     doc = json.loads((ROOT / "BENCH_18.json").read_text())
     assert doc["workload"] == "update-storm" and set(doc["runs"]) == {"parent", "change"}
     for run in doc["runs"].values():
+        _check_run(run, ALL_SIZES, SIZE_KEYS - QUARTILE_KEYS)
+
+
+def test_committed_delivery_record_has_the_parent_and_the_change():
+    doc = json.loads((ROOT / "BENCH_19.json").read_text())
+    assert doc["workload"] == "lossy-churn" and set(doc["runs"]) == {"parent", "change"}
+    for run in doc["runs"].values():
+        assert run["repeats"] == 15
         _check_run(run, ALL_SIZES)
