@@ -2,10 +2,12 @@
 """Scale curve of a benchmark workload: one fleet of N devices per size,
 with the start window and `max_time` grown with N so that starts stay as
 dense as in the workload (`update-storm`: 300 devices over 20 s, the
-default; `lossy-churn`: 1,500 devices over 5 s).
+default; `lossy-churn`: 1,500 devices over 5 s; `honest-fleet`: 2,000
+devices over 5 s).
 
     python3 scripts/scale_sweep.py --workload lossy-churn --repeats 15 --out BENCH_19.json
     python3 scripts/scale_sweep.py --workload lossy-churn --repeats 15 --checkout ../parent --label parent --out BENCH_19.json
+    python3 scripts/scale_sweep.py --workload honest-fleet --repeats 15 --out BENCH_20.json
     python3 scripts/scale_sweep.py --workload lossy-churn --sizes 1,100 --repeats 1 --out /tmp/scale.json
 
 For each N it prints and records the best of `--repeats` timed runs:
@@ -13,9 +15,10 @@ set-up plus run in µs per device, run in µs per trace line, and the traced
 peak memory of one more run (tracemalloc, as `peak_mem_mb` is measured) in
 bytes per device.  Beside the best run it records the median, first and
 third quartile of the µs per trace line over all repeats
-(`us_per_trace_line_median`, `_q1`, `_q3`): a best-of-N time moves with
-host contention between two sweeps of one commit, and the quartiles show
-how far.  A run whose cost per device stays flat as N grows does a
+(`us_per_trace_line_median`, `_q1`, `_q3`) and of the set-up in µs per
+device (`setup_us_per_device_median`, `_q1`, `_q3`): a best-of-N time
+moves with host contention between two sweeps of one commit, and the
+quartiles show how far.  A run whose cost per device stays flat as N grows does a
 bounded amount of work per frame.  It also records `broadcast_lines`, the
 trace lines of the WBRAC's MPC broadcasts (`AccessParameterMessage`).  `lossy-churn`
 broadcasts to every device each second of a window that grows with N, so
@@ -51,7 +54,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (1, 100, 300, 1_000, 3_000, 6_000)
 SEED = 1
 # max_time beyond the end of the start window, as in each workload
-SETTLE_MS = {"update-storm": 40_000, "lossy-churn": 55_000}
+SETTLE_MS = {"update-storm": 40_000, "lossy-churn": 55_000, "honest-fleet": 55_000}
 BROADCAST = "AccessParameterMessage"
 
 
@@ -74,6 +77,7 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
     params = {n: sized_params(fleet, workload, n) for n in sizes}
     fleets = {n: fleet.generate(workload, SEED, params[n])[0] for n in sizes}
     best = {}  # N -> (calibrated setup_s, calibrated run_s, host_s)
+    setup_times = {n: [] for n in sizes}  # N -> calibrated setup_s of every repeat
     run_times = {n: [] for n in sizes}  # N -> calibrated run_s of every repeat
     outcome = {}  # N -> (trace lines, broadcast lines, devices authenticated), the same every run
     reference = measure.reference_s()
@@ -83,6 +87,7 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
             before, reference = reference, measure.reference_s()
             scale = measure.REF_S * 2 / (before + reference)
             run = setup_s * scale, run_s * scale, setup_s + run_s
+            setup_times[n].append(run[0])
             run_times[n].append(run[1])
             if n not in best or run[0] + run[1] < best[n][0] + best[n][1]:
                 best[n] = run
@@ -97,6 +102,7 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
         setup_s, run_s, host_s = best[n]
         lines, broadcast_lines, authenticated = outcome[n]
         q1, median, q3 = quartiles([s * 1e6 / lines for s in run_times[n]])
+        setup_q1, setup_median, setup_q3 = quartiles([s * 1e6 / n for s in setup_times[n]])
         rows.append({
             "devices": n,
             "start_window_ms": params[n].start_window_ms,
@@ -112,6 +118,9 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
             "us_per_trace_line_median": median,
             "us_per_trace_line_q1": q1,
             "us_per_trace_line_q3": q3,
+            "setup_us_per_device_median": setup_median,
+            "setup_us_per_device_q1": setup_q1,
+            "setup_us_per_device_q3": setup_q3,
             "peak_bytes_per_device": peak_bytes(measure, fleets[n]) / n,
         })
     return rows
@@ -179,6 +188,8 @@ def main(argv=None) -> int:
             f"  N={row['devices']:>6}  {row['us_per_device']:8.1f} us/device  "
             f"{row['us_per_trace_line']:6.2f} us/line (median {row['us_per_trace_line_median']:.2f} "
             f"[{row['us_per_trace_line_q1']:.2f}, {row['us_per_trace_line_q3']:.2f}])  "
+            f"set-up {row['setup_us_per_device_median']:.1f} us/device "
+            f"[{row['setup_us_per_device_q1']:.1f}, {row['setup_us_per_device_q3']:.1f}]  "
             f"{row['peak_bytes_per_device']:8.0f} B/device  "
             f"({row['authenticated']}/{row['devices']} authenticated, "
             f"{row['trace_lines']} lines, {row['broadcast_lines']} broadcast)"

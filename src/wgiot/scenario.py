@@ -11,12 +11,23 @@ is `simnet.scenario_faults`, the check `Simulator` applies to every
 scenario; the parser runs it once the whole file is read, since sections
 may come in any order, and reports the lowest line holding a fault.  Either
 way a bad file fails at load time with its line number.
+
+The file is read in one pass in file order, so the first line it cannot
+read fails first.  Lines end at `\n`, `\r\n` or `\r`, as universal
+newlines reads them; a form feed or other separator inside a line is
+whitespace.  A line that parses costs only its split and its value
+conversions: the current section's handler takes the line's number and
+stripped text and converts its fields in one go, and only when that fails
+does a field-by-field helper find the field to name.  The line of each
+value is kept in a plain list parallel to the scenario's rows, links and
+items (an option keeps the line that set it last); the map from the keys
+`scenario_faults` names to their lines is built only when it names one.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
+from sys import intern
 
 from . import wire
 from .simnet import (
@@ -53,34 +64,36 @@ _LINK_FIELDS = {"delay": "delay_ms", "drop": "drop_prob", "dup": "dup_prob"}
 _BROADCASTS = {"rotate": RotateMpc, "param-update": SendParameterUpdate}
 
 
-class _Line:
-    def __init__(self, no: int, text: str):
-        self.no = no
-        self.text = text
-
-    def fail(self, reason: str):
-        raise ScenarioError(f"line {self.no}: {reason}")
+def _fail(no: int, reason: str):
+    raise ScenarioError(f"line {no}: {reason}")
 
 
-def _parse_int(line: _Line, token: str) -> int:
+def _parse_int(no: int, token: str) -> int:
     try:
         return int(token, 0)
     except ValueError:
-        line.fail(f"expected integer, got {token!r}")
+        _fail(no, f"expected integer, got {token!r}")
 
 
-def _parse_hex(line: _Line, token: str) -> bytes:
+def _parse_hex(no: int, token: str) -> bytes:
     try:
         return bytes.fromhex(token)
     except ValueError:
-        line.fail(f"invalid hex {token!r}")
+        _fail(no, f"invalid hex {token!r}")
 
 
-def _parse_probability(line: _Line, token: str) -> float:
+def _parse_probability(no: int, token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        line.fail(f"expected probability, got {token!r}")
+        _fail(no, f"expected probability, got {token!r}")
+
+
+def _split_lines(text: str) -> list[str]:
+    """`text` cut at each `\\n`, `\\r\\n` or `\\r`, as universal newlines cuts
+    it; `str.splitlines` also cuts at form feeds and other separators an
+    editor shows inside a line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def load_scenario(path) -> Scenario:
@@ -92,10 +105,9 @@ def load_scenario(path) -> Scenario:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the lines before the bad byte decode; a character after them
-        # falls on the bad byte's line, numbered as parse_scenario numbers it
-        before = raw[: exc.start].decode("utf-8")
-        no = len((before + "x").splitlines())
+        # the lines before the bad byte decode; the bad byte is on the last
+        # of them, numbered as parse_scenario numbers it
+        no = len(_split_lines(raw[: exc.start].decode("utf-8")))
         raise ScenarioError(f"line {no}: not UTF-8: {exc.reason}") from exc
     return parse_scenario(text, base_dir=path.parent)
 
@@ -103,156 +115,188 @@ def load_scenario(path) -> Scenario:
 def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     base_dir = base_dir or Path(".")
     scenario = Scenario(subscribers=[])
+    subscribers, links = scenario.subscribers, scenario.links
+    schedule, adversary, expects = scenario.schedule, scenario.adversary, scenario.expects
     link_models: dict[str, LinkModel] = {}  # attribute text -> its model, for this file
-    registry_lines: list[int] = []  # the line of each registry row, in order
-    # each key scenario_faults names -> its line: an option's field name ->
-    # the line that set its value; a device's agent name -> its registry row;
-    # a link's (src, dst) key, or a parsed schedule, adversary or expect
-    # item -> the first line that declared it
-    lines: dict = {}
+    # where each value was set, read only to place a fault: an option's field
+    # name -> the line that set it last, and the line of each registry row,
+    # link and item in a list parallel to the scenario's own
+    option_lines: dict[str, int] = {}
+    registry_lines: list[int] = []
+    link_lines: list[int] = []
+    schedule_lines: list[int] = []
+    adversary_lines: list[int] = []
+    expect_lines: list[int] = []
 
-    def set_option(line: _Line) -> None:
-        name, value = _parse_option(line)
+    def set_option(no: int, text: str) -> None:
+        name, value = _parse_option(no, text)
         setattr(scenario, name, value)
-        lines[name] = line.no
+        option_lines[name] = no
 
-    def add_subscriber(line: _Line) -> None:
-        scenario.subscribers.append(_parse_subscriber(line))
-        registry_lines.append(line.no)
+    def add_subscriber(no: int, text: str) -> None:
+        parts = text.split()
+        try:
+            icd_in, esn, key, k, sd, rmc = parts
+            row = SubscriberSpec(
+                int(icd_in, 0),
+                int(esn, 0),
+                bytes.fromhex(key),
+                bytes.fromhex(k),
+                bytes.fromhex(sd),
+                int(rmc, 0),
+            )
+        except ValueError:  # too few or too many fields, or one that does not convert
+            row = _parse_subscriber(no, parts)  # raises, naming the first fault
+        subscribers.append(row)
+        registry_lines.append(no)
 
-    def add_link(line: _Line) -> None:
-        src, dst, model = _parse_link(line, link_models)
-        pair = (src, dst)  # one key object for both dicts
-        first = lines.setdefault(pair, line.no)
-        if first != line.no:
-            line.fail(f"duplicate link {src} -> {dst}, first declared on line {first}")
-        scenario.links[pair] = model
+    def add_link(no: int, text: str) -> None:
+        parts = text.split(None, 2)
+        if len(parts) < 2:
+            _fail(no, "link line needs: <src> <dst> [delay=N] [drop=P] [dup=P]")
+        attrs = parts[2] if len(parts) == 3 else ""
+        model = link_models.get(attrs)
+        if model is None:  # parsed the first time its text appears, shared after (frozen)
+            model = link_models[attrs] = _parse_link_model(no, attrs)
+        pair = intern(parts[0]), intern(parts[1])
+        if pair in links:
+            src, dst = pair
+            first = link_lines[list(links).index(pair)]
+            _fail(no, f"duplicate link {src} -> {dst}, first declared on line {first}")
+        links[pair] = model
+        link_lines.append(no)
 
-    def adder(items: list, parse):
-        def add(line: _Line) -> None:
-            item = parse(line)
-            items.append(item)
-            lines.setdefault(item, line.no)
+    def add_schedule(no: int, text: str) -> None:
+        schedule.append(_parse_schedule(no, text))
+        schedule_lines.append(no)
 
-        return add
+    def add_adversary(no: int, text: str) -> None:
+        adversary.append(_parse_adversary(no, text))
+        adversary_lines.append(no)
 
-    section_parsers = {
+    def add_expect(no: int, text: str) -> None:
+        expects.append(_parse_expect(no, text, base_dir))
+        expect_lines.append(no)
+
+    sections = {
         "options": set_option,
         "registry": add_subscriber,
         "links": add_link,
-        "schedule": adder(scenario.schedule, _parse_schedule),
-        "adversary": adder(scenario.adversary, _parse_adversary),
-        "expect": adder(scenario.expects, lambda line: _parse_expect(line, base_dir)),
+        "schedule": add_schedule,
+        "adversary": add_adversary,
+        "expect": add_expect,
     }
-    parse_line = None
-    saw_header = False
 
-    for no, raw_line in enumerate(text.splitlines(), start=1):
-        line = _Line(no, raw_line.strip())
-        if not line.text or line.text.startswith("#"):
-            continue
-        if not saw_header:
-            if line.text != SCENARIO_HEADER:
-                line.fail(f"expected header {SCENARIO_HEADER!r}")
-            saw_header = True
-            continue
-        if line.text.startswith("[") and line.text.endswith("]"):
-            section = line.text[1:-1]
-            parse_line = section_parsers.get(section)
-            if parse_line is None:
-                line.fail(f"unknown section [{section}]")
-            continue
-        if parse_line is None:
-            line.fail("content before any section")
-        parse_line(line)
-
-    if not saw_header:
+    numbered = enumerate(_split_lines(text), start=1)
+    for no, line in numbered:
+        line = line.strip()
+        if line and line[0] != "#":
+            if line != SCENARIO_HEADER:
+                _fail(no, f"expected header {SCENARIO_HEADER!r}")
+            break
+    else:
         raise ScenarioError("empty scenario file")
-    lines.update(zip(device_ids(scenario), registry_lines))
-    faults = [(lines[key], reason) for key, reason in scenario_faults(scenario)]
+    add = _before_any_section
+    for no, line in numbered:
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            add = sections.get(line[1:-1])
+            if add is None:
+                _fail(no, f"unknown section {line}")
+            continue
+        add(no, line)
+
+    faults = list(scenario_faults(scenario))
     if faults:
-        raise ScenarioError("line %d: %s" % min(faults, key=lambda fault: fault[0]))
-    if not any(isinstance(item, StartIcd) for item in scenario.schedule):
+        # each key scenario_faults names -> its line; an item given twice
+        # maps to its first line
+        line_of = dict(option_lines)
+        line_of.update(zip(device_ids(scenario), registry_lines))
+        line_of.update(zip(links, link_lines))
+        for items, numbers in (
+            (schedule, schedule_lines),
+            (adversary, adversary_lines),
+            (expects, expect_lines),
+        ):
+            for item, no in zip(items, numbers):
+                line_of.setdefault(item, no)
+        no, reason = min(((line_of[key], reason) for key, reason in faults), key=lambda f: f[0])
+        _fail(no, reason)
+    if not any(isinstance(item, StartIcd) for item in schedule):
         scenario.schedule += [StartIcd(a, at=0) for a in device_ids(scenario)]
     return scenario
 
 
-def _parse_option(line: _Line) -> tuple[str, int]:
-    if "=" not in line.text:
-        line.fail("expected key = value")
-    key, _, value = (t.strip() for t in line.text.partition("="))
+def _before_any_section(no: int, text: str) -> None:
+    _fail(no, "content before any section")
+
+
+def _parse_option(no: int, text: str) -> tuple[str, int]:
+    if "=" not in text:
+        _fail(no, "expected key = value")
+    key, _, value = (t.strip() for t in text.partition("="))
     if key not in _OPTIONS:
-        line.fail(f"unknown option {key!r}")
-    return key, _parse_int(line, value)
+        _fail(no, f"unknown option {key!r}")
+    return key, _parse_int(no, value)
 
 
-def _parse_subscriber(line: _Line) -> SubscriberSpec:
-    parts = line.text.split()
+def _parse_subscriber(no: int, parts: list[str]) -> SubscriberSpec:
+    """The registry row of `parts`, each field converted on its own so that
+    a fault names its field; `parse_scenario` converts a row in one go and
+    comes here only when that fails."""
     if len(parts) != 6:
-        line.fail(f"registry line needs 6 fields, got {len(parts)}")
+        _fail(no, f"registry line needs 6 fields, got {len(parts)}")
     return SubscriberSpec(
-        icd_in=_parse_int(line, parts[0]),
-        esn=_parse_int(line, parts[1]),
-        key=_parse_hex(line, parts[2]),
-        sc_auth_k=_parse_hex(line, parts[3]),
-        sd=_parse_hex(line, parts[4]),
-        rmc=_parse_int(line, parts[5]),
+        icd_in=_parse_int(no, parts[0]),
+        esn=_parse_int(no, parts[1]),
+        key=_parse_hex(no, parts[2]),
+        sc_auth_k=_parse_hex(no, parts[3]),
+        sd=_parse_hex(no, parts[4]),
+        rmc=_parse_int(no, parts[5]),
     )
 
 
-def _parse_link(line: _Line, models: dict[str, LinkModel]) -> tuple[str, str, LinkModel]:
-    """<src> <dst>, interned, and the model for the rest of the line, parsed
-    the first time that text appears in the file and shared after (LinkModel
-    is frozen)."""
-    parts = line.text.split(None, 2)
-    if len(parts) < 2:
-        line.fail("link line needs: <src> <dst> [delay=N] [drop=P] [dup=P]")
-    attrs = parts[2] if len(parts) == 3 else ""
-    model = models.get(attrs)
-    if model is None:
-        model = models[attrs] = _parse_link_model(line, attrs)
-    return sys.intern(parts[0]), sys.intern(parts[1]), model
-
-
-def _parse_link_model(line: _Line, attrs: str) -> LinkModel:
+def _parse_link_model(no: int, attrs: str) -> LinkModel:
     kwargs = {}
     for token in attrs.split():
         if "=" not in token:
-            line.fail(f"expected key=value, got {token!r}")
+            _fail(no, f"expected key=value, got {token!r}")
         key, _, value = token.partition("=")
         name = _LINK_FIELDS.get(key)
         if name is None:
-            line.fail(f"unknown link attribute {key!r}")
+            _fail(no, f"unknown link attribute {key!r}")
         if name in kwargs:
-            line.fail(f"repeated link attribute {key!r}")
+            _fail(no, f"repeated link attribute {key!r}")
         if key == "delay":
-            kwargs[name] = _parse_int(line, value)
+            kwargs[name] = _parse_int(no, value)
         else:
-            kwargs[name] = _parse_probability(line, value)
+            kwargs[name] = _parse_probability(no, value)
     return LinkModel(**kwargs)
 
 
-def _parse_schedule(line: _Line):
-    parts = line.text.split()
+def _parse_schedule(no: int, text: str):
+    parts = text.split()
     if len(parts) == 4 and parts[0] == "start" and parts[2] == "at":
-        return StartIcd(sys.intern(parts[1]), at=_parse_int(line, parts[3]))
+        return StartIcd(intern(parts[1]), _parse_int(no, parts[3]))
     broadcast = _BROADCASTS.get(parts[0])
     if broadcast and len(parts) == 5 and parts[1] == "at" and parts[3] == "to":
-        targets = tuple(sys.intern(t) for t in parts[4].split(",") if t)
-        return broadcast(at=_parse_int(line, parts[2]), targets=targets)
-    line.fail(f"unrecognized schedule line {line.text!r}")
+        targets = tuple(map(intern, filter(None, parts[4].split(","))))
+        return broadcast(at=_parse_int(no, parts[2]), targets=targets)
+    _fail(no, f"unrecognized schedule line {text!r}")
 
 
-def _parse_adversary(line: _Line):
-    parts = line.text.split()
+def _parse_adversary(no: int, text: str):
+    parts = text.split()
     n = len(parts)
     try:
         if n == 2 and parts[0] == "capture":
             return CaptureMatching(wire.tag_by_name(parts[1]))
         if n == 4 and parts[0] == "replay" and parts[2] == "at":
-            return ReplayCaptured(index=_parse_int(line, parts[1]), at=_parse_int(line, parts[3]))
+            return ReplayCaptured(index=_parse_int(no, parts[1]), at=_parse_int(no, parts[3]))
         if n == 4 and parts[0] == "corrupt" and parts[2] == "bit":
-            return CorruptBit(wire.tag_by_name(parts[1]), bit_index=_parse_int(line, parts[3]))
+            return CorruptBit(wire.tag_by_name(parts[1]), bit_index=_parse_int(no, parts[3]))
         if (
             parts[0] == "inject"
             and (n == 6 or (n == 8 and parts[6] == "from"))
@@ -261,22 +305,22 @@ def _parse_adversary(line: _Line):
         ):
             frame = wire.decode(bytes.fromhex(parts[1]))
             src = parts[7] if n == 8 else "adversary"
-            return Inject(frame=frame, to=parts[3], at=_parse_int(line, parts[5]), src=src)
+            return Inject(frame=frame, to=parts[3], at=_parse_int(no, parts[5]), src=src)
     except (wire.WireError, ValueError) as exc:
-        line.fail(f"bad adversary line: {exc}")
-    line.fail(f"unrecognized adversary line {line.text!r}")
+        _fail(no, f"bad adversary line: {exc}")
+    _fail(no, f"unrecognized adversary line {text!r}")
 
 
-def _parse_expect(line: _Line, base_dir: Path):
-    parts = line.text.split()
+def _parse_expect(no: int, text: str, base_dir: Path):
+    parts = text.split()
     n = len(parts)
     if n == 3 and parts[1] == "reaches":
         return ("reaches", parts[0], parts[2])
     if n == 4 and parts[0] == "frame-count" and parts[2] in _FRAME_COUNT_OPS:
-        return ("frame-count", parts[1], parts[2], _parse_int(line, parts[3]))
+        return ("frame-count", parts[1], parts[2], _parse_int(no, parts[3]))
     if n == 2 and parts[0] == "trace-golden":
         return ("trace-golden", base_dir / parts[1])
-    line.fail(f"unrecognized expectation {line.text!r}")
+    _fail(no, f"unrecognized expectation {text!r}")
 
 
 def check_expects(scenario: Scenario, sim, trace) -> list[str]:

@@ -1,6 +1,6 @@
 """The scale sweep of `scripts/scale_sweep.py`, run small on each workload
-it sweeps, writes the record that the committed BENCH_17.json,
-BENCH_18.json and BENCH_19.json hold for each measured commit."""
+it sweeps, writes the record that the committed BENCH_17.json to
+BENCH_20.json hold for each measured commit."""
 
 import json
 import subprocess
@@ -29,10 +29,19 @@ SIZE_KEYS = {
     "us_per_trace_line_median",
     "us_per_trace_line_q1",
     "us_per_trace_line_q3",
+    "setup_us_per_device_median",
+    "setup_us_per_device_q1",
+    "setup_us_per_device_q3",
     "peak_bytes_per_device",
 }
 # recorded since the sweep kept the spread of its repeats
 QUARTILE_KEYS = {"us_per_trace_line_median", "us_per_trace_line_q1", "us_per_trace_line_q3"}
+# recorded since the sweep kept the spread of its set-up times too
+SETUP_QUARTILE_KEYS = {
+    "setup_us_per_device_median",
+    "setup_us_per_device_q1",
+    "setup_us_per_device_q3",
+}
 
 
 def _check_run(run: dict, sizes: list[int], size_keys: set[str] = SIZE_KEYS) -> None:
@@ -45,6 +54,9 @@ def _check_run(run: dict, sizes: list[int], size_keys: set[str] = SIZE_KEYS) -> 
         if QUARTILE_KEYS <= size_keys:
             assert 0 < row["us_per_trace_line_q1"] <= row["us_per_trace_line_median"]
             assert row["us_per_trace_line_median"] <= row["us_per_trace_line_q3"]
+        if SETUP_QUARTILE_KEYS <= size_keys:
+            assert 0 < row["setup_us_per_device_q1"] <= row["setup_us_per_device_median"]
+            assert row["setup_us_per_device_median"] <= row["setup_us_per_device_q3"]
 
 
 def _sweep(out: Path, *args: str) -> subprocess.CompletedProcess:
@@ -54,7 +66,7 @@ def _sweep(out: Path, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("workload", ["update-storm", "lossy-churn"])
+@pytest.mark.parametrize("workload", ["update-storm", "lossy-churn", "honest-fleet"])
 def test_small_sweep_writes_every_key(tmp_path, workload):
     out = tmp_path / "scale.json"
     for label in ("a", "b"):
@@ -68,6 +80,12 @@ def test_small_sweep_writes_every_key(tmp_path, workload):
         if workload == "update-storm":
             assert [row["authenticated"] for row in rows] == [1, 100]
             assert [row["broadcast_lines"] for row in rows] == [1, 1]  # the one rotation, to map-1
+        elif workload == "honest-fleet":
+            # in-sync GUIDs: no broadcast, and three frames per device
+            assert [row["authenticated"] for row in rows] == [1, 100]
+            assert [row["broadcast_lines"] for row in rows] == [0, 0]
+            assert [row["trace_lines"] for row in rows] == [3, 300]
+            assert [row["max_time"] for row in rows] == [55_002, 55_250]
         else:
             # each MPC broadcast reaches map-1 and every device
             assert all(row["broadcast_lines"] % (row["devices"] + 1) == 0 for row in rows)
@@ -87,14 +105,16 @@ def test_committed_record_has_the_parent_and_the_change():
     assert set(doc["runs"]) == {"parent", "change"}
     for run in doc["runs"].values():
         # recorded before the sweep counted broadcast lines
-        _check_run(run, ALL_SIZES, SIZE_KEYS - QUARTILE_KEYS - {"broadcast_lines"})
+        _check_run(
+            run, ALL_SIZES, SIZE_KEYS - QUARTILE_KEYS - SETUP_QUARTILE_KEYS - {"broadcast_lines"}
+        )
 
 
 def test_committed_per_frame_record_has_the_parent_and_the_change():
     doc = json.loads((ROOT / "BENCH_18.json").read_text())
     assert doc["workload"] == "update-storm" and set(doc["runs"]) == {"parent", "change"}
     for run in doc["runs"].values():
-        _check_run(run, ALL_SIZES, SIZE_KEYS - QUARTILE_KEYS)
+        _check_run(run, ALL_SIZES, SIZE_KEYS - QUARTILE_KEYS - SETUP_QUARTILE_KEYS)
 
 
 def test_committed_delivery_record_has_the_parent_and_the_change():
@@ -102,4 +122,13 @@ def test_committed_delivery_record_has_the_parent_and_the_change():
     assert doc["workload"] == "lossy-churn" and set(doc["runs"]) == {"parent", "change"}
     for run in doc["runs"].values():
         assert run["repeats"] == 15
+        _check_run(run, ALL_SIZES, SIZE_KEYS - SETUP_QUARTILE_KEYS)
+
+
+def test_committed_set_up_record_has_the_parent_and_the_change():
+    doc = json.loads((ROOT / "BENCH_20.json").read_text())
+    assert doc["workload"] == "honest-fleet" and set(doc["runs"]) == {"parent", "change"}
+    for run in doc["runs"].values():
+        assert run["repeats"] == 15
         _check_run(run, ALL_SIZES)
+        assert all(row["authenticated"] == row["devices"] for row in run["sizes"])

@@ -473,6 +473,65 @@ def test_load_missing_file():
         load_scenario("/nonexistent/path.scn")
 
 
+# The line a value fault is reported on: equal items map to their first line,
+# an option to the line that set it last, and a line the parser cannot read
+# fails before anything after it is looked at.
+LINE_RULES = [
+    pytest.param(
+        MINIMAL + "[schedule]\nstart icd-9 at 5\nstart icd-9 at 5\n",
+        "line 5: unknown device 'icd-9'",
+        id="equal-items-first-line",
+    ),
+    pytest.param(
+        MINIMAL + "[options]\nmax_time = 5\nmax_time = -1\n",
+        "line 6: negative max_time -1",
+        id="option-last-line",
+    ),
+    pytest.param(
+        MINIMAL + "[links]\nicd-1\n[nonsense]\n",
+        "line 5: link line needs: <src> <dst> [delay=N] [drop=P] [dup=P]",
+        id="first-unreadable-line",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message", LINE_RULES)
+def test_fault_line_rules(text, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(text)
+
+
+# Characters `str.splitlines` breaks a line at but universal newlines (and an
+# editor) do not: each stays inside its comment.
+IN_LINE_SEPARATORS = pytest.mark.parametrize(
+    "sep",
+    ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=["FF", "VT", "FS", "GS", "RS", "NEL", "LS", "PS"],
+)
+
+
+@IN_LINE_SEPARATORS
+def test_separator_inside_a_comment_does_not_end_the_line(sep):
+    head = f"wgiot-scenario v1\n# note{sep}more\n[registry]\n{REGISTRY_LINE}\n"
+    assert len(parse_scenario(head).subscribers) == 1
+    with pytest.raises(ScenarioError, match="^line 6: unknown device 'icd-9'$"):
+        parse_scenario(head + "[schedule]\nstart icd-9 at 0\n")
+
+
+@IN_LINE_SEPARATORS
+def test_non_utf8_line_number_ignores_in_line_separators(tmp_path, sep):
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(f"wgiot-scenario v1\n# note{sep}more\n".encode() + b"\xff\n")
+    with pytest.raises(ScenarioError, match="^line 3: not UTF-8: invalid start byte$"):
+        load_scenario(scn)
+
+
+def test_lone_cr_and_crlf_end_lines():
+    text = "wgiot-scenario v1\r[registry]\r\n" + REGISTRY_LINE + "\r[schedule]\nstart icd-9 at 0\r"
+    with pytest.raises(ScenarioError, match="^line 5: unknown device 'icd-9'$"):
+        parse_scenario(text)
+
+
 # -- CLI run -------------------------------------------------------------------------
 
 
