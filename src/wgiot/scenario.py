@@ -17,10 +17,11 @@ read fails first.  Lines end at `\n`, `\r\n` or `\r`, as universal
 newlines reads them; a form feed or other separator inside a line is
 whitespace.  A line that parses costs only its split and its value
 conversions: the current section's handler takes the line's number and
-stripped text and converts its fields in one go, and only when that fails
-does a field-by-field helper find the field to name.  The line of each
-value is kept in a plain list parallel to the scenario's rows, links and
-items (an option keeps the line that set it last); the map from the keys
+stripped text, and no object is made for the line.  A registry row
+converts its six fields in one go; only a row that fails is parsed again
+field by field, to name the field at fault.  The line of each value is
+kept in a plain list parallel to the scenario's rows, links and items (an
+option keeps the line that set it last); the map from the keys
 `scenario_faults` names to their lines is built only when it names one.
 """
 

@@ -126,6 +126,21 @@ def _corrupt(kind: str, sections: dict[str, list[str]], draw):
     """`sections` with one row made bad; returns the (section, index) of
     that row and its fault's reason, given the line of each row."""
     rows = {name: list(section) for name, section in sections.items()}
+    if kind == "duplicate-link":
+        links = rows["links"] = [
+            link for link in rows["links"] if not link.startswith("wbrac wbrac")
+        ]
+        i = draw(st.integers(0, len(links)))
+        links.insert(i, "wbrac wbrac")
+        j = draw(st.integers(i + 1, len(links)))
+        links.insert(j, "wbrac wbrac delay=3")
+        return rows, ("links", j), lambda where: (
+            f"duplicate link wbrac -> wbrac, first declared on line {where['links', i]}"
+        )
+    if kind == "unknown-device":
+        j = draw(st.integers(0, len(rows["schedule"])))
+        rows["schedule"].insert(j, "start icd-9 at 0")
+        return rows, ("schedule", j), lambda where: "unknown device 'icd-9'"
     registry = rows["registry"]
     i = draw(st.integers(0, len(registry) - 1))
     fields = registry[i].split()
@@ -140,25 +155,9 @@ def _corrupt(kind: str, sections: dict[str, list[str]], draw):
     elif kind == "5-fields":
         fields.pop(draw(st.integers(0, 5)))
         reason = "registry line needs 6 fields, got 5"
-    elif kind == "7-fields":
+    else:  # 7 fields
         fields.insert(draw(st.integers(0, 6)), "0")
         reason = "registry line needs 6 fields, got 7"
-    elif kind == "duplicate-link":
-        links = rows["links"] = [
-            link for link in rows["links"] if not link.startswith("wbrac wbrac")
-        ]
-        i = draw(st.integers(0, len(links)))
-        links.insert(i, "wbrac wbrac")
-        j = draw(st.integers(i + 1, len(links)))
-        links.insert(j, "wbrac wbrac delay=3")
-        return rows, ("links", j), lambda where: (
-            f"duplicate link wbrac -> wbrac, first declared on line {where['links', i]}"
-        )
-    else:  # unknown device
-        schedule = rows["schedule"]
-        j = draw(st.integers(0, len(schedule)))
-        schedule.insert(j, "start icd-9 at 0")
-        return rows, ("schedule", j), lambda where: "unknown device 'icd-9'"
     registry[i] = " ".join(fields)
     return rows, ("registry", i), lambda where: reason
 
