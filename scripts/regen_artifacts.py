@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate committed artifacts: the golden honest-run trace, the PRF
-conformance vector files and the layout table in frames.md.  Run from the
-repository root."""
+conformance vector files, and the layout table and the "Who sends what" list
+in frames.md.  Run from the repository root."""
 
 from pathlib import Path
 
-from wgiot import crypto, wire
+from wgiot import crypto, simnet, wire
 from wgiot.scenario import load_scenario
 from wgiot.simnet import sim_run
 
@@ -25,12 +25,18 @@ def main():
         path.write_text(crypto.generate_vectors(crypto.get_backend(name)))
         print(f"wrote {path}")
 
-    # the table runs from its header row to the next blank line
+    # the table and the list each run from their first row after their
+    # heading to the next blank line
     frames = ROOT / "frames.md"
     text = frames.read_text()
-    start = text.index("| Tag ")
-    end = text.index("\n\n", start) + 1
-    frames.write_text(text[:start] + wire.frame_table() + text[end:])
+    for heading, first_row, rendered in (
+        ("# Wire frames", "| Tag ", wire.frame_table()),
+        ("Who sends what", "- ", simnet.route_table()),
+    ):
+        start = text.index("\n" + first_row, text.index(heading)) + 1
+        end = text.index("\n\n", start) + 1
+        text = text[:start] + rendered + text[end:]
+    frames.write_text(text)
     print(f"wrote {frames}")
 
 

@@ -7,9 +7,9 @@ between device and WBRAC.  A failed comparison is remedied by a fixed rule
 AAC-only mismatch gets a unique challenge, and all three wrong is denied.
 Every update-flow frame names its device by icd_in, so each flow's record
 is found by that id however many flows are in progress.  The access point
-obeys the WBRAC's frames only when they come from WBRAC, and acts on a
-device's AuthRequest, UpdateConfirmation or UpdateRejection only when its
-icd_in is the sending device's own.
+acts on a device's AuthRequest, UpdateConfirmation or UpdateRejection only
+when its icd_in is the sending device's own.  Its dispatch tables say which
+frames it obeys from which sender (frames.md lists them; see agent.py).
 """
 
 from __future__ import annotations
@@ -110,20 +110,24 @@ class MapAgent:
         handler = self._BY_SENDER.get(sender, self._FROM_DEVICE).get(type(msg))
         if handler is None:
             return unexpected(self.state_name, msg)
-        return handler(self, sender, msg)
+        return handler(self, sender, msg, now)
 
     # frames from the WBRAC
 
-    def _on_access_parameter(self, sender: str, msg: wire.AccessParameterMessage) -> Transition:
+    def _on_access_parameter(
+        self, sender: str, msg: wire.AccessParameterMessage, now: int
+    ) -> Transition:
         self.mpc = msg.mpc
         return MPC_UPDATED
 
-    def _on_parameter_update(self, sender: str, msg: wire.ParameterUpdateOrder) -> Transition:
+    def _on_parameter_update(
+        self, sender: str, msg: wire.ParameterUpdateOrder, now: int
+    ) -> Transition:
         for rec in self.records.values():
             rec.expected_rmc = rec.expected_rmc.incremented()
         return RMC_INCREMENTED
 
-    def _on_update_message(self, sender: str, msg: wire.UpdateMessage) -> Transition:
+    def _on_update_message(self, sender: str, msg: wire.UpdateMessage, now: int) -> Transition:
         rec = self.records.get(msg.icd_in)
         if rec is None:
             return Transition(note=f"update for unknown icd {msg.icd_in}")
@@ -131,7 +135,9 @@ class MapAgent:
         order = wire.UpdateOrder(msg.rand, rec.expected_rmc.packed)
         return Transition(out=[(rec.icd_agent_id, order)])
 
-    def _on_challenge_response(self, sender: str, msg: wire.MapChallengeResponse) -> Transition:
+    def _on_challenge_response(
+        self, sender: str, msg: wire.MapChallengeResponse, now: int
+    ) -> Transition:
         rec = self.records.get(msg.icd_in)
         if rec is None or rec.pending is None or rec.pending.expected_sign is not None:
             # unknown, no update pending, or the flow's response already relayed
@@ -141,7 +147,7 @@ class MapAgent:
             out=[(rec.icd_agent_id, wire.MapChallengeResponseOrder(msg.auth_sign_map))]
         )
 
-    def _on_provision(self, sender: str, msg: wire.MapProvision) -> Transition:
+    def _on_provision(self, sender: str, msg: wire.MapProvision, now: int) -> Transition:
         rec = self.records.get(msg.icd_in)
         if rec is None:
             return Transition(note=f"provision for unknown icd {msg.icd_in}")
@@ -153,18 +159,18 @@ class MapAgent:
 
     # frames from devices
 
-    def _on_activation(self, sender: str, msg: wire.SecureActivation) -> Transition:
+    def _on_activation(self, sender: str, msg: wire.SecureActivation, now: int) -> Transition:
         return ACTIVATION
 
-    def _on_auth_request(self, sender: str, req: wire.AuthRequest) -> Transition:
-        rec = self.records.get(req.icd_in)
+    def _on_auth_request(self, sender: str, msg: wire.AuthRequest, now: int) -> Transition:
+        rec = self.records.get(msg.icd_in)
         if rec is None or self._by_agent.get(sender) is not rec:
             # unknown, or not the sender's own icd_in
             return Transition(
                 out=[(sender, wire.AccessDenied(REASON_UNKNOWN_ICD))], note="unknown-icd"
             )
         try:
-            mismatch = self.verify(req.icd_in, req)
+            mismatch = self.verify(msg.icd_in, msg)
         except crypto.BadLength as exc:
             return Transition(note=f"malformed guid: {exc}")
         if not mismatch:
@@ -184,7 +190,7 @@ class MapAgent:
             # refresh the device's stale MPC alongside the update request
             return Transition(
                 out=[
-                    (WBRAC, wire.UpdateRequest(req.icd_in)),
+                    (WBRAC, wire.UpdateRequest(msg.icd_in)),
                     (sender, wire.AccessParameterMessage(self.mpc)),
                 ],
                 note=note + " -> update",
@@ -194,7 +200,7 @@ class MapAgent:
         )
 
     def _on_challenge_order(
-        self, sender: str, msg: wire.MobileAccessChallengeOrder
+        self, sender: str, msg: wire.MobileAccessChallengeOrder, now: int
     ) -> Transition:
         rec = self._by_agent.get(sender)
         if rec is None:
@@ -206,7 +212,7 @@ class MapAgent:
             ]
         )
 
-    def _on_confirmation(self, sender: str, msg: wire.UpdateConfirmation) -> Transition:
+    def _on_confirmation(self, sender: str, msg: wire.UpdateConfirmation, now: int) -> Transition:
         rec = self._pending_of(sender, msg.icd_in)
         if rec is None:
             return unexpected(self.state_name, msg)
@@ -215,14 +221,16 @@ class MapAgent:
         rec.pending = None
         return Transition(out=[(WBRAC, msg)], note="update-committed")
 
-    def _on_rejection(self, sender: str, msg: wire.UpdateRejection) -> Transition:
+    def _on_rejection(self, sender: str, msg: wire.UpdateRejection, now: int) -> Transition:
         rec = self._pending_of(sender, msg.icd_in)
         if rec is None:
             return unexpected(self.state_name, msg)
         rec.pending = None
         return Transition(out=[(WBRAC, msg)], note="update-discarded")
 
-    def _on_challenge_answer(self, sender: str, msg: wire.AuthChallengeAnswer) -> Transition:
+    def _on_challenge_answer(
+        self, sender: str, msg: wire.AuthChallengeAnswer, now: int
+    ) -> Transition:
         rec = self._by_agent.get(sender)
         if rec is None or not rec.challenge_outstanding:
             return unexpected(self.state_name, msg)

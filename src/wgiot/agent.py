@@ -9,16 +9,18 @@ MapAgent, WbracService) offers the same interface:
 - tick(now) -> Transition: only on agents that ever return tick_at (which
   only IcdAgent does), called when the requested time arrives.
 
-One sender rule holds for all three: an agent picks a table of per-frame
-handlers by the frame's sender, then looks the frame's exact type up in it;
-a sender with no table, or a type with no entry, returns unexpected(...) and
-changes nothing.  The WBRAC obeys only MAP.  The access point keeps one
-table for frames from WBRAC and one for frames from devices.  A device obeys
-MAP, and from WBRAC only the network broadcasts (AccessParameterMessage,
-ParameterUpdateOrder).  The device's handlers check its state themselves.
-Handlers reach crypto, wire, unexpected and the agents' public methods by
-attribute lookup at call time, which is what lets an outside tracer wrap
-them.
+All three dispatch a frame the same way.  Every handler takes (self,
+sender, msg, now).  `handle` picks the agent's table for the sender,
+`_BY_SENDER[sender]` for WBRAC or MAP and `_FROM_DEVICE` for any other
+sender (NO_HANDLERS where the agent obeys no one else), then looks the
+frame's exact type up in it; a type with no entry returns unexpected(...)
+and changes nothing.  These tables are the only statement of which sender
+each agent obeys for each frame: `simnet.route_table()` renders them as the
+"Who sends what" list of frames.md.  The device's handlers check its state
+themselves.  Handlers reach crypto, wire, unexpected and the agents' public
+methods by attribute lookup at call time, which is what lets an outside
+tracer wrap them; that is also why each agent's module keeps its own
+three-line `handle`, calling its own module's `unexpected`.
 
 Nothing changes a Transition once a handler has returned it: the simulator
 only reads it.  So a result that is only a fixed note, with no frames and no

@@ -4,11 +4,8 @@ The device initiates activation, assembles its GUID, answers update-value
 and unique-challenge flows, and enforces the 1 s confirmation timer.  The
 new service data computed during an update is committed exactly once (on a
 matching confirmation order) or discarded exactly once (mismatch/timeout).
-
-The device obeys frames only from the access point (MAP), and from the
-WBRAC only the two network broadcasts, AccessParameterMessage and
-ParameterUpdateOrder.  A frame from any other sender is noted as unexpected
-and changes nothing.
+Its dispatch tables say which frames it obeys from which sender (frames.md
+lists them; see agent.py).
 """
 
 from __future__ import annotations
@@ -78,6 +75,12 @@ class Denied:
 IDLE = Idle()
 AWAITING_AUTH_RESULT = AwaitingAuthResult()
 DENIED = Denied()
+# Every state's name; a scenario's `reaches` may expect any of them of a device.
+STATE_NAMES = frozenset(
+    state.name
+    for state in (Idle, AwaitingAuthResult, UpdateAwaitingAck, UpdateAwaitingConfirmation)
+    + (Authenticated, Denied)
+)
 
 
 @dataclass(slots=True)
@@ -132,26 +135,30 @@ class IcdAgent:
         )
 
     def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
-        handler = self._BY_SENDER.get(sender, NO_HANDLERS).get(type(msg))
+        handler = self._BY_SENDER.get(sender, self._FROM_DEVICE).get(type(msg))
         if handler is None:
             return unexpected(self.state_name, msg)
-        return handler(self, msg, now)
+        return handler(self, sender, msg, now)
 
-    def _on_access_parameter(self, msg: wire.AccessParameterMessage, now: int) -> Transition:
+    def _on_access_parameter(
+        self, sender: str, msg: wire.AccessParameterMessage, now: int
+    ) -> Transition:
         self.cfg.mpc = msg.mpc
         return MPC_UPDATED
 
-    def _on_parameter_update(self, msg: wire.ParameterUpdateOrder, now: int) -> Transition:
+    def _on_parameter_update(
+        self, sender: str, msg: wire.ParameterUpdateOrder, now: int
+    ) -> Transition:
         self.cfg.rmc = self.cfg.rmc.incremented()
         return RMC_INCREMENTED
 
-    def _on_auth_accept(self, msg: wire.AuthAccept, now: int) -> Transition:
+    def _on_auth_accept(self, sender: str, msg: wire.AuthAccept, now: int) -> Transition:
         if isinstance(self.state, AwaitingAuthResult):
             self.state = Authenticated(crypto.derive_session_key(self.cfg.sd))
             return AUTHENTICATED
         return unexpected(self.state_name, msg)
 
-    def _on_update_order(self, msg: wire.UpdateOrder, now: int) -> Transition:
+    def _on_update_order(self, sender: str, msg: wire.UpdateOrder, now: int) -> Transition:
         if isinstance(self.state, Denied):
             return unexpected(self.state_name, msg)
         cfg = self.cfg
@@ -164,7 +171,7 @@ class IcdAgent:
         self.state = UpdateAwaitingAck(sd_new, local_sign)
         return Transition(out=[(MAP, wire.MobileAccessChallengeOrder(to_map))])
 
-    def _on_challenge_ack(self, msg: wire.ChallengeAck, now: int) -> Transition:
+    def _on_challenge_ack(self, sender: str, msg: wire.ChallengeAck, now: int) -> Transition:
         state = self.state
         if isinstance(state, UpdateAwaitingAck):
             deadline = now + CONFIRM_TIMEOUT_MS
@@ -172,7 +179,9 @@ class IcdAgent:
             return Transition(tick_at=deadline + 1)
         return unexpected(self.state_name, msg)
 
-    def _on_response_order(self, msg: wire.MapChallengeResponseOrder, now: int) -> Transition:
+    def _on_response_order(
+        self, sender: str, msg: wire.MapChallengeResponseOrder, now: int
+    ) -> Transition:
         state = self.state
         if not isinstance(state, UpdateAwaitingConfirmation):
             return unexpected(self.state_name, msg)
@@ -194,13 +203,13 @@ class IcdAgent:
         self.state = IDLE
         return Transition(out=[(MAP, wire.UpdateRejection(icd_in))], note="update-rejected")
 
-    def _on_challenge(self, msg: wire.AuthenticationChallenge, now: int) -> Transition:
+    def _on_challenge(self, sender: str, msg: wire.AuthenticationChallenge, now: int) -> Transition:
         cfg = self.cfg
         composite = crypto.compose_unique_challenge(msg.wmap, cfg.wbrac_id)
         answer = crypto.authorization_signature(cfg.sd, composite, cfg.wgie.esn, cfg.wgie.icd_in)
         return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer))])
 
-    def _on_access_denied(self, msg: wire.AccessDenied, now: int) -> Transition:
+    def _on_access_denied(self, sender: str, msg: wire.AccessDenied, now: int) -> Transition:
         self.state = DENIED
         return Transition(note=f"denied reason={msg.reason}")
 
@@ -218,6 +227,7 @@ class IcdAgent:
         wire.AccessDenied: _on_access_denied,
     }
     _BY_SENDER = {MAP: _FROM_MAP, WBRAC: _FROM_WBRAC}
+    _FROM_DEVICE = NO_HANDLERS
 
     def tick(self, now: int) -> Transition:
         if isinstance(self.state, UpdateAwaitingConfirmation) and now > self.state.deadline:

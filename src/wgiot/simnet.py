@@ -62,7 +62,7 @@ from typing import NamedTuple
 from . import crypto, wire
 from .access_point import MapAgent
 from .agent import MAP, WBRAC, NotIdle
-from .icd import IcdAgent, IcdConfig
+from .icd import STATE_NAMES, IcdAgent, IcdConfig
 from .rng import SimRng
 from .wbrac import DEFAULT_MPC_PERIOD_MS, DEFAULT_WBRAC_ID, MpcSchedule, TooEarly, WbracService
 
@@ -191,7 +191,8 @@ def scenario_faults(sc: Scenario):
     no two rows share an `icd_in`; drop and dup probabilities lie in [0, 1];
     a link endpoint, a broadcast or injection target and a `reaches` agent
     name an agent, a start names a device and a broadcast has a target; a
-    replay index is non-negative, a corrupted bit lies inside its frame's
+    `reaches` state is a device state for a device and `-` for the others;
+    a replay index is non-negative, a corrupted bit lies inside its frame's
     payload and a `frame-count` names a frame."""
     for name in ("max_time", "mpc_period"):
         if getattr(sc, name) < 0:
@@ -257,10 +258,27 @@ def scenario_faults(sc: Scenario):
         if isinstance(action, (ReplayCaptured, Inject)) and action.at < 0:
             yield action, f"negative time {action.at}"
     for expect in sc.expects:
-        if expect[0] == "reaches" and expect[1] not in agents:
-            yield expect, f"unknown agent {expect[1]!r}"
+        if expect[0] == "reaches":
+            _, agent, state = expect
+            if agent not in agents:
+                yield expect, f"unknown agent {agent!r}"
+            elif state not in (STATE_NAMES if agent in devices else ("-",)):
+                yield expect, f"{agent} has no state {state!r}"
         elif expect[0] == "frame-count" and expect[1] not in _FRAME_NAMES:
             yield expect, f"unknown frame {expect[1]!r}"
+
+
+def route_table() -> str:
+    """The "Who sends what" list of frames.md, read from the agents' dispatch
+    tables: for each agent, one line per sender table naming the frames it
+    obeys from that sender, in tag order."""
+    rows = []
+    for receiver, agent in (("icd-N", IcdAgent), (MAP, MapAgent), (WBRAC, WbracService)):
+        tables = [(f"`{sender}`", table) for sender, table in agent._BY_SENDER.items()]
+        for sender, table in tables + [("any other sender", agent._FROM_DEVICE)]:
+            frames = ", ".join(cls.__name__ for cls in wire.MESSAGE_TYPES if cls in table)
+            rows.append(f"- {sender} → `{receiver}`: {frames or 'nothing'}")
+    return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,10 @@ server side of the update-value and unique-challenge computations.  Only the
 WBRAC holds device secrets; the access point receives precomputed
 expectations through provisioning pushes.
 
-The WBRAC obeys frames only from the access point (MAP): update requests,
-forwarded challenges and forwarded update outcomes, each naming its device
-by icd_in and answered to MAP.
-A frame from any other sender is noted as unexpected and changes nothing,
-so no one else can start or commit a device's update flow.  Its agent name,
-WBRAC, is not its 64-bit network identifier `wbrac_id`.
+Every frame it obeys names its device by icd_in and is answered to MAP; its
+dispatch tables say which frames it obeys from which sender (frames.md lists
+them; see agent.py).  Its agent name, WBRAC, is not its 64-bit network
+identifier `wbrac_id`.
 """
 
 from __future__ import annotations
@@ -145,12 +143,12 @@ class WbracService:
     # -- frame handling (requests relayed by the access point) --
 
     def handle(self, sender: str, msg: wire.WireMessage, now: int) -> Transition:
-        handler = self._BY_SENDER.get(sender, NO_HANDLERS).get(type(msg))
+        handler = self._BY_SENDER.get(sender, self._FROM_DEVICE).get(type(msg))
         if handler is None:
             return unexpected(self.state_name, msg)
-        return handler(self, msg)
+        return handler(self, sender, msg, now)
 
-    def _on_update_request(self, msg: wire.UpdateRequest) -> Transition:
+    def _on_update_request(self, sender: str, msg: wire.UpdateRequest, now: int) -> Transition:
         rec = self.registry.get(msg.icd_in)
         if rec is None:
             return Transition(note=f"update request for unknown icd {msg.icd_in}")
@@ -160,7 +158,9 @@ class WbracService:
             return Transition(note="update already in progress")
         return Transition(out=[(MAP, update)])
 
-    def _on_challenge_forward(self, msg: wire.MapChallengeForward) -> Transition:
+    def _on_challenge_forward(
+        self, sender: str, msg: wire.MapChallengeForward, now: int
+    ) -> Transition:
         rec = self.registry.get(msg.icd_in)
         if rec is None:
             return Transition(note=f"challenge for unknown icd {msg.icd_in}")
@@ -173,7 +173,9 @@ class WbracService:
         prov = self.map_provision(rec, sd=rec.pending_sd_new)
         return Transition(out=[(MAP, prov), (MAP, wire.MapChallengeResponse(msg.icd_in, sign))])
 
-    def _on_update_outcome(self, msg: wire.UpdateConfirmation | wire.UpdateRejection) -> Transition:
+    def _on_update_outcome(
+        self, sender: str, msg: wire.UpdateConfirmation | wire.UpdateRejection, now: int
+    ) -> Transition:
         rec = self.registry.get(msg.icd_in)
         if rec is None or rec.pending_sd_new is None:
             return unexpected(self.state_name, msg)
@@ -188,3 +190,4 @@ class WbracService:
         wire.UpdateRejection: _on_update_outcome,
     }
     _BY_SENDER = {MAP: _FROM_MAP}
+    _FROM_DEVICE = NO_HANDLERS

@@ -1,10 +1,12 @@
-"""Frame dispatch in the three agents: every frame type is handled or noted
-as unexpected, the WBRAC obeys only the access point, and each update-flow
-frame reaches the flow of the device it names, whatever the order."""
+"""Frame dispatch in the three agents: every frame type from every sender is
+handled or noted as unexpected, the WBRAC obeys only the access point, each
+update-flow frame reaches the flow of the device it names, whatever the
+order, and frames.md's route list is rendered from the dispatch tables."""
 
 import copy
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ from wgiot.icd import (
     UpdateAwaitingAck,
     UpdateAwaitingConfirmation,
 )
-from wgiot.simnet import Scenario, Simulator, SubscriberSpec
+from wgiot.simnet import Scenario, Simulator, SubscriberSpec, route_table
 
 # Frame types each agent has no handler for.
 MAP_UNHANDLED = {
@@ -46,6 +48,8 @@ ICD_HANDLED = {
     wire.AuthenticationChallenge,
     wire.AccessDenied,
 }
+# The network broadcasts, the only frames a device obeys from the WBRAC.
+ICD_FROM_WBRAC = {wire.AccessParameterMessage, wire.ParameterUpdateOrder}
 # Frames the WBRAC sends to the access point; the rest come from devices.
 FROM_WBRAC = {
     wire.AccessParameterMessage,
@@ -88,16 +92,24 @@ def icd_states(r: random.Random):
     ]
 
 
-def test_every_frame_type_to_the_access_point():
+@pytest.mark.parametrize("sender", ["wbrac", "icd-1", "icd-2", "adversary", "map-1"])
+def test_every_frame_type_to_the_access_point(sender):
     r = random.Random(1)
     for cls in wire.MESSAGE_TYPES:
-        for sender in ("wbrac", "icd-1", "icd-2"):
-            simulator().map.handle(sender, random_frame(cls, r), 0)  # never raises
-        if cls in MAP_UNHANDLED:
-            sender = "wbrac" if cls in FROM_WBRAC else "icd-1"
-            result = simulator().map.handle(sender, random_frame(cls, r), 0)
+        sim = simulator()
+        records, mpc = copy.deepcopy(sim.map.records), sim.map.mpc
+        result = sim.map.handle(sender, random_frame(cls, r), 0)  # never raises
+        # the access point reads a frame from any sender but the WBRAC, itself
+        # included, as a device's
+        if cls in MAP_UNHANDLED or (cls in FROM_WBRAC) != (sender == "wbrac"):
             assert result.note == f"unexpected {cls.__name__} in -"
             assert result.out == [] and result.tick_at is None
+            assert sim.map.records == records and sim.map.mpc == mpc
+
+
+def test_the_access_point_takes_a_frame_from_itself_for_a_device_frame():
+    result = simulator().map.handle("map-1", wire.SecureActivation(30), 0)
+    assert (result.note, result.out) == ("activation", [])
 
 
 @pytest.mark.parametrize("sender", ["map-1", "icd-1", "adversary", "wbrac"])
@@ -115,17 +127,20 @@ def test_every_frame_type_to_the_wbrac(sender):
             assert result.out == [] and sim.wbrac.registry == registry
 
 
+@pytest.mark.parametrize("sender", ["map-1", "wbrac", "icd-2", "adversary"])
 @pytest.mark.parametrize("state_index", range(6))
-def test_every_frame_type_to_the_device_in_every_state(state_index):
+def test_every_frame_type_to_the_device_in_every_state(state_index, sender):
+    handled = {"map-1": ICD_HANDLED, "wbrac": ICD_FROM_WBRAC}.get(sender, set())
     r = random.Random(3)
     for cls in wire.MESSAGE_TYPES:
         device = simulator().icds["icd-1"]
         device.state = icd_states(r)[state_index]
         name = device.state_name
-        result = device.handle("map-1", random_frame(cls, r), 500)  # never raises
-        if cls not in ICD_HANDLED:
+        cfg = copy.deepcopy(device.cfg)
+        result = device.handle(sender, random_frame(cls, r), 500)  # never raises
+        if cls not in handled:
             assert result.note == f"unexpected {cls.__name__} in {name}"
-            assert result.out == [] and device.state_name == name
+            assert result.out == [] and device.state_name == name and device.cfg == cfg
 
 
 def test_update_frames_reach_the_device_they_name():
@@ -158,3 +173,8 @@ def test_update_frames_reach_the_device_they_name():
         result = sim.wbrac.handle("map-1", frame, 0)
         assert result.note == f"unexpected {type(frame).__name__} in -" and result.out == []
     assert registry[20].sd == new_sd_20 and registry[10].pending_sd_new is not None
+
+
+def test_frames_md_route_list_is_rendered_from_the_dispatch_tables():
+    frames_md = (Path(__file__).resolve().parent.parent / "frames.md").read_text()
+    assert f"\n\n{route_table()}\n" in frames_md

@@ -263,6 +263,11 @@ REJECTED = [
         id="reaches-agent",
     ),
     pytest.param(
+        MINIMAL + "[expect]\nicd-1 reaches Authenticatd\n",
+        "line 5: icd-1 has no state 'Authenticatd'",
+        id="reaches-state",
+    ),
+    pytest.param(
         MINIMAL + "[expect]\nframe-count Nope == 0\n",
         "line 5: unknown frame 'Nope'",
         id="frame-count-frame",
@@ -340,6 +345,12 @@ CODE_REJECTED = [
         {"expects": [("reaches", "icd-2", "Authenticated")]},
         "unknown agent 'icd-2'",
         id="reaches-agent",
+    ),
+    pytest.param(
+        "[expect]\nmap-1 reaches Authenticated\n",
+        {"expects": [("reaches", "map-1", "Authenticated")]},
+        "map-1 has no state 'Authenticated'",
+        id="reaches-state",
     ),
     pytest.param(
         "[adversary]\ncorrupt AuthAccept bit 3\n",

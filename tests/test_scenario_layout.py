@@ -66,7 +66,10 @@ def scenarios(draw) -> dict[str, list[str]]:
     expect = draw(
         st.lists(
             st.one_of(
-                st.builds("{} reaches Authenticated".format, st.sampled_from(agents)),
+                st.sampled_from(
+                    [f"{d} reaches Authenticated" for d in devices]
+                    + ["map-1 reaches -", "wbrac reaches -"]
+                ),
                 st.builds("frame-count AuthAccept >= {}".format, st.integers(0, 5)),
             )
         )
