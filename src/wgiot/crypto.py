@@ -1,17 +1,18 @@
 """Key material types and keyed derivation procedures for the wg-IoT protocol.
 
 All values are fixed-width byte strings packed MSB-first.  A type remains
-only where its check can fail: the keys (`WgieRecord`, `ScAuthKey`), the
-service data (`SdPair`) and the update counter (`Rmc`).  Every derived value
-(the AAC, the AUTH_SIGN_MAP, the session key, the GUID) is the `bytes` the
-PRF returns, and every value an agent only stores, compares or forwards
-(the MPC, the WMAP, the TO_MAP) stays as the `bytes` its frame carries.
-Their lengths are checked where a wrong one would matter: the AAC in
-`sd_generation` and `compose_guid`, the MPC in `compose_guid`, the WMAP in
-`compose_unique_challenge`, and the 32-byte TO_MAP in
-`WbracService.answer_challenge`, which would otherwise sign a 10-byte value
-in the unique-challenge domain.  The update-value flow's RAND→SD
-derivation, which the device and the WBRAC both run, lives in
+only where its check can fail at run time: the update counter (`Rmc`).
+The key SC_AUTH_K and the service data (SD1∥SD2) are the 16-byte
+`bytes` of their registry row, which `simnet.scenario_faults` checks once,
+before a run.  Every derived value (the AAC, the AUTH_SIGN_MAP, the session
+key, the GUID) is the `bytes` the PRF returns, and every value an agent
+only stores, compares or forwards (the MPC, the WMAP, the TO_MAP) stays as
+the `bytes` its frame carries.  Their lengths are checked where a wrong one
+would matter: the AAC in `sd_generation` and `compose_guid`, the MPC in
+`compose_guid`, the WMAP in `compose_unique_challenge`, and the 32-byte
+TO_MAP in `WbracService.answer_challenge`, which would otherwise sign a
+10-byte value in the unique-challenge domain.  The update-value flow's
+RAND→SD derivation, which the device and the WBRAC both run, lives in
 `sd_from_rand`.
 
 Every derivation goes through a pluggable PRF backend; "first N bits" of a
@@ -80,45 +81,6 @@ def _pack_ids(esn: int, icd_in: int) -> bytes:
 
 # ---------------------------------------------------------------------------
 # Domain types
-
-
-@dataclass(frozen=True, slots=True)
-class WgieRecord:
-    """Per-subscriber root material: 256-bit key plus ESN and ICD_IN."""
-
-    key: bytes  # 32 bytes
-    esn: int  # 64-bit equipment serial number of the access point
-    icd_in: int  # 64-bit device identification number
-
-    def __post_init__(self):
-        check_bytes("key", self.key, 32)
-        _check_u64("esn", self.esn)
-        _check_u64("icd_in", self.icd_in)
-
-
-@dataclass(frozen=True, slots=True)
-class SdPair:
-    """128-bit service data SD1∥SD2: all 16 bytes key the signatures, and
-    SD2 alone feeds the session key."""
-
-    packed: bytes
-
-    def __post_init__(self):
-        check_bytes("sd", self.packed, 16)
-
-    @property
-    def sd2(self) -> bytes:
-        return self.packed[8:]
-
-
-@dataclass(frozen=True, slots=True)
-class ScAuthKey:
-    """128-bit permanent device authentication key.  Never leaves the device."""
-
-    bits: bytes
-
-    def __post_init__(self):
-        check_bytes("sc_auth_k", self.bits, 16)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,34 +179,31 @@ def get_backend(name: str) -> PrfBackend:
 
 
 def authenticate_signature(
-    sd: SdPair, esn: int, icd_in: int, k: ScAuthKey, backend: PrfBackend = DEFAULT_BACKEND
+    sd: bytes, esn: int, icd_in: int, k: bytes, backend: PrfBackend = DEFAULT_BACKEND
 ) -> bytes:
-    """Derive the 128-bit AAC from the service data and device identifiers."""
-    msg = sd.packed + _pack_ids(esn, icd_in)
-    return backend.evaluate(k.bits, TAG_AUTH_SIGNATURE, msg)[:16]
+    """Derive the 128-bit AAC from the 16-byte service data and the device
+    identifiers, keyed by the 16-byte SC_AUTH_K."""
+    return backend.evaluate(k, TAG_AUTH_SIGNATURE, sd + _pack_ids(esn, icd_in))[:16]
 
 
-def sd_generation(
-    aac: bytes, esn: int, k: ScAuthKey, backend: PrfBackend = DEFAULT_BACKEND
-) -> SdPair:
-    """Derive a fresh 128-bit service-data pair during the update-value flow."""
+def sd_generation(aac: bytes, esn: int, k: bytes, backend: PrfBackend = DEFAULT_BACKEND) -> bytes:
+    """Derive a fresh 16-byte service data SD1∥SD2 during the update-value flow."""
     check_bytes("aac", aac, 16)
     try:
         packed_esn = esn.to_bytes(8, "big")
     except OverflowError:
         _check_u64("esn", esn)
         raise
-    out = backend.evaluate(k.bits, TAG_SD_GENERATION, aac + packed_esn)[:16]
-    return SdPair(out)
+    return backend.evaluate(k, TAG_SD_GENERATION, aac + packed_esn)[:16]
 
 
-def sd_from_rand(rand: bytes, esn: int, icd_in: int, k: ScAuthKey) -> SdPair:
+def sd_from_rand(rand: bytes, esn: int, icd_in: int, k: bytes) -> bytes:
     """The update-value flow's new SD: `sd_generation` of the AAC the 16-byte RAND signs as SD."""
-    return sd_generation(authenticate_signature(SdPair(rand), esn, icd_in, k), esn, k)
+    return sd_generation(authenticate_signature(rand, esn, icd_in, k), esn, k)
 
 
 def authorization_signature(
-    sd: SdPair,
+    sd: bytes,
     challenge: bytes,
     esn: int,
     icd_in: int,
@@ -258,12 +217,13 @@ def authorization_signature(
     if len(challenge) not in (32, 10):
         raise ChallengeLength(f"challenge must be 32 or 10 bytes, got {len(challenge)}")
     msg = challenge + _pack_ids(esn, icd_in)
-    return backend.evaluate(sd.packed, TAG_AUTHZ_SIGNATURE, msg)[:16]
+    return backend.evaluate(sd, TAG_AUTHZ_SIGNATURE, msg)[:16]
 
 
-def derive_session_key(sd: SdPair, backend: PrfBackend = DEFAULT_BACKEND) -> bytes:
-    """Derive the 128-bit confidentiality key from the privacy half (sd2 only)."""
-    return backend.evaluate(sd.sd2, TAG_SESSION_KEY, b"")[:16]
+def derive_session_key(sd: bytes, backend: PrfBackend = DEFAULT_BACKEND) -> bytes:
+    """Derive the 128-bit confidentiality key from the privacy half SD2, the
+    service data's last 8 bytes."""
+    return backend.evaluate(sd[8:], TAG_SESSION_KEY, b"")[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,14 @@ class AwaitingAuthResult:
 
 @dataclass(frozen=True, slots=True)
 class UpdateAwaitingAck:
-    sd_new: crypto.SdPair
+    sd_new: bytes
     local_sign: bytes
     name = "UpdateAwaitingAck"
 
 
 @dataclass(frozen=True, slots=True)
 class UpdateAwaitingConfirmation:
-    sd_new: crypto.SdPair
+    sd_new: bytes
     local_sign: bytes
     deadline: int  # virtual ms; arrival at exactly the deadline is in time
     name = "UpdateAwaitingConfirmation"
@@ -85,13 +85,14 @@ STATE_NAMES = frozenset(
 
 @dataclass(slots=True)
 class IcdConfig:
-    """Provisioned material plus the mutable MPC/RMC mirrors.  The MPC is
-    the 16 bytes of the last AccessParameterMessage, kept as the frame
-    carries them."""
+    """Provisioned material plus the mutable MPC/RMC mirrors.  The key and
+    the SD are the registry row's 16-byte `bytes`; the MPC is the 16 bytes
+    of the last AccessParameterMessage, kept as the frame carries them."""
 
-    wgie: crypto.WgieRecord
-    sc_auth_k: crypto.ScAuthKey
-    sd: crypto.SdPair
+    icd_in: int
+    esn: int
+    sc_auth_k: bytes
+    sd: bytes
     mpc: bytes
     rmc: crypto.Rmc
     wbrac_id: int  # provisioned 64-bit network identifier for unique challenges
@@ -111,14 +112,10 @@ class IcdAgent:
     def state_name(self) -> str:
         return self.state.name
 
-    def _aac(self, sd: crypto.SdPair) -> bytes:
-        return crypto.authenticate_signature(
-            sd, self.cfg.wgie.esn, self.cfg.wgie.icd_in, self.cfg.sc_auth_k
-        )
-
     def _auth_request(self) -> wire.AuthRequest:
-        guid = crypto.compose_guid(self._aac(self.cfg.sd), self.cfg.mpc, self.cfg.rmc)
-        return wire.AuthRequest(self.cfg.wgie.icd_in, self.cfg.wgie.esn, guid)
+        cfg = self.cfg
+        aac = crypto.authenticate_signature(cfg.sd, cfg.esn, cfg.icd_in, cfg.sc_auth_k)
+        return wire.AuthRequest(cfg.icd_in, cfg.esn, crypto.compose_guid(aac, cfg.mpc, cfg.rmc))
 
     # -- transitions --
 
@@ -129,7 +126,7 @@ class IcdAgent:
         self.state = AWAITING_AUTH_RESULT
         return Transition(
             out=[
-                (MAP, wire.SecureActivation(self.cfg.wgie.icd_in)),
+                (MAP, wire.SecureActivation(self.cfg.icd_in)),
                 (MAP, self._auth_request()),
             ]
         )
@@ -165,9 +162,9 @@ class IcdAgent:
         # the access point's expected RMC ends any drift from lost or
         # duplicated ParameterUpdateOrder broadcasts
         cfg.rmc = crypto.Rmc(int.from_bytes(msg.rmc, "big"))
-        sd_new = crypto.sd_from_rand(msg.rand, cfg.wgie.esn, cfg.wgie.icd_in, cfg.sc_auth_k)
+        sd_new = crypto.sd_from_rand(msg.rand, cfg.esn, cfg.icd_in, cfg.sc_auth_k)
         to_map = crypto.gen_to_map(self.rng)
-        local_sign = crypto.authorization_signature(sd_new, to_map, cfg.wgie.esn, cfg.wgie.icd_in)
+        local_sign = crypto.authorization_signature(sd_new, to_map, cfg.esn, cfg.icd_in)
         self.state = UpdateAwaitingAck(sd_new, local_sign)
         return Transition(out=[(MAP, wire.MobileAccessChallengeOrder(to_map))])
 
@@ -188,7 +185,7 @@ class IcdAgent:
         if now > state.deadline:
             self.state = IDLE
             return UPDATE_TIMEOUT
-        icd_in = self.cfg.wgie.icd_in
+        icd_in = self.cfg.icd_in
         if msg.auth_sign_map == state.local_sign:
             self.cfg.sd = state.sd_new
             self.state = AWAITING_AUTH_RESULT
@@ -206,7 +203,7 @@ class IcdAgent:
     def _on_challenge(self, sender: str, msg: wire.AuthenticationChallenge, now: int) -> Transition:
         cfg = self.cfg
         composite = crypto.compose_unique_challenge(msg.wmap, cfg.wbrac_id)
-        answer = crypto.authorization_signature(cfg.sd, composite, cfg.wgie.esn, cfg.wgie.icd_in)
+        answer = crypto.authorization_signature(cfg.sd, composite, cfg.esn, cfg.icd_in)
         return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer))])
 
     def _on_access_denied(self, sender: str, msg: wire.AccessDenied, now: int) -> Transition:

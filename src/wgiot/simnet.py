@@ -36,12 +36,14 @@ composes a delivery's note once per distinct (frame note, agent note, agent
 state) and reuses that string.  A value an agent only stores is the frame's
 own bytes, so after a broadcast the MPC is one object in the WBRAC's
 schedule, the access point and every device, and each `MapRecord` holds its
-provision frame itself.  A device's SD is its registry row's bytes, one
-`SdPair` shared by the WBRAC and the device; derived values (AAC,
-AUTH_SIGN_MAP, session key) are plain `bytes`.  The frames, the scenario
-items, `Scenario`, the crypto key and counter types, the device's states and
-`IcdConfig`, `IcdAgent`, the access point's `MapRecord`/`PendingUpdate`, the
-WBRAC's `SubscriberRecord`/`MpcSchedule` and `Trace` are slotted, with no
+provision frame itself.  A device's SC_AUTH_K and SD are its registry
+row's own `bytes`, one object each that the row, the WBRAC's record and the
+device's config share; the row's 32-byte WGIE key is checked and kept in
+the row, and no agent holds it.  Derived values (AAC, AUTH_SIGN_MAP,
+session key) are plain `bytes`.  The frames, the scenario items, `Scenario`,
+the counter type `crypto.Rmc`, the device's states and `IcdConfig`,
+`IcdAgent`, the access point's `MapRecord`/`PendingUpdate`, the WBRAC's
+`SubscriberRecord`/`MpcSchedule` and `Trace` are slotted, with no
 per-instance attribute dict; the device states without fields (`Idle`,
 `AwaitingAuthResult`, `Denied`) are one shared instance each, as is each
 agent result that is only a fixed note (see `agent.Transition`).  The
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import struct
 import sys
 from array import array
 from collections.abc import Sequence
@@ -187,13 +190,14 @@ def scenario_faults(sc: Scenario):
 
     The rules: `max_time`, `mpc_period`, a link's delay and every scheduled
     time are non-negative; `wbrac_id`, a row's `icd_in` and `esn` fit in 64
-    bits and its `rmc` in 128; a row's key, k and sd have their lengths and
-    no two rows share an `icd_in`; drop and dup probabilities lie in [0, 1];
-    a link endpoint, a broadcast or injection target and a `reaches` agent
-    name an agent, a start names a device and a broadcast has a target; a
-    `reaches` state is a device state for a device and `-` for the others;
-    a replay index is non-negative, a corrupted bit lies inside its frame's
-    payload and a `frame-count` names a frame."""
+    bits and its `rmc` in 128; a row's key, k and sd are `bytes` of their
+    lengths and no two rows share an `icd_in`; drop and dup probabilities
+    lie in [0, 1]; a link endpoint, a broadcast or injection target and a
+    `reaches` agent name an agent, a start names a device and a broadcast
+    has a target; a `reaches` state is a device state for a device and `-`
+    for the others; a replay index is non-negative, an injected frame
+    encodes, a corrupted bit lies inside its frame's payload and a
+    `frame-count` names a frame."""
     for name in ("max_time", "mpc_period"):
         if getattr(sc, name) < 0:
             yield name, f"negative {name} {getattr(sc, name)}"
@@ -209,12 +213,12 @@ def scenario_faults(sc: Scenario):
             yield device, f"esn {sub.esn} does not fit in 64 bits"
         if not 0 <= sub.rmc < 1 << 128:
             yield device, f"rmc {sub.rmc} does not fit in 128 bits"
-        if len(sub.key) != 32:
-            yield device, f"key must be 32 bytes, got {len(sub.key)}"
-        if len(sub.sc_auth_k) != 16:
-            yield device, f"sc_auth_k must be 16 bytes, got {len(sub.sc_auth_k)}"
-        if len(sub.sd) != 16:
-            yield device, f"sd must be 16 bytes, got {len(sub.sd)}"
+        if not isinstance(sub.key, bytes) or len(sub.key) != 32:
+            yield device, _bytes_fault("key", sub.key, 32)
+        if not isinstance(sub.sc_auth_k, bytes) or len(sub.sc_auth_k) != 16:
+            yield device, _bytes_fault("sc_auth_k", sub.sc_auth_k, 16)
+        if not isinstance(sub.sd, bytes) or len(sub.sd) != 16:
+            yield device, _bytes_fault("sd", sub.sd, 16)
         first = first_with.setdefault(sub.icd_in, device)
         if first != device:
             yield device, f"duplicate icd_in {sub.icd_in}, first registered by {first}"
@@ -246,8 +250,13 @@ def scenario_faults(sc: Scenario):
         if item.at < 0:
             yield item, f"negative time {item.at}"
     for action in sc.adversary:
-        if isinstance(action, Inject) and action.to not in agents:
-            yield action, f"unknown agent {action.to!r}"
+        if isinstance(action, Inject):
+            if action.to not in agents:
+                yield action, f"unknown agent {action.to!r}"
+            try:
+                wire.encode(action.frame)
+            except (wire.WireError, struct.error) as exc:
+                yield action, f"injected {type(action.frame).__name__} does not encode: {exc}"
         elif isinstance(action, ReplayCaptured) and action.index < 0:
             yield action, f"negative replay index {action.index}"
         elif isinstance(action, CorruptBit):
@@ -266,6 +275,11 @@ def scenario_faults(sc: Scenario):
                 yield expect, f"{agent} has no state {state!r}"
         elif expect[0] == "frame-count" and expect[1] not in _FRAME_NAMES:
             yield expect, f"unknown frame {expect[1]!r}"
+
+
+def _bytes_fault(name: str, value, length: int) -> str:
+    got = len(value) if isinstance(value, bytes) else type(value).__name__
+    return f"{name} must be {length} bytes, got {got}"
 
 
 def route_table() -> str:
@@ -445,22 +459,14 @@ class Simulator:
         sc = self.scenario
         schedule = MpcSchedule(period_ms=sc.mpc_period)
         self.wbrac = WbracService(sc.wbrac_id, schedule, rng=self.rng)
-        self.map = MapAgent(schedule.current)
+        mpc = schedule.current
+        self.map = MapAgent(mpc)
         self.icds: dict[str, IcdAgent] = {}
         for agent_id, sub in zip(device_ids(sc), sc.subscribers):
-            wgie = crypto.WgieRecord(sub.key, sub.esn, sub.icd_in)
-            k = crypto.ScAuthKey(sub.sc_auth_k)
-            sd = crypto.SdPair(sub.sd)
+            # both sides hold the row's own bytes, so its SD is one object
+            rec = self.wbrac.provision(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd)
             rmc = crypto.Rmc(sub.rmc)
-            rec = self.wbrac.provision(sub.icd_in, wgie, k, sd)
-            cfg = IcdConfig(
-                wgie=wgie,
-                sc_auth_k=k,
-                sd=sd,
-                mpc=schedule.current,
-                rmc=rmc,
-                wbrac_id=sc.wbrac_id,
-            )
+            cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, mpc, rmc, sc.wbrac_id)
             self.icds[agent_id] = IcdAgent(cfg, self.rng)
             self.map.provision(agent_id, rmc, self.wbrac.map_provision(rec))
         self.agents = {WBRAC: self.wbrac, MAP: self.map, **self.icds}

@@ -46,10 +46,10 @@ REJECTED = Transition(note="rejected")
 @dataclass(slots=True)
 class SubscriberRecord:
     icd_in: int
-    wgie: crypto.WgieRecord
-    sc_auth_k: crypto.ScAuthKey
-    sd: crypto.SdPair
-    pending_sd_new: crypto.SdPair | None = None
+    esn: int
+    sc_auth_k: bytes
+    sd: bytes
+    pending_sd_new: bytes | None = None
 
 
 @dataclass(slots=True)
@@ -78,28 +78,24 @@ class WbracService:
 
     # -- registry management --
 
-    def provision(
-        self, icd_in: int, wgie: crypto.WgieRecord, sc_auth_k: crypto.ScAuthKey, sd: crypto.SdPair
-    ) -> SubscriberRecord:
+    def provision(self, icd_in: int, esn: int, sc_auth_k: bytes, sd: bytes) -> SubscriberRecord:
         if icd_in in self.registry:
             raise DuplicateIcd(icd_in)
-        rec = SubscriberRecord(icd_in, wgie, sc_auth_k, sd)
+        rec = SubscriberRecord(icd_in, esn, sc_auth_k, sd)
         self.registry[icd_in] = rec
         return rec
 
-    def expected_aac(self, rec: SubscriberRecord, sd: crypto.SdPair | None = None) -> bytes:
-        return crypto.authenticate_signature(sd or rec.sd, rec.wgie.esn, rec.icd_in, rec.sc_auth_k)
+    def expected_aac(self, rec: SubscriberRecord, sd: bytes | None = None) -> bytes:
+        return crypto.authenticate_signature(sd or rec.sd, rec.esn, rec.icd_in, rec.sc_auth_k)
 
-    def map_provision(
-        self, rec: SubscriberRecord, sd: crypto.SdPair | None = None
-    ) -> wire.MapProvision:
+    def map_provision(self, rec: SubscriberRecord, sd: bytes | None = None) -> wire.MapProvision:
         """Verification material for an access point: the expected AAC plus a
         precomputed unique-challenge pair for the given (default: current)
         service data."""
         sd = sd or rec.sd
         wmap = crypto.gen_wmap(self.rng)
         composite = crypto.compose_unique_challenge(wmap, self.wbrac_id)
-        sign = crypto.authorization_signature(sd, composite, rec.wgie.esn, rec.icd_in)
+        sign = crypto.authorization_signature(sd, composite, rec.esn, rec.icd_in)
         return wire.MapProvision(rec.icd_in, self.expected_aac(rec, sd), wmap, sign)
 
     # -- MPC rotation --
@@ -119,7 +115,7 @@ class WbracService:
         if rec.pending_sd_new is not None:
             raise UpdateInProgress(icd_in)
         rand = crypto.gen_update_rand(self.rng)
-        rec.pending_sd_new = crypto.sd_from_rand(rand, rec.wgie.esn, rec.icd_in, rec.sc_auth_k)
+        rec.pending_sd_new = crypto.sd_from_rand(rand, rec.esn, rec.icd_in, rec.sc_auth_k)
         return wire.UpdateMessage(icd_in, rand)
 
     def answer_challenge(self, icd_in: int, to_map: bytes) -> bytes:
@@ -130,7 +126,7 @@ class WbracService:
         rec = self.registry[icd_in]
         if rec.pending_sd_new is None:
             raise NoPendingUpdate(icd_in)
-        return crypto.authorization_signature(rec.pending_sd_new, to_map, rec.wgie.esn, rec.icd_in)
+        return crypto.authorization_signature(rec.pending_sd_new, to_map, rec.esn, rec.icd_in)
 
     def commit(self, icd_in: int, confirmed: bool) -> None:
         rec = self.registry[icd_in]

@@ -78,9 +78,7 @@ def test_criterion_2_update_value_state_sync():
         to_map = next(e.payload for e in trace.entries if e.tag == "MobileAccessChallengeOrder")
         response = next(e.payload for e in trace.entries if e.tag == "MapChallengeResponse")
         net_sign = _decode_payload(wire.MapChallengeResponse, response).auth_sign_map
-        dev_sign = crypto.authorization_signature(
-            icd.cfg.sd, to_map, icd.cfg.wgie.esn, icd.cfg.wgie.icd_in
-        )
+        dev_sign = crypto.authorization_signature(icd.cfg.sd, to_map, icd.cfg.esn, icd.cfg.icd_in)
         if dev_sign != net_sign:
             failures.append((seed, "signature copies differ"))
     report(2, "update-value state sync", not failures, f"{failures[:5]}")
@@ -88,10 +86,9 @@ def test_criterion_2_update_value_state_sync():
 
 def _challenged_map(backend) -> tuple[MapAgent, bytes]:
     sub = make_subscriber(0)
-    sd = crypto.SdPair(sub.sd)
     wmap = bytes(8)
     challenge = crypto.compose_unique_challenge(wmap, 0x5747_0000_0000_0001)
-    sign = crypto.authorization_signature(sd, challenge, sub.esn, sub.icd_in, backend=backend)
+    sign = crypto.authorization_signature(sub.sd, challenge, sub.esn, sub.icd_in, backend=backend)
     agent = MapAgent(bytes(16))
     agent.provision(
         "icd-1", crypto.Rmc(0), wire.MapProvision(sub.icd_in, bytes(16), wmap, sign)
@@ -252,11 +249,10 @@ def test_criterion_8_crypto_conformance():
                 failures.append((name, tag, key.hex()))
 
     # frozen derivation values on all-zero inputs
-    zero_sd = crypto.SdPair(bytes(8) + bytes(8))
-    zero_k = crypto.ScAuthKey(bytes(16))
+    zero_sd = zero_k = bytes(16)
     checks = [
         (crypto.authenticate_signature(zero_sd, 0, 0, zero_k), V0, "V0"),
-        (crypto.sd_generation(bytes(16), 0, zero_k).packed, W0, "W0"),
+        (crypto.sd_generation(bytes(16), 0, zero_k), W0, "W0"),
         (crypto.authorization_signature(zero_sd, bytes(32), 0, 0), S0, "S0"),
         (crypto.derive_session_key(zero_sd), K0, "K0"),
     ]

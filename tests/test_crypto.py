@@ -21,8 +21,8 @@ from conftest import (
 from wgiot import crypto
 from wgiot.rng import SimRng
 
-ZERO_SD = crypto.SdPair(bytes(8) + bytes(8))
-ZERO_K = crypto.ScAuthKey(bytes(16))
+ZERO_SD = bytes(16)
+ZERO_K = bytes(16)
 
 bytes8 = st.binary(min_size=8, max_size=8)
 bytes16 = st.binary(min_size=16, max_size=16)
@@ -37,23 +37,21 @@ def test_authenticate_signature_zero_vector():
 
 
 def test_authenticate_signature_bit_flip_changes_output():
-    flipped = crypto.SdPair(bytes([0x80]) + bytes(7) + bytes(8))
+    flipped = bytes([0x80]) + bytes(15)
     out = crypto.authenticate_signature(flipped, 0, 0, ZERO_K)
     assert out == V0_SD1_TOPBIT_FLIPPED
     assert out != V0
 
 
 def test_sd_generation_zero_vector():
-    sd = crypto.sd_generation(bytes(16), 0, ZERO_K)
-    assert sd.packed == W0
-    assert sd.packed[:8] == W0[:8]
+    assert crypto.sd_generation(bytes(16), 0, ZERO_K) == W0
 
 
 def test_sd_generation_distinct_aacs_give_distinct_pairs():
     a = crypto.sd_generation(bytes(16), 0, ZERO_K)
     b = crypto.sd_generation(b"\x01" + bytes(15), 0, ZERO_K)
     assert a != b
-    assert b.packed == prf_oracle.sd_gen(b"\x01" + bytes(15), 0, bytes(16))
+    assert b == prf_oracle.sd_gen(b"\x01" + bytes(15), 0, bytes(16))
 
 
 def test_authorization_signature_zero_vector():
@@ -70,27 +68,23 @@ def test_session_key_zero_vector():
 
 
 def test_session_key_ignores_sd1():
-    a = crypto.derive_session_key(crypto.SdPair(b"\xaa" * 8 + bytes(8)))
-    b = crypto.derive_session_key(crypto.SdPair(b"\xbb" * 8 + bytes(8)))
+    a = crypto.derive_session_key(b"\xaa" * 8 + bytes(8))
+    b = crypto.derive_session_key(b"\xbb" * 8 + bytes(8))
     assert a == b == crypto.derive_session_key(ZERO_SD)
 
 
 @given(bytes16, u64, u64, bytes16)
-def test_derivations_match_oracle(sd_raw, esn, icd_in, k_raw):
-    sd = crypto.SdPair(sd_raw)
-    k = crypto.ScAuthKey(k_raw)
-    assert crypto.authenticate_signature(sd, esn, icd_in, k) == prf_oracle.aac(
-        sd_raw, esn, icd_in, k_raw
-    )
-    assert crypto.sd_generation(k_raw, esn, k).packed == prf_oracle.sd_gen(k_raw, esn, k_raw)
-    assert crypto.derive_session_key(sd) == prf_oracle.session_key(sd.sd2)
+def test_derivations_match_oracle(sd, esn, icd_in, k):
+    assert crypto.authenticate_signature(sd, esn, icd_in, k) == prf_oracle.aac(sd, esn, icd_in, k)
+    assert crypto.sd_generation(k, esn, k) == prf_oracle.sd_gen(k, esn, k)
+    assert crypto.derive_session_key(sd) == prf_oracle.session_key(sd[8:])
 
 
 # -- determinism and width closure -------------------------------------------
 
 
 def test_repeat_call_equality():
-    args = (crypto.SdPair(b"\x11" * 8 + b"\x22" * 8), 7, 9, crypto.ScAuthKey(b"\x33" * 16))
+    args = (b"\x11" * 8 + b"\x22" * 8, 7, 9, b"\x33" * 16)
     assert crypto.authenticate_signature(*args) == crypto.authenticate_signature(*args)
     assert crypto.derive_session_key(args[0]) == crypto.derive_session_key(args[0])
 
@@ -98,11 +92,11 @@ def test_repeat_call_equality():
 def test_width_closure_fuzz():
     r = random.Random(1)
     for _ in range(100_000):
-        sd = crypto.SdPair(r.randbytes(8) + r.randbytes(8))
-        k = crypto.ScAuthKey(r.randbytes(16))
+        sd = r.randbytes(8) + r.randbytes(8)
+        k = r.randbytes(16)
         esn, icd_in = r.getrandbits(64), r.getrandbits(64)
         assert len(crypto.authenticate_signature(sd, esn, icd_in, k)) == 16
-        assert len(crypto.sd_generation(r.randbytes(16), esn, k).packed) == 16
+        assert len(crypto.sd_generation(r.randbytes(16), esn, k)) == 16
         assert len(crypto.authorization_signature(sd, r.randbytes(32), esn, icd_in)) == 16
         assert len(crypto.derive_session_key(sd)) == 16
 
@@ -120,22 +114,24 @@ def test_key_sensitivity_single_bit_flips():
     r = random.Random(3)
     changed = 0
     for _ in range(1000):
-        sd = crypto.SdPair(r.randbytes(8) + r.randbytes(8))
+        sd = r.randbytes(8) + r.randbytes(8)
         esn, icd_in = r.getrandbits(64), r.getrandbits(64)
         k_raw = r.randbytes(16)
         bit = r.randrange(128)
         flipped = bytearray(k_raw)
         flipped[bit // 8] ^= 0x80 >> (bit % 8)
-        a = crypto.authenticate_signature(sd, esn, icd_in, crypto.ScAuthKey(k_raw))
-        b = crypto.authenticate_signature(sd, esn, icd_in, crypto.ScAuthKey(bytes(flipped)))
+        a = crypto.authenticate_signature(sd, esn, icd_in, k_raw)
+        b = crypto.authenticate_signature(sd, esn, icd_in, bytes(flipped))
         changed += a != b
     assert changed == 1000
 
 
 # -- type invariants ----------------------------------------------------------
 
-# Derived values, the MPC and the WMAP have no type; the functions that take
-# them check their lengths.
+# Keys, service data, derived values, the MPC and the WMAP have no type.  A
+# registry row's key and SD lengths are checked by `simnet.scenario_faults`
+# (tests/test_scenario_cli.py); the functions that take the others check
+# their lengths.
 _compose_guid_with_aac = functools.partial(crypto.compose_guid, mpc=bytes(16), rmc=crypto.Rmc(0))
 _compose_guid_with_mpc = functools.partial(crypto.compose_guid, bytes(16), rmc=crypto.Rmc(0))
 _sd_generation_with_aac = functools.partial(crypto.sd_generation, esn=0, k=ZERO_K)
@@ -145,8 +141,6 @@ _unique_challenge_with_wmap = functools.partial(crypto.compose_unique_challenge,
 @pytest.mark.parametrize(
     "ctor,raw",
     [
-        (crypto.SdPair, bytes(15)),
-        (crypto.SdPair, bytes(17)),
         (_compose_guid_with_mpc, bytes(15)),
         (_compose_guid_with_mpc, bytes(17)),
         (_compose_guid_with_aac, bytes(15)),
@@ -155,7 +149,6 @@ _unique_challenge_with_wmap = functools.partial(crypto.compose_unique_challenge,
         (_sd_generation_with_aac, bytes(17)),
         (_unique_challenge_with_wmap, bytes(7)),
         (_unique_challenge_with_wmap, bytes(9)),
-        (crypto.ScAuthKey, bytes(32)),
     ],
 )
 def test_fixed_width_types_reject_wrong_lengths(ctor, raw):

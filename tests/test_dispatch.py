@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wgiot import crypto, wire
+from wgiot import wire
 from wgiot.icd import (
     Authenticated,
     AwaitingAuthResult,
@@ -80,7 +80,7 @@ def random_frame(cls, r: random.Random) -> wire.WireMessage:
 
 
 def icd_states(r: random.Random):
-    sd = crypto.SdPair(r.randbytes(16))
+    sd = r.randbytes(16)
     sign = r.randbytes(16)
     return [
         Idle(),

@@ -17,23 +17,24 @@ from wgiot.icd import (
     UpdateAwaitingConfirmation,
 )
 from wgiot.rng import SimRng
+from wgiot.simnet import SubscriberSpec
 
 ESN = 0x1111
 ICD_IN = 0x2222
 WBRAC_ID = 0xABCD_1234
 
 
-def make_agent(seed=0):
+def make_row(seed=0) -> tuple[SubscriberSpec, bytes]:
+    """A registry row drawn from `seed`, and the MPC its device last heard."""
     r = random.Random(seed)
-    wgie = crypto.WgieRecord(r.randbytes(32), ESN, ICD_IN)
-    cfg = IcdConfig(
-        wgie=wgie,
-        sc_auth_k=crypto.ScAuthKey(r.randbytes(16)),
-        sd=crypto.SdPair(r.randbytes(16)),
-        mpc=r.randbytes(16),
-        rmc=crypto.Rmc(0),
-        wbrac_id=WBRAC_ID,
-    )
+    row = SubscriberSpec(ICD_IN, ESN, r.randbytes(32), r.randbytes(16), r.randbytes(16))
+    return row, r.randbytes(16)
+
+
+def make_agent(seed=0):
+    """The device of `make_row(seed)`, built from the row as the simulator builds it."""
+    row, mpc = make_row(seed)
+    cfg = IcdConfig(row.icd_in, row.esn, row.sc_auth_k, row.sd, mpc, crypto.Rmc(row.rmc), WBRAC_ID)
     return IcdAgent(cfg, SimRng(seed))
 
 
@@ -56,9 +57,7 @@ def test_start_emits_activation_then_guid():
     assert len(wire.encode(req)) == 3 + 64
     aac, mpc, rmc = crypto.decompose_guid(req.guid)
     assert mpc == agent.cfg.mpc and rmc == agent.cfg.rmc.packed
-    assert aac == prf_oracle.aac(
-        agent.cfg.sd.packed, ESN, ICD_IN, agent.cfg.sc_auth_k.bits
-    )
+    assert aac == prf_oracle.aac(agent.cfg.sd, ESN, ICD_IN, agent.cfg.sc_auth_k)
     assert isinstance(agent.state, AwaitingAuthResult)
 
 
@@ -81,7 +80,7 @@ def test_auth_accept_derives_session_key():
     agent.start(0)
     agent.handle("map-1", wire.AuthAccept(), 5)
     assert isinstance(agent.state, Authenticated)
-    assert agent.state.session == prf_oracle.session_key(agent.cfg.sd.sd2)
+    assert agent.state.session == prf_oracle.session_key(agent.cfg.sd[8:])
 
 
 def test_access_parameter_and_update_order_bookkeeping():
@@ -132,9 +131,9 @@ def test_update_sd_matches_oracle_chain():
     agent = make_agent()
     rand = b"\x42" * 16
     sd_new, local_sign = drive_to_confirmation(agent, rand=rand)
-    k = agent.cfg.sc_auth_k.bits
+    k = agent.cfg.sc_auth_k
     aac_from_rand = prf_oracle.aac(rand, ESN, ICD_IN, k)
-    assert sd_new.packed == prf_oracle.sd_gen(aac_from_rand, ESN, k)
+    assert sd_new == prf_oracle.sd_gen(aac_from_rand, ESN, k)
 
 
 def test_timer_inclusive_boundary():
@@ -180,9 +179,7 @@ def test_unique_challenge_answer():
     result = agent.handle("map-1", wire.AuthenticationChallenge(wmap), 0)
     (_, answer), = result.out
     composite = wmap + (WBRAC_ID & 0xFFFF).to_bytes(2, "big")
-    assert answer.auth_sign_map == prf_oracle.authz(
-        agent.cfg.sd.packed, composite, ESN, ICD_IN
-    )
+    assert answer.auth_sign_map == prf_oracle.authz(agent.cfg.sd, composite, ESN, ICD_IN)
     assert isinstance(agent.state, Idle)  # state unchanged
 
 
@@ -252,19 +249,15 @@ def test_single_commit_over_random_interleavings():
 
 def test_no_key_material_in_outbound_frames():
     for seed in range(25):
+        row, _ = make_row(seed)
         agent = make_agent(seed)
-        secrets = [
-            agent.cfg.sc_auth_k.bits,
-            agent.cfg.sd.packed,
-            agent.cfg.sd.packed[:8],
-            agent.cfg.sd.sd2,
-            agent.cfg.wgie.key,
-        ]
+        assert (agent.cfg.sc_auth_k, agent.cfg.sd) == (row.sc_auth_k, row.sd)
+        secrets = [row.sc_auth_k, row.sd, row.sd[:8], row.sd[8:], row.key]
         payloads = []
         result = agent.start(0)
         payloads += [wire.encode(m) for _, m in result.out]
         sd_new, local_sign = drive_to_confirmation(agent)
-        secrets += [sd_new.packed, sd_new.packed[:8], sd_new.sd2]
+        secrets += [sd_new, sd_new[:8], sd_new[8:]]
         result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), 10)
         payloads += [wire.encode(m) for _, m in result.out]
         blob = b"|".join(payloads)

@@ -292,10 +292,15 @@ def test_rejected_input_exits_one_without_traceback(tmp_path, text, message):
     assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
 
 
+def _registry_row(icd_in="2", esn="2", key="00" * 32, sc_auth_k="11" * 16, sd="22" * 16) -> str:
+    """A second registry row, as file text, with the given field tokens."""
+    return f"{icd_in} {esn} {key} {sc_auth_k} {sd} 0"
+
+
 # Each fault of REJECTED, of the payload range and of the value rules, written
 # as a file section and built in code: the file fails on line 5 and Simulator
 # fails on the built scenario, with the same reason.
-REGISTRY_ROW_2 = "2 2 " + "00" * 31 + " " + "11" * 16 + " " + "22" * 16 + " 0"
+REGISTRY_ROW_2 = _registry_row(key="00" * 31)
 
 CODE_REJECTED = [
     pytest.param(
@@ -437,6 +442,30 @@ CODE_REJECTED = [
         id="key-31-bytes",
     ),
     pytest.param(
+        "[registry]\n" + _registry_row(sc_auth_k="11" * 15) + "\n",
+        {"subscribers": [make_subscriber(), replace(make_subscriber(icd_in=2), sc_auth_k=bytes(15))]},
+        "sc_auth_k must be 16 bytes, got 15",
+        id="sc_auth_k-15-bytes",
+    ),
+    pytest.param(
+        "[registry]\n" + _registry_row(sd="22" * 17) + "\n",
+        {"subscribers": [make_subscriber(), replace(make_subscriber(icd_in=2), sd=bytes(17))]},
+        "sd must be 16 bytes, got 17",
+        id="sd-17-bytes",
+    ),
+    pytest.param(
+        "[registry]\n" + _registry_row(icd_in=f"{2**64}") + "\n",
+        {"subscribers": [make_subscriber(), make_subscriber(icd_in=2**64)]},
+        f"icd_in {2**64} does not fit in 64 bits",
+        id="icd_in-65-bits",
+    ),
+    pytest.param(
+        "[registry]\n" + _registry_row(esn="-1") + "\n",
+        {"subscribers": [make_subscriber(), make_subscriber(icd_in=2, esn=-1)]},
+        "esn -1 does not fit in 64 bits",
+        id="negative-esn",
+    ),
+    pytest.param(
         "[expect]\nframe-count Nope == 0\n",
         {"expects": [("frame-count", "Nope", "==", 0)]},
         "unknown frame 'Nope'",
@@ -457,6 +486,36 @@ def test_scenarios_built_in_code_get_the_file_checks(section, fields, reason):
         parse_scenario(MINIMAL + section)
     with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
         Simulator(Scenario(**{"subscribers": [make_subscriber()], **fields}), seed=0)
+
+
+@pytest.mark.parametrize(
+    "field,value,reason",
+    [
+        ("key", "00" * 32, "key must be 32 bytes, got str"),
+        ("sc_auth_k", bytearray(16), "sc_auth_k must be 16 bytes, got bytearray"),
+        ("sd", None, "sd must be 16 bytes, got NoneType"),
+    ],
+    ids=["key-str", "sc_auth_k-bytearray", "sd-None"],
+)
+def test_registry_key_material_built_in_code_must_be_bytes(field, value, reason):
+    sc = Scenario([replace(make_subscriber(), **{field: value})])
+    with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
+        Simulator(sc, seed=0)
+
+
+@pytest.mark.parametrize(
+    "frame,reason",
+    [
+        (wire.AuthRequest(1, 2, b"short"), "guid must be 48 bytes, got 5"),
+        (wire.AccessDenied(256), "ubyte format requires 0 <= number <= 255"),
+    ],
+    ids=["guid-5-bytes", "reason-256"],
+)
+def test_an_injected_frame_that_does_not_encode_is_rejected_before_the_run(frame, reason):
+    sc = Scenario([make_subscriber()], adversary=[Inject(frame, to="map-1", at=3)])
+    reason = f"injected {type(frame).__name__} does not encode: {reason}"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
+        Simulator(sc, seed=0)
 
 
 def test_sections_may_name_agents_before_the_registry():

@@ -8,7 +8,7 @@ import gc
 
 from conftest import make_subscriber
 from test_trace_digests import lossy_broadcasts
-from wgiot import crypto, wire
+from wgiot import wire
 from wgiot.access_point import MapRecord
 from wgiot.icd import IcdAgent, IcdConfig
 from wgiot.scenario import parse_scenario
@@ -87,15 +87,17 @@ def test_parsed_names_notes_and_records_are_shared():
         MapRecord: sim.map.records[1],
         SubscriberRecord: sim.wbrac.registry[1],
         SubscriberSpec: sc.subscribers[0],
-        crypto.SdPair: icd.cfg.sd,
-        crypto.WgieRecord: icd.cfg.wgie,
     }
     for kind, record in records.items():
         assert type(record) is kind
         assert not hasattr(record, "__dict__"), kind.__name__
-    # SD is the registry row's bytes, in one SdPair the WBRAC and the device share
-    assert icd.cfg.sd.packed is sc.subscribers[0].sd
-    assert sim.wbrac.registry[1].sd is icd.cfg.sd
+    # the key and the SD are the registry row's bytes, one object each that
+    # the row, the WBRAC's record and the device's config share
+    for name in ("sc_auth_k", "sd"):
+        row_value = getattr(sc.subscribers[0], name)
+        assert type(row_value) is bytes
+        assert getattr(icd.cfg, name) is row_value, name
+        assert getattr(sim.wbrac.registry[1], name) is row_value, name
 
 
 def test_a_fleet_trace_holds_no_entry_objects():

@@ -289,7 +289,7 @@ def test_corrupt_response_order_triggers_rejection():
     rec = sim.wbrac.registry[1]
     icd = sim.icds["icd-1"]
     assert rec.pending_sd_new is None  # rejection relayed and cleared
-    assert icd.cfg.sd.packed == sc.subscribers[0].sd  # nothing committed
+    assert icd.cfg.sd == sc.subscribers[0].sd  # nothing committed
 
 
 def test_hooks_capture_every_armed_frame_and_corrupt_only_the_queued_ones():
@@ -462,7 +462,7 @@ def test_timer_expiry_with_1001ms_round_trip():
     trace = sim.run()
     assert trace.frame_count("UpdateConfirmation") == 0
     assert any(e.note == "update-timeout" for e in trace.entries)
-    assert sim.icds["icd-1"].cfg.sd.packed == sc.subscribers[0].sd
+    assert sim.icds["icd-1"].cfg.sd == sc.subscribers[0].sd
 
 
 def test_two_subscribers_authenticate_independently():

@@ -247,7 +247,7 @@ def test_impaired_broadcasts_every_device_converges(seed):
     trace = sim.run()
     assert {agent.state_name for agent in sim.icds.values()} == {"Authenticated"}
     assert all(
-        agent.cfg.sd == sim.wbrac.registry[agent.cfg.wgie.icd_in].sd
+        agent.cfg.sd == sim.wbrac.registry[agent.cfg.icd_in].sd
         for agent in sim.icds.values()
     )
     flows = [r for t, r in zip(trace.tags, trace.receivers) if t == "UpdateOrder"]

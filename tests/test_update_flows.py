@@ -9,7 +9,7 @@ from wgiot.simnet import LinkModel, RotateMpc, Scenario, SendParameterUpdate, Si
 
 def _sd_in_sync(sim: Simulator) -> bool:
     return all(
-        agent.cfg.sd == sim.wbrac.registry[agent.cfg.wgie.icd_in].sd
+        agent.cfg.sd == sim.wbrac.registry[agent.cfg.icd_in].sd
         for agent in sim.icds.values()
     )
 

@@ -19,23 +19,20 @@ def make_wbrac(seed=0, period=100):
     rng = SimRng(seed)
     svc = WbracService(schedule=MpcSchedule(period_ms=period), rng=rng)
     r = random.Random(seed)
-    wgie = crypto.WgieRecord(r.randbytes(32), 2, 1)
-    svc.provision(1, wgie, crypto.ScAuthKey(r.randbytes(16)), sd=crypto.SdPair(r.randbytes(16)))
+    svc.provision(1, 2, r.randbytes(16), sd=r.randbytes(16))
     return svc, rng
 
 
 def test_provision_initial_counter_and_duplicate():
     svc, rng = make_wbrac()
     with pytest.raises(DuplicateIcd):
-        svc.provision(1, svc.registry[1].wgie, svc.registry[1].sc_auth_k, sd=svc.registry[1].sd)
+        svc.provision(1, svc.registry[1].esn, svc.registry[1].sc_auth_k, sd=svc.registry[1].sd)
 
 
 def test_expected_aac_matches_oracle():
     svc, _ = make_wbrac()
     rec = svc.registry[1]
-    assert svc.expected_aac(rec) == prf_oracle.aac(
-        rec.sd.packed, rec.wgie.esn, rec.icd_in, rec.sc_auth_k.bits
-    )
+    assert svc.expected_aac(rec) == prf_oracle.aac(rec.sd, rec.esn, rec.icd_in, rec.sc_auth_k)
 
 
 def test_rotate_mpc_and_too_early():
@@ -62,10 +59,8 @@ def test_update_derivation_matches_oracle_chain():
     svc, rng = make_wbrac()
     rec = svc.registry[1]
     msg = svc.begin_update(1)
-    aac_from_rand = prf_oracle.aac(msg.rand, rec.wgie.esn, rec.icd_in, rec.sc_auth_k.bits)
-    assert rec.pending_sd_new.packed == prf_oracle.sd_gen(
-        aac_from_rand, rec.wgie.esn, rec.sc_auth_k.bits
-    )
+    aac_from_rand = prf_oracle.aac(msg.rand, rec.esn, rec.icd_in, rec.sc_auth_k)
+    assert rec.pending_sd_new == prf_oracle.sd_gen(aac_from_rand, rec.esn, rec.sc_auth_k)
 
 
 def test_answer_challenge_requires_pending():
@@ -76,7 +71,7 @@ def test_answer_challenge_requires_pending():
     sign = svc.answer_challenge(1, bytes(32))
     assert len(sign) == 16
     rec = svc.registry[1]
-    assert sign == prf_oracle.authz(rec.pending_sd_new.packed, bytes(32), rec.wgie.esn, rec.icd_in)
+    assert sign == prf_oracle.authz(rec.pending_sd_new, bytes(32), rec.esn, rec.icd_in)
 
 
 @pytest.mark.parametrize("length", [10, 31])
@@ -113,7 +108,8 @@ def test_cross_agent_sd_agreement():
         svc, rng = make_wbrac(seed)
         rec = svc.registry[1]
         cfg = IcdConfig(
-            wgie=rec.wgie,
+            icd_in=rec.icd_in,
+            esn=rec.esn,
             sc_auth_k=rec.sc_auth_k,
             sd=rec.sd,
             mpc=bytes(16),
