@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     print(
         f"{args.workload} seed {args.seed} fleet 0: "
         f"peak {peak / 1e6:.2f} MB, held after the run {held / 1e6:.2f} MB "
-        f"({len(sim.icds)} devices, {len(trace.entries)} trace entries)"
+        f"({len(sim.icds)} devices, {len(trace.notes)} trace lines)"
     )
     for s in stats[: args.top]:
         # a traceback lists its innermost frame last; code made at run time

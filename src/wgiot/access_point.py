@@ -62,11 +62,12 @@ class MapRecord:
     """Per-device expectations.  `prov` is the applied `wire.MapProvision`
     frame as the WBRAC sent it; its expected AAC and unique-challenge pair
     are read as the frame's bytes.  After registration only
-    `MapAgent._apply_provision` replaces it."""
+    `MapAgent._apply_provision` replaces it.  `expected_rmc` is the 16-byte
+    RMC the device's GUID must carry."""
 
     icd_in: int
     icd_agent_id: str
-    expected_rmc: crypto.Rmc
+    expected_rmc: bytes
     prov: wire.MapProvision
     challenge_outstanding: bool = False
     pending: PendingUpdate | None = None
@@ -80,7 +81,7 @@ class MapAgent:
 
     state_name = "-"
 
-    def provision(self, icd_agent_id: str, rmc: crypto.Rmc, prov: wire.MapProvision) -> None:
+    def provision(self, icd_agent_id: str, rmc: bytes, prov: wire.MapProvision) -> None:
         """Register a device from the WBRAC's provisioning frame."""
         rec = MapRecord(prov.icd_in, icd_agent_id, rmc, prov)
         self.records[rec.icd_in] = rec
@@ -100,7 +101,7 @@ class MapAgent:
             mismatch.add("AAC")
         if mpc != self.mpc:
             mismatch.add("MPC")
-        if rmc != rec.expected_rmc.packed:
+        if rmc != rec.expected_rmc:
             mismatch.add("RMC")
         return frozenset(mismatch)
 
@@ -124,7 +125,7 @@ class MapAgent:
         self, sender: str, msg: wire.ParameterUpdateOrder, now: int
     ) -> Transition:
         for rec in self.records.values():
-            rec.expected_rmc = rec.expected_rmc.incremented()
+            rec.expected_rmc = crypto.rmc_incremented(rec.expected_rmc)
         return RMC_INCREMENTED
 
     def _on_update_message(self, sender: str, msg: wire.UpdateMessage, now: int) -> Transition:
@@ -132,7 +133,7 @@ class MapAgent:
         if rec is None:
             return Transition(note=f"update for unknown icd {msg.icd_in}")
         rec.pending = PendingUpdate()
-        order = wire.UpdateOrder(msg.rand, rec.expected_rmc.packed)
+        order = wire.UpdateOrder(msg.rand, rec.expected_rmc)
         return Transition(out=[(rec.icd_agent_id, order)])
 
     def _on_challenge_response(
@@ -169,10 +170,7 @@ class MapAgent:
             return Transition(
                 out=[(sender, wire.AccessDenied(REASON_UNKNOWN_ICD))], note="unknown-icd"
             )
-        try:
-            mismatch = self.verify(msg.icd_in, msg)
-        except crypto.BadLength as exc:
-            return Transition(note=f"malformed guid: {exc}")
+        mismatch = self.verify(msg.icd_in, msg)
         if not mismatch:
             return Transition(out=[(sender, wire.AuthAccept())], note="guid-match")
 

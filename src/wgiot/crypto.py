@@ -1,19 +1,21 @@
-"""Key material types and keyed derivation procedures for the wg-IoT protocol.
+"""Key material and keyed derivation procedures for the wg-IoT protocol.
 
-All values are fixed-width byte strings packed MSB-first.  A type remains
-only where its check can fail at run time: the update counter (`Rmc`).
-The key SC_AUTH_K and the service data (SD1∥SD2) are the 16-byte
-`bytes` of their registry row, which `simnet.scenario_faults` checks once,
-before a run.  Every derived value (the AAC, the AUTH_SIGN_MAP, the session
-key, the GUID) is the `bytes` the PRF returns, and every value an agent
-only stores, compares or forwards (the MPC, the WMAP, the TO_MAP) stays as
-the `bytes` its frame carries.  Their lengths are checked where a wrong one
-would matter: the AAC in `sd_generation` and `compose_guid`, the MPC in
-`compose_guid`, the WMAP in `compose_unique_challenge`, and the 32-byte
-TO_MAP in `WbracService.answer_challenge`, which would otherwise sign a
-10-byte value in the unique-challenge domain.  The update-value flow's
-RAND→SD derivation, which the device and the WBRAC both run, lives in
-`sd_from_rand`.
+All values are fixed-width byte strings packed MSB-first, and no value has
+a type of its own.  The key SC_AUTH_K and the service data (SD1∥SD2) are
+the 16-byte `bytes` of their registry row, which `simnet.scenario_faults`
+checks once, before a run.  Every derived value (the AAC, the
+AUTH_SIGN_MAP, the session key, the GUID) is the `bytes` the PRF returns,
+and every value an agent only stores, compares or forwards (the MPC, the
+RMC, the WMAP, the TO_MAP) stays as the `bytes` its frame carries; the
+RMC, a 128-bit update counter, is its 16 bytes, MSB-first.  Their lengths
+are checked where a wrong one would matter: the AAC in `sd_generation` and
+`compose_guid`, the MPC and the RMC in `compose_guid`, the WMAP in
+`compose_unique_challenge`, and the 32-byte TO_MAP in
+`WbracService.answer_challenge`, which would otherwise sign a 10-byte
+value in the unique-challenge domain.  The one RMC check that can fail in
+a run is the wrap past 2**128 - 1, in `rmc_incremented`.  The
+update-value flow's RAND→SD derivation, which the device and the WBRAC
+both run, lives in `sd_from_rand`.
 
 Every derivation goes through a pluggable PRF backend; "first N bits" of a
 PRF output always means the most significant N bits (a byte-string prefix).
@@ -27,7 +29,6 @@ tables, and fed to two sha256 calls.  The digest equals the stdlib's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from hashlib import sha256
 
 
@@ -48,7 +49,6 @@ class CounterOverflow(CryptoError):
 
 
 U64_MAX = 2**64 - 1
-U128_MAX = 2**128 - 1
 
 # Domain-separation tags for the PRF backend.
 TAG_AUTH_SIGNATURE = 0x01
@@ -79,28 +79,12 @@ def _pack_ids(esn: int, icd_in: int) -> bytes:
         raise
 
 
-# ---------------------------------------------------------------------------
-# Domain types
-
-
-@dataclass(frozen=True, slots=True)
-class Rmc:
-    """128-bit unsigned update counter.  Wraparound is an error."""
-
-    counter: int
-
-    def __post_init__(self):
-        if not 0 <= self.counter <= U128_MAX:
-            raise CounterOverflow("rmc out of 128-bit range")
-
-    def incremented(self) -> "Rmc":
-        if self.counter == U128_MAX:
-            raise CounterOverflow("rmc would wrap")
-        return Rmc(self.counter + 1)
-
-    @property
-    def packed(self) -> bytes:
-        return self.counter.to_bytes(16, "big")
+def rmc_incremented(rmc: bytes) -> bytes:
+    """The 16-byte RMC one higher; wrapping past 128 bits is an error."""
+    try:
+        return (int.from_bytes(rmc, "big") + 1).to_bytes(16, "big")
+    except OverflowError:
+        raise CounterOverflow("rmc would wrap") from None
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +214,12 @@ def derive_session_key(sd: bytes, backend: PrfBackend = DEFAULT_BACKEND) -> byte
 # GUID and challenge composition
 
 
-def compose_guid(aac: bytes, mpc: bytes, rmc: Rmc) -> bytes:
+def compose_guid(aac: bytes, mpc: bytes, rmc: bytes) -> bytes:
     """Pack AAC∥MPC∥RMC into the 48-byte GUID, MSB-first."""
     check_bytes("aac", aac, 16)
     check_bytes("mpc", mpc, 16)
-    return aac + mpc + rmc.packed
+    check_bytes("rmc", rmc, 16)
+    return aac + mpc + rmc
 
 
 def decompose_guid(packed: bytes) -> tuple[bytes, bytes, bytes]:

@@ -87,14 +87,16 @@ STATE_NAMES = frozenset(
 class IcdConfig:
     """Provisioned material plus the mutable MPC/RMC mirrors.  The key and
     the SD are the registry row's 16-byte `bytes`; the MPC is the 16 bytes
-    of the last AccessParameterMessage, kept as the frame carries them."""
+    of the last AccessParameterMessage and the RMC the 16 bytes of the last
+    UpdateOrder (or the row's, packed once), each kept as its frame carries
+    it."""
 
     icd_in: int
     esn: int
     sc_auth_k: bytes
     sd: bytes
     mpc: bytes
-    rmc: crypto.Rmc
+    rmc: bytes
     wbrac_id: int  # provisioned 64-bit network identifier for unique challenges
 
 
@@ -146,7 +148,7 @@ class IcdAgent:
     def _on_parameter_update(
         self, sender: str, msg: wire.ParameterUpdateOrder, now: int
     ) -> Transition:
-        self.cfg.rmc = self.cfg.rmc.incremented()
+        self.cfg.rmc = crypto.rmc_incremented(self.cfg.rmc)
         return RMC_INCREMENTED
 
     def _on_auth_accept(self, sender: str, msg: wire.AuthAccept, now: int) -> Transition:
@@ -161,7 +163,7 @@ class IcdAgent:
         cfg = self.cfg
         # the access point's expected RMC ends any drift from lost or
         # duplicated ParameterUpdateOrder broadcasts
-        cfg.rmc = crypto.Rmc(int.from_bytes(msg.rmc, "big"))
+        cfg.rmc = msg.rmc
         sd_new = crypto.sd_from_rand(msg.rand, cfg.esn, cfg.icd_in, cfg.sc_auth_k)
         to_map = crypto.gen_to_map(self.rng)
         local_sign = crypto.authorization_signature(sd_new, to_map, cfg.esn, cfg.icd_in)

@@ -27,8 +27,8 @@ What is kept per device, frame or trace line is shared where it can be, as a
 memory saving that no result depends on.  The trace is held as columns, an
 array of 8-byte times and one list per other field, so a line is eight bytes
 and five references and no object of its own (`Trace.entries` builds a
-`TraceEntry` only when a line is read); the copies of a broadcast share one
-payload.
+list of `TraceEntry` tuples only when it is asked for); the copies of a
+broadcast share one payload.
 `Trace.add` keeps one copy of each distinct note, and agent names are
 interned (`device_ids`, and the names the scenario parser reads from links
 and the schedule), so a fleet holds one string per name; the simulator
@@ -39,9 +39,11 @@ schedule, the access point and every device, and each `MapRecord` holds its
 provision frame itself.  A device's SC_AUTH_K and SD are its registry
 row's own `bytes`, one object each that the row, the WBRAC's record and the
 device's config share; the row's 32-byte WGIE key is checked and kept in
-the row, and no agent holds it.  Derived values (AAC, AUTH_SIGN_MAP,
-session key) are plain `bytes`.  The frames, the scenario items, `Scenario`,
-the counter type `crypto.Rmc`, the device's states and `IcdConfig`,
+the row, and no agent holds it.  A device's RMC is its row's `rmc` packed
+into 16 bytes once, one object that the device's config and the access
+point's `MapRecord` share, as do all rows with an equal `rmc`.  Derived
+values (AAC, AUTH_SIGN_MAP, session key) are plain `bytes`.  The frames,
+the scenario items, `Scenario`, the device's states and `IcdConfig`,
 `IcdAgent`, the access point's `MapRecord`/`PendingUpdate`, the WBRAC's
 `SubscriberRecord`/`MpcSchedule` and `Trace` are slotted, with no
 per-instance attribute dict; the device states without fields (`Idle`,
@@ -55,10 +57,8 @@ from __future__ import annotations
 
 import functools
 import heapq
-import struct
 import sys
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -188,31 +188,34 @@ def scenario_faults(sc: Scenario):
     set: an option by its field name, a registry row by its device's agent
     name, a link by its (src, dst) pair, any other item by itself.
 
-    The rules: `max_time`, `mpc_period`, a link's delay and every scheduled
-    time are non-negative; `wbrac_id`, a row's `icd_in` and `esn` fit in 64
-    bits and its `rmc` in 128; a row's key, k and sd are `bytes` of their
-    lengths and no two rows share an `icd_in`; drop and dup probabilities
-    lie in [0, 1]; a link endpoint, a broadcast or injection target and a
-    `reaches` agent name an agent, a start names a device and a broadcast
-    has a target; a `reaches` state is a device state for a device and `-`
-    for the others; a replay index is non-negative, an injected frame
-    encodes, a corrupted bit lies inside its frame's payload and a
-    `frame-count` names a frame."""
+    The rules: every option, a row's `icd_in`, `esn` and `rmc`, a link's
+    delay, every scheduled time, a replay index and a corrupted bit are
+    `int`s (not `bool`s); `max_time`, `mpc_period`, a link's delay and every
+    scheduled time are non-negative; `wbrac_id`, a row's `icd_in` and `esn`
+    fit in 64 bits and its `rmc` in 128; a row's key, k and sd are `bytes`
+    of their lengths and no two rows share an `icd_in`; drop and dup
+    probabilities lie in [0, 1]; a link endpoint, a broadcast or injection
+    target and a `reaches` agent name an agent, a start names a device and
+    a broadcast has a target; a `reaches` state is a device state for a
+    device and `-` for the others; a replay index is non-negative, an
+    injected frame is a `wire.WireMessage` that encodes, a corrupted bit
+    lies inside its frame's payload and a `frame-count` names a frame."""
     for name in ("max_time", "mpc_period"):
-        if getattr(sc, name) < 0:
-            yield name, f"negative {name} {getattr(sc, name)}"
-    if not 0 <= sc.wbrac_id < 1 << 64:
-        yield "wbrac_id", f"wbrac_id {sc.wbrac_id} does not fit in 64 bits"
+        value = getattr(sc, name)
+        if type(value) is not int or value < 0:
+            yield name, _int_fault(name, value)
+    if type(sc.wbrac_id) is not int or not 0 <= sc.wbrac_id < 1 << 64:
+        yield "wbrac_id", _int_fault("wbrac_id", sc.wbrac_id, 64)
     names = device_ids(sc)
     first_with = {}  # icd_in -> the device registered with it first
     for device, sub in zip(names, sc.subscribers):
         # spelled out rather than looped over a table: a fleet has thousands of rows
-        if not 0 <= sub.icd_in < 1 << 64:
-            yield device, f"icd_in {sub.icd_in} does not fit in 64 bits"
-        if not 0 <= sub.esn < 1 << 64:
-            yield device, f"esn {sub.esn} does not fit in 64 bits"
-        if not 0 <= sub.rmc < 1 << 128:
-            yield device, f"rmc {sub.rmc} does not fit in 128 bits"
+        if type(sub.icd_in) is not int or not 0 <= sub.icd_in < 1 << 64:
+            yield device, _int_fault("icd_in", sub.icd_in, 64)
+        if type(sub.esn) is not int or not 0 <= sub.esn < 1 << 64:
+            yield device, _int_fault("esn", sub.esn, 64)
+        if type(sub.rmc) is not int or not 0 <= sub.rmc < 1 << 128:
+            yield device, _int_fault("rmc", sub.rmc, 128)
         if not isinstance(sub.key, bytes) or len(sub.key) != 32:
             yield device, _bytes_fault("key", sub.key, 32)
         if not isinstance(sub.sc_auth_k, bytes) or len(sub.sc_auth_k) != 16:
@@ -228,8 +231,8 @@ def scenario_faults(sc: Scenario):
         for name in pair:
             if name not in agents:
                 yield pair, f"unknown agent {name!r}"
-        if link.delay_ms < 0:
-            yield pair, f"negative delay {link.delay_ms}"
+        if type(link.delay_ms) is not int or link.delay_ms < 0:
+            yield pair, _int_fault("delay", link.delay_ms)
         if not 0.0 <= link.drop_prob <= 1.0:  # NaN fails too
             yield pair, f"drop probability {link.drop_prob} outside [0, 1]"
         if not 0.0 <= link.dup_prob <= 1.0:
@@ -247,25 +250,33 @@ def scenario_faults(sc: Scenario):
         else:
             yield item, f"unknown schedule item {item!r}"
             continue
-        if item.at < 0:
-            yield item, f"negative time {item.at}"
+        if type(item.at) is not int or item.at < 0:
+            yield item, _int_fault("time", item.at)
     for action in sc.adversary:
         if isinstance(action, Inject):
             if action.to not in agents:
                 yield action, f"unknown agent {action.to!r}"
-            try:
-                wire.encode(action.frame)
-            except (wire.WireError, struct.error) as exc:
-                yield action, f"injected {type(action.frame).__name__} does not encode: {exc}"
-        elif isinstance(action, ReplayCaptured) and action.index < 0:
-            yield action, f"negative replay index {action.index}"
+            frame = action.frame
+            if not isinstance(frame, wire.WireMessage):
+                yield action, f"injected {type(frame).__name__} is not a frame"
+            else:
+                try:
+                    wire.encode(frame)
+                except wire.WireError as exc:
+                    yield action, f"injected {type(frame).__name__} does not encode: {exc}"
+        elif isinstance(action, ReplayCaptured):
+            if type(action.index) is not int or action.index < 0:
+                yield action, _int_fault("replay index", action.index)
         elif isinstance(action, CorruptBit):
             bits = _PAYLOAD_BITS.get(action.tag, 0)
-            if not 0 <= action.bit_index < bits:
+            if type(action.bit_index) is not int:
+                yield action, _int_fault("bit index", action.bit_index)
+            elif not 0 <= action.bit_index < bits:
                 name = wire.tag_name(action.tag)
                 yield action, f"bit {action.bit_index} outside the {bits}-bit payload of {name}"
-        if isinstance(action, (ReplayCaptured, Inject)) and action.at < 0:
-            yield action, f"negative time {action.at}"
+        if isinstance(action, (ReplayCaptured, Inject)):
+            if type(action.at) is not int or action.at < 0:
+                yield action, _int_fault("time", action.at)
     for expect in sc.expects:
         if expect[0] == "reaches":
             _, agent, state = expect
@@ -275,6 +286,16 @@ def scenario_faults(sc: Scenario):
                 yield expect, f"{agent} has no state {state!r}"
         elif expect[0] == "frame-count" and expect[1] not in _FRAME_NAMES:
             yield expect, f"unknown frame {expect[1]!r}"
+
+
+def _int_fault(name: str, value, bits: int | None = None) -> str:
+    """Why `value`, which broke its rule, is not a valid `name`: it is not
+    an `int`, or it is negative or (if `bits` is given) wider than `bits`."""
+    if type(value) is not int:
+        return f"{name} {value!r} is not an int"
+    if bits is None:
+        return f"negative {name} {value}"
+    return f"{name} {value} does not fit in {bits} bits"
 
 
 def _bytes_fault(name: str, value, length: int) -> str:
@@ -325,9 +346,9 @@ class Trace:
     costs eight bytes and five references and no object of its own; its
     other values are the objects the simulator passed in, so all copies of
     a broadcast share one payload, and `add` keeps one copy of each distinct
-    note.  `entries` is a read-only view that builds a `TraceEntry` per line
-    read; `serialize`, `frame_count` and `scenario.check_expects` read the
-    columns themselves."""
+    note.  `entries` builds a new list of one `TraceEntry` per line, a copy
+    that later lines do not change; `serialize`, `frame_count` and
+    `scenario.check_expects` read the columns themselves."""
 
     __slots__ = ("times", "senders", "receivers", "tags", "payloads", "notes", "_note_copies")
 
@@ -351,13 +372,13 @@ class Trace:
         self.payloads.append(payload)
         self.notes.append(self._note_copies.setdefault(note, note))
 
-    def _columns(self) -> tuple[Sequence, ...]:
+    def _columns(self) -> tuple:
         """The columns in `TraceEntry` field order."""
         return self.times, self.senders, self.receivers, self.tags, self.payloads, self.notes
 
     @property
-    def entries(self) -> TraceEntries:
-        return TraceEntries(self)
+    def entries(self) -> list[TraceEntry]:
+        return list(map(_entry, zip(*self._columns())))
 
     def frame_count(self, tag: str) -> int:
         return sum(
@@ -371,40 +392,6 @@ class Trace:
             payload = payload.hex() if payload else "-"
             lines.append(f"{time}\t{sender}\t{receiver}\t{tag}\t{payload}\t{note or '-'}")
         return "\n".join(lines) + "\n"
-
-
-class TraceEntries(Sequence):
-    """A read-only view of a trace's lines as `TraceEntry` tuples, each built
-    when it is read; it equals a list of equal tuples.  It reads the trace's
-    columns at each access, so it also sees a `times` column that `add`
-    has since turned into a list."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: Trace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.notes)
-
-    def __getitem__(self, index):
-        columns = self._trace._columns()
-        if isinstance(index, slice):
-            return list(map(_entry, zip(*(column[index] for column in columns))))
-        return _entry(column[index] for column in columns)
-
-    def __iter__(self):
-        return map(_entry, zip(*self._trace._columns()))
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, TraceEntries)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TraceEntries({list(self)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +449,13 @@ class Simulator:
         mpc = schedule.current
         self.map = MapAgent(mpc)
         self.icds: dict[str, IcdAgent] = {}
+        packed_rmcs: dict[int, bytes] = {}  # a row's rmc -> its 16 bytes, one object per value
         for agent_id, sub in zip(device_ids(sc), sc.subscribers):
             # both sides hold the row's own bytes, so its SD is one object
             rec = self.wbrac.provision(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd)
-            rmc = crypto.Rmc(sub.rmc)
+            rmc = packed_rmcs.get(sub.rmc)
+            if rmc is None:
+                rmc = packed_rmcs[sub.rmc] = sub.rmc.to_bytes(16, "big")
             cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, mpc, rmc, sc.wbrac_id)
             self.icds[agent_id] = IcdAgent(cfg, self.rng)
             self.map.provision(agent_id, rmc, self.wbrac.map_provision(rec))

@@ -40,6 +40,7 @@ u64 = u8 = int
 b8 = b16 = b32 = b48 = bytes
 
 _INT_CODES = {"u64": "Q", "u8": "B"}
+_INT_BITS = {"u64": 64, "u8": 8}
 
 _BY_TAG: dict[int, type[WireMessage]] = {}  # every frame class, by tag
 
@@ -83,7 +84,8 @@ def _is_slots_rebuild(cls: type, taken: type) -> bool:
 def _encoder(cls: type):
     """The encoder of frame class `cls`, compiled from its FIELDS: struct
     pads or truncates a wrong-length string silently, so each byte-string
-    field is checked first."""
+    field is checked first.  An int field out of range fails the pack, and
+    only then does `_pack_fault` find which field it was."""
     lines = ["def _encode(m):"]
     for name, kind in cls.FIELDS:
         if kind not in _INT_CODES:
@@ -92,10 +94,26 @@ def _encoder(cls: type):
                 f"        raise WireError(f'{name} must be {kind[1]} bytes, got {{len(m.{name})}}')",
             ]
     values = "".join(f", m.{name}" for name, _ in cls.FIELDS)
-    lines.append(f"    return pack({cls.TAG}, {cls.SIZE}{values})")
-    namespace = {"pack": cls._frame.pack, "WireError": WireError}
+    lines += [
+        "    try:",
+        f"        return pack({cls.TAG}, {cls.SIZE}{values})",
+        "    except struct.error as exc:",
+        "        raise _pack_fault(m, exc) from None",
+    ]
+    namespace = {**globals(), "pack": cls._frame.pack}  # the module's names, and the pack
     exec("\n".join(lines), namespace)
     return namespace["_encode"]
+
+
+def _pack_fault(m: WireMessage, exc: struct.error) -> WireError:
+    """The `WireError` for frame `m`, whose pack failed with `exc`: it names
+    the first int field that is not an int in its range."""
+    for name, kind in m.FIELDS:
+        bits = _INT_BITS.get(kind)
+        value = getattr(m, name)
+        if bits and (not isinstance(value, int) or not 0 <= value < 1 << bits):
+            return WireError(f"{name} must be an int in [0, 2**{bits}), got {value!r}")
+    return WireError(str(exc))
 
 
 # Frames are slotted and frozen: a frame holds only its fields, and some

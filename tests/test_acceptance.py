@@ -91,7 +91,7 @@ def _challenged_map(backend) -> tuple[MapAgent, bytes]:
     sign = crypto.authorization_signature(sub.sd, challenge, sub.esn, sub.icd_in, backend=backend)
     agent = MapAgent(bytes(16))
     agent.provision(
-        "icd-1", crypto.Rmc(0), wire.MapProvision(sub.icd_in, bytes(16), wmap, sign)
+        "icd-1", bytes(16), wire.MapProvision(sub.icd_in, bytes(16), wmap, sign)
     )
     return agent, sign
 

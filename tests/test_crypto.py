@@ -128,12 +128,14 @@ def test_key_sensitivity_single_bit_flips():
 
 # -- type invariants ----------------------------------------------------------
 
-# Keys, service data, derived values, the MPC and the WMAP have no type.  A
+# Keys, service data, derived values, the MPC, the RMC and the WMAP have no
+# type.  A
 # registry row's key and SD lengths are checked by `simnet.scenario_faults`
 # (tests/test_scenario_cli.py); the functions that take the others check
 # their lengths.
-_compose_guid_with_aac = functools.partial(crypto.compose_guid, mpc=bytes(16), rmc=crypto.Rmc(0))
-_compose_guid_with_mpc = functools.partial(crypto.compose_guid, bytes(16), rmc=crypto.Rmc(0))
+_compose_guid_with_aac = functools.partial(crypto.compose_guid, mpc=bytes(16), rmc=bytes(16))
+_compose_guid_with_mpc = functools.partial(crypto.compose_guid, bytes(16), rmc=bytes(16))
+_compose_guid_with_rmc = functools.partial(crypto.compose_guid, bytes(16), bytes(16))
 _sd_generation_with_aac = functools.partial(crypto.sd_generation, esn=0, k=ZERO_K)
 _unique_challenge_with_wmap = functools.partial(crypto.compose_unique_challenge, wbrac_id=0)
 
@@ -145,6 +147,7 @@ _unique_challenge_with_wmap = functools.partial(crypto.compose_unique_challenge,
         (_compose_guid_with_mpc, bytes(17)),
         (_compose_guid_with_aac, bytes(15)),
         (_compose_guid_with_aac, bytes(17)),
+        (_compose_guid_with_rmc, bytes(15)),
         (_sd_generation_with_aac, bytes(15)),
         (_sd_generation_with_aac, bytes(17)),
         (_unique_challenge_with_wmap, bytes(7)),
@@ -186,10 +189,10 @@ def test_identifiers_outside_64_bits_are_bad_length(derivation, field, bad):
 
 
 def test_rmc_never_wraps():
-    with pytest.raises(crypto.CounterOverflow):
-        crypto.Rmc(2**128 - 1).incremented()
-    with pytest.raises(crypto.CounterOverflow):
-        crypto.Rmc(2**128)
+    assert crypto.rmc_incremented(bytes(16)) == bytes(15) + b"\x01"
+    assert crypto.rmc_incremented(b"\x00" + b"\xff" * 15) == b"\x01" + bytes(15)
+    with pytest.raises(crypto.CounterOverflow, match="^rmc would wrap$"):
+        crypto.rmc_incremented(b"\xff" * 16)
 
 
 # -- GUID and challenge composition -------------------------------------------
@@ -198,7 +201,7 @@ def test_rmc_never_wraps():
 def test_compose_guid_lane_layout():
     aac = bytes(15) + b"\x01"
     mpc = bytes(15) + b"\x02"
-    rmc = crypto.Rmc(3)
+    rmc = bytes(15) + b"\x03"
     packed = crypto.compose_guid(aac, mpc, rmc)
     assert len(packed) == 48
     assert packed[15] == 0x01 and packed[31] == 0x02 and packed[47] == 0x03
@@ -213,7 +216,7 @@ def test_decompose_guid_zero_and_bad_length():
 @given(st.binary(min_size=48, max_size=48))
 def test_guid_compose_decompose_inverse(raw):
     aac, mpc, rmc = crypto.decompose_guid(raw)
-    assert crypto.compose_guid(aac, mpc, crypto.Rmc(int.from_bytes(rmc, "big"))) == raw
+    assert crypto.compose_guid(aac, mpc, rmc) == raw
 
 
 def test_unique_challenge_bit_placement():

@@ -24,6 +24,10 @@ ICD_IN = 0x2222
 WBRAC_ID = 0xABCD_1234
 
 
+def packed_rmc(counter: int) -> bytes:
+    return counter.to_bytes(16, "big")
+
+
 def make_row(seed=0) -> tuple[SubscriberSpec, bytes]:
     """A registry row drawn from `seed`, and the MPC its device last heard."""
     r = random.Random(seed)
@@ -34,13 +38,13 @@ def make_row(seed=0) -> tuple[SubscriberSpec, bytes]:
 def make_agent(seed=0):
     """The device of `make_row(seed)`, built from the row as the simulator builds it."""
     row, mpc = make_row(seed)
-    cfg = IcdConfig(row.icd_in, row.esn, row.sc_auth_k, row.sd, mpc, crypto.Rmc(row.rmc), WBRAC_ID)
+    cfg = IcdConfig(row.icd_in, row.esn, row.sc_auth_k, row.sd, mpc, packed_rmc(row.rmc), WBRAC_ID)
     return IcdAgent(cfg, SimRng(seed))
 
 
 def drive_to_confirmation(agent, rand=bytes(16), t0=0, rmc=0):
     """Hand-executed update script: order, challenge, ack."""
-    result = agent.handle("map-1", wire.UpdateOrder(rand, crypto.Rmc(rmc).packed), t0)
+    result = agent.handle("map-1", wire.UpdateOrder(rand, packed_rmc(rmc)), t0)
     assert isinstance(agent.state, UpdateAwaitingAck)
     (_, challenge), = result.out
     assert isinstance(challenge, wire.MobileAccessChallengeOrder)
@@ -56,7 +60,7 @@ def test_start_emits_activation_then_guid():
     req = result.out[1][1]
     assert len(wire.encode(req)) == 3 + 64
     aac, mpc, rmc = crypto.decompose_guid(req.guid)
-    assert mpc == agent.cfg.mpc and rmc == agent.cfg.rmc.packed
+    assert mpc == agent.cfg.mpc and rmc == agent.cfg.rmc
     assert aac == prf_oracle.aac(agent.cfg.sd, ESN, ICD_IN, agent.cfg.sc_auth_k)
     assert isinstance(agent.state, AwaitingAuthResult)
 
@@ -88,7 +92,7 @@ def test_access_parameter_and_update_order_bookkeeping():
     agent.handle("map-1", wire.AccessParameterMessage(b"\x07" * 16), 0)
     assert agent.cfg.mpc == b"\x07" * 16
     agent.handle("map-1", wire.ParameterUpdateOrder(), 0)
-    assert agent.cfg.rmc.counter == 1
+    assert agent.cfg.rmc == packed_rmc(1)
 
 
 def test_matching_confirmation_commits_once():
@@ -110,10 +114,10 @@ def test_update_order_sets_the_rmc_the_access_point_expects(broadcasts):
     for _ in range(broadcasts):
         agent.handle("wbrac", wire.ParameterUpdateOrder(), 0)
     _, local_sign = drive_to_confirmation(agent, rmc=1)
-    assert agent.cfg.rmc == crypto.Rmc(1)
+    assert agent.cfg.rmc == packed_rmc(1)
     result = agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), 10)
     (_, req), = [(dst, m) for dst, m in result.out if isinstance(m, wire.AuthRequest)]
-    assert crypto.decompose_guid(req.guid)[2] == crypto.Rmc(1).packed
+    assert crypto.decompose_guid(req.guid)[2] == packed_rmc(1)
 
 
 def test_mismatching_confirmation_rejects():

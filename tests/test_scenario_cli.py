@@ -488,17 +488,60 @@ def test_scenarios_built_in_code_get_the_file_checks(section, fields, reason):
         Simulator(Scenario(**{"subscribers": [make_subscriber()], **fields}), seed=0)
 
 
+# Values a scenario file cannot hold, since its parser makes ints, bytes
+# and frames: each is rejected before the run, like the rows of CODE_REJECTED.
+CODE_ONLY_REJECTED = {
+    "key-str": (
+        {"subscribers": [replace(make_subscriber(), key="00" * 32)]},
+        "key must be 32 bytes, got str",
+    ),
+    "sc_auth_k-bytearray": (
+        {"subscribers": [replace(make_subscriber(), sc_auth_k=bytearray(16))]},
+        "sc_auth_k must be 16 bytes, got bytearray",
+    ),
+    "sd-None": (
+        {"subscribers": [replace(make_subscriber(), sd=None)]},
+        "sd must be 16 bytes, got NoneType",
+    ),
+    "start-float-time": ({"schedule": [StartIcd("icd-1", at=1.5)]}, "time 1.5 is not an int"),
+    "rotate-bool-time": (
+        {"schedule": [RotateMpc(at=True, targets=("map-1",))]},
+        "time True is not an int",
+    ),
+    "float-delay": (
+        {"links": {("icd-1", "map-1"): LinkModel(delay_ms=1.5)}},
+        "delay 1.5 is not an int",
+    ),
+    "float-esn": ({"subscribers": [replace(make_subscriber(), esn=2.0)]}, "esn 2.0 is not an int"),
+    "str-icd_in": ({"subscribers": [make_subscriber(icd_in="1")]}, "icd_in '1' is not an int"),
+    "float-rmc": ({"subscribers": [replace(make_subscriber(), rmc=0.0)]}, "rmc 0.0 is not an int"),
+    "float-max-time": ({"max_time": 1e3}, "max_time 1000.0 is not an int"),
+    "none-mpc-period": ({"mpc_period": None}, "mpc_period None is not an int"),
+    "str-wbrac-id": ({"wbrac_id": "1"}, "wbrac_id '1' is not an int"),
+    "inject-hex": (
+        {"adversary": [Inject("050000", to="icd-1", at=1)]},
+        "injected str is not a frame",
+    ),
+    "inject-float-time": (
+        {"adversary": [Inject(wire.ChallengeAck(), to="icd-1", at=0.5)]},
+        "time 0.5 is not an int",
+    ),
+    "float-replay-index": (
+        {"adversary": [ReplayCaptured(index=0.0, at=5)]},
+        "replay index 0.0 is not an int",
+    ),
+    "float-bit-index": (
+        {"adversary": [CorruptBit(wire.AuthRequest.TAG, 1.0)]},
+        "bit index 1.0 is not an int",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "field,value,reason",
-    [
-        ("key", "00" * 32, "key must be 32 bytes, got str"),
-        ("sc_auth_k", bytearray(16), "sc_auth_k must be 16 bytes, got bytearray"),
-        ("sd", None, "sd must be 16 bytes, got NoneType"),
-    ],
-    ids=["key-str", "sc_auth_k-bytearray", "sd-None"],
+    "fields,reason", CODE_ONLY_REJECTED.values(), ids=CODE_ONLY_REJECTED.keys()
 )
-def test_registry_key_material_built_in_code_must_be_bytes(field, value, reason):
-    sc = Scenario([replace(make_subscriber(), **{field: value})])
+def test_scenarios_built_in_code_must_hold_ints_bytes_and_frames(fields, reason):
+    sc = Scenario(**{"subscribers": [make_subscriber()], **fields})
     with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
         Simulator(sc, seed=0)
 
@@ -507,7 +550,7 @@ def test_registry_key_material_built_in_code_must_be_bytes(field, value, reason)
     "frame,reason",
     [
         (wire.AuthRequest(1, 2, b"short"), "guid must be 48 bytes, got 5"),
-        (wire.AccessDenied(256), "ubyte format requires 0 <= number <= 255"),
+        (wire.AccessDenied(256), "reason must be an int in [0, 2**8), got 256"),
     ],
     ids=["guid-5-bytes", "reason-256"],
 )

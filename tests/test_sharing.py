@@ -1,10 +1,12 @@
 """The simulator keeps one copy of each agent name and trace note, its trace
 holds no object per line, and its per-device records carry no per-instance
 attribute dict.  A value an agent only stores is the frame's own bytes, so
-the MPC is one object everywhere.  Sharing is only a memory saving: a
+the MPC is one object everywhere, and a row's RMC is packed once per
+distinct value.  Sharing is only a memory saving: a
 scenario whose equal names are distinct objects runs the same."""
 
 import gc
+from dataclasses import replace
 
 from conftest import make_subscriber
 from test_trace_digests import lossy_broadcasts
@@ -118,6 +120,19 @@ def test_the_mpc_and_the_provisions_are_the_frames_bytes():
         assert icd.cfg.mpc is mpc
     for rec in sim.map.records.values():
         assert type(rec.prov) is wire.MapProvision
+
+
+def test_the_rmc_is_packed_once_per_value():
+    """The device and the access point hold one 16-byte RMC object, and rows
+    with an equal rmc share it."""
+    rows = [*SUBSCRIBERS, replace(make_subscriber(seed=4, icd_in=4), rmc=5)]
+    sim = Simulator(Scenario(rows), seed=0)
+    icd_in = rows[0].icd_in
+    assert sim.icds["icd-1"].cfg.rmc is sim.map.records[icd_in].expected_rmc
+    assert sim.icds["icd-1"].cfg.rmc == bytes(16)
+    assert sim.icds["icd-2"].cfg.rmc is sim.icds["icd-3"].cfg.rmc is sim.icds["icd-1"].cfg.rmc
+    assert sim.icds["icd-4"].cfg.rmc == (5).to_bytes(16, "big")
+    assert sim.icds["icd-4"].cfg.rmc is sim.map.records[4].expected_rmc
 
 
 def test_names_built_at_run_time_give_the_same_trace():

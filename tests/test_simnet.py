@@ -33,9 +33,9 @@ def test_empty_scenario_empty_trace():
     assert trace.entries == []
 
 
-def test_trace_entries_view_reads_the_columns():
+def test_trace_entries_read_the_columns():
     empty = sim_run(Scenario(subscribers=[]), seed=0).entries
-    assert len(empty) == 0 and empty == [] and [] == empty and list(empty) == []
+    assert type(empty) is list and empty == []
 
     trace = sim_run(update_scenario(0), seed=0)
     entries = trace.entries
@@ -61,13 +61,7 @@ def test_trace_entries_view_reads_the_columns():
     for e, line in zip(entries, lines):
         payload = e.payload.hex() if e.payload else "-"
         assert line == f"{e.time}\t{e.sender}\t{e.receiver}\t{e.tag}\t{payload}\t{e.note or '-'}"
-    assert entries == list(entries) != list(entries)[:-1]
-
-    assert not hasattr(entries, "append")
-    with pytest.raises(TypeError):
-        entries[0] = entries[1]
-    trace.add(9_999, "-", "icd-1", "tick", None, "late")
-    assert len(entries) == n + 1 and entries[-1].note == "late"  # a view, not a copy
+    assert type(entries) is list and entries == trace.entries is not entries
 
 
 def test_honest_run_frame_sequence():
@@ -429,8 +423,8 @@ def test_parameter_update_broadcast_keeps_counters_in_sync():
     sim = Simulator(sc, seed=0)
     sim.run()
     assert isinstance(sim.icds["icd-1"].state, Authenticated)
-    assert sim.icds["icd-1"].cfg.rmc.counter == 1
-    assert sim.map.records[sc.subscribers[0].icd_in].expected_rmc.counter == 1
+    assert sim.icds["icd-1"].cfg.rmc == (1).to_bytes(16, "big")
+    assert sim.map.records[sc.subscribers[0].icd_in].expected_rmc == (1).to_bytes(16, "big")
 
 
 # -- update flow at the sim level -----------------------------------------------------
@@ -484,10 +478,10 @@ def test_trace_times_of_64_bits_and_more_are_kept():
     sc.schedule = [StartIcd("icd-1", at=at)]
     sc.max_time = 2**64
     sim = Simulator(sc, seed=0)
-    entries = sim.trace.entries  # a view made before the column changes
     trace = sim.run()
     assert type(trace.times) is list and trace.times[0] == at
     assert sim.icds["icd-1"].state_name == "Authenticated"
+    entries = trace.entries
     assert [e.time for e in entries] == list(trace.times) and len(entries) == 3
     assert trace.serialize().splitlines()[2].startswith(f"{at}\ticd-1\tmap-1\tSecureActivation")
     assert type(sim_run(honest_scenario(), seed=0).times) is not list

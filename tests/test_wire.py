@@ -59,6 +59,9 @@ def test_encode_rejects_wrong_length_bytes_field():
         wire.encode(wire.AccessParameterMessage(bytes(15)))
     with pytest.raises(wire.WireError, match=r"^guid must be 48 bytes, got 49$"):
         wire.encode(wire.AuthRequest(icd_in=1, esn=2, guid=bytes(49)))
+    # of the right length but not bytes: struct names no field
+    with pytest.raises(wire.WireError, match=r"^argument for 's' must be a bytes object$"):
+        wire.encode(wire.AccessParameterMessage("x" * 16))
 
 
 def test_frames_md_table_is_rendered_from_message_types():
@@ -169,6 +172,23 @@ def test_generated_encoder_rejects_a_wrong_length_field(msg, data):
         wire.encode(bad)
     assert type(exc.value) is wire.WireError
     assert str(exc.value) == f"{name} must be {size} bytes, got {len(wrong)}"
+
+
+def _int_fields(cls) -> list[tuple[str, int]]:
+    return [(name, {"u64": 64, "u8": 8}[kind]) for name, kind in cls.FIELDS if kind in ("u64", "u8")]
+
+
+@given(frames([cls for cls in wire.MESSAGE_TYPES if _int_fields(cls)]), st.data())
+def test_generated_encoder_names_an_int_field_out_of_range(msg, data):
+    name, bits = data.draw(st.sampled_from(_int_fields(type(msg))))
+    wrong = data.draw(
+        st.integers(max_value=-1) | st.integers(min_value=1 << bits) | st.floats() | st.none()
+    )
+    bad = dataclasses.replace(msg, **{name: wrong})
+    with pytest.raises(wire.WireError) as exc:
+        wire.encode(bad)
+    assert type(exc.value) is wire.WireError
+    assert str(exc.value) == f"{name} must be an int in [0, 2**{bits}), got {wrong!r}"
 
 
 @given(frames())
