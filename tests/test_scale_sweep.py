@@ -1,6 +1,7 @@
 """The scale sweep of `scripts/scale_sweep.py`, run small on each workload
 it sweeps, writes the record that the committed BENCH_17.json to
-BENCH_20.json and BENCH_22.json hold for each measured commit."""
+BENCH_20.json, BENCH_22.json and BENCH_23.json hold for each measured
+commit."""
 
 import json
 import subprocess
@@ -125,8 +126,9 @@ def test_committed_delivery_record_has_the_parent_and_the_change():
         _check_run(run, ALL_SIZES, SIZE_KEYS - SETUP_QUARTILE_KEYS)
 
 
-# BENCH_20: the one-pass parser; BENCH_22: devices built from the registry row's bytes
-@pytest.mark.parametrize("record", ["BENCH_20.json", "BENCH_22.json"])
+# BENCH_20: the one-pass parser; BENCH_22: devices built from the registry row's bytes;
+# BENCH_23: the RMC held as its 16 bytes
+@pytest.mark.parametrize("record", ["BENCH_20.json", "BENCH_22.json", "BENCH_23.json"])
 def test_committed_set_up_record_has_the_parent_and_the_change(record):
     doc = json.loads((ROOT / record).read_text())
     assert doc["workload"] == "honest-fleet" and set(doc["runs"]) == {"parent", "change"}
