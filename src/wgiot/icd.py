@@ -23,6 +23,7 @@ from .agent import (
     Transition,
     unexpected,
 )
+from .wire import value
 
 CONFIRM_TIMEOUT_MS = 1000  # confirmation order must arrive within 1 s of the ack
 
@@ -35,24 +36,24 @@ NOTHING = Transition()  # a tick that finds nothing to do
 # -- states -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Idle:
     name = "Idle"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class AwaitingAuthResult:
     name = "AwaitingAuthResult"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class UpdateAwaitingAck:
     sd_new: bytes
     local_sign: bytes
     name = "UpdateAwaitingAck"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class UpdateAwaitingConfirmation:
     sd_new: bytes
     local_sign: bytes
@@ -60,13 +61,13 @@ class UpdateAwaitingConfirmation:
     name = "UpdateAwaitingConfirmation"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Authenticated:
     session: bytes
     name = "Authenticated"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Denied:
     name = "Denied"
 

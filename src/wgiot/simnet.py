@@ -42,15 +42,17 @@ device's config share; the row's 32-byte WGIE key is checked and kept in
 the row, and no agent holds it.  A device's RMC is its row's `rmc` packed
 into 16 bytes once, one object that the device's config and the access
 point's `MapRecord` share, as do all rows with an equal `rmc`.  Derived
-values (AAC, AUTH_SIGN_MAP, session key) are plain `bytes`.  The frames,
-the scenario items, `Scenario`, the device's states and `IcdConfig`,
-`IcdAgent`, the access point's `MapRecord`/`PendingUpdate`, the WBRAC's
-`SubscriberRecord`/`MpcSchedule` and `Trace` are slotted, with no
-per-instance attribute dict; the device states without fields (`Idle`,
-`AwaitingAuthResult`, `Denied`) are one shared instance each, as is each
-agent result that is only a fixed note (see `agent.Transition`).  The
-adversary's capture and corrupt hooks run on the send path only for frames
-of an armed tag.
+values (AAC, AUTH_SIGN_MAP, session key) are plain `bytes`.  The frozen
+values (frames, link models, registry rows, scheduled and adversary items,
+device states) are built through `wire.value`, whose `__init__` stores each
+field straight into its slot.  The frames, the scenario items, `Scenario`,
+the device's states and `IcdConfig`, `IcdAgent`, the access point's
+`MapRecord`/`PendingUpdate`, the WBRAC's `SubscriberRecord`/`MpcSchedule`
+and `Trace` are slotted, with no per-instance attribute dict; the device
+states without fields (`Idle`, `AwaitingAuthResult`, `Denied`) are one
+shared instance each, as is each agent result that is only a fixed note
+(see `agent.Transition`).  The adversary's capture and corrupt hooks run on
+the send path only for frames of an armed tag.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .agent import MAP, WBRAC, NotIdle
 from .icd import STATE_NAMES, IcdAgent, IcdConfig
 from .rng import SimRng
 from .wbrac import DEFAULT_MPC_PERIOD_MS, DEFAULT_WBRAC_ID, MpcSchedule, TooEarly, WbracService
+from .wire import value
 
 DEFAULT_MAX_TIME_MS = 60_000
 
@@ -84,7 +87,7 @@ class NoEvents(Exception):
 # Scenario description
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class LinkModel:
     delay_ms: int = 0
     drop_prob: float = 0.0
@@ -94,7 +97,7 @@ class LinkModel:
 NO_IMPAIRMENT = LinkModel()  # a link the scenario does not list
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class SubscriberSpec:
     """One registry row; the device agent is named icd-<position> (1-based)."""
 
@@ -106,19 +109,19 @@ class SubscriberSpec:
     rmc: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class StartIcd:
     agent_id: str
     at: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class RotateMpc:
     at: int
     targets: tuple[str, ...]  # agents receiving the broadcast
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class SendParameterUpdate:
     """Broadcast a parameter update order, bumping RMC at the targets."""
 
@@ -130,18 +133,18 @@ class SendParameterUpdate:
 # replay and inject are scheduled events.
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CaptureMatching:
     tag: int
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ReplayCaptured:
     index: int
     at: int
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Inject:
     frame: wire.WireMessage
     to: str
@@ -149,7 +152,7 @@ class Inject:
     src: str = "adversary"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CorruptBit:
     tag: int
     bit_index: int  # bit offset into the payload, MSB-first
@@ -189,17 +192,21 @@ def scenario_faults(sc: Scenario):
     name, a link by its (src, dst) pair, any other item by itself.
 
     The rules: every option, a row's `icd_in`, `esn` and `rmc`, a link's
-    delay, every scheduled time, a replay index and a corrupted bit are
-    `int`s (not `bool`s); `max_time`, `mpc_period`, a link's delay and every
-    scheduled time are non-negative; `wbrac_id`, a row's `icd_in` and `esn`
-    fit in 64 bits and its `rmc` in 128; a row's key, k and sd are `bytes`
-    of their lengths and no two rows share an `icd_in`; drop and dup
-    probabilities lie in [0, 1]; a link endpoint, a broadcast or injection
-    target and a `reaches` agent name an agent, a start names a device and
-    a broadcast has a target; a `reaches` state is a device state for a
-    device and `-` for the others; a replay index is non-negative, an
-    injected frame is a `wire.WireMessage` that encodes, a corrupted bit
-    lies inside its frame's payload and a `frame-count` names a frame."""
+    delay, every scheduled time, a replay index, a capture or corrupt tag
+    and a corrupted bit are `int`s (not `bool`s); `max_time`, `mpc_period`,
+    a link's delay and every scheduled time are non-negative; `wbrac_id`, a
+    row's `icd_in` and `esn` fit in 64 bits and its `rmc` in 128; a row's
+    key, k and sd are `bytes` of their lengths and no two rows share an
+    `icd_in`; drop and dup probabilities are `int`s or `float`s in [0, 1];
+    a start's device and a broadcast's targets are `str`s, the targets in a
+    tuple; a link endpoint, a broadcast or injection target and a `reaches`
+    agent name an agent, a start names a device and a broadcast has a
+    target; a `reaches` state is a device state for a device and `-` for
+    the others; a replay index is non-negative, an injected frame is a
+    `wire.WireMessage` that encodes, a capture or corrupt tag names a frame,
+    a corrupted bit lies inside its frame's payload and a `frame-count`
+    names a frame.  A link model that many links share is checked once, at
+    the first of them."""
     for name in ("max_time", "mpc_period"):
         value = getattr(sc, name)
         if type(value) is not int or value < 0:
@@ -227,26 +234,39 @@ def scenario_faults(sc: Scenario):
             yield device, f"duplicate icd_in {sub.icd_in}, first registered by {first}"
     devices = set(names)
     agents = devices | {WBRAC, MAP}
+    checked = set()  # the id of each link model already checked
     for pair, link in sc.links.items():
         for name in pair:
             if name not in agents:
                 yield pair, f"unknown agent {name!r}"
+        # a fleet's thousands of links share a few models: each is checked,
+        # and named by the first link that uses it, once
+        if id(link) in checked:
+            continue
+        checked.add(id(link))
         if type(link.delay_ms) is not int or link.delay_ms < 0:
             yield pair, _int_fault("delay", link.delay_ms)
-        if not 0.0 <= link.drop_prob <= 1.0:  # NaN fails too
-            yield pair, f"drop probability {link.drop_prob} outside [0, 1]"
-        if not 0.0 <= link.dup_prob <= 1.0:
-            yield pair, f"dup probability {link.dup_prob} outside [0, 1]"
+        for name, p in (("drop", link.drop_prob), ("dup", link.dup_prob)):
+            if type(p) is not int and type(p) is not float:
+                yield pair, f"{name} probability {p!r} is not a number"
+            elif not 0.0 <= p <= 1.0:  # NaN fails too
+                yield pair, f"{name} probability {p} outside [0, 1]"
     for item in sc.schedule:
         if isinstance(item, StartIcd):
-            if item.agent_id not in devices:
+            if type(item.agent_id) is not str:
+                yield item, f"device name {item.agent_id!r} is not a str"
+            elif item.agent_id not in devices:
                 yield item, f"unknown device {item.agent_id!r}"
         elif isinstance(item, (RotateMpc, SendParameterUpdate)):
-            if not item.targets:
+            targets = item.targets
+            if type(targets) is not tuple or any(type(name) is not str for name in targets):
+                yield item, f"targets {targets!r} are not a tuple of agent names"
+            elif not targets:
                 yield item, "broadcast has no targets"
-            for name in item.targets:
-                if name not in agents:
-                    yield item, f"unknown agent {name!r}"
+            else:
+                for name in targets:
+                    if name not in agents:
+                        yield item, f"unknown agent {name!r}"
         else:
             yield item, f"unknown schedule item {item!r}"
             continue
@@ -267,13 +287,16 @@ def scenario_faults(sc: Scenario):
         elif isinstance(action, ReplayCaptured):
             if type(action.index) is not int or action.index < 0:
                 yield action, _int_fault("replay index", action.index)
-        elif isinstance(action, CorruptBit):
-            bits = _PAYLOAD_BITS.get(action.tag, 0)
-            if type(action.bit_index) is not int:
-                yield action, _int_fault("bit index", action.bit_index)
-            elif not 0 <= action.bit_index < bits:
-                name = wire.tag_name(action.tag)
-                yield action, f"bit {action.bit_index} outside the {bits}-bit payload of {name}"
+        elif isinstance(action, (CaptureMatching, CorruptBit)):
+            bits = _PAYLOAD_BITS.get(action.tag) if type(action.tag) is int else None
+            if bits is None:
+                yield action, f"tag {action.tag!r} names no frame"
+            elif isinstance(action, CorruptBit):
+                if type(action.bit_index) is not int:
+                    yield action, _int_fault("bit index", action.bit_index)
+                elif not 0 <= action.bit_index < bits:
+                    name = wire.tag_name(action.tag)
+                    yield action, f"bit {action.bit_index} outside the {bits}-bit payload of {name}"
         if isinstance(action, (ReplayCaptured, Inject)):
             if type(action.at) is not int or action.at < 0:
                 yield action, _int_fault("time", action.at)
@@ -417,8 +440,8 @@ class _Tick(NamedTuple):
 
 class Simulator:
     def __init__(self, scenario: Scenario, seed: int):
-        if seed < 0:
-            raise ScenarioError(f"negative seed {seed}")
+        if type(seed) is not int or seed < 0:
+            raise ScenarioError(_int_fault("seed", seed))
         for _, reason in scenario_faults(scenario):
             raise ScenarioError(reason)
         self.scenario = scenario

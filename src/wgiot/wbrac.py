@@ -85,9 +85,6 @@ class WbracService:
         self.registry[icd_in] = rec
         return rec
 
-    def expected_aac(self, rec: SubscriberRecord, sd: bytes | None = None) -> bytes:
-        return crypto.authenticate_signature(sd or rec.sd, rec.esn, rec.icd_in, rec.sc_auth_k)
-
     def map_provision(self, rec: SubscriberRecord, sd: bytes | None = None) -> wire.MapProvision:
         """Verification material for an access point: the expected AAC plus a
         precomputed unique-challenge pair for the given (default: current)
@@ -96,7 +93,8 @@ class WbracService:
         wmap = crypto.gen_wmap(self.rng)
         composite = crypto.compose_unique_challenge(wmap, self.wbrac_id)
         sign = crypto.authorization_signature(sd, composite, rec.esn, rec.icd_in)
-        return wire.MapProvision(rec.icd_in, self.expected_aac(rec, sd), wmap, sign)
+        aac = crypto.authenticate_signature(sd, rec.esn, rec.icd_in, rec.sc_auth_k)
+        return wire.MapProvision(rec.icd_in, aac, wmap, sign)
 
     # -- MPC rotation --
 

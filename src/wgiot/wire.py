@@ -2,20 +2,22 @@
 
 Layout: tag (1 byte) ∥ payload length (2 bytes, MSB-first) ∥ payload.
 Payload fields are packed MSB-first in declaration order.  Each frame
-class's encoder is generated once, when the class is created, from its
-field declaration, as `dataclasses` generates `__init__`: one length check
-per byte-string field, then one struct pack of the whole frame.  `encode`
-only dispatches to it.  Decoding is strict: unknown tags, length
-mismatches, and trailing bytes are errors.  For a frame whose fields hold
-`int` and `bytes`, `decode(encode(m)) == m` with the same field types, so
-the simulator hands a sent frame to its receiver without decoding it.
+class's encoder and constructor are compiled once, when the class is
+created, from its field declaration.  The encoder makes one length check
+per byte-string field, then one struct pack of the whole frame; `encode`
+only dispatches to it.  The constructor, which `value` compiles for every
+frozen value type of the package, stores each field straight into its
+slot.  Decoding is strict: unknown tags, length mismatches, and trailing
+bytes are errors.  For a frame whose fields hold `int` and `bytes`,
+`decode(encode(m)) == m` with the same field types, so the simulator hands
+a sent frame to its receiver without decoding it.
 """
 
 from __future__ import annotations
 
 import inspect
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 
 class WireError(Exception):
@@ -116,15 +118,46 @@ def _pack_fault(m: WireMessage, exc: struct.error) -> WireError:
     return WireError(str(exc))
 
 
+def value(cls: type) -> type:
+    """`dataclass(frozen=True, slots=True)(cls)` with its `__init__`
+    compiled again, from the same fields, parameters, defaults and
+    annotations, to store each field through its slot's descriptor; the
+    frozen `__init__` goes through the slower `object.__setattr__` for each
+    field.  Everything else is the dataclass's own, so assignment still
+    raises `FrozenInstanceError`.  The frames, the scenario values and the
+    device states are built this way; the simulator builds thousands of
+    each."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    namespace, params, lines = {}, [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING or not f.init or f.kw_only:
+            raise TypeError(f"{cls.__name__}.{f.name}: value fields take a plain default only")
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        lines.append(f"    _set_{f.name}(self, {f.name})")
+    source = f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(lines) or "    pass")
+    exec(compile(source, f"<value {cls.__qualname__}>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__annotations__ = cls.__init__.__annotations__
+    init.__qualname__ = cls.__init__.__qualname__
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
 # Frames are slotted and frozen: a frame holds only its fields, and some
 # outlive their delivery (each `MapRecord` keeps its `MapProvision`).
-@dataclass(frozen=True, slots=True)
+@value
 class SecureActivation(WireMessage):
     icd_in: u64
     TAG = 0x01
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class AccessParameterMessage(WireMessage):
     """Periodic network broadcast carrying the current MPC."""
 
@@ -132,14 +165,14 @@ class AccessParameterMessage(WireMessage):
     TAG = 0x02
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ParameterUpdateOrder(WireMessage):
     """Increments the receiver's RMC; no payload."""
 
     TAG = 0x03
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class AuthRequest(WireMessage):
     icd_in: u64
     esn: u64
@@ -147,12 +180,12 @@ class AuthRequest(WireMessage):
     TAG = 0x04
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class AuthAccept(WireMessage):
     TAG = 0x05
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class UpdateMessage(WireMessage):
     """WBRAC → access point: start an update for icd_in using this value."""
 
@@ -161,7 +194,7 @@ class UpdateMessage(WireMessage):
     TAG = 0x06
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class UpdateOrder(WireMessage):
     """Access point → device: start the update flow with this value, and
     take rmc, the access point's expected RMC for the device, as its own."""
@@ -171,68 +204,68 @@ class UpdateOrder(WireMessage):
     TAG = 0x07
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MobileAccessChallengeOrder(WireMessage):
     to_map: b32
     TAG = 0x08
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ChallengeAck(WireMessage):
     TAG = 0x09
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MapChallengeForward(WireMessage):
     icd_in: u64
     to_map: b32
     TAG = 0x0A
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MapChallengeResponse(WireMessage):
     icd_in: u64
     auth_sign_map: b16
     TAG = 0x0B
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MapChallengeResponseOrder(WireMessage):
     auth_sign_map: b16
     TAG = 0x0C
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class UpdateRejection(WireMessage):
     icd_in: u64
     TAG = 0x0D
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class UpdateConfirmation(WireMessage):
     icd_in: u64
     TAG = 0x0E
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class AuthenticationChallenge(WireMessage):
     wmap: b8
     TAG = 0x0F
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class AuthChallengeAnswer(WireMessage):
     auth_sign_map: b16
     TAG = 0x10
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class AccessDenied(WireMessage):
     reason: u8
     TAG = 0x11
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class UpdateRequest(WireMessage):
     """Access point → WBRAC: ask for an update-value run for icd_in."""
 
@@ -240,7 +273,7 @@ class UpdateRequest(WireMessage):
     TAG = 0x12
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MapProvision(WireMessage):
     """WBRAC → access point: refreshed verification material for one device.
 

@@ -1,6 +1,6 @@
 """The scale sweep of `scripts/scale_sweep.py`, run small on each workload
 it sweeps, writes the record that the committed BENCH_17.json to
-BENCH_20.json, BENCH_22.json and BENCH_23.json hold for each measured
+BENCH_20.json and BENCH_22.json to BENCH_24.json hold for each measured
 commit."""
 
 import json
@@ -127,8 +127,10 @@ def test_committed_delivery_record_has_the_parent_and_the_change():
 
 
 # BENCH_20: the one-pass parser; BENCH_22: devices built from the registry row's bytes;
-# BENCH_23: the RMC held as its 16 bytes
-@pytest.mark.parametrize("record", ["BENCH_20.json", "BENCH_22.json", "BENCH_23.json"])
+# BENCH_23: the RMC held as its 16 bytes; BENCH_24: frozen values built through `value`
+@pytest.mark.parametrize(
+    "record", ["BENCH_20.json", "BENCH_22.json", "BENCH_23.json", "BENCH_24.json"]
+)
 def test_committed_set_up_record_has_the_parent_and_the_change(record):
     doc = json.loads((ROOT / record).read_text())
     assert doc["workload"] == "honest-fleet" and set(doc["runs"]) == {"parent", "change"}

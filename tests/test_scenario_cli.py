@@ -534,6 +534,31 @@ CODE_ONLY_REJECTED = {
         {"adversary": [CorruptBit(wire.AuthRequest.TAG, 1.0)]},
         "bit index 1.0 is not an int",
     ),
+    "corrupt-str-tag": (
+        {"adversary": [CorruptBit("AuthRequest", 3)]},
+        "tag 'AuthRequest' names no frame",
+    ),
+    "capture-str-tag": (
+        {"adversary": [CaptureMatching("AuthRequest")]},
+        "tag 'AuthRequest' names no frame",
+    ),
+    "capture-unknown-tag": ({"adversary": [CaptureMatching(0x99)]}, "tag 153 names no frame"),
+    "str-drop": (
+        {"links": {("icd-1", "map-1"): LinkModel(drop_prob="0.5")}},
+        "drop probability '0.5' is not a number",
+    ),
+    "bool-dup": (
+        {"links": {("icd-1", "map-1"): LinkModel(dup_prob=True)}},
+        "dup probability True is not a number",
+    ),
+    "rotate-str-targets": (
+        {"schedule": [RotateMpc(at=5, targets="map-1")]},
+        "targets 'map-1' are not a tuple of agent names",
+    ),
+    "start-list-device": (
+        {"schedule": [StartIcd(["icd-1"], at=0)]},
+        "device name ['icd-1'] is not a str",
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -182,6 +183,21 @@ def test_unknown_agent_in_schedule():
     sc = Scenario(subscribers=[], schedule=[StartIcd("icd-9", 0)])
     with pytest.raises(ScenarioError):
         Simulator(sc, seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed,reason",
+    [
+        (1.5, "seed 1.5 is not an int"),
+        ("1", "seed '1' is not an int"),
+        (None, "seed None is not an int"),
+        (-1, "negative seed -1"),
+    ],
+    ids=["float", "str", "None", "negative"],
+)
+def test_a_seed_that_is_not_a_non_negative_int_is_rejected(seed, reason):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
+        Simulator(Scenario(subscribers=[]), seed)
 
 
 def test_drop_prob_one_records_dropped_and_receiver_untouched():

@@ -32,7 +32,10 @@ def test_provision_initial_counter_and_duplicate():
 def test_expected_aac_matches_oracle():
     svc, _ = make_wbrac()
     rec = svc.registry[1]
-    assert svc.expected_aac(rec) == prf_oracle.aac(rec.sd, rec.esn, rec.icd_in, rec.sc_auth_k)
+    # the provision's AAC is of the current SD, or of the SD it is given
+    for sd in (None, bytes(range(16))):
+        want = prf_oracle.aac(sd or rec.sd, rec.esn, rec.icd_in, rec.sc_auth_k)
+        assert svc.map_provision(rec, sd=sd).expected_aac == want
 
 
 def test_rotate_mpc_and_too_early():
