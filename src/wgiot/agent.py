@@ -31,7 +31,7 @@ than a new one with a new list per delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import wire
@@ -49,7 +49,7 @@ class NotIdle(ProtocolError):
     pass
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Transition:
     """Result of feeding one message or tick to an agent.
 
@@ -57,11 +57,27 @@ class Transition:
     for a future tick; note is a short trace annotation (e.g. the reason an
     unexpected frame was dropped).  Nothing changes a Transition once it is
     returned, so fixed results are shared.
+
+    The `__init__` is written out (`init=False`) because a handler builds one
+    per frame it sends, and the dataclass's own, generated for a
+    `default_factory` field, costs twice as much; like it, this one gives
+    each result a new `out` list.  `__eq__` and `__repr__` are the
+    dataclass's.
     """
 
-    out: list[tuple[str, wire.WireMessage]] = field(default_factory=list)
-    tick_at: int | None = None
-    note: str = ""
+    out: list[tuple[str, wire.WireMessage]]
+    tick_at: int | None
+    note: str
+
+    def __init__(
+        self,
+        out: list[tuple[str, wire.WireMessage]] | None = None,
+        tick_at: int | None = None,
+        note: str = "",
+    ):
+        self.out = [] if out is None else out
+        self.tick_at = tick_at
+        self.note = note
 
 
 # Fixed results that both the access point and the devices return.

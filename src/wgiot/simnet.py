@@ -16,7 +16,13 @@ a time leaves the heap when its list is used up.  No event is pushed before
 `now` (`_open`, the one place a running simulator adds a time, raises
 `ValueError`), so an event pushed at `now`, such as a reply sent with no
 delay during a broadcast burst, joins the end of the current list and runs
-after every event already pending at that time.
+after every event already pending at that time.  A queued copy of a frame
+is the list [src, dst, raw, dropped, note, decoded], where decoded is
+(frame, raw[3:]), or None for bytes the adversary made.  A list is the
+cheapest record to build once per copy (a NamedTuple is built from a
+temporary tuple), and a plain tuple would cost memory instead: CPython's
+free list keeps up to 2,000 dead tuples of each small size, so the 6-tuples
+of a broadcast burst would stay allocated after their delivery.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
@@ -24,7 +30,9 @@ broadcast, a duplicate) shares that pair; frames are frozen.  Only bytes the
 adversary made, a corrupted copy or a replay, are decoded at delivery.
 
 What is kept per device, frame or trace line is shared where it can be, as a
-memory saving that no result depends on.  The trace is held as columns, an
+memory saving that no result depends on.  One table, `Simulator.agents`,
+maps each agent name to its agent; `Simulator.icds` is a read-only view of
+its devices, not a second table.  The trace is held as columns, an
 array of 8-byte times and one list per other field, so a line is eight bytes
 and five references and no object of its own (`Trace.entries` builds a
 list of `TraceEntry` tuples only when it is asked for); the copies of a
@@ -61,7 +69,9 @@ import functools
 import heapq
 import sys
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from . import crypto, wire
@@ -198,8 +208,9 @@ def scenario_faults(sc: Scenario):
     row's `icd_in` and `esn` fit in 64 bits and its `rmc` in 128; a row's
     key, k and sd are `bytes` of their lengths and no two rows share an
     `icd_in`; drop and dup probabilities are `int`s or `float`s in [0, 1];
-    a start's device and a broadcast's targets are `str`s, the targets in a
-    tuple; a link endpoint, a broadcast or injection target and a `reaches`
+    a start's device, a broadcast's targets, an injection's target and
+    sender and a `reaches` agent are `str`s, the targets in a tuple; a link
+    endpoint, a broadcast or injection target and a `reaches`
     agent name an agent, a start names a device and a broadcast has a
     target; a `reaches` state is a device state for a device and `-` for
     the others; a replay index is non-negative, an injected frame is a
@@ -274,8 +285,12 @@ def scenario_faults(sc: Scenario):
             yield item, _int_fault("time", item.at)
     for action in sc.adversary:
         if isinstance(action, Inject):
-            if action.to not in agents:
+            if type(action.to) is not str:
+                yield action, f"target {action.to!r} is not a str"
+            elif action.to not in agents:
                 yield action, f"unknown agent {action.to!r}"
+            if type(action.src) is not str:
+                yield action, f"sender {action.src!r} is not a str"
             frame = action.frame
             if not isinstance(frame, wire.WireMessage):
                 yield action, f"injected {type(frame).__name__} is not a frame"
@@ -303,7 +318,9 @@ def scenario_faults(sc: Scenario):
     for expect in sc.expects:
         if expect[0] == "reaches":
             _, agent, state = expect
-            if agent not in agents:
+            if type(agent) is not str:
+                yield expect, f"agent name {agent!r} is not a str"
+            elif agent not in agents:
                 yield expect, f"unknown agent {agent!r}"
             elif state not in (STATE_NAMES if agent in devices else ("-",)):
                 yield expect, f"{agent} has no state {state!r}"
@@ -421,21 +438,34 @@ class Trace:
 # Simulator
 
 
-# Queued events are named tuples, which are cheaper to build than frozen
-# dataclasses: the queue holds one per frame in flight.
-
-
-class _Deliver(NamedTuple):
-    src: str
-    dst: str
-    raw: bytes
-    dropped: bool
-    note: str
-    decoded: tuple | None  # (frame, raw[3:]); None for adversary bytes
+# A queued copy of a frame is a list (see the module docstring), so the
+# event table keys `_on_deliver` by `list`.
 
 
 class _Tick(NamedTuple):
     agent_id: str
+
+
+class _Devices(Mapping):
+    """The devices of an agent table: a read-only view of it without the
+    WBRAC and the access point, which are its first two entries, so the
+    devices come in registry order."""
+
+    __slots__ = ("_agents",)
+
+    def __init__(self, agents: dict):
+        self._agents = agents
+
+    def __getitem__(self, name: str) -> IcdAgent:
+        if name == WBRAC or name == MAP:
+            raise KeyError(name)
+        return self._agents[name]
+
+    def __iter__(self):
+        return islice(self._agents, 2, None)
+
+    def __len__(self) -> int:
+        return len(self._agents) - 2
 
 
 class Simulator:
@@ -471,7 +501,9 @@ class Simulator:
         self.wbrac = WbracService(sc.wbrac_id, schedule, rng=self.rng)
         mpc = schedule.current
         self.map = MapAgent(mpc)
-        self.icds: dict[str, IcdAgent] = {}
+        # the one name -> agent table; `icds` is a view of its devices
+        self.agents = agents = {WBRAC: self.wbrac, MAP: self.map}
+        self.icds = _Devices(agents)
         packed_rmcs: dict[int, bytes] = {}  # a row's rmc -> its 16 bytes, one object per value
         for agent_id, sub in zip(device_ids(sc), sc.subscribers):
             # both sides hold the row's own bytes, so its SD is one object
@@ -480,9 +512,8 @@ class Simulator:
             if rmc is None:
                 rmc = packed_rmcs[sub.rmc] = sub.rmc.to_bytes(16, "big")
             cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, mpc, rmc, sc.wbrac_id)
-            self.icds[agent_id] = IcdAgent(cfg, self.rng)
+            agents[agent_id] = IcdAgent(cfg, self.rng)
             self.map.provision(agent_id, rmc, self.wbrac.map_provision(rec))
-        self.agents = {WBRAC: self.wbrac, MAP: self.map, **self.icds}
 
     def _load_schedule(self):
         calendar = self._calendar
@@ -533,14 +564,14 @@ class Simulator:
         p = link.dup_prob
         duplicated = p > 0.0 and self.rng.chance(p)
         at = self.now + link.delay_ms
-        item = _new(_Deliver, (src, dst, raw, dropped, note, decoded))
+        item = [src, dst, raw, dropped, note, decoded]
         events = self._calendar.get(at)
         if events is None:
             self._open(at, item)
         else:
             events.append(item)
         if duplicated and not dropped:
-            self._push(at, _new(_Deliver, (src, dst, raw, False, "duplicate", decoded)))
+            self._push(at, [src, dst, raw, False, "duplicate", decoded])
 
     def _adversary_hooks(self, src: str, dst: str, raw: bytes, decoded: tuple):
         """Capture and corrupt one frame on the send path, as armed; return
@@ -599,7 +630,7 @@ class Simulator:
 
     def _on_start(self, item: StartIcd) -> None:
         try:
-            result = self.icds[item.agent_id].start(self.now)
+            result = self.agents[item.agent_id].start(self.now)
         except NotIdle as exc:
             self.trace.add(self.now, "-", item.agent_id, "start", None, f"skipped: {exc}")
             return
@@ -621,14 +652,14 @@ class Simulator:
             self.trace.add(self.now, "adversary", "-", "replay", None, "no-op: nothing captured")
             return
         src, dst, raw = self.captured[item.index]
-        self._push(self.now, _new(_Deliver, (src, dst, raw, False, "replayed", None)))
+        self._push(self.now, [src, dst, raw, False, "replayed", None])
 
     def _on_inject(self, item: Inject) -> None:
         raw = wire.encode(item.frame)
         decoded = (item.frame, raw[3:])
-        self._push(self.now, _Deliver(item.src, item.to, raw, False, "injected", decoded))
+        self._push(self.now, [item.src, item.to, raw, False, "injected", decoded])
 
-    def _on_deliver(self, ev: _Deliver) -> None:
+    def _on_deliver(self, ev: list) -> None:
         src, dst, raw, dropped, note, decoded = ev
         now = self.now
         if decoded is None:
@@ -661,10 +692,10 @@ class Simulator:
         for dst, msg in result.out:
             self.send(agent_id, dst, msg)
         if result.tick_at is not None:
-            self._push(result.tick_at, _Tick(agent_id))
+            self._push(result.tick_at, _new(_Tick, (agent_id,)))
 
     _EVENT_HANDLERS = {
-        _Deliver: _on_deliver,
+        list: _on_deliver,
         _Tick: _on_tick,
         StartIcd: _on_start,
         RotateMpc: _on_rotate,

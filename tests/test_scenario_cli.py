@@ -559,6 +559,18 @@ CODE_ONLY_REJECTED = {
         {"schedule": [StartIcd(["icd-1"], at=0)]},
         "device name ['icd-1'] is not a str",
     ),
+    "inject-list-target": (
+        {"adversary": [Inject(wire.ChallengeAck(), to=["map-1"], at=1)]},
+        "target ['map-1'] is not a str",
+    ),
+    "inject-none-sender": (
+        {"adversary": [Inject(wire.ChallengeAck(), to="map-1", at=1, src=None)]},
+        "sender None is not a str",
+    ),
+    "reaches-list-agent": (
+        {"expects": [("reaches", ["icd-1"], "Idle")]},
+        "agent name ['icd-1'] is not a str",
+    ),
 }
 
 

@@ -153,3 +153,22 @@ def test_names_built_at_run_time_give_the_same_trace():
 
     want = Simulator(parsed, seed=3).run().serialize()
     assert Simulator(built, seed=3).run().serialize() == want
+
+
+def test_the_copies_of_a_broadcast_share_one_payload():
+    """Every copy of one broadcast is traced with the one payload object,
+    delivered and dropped copies alike."""
+    sc = Scenario(
+        SUBSCRIBERS,
+        links={("wbrac", "icd-2"): LinkModel(drop_prob=1.0)},
+        schedule=[RotateMpc(at=5, targets=("map-1", "icd-1", "icd-2", "icd-3"))],
+        mpc_period=1,
+    )
+    trace = Simulator(sc, seed=0).run()
+    copies = [
+        (note, payload)
+        for sender, tag, note, payload in zip(trace.senders, trace.tags, trace.notes, trace.payloads)
+        if sender == "wbrac" and tag == "AccessParameterMessage"
+    ]
+    assert len(copies) == 4 and sum(note.startswith("dropped") for note, _ in copies) == 1
+    assert len({id(payload) for _, payload in copies}) == 1

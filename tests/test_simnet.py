@@ -1,6 +1,7 @@
 import heapq
 import math
 import re
+from collections.abc import Mapping, MutableMapping
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import honest_scenario, make_subscriber, update_scenario
 from wgiot import simnet, wire
-from wgiot.agent import MAP, WBRAC, Transition
+from wgiot.agent import MAP, MPC_UPDATED, WBRAC, Transition
 from wgiot.icd import Authenticated, Denied, Idle
 from wgiot.simnet import (
     CaptureMatching,
@@ -24,6 +25,7 @@ from wgiot.simnet import (
     Simulator,
     StartIcd,
     TraceEntry,
+    device_ids,
     sim_run,
 )
 from wgiot.wbrac import WbracService
@@ -501,3 +503,36 @@ def test_trace_times_of_64_bits_and_more_are_kept():
     assert [e.time for e in entries] == list(trace.times) and len(entries) == 3
     assert trace.serialize().splitlines()[2].startswith(f"{at}\ticd-1\tmap-1\tSecureActivation")
     assert type(sim_run(honest_scenario(), seed=0).times) is not list
+
+
+def test_icds_is_a_read_only_view_of_the_devices_in_agents():
+    sc = Scenario([make_subscriber(seed=n, icd_in=n) for n in (1, 2, 3)])
+    sim = Simulator(sc, seed=0)
+    assert list(sim.agents) == [WBRAC, MAP, "icd-1", "icd-2", "icd-3"]
+    assert list(sim.icds) == list(device_ids(sc)) == ["icd-1", "icd-2", "icd-3"]
+    assert len(sim.icds) == 3
+    for name in sim.icds:
+        assert sim.icds[name] is sim.agents[name]
+    for name in (WBRAC, MAP, "icd-4"):
+        assert name not in sim.icds
+        with pytest.raises(KeyError):
+            sim.icds[name]
+    assert isinstance(sim.icds, Mapping) and not isinstance(sim.icds, MutableMapping)
+    with pytest.raises(TypeError):
+        sim.icds["icd-4"] = sim.icds["icd-1"]
+
+
+def test_each_result_gets_its_own_out_list():
+    assert Transition().out is not Transition().out
+    assert Transition().out == []
+
+
+def test_results_compare_and_print_as_dataclasses():
+    frame = wire.SecureActivation(1)
+    assert Transition() == Transition([], None, "")
+    assert Transition(out=[(MAP, frame)], tick_at=5) == Transition([(MAP, frame)], 5, "")
+    assert Transition(note="a") != Transition(note="b")
+    assert repr(Transition([(MAP, frame)], 5, "n")) == (
+        "Transition(out=[('map-1', SecureActivation(icd_in=1))], tick_at=5, note='n')"
+    )
+    assert repr(MPC_UPDATED) == "Transition(out=[], tick_at=None, note='mpc-updated')"
