@@ -35,7 +35,7 @@ SIDES = ("parent", "change")
 
 
 def end_to_end_metrics() -> list[dict]:
-    """The end-to-end metrics `BENCHMARK.json` declares: name, unit, better."""
+    """The end-to-end metrics `BENCHMARK.json` declares: name, unit, better, bound."""
     return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 

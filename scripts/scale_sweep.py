@@ -10,15 +10,18 @@ devices over 5 s).
     python3 scripts/scale_sweep.py --workload honest-fleet --repeats 15 --out BENCH_20.json
     python3 scripts/scale_sweep.py --workload lossy-churn --sizes 1,100 --repeats 1 --out /tmp/scale.json
 
-For each N it prints and records the best of `--repeats` timed runs:
-set-up plus run in µs per device, run in µs per trace line, and the traced
-peak memory of one more run (tracemalloc, as `peak_mem_mb` is measured) in
-bytes per device.  Beside the best run it records the median, first and
-third quartile of the µs per trace line over all repeats
+For each N it prints and records the median run of `--repeats` timed
+runs, the one whose calibrated set-up plus run is the median (the lower of
+the two middle runs for an even count): its `setup_s`, `run_s` and
+`host_s`, its set-up plus run in µs per device and its run in µs per trace
+line.  It also records the traced peak memory of one more run
+(tracemalloc, as `peak_mem_mb` is measured) in bytes per device, and the
+median, first and third quartile of the µs per trace line over all repeats
 (`us_per_trace_line_median`, `_q1`, `_q3`) and of the set-up in µs per
-device (`setup_us_per_device_median`, `_q1`, `_q3`): a best-of-N time
-moves with host contention between two sweeps of one commit, and the
-quartiles show how far.  A run whose cost per device stays flat as N grows does a
+device (`setup_us_per_device_median`, `_q1`, `_q3`), which show how far
+the runs spread.  The median run is kept rather than the fastest: one slow
+reference loop beside a run shrinks that run's calibrated times, so the
+fastest run is often an outlier.  A run whose cost per device stays flat as N grows does a
 bounded amount of work per frame.  It also records `broadcast_lines`, the
 trace lines of the WBRAC's MPC broadcasts (`AccessParameterMessage`).  `lossy-churn`
 broadcasts to every device each second of a window that grows with N, so
@@ -29,14 +32,15 @@ Times are calibrated as the benchmark's end-to-end times are: each run sits
 between two runs of `bench/measure.py`'s fixed reference loop and is scaled
 by `REF_S / reference time`, so a host whose speed drifts during the sweep
 does not move one size against another.  The sizes also take turns, one run
-of each per repeat.  `host_s` is the best run's uncalibrated set-up plus run.
+of each per repeat.  `host_s` is the median run's uncalibrated set-up plus
+run.
 
 The program and the fleet generator are imported from `--checkout`'s `src/`
 and `bench/` (default: this checkout), so one script measures two commits
 alike.  The run is stored under `--label` in `--out`, beside the runs of
-other labels already there, which must be of the same workload, with
-`bench/run.py`'s environment record, which holds the measured checkout's
-git revision.
+other labels already there, which must be of the same workload, and any
+pairs of `scripts/bench_pairs.py`, with `bench/run.py`'s environment
+record, which holds the measured checkout's git revision.
 """
 
 from __future__ import annotations
@@ -76,9 +80,7 @@ def sized_params(fleet, workload: str, devices: int):
 def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list[dict]:
     params = {n: sized_params(fleet, workload, n) for n in sizes}
     fleets = {n: fleet.generate(workload, SEED, params[n])[0] for n in sizes}
-    best = {}  # N -> (calibrated setup_s, calibrated run_s, host_s)
-    setup_times = {n: [] for n in sizes}  # N -> calibrated setup_s of every repeat
-    run_times = {n: [] for n in sizes}  # N -> calibrated run_s of every repeat
+    runs = {n: [] for n in sizes}  # N -> (calibrated setup_s, calibrated run_s, host_s) per repeat
     outcome = {}  # N -> (trace lines, broadcast lines, devices authenticated), the same every run
     reference = measure.reference_s()
     for _ in range(repeats):
@@ -86,11 +88,7 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
             sim, trace, setup_s, run_s = measure.run_fleet(fleets[n])
             before, reference = reference, measure.reference_s()
             scale = measure.REF_S * 2 / (before + reference)
-            run = setup_s * scale, run_s * scale, setup_s + run_s
-            setup_times[n].append(run[0])
-            run_times[n].append(run[1])
-            if n not in best or run[0] + run[1] < best[n][0] + best[n][1]:
-                best[n] = run
+            runs[n].append((setup_s * scale, run_s * scale, setup_s + run_s))
             authenticated = sum(a.state_name == "Authenticated" for a in sim.icds.values())
             broadcasts = sum(
                 1 for src, tag in zip(trace.senders, trace.tags) if tag == BROADCAST and src == "wbrac"
@@ -99,10 +97,11 @@ def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list
             del sim, trace
     rows = []
     for n in sizes:
-        setup_s, run_s, host_s = best[n]
+        by_total = sorted(runs[n], key=lambda run: run[0] + run[1])
+        setup_s, run_s, host_s = by_total[(len(by_total) - 1) // 2]
         lines, broadcast_lines, authenticated = outcome[n]
-        q1, median, q3 = quartiles([s * 1e6 / lines for s in run_times[n]])
-        setup_q1, setup_median, setup_q3 = quartiles([s * 1e6 / n for s in setup_times[n]])
+        q1, median, q3 = quartiles([run[1] * 1e6 / lines for run in runs[n]])
+        setup_q1, setup_median, setup_q3 = quartiles([run[0] * 1e6 / n for run in runs[n]])
         rows.append({
             "devices": n,
             "start_window_ms": params[n].start_window_ms,
@@ -151,7 +150,7 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, default=ROOT, help="checkout to measure")
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated N")
     parser.add_argument(
-        "--repeats", type=int, default=5, help="timed runs per size; best and quartiles kept"
+        "--repeats", type=int, default=5, help="timed runs per size; median run and quartiles kept"
     )
     parser.add_argument("--label", default="change", help="key of this run in --out")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add the run to")
@@ -174,7 +173,9 @@ def main(argv=None) -> int:
     try:
         doc = json.loads(args.out.read_text())
     except FileNotFoundError:
-        doc = {"workload": workload, "seed": SEED, "runs": {}}
+        doc = {}
+    # a file may hold only the pairs of `scripts/bench_pairs.py` so far
+    doc = {"workload": workload, "seed": SEED, "runs": {}, **doc}
     if doc["workload"] != workload:
         print(f"error: {args.out} holds {doc['workload']} runs, not {workload}", file=sys.stderr)
         return 1

@@ -210,14 +210,13 @@ def scenario_faults(sc: Scenario):
     `icd_in`; drop and dup probabilities are `int`s or `float`s in [0, 1];
     a start's device, a broadcast's targets, an injection's target and
     sender and a `reaches` agent are `str`s, the targets in a tuple; a link
-    endpoint, a broadcast or injection target and a `reaches`
-    agent name an agent, a start names a device and a broadcast has a
-    target; a `reaches` state is a device state for a device and `-` for
-    the others; a replay index is non-negative, an injected frame is a
-    `wire.WireMessage` that encodes, a capture or corrupt tag names a frame,
-    a corrupted bit lies inside its frame's payload and a `frame-count`
-    names a frame.  A link model that many links share is checked once, at
-    the first of them."""
+    endpoint, a broadcast or injection target and a `reaches` agent name an
+    agent, a start names a device and a broadcast has a target; a `reaches`
+    state is a device state for a device and `-` for the others; a replay
+    index is non-negative, an injected frame is a `wire.WireMessage` that
+    encodes, a capture or corrupt tag names a frame, a corrupted bit lies
+    inside its frame's payload and a `frame-count` names a frame.  A link
+    model that many links share is checked once, at the first of them."""
     for name in ("max_time", "mpc_period"):
         value = getattr(sc, name)
         if type(value) is not int or value < 0:
@@ -501,7 +500,6 @@ class Simulator:
         self.wbrac = WbracService(sc.wbrac_id, schedule, rng=self.rng)
         mpc = schedule.current
         self.map = MapAgent(mpc)
-        # the one name -> agent table; `icds` is a view of its devices
         self.agents = agents = {WBRAC: self.wbrac, MAP: self.map}
         self.icds = _Devices(agents)
         packed_rmcs: dict[int, bytes] = {}  # a row's rmc -> its 16 bytes, one object per value

@@ -1,6 +1,6 @@
 """The alternating pair runner of `scripts/bench_pairs.py`, run small with
 both sides at this checkout, writes the record that the committed
-BENCH_24.json holds for its parent and change."""
+BENCH_24.json and BENCH_25.json hold for their parent and change."""
 
 import json
 import subprocess
@@ -51,18 +51,20 @@ def test_one_pair_at_one_checkout_writes_every_key(tmp_path):
 
 
 def test_committed_record_holds_the_claimed_and_the_other_workloads():
-    doc = json.loads((ROOT / "BENCH_24.json").read_text())
-    assert set(doc["pairs"]) == {
-        "honest-fleet seed 1",
-        "honest-fleet seed 7",
-        "update-storm seed 1",
-        "lossy-churn seed 1",
-    }
-    for key, record in doc["pairs"].items():
-        workload, _, seed = key.split()
-        pairs = 10 if workload == "honest-fleet" else 3
-        _check_record(record, workload, int(seed), pairs)
-        assert record["seconds"] == 30
-        assert record["correct"] == {"parent": True, "change": True}
-        assert record["failed"] == {"parent": 0, "change": 0}
-        assert record["env"]["parent"]["git_revision"] != record["env"]["change"]["git_revision"]
+    for path in ("BENCH_24.json", "BENCH_25.json"):
+        doc = json.loads((ROOT / path).read_text())
+        assert set(doc["pairs"]) == {
+            "honest-fleet seed 1",
+            "honest-fleet seed 7",
+            "update-storm seed 1",
+            "lossy-churn seed 1",
+        }, path
+        for key, record in doc["pairs"].items():
+            workload, _, seed = key.split()
+            pairs = 10 if workload == "honest-fleet" else 3
+            _check_record(record, workload, int(seed), pairs)
+            assert record["seconds"] == 30
+            assert record["correct"] == {"parent": True, "change": True}
+            assert record["failed"] == {"parent": 0, "change": 0}
+            env = record["env"]
+            assert env["parent"]["git_revision"] != env["change"]["git_revision"]

@@ -1,17 +1,22 @@
 """The scale sweep of `scripts/scale_sweep.py`, run small on each workload
 it sweeps, writes the record that the committed BENCH_17.json to
-BENCH_20.json and BENCH_22.json to BENCH_24.json hold for each measured
+BENCH_20.json and BENCH_22.json to BENCH_25.json hold for each measured
 commit."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "scale_sweep.py"
+sys.path[:0] = [str(ROOT / "scripts"), str(ROOT / "bench")]
+
+import fleet  # noqa: E402
+import scale_sweep  # noqa: E402
 ALL_SIZES = [1, 100, 300, 1_000, 3_000, 6_000]
 
 RUN_KEYS = {"environment", "repeats", "sizes"}
@@ -101,6 +106,49 @@ def test_a_sweep_of_another_workload_is_not_mixed_in(tmp_path):
     assert done.stderr == f"error: {out} holds update-storm runs, not lossy-churn\n"
 
 
+def test_a_sweep_is_added_beside_recorded_pairs(tmp_path):
+    out = tmp_path / "record.json"
+    out.write_text('{"pairs": {"update-storm seed 1": {}}}\n')
+    done = _sweep(out, "--sizes", "1")
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(out.read_text())
+    assert doc["pairs"] == {"update-storm seed 1": {}}
+    assert doc["workload"] == "update-storm" and doc["seed"] == 1
+    _check_run(doc["runs"]["change"], [1])
+
+
+class _FakeMeasure:
+    """`bench/measure.py` as the sweep uses it, with host times and
+    reference loops set by the test: three repeats of one fleet of one
+    device that traces four lines."""
+
+    REF_S = 1.0
+
+    def __init__(self, host_times, references):
+        self._host_times = iter(host_times)
+        self._references = iter(references)
+
+    def reference_s(self):
+        return next(self._references)
+
+    def run_fleet(self, _fleet):
+        setup_s, run_s = next(self._host_times, (1.0, 1.0))  # the peak-memory run comes last
+        sim = SimpleNamespace(icds={"icd-1": SimpleNamespace(state_name="Authenticated")})
+        trace = SimpleNamespace(senders=["icd-1"] * 4, tags=["AuthRequest"] * 4, notes=[""] * 4)
+        return sim, trace, setup_s, run_s
+
+
+def test_the_row_holds_the_median_run_not_one_a_slow_reference_loop_shrank():
+    # the third run is the fastest on the host but lies beside a reference
+    # loop ten times slower, which scales it to 2 / 11 of its time
+    measure = _FakeMeasure([(1.0, 2.0), (1.1, 2.2), (0.9, 1.8)], [1.0, 1.0, 1.0, 10.0])
+    [row] = scale_sweep.sweep(fleet, measure, "honest-fleet", [1], 3)
+    assert (row["setup_s"], row["run_s"], row["host_s"]) == (1.0, 2.0, 3.0)
+    assert row["us_per_device"] == 3e6
+    assert row["us_per_trace_line"] == 0.5e6
+    assert row["setup_us_per_device_median"] == 1e6
+
+
 def test_committed_record_has_the_parent_and_the_change():
     doc = json.loads((ROOT / "BENCH_17.json").read_text())
     assert set(doc["runs"]) == {"parent", "change"}
@@ -127,9 +175,10 @@ def test_committed_delivery_record_has_the_parent_and_the_change():
 
 
 # BENCH_20: the one-pass parser; BENCH_22: devices built from the registry row's bytes;
-# BENCH_23: the RMC held as its 16 bytes; BENCH_24: frozen values built through `value`
+# BENCH_23: the RMC held as its 16 bytes; BENCH_24: frozen values built through `value`;
+# BENCH_25: each frame copy queued as a list
 @pytest.mark.parametrize(
-    "record", ["BENCH_20.json", "BENCH_22.json", "BENCH_23.json", "BENCH_24.json"]
+    "record", ["BENCH_20.json", "BENCH_22.json", "BENCH_23.json", "BENCH_24.json", "BENCH_25.json"]
 )
 def test_committed_set_up_record_has_the_parent_and_the_change(record):
     doc = json.loads((ROOT / record).read_text())
