@@ -14,6 +14,8 @@ and the metric's bound, with a verdict:
   more than the distance between the parent's quartiles;
 - `regression`: the change's median is worse than the parent's by more
   than the bound, a fraction of the parent's median;
+- `exact`: otherwise, when every run of each side gave the same value, so
+  the ratio is the whole change and no spread exists for a gain to clear;
 - `within bound` otherwise.
 
 Exit status: 0 when no metric regressed, 1 when one did, 2 when a FILE
@@ -42,6 +44,8 @@ def verdict(record: dict, metric: dict) -> str:
     gap = sign * (change["median"] - parent["median"])  # > 0: the change is better
     if gap < 0 and -gap > metric["bound"] * abs(parent["median"]):
         return "regression"
+    if all(min(side["runs"]) == max(side["runs"]) for side in (parent, change)):
+        return "exact"
     won = pairs >= GAIN_PAIRS and measured["wins"] >= GAIN_SHARE * pairs
     if won and gap > parent["q3"] - parent["q1"]:
         return "gain"

@@ -10,6 +10,9 @@ is found by that id however many flows are in progress.  The access point
 acts on a device's AuthRequest, UpdateConfirmation or UpdateRejection only
 when its icd_in is the sending device's own.  Its dispatch tables say which
 frames it obeys from which sender (frames.md lists them; see agent.py).
+The WBRAC's MapChallengeResponse carries both the signature the access
+point relays and the material it verifies the device with after the flow
+commits, so the two cannot be lost apart.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ REASON_UNKNOWN_ICD = 0x02
 
 # The access point's fixed results, shared (see agent.py).
 ACTIVATION = Transition(note="activation")
-PROVISION_APPLIED = Transition(note="provision-applied")
-PROVISION_STASHED = Transition(note="provision-stashed")
+
+# `MapRecord.pending` while its update flow waits for the WBRAC's response
+AWAITING_RESPONSE = "awaiting-response"
 
 
 class UnknownIcd(ProtocolError):
@@ -52,25 +56,21 @@ def remedy(mismatch: frozenset) -> str:
 
 
 @dataclass(slots=True)
-class PendingUpdate:
-    expected_sign: bytes | None = None  # the WBRAC's AUTH_SIGN_MAP, as relayed
-    next_provision: wire.MapProvision | None = None
-
-
-@dataclass(slots=True)
 class MapRecord:
-    """Per-device expectations.  `prov` is the applied `wire.MapProvision`
-    frame as the WBRAC sent it; its expected AAC and unique-challenge pair
-    are read as the frame's bytes.  After registration only
-    `MapAgent._apply_provision` replaces it.  `expected_rmc` is the 16-byte
-    RMC the device's GUID must carry."""
+    """Per-device expectations: the 16-byte RMC, the expected AAC and the
+    unique-challenge pair the device's GUID and answer must match.  During
+    an update flow `pending` is `AWAITING_RESPONSE`, then the relayed
+    `wire.MapChallengeResponse`, whose material the record takes, as the
+    frame's own bytes, when the device confirms."""
 
     icd_in: int
     icd_agent_id: str
     expected_rmc: bytes
-    prov: wire.MapProvision
+    expected_aac: bytes
+    wmap: bytes
+    challenge_sign: bytes
     challenge_outstanding: bool = False
-    pending: PendingUpdate | None = None
+    pending: str | wire.MapChallengeResponse | None = None
 
 
 class MapAgent:
@@ -81,9 +81,17 @@ class MapAgent:
 
     state_name = "-"
 
-    def provision(self, icd_agent_id: str, rmc: bytes, prov: wire.MapProvision) -> None:
-        """Register a device from the WBRAC's provisioning frame."""
-        rec = MapRecord(prov.icd_in, icd_agent_id, rmc, prov)
+    def provision(
+        self,
+        icd_agent_id: str,
+        icd_in: int,
+        rmc: bytes,
+        expected_aac: bytes,
+        wmap: bytes,
+        challenge_sign: bytes,
+    ) -> None:
+        """Register a device with the material of the WBRAC's `map_provision`."""
+        rec = MapRecord(icd_in, icd_agent_id, rmc, expected_aac, wmap, challenge_sign)
         self.records[rec.icd_in] = rec
         self._by_agent[icd_agent_id] = rec
 
@@ -97,7 +105,7 @@ class MapAgent:
             raise UnknownIcd(icd_in)
         aac, mpc, rmc = crypto.decompose_guid(req.guid)
         mismatch = set()
-        if aac != rec.prov.expected_aac:
+        if aac != rec.expected_aac:
             mismatch.add("AAC")
         if mpc != self.mpc:
             mismatch.add("MPC")
@@ -132,7 +140,7 @@ class MapAgent:
         rec = self.records.get(msg.icd_in)
         if rec is None:
             return Transition(note=f"update for unknown icd {msg.icd_in}")
-        rec.pending = PendingUpdate()
+        rec.pending = AWAITING_RESPONSE
         order = wire.UpdateOrder(msg.rand, rec.expected_rmc)
         return Transition(out=[(rec.icd_agent_id, order)])
 
@@ -140,23 +148,13 @@ class MapAgent:
         self, sender: str, msg: wire.MapChallengeResponse, now: int
     ) -> Transition:
         rec = self.records.get(msg.icd_in)
-        if rec is None or rec.pending is None or rec.pending.expected_sign is not None:
+        if rec is None or rec.pending is not AWAITING_RESPONSE:
             # unknown, no update pending, or the flow's response already relayed
             return unexpected(self.state_name, msg)
-        rec.pending.expected_sign = msg.auth_sign_map
+        rec.pending = msg
         return Transition(
             out=[(rec.icd_agent_id, wire.MapChallengeResponseOrder(msg.auth_sign_map))]
         )
-
-    def _on_provision(self, sender: str, msg: wire.MapProvision, now: int) -> Transition:
-        rec = self.records.get(msg.icd_in)
-        if rec is None:
-            return Transition(note=f"provision for unknown icd {msg.icd_in}")
-        if rec.pending is not None:
-            rec.pending.next_provision = msg
-            return PROVISION_STASHED
-        self._apply_provision(rec, msg)
-        return PROVISION_APPLIED
 
     # frames from devices
 
@@ -179,7 +177,7 @@ class MapAgent:
         if action == CHALLENGE:
             rec.challenge_outstanding = True
             return Transition(
-                out=[(sender, wire.AuthenticationChallenge(rec.prov.wmap))],
+                out=[(sender, wire.AuthenticationChallenge(rec.wmap))],
                 note=note + " -> challenge",
             )
         if action == UPDATE:
@@ -214,8 +212,12 @@ class MapAgent:
         rec = self._pending_of(sender, msg.icd_in)
         if rec is None:
             return unexpected(self.state_name, msg)
-        if rec.pending.next_provision is not None:
-            self._apply_provision(rec, rec.pending.next_provision)
+        response = rec.pending
+        if response is not AWAITING_RESPONSE:
+            rec.expected_aac = response.expected_aac
+            rec.wmap = response.wmap
+            rec.challenge_sign = response.challenge_sign
+            rec.challenge_outstanding = False
         rec.pending = None
         return Transition(out=[(WBRAC, msg)], note="update-committed")
 
@@ -233,7 +235,7 @@ class MapAgent:
         if rec is None or not rec.challenge_outstanding:
             return unexpected(self.state_name, msg)
         rec.challenge_outstanding = False
-        if msg.auth_sign_map == rec.prov.challenge_sign:
+        if msg.auth_sign_map == rec.challenge_sign:
             return Transition(out=[(sender, wire.AuthAccept())], note="challenge-passed")
         return Transition(
             out=[(sender, wire.AccessDenied(REASON_VERIFY_FAILED))],
@@ -245,7 +247,6 @@ class MapAgent:
         wire.ParameterUpdateOrder: _on_parameter_update,
         wire.UpdateMessage: _on_update_message,
         wire.MapChallengeResponse: _on_challenge_response,
-        wire.MapProvision: _on_provision,
     }
     _FROM_DEVICE = {
         wire.SecureActivation: _on_activation,
@@ -258,10 +259,6 @@ class MapAgent:
     _BY_SENDER = {WBRAC: _FROM_WBRAC}
 
     # -- internals --
-
-    def _apply_provision(self, rec: MapRecord, prov: wire.MapProvision) -> None:
-        rec.prov = prov
-        rec.challenge_outstanding = False
 
     def _pending_of(self, sender: str, icd_in: int) -> MapRecord | None:
         """The sender's record if icd_in is its own and an update is pending

@@ -43,8 +43,9 @@ and the schedule), so a fleet holds one string per name; the simulator
 composes a delivery's note once per distinct (frame note, agent note, agent
 state) and reuses that string.  A value an agent only stores is the frame's
 own bytes, so after a broadcast the MPC is one object in the WBRAC's
-schedule, the access point and every device, and each `MapRecord` holds its
-provision frame itself.  A device's SC_AUTH_K and SD are its registry
+schedule, the access point and every device, and a `MapRecord` that took
+the material of an update flow's MapChallengeResponse holds that frame's
+bytes.  A device's SC_AUTH_K and SD are its registry
 row's own `bytes`, one object each that the row, the WBRAC's record and the
 device's config share; the row's 32-byte WGIE key is checked and kept in
 the row, and no agent holds it.  A device's RMC is its row's `rmc` packed
@@ -55,7 +56,7 @@ values (frames, link models, registry rows, scheduled and adversary items,
 device states) are built through `wire.value`, whose `__init__` stores each
 field straight into its slot.  The frames, the scenario items, `Scenario`,
 the device's states and `IcdConfig`, `IcdAgent`, the access point's
-`MapRecord`/`PendingUpdate`, the WBRAC's `SubscriberRecord`/`MpcSchedule`
+`MapRecord`, the WBRAC's `SubscriberRecord`/`MpcSchedule`
 and `Trace` are slotted, with no per-instance attribute dict; the device
 states without fields (`Idle`, `AwaitingAuthResult`, `Denied`) are one
 shared instance each, as is each agent result that is only a fixed note
@@ -511,7 +512,7 @@ class Simulator:
                 rmc = packed_rmcs[sub.rmc] = sub.rmc.to_bytes(16, "big")
             cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, mpc, rmc, sc.wbrac_id)
             agents[agent_id] = IcdAgent(cfg, self.rng)
-            self.map.provision(agent_id, rmc, self.wbrac.map_provision(rec))
+            self.map.provision(agent_id, sub.icd_in, rmc, *self.wbrac.map_provision(rec))
 
     def _load_schedule(self):
         calendar = self._calendar

@@ -3,7 +3,7 @@
 Holds the subscriber registry, rotates and broadcasts the MPC, and runs the
 server side of the update-value and unique-challenge computations.  Only the
 WBRAC holds device secrets; the access point receives precomputed
-expectations through provisioning pushes.
+expectations at registration and in each MapChallengeResponse.
 
 Every frame it obeys names its device by icd_in and is answered to MAP; its
 dispatch tables say which frames it obeys from which sender (frames.md lists
@@ -85,16 +85,18 @@ class WbracService:
         self.registry[icd_in] = rec
         return rec
 
-    def map_provision(self, rec: SubscriberRecord, sd: bytes | None = None) -> wire.MapProvision:
+    def map_provision(
+        self, rec: SubscriberRecord, sd: bytes | None = None
+    ) -> tuple[bytes, bytes, bytes]:
         """Verification material for an access point: the expected AAC plus a
-        precomputed unique-challenge pair for the given (default: current)
-        service data."""
+        precomputed unique-challenge pair (WMAP, its signature) for the given
+        (default: current) service data."""
         sd = sd or rec.sd
         wmap = crypto.gen_wmap(self.rng)
         composite = crypto.compose_unique_challenge(wmap, self.wbrac_id)
         sign = crypto.authorization_signature(sd, composite, rec.esn, rec.icd_in)
         aac = crypto.authenticate_signature(sd, rec.esn, rec.icd_in, rec.sc_auth_k)
-        return wire.MapProvision(rec.icd_in, aac, wmap, sign)
+        return aac, wmap, sign
 
     # -- MPC rotation --
 
@@ -162,10 +164,10 @@ class WbracService:
             sign = self.answer_challenge(msg.icd_in, msg.to_map)
         except NoPendingUpdate:
             return Transition(note="no pending update")
-        # push the post-commit expectations ahead of the response so the
-        # access point can verify the device's re-authentication
-        prov = self.map_provision(rec, sd=rec.pending_sd_new)
-        return Transition(out=[(MAP, prov), (MAP, wire.MapChallengeResponse(msg.icd_in, sign))])
+        # the post-commit expectations ride with the signature, so the access
+        # point can verify the device's re-authentication
+        material = self.map_provision(rec, sd=rec.pending_sd_new)
+        return Transition(out=[(MAP, wire.MapChallengeResponse(msg.icd_in, sign, *material))])
 
     def _on_update_outcome(
         self, sender: str, msg: wire.UpdateConfirmation | wire.UpdateRejection, now: int

@@ -150,7 +150,7 @@ def value(cls: type) -> type:
 
 
 # Frames are slotted and frozen: a frame holds only its fields, and some
-# outlive their delivery (each `MapRecord` keeps its `MapProvision`).
+# outlive their delivery (a `MapRecord` keeps the response it relayed).
 @value
 class SecureActivation(WireMessage):
     icd_in: u64
@@ -224,8 +224,16 @@ class MapChallengeForward(WireMessage):
 
 @value
 class MapChallengeResponse(WireMessage):
+    """WBRAC → access point: the signature to relay to the device, and the
+    material the access point verifies the device with once it commits: the
+    expected AAC and a unique-challenge pair, which only the WBRAC can
+    derive."""
+
     icd_in: u64
     auth_sign_map: b16
+    expected_aac: b16
+    wmap: b8
+    challenge_sign: b16
     TAG = 0x0B
 
 
@@ -271,21 +279,6 @@ class UpdateRequest(WireMessage):
 
     icd_in: u64
     TAG = 0x12
-
-
-@value
-class MapProvision(WireMessage):
-    """WBRAC → access point: refreshed verification material for one device.
-
-    Carries the expected AAC plus a precomputed unique-challenge pair, since
-    only the WBRAC holds the secrets needed to derive them.
-    """
-
-    icd_in: u64
-    expected_aac: b16
-    wmap: b8
-    challenge_sign: b16
-    TAG = 0x13
 
 
 MESSAGE_TYPES = tuple(_BY_TAG.values())  # in declaration order

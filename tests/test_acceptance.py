@@ -90,9 +90,7 @@ def _challenged_map(backend) -> tuple[MapAgent, bytes]:
     challenge = crypto.compose_unique_challenge(wmap, 0x5747_0000_0000_0001)
     sign = crypto.authorization_signature(sub.sd, challenge, sub.esn, sub.icd_in, backend=backend)
     agent = MapAgent(bytes(16))
-    agent.provision(
-        "icd-1", bytes(16), wire.MapProvision(sub.icd_in, bytes(16), wmap, sign)
-    )
+    agent.provision("icd-1", sub.icd_in, bytes(16), bytes(16), wmap, sign)
     return agent, sign
 
 

@@ -5,7 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wgiot import crypto, wire
-from wgiot.access_point import CHALLENGE, DENY, UPDATE, MapAgent, UnknownIcd, remedy
+from wgiot.access_point import (
+    AWAITING_RESPONSE,
+    CHALLENGE,
+    DENY,
+    UPDATE,
+    MapAgent,
+    UnknownIcd,
+    remedy,
+)
 
 ICD_IN = 7
 EXPECTED_AAC = b"\x0a" * 16
@@ -20,12 +28,17 @@ def packed_rmc(counter: int) -> bytes:
 
 def make_map():
     agent = MapAgent(EXPECTED_MPC)
-    agent.provision(
-        "icd-1",
-        packed_rmc(0),
-        wire.MapProvision(ICD_IN, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN),
-    )
+    agent.provision("icd-1", ICD_IN, packed_rmc(0), EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
     return agent
+
+
+def add_icd_2(agent: MapAgent) -> None:
+    agent.provision("icd-2", 8, packed_rmc(0), EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
+
+
+def response(sign=b"\x99" * 16, icd_in=ICD_IN):
+    """The WBRAC's response for icd_in, with post-update material of its own."""
+    return wire.MapChallengeResponse(icd_in, sign, b"\x20" * 16, b"\x21" * 8, b"\x22" * 16)
 
 
 def auth_request(aac=EXPECTED_AAC, mpc=EXPECTED_MPC, rmc=0, icd_in=ICD_IN):
@@ -66,7 +79,7 @@ def test_verify_matches_decomposed_guid_comparison(aac, mpc, rmc):
     rec = agent.records[ICD_IN]
     guid_aac, guid_mpc, guid_rmc = crypto.decompose_guid(req.guid)
     lanes = {
-        "AAC": guid_aac == rec.prov.expected_aac,
+        "AAC": guid_aac == rec.expected_aac,
         "MPC": guid_mpc == agent.mpc,
         "RMC": int.from_bytes(guid_rmc, "big") == int.from_bytes(rec.expected_rmc, "big"),
     }
@@ -142,7 +155,7 @@ def test_update_message_relays_rand_bit_identical():
     (dst, order), = result.out
     assert dst == "icd-1" and order.rand == rand
     assert order.rmc == packed_rmc(0)  # the device's expected RMC
-    assert agent.records[ICD_IN].pending is not None
+    assert agent.records[ICD_IN].pending is AWAITING_RESPONSE
 
 
 def test_challenge_order_relay_fidelity():
@@ -158,43 +171,52 @@ def test_challenge_order_relay_fidelity():
 def test_response_recorded_and_relayed():
     agent = make_map()
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
-    sig = b"\x99" * 16
-    result = agent.handle("wbrac", wire.MapChallengeResponse(ICD_IN, sig), 0)
+    frame = response()
+    result = agent.handle("wbrac", frame, 0)
     (dst, order), = result.out
-    assert dst == "icd-1" and order.auth_sign_map == sig
-    assert agent.records[ICD_IN].pending.expected_sign == sig
+    assert dst == "icd-1" and order.auth_sign_map == frame.auth_sign_map
+    rec = agent.records[ICD_IN]
+    assert rec.pending is frame
+    assert rec.expected_aac == EXPECTED_AAC  # not taken before the device confirms
 
 
-def test_confirmation_applies_stashed_provision_and_clears_pending():
+def test_confirmation_applies_the_responses_material_and_clears_pending():
     agent = make_map()
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
-    prov = wire.MapProvision(ICD_IN, b"\x20" * 16, b"\x21" * 8, b"\x22" * 16)
-    assert agent.handle("wbrac", prov, 0).note == "provision-stashed"
+    frame = response()
+    agent.handle("wbrac", frame, 0)
+    agent.handle("icd-1", auth_request(aac=bytes(16)), 0)  # arms a challenge
     result = agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0)
     assert ("wbrac", wire.UpdateConfirmation(ICD_IN)) in result.out
     rec = agent.records[ICD_IN]
+    assert rec.pending is None and not rec.challenge_outstanding
+    assert rec.expected_aac is frame.expected_aac
+    assert rec.wmap is frame.wmap
+    assert rec.challenge_sign is frame.challenge_sign
+
+
+def test_confirmation_before_any_response_keeps_the_material():
+    agent = make_map()
+    agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
+    assert agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0).note == "update-committed"
+    rec = agent.records[ICD_IN]
     assert rec.pending is None
-    assert rec.prov.expected_aac == b"\x20" * 16
-    assert rec.prov.challenge_sign == b"\x22" * 16
+    assert (rec.expected_aac, rec.wmap, rec.challenge_sign) == (
+        EXPECTED_AAC,
+        CHALLENGE_WMAP,
+        CHALLENGE_SIGN,
+    )
 
 
 def test_rejection_clears_pending_without_commit():
     agent = make_map()
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
-    prov = wire.MapProvision(ICD_IN, b"\x20" * 16, b"\x21" * 8, b"\x22" * 16)
-    agent.handle("wbrac", prov, 0)
+    agent.handle("wbrac", response(), 0)
     result = agent.handle("icd-1", wire.UpdateRejection(ICD_IN), 0)
     assert result.out == [("wbrac", wire.UpdateRejection(ICD_IN))]
     rec = agent.records[ICD_IN]
     assert rec.pending is None
-    assert rec.prov.expected_aac == EXPECTED_AAC  # stash discarded
-
-
-def test_immediate_provision_applies_when_no_pending():
-    agent = make_map()
-    prov = wire.MapProvision(ICD_IN, b"\x30" * 16, b"\x31" * 8, b"\x32" * 16)
-    assert agent.handle("wbrac", prov, 0).note == "provision-applied"
-    assert agent.records[ICD_IN].prov.expected_aac == b"\x30" * 16
+    assert rec.expected_aac == EXPECTED_AAC  # the response's material discarded
 
 
 def test_challenge_answer_right_and_wrong():
@@ -227,9 +249,7 @@ def test_broadcasts_update_expectations():
 
 def test_mpc_broadcast_reaches_every_provisioned_device():
     agent = make_map()
-    agent.provision(
-        "icd-2", packed_rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
-    )
+    add_icd_2(agent)
     new_mpc = b"\x44" * 16
     agent.handle("wbrac", wire.AccessParameterMessage(new_mpc), 0)
     for sender, icd_in in (("icd-1", ICD_IN), ("icd-2", 8)):
@@ -254,8 +274,7 @@ def test_no_pending_leak_after_adversarial_interleavings():
             elif roll == 1:
                 res = agent.handle("wbrac", wire.UpdateMessage(ICD_IN, r.randbytes(16)), 0)
             elif roll == 2:
-                sign = r.randbytes(16)
-                res = agent.handle("wbrac", wire.MapChallengeResponse(ICD_IN, sign), 0)
+                res = agent.handle("wbrac", response(r.randbytes(16)), 0)
             elif roll == 3:
                 res = agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0)
                 assert agent.records[ICD_IN].pending is None
@@ -270,21 +289,18 @@ def test_no_pending_leak_after_adversarial_interleavings():
 
 def test_wbrac_frames_from_a_device_are_ignored():
     agent = make_map()
-    agent.provision(
-        "icd-2", packed_rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
-    )
+    add_icd_2(agent)
     rec = agent.records[ICD_IN]
     for frame in (
-        wire.MapProvision(ICD_IN, bytes(16), bytes(8), bytes(16)),
         wire.AccessParameterMessage(bytes(16)),
         wire.ParameterUpdateOrder(),
         wire.UpdateMessage(ICD_IN, bytes(16)),
-        wire.MapChallengeResponse(ICD_IN, bytes(16)),
+        response(bytes(16)),
     ):
         result = agent.handle("icd-2", frame, 0)
         assert result.out == [] and result.note == f"unexpected {type(frame).__name__} in -"
     assert agent.mpc == EXPECTED_MPC
-    assert rec.prov.expected_aac == EXPECTED_AAC and rec.prov.challenge_sign == CHALLENGE_SIGN
+    assert rec.expected_aac == EXPECTED_AAC and rec.challenge_sign == CHALLENGE_SIGN
     assert rec.expected_rmc == packed_rmc(0) and rec.pending is None
     forged = agent.handle("icd-2", auth_request(aac=bytes(16), mpc=bytes(16), icd_in=ICD_IN), 0)
     assert not any(isinstance(m, wire.AuthAccept) for _, m in forged.out)
@@ -292,9 +308,7 @@ def test_wbrac_frames_from_a_device_are_ignored():
 
 def test_auth_request_for_another_devices_icd_in_is_denied():
     agent = make_map()
-    agent.provision(
-        "icd-2", packed_rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
-    )
+    add_icd_2(agent)
     for aac in (EXPECTED_AAC, bytes(16)):  # device 1's valid GUID, then one that arms a challenge
         result = agent.handle("icd-2", auth_request(aac=aac, icd_in=ICD_IN), 0)
         assert result.out == [("icd-2", wire.AccessDenied(0x02))]
@@ -307,14 +321,11 @@ def test_update_outcome_naming_another_device_is_unexpected():
     """A device's UpdateConfirmation or UpdateRejection counts only for its
     own icd_in, the rule AuthRequest follows."""
     agent = make_map()
-    agent.provision(
-        "icd-2", packed_rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
-    )
+    add_icd_2(agent)
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
-    prov = wire.MapProvision(ICD_IN, b"\x20" * 16, b"\x21" * 8, b"\x22" * 16)
-    agent.handle("wbrac", prov, 0)
+    relayed = response()
+    agent.handle("wbrac", relayed, 0)
     rec = agent.records[ICD_IN]
-    pending = rec.pending
     for sender, frame in (
         ("icd-2", wire.UpdateConfirmation(ICD_IN)),  # another device's id
         ("icd-2", wire.UpdateRejection(ICD_IN)),
@@ -323,22 +334,20 @@ def test_update_outcome_naming_another_device_is_unexpected():
     ):
         result = agent.handle(sender, frame, 0)
         assert result.out == [] and result.note == f"unexpected {type(frame).__name__} in -"
-    assert rec.pending is pending and rec.pending.next_provision is prov
-    assert rec.prov.expected_aac == EXPECTED_AAC
+    assert rec.pending is relayed
+    assert rec.expected_aac == EXPECTED_AAC
     assert agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0).note == "update-committed"
 
 
 def test_challenge_response_finds_its_record_by_icd_in():
     agent = make_map()
-    agent.provision(
-        "icd-2", packed_rmc(0), wire.MapProvision(8, EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
-    )
+    add_icd_2(agent)
     agent.handle("wbrac", wire.UpdateMessage(8, bytes(16)), 0)
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
     for icd_in, dst in ((8, "icd-2"), (ICD_IN, "icd-1")):
         sign = bytes([icd_in]) * 16
-        result = agent.handle("wbrac", wire.MapChallengeResponse(icd_in, sign), 0)
+        result = agent.handle("wbrac", response(sign, icd_in), 0)
         assert result.out == [(dst, wire.MapChallengeResponseOrder(sign))]
     for icd_in in (8, 99):  # already answered; unknown
-        result = agent.handle("wbrac", wire.MapChallengeResponse(icd_in, bytes(16)), 0)
+        result = agent.handle("wbrac", response(bytes(16), icd_in), 0)
         assert result.out == [] and result.note == "unexpected MapChallengeResponse in -"

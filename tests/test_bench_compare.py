@@ -36,10 +36,39 @@ def test_the_committed_set_up_gain_reads_as_a_gain():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert len(verdicts) == 4 * len(declared)
     assert verdicts["honest-fleet seed 1", "setup_s"] == "gain"
-    # identical values gain nothing; three pairs are too few to show a gain
-    assert verdicts["honest-fleet seed 1", "auth_ok_ratio"] == "within bound"
+    # identical values are exact; three pairs are too few to show a gain
+    assert verdicts["honest-fleet seed 1", "auth_ok_ratio"] == "exact"
     assert verdicts["lossy-churn seed 1", "run_s"] == "within bound"
     assert "regression" not in verdicts.values()
+
+
+def test_a_zero_spread_change_is_exact_not_a_gain():
+    """Every run of each side gives one peak_mem_mb, and the change's is
+    0.002 % lower, in ten pairs of ten won: exact, since a parent with no
+    spread lets any gap at all pass for a gain."""
+    done = _compare(ROOT / "BENCH_24.json")
+    assert done.returncode == 0, done.stderr
+    verdicts = _verdicts(done.stdout)
+    doc = json.loads((ROOT / "BENCH_24.json").read_text())
+    for key, record in doc["pairs"].items():
+        peak = record["metrics"]["peak_mem_mb"]
+        assert len(set(peak["parent"]["runs"])) == len(set(peak["change"]["runs"])) == 1
+        assert 0 < peak["parent"]["median"] - peak["change"]["median"] < 1e-4
+        assert verdicts[key, "peak_mem_mb"] == "exact"
+    assert doc["pairs"]["honest-fleet seed 1"]["metrics"]["peak_mem_mb"]["wins"] == 10
+
+
+def test_a_zero_spread_change_worse_than_its_bound_is_a_regression(tmp_path):
+    doc = json.loads((ROOT / "BENCH_24.json").read_text())
+    record = copy.deepcopy(doc["pairs"]["honest-fleet seed 1"])
+    peak = record["metrics"]["peak_mem_mb"]
+    worse = 1.2 * peak["parent"]["median"]
+    peak["change"] = {"median": worse, "q1": worse, "q3": worse, "runs": [worse] * 10}
+    out = tmp_path / "worse.json"
+    out.write_text(json.dumps({"pairs": {"honest-fleet seed 1": record}}))
+    done = _compare(out)
+    assert done.returncode == 1, done.stderr
+    assert _verdicts(done.stdout)["honest-fleet seed 1", "peak_mem_mb"] == "regression"
 
 
 def test_a_change_worse_than_its_bound_exits_1(tmp_path):

@@ -52,8 +52,6 @@ def test_shared_results_are_unchanged_by_runs_that_return_them():
         "authenticated",
         "committed",
         "mpc-updated",
-        "provision-applied",
-        "provision-stashed",
         "rejected",
         "rmc-incremented",
         "update-timeout",

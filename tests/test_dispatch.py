@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from wgiot import wire
+from wgiot.access_point import AWAITING_RESPONSE
 from wgiot.icd import (
     Authenticated,
     AwaitingAuthResult,
@@ -56,7 +57,6 @@ FROM_WBRAC = {
     wire.ParameterUpdateOrder,
     wire.UpdateMessage,
     wire.MapChallengeResponse,
-    wire.MapProvision,
 }
 
 
@@ -148,16 +148,16 @@ def test_update_frames_reach_the_device_they_name():
     for icd_in, agent_id in ((30, "icd-1"), (10, "icd-2"), (20, "icd-3")):
         (_, update), = sim.wbrac.handle("map-1", wire.UpdateRequest(icd_in), 0).out
         (dst, _), = sim.map.handle("wbrac", update, 0).out
-        assert dst == agent_id and sim.map.records[icd_in].pending is not None
+        assert dst == agent_id and sim.map.records[icd_in].pending is AWAITING_RESPONSE
     # responses in an order that is neither the flows' nor icd_in's
     for icd_in, dst_expected in ((20, "icd-3"), (30, "icd-1"), (10, "icd-2")):
         sign = random.Random(dst_expected).randbytes(16)
-        response = wire.MapChallengeResponse(icd_in, sign)
+        response = wire.MapChallengeResponse(icd_in, sign, bytes(16), bytes(8), bytes(16))
         (dst, order), = sim.map.handle("wbrac", response, 0).out
         assert (dst, order) == (dst_expected, wire.MapChallengeResponseOrder(sign))
-        assert sim.map.records[icd_in].pending.expected_sign == sign
+        assert sim.map.records[icd_in].pending is response
     for icd_in in (20, 99):  # answered already; not registered
-        response = wire.MapChallengeResponse(icd_in, bytes(16))
+        response = wire.MapChallengeResponse(icd_in, bytes(16), bytes(16), bytes(8), bytes(16))
         assert sim.map.handle("wbrac", response, 0).note == "unexpected MapChallengeResponse in -"
 
     registry = sim.wbrac.registry

@@ -9,11 +9,11 @@ import gc
 from dataclasses import replace
 
 from conftest import make_subscriber
-from test_trace_digests import lossy_broadcasts
+from test_trace_digests import SCENARIOS, lossy_broadcasts
 from wgiot import wire
 from wgiot.access_point import MapRecord
 from wgiot.icd import IcdAgent, IcdConfig
-from wgiot.scenario import parse_scenario
+from wgiot.scenario import load_scenario, parse_scenario
 from wgiot.simnet import (
     LinkModel,
     RotateMpc,
@@ -110,7 +110,7 @@ def test_a_fleet_trace_holds_no_entry_objects():
     assert not [o for o in gc.get_objects() if type(o) is TraceEntry]
 
 
-def test_the_mpc_and_the_provisions_are_the_frames_bytes():
+def test_the_mpc_and_the_provisions_are_the_frames_bytes(monkeypatch):
     sim = Simulator(parse_scenario(TEXT), seed=3)
     sim.run()
     mpc = sim.wbrac.schedule.current
@@ -118,8 +118,26 @@ def test_the_mpc_and_the_provisions_are_the_frames_bytes():
     assert sim.map.mpc is mpc
     for icd in sim.icds.values():
         assert icd.cfg.mpc is mpc
-    for rec in sim.map.records.values():
-        assert type(rec.prov) is wire.MapProvision
+
+    # a committed update flow leaves the access point holding the material
+    # of the response it relayed, as that frame's own bytes
+    responses = []
+    send = Simulator.send
+
+    def spy_send(self, src, dst, msg):
+        if type(msg) is wire.MapChallengeResponse:
+            responses.append(msg)
+        send(self, src, dst, msg)
+
+    monkeypatch.setattr(Simulator, "send", spy_send)
+    sim = Simulator(load_scenario(SCENARIOS / "update.scn"), seed=0)
+    sim.run()
+    (response,) = responses
+    rec = sim.map.records[response.icd_in]
+    assert rec.pending is None and sim.icds["icd-1"].state_name == "Authenticated"
+    assert rec.expected_aac is response.expected_aac
+    assert rec.wmap is response.wmap
+    assert rec.challenge_sign is response.challenge_sign
 
 
 def test_the_rmc_is_packed_once_per_value():

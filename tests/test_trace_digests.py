@@ -135,51 +135,51 @@ SCN_DIGESTS = {  # seeds 0-9
         "4d0d95733661b7f4273b0a691fdb8faec5812404e020c1a87fea6dbcc62672ac",
     ],
     "update": [
-        "004d0ec9abd37042f6ce1605f260b0f9ecff0af4b3d881a2c47cab03e336b42f",
-        "1a085a1fb85a73143e851f7f0992cc44553d8a881e915db0d0138818f657bca2",
-        "55e301f4470e6db381575dc369a7673f713a3dfda389d944311dede128090d5f",
-        "9d809c3431450b6e82005b02d89dde97ce946c364ce7615b57422a2c3d1e9493",
-        "bbd68fc2e2c7cc1b0501bf384bb4a55f4d855404be30f30b5eb640884279a4c9",
-        "08a423b1ca3c6de8f62bac3f40b58c990a092577ff45a92b1555433a6d038278",
-        "2c0f5f315ae6a14a15f71ce510cb50e7a5fd44b886c44e88ff271bf055eb4520",
-        "f794aa835318ad468a811d47b2f24cdcf6dd6d5cd3fe4fa786609ae263c2fa45",
-        "8bc053998e341abdb9cd5ecd19aa8893b2e2fe894e7e5c856adc4435497e1e03",
-        "bb6fe264162eb937daddebe626220f1fe9cb488d9217e055852e5226da12c4e0",
+        "fcf7b32227ab6cfd6acc1273ca772104e7b4a42940c6c600fd012491044e5513",
+        "40da8cf33d7c84998489001753690fa8fd3fa9e0948baafe366f591f7c15e7af",
+        "cdd1e925fddaf908170179a57ead263f155aa7370fed9ce1ff54db99bb78ea5b",
+        "e6dc88488162b6dbcfb21e20a3f3ee6abedfc61bf9ff748a72dbb40ed3e2f105",
+        "188cbab3a17f138373909dfdd3c1bfd5e094d8fa08c8d2c09b1dd42f3e1fb2f4",
+        "86734c25c162f87d46f5d37a937549b72b55c3fa6252cdb869dba8e53d233140",
+        "0ee5ba14023efac6d6582790920fc77a0e07b44e81dfd100b013babb56db18da",
+        "b5da6886a884865c2dae648386753368aaa59bb1b1be6117b010b95b6854e115",
+        "34d92cdbdd530b90be5899fa1efec9213fc6bfbf0187875c69c2d98e81932cf4",
+        "9b4b0f2634bf3cb4c7db0107de9d90c3e91b9ad9f0a9249c494a3365a7ae2071",
     ],
     "replay": [
-        "3eb331697207e48595c0d82a9ea10430011f394471c80b35d25ac24ca6167e47",
-        "3372018d6a76bdd50acb0bd751891b4221d68d94d331d575a757496e28fe628c",
-        "281ccb66664011b212c4221ceeb9e33f50e1a168b48491b9327a69cc91aefe63",
-        "e568aba80ca1c0d979683b414c712cf1d70e51e6a493cc0824175591868f1314",
-        "d66d185269e1ae4e80715e5b980e5b520039388a17fe12ed80c09e762eb8b887",
-        "b7819f743dc8ee5138adfedfca1b170c7014c91312e9b6120a92874ea40b2082",
-        "824e0faa7babfa65482fd4293317d821f11f293cce42c42fb560bcae290dfbe2",
-        "9dbbf4dfa9fc62e2dc940747057ef772b5377cae92fe3e016592d811112d98bb",
-        "a74978909107f51c0ffd143a92f02ec936f555f6ecac1f23e8ce5253120e007a",
-        "d1d8e4361d64ca89c1f9d6e4384eba23671dc4296aa18c40870a54b558228b8f",
+        "59d3d536b580daa6ae78c580d13760a07ddc969c8eff931c45dfc17c38a25d18",
+        "acbfe0e21f731f32ef297445bdf70a7b373e9314c10cc2359226f116945e7539",
+        "4e1a63f85f5c0ed3dc8a5e08542685aea1fcdce256cc61963326b0b6bb84affa",
+        "00991821edda20328530746b883217b95bad3620690df4d5857fa1d45792eadc",
+        "487ebd9f4c1b066849cc94384f38ff81afbab1a62ff638c6d3ac423f7f0093ce",
+        "f8b552620714666f380b2e6ca58f71e69240cc7b825f9ea316880b876c9c1895",
+        "290640e4d3e2fa72b4f62463dac39a1da319c2b20b1e5564d7d6be8a0fdf2489",
+        "88874a31baf76047a6afa897dbf35047dbff9c126829cf18d4dcd4538c79559b",
+        "02d109f5ca38eea6ff2c6eefe15a88391a2fd66254660f1538ea7eb589f4a3f0",
+        "63d3c2e8881f39190fee9249fafc614b8ae428b5581f944f6c6250d13443491f",
     ],
 }
 
 GENERATED_DIGESTS = {  # seeds 0-2
     overlapping_updates: [
-        "6323f7b3cc77d537616b2240f4ac0ae3fa5e5caf4bf669ee9bcf30d715593eec",
-        "4ac3eafefedf747b6d8e3fb7c8700a6936c061e7c7b4f52fa125367b1f6d7b2f",
-        "7c7339c222da5c908d4332d49093d6db1960da790f5a0684b6444bae516fd9f5",
+        "33e0ce0a0ae60eb3039715879963d1e45041631fde99b0717349ddf011dcdf7f",
+        "4504b5429c1a679c748f59f3533945c3f45f05482eafa3b3ab3ce84ca2450782",
+        "005995194fe6516a03b5b27a2e21efa5149e75e4c030286f13390fa47e36587d",
     ],
     lossy_broadcasts: [
-        "3351ec8ae025caa5f0509ec031de7f172c697b60a34f26a6fb52a1225b70e9d3",
-        "48b0242a95fa193e521ec5e902a6dbb865238cbe9641dd1a8fad62a75f616031",
-        "e26b98a0efd96748d72a92a90c956d290924712732b7a678c0d37c3393a16313",
+        "4dc8b63f321a1391db3a1fc9c9afc3c5b5056d985254ebc269fdb659ed02a536",
+        "b2896680d8835df93c02d316e4679f4d3c0f822c6ef91e54efd702edc266dbb6",
+        "07038d0d35c0c6752f65af8328a7c4ded14e96eaa208d8e3bcd83aa0fc541e70",
     ],
     impaired_broadcasts: [
-        "998e016f0baf156f8ef1b9f14da44f154160b100fd9d588ca1f3010d8c8103dc",
-        "7ba503676693f45eb52dd94c3d52adf5fb3589a3f59c045308dbbda82f921221",
-        "57c25257ef82130cd6251a4d1fce97d59fb1db7e08bb4defa090e174e840f1ff",
+        "8909ec97030de896bd5419c7c9911f41408ef861d3d0eafd4360747426d2212f",
+        "63cc5210bffe8b1b2334061a45aa94bf448ef893e8379cc8ff0d80f6b8bb1da7",
+        "1594c96f4cdf011309d5e8bae821933bc4e776e6c991b16a110df5226358baf6",
     ],
     burst_broadcasts: [
-        "141175282ffdef0db27bdc7956eef8f431cade346e5233da70150cf4624abf62",
-        "47e6e258437dd143ec2f5ba189fe00c923ea023bd110bbe4feaa79fd1ee0e571",
-        "20f7e2edc23ea2b3957bd728a6398c5f78d8b96b80a7d84758b3f23fdef7db88",
+        "aa70a11448199d8cbeb06cb1e2545e00f11bfa1b51a9055d639e7046bf11895b",
+        "27534f1bb606f26cb12c0e812ff31799069d55ba127eed2d06b4b24eb8aad413",
+        "00295a3efea84959d761f9b15b111611ce79abf8ef675ec36f66e578d888a868",
     ],
 }
 

@@ -1,10 +1,26 @@
 """Update flows end to end: concurrent flows each reach the device they name,
-and a flow ends the RMC mismatch it was started for."""
+a flow ends the RMC mismatch it was started for, and no lost backbone frame
+denies the device."""
+
+import dataclasses
+from pathlib import Path
 
 import pytest
 
 from conftest import make_subscriber
-from wgiot.simnet import LinkModel, RotateMpc, Scenario, SendParameterUpdate, Simulator, StartIcd
+from wgiot import wire
+from wgiot.scenario import load_scenario
+from wgiot.simnet import (
+    CorruptBit,
+    LinkModel,
+    RotateMpc,
+    Scenario,
+    SendParameterUpdate,
+    Simulator,
+    StartIcd,
+)
+
+UPDATE_SCN = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "update.scn")
 
 
 def _sd_in_sync(sim: Simulator) -> bool:
@@ -91,3 +107,24 @@ def test_duplicated_broadcast_over_instant_links_ends():
         steps += 1
     assert sim.icds["icd-1"].state_name == "Authenticated"
     assert sim.trace.frame_count("UpdateOrder") == 1
+
+
+def _wbrac_to_map_frames() -> list[str]:
+    """The frame types the WBRAC sends to the access point in update.scn."""
+    trace = Simulator(UPDATE_SCN, seed=0).run()
+    sent = zip(trace.senders, trace.receivers, trace.tags)
+    return sorted({tag for src, dst, tag in sent if (src, dst) == ("wbrac", "map-1")})
+
+
+@pytest.mark.parametrize("frame", _wbrac_to_map_frames())
+def test_a_lost_wbrac_frame_never_denies_the_device(frame):
+    """A flipped first payload bit loses the WBRAC's frame: the copy names
+    an unknown device, or carries a wrong MPC.  The access point's material
+    for after the update rides in MapChallengeResponse, so it cannot be
+    lost while the response gets through and the device commits the new SD.
+    A lost response leaves the device Idle with the flow pending, which only
+    an expiry can end."""
+    scenario = dataclasses.replace(UPDATE_SCN, adversary=[CorruptBit(wire.tag_by_name(frame), 0)])
+    sim = Simulator(scenario, seed=0)
+    sim.run()
+    assert sim.icds["icd-1"].state_name != "Denied"

@@ -48,8 +48,8 @@ def _field_values(cls: type, tag: str = "") -> dict:
 
 
 def test_every_frozen_dataclass_is_built_by_value():
-    # 19 frames, 9 scenario values and 6 device states
-    assert len(VALUES) == 34
+    # 18 frames, 9 scenario values and 6 device states
+    assert len(VALUES) == 33
     assert {cls for cls in VALUES if issubclass(cls, wire.WireMessage)} == set(wire.MESSAGE_TYPES)
     for cls in VALUES:
         assert cls.__init__.__code__.co_filename == f"<value {cls.__qualname__}>", cls

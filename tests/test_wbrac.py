@@ -32,10 +32,11 @@ def test_provision_initial_counter_and_duplicate():
 def test_expected_aac_matches_oracle():
     svc, _ = make_wbrac()
     rec = svc.registry[1]
-    # the provision's AAC is of the current SD, or of the SD it is given
+    # the material's AAC is of the current SD, or of the SD it is given
     for sd in (None, bytes(range(16))):
         want = prf_oracle.aac(sd or rec.sd, rec.esn, rec.icd_in, rec.sc_auth_k)
-        assert svc.map_provision(rec, sd=sd).expected_aac == want
+        expected_aac, _, _ = svc.map_provision(rec, sd=sd)
+        assert expected_aac == want
 
 
 def test_rotate_mpc_and_too_early():

@@ -37,8 +37,9 @@ def test_update_flow_frames_name_their_device():
     icd_in = (0x0102030405060708).to_bytes(8, "big")
     assert wire.encode(wire.UpdateConfirmation(0x0102030405060708)) == b"\x0e\x00\x08" + icd_in
     assert wire.encode(wire.UpdateRejection(0x0102030405060708)) == b"\x0d\x00\x08" + icd_in
-    raw = wire.encode(wire.MapChallengeResponse(0x0102030405060708, b"\x09" * 16))
-    assert raw == b"\x0b\x00\x18" + icd_in + b"\x09" * 16
+    material = (b"\x0a" * 16, b"\x0b" * 8, b"\x0c" * 16)
+    raw = wire.encode(wire.MapChallengeResponse(0x0102030405060708, b"\x09" * 16, *material))
+    assert raw == b"\x0b\x00\x40" + icd_in + b"\x09" * 16 + b"".join(material)
 
 
 def test_auth_request_layout():
