@@ -10,9 +10,6 @@ is found by that id however many flows are in progress.  The access point
 acts on a device's AuthRequest, UpdateConfirmation or UpdateRejection only
 when its icd_in is the sending device's own.  Its dispatch tables say which
 frames it obeys from which sender (frames.md lists them; see agent.py).
-The WBRAC's MapChallengeResponse carries both the signature the access
-point relays and the material it verifies the device with after the flow
-commits, so the two cannot be lost apart.
 """
 
 from __future__ import annotations

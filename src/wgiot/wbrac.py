@@ -164,8 +164,9 @@ class WbracService:
             sign = self.answer_challenge(msg.icd_in, msg.to_map)
         except NoPendingUpdate:
             return Transition(note="no pending update")
-        # the post-commit expectations ride with the signature, so the access
-        # point can verify the device's re-authentication
+        # the expectations the access point verifies the device's
+        # re-authentication with ride with the signature, so the two cannot
+        # be lost apart (frames.md)
         material = self.map_provision(rec, sd=rec.pending_sd_new)
         return Transition(out=[(MAP, wire.MapChallengeResponse(msg.icd_in, sign, *material))])
 
