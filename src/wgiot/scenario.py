@@ -10,7 +10,12 @@ values themselves (ranges, lengths, unique `icd_in`, agent and frame names)
 is `simnet.scenario_faults`, the check `Simulator` applies to every
 scenario; the parser runs it once the whole file is read, since sections
 may come in any order, and reports the lowest line holding a fault.  Either
-way a bad file fails at load time with its line number.
+way a bad file fails at load time with its line number.  A parsed scenario
+is checked once, by the parser: its rows, schedule, adversary items and
+expectations are tuples and its links a `simnet.ReadOnlyLinks`, so none can
+change in place, and the parser records the field values it checked;
+`Simulator` checks the scenario again only when a field has been replaced
+since, as the CLI's `--max-time` replaces `max_time`.
 
 The file is read in one pass in file order, so the first line it cannot
 read fails first.  Lines end at `\n`, `\r\n` or `\r`, as universal
@@ -23,6 +28,11 @@ field by field, to name the field at fault.  The line of each value is
 kept in a plain list parallel to the scenario's rows, links and items (an
 option keeps the line that set it last); the map from the keys
 `scenario_faults` names to their lines is built only when it names one.
+Equal texts are parsed once per file: each distinct link attribute text
+gives one `LinkModel`, and each distinct `rotate`/`param-update` target text
+one tuple of names, which every broadcast naming that text shares (a fleet's
+broadcasts each name the whole fleet), and which `scenario_faults` then
+checks once.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .simnet import (
     CorruptBit,
     Inject,
     LinkModel,
+    ReadOnlyLinks,
     ReplayCaptured,
     RotateMpc,
     Scenario,
@@ -44,6 +55,7 @@ from .simnet import (
     StartIcd,
     SubscriberSpec,
     device_ids,
+    record_checked,
     scenario_faults,
 )
 
@@ -119,6 +131,7 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     subscribers, links = scenario.subscribers, scenario.links
     schedule, adversary, expects = scenario.schedule, scenario.adversary, scenario.expects
     link_models: dict[str, LinkModel] = {}  # attribute text -> its model, for this file
+    target_lists: dict[str, tuple[str, ...]] = {}  # target text -> its tuple, for this file
     # where each value was set, read only to place a fault: an option's field
     # name -> the line that set it last, and the line of each registry row,
     # link and item in a list parallel to the scenario's own
@@ -168,7 +181,7 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         link_lines.append(no)
 
     def add_schedule(no: int, text: str) -> None:
-        schedule.append(_parse_schedule(no, text))
+        schedule.append(_parse_schedule(no, text, target_lists))
         schedule_lines.append(no)
 
     def add_adversary(no: int, text: str) -> None:
@@ -226,7 +239,15 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         no, reason = min(((line_of[key], reason) for key, reason in faults), key=lambda f: f[0])
         _fail(no, reason)
     if not any(isinstance(item, StartIcd) for item in schedule):
-        scenario.schedule += [StartIcd(a, at=0) for a in device_ids(scenario)]
+        schedule += [StartIcd(a, at=0) for a in device_ids(scenario)]
+    scenario.subscribers = tuple(subscribers)
+    # copied whole at the end: a plain dict takes each link faster than
+    # dict.__setitem__ on a ReadOnlyLinks would
+    scenario.links = ReadOnlyLinks(links)
+    scenario.schedule = tuple(schedule)
+    scenario.adversary = tuple(adversary)
+    scenario.expects = tuple(expects)
+    record_checked(scenario)
     return scenario
 
 
@@ -277,13 +298,16 @@ def _parse_link_model(no: int, attrs: str) -> LinkModel:
     return LinkModel(**kwargs)
 
 
-def _parse_schedule(no: int, text: str):
+def _parse_schedule(no: int, text: str, target_lists: dict[str, tuple[str, ...]]):
     parts = text.split()
     if len(parts) == 4 and parts[0] == "start" and parts[2] == "at":
         return StartIcd(intern(parts[1]), _parse_int(no, parts[3]))
     broadcast = _BROADCASTS.get(parts[0])
     if broadcast and len(parts) == 5 and parts[1] == "at" and parts[3] == "to":
-        targets = tuple(map(intern, filter(None, parts[4].split(","))))
+        targets = target_lists.get(parts[4])
+        if targets is None:  # split the first time its text appears, shared after
+            targets = tuple(map(intern, filter(None, parts[4].split(","))))
+            target_lists[parts[4]] = targets
         return broadcast(at=_parse_int(no, parts[2]), targets=targets)
     _fail(no, f"unrecognized schedule line {text!r}")
 

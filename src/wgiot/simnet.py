@@ -6,8 +6,10 @@ integer milliseconds; events at equal times process in insertion order, so a
 (scenario, seed) pair fully determines the trace.  An adversary can capture,
 replay, inject, and corrupt frames in flight.  Every scenario, built in code
 or parsed, is checked before it runs by `scenario_faults`, the one statement
-of the rules its values must meet.  All PRF work uses the reference backend,
-`crypto.DEFAULT_BACKEND`.
+of the rules its values must meet: a parsed one by the parser, which
+records the values it checked (`record_checked`), and any other, or one with
+a field replaced since, by `Simulator`.  All PRF work uses the reference
+backend, `crypto.DEFAULT_BACKEND`.
 
 Pending events sit in a calendar: a heap of the distinct pending times
 (`Simulator._heap`) and, for each time, a list of its events in push order.
@@ -39,7 +41,9 @@ list of `TraceEntry` tuples only when it is asked for); the copies of a
 broadcast share one payload.
 `Trace.add` keeps one copy of each distinct note, and agent names are
 interned (`device_ids`, and the names the scenario parser reads from links
-and the schedule), so a fleet holds one string per name; the simulator
+and the schedule), so a fleet holds one string per name, and the parser
+keeps one tuple per distinct broadcast target text, so a fleet's broadcasts
+to all its devices share one list of names; the simulator
 composes a delivery's note once per distinct (frame note, agent note, agent
 state) and reuses that string.  A value an agent only stores is the frame's
 own bytes, so after a broadcast the MPC is one object in the WBRAC's
@@ -68,10 +72,11 @@ from __future__ import annotations
 
 import functools
 import heapq
+import operator
 import sys
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import NamedTuple
 
@@ -169,6 +174,22 @@ class CorruptBit:
     bit_index: int  # bit offset into the payload, MSB-first
 
 
+class ReadOnlyLinks(dict):
+    """The links of a parsed scenario: a `dict` that refuses every change in
+    place, so that `Simulator._transmit` still looks a link up with the
+    dict's own C lookup.  A copy or a pickle of it is read-only too."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a parsed scenario's links are read-only; assign a new dict to links")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return ReadOnlyLinks, (dict(self),)
+
+
 @dataclass(slots=True)
 class Scenario:
     subscribers: list[SubscriberSpec]
@@ -179,6 +200,24 @@ class Scenario:
     max_time: int = DEFAULT_MAX_TIME_MS
     wbrac_id: int = DEFAULT_WBRAC_ID
     mpc_period: int = DEFAULT_MPC_PERIOD_MS
+    # the field values that passed `scenario_faults`, as `record_checked` saw them
+    _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+
+_field_values = operator.attrgetter(*(f.name for f in fields(Scenario) if f.init))
+
+
+def record_checked(sc: Scenario) -> None:
+    """Record that `sc`'s field values passed `scenario_faults`, so that
+    `Simulator` checks `sc` again only once a field has been replaced.  Only
+    for a scenario whose containers cannot change in place (tuples and a
+    `ReadOnlyLinks`), as `scenario.parse_scenario` builds them."""
+    sc._checked = _field_values(sc)
+
+
+def _unchanged_since_checked(sc: Scenario) -> bool:
+    checked = sc._checked
+    return checked is not None and all(map(operator.is_, checked, _field_values(sc)))
 
 
 def device_ids(sc: Scenario) -> tuple[str, ...]:
@@ -217,7 +256,9 @@ def scenario_faults(sc: Scenario):
     index is non-negative, an injected frame is a `wire.WireMessage` that
     encodes, a capture or corrupt tag names a frame, a corrupted bit lies
     inside its frame's payload and a `frame-count` names a frame.  A link
-    model that many links share is checked once, at the first of them."""
+    model that many links share is checked once, at the first of them, and
+    so is a target tuple that many broadcasts share (the parser keeps one
+    per distinct target text); equal but distinct tuples are each checked."""
     for name in ("max_time", "mpc_period"):
         value = getattr(sc, name)
         if type(value) is not int or value < 0:
@@ -262,6 +303,7 @@ def scenario_faults(sc: Scenario):
                 yield pair, f"{name} probability {p!r} is not a number"
             elif not 0.0 <= p <= 1.0:  # NaN fails too
                 yield pair, f"{name} probability {p} outside [0, 1]"
+    checked_targets = set()  # the id of each broadcast's target tuple already checked
     for item in sc.schedule:
         if isinstance(item, StartIcd):
             if type(item.agent_id) is not str:
@@ -270,14 +312,18 @@ def scenario_faults(sc: Scenario):
                 yield item, f"unknown device {item.agent_id!r}"
         elif isinstance(item, (RotateMpc, SendParameterUpdate)):
             targets = item.targets
-            if type(targets) is not tuple or any(type(name) is not str for name in targets):
-                yield item, f"targets {targets!r} are not a tuple of agent names"
-            elif not targets:
-                yield item, "broadcast has no targets"
-            else:
-                for name in targets:
-                    if name not in agents:
-                        yield item, f"unknown agent {name!r}"
+            # a fleet's broadcasts each name the whole fleet and share one
+            # tuple: it is checked, and named by its first broadcast, once
+            if id(targets) not in checked_targets:
+                checked_targets.add(id(targets))
+                if type(targets) is not tuple or any(type(name) is not str for name in targets):
+                    yield item, f"targets {targets!r} are not a tuple of agent names"
+                elif not targets:
+                    yield item, "broadcast has no targets"
+                else:
+                    for name in targets:
+                        if name not in agents:
+                            yield item, f"unknown agent {name!r}"
         else:
             yield item, f"unknown schedule item {item!r}"
             continue
@@ -472,8 +518,9 @@ class Simulator:
     def __init__(self, scenario: Scenario, seed: int):
         if type(seed) is not int or seed < 0:
             raise ScenarioError(_int_fault("seed", seed))
-        for _, reason in scenario_faults(scenario):
-            raise ScenarioError(reason)
+        if not _unchanged_since_checked(scenario):
+            for _, reason in scenario_faults(scenario):
+                raise ScenarioError(reason)
         self.scenario = scenario
         self.rng = SimRng(seed)
         self.now = 0

@@ -1,5 +1,6 @@
 """Scenario file parsing and CLI exit-code behavior."""
 
+import copy
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_subscriber
-from wgiot import cli, crypto, wire
+from wgiot import cli, crypto, scenario, simnet, wire
 from wgiot.scenario import load_scenario, parse_scenario
 from wgiot.simnet import (
     CaptureMatching,
@@ -23,6 +24,7 @@ from wgiot.simnet import (
     SendParameterUpdate,
     Simulator,
     StartIcd,
+    scenario_faults,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -49,12 +51,12 @@ def test_minimal_scenario_parses():
     assert sc.subscribers[0].icd_in == 1
     assert sc.subscribers[0].esn == 2
     # implicit start for every subscriber when none is scheduled
-    assert sc.schedule == [StartIcd("icd-1", at=0)]
+    assert sc.schedule == (StartIcd("icd-1", at=0),)
 
 
 def test_explicit_start_suppresses_implicit_ones():
     sc = parse_scenario(MINIMAL + "[schedule]\nstart icd-1 at 7\n")
-    assert sc.schedule == [StartIcd("icd-1", at=7)]
+    assert sc.schedule == (StartIcd("icd-1", at=7),)
 
 
 def test_options_section():
@@ -94,10 +96,10 @@ def test_schedule_and_adversary_sections():
     )
     sc = parse_scenario(text)
     assert sc.schedule[1] == RotateMpc(at=100, targets=("map-1", "icd-1"))
-    assert sc.adversary == [
+    assert sc.adversary == (
         CaptureMatching(wire.AuthRequest.TAG),
         ReplayCaptured(index=0, at=200),
-    ]
+    )
 
 
 def test_inject_line_decodes_frame():
@@ -649,6 +651,122 @@ LINE_RULES = [
 def test_fault_line_rules(text, message):
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         parse_scenario(text)
+
+
+# -- one check per parsed scenario ---------------------------------------------------
+
+# two devices, impaired links, and three broadcasts to the same targets
+FLEET_TEXT = MINIMAL + REGISTRY_LINE.replace("1 2", "2 3", 1) + (
+    "\n[links]\nicd-1 map-1 delay=3 drop=0.4\nwbrac icd-2 dup=0.5\n"
+    "[schedule]\nstart icd-1 at 0\nstart icd-2 at 4\n"
+    "rotate at 5 to map-1,icd-1,icd-2\nparam-update at 9 to map-1,icd-1,icd-2\n"
+    "rotate at 1500 to map-1,icd-1,icd-2\n"
+)
+
+
+def _count_checks(monkeypatch) -> list:
+    """The scenarios `scenario_faults` is called on from now on, in both
+    modules that call it."""
+    calls = []
+
+    def counting(sc):
+        calls.append(sc)
+        return scenario_faults(sc)
+
+    monkeypatch.setattr(simnet, "scenario_faults", counting)
+    monkeypatch.setattr(scenario, "scenario_faults", counting)
+    return calls
+
+
+def test_a_parsed_scenario_is_checked_once_and_a_built_one_by_the_simulator(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    sc = parse_scenario(FLEET_TEXT)
+    Simulator(sc, seed=0)
+    assert calls == [sc]
+    built = Scenario([make_subscriber()])
+    Simulator(built, seed=0)
+    assert calls == [sc, built]
+
+
+def test_a_parsed_scenario_cannot_change_in_place():
+    sc = parse_scenario(FLEET_TEXT)
+    for field in ("subscribers", "schedule", "adversary", "expects"):
+        assert type(getattr(sc, field)) is tuple, field
+    pair = ("icd-1", "map-1")
+    for change in (
+        lambda links: links.__setitem__(pair, LinkModel()),
+        lambda links: links.__delitem__(pair),
+        lambda links: links.update({pair: LinkModel()}),
+        lambda links: links.setdefault(("map-1", "icd-1"), LinkModel()),
+        lambda links: links.pop(pair),
+        lambda links: links.popitem(),
+        lambda links: links.clear(),
+        lambda links: links.__ior__({pair: LinkModel()}),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            change(sc.links)
+    assert sc.links[pair] == LinkModel(delay_ms=3, drop_prob=0.4) and len(sc.links) == 2
+
+
+@pytest.mark.parametrize(
+    "field,value,reason",
+    [
+        ("max_time", -5, "negative max_time -5"),
+        ("links", {("icd-1", "nowhere"): LinkModel()}, "unknown agent 'nowhere'"),
+        ("schedule", (StartIcd("icd-3", at=0),), "unknown device 'icd-3'"),
+        (
+            "subscribers",
+            (make_subscriber(icd_in=4), make_subscriber(icd_in=4)),
+            "duplicate icd_in 4, first registered by icd-1",
+        ),
+    ],
+    ids=["max_time", "links", "schedule", "subscribers"],
+)
+def test_a_replaced_field_of_a_parsed_scenario_is_checked_again(field, value, reason):
+    sc = parse_scenario(FLEET_TEXT)
+    setattr(sc, field, value)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
+        Simulator(sc, seed=0)
+
+
+def test_equal_broadcast_target_texts_share_one_tuple():
+    sc = parse_scenario(FLEET_TEXT)
+    first, update, last = (item for item in sc.schedule if not isinstance(item, StartIcd))
+    assert first.targets is update.targets is last.targets == ("map-1", "icd-1", "icd-2")
+    assert first.targets is not parse_scenario(FLEET_TEXT).schedule[2].targets
+
+
+def test_an_unknown_name_in_a_shared_target_list_fails_at_its_first_line():
+    text = MINIMAL + "[schedule]\nrotate at 5 to map-1,icd-9\nrotate at 9 to map-1,icd-9\n"
+    message = "line 5: unknown agent 'icd-9'"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(text)
+
+
+def test_equal_but_distinct_target_tuples_are_each_checked():
+    names = ["map-1", "icd-9"]
+    shared = tuple(names)
+    sc = Scenario(
+        [make_subscriber()],
+        schedule=[RotateMpc(at=5, targets=shared), RotateMpc(at=9, targets=shared)],
+    )
+    assert [key.at for key, _ in scenario_faults(sc)] == [5]
+    sc.schedule = [RotateMpc(at=5, targets=tuple(names)), RotateMpc(at=9, targets=tuple(names))]
+    assert sc.schedule[0].targets is not sc.schedule[1].targets
+    assert list(scenario_faults(sc)) == [
+        (sc.schedule[0], "unknown agent 'icd-9'"),
+        (sc.schedule[1], "unknown agent 'icd-9'"),
+    ]
+
+
+def test_a_deep_copied_simulator_of_a_parsed_scenario_runs_to_the_same_trace():
+    sim = Simulator(parse_scenario(FLEET_TEXT), seed=3)
+    for _ in range(6):
+        sim.step()
+    clone = copy.deepcopy(sim)
+    assert type(clone.scenario.links) is type(sim.scenario.links)
+    assert clone.run().serialize() == sim.run().serialize()
+    assert len(sim.trace.notes) > 6
 
 
 # Characters `str.splitlines` breaks a line at but universal newlines (and an

@@ -166,7 +166,7 @@ def test_names_built_at_run_time_give_the_same_trace():
         ],
         mpc_period=1,
     )
-    assert built.links == parsed.links and built.schedule == parsed.schedule
+    assert built.links == parsed.links and tuple(built.schedule) == parsed.schedule
     assert built.schedule[0].agent_id is not parsed.schedule[0].agent_id
 
     want = Simulator(parsed, seed=3).run().serialize()
