@@ -177,7 +177,8 @@ class CorruptBit:
 class ReadOnlyLinks(dict):
     """The links of a parsed scenario: a `dict` that refuses every change in
     place, so that `Simulator._transmit` still looks a link up with the
-    dict's own C lookup.  A copy or a pickle of it is read-only too."""
+    dict's own C lookup.  `copy.copy`, `copy.deepcopy` and pickle give a
+    `ReadOnlyLinks` too; its `copy()` method, `dict`'s, a plain `dict`."""
 
     __slots__ = ()
 

@@ -42,6 +42,17 @@ def test_the_committed_set_up_gain_reads_as_a_gain():
     assert "regression" not in verdicts.values()
 
 
+def test_the_committed_single_check_gain_reads_as_a_gain_at_both_seeds():
+    done = _compare(ROOT / "BENCH_27.json")
+    assert done.returncode == 0, done.stderr
+    verdicts = _verdicts(done.stdout)
+    for seed in (1, 7):
+        assert verdicts[f"lossy-churn seed {seed}", "setup_s"] == "gain"
+        # one target tuple where the parent held six: the same bytes every run
+        assert verdicts[f"lossy-churn seed {seed}", "peak_mem_mb"] == "exact"
+    assert "regression" not in verdicts.values()
+
+
 def test_a_zero_spread_change_is_exact_not_a_gain():
     """Every run of each side gives one peak_mem_mb, and the change's is
     0.002 % lower, in ten pairs of ten won: exact, since a parent with no

@@ -1,6 +1,7 @@
 """The alternating pair runner of `scripts/bench_pairs.py`, run small with
 both sides at this checkout, writes the record that the committed
-BENCH_24.json and BENCH_25.json hold for their parent and change."""
+BENCH_24.json, BENCH_25.json and BENCH_27.json hold for their parent and
+change."""
 
 import json
 import subprocess
@@ -68,3 +69,20 @@ def test_committed_record_holds_the_claimed_and_the_other_workloads():
             assert record["failed"] == {"parent": 0, "change": 0}
             env = record["env"]
             assert env["parent"]["git_revision"] != env["change"]["git_revision"]
+
+
+def test_committed_single_check_record_holds_two_seeds_of_the_claimed_workload():
+    doc = json.loads((ROOT / "BENCH_27.json").read_text())
+    assert set(doc["pairs"]) == {
+        "lossy-churn seed 1",
+        "lossy-churn seed 7",
+        "honest-fleet seed 1",
+        "update-storm seed 1",
+    }
+    for key, record in doc["pairs"].items():
+        workload, _, seed = key.split()
+        _check_record(record, workload, int(seed), 10 if workload == "lossy-churn" else 3)
+        assert record["seconds"] == 30
+        assert record["failed"] == {"parent": 0, "change": 0}
+        env = record["env"]
+        assert env["parent"]["git_revision"] != env["change"]["git_revision"]

@@ -1,7 +1,7 @@
 """The scale sweep of `scripts/scale_sweep.py`, run small on each workload
-it sweeps, writes the record that the committed BENCH_17.json to
-BENCH_20.json and BENCH_22.json to BENCH_25.json hold for each measured
-commit."""
+it sweeps, in one checkout or alternating two, writes the record that the
+committed BENCH_17.json to BENCH_20.json, BENCH_22.json to BENCH_25.json
+and BENCH_27.json hold for each measured commit."""
 
 import json
 import subprocess
@@ -98,6 +98,26 @@ def test_small_sweep_writes_every_key(tmp_path, workload):
             assert all(0 < row["broadcast_lines"] < row["trace_lines"] for row in rows)
 
 
+def test_an_alternating_sweep_writes_every_key_of_both_labels(tmp_path):
+    out = tmp_path / "scale.json"
+    done = _sweep(out, "--parent", str(ROOT), "--change", str(ROOT), "--repeats", "2")
+    assert done.returncode == 0, done.stderr
+    # each repeat of each side runs on its own, parent and change taking turns first
+    order = [line.split(": ")[1] for line in done.stdout.splitlines() if "repeat" in line]
+    assert order == ["parent", "change", "change", "parent"]
+    doc = json.loads(out.read_text())
+    assert doc["workload"] == "update-storm" and set(doc["runs"]) == {"parent", "change"}
+    for run in doc["runs"].values():
+        assert run["repeats"] == 2
+        _check_run(run, [1, 100])
+        assert [row["authenticated"] for row in run["sizes"]] == [1, 100]
+
+
+def test_parent_and_change_go_together(tmp_path):
+    done = _sweep(tmp_path / "scale.json", "--parent", str(ROOT))
+    assert done.returncode == 2 and "--parent and --change go together" in done.stderr
+
+
 def test_a_sweep_of_another_workload_is_not_mixed_in(tmp_path):
     out = tmp_path / "scale.json"
     assert _sweep(out, "--sizes", "1").returncode == 0
@@ -187,3 +207,11 @@ def test_committed_set_up_record_has_the_parent_and_the_change(record):
         assert run["repeats"] == 15
         _check_run(run, ALL_SIZES)
         assert all(row["authenticated"] == row["devices"] for row in run["sizes"])
+
+
+def test_committed_alternating_record_has_the_parent_and_the_change():
+    doc = json.loads((ROOT / "BENCH_27.json").read_text())
+    assert doc["workload"] == "lossy-churn" and set(doc["runs"]) == {"parent", "change"}
+    for run in doc["runs"].values():
+        assert run["repeats"] == 15
+        _check_run(run, [300, 1_500, 6_000])
