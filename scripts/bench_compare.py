@@ -18,7 +18,11 @@ and the metric's bound, with a verdict:
   the ratio is the whole change and no spread exists for a gain to clear;
 - `within bound` otherwise.
 
-Exit status: 0 when no metric regressed, 1 when one did, 2 when a FILE
+Before the metrics it prints each side's failed and attempted fleet runs
+with a verdict of their own: `regression` when the change failed a larger
+share of its runs than the parent, `within bound` otherwise.
+
+Exit status: 0 when nothing regressed, 1 when something did, 2 when a FILE
 cannot be read or holds no pairs.
 """
 
@@ -29,7 +33,7 @@ import json
 import sys
 from pathlib import Path
 
-from bench_pairs import end_to_end_metrics
+from bench_pairs import SIDES, end_to_end_metrics
 
 GAIN_PAIRS = 10  # the fewest pairs that can show a gain
 GAIN_SHARE = 0.9  # of the pairs, that a gain must win
@@ -52,6 +56,15 @@ def verdict(record: dict, metric: dict) -> str:
     return "within bound"
 
 
+def failed_verdict(record: dict) -> str:
+    """The verdict on the share of fleet runs that failed a check."""
+    share = {
+        side: record["failed"][side] / record["attempted"][side] if record["attempted"][side] else 0
+        for side in SIDES
+    }
+    return "regression" if share["change"] > share["parent"] else "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="+", type=Path, metavar="FILE", help="record with pairs")
@@ -69,6 +82,10 @@ def main(argv=None) -> int:
             return 2
         for key, record in doc["pairs"].items():
             print(f"{path.name}: {key}, {record['pairs']} pairs")
+            runs = {side: f"{record['failed'][side]}/{record['attempted'][side]}" for side in SIDES}
+            found = failed_verdict(record)
+            print(f"  {'failed':16} parent {runs['parent']:<12} change {runs['change']:<12} {found}")
+            regressed |= found == "regression"
             for metric in metrics:
                 measured = record["metrics"][metric["name"]]
                 parent, change = measured["parent"]["median"], measured["change"]["median"]

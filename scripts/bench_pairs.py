@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-from scale_sweep import quartiles
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -39,33 +38,83 @@ def end_to_end_metrics() -> list[dict]:
     return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One `bench/run.py --trace 0` run in `checkout`: its environment line
-    and its result line."""
-    done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True,
-    )
-    lines = done.stdout.splitlines()
-    if done.returncode not in (0, 1) or not lines:  # 1: a check failed, the result still printed
-        raise RuntimeError(f"bench/run.py in {checkout} exited {done.returncode}: {done.stderr}")
-    return json.loads(lines[0])["env"], json.loads(lines[-1])
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile, interpolated between the
+    values (`statistics.quantiles`' inclusive method); one value is all
+    three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def resolve_checkouts(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """`--parent` and `--change`, resolved; a usage error when one has no
+    `bench/run.py`."""
+    found = {side: getattr(args, side).resolve() for side in SIDES}
+    for side, checkout in found.items():
+        if not (checkout / "bench" / "run.py").is_file():
+            parser.error(f"--{side} {checkout} has no bench/run.py")
+    return found
+
+
+def alternate(checkouts: dict, argvs: list[list[str]], accept=(0,)):
+    """Run `python <argv>` in each checkout once per argv of `argvs`, one
+    round each, with the parent first in even rounds (counting from 0) and
+    the change first in odd ones: parent, change, change, parent, ...
+    (ABBA).  Yield (round, side, completed process) of each run; a run that
+    exits with a code not in `accept` raises RuntimeError naming its side."""
+    for i, argv in enumerate(argvs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            done = subprocess.run(
+                [sys.executable, *argv], cwd=checkouts[side], capture_output=True, text=True
+            )
+            if done.returncode not in accept:
+                raise RuntimeError(
+                    f"the {side} run in {checkouts[side]} exited {done.returncode}: {done.stderr}"
+                )
+            yield i, side, done
+
+
+def read_out(path: Path) -> dict:
+    """The JSON object that `path` holds, or an empty one if it does not exist."""
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        return {}
+
+
+def write_out(path: Path, doc: dict) -> int:
+    """Write `doc` to `path`: 0, or 1 after saying why it could not."""
+    try:
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def pairs(checkouts: dict, workload: str, seed: int, count: int, seconds: float) -> dict:
+    argv = ["bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
     runs = {side: [] for side in SIDES}  # side -> its result lines, in pair order
     env = {}
-    for i in range(count):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            env[side], result = run_bench(checkouts[side], workload, seed, seconds)
-            runs[side].append(result)
-            values = result["metrics"]
-            print(
-                f"  pair {i + 1}/{count} {side:6}  setup_s {values['setup_s']['value']:.6f}  "
-                f"run_s {values['run_s']['value']:.6f}  correct {result['correct']}",
-                flush=True,
+    # exit 1: a check failed, and the result line is still printed
+    for i, side, done in alternate(checkouts, [argv] * count, accept=(0, 1)):
+        lines = done.stdout.splitlines()
+        result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
+        if "metrics" not in result:
+            raise RuntimeError(
+                f"the {side} run in {checkouts[side]} printed no result: {done.stderr}"
             )
+        env[side] = json.loads(lines[0])["env"]
+        runs[side].append(result)
+        values = result["metrics"]
+        print(
+            f"  pair {i + 1}/{count} {side:6}  setup_s {values['setup_s']['value']:.6f}  "
+            f"run_s {values['run_s']['value']:.6f}  correct {result['correct']}",
+            flush=True,
+        )
     metrics = {}
     for metric in end_to_end_metrics():
         name = metric["name"]
@@ -104,10 +153,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for side, checkout in checkouts.items():
-        if not (checkout / "bench" / "run.py").is_file():
-            parser.error(f"--{side} {checkout} has no bench/run.py")
+    checkouts = resolve_checkouts(parser, args)
 
     print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {args.seconds} s", flush=True)
     record = pairs(checkouts, args.workload, args.seed, args.pairs, args.seconds)
@@ -119,15 +165,9 @@ def main(argv=None) -> int:
             f"{metric['unit']}, change better in {metric['wins']}/{args.pairs}"
         )
 
-    try:
-        doc = json.loads(args.out.read_text())
-    except FileNotFoundError:
-        doc = {}
+    doc = read_out(args.out)
     doc.setdefault("pairs", {})[f"{args.workload} seed {args.seed}"] = record
-    try:
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    if write_out(args.out, doc):
         return 1
     return 0 if all(record["correct"].values()) else 1
 

@@ -5,11 +5,8 @@ dense as in the workload (`update-storm`: 300 devices over 20 s, the
 default; `lossy-churn`: 1,500 devices over 5 s; `honest-fleet`: 2,000
 devices over 5 s).
 
-    python3 scripts/scale_sweep.py --workload lossy-churn --repeats 15 --out BENCH_19.json
-    python3 scripts/scale_sweep.py --workload lossy-churn --repeats 15 --checkout ../parent --label parent --out BENCH_19.json
     python3 scripts/scale_sweep.py --workload lossy-churn --repeats 15 --parent ../parent --change . --out BENCH_27.json
-    python3 scripts/scale_sweep.py --workload honest-fleet --repeats 15 --out BENCH_20.json
-    python3 scripts/scale_sweep.py --workload lossy-churn --sizes 1,100 --repeats 1 --out /tmp/scale.json
+    python3 scripts/scale_sweep.py --workload honest-fleet --sizes 1,100 --repeats 2 --parent . --change . --out /tmp/scale.json
 
 For each N it prints and records the median run of `--repeats` timed
 runs, the one whose calibrated set-up plus run is the median (the lower of
@@ -36,20 +33,18 @@ does not move one size against another.  The sizes also take turns, one run
 of each per repeat.  `host_s` is the median run's uncalibrated set-up plus
 run.
 
-The program and the fleet generator are imported from `--checkout`'s `src/`
-and `bench/` (default: this checkout), so one script measures two commits
-alike.  The run is stored under `--label` in `--out`, beside the runs of
-other labels already there, which must be of the same workload, and any
-pairs of `scripts/bench_pairs.py`, with `bench/run.py`'s environment
-record, which holds the measured checkout's git revision.
-
-With `--parent DIR --change DIR` it sweeps both checkouts in alternation
-instead, so that a host whose speed drifts during the sweep does not move
-one commit against the other: each repeat of each side runs in a fresh
-interpreter that imports that side's checkout, in the order parent,
-change, change, parent, parent, change, ... (ABBA), after one untimed run
-of each size, and the runs are stored under the labels `parent` and
-`change`.  Each side's peak memory is traced in its first repeat.
+It sweeps the `--parent` and the `--change` checkout in alternation, so
+that a host whose speed drifts during the sweep does not move one commit
+against the other: each repeat of each side runs in a fresh interpreter
+in that side's checkout, which imports the program and the fleet
+generator from the checkout's own `src/` and `bench/`, in the order
+parent, change, change, parent, parent, change, ... (ABBA), after one
+untimed run of each size.  Each side's peak memory is traced in its first
+repeat.  The runs are stored under the labels `parent` and `change` in
+`--out`, beside the runs already there, which must be of the same
+workload, and any pairs of `scripts/bench_pairs.py`, each with
+`bench/run.py`'s environment record, which holds the measured checkout's
+git revision.
 """
 
 from __future__ import annotations
@@ -57,15 +52,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import statistics
-import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SIDES = ("parent", "change")
+from bench_pairs import SIDES, alternate, quartiles, read_out, resolve_checkouts, write_out
+
 SIZES = (1, 100, 300, 1_000, 3_000, 6_000)
 SEED = 1
 # max_time beyond the end of the start window, as in each workload
@@ -158,30 +151,20 @@ def summarize(raw: list[dict]) -> list[dict]:
     return rows
 
 
-def sweep(fleet, measure, workload: str, sizes: list[int], repeats: int) -> list[dict]:
-    return summarize(raw_sweep(fleet, measure, workload, sizes, repeats))
-
-
-def load_checkout(checkout: Path):
-    """The fleet generator, `bench/measure.py` and `bench/run.py` of
-    `checkout`, with its program first on the import path."""
-    sys.path.insert(0, str(checkout.resolve() / "bench"))
+def one_repeat(workload: str, sizes: str, peak: str) -> None:
+    """Print, as one JSON line, the environment record of the checkout in
+    the working directory and one repeat of `raw_sweep` over the
+    comma-separated `sizes` with that checkout's program, tracing peak
+    memory if `peak` is "peak": what `alternating_sweeps` runs in a fresh
+    interpreter for each side.  A first repeat warms the interpreter up, as
+    `bench/measure.py`'s untimed pass does, and is dropped."""
+    sys.path.insert(0, str(Path.cwd() / "bench"))
     import fleet
     import run
 
     run.use_checkout_program()
     import measure
 
-    return fleet, measure, run
-
-
-def one_repeat(checkout: str, workload: str, sizes: str, peak: str) -> None:
-    """Print, as one JSON line, `checkout`'s environment record and one
-    repeat of `raw_sweep` over the comma-separated `sizes`, tracing peak
-    memory if `peak` is "peak": what `alternating_sweeps` runs in a fresh
-    interpreter for each side.  A first repeat warms the interpreter up, as
-    `bench/measure.py`'s untimed pass does, and is dropped."""
-    fleet, measure, run = load_checkout(Path(checkout))
     raw = raw_sweep(fleet, measure, workload, [int(n) for n in sizes.split(",")], 2, peak == "peak")
     for size in raw:
         del size["runs"][0]
@@ -196,23 +179,16 @@ def alternating_sweeps(checkouts: dict, workload: str, sizes: list[int], repeats
         f"import sys; sys.path.insert(0, {here!r}); "
         "import scale_sweep; scale_sweep.one_repeat(*sys.argv[1:])"
     )
+    argv = ["-c", code, workload, ",".join(map(str, sizes))]
     environment, raw = {}, {}  # side -> its environment record, its raw sizes so far
-    for i in range(repeats):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            peak = "-" if side in raw else "peak"
-            argv = [str(checkouts[side]), workload, ",".join(map(str, sizes)), peak]
-            done = subprocess.run(
-                [sys.executable, "-c", code, *argv], cwd=checkouts[side], capture_output=True, text=True
-            )
-            if done.returncode != 0:
-                raise RuntimeError(f"the {side} sweep in {checkouts[side]} failed: {done.stderr}")
-            record = json.loads(done.stdout)
-            print(f"  repeat {i + 1}/{repeats}: {side}", flush=True)
-            if side in raw:
-                for have, size in zip(raw[side], record["sizes"]):
-                    have["runs"] += size["runs"]
-            else:
-                environment[side], raw[side] = record["environment"], record["sizes"]
+    for i, side, done in alternate(checkouts, [argv + ["peak"]] + [argv + ["-"]] * (repeats - 1)):
+        record = json.loads(done.stdout)
+        print(f"  repeat {i + 1}/{repeats}: {side}", flush=True)
+        if side in raw:
+            for have, size in zip(raw[side], record["sizes"]):
+                have["runs"] += size["runs"]
+        else:
+            environment[side], raw[side] = record["environment"], record["sizes"]
     return {
         side: {"environment": environment[side], "repeats": repeats, "sizes": summarize(raw[side])}
         for side in SIDES
@@ -233,16 +209,6 @@ def print_rows(rows: list[dict]) -> None:
         )
 
 
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """First quartile, median and third quartile, interpolated between the
-    values (`statistics.quantiles`' inclusive method); one value is all
-    three."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
-
-
 def peak_bytes(measure, f) -> int:
     tracemalloc.start()
     try:
@@ -255,15 +221,13 @@ def peak_bytes(measure, f) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(SETTLE_MS), default="update-storm")
-    parser.add_argument("--checkout", type=Path, default=ROOT, help="checkout to measure")
-    parser.add_argument("--parent", type=Path, help="with --change: sweep both, alternating")
-    parser.add_argument("--change", type=Path, help="with --parent: sweep both, alternating")
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated N")
     parser.add_argument(
         "--repeats", type=int, default=5, help="timed runs per size; median run and quartiles kept"
     )
-    parser.add_argument("--label", default="change", help="key of this run in --out")
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to add the run to")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to add the runs to")
     args = parser.parse_args(argv)
     try:
         sizes = [int(n) for n in args.sizes.split(",")]
@@ -271,50 +235,25 @@ def main(argv=None) -> int:
         parser.error(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     if not sizes or min(sizes) < 1 or args.repeats < 1:
         parser.error("every size and --repeats must be at least 1")
-    if (args.parent is None) != (args.change is None):
-        parser.error("--parent and --change go together")
-    checkouts = {"parent": args.parent, "change": args.change}
-    for side, checkout in checkouts.items():
-        if checkout is not None and not (checkout / "bench" / "run.py").is_file():
-            parser.error(f"--{side} {checkout} has no bench/run.py")
+    checkouts = resolve_checkouts(parser, args)
 
     workload = args.workload
-    try:
-        doc = json.loads(args.out.read_text())
-    except FileNotFoundError:
-        doc = {}
     # a file may hold only the pairs of `scripts/bench_pairs.py` so far
-    doc = {"workload": workload, "seed": SEED, "runs": {}, **doc}
+    doc = {"workload": workload, "seed": SEED, "runs": {}, **read_out(args.out)}
     if doc["workload"] != workload:
         print(f"error: {args.out} holds {doc['workload']} runs, not {workload}", file=sys.stderr)
         return 1
 
     started = time.perf_counter()
-    if args.parent is None:
-        fleet, measure, run = load_checkout(args.checkout)
-        environment = run.environment(SEED, workload)
-        print(f"{workload} seed {SEED}, revision {environment['git_revision']}")
-        rows = sweep(fleet, measure, workload, sizes, args.repeats)
-        print_rows(rows)
-        runs = {args.label: {"environment": environment, "repeats": args.repeats, "sizes": rows}}
-    else:
-        print(f"{workload} seed {SEED}, parent and change alternating")
-        runs = alternating_sweeps(
-            {side: checkout.resolve() for side, checkout in checkouts.items()},
-            workload, sizes, args.repeats,
-        )
-        for side, run in runs.items():
-            print(f"{side}, revision {run['environment']['git_revision']}")
-            print_rows(run["sizes"])
+    print(f"{workload} seed {SEED}, parent and change alternating")
+    runs = alternating_sweeps(checkouts, workload, sizes, args.repeats)
+    for side, run in runs.items():
+        print(f"{side}, revision {run['environment']['git_revision']}")
+        print_rows(run["sizes"])
     print(f"  swept in {time.perf_counter() - started:.1f} s")
 
     doc["runs"].update(runs)
-    try:
-        args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return write_out(args.out, doc)
 
 
 if __name__ == "__main__":

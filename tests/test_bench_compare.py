@@ -1,5 +1,6 @@
 """`scripts/bench_compare.py` reads the pairs that `scripts/bench_pairs.py`
-records and gives each end-to-end metric a verdict against its bound."""
+records and gives each end-to-end metric a verdict against its bound, and
+the share of fleet runs that failed a check one against the parent's."""
 
 import copy
 import json
@@ -34,8 +35,9 @@ def test_the_committed_set_up_gain_reads_as_a_gain():
     assert done.returncode == 0, done.stderr
     verdicts = _verdicts(done.stdout)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    assert len(verdicts) == 4 * len(declared)
+    assert len(verdicts) == 4 * (len(declared) + 1)  # each metric, and the failed runs
     assert verdicts["honest-fleet seed 1", "setup_s"] == "gain"
+    assert verdicts["honest-fleet seed 1", "failed"] == "within bound"
     # identical values are exact; three pairs are too few to show a gain
     assert verdicts["honest-fleet seed 1", "auth_ok_ratio"] == "exact"
     assert verdicts["lossy-churn seed 1", "run_s"] == "within bound"
@@ -87,6 +89,22 @@ def test_a_change_worse_than_its_bound_exits_1(tmp_path):
     assert [key for key, verdict in verdicts.items() if verdict == "regression"] == [
         ("update-storm seed 1", "run_s"),
         ("update-storm seed 1", "peak_mem_mb"),
+    ]
+
+
+def test_a_change_that_failed_more_of_its_runs_exits_1(tmp_path):
+    doc = json.loads((ROOT / "BENCH_26.json").read_text())
+    record = copy.deepcopy(doc["pairs"]["honest-fleet seed 1"])
+    record["failed"]["change"] = record["attempted"]["change"]
+    record["correct"]["change"] = False
+    out = tmp_path / "failed.json"
+    out.write_text(json.dumps({"pairs": {"honest-fleet seed 1": record}}))
+    done = _compare(out)
+    assert done.returncode == 1, done.stderr
+    assert "  failed           parent 0/495        change 514/514      regression" in done.stdout
+    verdicts = _verdicts(done.stdout)
+    assert [key for key, verdict in verdicts.items() if verdict == "regression"] == [
+        ("honest-fleet seed 1", "failed")
     ]
 
 

@@ -1,15 +1,21 @@
-"""The alternating pair runner of `scripts/bench_pairs.py`, run small with
-both sides at this checkout, writes the record that the committed
-BENCH_24.json, BENCH_25.json and BENCH_27.json hold for their parent and
-change."""
+"""The alternating runner that `scripts/bench_pairs.py` shares with
+`scripts/scale_sweep.py` runs the two sides in ABBA order and refuses a
+run that failed; the pairs, run small with both sides at this checkout,
+write the record that the committed BENCH_24.json, BENCH_25.json and
+BENCH_27.json hold for their parent and change."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import bench_pairs  # noqa: E402
 
 RECORD_KEYS = {"workload", "seed", "pairs", "seconds", "env", "correct", "attempted", "failed", "metrics"}
 SIDES = {"parent", "change"}
@@ -32,6 +38,45 @@ def _check_record(record: dict, workload: str, seed: int, pairs: int) -> None:
             spread = metric[side]
             assert len(spread["runs"]) == pairs
             assert spread["q1"] <= spread["median"] <= spread["q3"]
+
+
+def _checkouts(tmp_path: Path) -> dict:
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for checkout in checkouts.values():
+        checkout.mkdir()
+    return checkouts
+
+
+def test_the_runner_alternates_the_sides_abba(tmp_path):
+    argv = ["-c", "import os; print(os.path.basename(os.getcwd()))"]
+    runs = [
+        (i, side, done.stdout.strip())
+        for i, side, done in bench_pairs.alternate(_checkouts(tmp_path), [argv] * 3)
+    ]
+    order = ["parent", "change", "change", "parent", "parent", "change"]
+    assert runs == [(i // 2, side, side) for i, side in enumerate(order)]
+
+
+def test_the_runner_raises_on_an_exit_code_it_was_not_told_to_accept(tmp_path):
+    argv = ["-c", "import os, sys; sys.exit(3 if os.getcwd().endswith('change') else 0)"]
+    runs = bench_pairs.alternate(_checkouts(tmp_path), [argv], accept=(0, 1))
+    assert next(runs)[1] == "parent"
+    with pytest.raises(RuntimeError, match=r"^the change run in .*change exited 3"):
+        next(runs)
+
+
+def test_a_crashed_bench_run_names_its_side_checkout_and_traceback(tmp_path):
+    crashed = tmp_path / "crashed"
+    (crashed / "bench").mkdir(parents=True)
+    # the environment line, then a crash: exit 1, as a failed check exits
+    (crashed / "bench" / "run.py").write_text(
+        'import json\nprint(json.dumps({"env": {}}))\nraise ValueError("run broke")\n'
+    )
+    with pytest.raises(RuntimeError) as raised:
+        bench_pairs.pairs({"parent": crashed, "change": ROOT}, "update-storm", 1, 1, 0.5)
+    message = str(raised.value)
+    assert message.startswith(f"the parent run in {crashed} printed no result: ")
+    assert "ValueError: run broke" in message
 
 
 def test_one_pair_at_one_checkout_writes_every_key(tmp_path):

@@ -1,5 +1,5 @@
 """The scale sweep of `scripts/scale_sweep.py`, run small on each workload
-it sweeps, in one checkout or alternating two, writes the record that the
+it sweeps with both sides at this checkout, writes the record that the
 committed BENCH_17.json to BENCH_20.json, BENCH_22.json to BENCH_25.json
 and BENCH_27.json hold for each measured commit."""
 
@@ -65,9 +65,10 @@ def _check_run(run: dict, sizes: list[int], size_keys: set[str] = SIZE_KEYS) -> 
             assert row["setup_us_per_device_median"] <= row["setup_us_per_device_q3"]
 
 
-def _sweep(out: Path, *args: str) -> subprocess.CompletedProcess:
+def _sweep(out: Path, *args: str, sides=("--parent", str(ROOT), "--change", str(ROOT))):
     return subprocess.run(
-        [sys.executable, str(SCRIPT), "--sizes", "1,100", "--repeats", "3", "--out", str(out), *args],
+        [sys.executable, str(SCRIPT), "--sizes", "1,100", "--repeats", "2", "--out", str(out),
+         *sides, *args],
         capture_output=True, text=True, timeout=120,
     )
 
@@ -75,12 +76,15 @@ def _sweep(out: Path, *args: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("workload", ["update-storm", "lossy-churn", "honest-fleet"])
 def test_small_sweep_writes_every_key(tmp_path, workload):
     out = tmp_path / "scale.json"
-    for label in ("a", "b"):
-        done = _sweep(out, "--workload", workload, "--label", label)
-        assert done.returncode == 0, done.stderr
+    done = _sweep(out, "--workload", workload)
+    assert done.returncode == 0, done.stderr
+    # each repeat of each side runs on its own, parent and change taking turns first
+    order = [line.split(": ")[1] for line in done.stdout.splitlines() if "repeat" in line]
+    assert order == ["parent", "change", "change", "parent"]
     doc = json.loads(out.read_text())
-    assert doc["workload"] == workload and set(doc["runs"]) == {"a", "b"}
+    assert doc["workload"] == workload and set(doc["runs"]) == {"parent", "change"}
     for run in doc["runs"].values():
+        assert run["repeats"] == 2
         _check_run(run, [1, 100])
         rows = run["sizes"]
         if workload == "update-storm":
@@ -98,29 +102,17 @@ def test_small_sweep_writes_every_key(tmp_path, workload):
             assert all(0 < row["broadcast_lines"] < row["trace_lines"] for row in rows)
 
 
-def test_an_alternating_sweep_writes_every_key_of_both_labels(tmp_path):
-    out = tmp_path / "scale.json"
-    done = _sweep(out, "--parent", str(ROOT), "--change", str(ROOT), "--repeats", "2")
-    assert done.returncode == 0, done.stderr
-    # each repeat of each side runs on its own, parent and change taking turns first
-    order = [line.split(": ")[1] for line in done.stdout.splitlines() if "repeat" in line]
-    assert order == ["parent", "change", "change", "parent"]
-    doc = json.loads(out.read_text())
-    assert doc["workload"] == "update-storm" and set(doc["runs"]) == {"parent", "change"}
-    for run in doc["runs"].values():
-        assert run["repeats"] == 2
-        _check_run(run, [1, 100])
-        assert [row["authenticated"] for row in run["sizes"]] == [1, 100]
-
-
-def test_parent_and_change_go_together(tmp_path):
-    done = _sweep(tmp_path / "scale.json", "--parent", str(ROOT))
-    assert done.returncode == 2 and "--parent and --change go together" in done.stderr
+@pytest.mark.parametrize("sides", [(), ("--parent", str(ROOT)), ("--change", str(ROOT))])
+def test_argparse_requires_both_parent_and_change(tmp_path, sides):
+    done = _sweep(tmp_path / "scale.json", sides=sides)
+    assert done.returncode == 2
+    missing = [option for option in ("--parent", "--change") if option not in sides]
+    assert f"the following arguments are required: {', '.join(missing)}" in done.stderr
 
 
 def test_a_sweep_of_another_workload_is_not_mixed_in(tmp_path):
     out = tmp_path / "scale.json"
-    assert _sweep(out, "--sizes", "1").returncode == 0
+    assert _sweep(out, "--sizes", "1", "--repeats", "1").returncode == 0
     done = _sweep(out, "--sizes", "1", "--workload", "lossy-churn")
     assert done.returncode == 1
     assert done.stderr == f"error: {out} holds update-storm runs, not lossy-churn\n"
@@ -129,7 +121,7 @@ def test_a_sweep_of_another_workload_is_not_mixed_in(tmp_path):
 def test_a_sweep_is_added_beside_recorded_pairs(tmp_path):
     out = tmp_path / "record.json"
     out.write_text('{"pairs": {"update-storm seed 1": {}}}\n')
-    done = _sweep(out, "--sizes", "1")
+    done = _sweep(out, "--sizes", "1", "--repeats", "1")
     assert done.returncode == 0, done.stderr
     doc = json.loads(out.read_text())
     assert doc["pairs"] == {"update-storm seed 1": {}}
@@ -162,7 +154,7 @@ def test_the_row_holds_the_median_run_not_one_a_slow_reference_loop_shrank():
     # the third run is the fastest on the host but lies beside a reference
     # loop ten times slower, which scales it to 2 / 11 of its time
     measure = _FakeMeasure([(1.0, 2.0), (1.1, 2.2), (0.9, 1.8)], [1.0, 1.0, 1.0, 10.0])
-    [row] = scale_sweep.sweep(fleet, measure, "honest-fleet", [1], 3)
+    [row] = scale_sweep.summarize(scale_sweep.raw_sweep(fleet, measure, "honest-fleet", [1], 3))
     assert (row["setup_s"], row["run_s"], row["host_s"]) == (1.0, 2.0, 3.0)
     assert row["us_per_device"] == 3e6
     assert row["us_per_trace_line"] == 0.5e6
