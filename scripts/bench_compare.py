@@ -20,7 +20,11 @@ and the metric's bound, with a verdict:
 
 Before the metrics it prints each side's failed and attempted fleet runs
 with a verdict of their own: `regression` when the change failed a larger
-share of its runs than the parent, `within bound` otherwise.
+share of its runs than the parent, `within bound` otherwise.  Then it prints
+whether all of each side's runs passed their correctness checks (the
+golden trace among them, which fails no fleet run), with the verdict
+`regression` when the parent's all did and the change's did not, `within
+bound` otherwise.
 
 Exit status: 0 when nothing regressed, 1 when something did, 2 when a FILE
 cannot be read or holds no pairs.
@@ -65,6 +69,12 @@ def failed_verdict(record: dict) -> str:
     return "regression" if share["change"] > share["parent"] else "within bound"
 
 
+def correct_verdict(record: dict) -> str:
+    """The verdict on whether every run passed its correctness checks."""
+    correct = record["correct"]
+    return "regression" if correct["parent"] and not correct["change"] else "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="+", type=Path, metavar="FILE", help="record with pairs")
@@ -85,6 +95,13 @@ def main(argv=None) -> int:
             runs = {side: f"{record['failed'][side]}/{record['attempted'][side]}" for side in SIDES}
             found = failed_verdict(record)
             print(f"  {'failed':16} parent {runs['parent']:<12} change {runs['change']:<12} {found}")
+            regressed |= found == "regression"
+            correct = record["correct"]
+            found = correct_verdict(record)
+            print(
+                f"  {'correct':16} parent {correct['parent']!s:<12} "
+                f"change {correct['change']!s:<12} {found}"
+            )
             regressed |= found == "regression"
             for metric in metrics:
                 measured = record["metrics"][metric["name"]]

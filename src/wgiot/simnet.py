@@ -13,18 +13,32 @@ backend, `crypto.DEFAULT_BACKEND`.
 
 Pending events sit in a calendar: a heap of the distinct pending times
 (`Simulator._heap`) and, for each time, a list of its events in push order.
-`step()` takes exactly one event, the next one in the earliest time's list;
-a time leaves the heap when its list is used up.  No event is pushed before
-`now` (`_open`, the one place a running simulator adds a time, raises
+An event is a frame copy, a burst, a device's timer tick or a scheduled
+item (a start, a broadcast, a replay, an injection).  `step()` takes
+exactly one event, the next one in the earliest time's list; a time leaves
+the heap when its list is used up.  No event is pushed before `now`
+(`_open`, the one place a running simulator adds a time, raises
 `ValueError`), so an event pushed at `now`, such as a reply sent with no
-delay during a broadcast burst, joins the end of the current list and runs
-after every event already pending at that time.  A queued copy of a frame
-is the list [src, dst, raw, dropped, note, decoded], where decoded is
+delay while a broadcast is delivered, joins the end of the current list and
+runs after every event already pending at that time.  A queued copy of a
+frame is the list [src, dst, raw, dropped, note, decoded], where decoded is
 (frame, raw[3:]), or None for bytes the adversary made.  A list is the
 cheapest record to build once per copy (a NamedTuple is built from a
 temporary tuple), and a plain tuple would cost memory instead: CPython's
 free list keeps up to 2,000 dead tuples of each small size, so the 6-tuples
-of a broadcast burst would stay allocated after their delivery.
+of a broadcast would stay allocated after their delivery.
+
+A burst (`_Burst`) is one event that delivers several copies of one
+broadcast, in target order, in one `step()`.  A copy joins a burst when
+its link draws nothing (drop and dup probability 0) and no adversary hook
+looks at its tag; it joins the burst that its broadcast queued last at its
+arrival time, while that burst is still the last event there, and starts a
+new one otherwise.  Every other copy is queued on its own by `_transmit`,
+so each rng draw happens where it did when every copy was an event.  The
+order of delivery is unchanged as well: the copies of a burst would have
+been consecutive events, since nothing is queued between two same-time
+copies of one broadcast, and what their delivery pushes at `now` runs
+after the last of them either way.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
@@ -493,6 +507,15 @@ class _Tick(NamedTuple):
     agent_id: str
 
 
+class _Burst(NamedTuple):
+    """Same-time copies of one broadcast from the WBRAC, one per target, in
+    target order (see the module docstring)."""
+
+    targets: list[str]
+    frame: wire.WireMessage
+    payload: bytes
+
+
 class _Devices(Mapping):
     """The devices of an agent table: a read-only view of it without the
     WBRAC and the access point, which are its first two entries, so the
@@ -647,6 +670,9 @@ class Simulator:
     # -- event loop --
 
     def step(self) -> None:
+        """Handle the next event: a frame copy, a burst (every copy in it),
+        a timer tick or a scheduled item.  Raise `NoEvents` when none is
+        pending."""
         heap = self._heap
         if not heap:
             raise NoEvents()
@@ -663,10 +689,30 @@ class Simulator:
         self._EVENT_HANDLERS[type(item)](self, item)
 
     def _broadcast(self, targets: tuple[str, ...], frame: wire.WireMessage) -> None:
+        """Send `frame` from the WBRAC to each target, in order: each copy
+        over a link that draws nothing and of a tag no hook looks at joins a
+        burst, and every other copy goes through `_transmit`."""
         raw = wire.encode(frame)
         decoded = (frame, raw[3:])
+        hooked = raw[0] in self._hooked_tags
+        links, calendar, now = self._links, self._calendar, self.now
+        bursts = {}  # arrival time -> the burst this broadcast queued there last
         for target in targets:
-            self._transmit(WBRAC, target, raw, decoded)
+            link = links.get((WBRAC, target), NO_IMPAIRMENT)
+            if hooked or link.drop_prob > 0.0 or link.dup_prob > 0.0:
+                self._transmit(WBRAC, target, raw, decoded)
+                continue
+            at = now + link.delay_ms
+            burst = bursts.get(at)
+            events = calendar.get(at)
+            if burst is not None and events[-1] is burst:
+                burst.targets.append(target)
+                continue
+            bursts[at] = burst = _new(_Burst, ([target], frame, decoded[1]))
+            if events is None:
+                self._open(at, burst)
+            else:
+                events.append(burst)
 
     def _on_tick(self, item: _Tick) -> None:
         result = self.agents[item.agent_id].tick(self.now)
@@ -723,17 +769,38 @@ class Simulator:
             self.trace.add(now, src, dst, tag, payload, (label + note).strip())
             return
         result = agent.handle(src, msg, now)
-        state = agent.state_name
-        key = (note, result.note, state)
+        key = (note, result.note, agent.state_name)
         text = self._delivery_notes.get(key)
         if text is None:
-            outcome = f"-> {state}"
-            if result.note:
-                outcome = f"{result.note} {outcome}"
-            text = self._delivery_notes[key] = f"{note} {outcome}" if note else outcome
+            text = self._delivery_note(key)
         self.trace.add(now, src, dst, tag, payload, text)
         if result.out or result.tick_at is not None:
             self._apply(dst, result)
+
+    def _on_burst(self, burst: _Burst) -> None:
+        targets, msg, payload = burst
+        now, agents, notes = self.now, self.agents, self._delivery_notes
+        tag = type(msg).__name__
+        for target in targets:
+            agent = agents[target]
+            result = agent.handle(WBRAC, msg, now)
+            key = ("", result.note, agent.state_name)
+            text = notes.get(key)
+            if text is None:
+                text = self._delivery_note(key)
+            self.trace.add(now, WBRAC, target, tag, payload, text)
+            if result.out or result.tick_at is not None:
+                self._apply(target, result)
+
+    def _delivery_note(self, key: tuple[str, str, str]) -> str:
+        """The trace note of a delivery, from its (copy note, agent result
+        note, agent state) `key`; kept in `_delivery_notes` for reuse."""
+        note, result_note, state = key
+        outcome = f"-> {state}"
+        if result_note:
+            outcome = f"{result_note} {outcome}"
+        text = self._delivery_notes[key] = f"{note} {outcome}" if note else outcome
+        return text
 
     def _apply(self, agent_id: str, result) -> None:
         for dst, msg in result.out:
@@ -743,6 +810,7 @@ class Simulator:
 
     _EVENT_HANDLERS = {
         list: _on_deliver,
+        _Burst: _on_burst,
         _Tick: _on_tick,
         StartIcd: _on_start,
         RotateMpc: _on_rotate,

@@ -1,6 +1,7 @@
 """`scripts/bench_compare.py` reads the pairs that `scripts/bench_pairs.py`
 records and gives each end-to-end metric a verdict against its bound, and
-the share of fleet runs that failed a check one against the parent's."""
+the share of fleet runs that failed a check and whether every run passed
+its correctness checks one against the parent's."""
 
 import copy
 import json
@@ -35,9 +36,11 @@ def test_the_committed_set_up_gain_reads_as_a_gain():
     assert done.returncode == 0, done.stderr
     verdicts = _verdicts(done.stdout)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    assert len(verdicts) == 4 * (len(declared) + 1)  # each metric, and the failed runs
+    # each metric, the failed runs and the correctness checks
+    assert len(verdicts) == 4 * (len(declared) + 2)
     assert verdicts["honest-fleet seed 1", "setup_s"] == "gain"
     assert verdicts["honest-fleet seed 1", "failed"] == "within bound"
+    assert verdicts["honest-fleet seed 1", "correct"] == "within bound"
     # identical values are exact; three pairs are too few to show a gain
     assert verdicts["honest-fleet seed 1", "auth_ok_ratio"] == "exact"
     assert verdicts["lossy-churn seed 1", "run_s"] == "within bound"
@@ -104,8 +107,31 @@ def test_a_change_that_failed_more_of_its_runs_exits_1(tmp_path):
     assert "  failed           parent 0/495        change 514/514      regression" in done.stdout
     verdicts = _verdicts(done.stdout)
     assert [key for key, verdict in verdicts.items() if verdict == "regression"] == [
-        ("honest-fleet seed 1", "failed")
+        ("honest-fleet seed 1", "failed"),
+        ("honest-fleet seed 1", "correct"),
     ]
+
+
+def test_a_change_whose_checks_failed_without_a_failed_run_exits_1(tmp_path):
+    """A broken golden trace sets `correct` false but fails no fleet run."""
+    doc = json.loads((ROOT / "BENCH_27.json").read_text())
+    record = copy.deepcopy(doc["pairs"]["lossy-churn seed 1"])
+    record["correct"]["change"] = False
+    out = tmp_path / "incorrect.json"
+    out.write_text(json.dumps({"pairs": {"lossy-churn seed 1": record}}))
+    done = _compare(out)
+    assert done.returncode == 1, done.stderr
+    assert "  correct          parent True         change False        regression" in done.stdout
+    verdicts = _verdicts(done.stdout)
+    assert [key for key, verdict in verdicts.items() if verdict == "regression"] == [
+        ("lossy-churn seed 1", "correct")
+    ]
+    # a parent that failed its checks too is no regression
+    record["correct"]["parent"] = False
+    out.write_text(json.dumps({"pairs": {"lossy-churn seed 1": record}}))
+    done = _compare(out)
+    assert done.returncode == 0, done.stderr
+    assert _verdicts(done.stdout)["lossy-churn seed 1", "correct"] == "within bound"
 
 
 def test_a_file_without_pairs_is_an_error():

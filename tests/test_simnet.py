@@ -1,3 +1,4 @@
+import copy
 import heapq
 import math
 import re
@@ -179,6 +180,73 @@ def test_replies_sent_without_delay_follow_the_whole_broadcast():
     assert [(e.time, e.sender, e.receiver) for e in trace.entries] == (
         [(10, WBRAC, d) for d in devices] + [(10, d, MAP) for d in devices]
     )
+
+
+def _broadcast_to(targets, links=None, adversary=(), schedule=()):
+    """Devices icd-1..icd-N (N the highest named) and one MPC broadcast at
+    10 ms to `targets`."""
+    n = max(int(t[4:]) for t in targets if t.startswith("icd-"))
+    return Scenario(
+        subscribers=[make_subscriber(i, icd_in=i + 1) for i in range(n)],
+        links=links or {},
+        schedule=[*schedule, RotateMpc(at=10, targets=tuple(targets))],
+        adversary=list(adversary),
+        mpc_period=1,
+    )
+
+
+def test_one_step_delivers_every_copy_of_a_broadcast_over_unlisted_links():
+    devices = [f"icd-{i}" for i in range(1, 6)]
+    sim = Simulator(_broadcast_to(devices), seed=0)
+    sim.step()  # the rotation queues one burst
+    assert sim.trace.notes == []
+    sim.step()
+    assert [(e.time, e.sender, e.receiver, e.tag) for e in sim.trace.entries] == [
+        (10, WBRAC, d, "AccessParameterMessage") for d in devices
+    ]
+    assert {sim.icds[d].cfg.mpc for d in devices} == {sim.wbrac.schedule.current}
+    assert not sim._heap
+
+
+def test_a_burst_keeps_the_target_order_across_links_that_draw_and_delay():
+    targets = ("icd-1", "icd-2", "icd-3", MAP)
+    links = {(WBRAC, "icd-2"): LinkModel(0, drop_prob=0.5), (WBRAC, MAP): LinkModel(5)}
+    sim = Simulator(_broadcast_to(targets, links), seed=0)
+    sim.step()
+    # icd-2's copy is queued on its own between two bursts of one copy each
+    assert [type(e).__name__ for e in sim._calendar[10]] == ["_Burst", "list", "_Burst"]
+    trace = sim.run()
+    assert [(e.time, e.receiver) for e in trace.entries] == [
+        (10, "icd-1"), (10, "icd-2"), (10, "icd-3"), (15, MAP)
+    ]
+
+
+def test_a_capture_still_sees_one_frame_per_broadcast_target():
+    devices = [f"icd-{i}" for i in range(1, 4)]
+    sc = _broadcast_to(devices, adversary=[CaptureMatching(wire.AccessParameterMessage.TAG)])
+    sim = Simulator(sc, seed=0)
+    trace = sim.run()
+    assert [(src, dst) for src, dst, _ in sim.captured] == [(WBRAC, d) for d in devices]
+    assert [(e.receiver, e.note.split()[0]) for e in trace.entries] == [
+        (d, "captured") for d in devices
+    ]
+
+
+def test_a_copy_made_just_before_a_burst_runs_to_the_same_trace():
+    devices = [f"icd-{i}" for i in range(1, 5)]
+    links = {(d, MAP): LinkModel(7) for d in devices}
+    starts = [StartIcd(d, at=2 * i) for i, d in enumerate(devices)]
+    sim = Simulator(_broadcast_to(devices, links, schedule=starts), seed=0)
+    while type(sim._calendar[sim._heap[0]][sim._taken]) is not simnet._Burst:
+        sim.step()
+    clone = copy.deepcopy(sim)
+    burst = sim._calendar[sim._heap[0]][sim._taken]
+    assert clone._calendar[clone._heap[0]][clone._taken] == burst
+    assert clone._calendar[clone._heap[0]][clone._taken].targets is not burst.targets
+    assert clone.run().serialize() == sim.run().serialize()
+    # the burst reached devices mid-flow, and their flows went on after it
+    assert sim.trace.tags.count("AccessParameterMessage") == len(devices)
+    assert "mpc-updated -> AwaitingAuthResult" in sim.trace.notes and sim.trace.times[-1] > 10
 
 
 def test_unknown_agent_in_schedule():
