@@ -27,17 +27,16 @@ golden trace among them, which fails no fleet run), with the verdict
 bound` otherwise.
 
 Exit status: 0 when nothing regressed, 1 when something did, 2 when a FILE
-cannot be read or holds no pairs.
+cannot be read, holds no JSON object or holds no pairs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from bench_pairs import SIDES, end_to_end_metrics
+from bench_pairs import SIDES, end_to_end_metrics, read_record
 
 GAIN_PAIRS = 10  # the fewest pairs that can show a gain
 GAIN_SHARE = 0.9  # of the pairs, that a gain must win
@@ -83,7 +82,7 @@ def main(argv=None) -> int:
     regressed = False
     for path in args.files:
         try:
-            doc = json.loads(path.read_text())
+            doc = read_record(path)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2

@@ -2,6 +2,7 @@
 """Alternating parent/change pairs of the end-to-end benchmark.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . --workload honest-fleet --pairs 10 --seconds 30 --out BENCH_24.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . --workload lossy-churn --sizes 300,1500,6000 --pairs 5 --seconds 10 --out BENCH_30.json
     python3 scripts/bench_pairs.py --parent . --change . --workload update-storm --pairs 1 --seconds 0.5 --out /tmp/pairs.json
 
 Each pair runs `bench/run.py --trace 0` once in each checkout, unchanged
@@ -12,17 +13,27 @@ during the pairs does not favour one side.  For each end-to-end metric that
 median and first and third quartile, and `wins`, the pairs in which the
 change's value is better than the parent's (ties count for neither side).
 It also records each side's environment line (`git_revision`,
-`source_sha256`, Python, CPU) and its fleet runs attempted and failed.
+`source_sha256`, Python, CPU, the workload's `params`) and its fleet runs
+attempted and failed, under "<workload> seed <seed>" in the `pairs` object
+of `--out`, beside whatever else the file holds.
 
-The record is stored under "<workload> seed <seed>" in the `pairs` object
-of `--out`, beside whatever else the file already holds, such as a scale
-sweep of `scripts/scale_sweep.py`.  Exit status: 0 when every run passed
-its correctness checks, 1 when one did not (the record is still written).
+With `--sizes N,N,...`, for each N, each run calls the checkout's own
+`bench/run.py` `main` on one fleet of N devices (`sized_params`), and the
+first run of each side then runs that fleet once more, untimed, to count
+its trace lines and the WBRAC's MPC broadcast lines.  Each N is stored, and
+written before the next N runs, as a pairs record under "<workload> seed
+<seed> N=<N>" that also holds `trace_lines` and `broadcast_lines` per side.
+
+`--out` must be missing or hold a JSON object, checked before any run.
+Exit status: 0 when every run passed its correctness checks, 1 when one did
+not (the record is still written) or `--out` cannot be written, 2 on a
+usage error or an `--out` that holds something else.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import subprocess
@@ -31,6 +42,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# max_time beyond the end of the start window, as in each workload
+SETTLE_MS = {"update-storm": 40_000, "lossy-churn": 55_000, "honest-fleet": 55_000}
+BROADCAST = "AccessParameterMessage"
 
 
 def end_to_end_metrics() -> list[dict]:
@@ -46,16 +60,6 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
-
-
-def resolve_checkouts(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """`--parent` and `--change`, resolved; a usage error when one has no
-    `bench/run.py`."""
-    found = {side: getattr(args, side).resolve() for side in SIDES}
-    for side, checkout in found.items():
-        if not (checkout / "bench" / "run.py").is_file():
-            parser.error(f"--{side} {checkout} has no bench/run.py")
-    return found
 
 
 def alternate(checkouts: dict, argvs: list[list[str]], accept=(0,)):
@@ -76,43 +80,81 @@ def alternate(checkouts: dict, argvs: list[list[str]], accept=(0,)):
             yield i, side, done
 
 
-def read_out(path: Path) -> dict:
-    """The JSON object that `path` holds, or an empty one if it does not exist."""
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        return {}
+def read_record(path: Path) -> dict:
+    """The JSON object that `path` holds.  OSError when it cannot be read,
+    ValueError when it holds anything else or its `pairs` is no object."""
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("it holds no JSON object")
+    if not isinstance(doc.get("pairs", {}), dict):
+        raise ValueError("its pairs are no JSON object")
+    return doc
 
 
-def write_out(path: Path, doc: dict) -> int:
-    """Write `doc` to `path`: 0, or 1 after saying why it could not."""
-    try:
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+def sized_params(fleet, workload: str, devices: int):
+    """The workload's parameters for one fleet of `devices`, with the start
+    window grown in proportion and `max_time` the workload's settling time
+    past it."""
+    base = fleet.WORKLOADS[workload]
+    window = max(1, base.start_window_ms * devices // base.devices)
+    max_time = base.start_at + window + SETTLE_MS[workload]
+    return dataclasses.replace(
+        base, devices=devices, fleets=1, start_window_ms=window, max_time=max_time
+    )
 
 
-def pairs(checkouts: dict, workload: str, seed: int, count: int, seconds: float) -> dict:
-    argv = ["bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+def sized_run(workload: str, seed: str, seconds: str, devices: str, count: str) -> None:
+    """Run `bench/run.py` `main` of the checkout in the working directory,
+    as `pairs` runs `bench/run.py`, on one fleet of `devices`; if `count` is
+    "count", run that fleet once more, untimed, and print its trace and
+    broadcast lines as a last JSON line.  Exit with `main`'s status."""
+    sys.path.insert(0, str(Path.cwd() / "bench"))
+    import fleet
+    import run
+
+    fleet.WORKLOADS[workload] = sized_params(fleet, workload, int(devices))
+    status = run.main(["--workload", workload, "--seed", seed, "--seconds", seconds])
+    if count == "count":
+        import measure
+
+        trace = measure.run_fleet(fleet.generate(workload, int(seed))[0])[1]
+        sent = zip(trace.senders, trace.tags)
+        broadcasts = sum(1 for src, tag in sent if src == "wbrac" and tag == BROADCAST)
+        print(json.dumps({"trace_lines": len(trace.notes), "broadcast_lines": broadcasts}))
+    sys.exit(status)
+
+
+def pairs(
+    checkouts: dict, workload: str, seed: int, count: int, seconds: float, devices=None
+) -> dict:
+    """The pairs record of `count` pairs, of one fleet of `devices` if given."""
+    argvs = [["bench/run.py", "--workload", workload, "--seed", str(seed),
+              "--seconds", str(seconds), "--trace", "0"]] * count
+    if devices is not None:
+        code = (
+            f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            "import bench_pairs; bench_pairs.sized_run(*sys.argv[1:])"
+        )
+        argv = ["-c", code, workload, str(seed), str(seconds), str(devices)]
+        argvs = [argv + ["count" if i == 0 else "-"] for i in range(count)]
     runs = {side: [] for side in SIDES}  # side -> its result lines, in pair order
     env = {}
     # exit 1: a check failed, and the result line is still printed
-    for i, side, done in alternate(checkouts, [argv] * count, accept=(0, 1)):
-        lines = done.stdout.splitlines()
-        result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else {}
-        if "metrics" not in result:
+    for i, side, done in alternate(checkouts, argvs, accept=(0, 1)):
+        printed = {}  # every JSON line of the run, merged
+        for line in done.stdout.splitlines():
+            if line.startswith("{"):
+                printed.update(json.loads(line))
+        if "metrics" not in printed:
             raise RuntimeError(
                 f"the {side} run in {checkouts[side]} printed no result: {done.stderr}"
             )
-        env[side] = json.loads(lines[0])["env"]
-        runs[side].append(result)
-        values = result["metrics"]
+        env[side] = printed["env"]
+        runs[side].append(printed)
+        values = printed["metrics"]
         print(
             f"  pair {i + 1}/{count} {side:6}  setup_s {values['setup_s']['value']:.6f}  "
-            f"run_s {values['run_s']['value']:.6f}  correct {result['correct']}",
+            f"run_s {values['run_s']['value']:.6f}  correct {printed['correct']}",
             flush=True,
         )
     metrics = {}
@@ -128,7 +170,7 @@ def pairs(checkouts: dict, workload: str, seed: int, count: int, seconds: float)
             q1, median, q3 = quartiles(values[side])
             record[side] = {"median": median, "q1": q1, "q3": q3, "runs": values[side]}
         metrics[name] = record
-    return {
+    record = {
         "workload": workload,
         "seed": seed,
         "pairs": count,
@@ -139,6 +181,35 @@ def pairs(checkouts: dict, workload: str, seed: int, count: int, seconds: float)
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "metrics": metrics,
     }
+    for name in ("trace_lines", "broadcast_lines") if devices is not None else ():
+        record[name] = {side: runs[side][0][name] for side in SIDES}
+    return record
+
+
+def print_record(record: dict) -> None:
+    """Each metric's medians and quartiles, and per side the µs per device
+    and per trace line of a sized record (set-up plus run medians over N,
+    run medians over the trace lines)."""
+    for name, metric in record["metrics"].items():
+        parent, change = metric["parent"], metric["change"]
+        print(
+            f"  {name:16} parent {parent['median']:.6g} [{parent['q1']:.6g}, {parent['q3']:.6g}]  "
+            f"change {change['median']:.6g} [{change['q1']:.6g}, {change['q3']:.6g}]  "
+            f"{metric['unit']}, change better in {metric['wins']}/{record['pairs']}"
+        )
+    for side in SIDES if "trace_lines" in record else ():
+        setup_s, run_s = (record["metrics"][m][side]["median"] for m in ("setup_s", "run_s"))
+        devices, lines = record["env"][side]["params"]["devices"], record["trace_lines"][side]
+        print(f"  {side:6} {(setup_s + run_s) * 1e6 / devices:.1f} us/device  "
+              f"{run_s * 1e6 / lines:.3f} us/trace line of {lines}")
+
+
+def sizes(text: str) -> list[int]:
+    """`--sizes`: comma-separated device counts, each at least 1."""
+    counts = [int(n) for n in text.split(",")]
+    if min(counts) < 1:
+        raise ValueError(text)
+    return counts
 
 
 def main(argv=None) -> int:
@@ -149,27 +220,36 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30, help="bench/run.py --seconds")
+    parser.add_argument("--sizes", type=sizes, help="comma-separated N: one fleet of each")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add the pairs to")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
-    checkouts = resolve_checkouts(parser, args)
+    if args.sizes and args.workload not in SETTLE_MS:
+        parser.error(f"--sizes needs a workload of {sorted(SETTLE_MS)}")
+    checkouts = {side: getattr(args, side).resolve() for side in SIDES}
+    for side, checkout in checkouts.items():
+        if not (checkout / "bench" / "run.py").is_file():
+            parser.error(f"--{side} {checkout} has no bench/run.py")
+    try:
+        doc = read_record(args.out) if args.out.exists() else {}
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read --out {args.out}: {exc}")
 
-    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {args.seconds} s", flush=True)
-    record = pairs(checkouts, args.workload, args.seed, args.pairs, args.seconds)
-    for name, metric in record["metrics"].items():
-        parent, change = metric["parent"], metric["change"]
-        print(
-            f"  {name:16} parent {parent['median']:.6g} [{parent['q1']:.6g}, {parent['q3']:.6g}]  "
-            f"change {change['median']:.6g} [{change['q1']:.6g}, {change['q3']:.6g}]  "
-            f"{metric['unit']}, change better in {metric['wins']}/{args.pairs}"
-        )
-
-    doc = read_out(args.out)
-    doc.setdefault("pairs", {})[f"{args.workload} seed {args.seed}"] = record
-    if write_out(args.out, doc):
-        return 1
-    return 0 if all(record["correct"].values()) else 1
+    correct = True
+    for devices in args.sizes or [None]:
+        key = f"{args.workload} seed {args.seed}" + (f" N={devices}" if devices else "")
+        print(f"{key}: {args.pairs} pairs of {args.seconds} s", flush=True)
+        record = pairs(checkouts, args.workload, args.seed, args.pairs, args.seconds, devices)
+        print_record(record)
+        doc.setdefault("pairs", {})[key] = record
+        try:
+            args.out.write_text(json.dumps(doc, indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
+        correct = correct and all(record["correct"].values())
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ the heap when its list is used up.  No event is pushed before `now`
 `ValueError`), so an event pushed at `now`, such as a reply sent with no
 delay while a broadcast is delivered, joins the end of the current list and
 runs after every event already pending at that time.  A queued copy of a
-frame is the list [src, dst, raw, dropped, note, decoded], where decoded is
-(frame, raw[3:]), or None for bytes the adversary made.  A list is the
+frame is the list [src, dst, dropped, note, frame, payload], where payload
+is the frame's encoded bytes after the 3-byte header.  A list is the
 cheapest record to build once per copy (a NamedTuple is built from a
 temporary tuple), and a plain tuple would cost memory instead: CPython's
 free list keeps up to 2,000 dead tuples of each small size, so the 6-tuples
@@ -42,8 +42,12 @@ after the last of them either way.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
-broadcast, a duplicate) shares that pair; frames are frozen.  Only bytes the
-adversary made, a corrupted copy or a replay, are decoded at delivery.
+broadcast, a duplicate) shares that pair; frames are frozen.  Bytes the
+adversary makes are decoded where it makes them, so every queued copy holds
+a frame: a corrupted copy right after its bit is flipped (the bit lies
+inside the payload, whose every value decodes), and a replay when it is
+scheduled, from the bytes captured before any corruption.  An injection
+queues its own frame.  Nothing is decoded at delivery.
 
 What is kept per device, frame or trace line is shared where it can be, as a
 memory saving that no result depends on.  One table, `Simulator.agents`,
@@ -615,17 +619,20 @@ class Simulator:
 
     def send(self, src: str, dst: str, msg: wire.WireMessage) -> None:
         raw = wire.encode(msg)
-        self._transmit(src, dst, raw, (msg, raw[3:]))
+        self._transmit(src, dst, raw, msg, raw[3:])
 
-    def _transmit(self, src: str, dst: str, raw: bytes, decoded: tuple) -> None:
+    def _transmit(
+        self, src: str, dst: str, raw: bytes, frame: wire.WireMessage, payload: bytes
+    ) -> None:
         """Put one encoded frame on the src -> dst link: the adversary's
-        hooks, then the link's drop and duplicate draws.  `decoded` is
-        raw's (frame, payload); a corrupted copy drops it.  It queues the
-        copy itself when its time is already pending, as a broadcast copy at
-        `now` is, and through `_open` when the time is new."""
+        hooks, then the link's drop and duplicate draws.  `frame` and
+        `payload` are raw's frame and its bytes after the header; a
+        corrupted copy replaces both.  It queues the copy itself when its
+        time is already pending, as a broadcast copy at `now` is, and
+        through `_open` when the time is new."""
         note = ""
         if raw[0] in self._hooked_tags:
-            raw, decoded, note = self._adversary_hooks(src, dst, raw, decoded)
+            frame, payload, note = self._adversary_hooks(src, dst, raw, frame, payload)
         link = self._links.get((src, dst), NO_IMPAIRMENT)
         # chance() draws nothing at probability 0; skipping the call there
         # leaves the draws as they were
@@ -634,18 +641,21 @@ class Simulator:
         p = link.dup_prob
         duplicated = p > 0.0 and self.rng.chance(p)
         at = self.now + link.delay_ms
-        item = [src, dst, raw, dropped, note, decoded]
+        item = [src, dst, dropped, note, frame, payload]
         events = self._calendar.get(at)
         if events is None:
             self._open(at, item)
         else:
             events.append(item)
         if duplicated and not dropped:
-            self._push(at, [src, dst, raw, False, "duplicate", decoded])
+            self._push(at, [src, dst, False, "duplicate", frame, payload])
 
-    def _adversary_hooks(self, src: str, dst: str, raw: bytes, decoded: tuple):
+    def _adversary_hooks(
+        self, src: str, dst: str, raw: bytes, frame: wire.WireMessage, payload: bytes
+    ):
         """Capture and corrupt one frame on the send path, as armed; return
-        its (raw, decoded, note) after them."""
+        its (frame, payload, note) after them.  A corrupted copy is decoded
+        here, once, whatever becomes of it on the link."""
         tag = raw[0]
         note = ""
         if tag in self._capture_tags:
@@ -654,11 +664,11 @@ class Simulator:
         for i, action in enumerate(self._corrupt_queue):
             if action.tag == tag:
                 raw = self._flip_payload_bit(raw, action.bit_index)
-                decoded = None
+                frame, payload = wire.decode(raw), raw[3:]
                 del self._corrupt_queue[i]
                 note = (note + " corrupted").strip()
                 break
-        return raw, decoded, note
+        return frame, payload, note
 
     @staticmethod
     def _flip_payload_bit(raw: bytes, bit_index: int) -> bytes:
@@ -693,14 +703,14 @@ class Simulator:
         over a link that draws nothing and of a tag no hook looks at joins a
         burst, and every other copy goes through `_transmit`."""
         raw = wire.encode(frame)
-        decoded = (frame, raw[3:])
+        payload = raw[3:]
         hooked = raw[0] in self._hooked_tags
         links, calendar, now = self._links, self._calendar, self.now
         bursts = {}  # arrival time -> the burst this broadcast queued there last
         for target in targets:
             link = links.get((WBRAC, target), NO_IMPAIRMENT)
             if hooked or link.drop_prob > 0.0 or link.dup_prob > 0.0:
-                self._transmit(WBRAC, target, raw, decoded)
+                self._transmit(WBRAC, target, raw, frame, payload)
                 continue
             at = now + link.delay_ms
             burst = bursts.get(at)
@@ -708,7 +718,7 @@ class Simulator:
             if burst is not None and events[-1] is burst:
                 burst.targets.append(target)
                 continue
-            bursts[at] = burst = _new(_Burst, ([target], frame, decoded[1]))
+            bursts[at] = burst = _new(_Burst, ([target], frame, payload))
             if events is None:
                 self._open(at, burst)
             else:
@@ -745,23 +755,15 @@ class Simulator:
             self.trace.add(self.now, "adversary", "-", "replay", None, "no-op: nothing captured")
             return
         src, dst, raw = self.captured[item.index]
-        self._push(self.now, [src, dst, raw, False, "replayed", None])
+        self._push(self.now, [src, dst, False, "replayed", wire.decode(raw), raw[3:]])
 
     def _on_inject(self, item: Inject) -> None:
-        raw = wire.encode(item.frame)
-        decoded = (item.frame, raw[3:])
-        self._push(self.now, [item.src, item.to, raw, False, "injected", decoded])
+        payload = wire.encode(item.frame)[3:]
+        self._push(self.now, [item.src, item.to, False, "injected", item.frame, payload])
 
     def _on_deliver(self, ev: list) -> None:
-        src, dst, raw, dropped, note, decoded = ev
+        src, dst, dropped, note, msg, payload = ev
         now = self.now
-        if decoded is None:
-            try:
-                decoded = wire.decode(raw), raw[3:]
-            except wire.WireError as exc:
-                self.trace.add(now, src, dst, "?", raw, f"undecodable: {exc}")
-                return
-        msg, payload = decoded
         tag = type(msg).__name__
         agent = None if dropped else self.agents.get(dst)
         if agent is None:

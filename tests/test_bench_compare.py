@@ -138,3 +138,11 @@ def test_a_file_without_pairs_is_an_error():
     done = _compare(ROOT / "BENCH_23.json")
     assert done.returncode == 2
     assert done.stderr == f"error: {ROOT / 'BENCH_23.json'} holds no pairs\n"
+
+
+def test_a_file_that_holds_no_json_object_is_an_error_not_a_regression(tmp_path):
+    out = tmp_path / "record.json"
+    out.write_text("[1, 2]")
+    done = _compare(out)
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot read {out}: it holds no JSON object\n"

@@ -1,8 +1,9 @@
-"""The alternating runner that `scripts/bench_pairs.py` shares with
-`scripts/scale_sweep.py` runs the two sides in ABBA order and refuses a
-run that failed; the pairs, run small with both sides at this checkout,
-write the record that the committed BENCH_24.json, BENCH_25.json and
-BENCH_27.json hold for their parent and change."""
+"""The alternating runner of `scripts/bench_pairs.py` runs the two sides in
+ABBA order and refuses a run that failed; the pairs, run small with both
+sides at this checkout, write the record that the committed BENCH_24.json,
+BENCH_25.json and BENCH_27.json hold for their parent and change, and sized
+pairs write one such record per fleet size, which `scripts/bench_compare.py`
+judges as it judges any pairs."""
 
 import json
 import subprocess
@@ -13,16 +14,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+COMPARE = ROOT / "scripts" / "bench_compare.py"
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import bench_pairs  # noqa: E402
 
 RECORD_KEYS = {"workload", "seed", "pairs", "seconds", "env", "correct", "attempted", "failed", "metrics"}
+SIZED_KEYS = RECORD_KEYS | {"trace_lines", "broadcast_lines"}
 SIDES = {"parent", "change"}
 
 
-def _check_record(record: dict, workload: str, seed: int, pairs: int) -> None:
-    assert set(record) == RECORD_KEYS
+def _check_record(record: dict, workload: str, seed: int, pairs: int, keys=RECORD_KEYS) -> None:
+    assert set(record) == keys
     assert (record["workload"], record["seed"], record["pairs"]) == (workload, seed, pairs)
     for side in SIDES:
         env = record["env"][side]
@@ -94,6 +97,104 @@ def test_one_pair_at_one_checkout_writes_every_key(tmp_path):
     _check_record(record, "update-storm", 1, 1)
     assert record["correct"] == {"parent": True, "change": True}
     assert record["env"]["parent"] == record["env"]["change"]
+
+
+def _pairs(out: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", str(ROOT), "--change", str(ROOT),
+         "--pairs", "1", "--seconds", "0.5", "--out", str(out), *args],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("workload", ["update-storm", "lossy-churn", "honest-fleet"])
+def test_sized_pairs_add_a_record_per_size_beside_the_records_there(tmp_path, workload):
+    out = tmp_path / "sized.json"
+    unsized = json.loads((ROOT / "BENCH_29.json").read_text())["pairs"]["update-storm seed 1"]
+    out.write_text(json.dumps({"pairs": {"update-storm seed 1": unsized}}))
+    done = _pairs(out, "--workload", workload, "--sizes", "1,100")
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(out.read_text())
+    keys = [f"{workload} seed 1 N={n}" for n in (1, 100)]
+    assert list(doc["pairs"]) == ["update-storm seed 1", *keys]
+    assert doc["pairs"]["update-storm seed 1"] == unsized
+    records = [doc["pairs"][key] for key in keys]
+    for n, record in zip((1, 100), records):
+        _check_record(record, workload, 1, 1, SIZED_KEYS)
+        assert record["correct"] == {"parent": True, "change": True}
+        for side in SIDES:
+            params = record["env"][side]["params"]
+            assert (params["devices"], params["fleets"]) == (n, 1)
+        assert record["trace_lines"]["parent"] == record["trace_lines"]["change"]
+        assert record["broadcast_lines"]["parent"] == record["broadcast_lines"]["change"]
+    trace_lines = [record["trace_lines"]["change"] for record in records]
+    broadcast_lines = [record["broadcast_lines"]["change"] for record in records]
+    if workload == "update-storm":
+        assert broadcast_lines == [1, 1]  # the one rotation, to map-1
+    elif workload == "honest-fleet":
+        # in-sync GUIDs: no broadcast, and three frames per device
+        assert broadcast_lines == [0, 0]
+        assert trace_lines == [3, 300]
+        assert [r["env"]["change"]["params"]["max_time"] for r in records] == [55_002, 55_250]
+    else:
+        # each MPC broadcast reaches map-1 and every device
+        assert [b % (n + 1) for b, n in zip(broadcast_lines, (1, 100))] == [0, 0]
+        assert all(0 < b < t for b, t in zip(broadcast_lines, trace_lines))
+    # judged as any pairs are: a verdict on each size, though one A/A pair is noise
+    compared = subprocess.run(
+        [sys.executable, str(COMPARE), str(out)], capture_output=True, text=True, timeout=60
+    )
+    assert compared.returncode in (0, 1), compared.stderr
+    for key in keys:
+        assert f"sized.json: {key}, 1 pairs\n" in compared.stdout
+
+
+@pytest.mark.parametrize("sizes", ["0", "x", "1,,2"])
+def test_sizes_must_be_positive_integers(tmp_path, sizes):
+    done = _pairs(tmp_path / "sized.json", "--workload", "update-storm", "--sizes", sizes)
+    assert done.returncode == 2
+    assert f"argument --sizes: invalid sizes value: {sizes!r}" in done.stderr
+    assert not (tmp_path / "sized.json").exists()
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("[1, 2]", "it holds no JSON object"),
+        ('{"pairs": [1, 2]}', "its pairs are no JSON object"),
+        (None, "Is a directory"),
+    ],
+)
+def test_an_out_file_that_holds_no_record_fails_before_any_run(tmp_path, content, reason):
+    out = tmp_path / "record.json"
+    if content is None:
+        out.mkdir()
+    else:
+        out.write_text(content)
+    done = _pairs(out, "--workload", "update-storm")
+    assert done.returncode == 2
+    assert f"error: cannot read --out {out}: " in done.stderr and reason in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert content is None or out.read_text() == content
+
+
+def test_each_size_is_written_before_the_next_one_runs(tmp_path, monkeypatch):
+    record = json.loads((ROOT / "BENCH_29.json").read_text())["pairs"]["update-storm seed 1"]
+    record["trace_lines"] = record["broadcast_lines"] = {"parent": 3, "change": 3}
+
+    def pairs(checkouts, workload, seed, count, seconds, devices):
+        if devices == 6_000:
+            raise RuntimeError("the parent run crashed")
+        return record
+
+    monkeypatch.setattr(bench_pairs, "pairs", pairs)
+    out = tmp_path / "sized.json"
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "lossy-churn",
+            "--sizes", "300,6000", "--out", str(out)]
+    with pytest.raises(RuntimeError, match="the parent run crashed"):
+        bench_pairs.main(argv)
+    assert json.loads(out.read_text()) == {"pairs": {"lossy-churn seed 1 N=300": record}}
 
 
 def test_committed_record_holds_the_claimed_and_the_other_workloads():

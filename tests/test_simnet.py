@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import heapq
 import math
 import re
@@ -413,6 +414,31 @@ def test_hooks_capture_every_armed_frame_and_corrupt_only_the_queued_ones():
     others = [e.note for e in entries if id(e) not in hooked]
     assert not [n for n in others if "captured" in n or "corrupted" in n]
     assert any(e.tag == "AccessParameterMessage" for e in entries)
+
+
+def test_adversary_bytes_are_decoded_once_where_they_are_made(monkeypatch):
+    # the corrupted SecureActivation is duplicated on its link and the
+    # captured AuthRequest is replayed: the duplicate shares the corrupted
+    # copy's frame, so one decode each for the corruption and the replay
+    decoded = []
+    decode = wire.decode
+    monkeypatch.setattr(wire, "decode", lambda raw: decoded.append(raw[0]) or decode(raw))
+    sc = honest_scenario()
+    sc.links[("icd-1", MAP)] = LinkModel(dup_prob=1.0)
+    sc.adversary = [
+        CorruptBit(wire.SecureActivation.TAG, 5),
+        CaptureMatching(wire.AuthRequest.TAG),
+        ReplayCaptured(0, at=100),
+    ]
+    trace = sim_run(sc, seed=0)
+    assert decoded == [wire.SecureActivation.TAG, wire.AuthRequest.TAG]
+    # the trace of the same run when every adversary copy was decoded at delivery
+    digest = hashlib.sha256(trace.serialize().encode()).hexdigest()
+    assert digest == "ac58319834ddc028ff0626cd17f34d052381641d814440edf3d253a5dd0730f0"
+    assert [e.note for e in trace.entries if e.tag == "SecureActivation"] == [
+        "corrupted activation -> -",
+        "duplicate activation -> -",
+    ]
 
 
 def test_replay_of_nothing_is_recorded_noop():

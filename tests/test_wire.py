@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wgiot import wire
+from wgiot import simnet, wire
 
 
 def random_message(r: random.Random) -> wire.WireMessage:
@@ -173,6 +173,16 @@ def test_generated_encoder_rejects_a_wrong_length_field(msg, data):
         wire.encode(bad)
     assert type(exc.value) is wire.WireError
     assert str(exc.value) == f"{name} must be {size} bytes, got {len(wrong)}"
+
+
+@given(frames([cls for cls in wire.MESSAGE_TYPES if cls.SIZE]), st.data())
+def test_a_flipped_payload_bit_decodes_to_a_frame_of_the_same_type(msg, data):
+    # the simulator decodes a corrupted copy where it flips the bit
+    bit = data.draw(st.integers(0, 8 * type(msg).SIZE - 1))
+    flipped = simnet.Simulator._flip_payload_bit(wire.encode(msg), bit)
+    frame = wire.decode(flipped)
+    assert type(frame) is type(msg)
+    assert wire.encode(frame) == flipped
 
 
 def _int_fields(cls) -> list[tuple[str, int]]:
