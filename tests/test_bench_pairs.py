@@ -232,3 +232,28 @@ def test_committed_single_check_record_holds_two_seeds_of_the_claimed_workload()
         assert record["failed"] == {"parent": 0, "change": 0}
         env = record["env"]
         assert env["parent"]["git_revision"] != env["change"]["git_revision"]
+
+
+def test_committed_sized_record_holds_every_workload_and_three_lossy_churn_sizes():
+    doc = json.loads((ROOT / "BENCH_30.json").read_text())
+    sizes = [300, 1_500, 6_000]
+    assert list(doc) == ["pairs"]
+    assert list(doc["pairs"]) == [
+        "honest-fleet seed 1",
+        "update-storm seed 1",
+        "lossy-churn seed 1",
+        *(f"lossy-churn seed 1 N={n}" for n in sizes),
+    ]
+    for key, record in doc["pairs"].items():
+        workload = key.split()[0]
+        sized = "N=" in key
+        _check_record(record, workload, 1, 5, SIZED_KEYS if sized else RECORD_KEYS)
+        assert record["seconds"] == (10 if sized else 30)
+        assert record["correct"] == {"parent": True, "change": True}
+        assert record["failed"] == {"parent": 0, "change": 0}
+        env = record["env"]
+        assert env["parent"]["git_revision"] != env["change"]["git_revision"]
+    for n in sizes:
+        record = doc["pairs"][f"lossy-churn seed 1 N={n}"]
+        assert record["env"]["change"]["params"]["devices"] == n
+        assert record["trace_lines"]["parent"] == record["trace_lines"]["change"]
