@@ -14,8 +14,10 @@ and the metric's bound, with a verdict:
   more than the distance between the parent's quartiles;
 - `regression`: the change's median is worse than the parent's by more
   than the bound, a fraction of the parent's median;
-- `exact`: otherwise, when every run of each side gave the same value, so
-  the ratio is the whole change and no spread exists for a gain to clear;
+- `exact`: otherwise, when each side has at least two runs and every run
+  of each side gave the same value, so the ratio is the whole change and
+  no spread exists for a gain to clear (one run per side shows no spread
+  either way);
 - `within bound` otherwise.
 
 Before the metrics it prints each side's failed and attempted fleet runs
@@ -51,7 +53,8 @@ def verdict(record: dict, metric: dict) -> str:
     gap = sign * (change["median"] - parent["median"])  # > 0: the change is better
     if gap < 0 and -gap > metric["bound"] * abs(parent["median"]):
         return "regression"
-    if all(min(side["runs"]) == max(side["runs"]) for side in (parent, change)):
+    runs = [side["runs"] for side in (parent, change)]
+    if all(len(values) > 1 and min(values) == max(values) for values in runs):
         return "exact"
     won = pairs >= GAIN_PAIRS and measured["wins"] >= GAIN_SHARE * pairs
     if won and gap > parent["q3"] - parent["q1"]:

@@ -24,7 +24,9 @@ its trace lines and the WBRAC's MPC broadcast lines.  Each N is stored, and
 written before the next N runs, as a pairs record under "<workload> seed
 <seed> N=<N>" that also holds `trace_lines` and `broadcast_lines` per side.
 
-`--out` must be missing or hold a JSON object, checked before any run.
+`--workload` must be a workload that each checkout's `BENCHMARK.json`
+declares, and `--out` must be missing or hold a JSON object, both checked
+before any run.
 Exit status: 0 when every run passed its correctness checks, 1 when one did
 not (the record is still written) or `--out` cannot be written, 2 on a
 usage error or an `--out` that holds something else.
@@ -50,6 +52,11 @@ BROADCAST = "AccessParameterMessage"
 def end_to_end_metrics() -> list[dict]:
     """The end-to-end metrics `BENCHMARK.json` declares: name, unit, better, bound."""
     return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def workload_names(checkout: Path) -> list[str]:
+    """The workloads that the checkout's `BENCHMARK.json` declares."""
+    return [w["name"] for w in json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -231,6 +238,15 @@ def main(argv=None) -> int:
     for side, checkout in checkouts.items():
         if not (checkout / "bench" / "run.py").is_file():
             parser.error(f"--{side} {checkout} has no bench/run.py")
+        try:
+            known = workload_names(checkout)
+        except (OSError, ValueError, KeyError) as exc:
+            parser.error(f"--{side} {checkout}: cannot read the workloads of BENCHMARK.json: {exc}")
+        if args.workload not in known:
+            parser.error(
+                f"--workload {args.workload} is not a workload of --{side} {checkout}; "
+                f"known workloads: {', '.join(known)}"
+            )
     try:
         doc = read_record(args.out) if args.out.exists() else {}
     except (OSError, ValueError) as exc:

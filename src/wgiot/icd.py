@@ -4,6 +4,9 @@ The device initiates activation, assembles its GUID, answers update-value
 and unique-challenge flows, and enforces the 1 s confirmation timer.  The
 new service data computed during an update is committed exactly once (on a
 matching confirmation order) or discarded exactly once (mismatch/timeout).
+An authenticated device's session key is derived from its SD when it is
+read (`IcdAgent.session`), not when the device is accepted: nothing in a run
+reads it, since the simulator models no data phase.
 Its dispatch tables say which frames it obeys from which sender (frames.md
 lists them; see agent.py).
 """
@@ -28,7 +31,7 @@ from .wire import value
 CONFIRM_TIMEOUT_MS = 1000  # confirmation order must arrive within 1 s of the ack
 
 # The device's fixed results, shared (see agent.py).
-AUTHENTICATED = Transition(note="authenticated")
+AUTH_ACCEPTED = Transition(note="authenticated")
 UPDATE_TIMEOUT = Transition(note="update-timeout")
 NOTHING = Transition()  # a tick that finds nothing to do
 
@@ -63,7 +66,12 @@ class UpdateAwaitingConfirmation:
 
 @value
 class Authenticated:
-    session: bytes
+    """Accepted by the access point.  The state holds no session key:
+    `IcdAgent.session` derives it from `cfg.sd` when read.  That is the SD
+    the device authenticated under, since `cfg.sd` changes only on the
+    commit of an update flow, which leaves the device `AwaitingAuthResult`
+    until it is accepted again."""
+
     name = "Authenticated"
 
 
@@ -75,6 +83,7 @@ class Denied:
 # The states without fields, one shared instance each.
 IDLE = Idle()
 AWAITING_AUTH_RESULT = AwaitingAuthResult()
+AUTHENTICATED = Authenticated()
 DENIED = Denied()
 # Every state's name; a scenario's `reaches` may expect any of them of a device.
 STATE_NAMES = frozenset(
@@ -115,6 +124,15 @@ class IcdAgent:
     def state_name(self) -> str:
         return self.state.name
 
+    @property
+    def session(self) -> bytes | None:
+        """The session key, from SD2 of the SD the device authenticated
+        under, while it is `Authenticated`; None in any other state.  Each
+        read derives it again."""
+        if isinstance(self.state, Authenticated):
+            return crypto.derive_session_key(self.cfg.sd)
+        return None
+
     def _auth_request(self) -> wire.AuthRequest:
         cfg = self.cfg
         aac = crypto.authenticate_signature(cfg.sd, cfg.esn, cfg.icd_in, cfg.sc_auth_k)
@@ -154,8 +172,8 @@ class IcdAgent:
 
     def _on_auth_accept(self, sender: str, msg: wire.AuthAccept, now: int) -> Transition:
         if isinstance(self.state, AwaitingAuthResult):
-            self.state = Authenticated(crypto.derive_session_key(self.cfg.sd))
-            return AUTHENTICATED
+            self.state = AUTHENTICATED
+            return AUTH_ACCEPTED
         return unexpected(self.state_name, msg)
 
     def _on_update_order(self, sender: str, msg: wire.UpdateOrder, now: int) -> Transition:

@@ -73,17 +73,18 @@ device's config share; the row's 32-byte WGIE key is checked and kept in
 the row, and no agent holds it.  A device's RMC is its row's `rmc` packed
 into 16 bytes once, one object that the device's config and the access
 point's `MapRecord` share, as do all rows with an equal `rmc`.  Derived
-values (AAC, AUTH_SIGN_MAP, session key) are plain `bytes`.  The frozen
+values (AAC, AUTH_SIGN_MAP) are plain `bytes`; a device's session key is
+derived only when read (`IcdAgent.session`), so no run holds one.  The frozen
 values (frames, link models, registry rows, scheduled and adversary items,
 device states) are built through `wire.value`, whose `__init__` stores each
 field straight into its slot.  The frames, the scenario items, `Scenario`,
 the device's states and `IcdConfig`, `IcdAgent`, the access point's
 `MapRecord`, the WBRAC's `SubscriberRecord`/`MpcSchedule`
 and `Trace` are slotted, with no per-instance attribute dict; the device
-states without fields (`Idle`, `AwaitingAuthResult`, `Denied`) are one
-shared instance each, as is each agent result that is only a fixed note
-(see `agent.Transition`).  The adversary's capture and corrupt hooks run on
-the send path only for frames of an armed tag.
+states without fields (`Idle`, `AwaitingAuthResult`, `Authenticated`,
+`Denied`) are one shared instance each, as is each agent result that is
+only a fixed note (see `agent.Transition`).  The adversary's capture and
+corrupt hooks run on the send path only for frames of an armed tag.
 """
 
 from __future__ import annotations

@@ -74,6 +74,33 @@ def test_a_zero_spread_change_is_exact_not_a_gain():
     assert doc["pairs"]["honest-fleet seed 1"]["metrics"]["peak_mem_mb"]["wins"] == 10
 
 
+def test_a_one_pair_record_reads_no_metric_as_exact(tmp_path):
+    """One run per side shows no spread, so a 1-pair A/A record whose
+    set-up ratio is 1.2443 is within bound, not exact; nor is a metric whose
+    two runs are equal."""
+    doc = json.loads((ROOT / "BENCH_30.json").read_text())
+    record = copy.deepcopy(doc["pairs"]["update-storm seed 1"])
+    record["pairs"] = 1
+    for measured in record["metrics"].values():
+        for side in ("parent", "change"):
+            value = measured[side]["median"]
+            measured[side] = {"median": value, "q1": value, "q3": value, "runs": [value]}
+        measured["wins"] = 0
+    setup_s = record["metrics"]["setup_s"]
+    parent = setup_s["parent"]["median"]
+    change = 1.2443 * parent
+    setup_s["change"] = {"median": change, "q1": change, "q3": change, "runs": [change]}
+    out = tmp_path / "one-pair.json"
+    out.write_text(json.dumps({"pairs": {"update-storm seed 1": record}}))
+    done = _compare(out)
+    assert done.returncode == 0, done.stderr
+    assert "ratio 1.2443" in done.stdout
+    verdicts = _verdicts(done.stdout)
+    assert verdicts["update-storm seed 1", "setup_s"] == "within bound"
+    assert verdicts["update-storm seed 1", "auth_ok_ratio"] == "within bound"
+    assert "exact" not in verdicts.values()
+
+
 def test_a_change_worse_than_its_bound_exits_1(tmp_path):
     doc = json.loads((ROOT / "BENCH_24.json").read_text())
     record = copy.deepcopy(doc["pairs"]["update-storm seed 1"])

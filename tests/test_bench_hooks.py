@@ -8,6 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
+import prf_oracle  # noqa: E402
 import spans  # noqa: E402
 from conftest import make_subscriber  # noqa: E402
 from test_trace_digests import impaired_broadcasts, lossy_broadcasts  # noqa: E402
@@ -30,6 +31,25 @@ def test_access_point_splits_each_guid_through_decompose_guid():
         simnet.Simulator(scenario, seed=0).run()
     calls = tracer.calls
     assert calls["crypto.decompose_guid"] == calls["access_point.verify"] > 0
+
+
+def test_a_run_derives_no_session_key_and_each_read_derives_one():
+    """Nothing in a run reads a device's session key, so the run derives
+    none; each read of `session` then derives it once, through the wrapped
+    name."""
+    scenario = simnet.Scenario(
+        subscribers=[make_subscriber(i, icd_in=i) for i in (1, 2, 3)],
+        schedule=[simnet.StartIcd(f"icd-{i}", at=0) for i in (1, 2, 3)],
+    )
+    tracer = spans.Tracer()
+    with tracer.installed():
+        sim = simnet.Simulator(scenario, seed=0)
+        sim.run()
+        assert tracer.calls["crypto.derive_session_key"] == 0
+        for reads, device in enumerate(sim.icds.values(), 1):
+            assert device.state_name == "Authenticated"
+            assert device.session == prf_oracle.session_key(device.cfg.sd[8:])
+            assert tracer.calls["crypto.derive_session_key"] == reads
 
 
 def _shared_results() -> dict[str, Transition]:

@@ -179,6 +179,24 @@ def test_an_out_file_that_holds_no_record_fails_before_any_run(tmp_path, content
     assert content is None or out.read_text() == content
 
 
+def test_an_unknown_workload_is_a_usage_error_before_any_run(tmp_path, monkeypatch, capsys):
+    def run(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "nope", "--out", str(out)]
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main(argv)
+    assert exited.value.code == 2
+    known = ", ".join(bench_pairs.workload_names(ROOT))
+    assert known == "honest-fleet, update-storm, lossy-churn"
+    err = capsys.readouterr().err
+    assert f"error: --workload nope is not a workload of --parent {ROOT}; " in err
+    assert err.endswith(f"known workloads: {known}\n")
+    assert not out.exists()
+
+
 def test_each_size_is_written_before_the_next_one_runs(tmp_path, monkeypatch):
     record = json.loads((ROOT / "BENCH_29.json").read_text())["pairs"]["update-storm seed 1"]
     record["trace_lines"] = record["broadcast_lines"] = {"parent": 3, "change": 3}

@@ -13,7 +13,7 @@ import pytest
 from wgiot import wire
 from wgiot.access_point import AWAITING_RESPONSE
 from wgiot.icd import (
-    Authenticated,
+    AUTHENTICATED,
     AwaitingAuthResult,
     Denied,
     Idle,
@@ -87,7 +87,7 @@ def icd_states(r: random.Random):
         AwaitingAuthResult(),
         UpdateAwaitingAck(sd, sign),
         UpdateAwaitingConfirmation(sd, sign, deadline=1000),
-        Authenticated(r.randbytes(16)),
+        AUTHENTICATED,
         Denied(),
     ]
 

@@ -1,11 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 
 import prf_oracle
+from conftest import make_subscriber
 from wgiot import crypto, wire
 from wgiot.agent import NotIdle
 from wgiot.icd import (
+    AUTHENTICATED,
     CONFIRM_TIMEOUT_MS,
     Authenticated,
     AwaitingAuthResult,
@@ -17,7 +20,8 @@ from wgiot.icd import (
     UpdateAwaitingConfirmation,
 )
 from wgiot.rng import SimRng
-from wgiot.simnet import SubscriberSpec
+from wgiot.scenario import load_scenario
+from wgiot.simnet import Scenario, Simulator, StartIcd, SubscriberSpec
 
 ESN = 0x1111
 ICD_IN = 0x2222
@@ -84,7 +88,43 @@ def test_auth_accept_derives_session_key():
     agent.start(0)
     agent.handle("map-1", wire.AuthAccept(), 5)
     assert isinstance(agent.state, Authenticated)
-    assert agent.state.session == prf_oracle.session_key(agent.cfg.sd[8:])
+    assert agent.session == prf_oracle.session_key(agent.cfg.sd[8:])
+
+
+def test_the_session_key_derives_from_the_committed_sd():
+    """update.scn commits a new SD and then re-authenticates: the session
+    key is the committed SD's, which the WBRAC holds too, not the
+    registry row's."""
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "update.scn")
+    sim = Simulator(scenario, seed=0)
+    trace = sim.run()
+    agent = sim.icds["icd-1"]
+    assert trace.frame_count("UpdateConfirmation") > 0 and agent.state is AUTHENTICATED
+    row_sd = scenario.subscribers[0].sd
+    assert agent.cfg.sd == sim.wbrac.registry[agent.cfg.icd_in].sd != row_sd
+    assert agent.session == prf_oracle.session_key(agent.cfg.sd[8:])
+    assert agent.session != prf_oracle.session_key(row_sd[8:])
+
+
+def test_every_authenticated_device_holds_the_one_shared_state():
+    subscribers = [make_subscriber(seed=k, icd_in=k) for k in (1, 2, 3)]
+    schedule = [StartIcd(f"icd-{k}", at=0) for k in (1, 2, 3)]
+    sim = Simulator(Scenario(subscribers=subscribers, schedule=schedule), seed=0)
+    sim.run()
+    assert [agent.state is AUTHENTICATED for agent in sim.icds.values()] == [True] * 3
+
+
+def test_the_session_key_is_none_in_every_other_state():
+    agent = make_agent()
+    assert agent.state_name == "Idle" and agent.session is None
+    agent.start(0)
+    assert agent.state_name == "AwaitingAuthResult" and agent.session is None
+    agent.handle("map-1", wire.UpdateOrder(bytes(16), packed_rmc(0)), 0)
+    assert agent.state_name == "UpdateAwaitingAck" and agent.session is None
+    agent.handle("map-1", wire.ChallengeAck(), 0)
+    assert agent.state_name == "UpdateAwaitingConfirmation" and agent.session is None
+    agent.handle("map-1", wire.AccessDenied(1), 0)
+    assert agent.state_name == "Denied" and agent.session is None
 
 
 def test_access_parameter_and_update_order_bookkeeping():
