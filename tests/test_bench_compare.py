@@ -58,6 +58,15 @@ def test_the_committed_single_check_gain_reads_as_a_gain_at_both_seeds():
     assert "regression" not in verdicts.values()
 
 
+def test_the_committed_deferred_session_key_gain_reads_as_a_gain_at_both_seeds():
+    done = _compare(ROOT / "BENCH_31.json")
+    assert done.returncode == 0, done.stderr
+    verdicts = _verdicts(done.stdout)
+    for seed in (1, 7):
+        assert verdicts[f"honest-fleet seed {seed}", "run_s"] == "gain"
+    assert "regression" not in verdicts.values()
+
+
 def test_a_zero_spread_change_is_exact_not_a_gain():
     """Every run of each side gives one peak_mem_mb, and the change's is
     0.002 % lower, in ten pairs of ten won: exact, since a parent with no

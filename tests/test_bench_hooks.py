@@ -36,7 +36,7 @@ def test_access_point_splits_each_guid_through_decompose_guid():
 def test_a_run_derives_no_session_key_and_each_read_derives_one():
     """Nothing in a run reads a device's session key, so the run derives
     none; each read of `session` then derives it once, through the wrapped
-    name."""
+    name.  Every accepted device holds the one shared `Authenticated`."""
     scenario = simnet.Scenario(
         subscribers=[make_subscriber(i, icd_in=i) for i in (1, 2, 3)],
         schedule=[simnet.StartIcd(f"icd-{i}", at=0) for i in (1, 2, 3)],
@@ -47,7 +47,7 @@ def test_a_run_derives_no_session_key_and_each_read_derives_one():
         sim.run()
         assert tracer.calls["crypto.derive_session_key"] == 0
         for reads, device in enumerate(sim.icds.values(), 1):
-            assert device.state_name == "Authenticated"
+            assert device.state is icd.AUTHENTICATED
             assert device.session == prf_oracle.session_key(device.cfg.sd[8:])
             assert tracer.calls["crypto.derive_session_key"] == reads
 

@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 import prf_oracle
-from conftest import make_subscriber
 from wgiot import crypto, wire
 from wgiot.agent import NotIdle
 from wgiot.icd import (
@@ -21,7 +20,7 @@ from wgiot.icd import (
 )
 from wgiot.rng import SimRng
 from wgiot.scenario import load_scenario
-from wgiot.simnet import Scenario, Simulator, StartIcd, SubscriberSpec
+from wgiot.simnet import Simulator, SubscriberSpec
 
 ESN = 0x1111
 ICD_IN = 0x2222
@@ -104,14 +103,6 @@ def test_the_session_key_derives_from_the_committed_sd():
     assert agent.cfg.sd == sim.wbrac.registry[agent.cfg.icd_in].sd != row_sd
     assert agent.session == prf_oracle.session_key(agent.cfg.sd[8:])
     assert agent.session != prf_oracle.session_key(row_sd[8:])
-
-
-def test_every_authenticated_device_holds_the_one_shared_state():
-    subscribers = [make_subscriber(seed=k, icd_in=k) for k in (1, 2, 3)]
-    schedule = [StartIcd(f"icd-{k}", at=0) for k in (1, 2, 3)]
-    sim = Simulator(Scenario(subscribers=subscribers, schedule=schedule), seed=0)
-    sim.run()
-    assert [agent.state is AUTHENTICATED for agent in sim.icds.values()] == [True] * 3
 
 
 def test_the_session_key_is_none_in_every_other_state():
