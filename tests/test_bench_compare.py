@@ -110,6 +110,26 @@ def test_a_one_pair_record_reads_no_metric_as_exact(tmp_path):
     assert "exact" not in verdicts.values()
 
 
+def test_a_two_pair_record_whose_runs_repeat_reads_every_metric_as_exact(tmp_path):
+    """Two runs per side are the fewest that show no spread: each metric
+    whose runs repeat on each side reads exact, whatever its ratio."""
+    doc = json.loads((ROOT / "BENCH_30.json").read_text())
+    record = copy.deepcopy(doc["pairs"]["update-storm seed 1"])
+    record["pairs"] = 2
+    for measured in record["metrics"].values():
+        for side in ("parent", "change"):
+            value = measured[side]["median"]
+            measured[side] = {"median": value, "q1": value, "q3": value, "runs": [value, value]}
+        measured["wins"] = 0
+    out = tmp_path / "two-pairs.json"
+    out.write_text(json.dumps({"pairs": {"update-storm seed 1": record}}))
+    done = _compare(out)
+    assert done.returncode == 0, done.stderr
+    verdicts = _verdicts(done.stdout)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {verdicts["update-storm seed 1", metric["name"]] for metric in declared} == {"exact"}
+
+
 def test_a_change_worse_than_its_bound_exits_1(tmp_path):
     doc = json.loads((ROOT / "BENCH_24.json").read_text())
     record = copy.deepcopy(doc["pairs"]["update-storm seed 1"])

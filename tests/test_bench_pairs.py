@@ -197,6 +197,58 @@ def test_an_unknown_workload_is_a_usage_error_before_any_run(tmp_path, monkeypat
     assert not out.exists()
 
 
+def _fake_checkout(path: Path, declared: str | None) -> Path:
+    """A checkout with a bench/run.py and, unless None, this BENCHMARK.json."""
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text("")
+    if declared is not None:
+        (path / "BENCHMARK.json").write_text(declared)
+    return path
+
+
+def test_a_workload_the_parent_does_not_declare_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """Each checkout is asked for its own workloads: one that only the
+    change declares fails on the parent, before any run."""
+    def run(*args, **kwargs):
+        raise AssertionError("a subprocess was started")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    declared = json.dumps({"workloads": [{"name": "honest-fleet"}]})
+    parent = _fake_checkout(tmp_path / "parent", declared)
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(parent), "--change", str(ROOT), "--workload", "update-storm"]
+    argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: --workload update-storm is not a workload of --parent {parent}; " in err
+    assert err.endswith("known workloads: honest-fleet\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "declared, reason",
+    [
+        (None, "No such file or directory"),
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"end_to_end": []}', "'workloads'"),
+    ],
+)
+def test_a_change_whose_workloads_cannot_be_read_is_a_usage_error(tmp_path, declared, reason):
+    change = _fake_checkout(tmp_path / "change", declared)
+    out = tmp_path / "pairs.json"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", str(ROOT), "--change", str(change),
+         "--workload", "update-storm", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert f"error: --change {change}: cannot read the workloads of BENCHMARK.json: " in done.stderr
+    assert reason in done.stderr and "Traceback" not in done.stderr and done.stdout == ""
+    assert not out.exists()
+
+
 def test_each_size_is_written_before_the_next_one_runs(tmp_path, monkeypatch):
     record = json.loads((ROOT / "BENCH_29.json").read_text())["pairs"]["update-storm seed 1"]
     record["trace_lines"] = record["broadcast_lines"] = {"parent": 3, "change": 3}

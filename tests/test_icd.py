@@ -8,6 +8,7 @@ from wgiot import crypto, wire
 from wgiot.agent import NotIdle
 from wgiot.icd import (
     AUTHENTICATED,
+    AWAITING_AUTH_RESULT,
     CONFIRM_TIMEOUT_MS,
     Authenticated,
     AwaitingAuthResult,
@@ -103,6 +104,33 @@ def test_the_session_key_derives_from_the_committed_sd():
     assert agent.cfg.sd == sim.wbrac.registry[agent.cfg.icd_in].sd != row_sd
     assert agent.session == prf_oracle.session_key(agent.cfg.sd[8:])
     assert agent.session != prf_oracle.session_key(row_sd[8:])
+
+
+def test_an_update_while_authenticated_keys_the_next_session_from_the_committed_sd():
+    """An update order ends the session; the key is back only once the
+    device is accepted again, and then from the committed SD."""
+    agent = make_agent()
+    agent.start(0)
+    agent.handle("map-1", wire.AuthAccept(), 5)
+    old_key = agent.session
+    assert old_key == prf_oracle.session_key(agent.cfg.sd[8:])
+    sd_new, local_sign = drive_to_confirmation(agent, rand=b"\x42" * 16, t0=10)
+    assert agent.session is None
+    agent.handle("map-1", wire.MapChallengeResponseOrder(local_sign), 20)
+    assert agent.state is AWAITING_AUTH_RESULT and agent.session is None
+    agent.handle("map-1", wire.AuthAccept(), 30)
+    assert agent.state is AUTHENTICATED and agent.cfg.sd == sd_new
+    assert agent.session == prf_oracle.session_key(sd_new[8:]) != old_key
+
+
+def test_a_second_accept_is_unexpected_and_keeps_the_session_key():
+    agent = make_agent()
+    agent.start(0)
+    agent.handle("map-1", wire.AuthAccept(), 5)
+    key = agent.session
+    result = agent.handle("map-1", wire.AuthAccept(), 6)
+    assert result.out == [] and result.note == "unexpected AuthAccept in Authenticated"
+    assert agent.state is AUTHENTICATED and agent.session == key
 
 
 def test_the_session_key_is_none_in_every_other_state():
