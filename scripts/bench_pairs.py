@@ -44,8 +44,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-# max_time beyond the end of the start window, as in each workload
-SETTLE_MS = {"update-storm": 40_000, "lossy-churn": 55_000, "honest-fleet": 55_000}
 BROADCAST = "AccessParameterMessage"
 
 
@@ -100,11 +98,11 @@ def read_record(path: Path) -> dict:
 
 def sized_params(fleet, workload: str, devices: int):
     """The workload's parameters for one fleet of `devices`, with the start
-    window grown in proportion and `max_time` the workload's settling time
-    past it."""
+    window grown in proportion and `max_time` moved with the window's end,
+    so that a fleet of the workload's own size runs as the workload does."""
     base = fleet.WORKLOADS[workload]
     window = max(1, base.start_window_ms * devices // base.devices)
-    max_time = base.start_at + window + SETTLE_MS[workload]
+    max_time = base.max_time - base.start_window_ms + window
     return dataclasses.replace(
         base, devices=devices, fleets=1, start_window_ms=window, max_time=max_time
     )
@@ -232,8 +230,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
-    if args.sizes and args.workload not in SETTLE_MS:
-        parser.error(f"--sizes needs a workload of {sorted(SETTLE_MS)}")
     checkouts = {side: getattr(args, side).resolve() for side in SIDES}
     for side, checkout in checkouts.items():
         if not (checkout / "bench" / "run.py").is_file():

@@ -1,8 +1,9 @@
 """Shared plumbing for the three protocol agents.
 
-The topology is fixed and named here once: the WBRAC is the agent WBRAC, the
-access point is MAP, and the devices are icd-<n>.  Every agent (IcdAgent,
-MapAgent, WbracService) offers the same interface:
+The topology is fixed and named here once: one network, whose WBRAC is the
+agent WBRAC and has the 64-bit network identifier WBRAC_ID, one access
+point, MAP, and the devices, icd-<n>.  Every agent (IcdAgent, MapAgent,
+WbracService) offers the same interface:
 
 - state_name: a short name of its current state, written to the trace;
 - handle(sender, msg, now) -> Transition: feed one delivered frame;
@@ -37,6 +38,8 @@ from types import MappingProxyType
 from . import wire
 
 WBRAC = "wbrac"  # the authentication center's agent name
+# the network identifier; a unique challenge signs its low 16 bits
+WBRAC_ID = 0x5747_0000_0000_0001
 MAP = "map-1"  # the access point's agent name
 NO_HANDLERS = MappingProxyType({})  # the table of a sender an agent does not obey
 

@@ -22,6 +22,7 @@ from .agent import (
     NO_HANDLERS,
     RMC_INCREMENTED,
     WBRAC,
+    WBRAC_ID,
     NotIdle,
     Transition,
     unexpected,
@@ -107,7 +108,6 @@ class IcdConfig:
     sd: bytes
     mpc: bytes
     rmc: bytes
-    wbrac_id: int  # provisioned 64-bit network identifier for unique challenges
 
 
 class IcdAgent:
@@ -223,7 +223,7 @@ class IcdAgent:
 
     def _on_challenge(self, sender: str, msg: wire.AuthenticationChallenge, now: int) -> Transition:
         cfg = self.cfg
-        composite = crypto.compose_unique_challenge(msg.wmap, cfg.wbrac_id)
+        composite = crypto.compose_unique_challenge(msg.wmap, WBRAC_ID)
         answer = crypto.authorization_signature(cfg.sd, composite, cfg.esn, cfg.icd_in)
         return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer))])
 
@@ -236,7 +236,7 @@ class IcdAgent:
         wire.ParameterUpdateOrder: _on_parameter_update,
     }
     _FROM_MAP = {
-        **_FROM_WBRAC,
+        wire.AccessParameterMessage: _on_access_parameter,
         wire.AuthAccept: _on_auth_accept,
         wire.UpdateOrder: _on_update_order,
         wire.ChallengeAck: _on_challenge_ack,

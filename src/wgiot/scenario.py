@@ -32,7 +32,8 @@ Equal texts are parsed once per file: each distinct link attribute text
 gives one `LinkModel`, and each distinct `rotate`/`param-update` target text
 one tuple of names, which every broadcast naming that text shares (a fleet's
 broadcasts each name the whole fleet), and which `scenario_faults` then
-checks once.
+checks once.  The agent names of links, starts and broadcast targets are
+interned, so a fleet holds one string per name.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ _FRAME_COUNT_OPS = {
     "<": lambda a, b: a < b,
 }
 
-_OPTIONS = ("max_time", "mpc_period", "wbrac_id")  # each an int field of Scenario
+_OPTIONS = ("max_time", "mpc_period")  # each an int field of Scenario
 
 _LINK_FIELDS = {"delay": "delay_ms", "drop": "drop_prob", "dup": "dup_prob"}
 

@@ -49,42 +49,31 @@ inside the payload, whose every value decodes), and a replay when it is
 scheduled, from the bytes captured before any corruption.  An injection
 queues its own frame.  Nothing is decoded at delivery.
 
-What is kept per device, frame or trace line is shared where it can be, as a
-memory saving that no result depends on.  One table, `Simulator.agents`,
-maps each agent name to its agent; `Simulator.icds` is a read-only view of
-its devices, not a second table.  The trace is held as columns, an
-array of 8-byte times and one list per other field, so a line is eight bytes
-and five references and no object of its own (`Trace.entries` builds a
-list of `TraceEntry` tuples only when it is asked for); the copies of a
-broadcast share one payload.
-`Trace.add` keeps one copy of each distinct note, and agent names are
-interned (`device_ids`, and the names the scenario parser reads from links
-and the schedule), so a fleet holds one string per name, and the parser
-keeps one tuple per distinct broadcast target text, so a fleet's broadcasts
-to all its devices share one list of names; the simulator
-composes a delivery's note once per distinct (frame note, agent note, agent
-state) and reuses that string.  A value an agent only stores is the frame's
-own bytes, so after a broadcast the MPC is one object in the WBRAC's
-schedule, the access point and every device, and a `MapRecord` that took
-the material of an update flow's MapChallengeResponse holds that frame's
-bytes.  A device's SC_AUTH_K and SD are its registry
-row's own `bytes`, one object each that the row, the WBRAC's record and the
-device's config share; the row's 32-byte WGIE key is checked and kept in
-the row, and no agent holds it.  A device's RMC is its row's `rmc` packed
-into 16 bytes once, one object that the device's config and the access
-point's `MapRecord` share, as do all rows with an equal `rmc`.  Derived
-values (AAC, AUTH_SIGN_MAP) are plain `bytes`; a device's session key is
-derived only when read (`IcdAgent.session`), so no run holds one.  The frozen
-values (frames, link models, registry rows, scheduled and adversary items,
-device states) are built through `wire.value`, whose `__init__` stores each
-field straight into its slot.  The frames, the scenario items, `Scenario`,
-the device's states and `IcdConfig`, `IcdAgent`, the access point's
-`MapRecord`, the WBRAC's `SubscriberRecord`/`MpcSchedule`
-and `Trace` are slotted, with no per-instance attribute dict; the device
-states without fields (`Idle`, `AwaitingAuthResult`, `Authenticated`,
-`Denied`) are one shared instance each, as is each agent result that is
-only a fixed note (see `agent.Transition`).  The adversary's capture and
-corrupt hooks run on the send path only for frames of an armed tag.
+What the simulator keeps per device, frame or trace line is shared where it
+can be, as a memory saving that no result depends on; each agent's module
+says what the agent itself shares.  One table, `Simulator.agents`, maps each
+agent name to its agent; `Simulator.icds` is a read-only view of its
+devices, not a second table.  The trace is held as columns, an array of
+8-byte times and one list per other field, so a line is eight bytes and five
+references and no object of its own (`Trace.entries` builds a list of
+`TraceEntry` tuples only when it is asked for); the copies of a broadcast
+share one payload.  The simulator shares every note it writes through one
+table, `Simulator._notes`, which holds one string per distinct note: a
+delivery's is composed once per (copy note, agent note, agent state) and
+kept under those parts, and every other note (of a dropped or sunk copy, a
+tick, a skipped start or rotation, a replay with nothing captured) under its
+text; `Trace.add` appends the note it is given.  Device names are interned
+(`device_ids`), so a fleet holds one string per name.  A device's SC_AUTH_K
+and SD are its registry row's own `bytes`, one object each that the row, the
+WBRAC's record and the device's config share; the row's 32-byte WGIE key is
+checked and kept in the row, and no agent holds it.  A device's RMC is its
+row's `rmc` packed into 16 bytes once, one object that the device's config
+and the access point's `MapRecord` share, as do all rows with an equal
+`rmc`.  The scenario values (link models, registry rows, scheduled and
+adversary items) are frozen values built through `wire.value`; they,
+`Scenario` and `Trace` are slotted, with no per-instance attribute dict.
+The adversary's capture and corrupt hooks run on the send path only for
+frames of an armed tag.
 """
 
 from __future__ import annotations
@@ -104,7 +93,7 @@ from .access_point import MapAgent
 from .agent import MAP, WBRAC, NotIdle
 from .icd import STATE_NAMES, IcdAgent, IcdConfig
 from .rng import SimRng
-from .wbrac import DEFAULT_MPC_PERIOD_MS, DEFAULT_WBRAC_ID, MpcSchedule, TooEarly, WbracService
+from .wbrac import DEFAULT_MPC_PERIOD_MS, MpcSchedule, TooEarly, WbracService
 from .wire import value
 
 DEFAULT_MAX_TIME_MS = 60_000
@@ -218,7 +207,6 @@ class Scenario:
     adversary: list = field(default_factory=list)
     expects: list = field(default_factory=list)
     max_time: int = DEFAULT_MAX_TIME_MS
-    wbrac_id: int = DEFAULT_WBRAC_ID
     mpc_period: int = DEFAULT_MPC_PERIOD_MS
     # the field values that passed `scenario_faults`, as `record_checked` saw them
     _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -264,8 +252,8 @@ def scenario_faults(sc: Scenario):
     The rules: every option, a row's `icd_in`, `esn` and `rmc`, a link's
     delay, every scheduled time, a replay index, a capture or corrupt tag
     and a corrupted bit are `int`s (not `bool`s); `max_time`, `mpc_period`,
-    a link's delay and every scheduled time are non-negative; `wbrac_id`, a
-    row's `icd_in` and `esn` fit in 64 bits and its `rmc` in 128; a row's
+    a link's delay and every scheduled time are non-negative; a row's
+    `icd_in` and `esn` fit in 64 bits and its `rmc` in 128; a row's
     key, k and sd are `bytes` of their lengths and no two rows share an
     `icd_in`; drop and dup probabilities are `int`s or `float`s in [0, 1];
     a start's device, a broadcast's targets, an injection's target and
@@ -283,8 +271,6 @@ def scenario_faults(sc: Scenario):
         value = getattr(sc, name)
         if type(value) is not int or value < 0:
             yield name, _int_fault(name, value)
-    if type(sc.wbrac_id) is not int or not 0 <= sc.wbrac_id < 1 << 64:
-        yield "wbrac_id", _int_fault("wbrac_id", sc.wbrac_id, 64)
     names = device_ids(sc)
     first_with = {}  # icd_in -> the device registered with it first
     for device, sub in zip(names, sc.subscribers):
@@ -451,12 +437,13 @@ class Trace:
     not fit in one (2**63 ms or more); the other columns are lists.  A line
     costs eight bytes and five references and no object of its own; its
     other values are the objects the simulator passed in, so all copies of
-    a broadcast share one payload, and `add` keeps one copy of each distinct
-    note.  `entries` builds a new list of one `TraceEntry` per line, a copy
+    a broadcast share one payload and equal notes one string (the simulator
+    shares the notes it writes, and `add` appends what it is given).
+    `entries` builds a new list of one `TraceEntry` per line, a copy
     that later lines do not change; `serialize`, `frame_count` and
     `scenario.check_expects` read the columns themselves."""
 
-    __slots__ = ("times", "senders", "receivers", "tags", "payloads", "notes", "_note_copies")
+    __slots__ = ("times", "senders", "receivers", "tags", "payloads", "notes")
 
     def __init__(self):
         self.times: array | list[int] = array("q")  # a list from the first time >= 2**63
@@ -465,7 +452,6 @@ class Trace:
         self.tags: list[str] = []
         self.payloads: list[bytes | None] = []
         self.notes: list[str] = []
-        self._note_copies: dict[str, str] = {}  # each distinct note -> its one copy
 
     def add(self, time, sender, receiver, tag, payload, note):
         try:
@@ -476,7 +462,7 @@ class Trace:
         self.receivers.append(receiver)
         self.tags.append(tag)
         self.payloads.append(payload)
-        self.notes.append(self._note_copies.setdefault(note, note))
+        self.notes.append(note)
 
     def _columns(self) -> tuple:
         """The columns in `TraceEntry` field order."""
@@ -557,7 +543,8 @@ class Simulator:
         self._calendar: dict[int, list] = {}  # pending time -> its events, in push order
         self._taken = 0  # events of the earliest time's list already stepped
         self._links = scenario.links
-        self._delivery_notes: dict[tuple[str, str, str], str] = {}  # note by its parts
+        # every note written, one string per text: a delivery's by its parts, any other by its text
+        self._notes: dict[tuple[str, str, str] | str, str] = {}
         self.trace = Trace()
         self.captured: list[tuple[str, str, bytes]] = []
         self._capture_tags = {a.tag for a in scenario.adversary if isinstance(a, CaptureMatching)}
@@ -574,7 +561,7 @@ class Simulator:
     def _build_agents(self):
         sc = self.scenario
         schedule = MpcSchedule(period_ms=sc.mpc_period)
-        self.wbrac = WbracService(sc.wbrac_id, schedule, rng=self.rng)
+        self.wbrac = WbracService(schedule, rng=self.rng)
         mpc = schedule.current
         self.map = MapAgent(mpc)
         self.agents = agents = {WBRAC: self.wbrac, MAP: self.map}
@@ -586,7 +573,7 @@ class Simulator:
             rmc = packed_rmcs.get(sub.rmc)
             if rmc is None:
                 rmc = packed_rmcs[sub.rmc] = sub.rmc.to_bytes(16, "big")
-            cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, mpc, rmc, sc.wbrac_id)
+            cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, mpc, rmc)
             agents[agent_id] = IcdAgent(cfg, self.rng)
             self.map.provision(agent_id, sub.icd_in, rmc, *self.wbrac.map_provision(rec))
 
@@ -728,7 +715,7 @@ class Simulator:
     def _on_tick(self, item: _Tick) -> None:
         result = self.agents[item.agent_id].tick(self.now)
         if result.note:
-            self.trace.add(self.now, "-", item.agent_id, "tick", None, result.note)
+            self.trace.add(self.now, "-", item.agent_id, "tick", None, self._shared(result.note))
         if result.out or result.tick_at is not None:
             self._apply(item.agent_id, result)
 
@@ -736,7 +723,8 @@ class Simulator:
         try:
             result = self.agents[item.agent_id].start(self.now)
         except NotIdle as exc:
-            self.trace.add(self.now, "-", item.agent_id, "start", None, f"skipped: {exc}")
+            note = self._shared(f"skipped: {exc}")
+            self.trace.add(self.now, "-", item.agent_id, "start", None, note)
             return
         self._apply(item.agent_id, result)
 
@@ -744,7 +732,7 @@ class Simulator:
         try:
             frame = self.wbrac.rotate_mpc(self.now)
         except TooEarly as exc:
-            self.trace.add(self.now, WBRAC, "-", "rotate", None, f"skipped: {exc}")
+            self.trace.add(self.now, WBRAC, "-", "rotate", None, self._shared(f"skipped: {exc}"))
             return
         self._broadcast(item.targets, frame)
 
@@ -753,7 +741,8 @@ class Simulator:
 
     def _on_replay(self, item: ReplayCaptured) -> None:
         if item.index >= len(self.captured):
-            self.trace.add(self.now, "adversary", "-", "replay", None, "no-op: nothing captured")
+            note = self._shared("no-op: nothing captured")
+            self.trace.add(self.now, "adversary", "-", "replay", None, note)
             return
         src, dst, raw = self.captured[item.index]
         self._push(self.now, [src, dst, False, "replayed", wire.decode(raw), raw[3:]])
@@ -769,11 +758,11 @@ class Simulator:
         agent = None if dropped else self.agents.get(dst)
         if agent is None:
             label = "dropped " if dropped else "sink "
-            self.trace.add(now, src, dst, tag, payload, (label + note).strip())
+            self.trace.add(now, src, dst, tag, payload, self._shared((label + note).strip()))
             return
         result = agent.handle(src, msg, now)
         key = (note, result.note, agent.state_name)
-        text = self._delivery_notes.get(key)
+        text = self._notes.get(key)
         if text is None:
             text = self._delivery_note(key)
         self.trace.add(now, src, dst, tag, payload, text)
@@ -782,7 +771,7 @@ class Simulator:
 
     def _on_burst(self, burst: _Burst) -> None:
         targets, msg, payload = burst
-        now, agents, notes = self.now, self.agents, self._delivery_notes
+        now, agents, notes = self.now, self.agents, self._notes
         tag = type(msg).__name__
         for target in targets:
             agent = agents[target]
@@ -797,13 +786,18 @@ class Simulator:
 
     def _delivery_note(self, key: tuple[str, str, str]) -> str:
         """The trace note of a delivery, from its (copy note, agent result
-        note, agent state) `key`; kept in `_delivery_notes` for reuse."""
+        note, agent state) `key`; kept in `_notes` for reuse."""
         note, result_note, state = key
         outcome = f"-> {state}"
         if result_note:
             outcome = f"{result_note} {outcome}"
-        text = self._delivery_notes[key] = f"{note} {outcome}" if note else outcome
+        text = self._notes[key] = f"{note} {outcome}" if note else outcome
         return text
+
+    def _shared(self, text: str) -> str:
+        """The one string in `_notes` equal to `text`, a note that is not a
+        delivery's."""
+        return self._notes.setdefault(text, text)
 
     def _apply(self, agent_id: str, result) -> None:
         for dst, msg in result.out:

@@ -8,7 +8,8 @@ expectations at registration and in each MapChallengeResponse.
 Every frame it obeys names its device by icd_in and is answered to MAP; its
 dispatch tables say which frames it obeys from which sender (frames.md lists
 them; see agent.py).  Its agent name, WBRAC, is not its 64-bit network
-identifier `wbrac_id`.
+identifier, WBRAC_ID: the simulator models one network, so that identifier
+is a constant, and the WBRAC and every device read the same one.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .agent import MAP, NO_HANDLERS, ProtocolError, Transition, unexpected
-
-
-class DuplicateIcd(ProtocolError):
-    pass
+from .agent import MAP, NO_HANDLERS, WBRAC_ID, ProtocolError, Transition, unexpected
 
 
 class TooEarly(ProtocolError):
@@ -36,7 +33,6 @@ class NoPendingUpdate(ProtocolError):
 
 
 DEFAULT_MPC_PERIOD_MS = 60_000
-DEFAULT_WBRAC_ID = 0x5747_0000_0000_0001
 
 # The WBRAC's fixed results, shared (see agent.py).
 COMMITTED = Transition(note="committed")
@@ -63,13 +59,7 @@ class MpcSchedule:
 
 
 class WbracService:
-    def __init__(
-        self,
-        wbrac_id: int = DEFAULT_WBRAC_ID,
-        schedule: MpcSchedule | None = None,
-        rng=None,
-    ):
-        self.wbrac_id = wbrac_id
+    def __init__(self, schedule: MpcSchedule | None = None, rng=None):
         self.rng = rng
         self.registry: dict[int, SubscriberRecord] = {}
         self.schedule = schedule or MpcSchedule()
@@ -79,8 +69,8 @@ class WbracService:
     # -- registry management --
 
     def provision(self, icd_in: int, esn: int, sc_auth_k: bytes, sd: bytes) -> SubscriberRecord:
-        if icd_in in self.registry:
-            raise DuplicateIcd(icd_in)
+        """Register a device; `simnet.scenario_faults` has already refused a
+        registry in which two rows share an `icd_in`."""
         rec = SubscriberRecord(icd_in, esn, sc_auth_k, sd)
         self.registry[icd_in] = rec
         return rec
@@ -93,7 +83,7 @@ class WbracService:
         (default: current) service data."""
         sd = sd or rec.sd
         wmap = crypto.gen_wmap(self.rng)
-        composite = crypto.compose_unique_challenge(wmap, self.wbrac_id)
+        composite = crypto.compose_unique_challenge(wmap, WBRAC_ID)
         sign = crypto.authorization_signature(sd, composite, rec.esn, rec.icd_in)
         aac = crypto.authenticate_signature(sd, rec.esn, rec.icd_in, rec.sc_auth_k)
         return aac, wmap, sign

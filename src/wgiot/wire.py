@@ -49,20 +49,22 @@ _BY_TAG: dict[int, type[WireMessage]] = {}  # every frame class, by tag
 
 class WireMessage:
     """Base of every frame.  A frame declares its payload once, as dataclass
-    fields annotated with a field kind.  Derived from that declaration when
-    the class is created: FIELDS, its (name, kind) pairs with kind "u64",
-    "u8" or ("bytes", N); SIZE, the payload length; the struct that packs
-    the whole frame; and `_encode`, the frame's encoder.  Creating the class
-    also registers it under its TAG, which no other frame may have; the
-    class that `dataclass(slots=True)` rebuilds from it takes its place."""
+    fields annotated with a field kind, and is built with `value`.  Derived
+    from that declaration when `value`'s slotted class is created, already
+    a dataclass: FIELDS, its (name, kind) pairs with kind "u64", "u8" or
+    ("bytes", N); SIZE, the payload length; the struct that packs the whole
+    frame; and `_encode`, the frame's encoder.  That class is registered
+    under its TAG, which every frame class is checked not to reuse."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         taken = _BY_TAG.get(cls.TAG)
-        if taken is not None and not _is_slots_rebuild(cls, taken):
+        if taken is not None:
             raise ValueError(f"{cls.__name__} reuses tag {cls.TAG:#04x} of {taken.__name__}")
+        if "__dataclass_fields__" not in cls.__dict__:
+            return  # the class `value` is about to rebuild
         cls.FIELDS = tuple(
             (name, kind if kind in _INT_CODES else ("bytes", int(kind.removeprefix("b"))))
             for name, kind in inspect.get_annotations(cls).items()
@@ -72,15 +74,6 @@ class WireMessage:
         cls.SIZE = cls._frame.size - 3
         cls._encode = _encoder(cls)
         _BY_TAG[cls.TAG] = cls
-
-
-def _is_slots_rebuild(cls: type, taken: type) -> bool:
-    """Whether `cls` is the slotted copy `dataclass(slots=True)` builds of
-    `taken`: the same class, already a dataclass when it is created."""
-    return (
-        (cls.__module__, cls.__name__) == (taken.__module__, taken.__name__)
-        and "__dataclass_fields__" in cls.__dict__
-    )
 
 
 def _encoder(cls: type):

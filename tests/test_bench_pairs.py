@@ -8,6 +8,7 @@ judges as it judges any pairs."""
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 COMPARE = ROOT / "scripts" / "bench_compare.py"
 sys.path.insert(0, str(ROOT / "scripts"))
+sys.path.insert(0, str(ROOT / "bench"))
 
 import bench_pairs  # noqa: E402
+import fleet  # noqa: E402
 
 RECORD_KEYS = {"workload", "seed", "pairs", "seconds", "env", "correct", "attempted", "failed", "metrics"}
 SIZED_KEYS = RECORD_KEYS | {"trace_lines", "broadcast_lines"}
@@ -105,6 +108,12 @@ def _pairs(out: Path, *args: str) -> subprocess.CompletedProcess:
          "--pairs", "1", "--seconds", "0.5", "--out", str(out), *args],
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("workload", bench_pairs.workload_names(ROOT))
+def test_a_fleet_of_the_workload_size_runs_as_the_workload_does(workload):
+    base = fleet.WORKLOADS[workload]
+    assert bench_pairs.sized_params(fleet, workload, base.devices) == replace(base, fleets=1)
 
 
 @pytest.mark.parametrize("workload", ["update-storm", "lossy-churn", "honest-fleet"])

@@ -20,7 +20,7 @@ from wgiot.icd import (
     UpdateAwaitingAck,
     UpdateAwaitingConfirmation,
 )
-from wgiot.simnet import Scenario, Simulator, SubscriberSpec, route_table
+from wgiot.simnet import Inject, Scenario, Simulator, SubscriberSpec, route_table
 
 # Frame types each agent has no handler for.
 MAP_UNHANDLED = {
@@ -39,9 +39,10 @@ WBRAC_HANDLED = {
     wire.UpdateConfirmation,
     wire.UpdateRejection,
 }
-ICD_HANDLED = {
+# The frames a device obeys from the access point: not ParameterUpdateOrder,
+# which only the WBRAC broadcasts.
+ICD_FROM_MAP = {
     wire.AccessParameterMessage,
-    wire.ParameterUpdateOrder,
     wire.AuthAccept,
     wire.UpdateOrder,
     wire.ChallengeAck,
@@ -130,7 +131,7 @@ def test_every_frame_type_to_the_wbrac(sender):
 @pytest.mark.parametrize("sender", ["map-1", "wbrac", "icd-2", "adversary"])
 @pytest.mark.parametrize("state_index", range(6))
 def test_every_frame_type_to_the_device_in_every_state(state_index, sender):
-    handled = {"map-1": ICD_HANDLED, "wbrac": ICD_FROM_WBRAC}.get(sender, set())
+    handled = {"map-1": ICD_FROM_MAP, "wbrac": ICD_FROM_WBRAC}.get(sender, set())
     r = random.Random(3)
     for cls in wire.MESSAGE_TYPES:
         device = simulator().icds["icd-1"]
@@ -141,6 +142,25 @@ def test_every_frame_type_to_the_device_in_every_state(state_index, sender):
         if cls not in handled:
             assert result.note == f"unexpected {cls.__name__} in {name}"
             assert result.out == [] and device.state_name == name and device.cfg == cfg
+
+
+@pytest.mark.parametrize(
+    "src, note, rmc",
+    [
+        ("wbrac", "injected rmc-incremented -> Idle", 6),
+        ("map-1", "injected unexpected ParameterUpdateOrder in Idle -> Idle", 5),
+    ],
+    ids=["wbrac", "map-1"],
+)
+def test_only_the_wbrac_moves_a_device_rmc_by_parameter_update_order(src, note, rmc):
+    """The access point never sends ParameterUpdateOrder, so a copy from
+    map-1 is unexpected and leaves the device's RMC as it was."""
+    r = random.Random(0)
+    row = SubscriberSpec(30, 2, r.randbytes(32), r.randbytes(16), r.randbytes(16), rmc=5)
+    inject = Inject(wire.ParameterUpdateOrder(), to="icd-1", at=0, src=src)
+    sim = Simulator(Scenario(subscribers=[row], adversary=[inject]), seed=0)
+    assert sim.run().notes == [note]
+    assert sim.icds["icd-1"].cfg.rmc == rmc.to_bytes(16, "big")
 
 
 def test_update_frames_reach_the_device_they_name():

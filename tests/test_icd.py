@@ -5,7 +5,7 @@ import pytest
 
 import prf_oracle
 from wgiot import crypto, wire
-from wgiot.agent import NotIdle
+from wgiot.agent import WBRAC_ID, NotIdle
 from wgiot.icd import (
     AUTHENTICATED,
     AWAITING_AUTH_RESULT,
@@ -25,7 +25,6 @@ from wgiot.simnet import Simulator, SubscriberSpec
 
 ESN = 0x1111
 ICD_IN = 0x2222
-WBRAC_ID = 0xABCD_1234
 
 
 def packed_rmc(counter: int) -> bytes:
@@ -42,7 +41,7 @@ def make_row(seed=0) -> tuple[SubscriberSpec, bytes]:
 def make_agent(seed=0):
     """The device of `make_row(seed)`, built from the row as the simulator builds it."""
     row, mpc = make_row(seed)
-    cfg = IcdConfig(row.icd_in, row.esn, row.sc_auth_k, row.sd, mpc, packed_rmc(row.rmc), WBRAC_ID)
+    cfg = IcdConfig(row.icd_in, row.esn, row.sc_auth_k, row.sd, mpc, packed_rmc(row.rmc))
     return IcdAgent(cfg, SimRng(seed))
 
 
@@ -150,7 +149,7 @@ def test_access_parameter_and_update_order_bookkeeping():
     agent = make_agent()
     agent.handle("map-1", wire.AccessParameterMessage(b"\x07" * 16), 0)
     assert agent.cfg.mpc == b"\x07" * 16
-    agent.handle("map-1", wire.ParameterUpdateOrder(), 0)
+    agent.handle("wbrac", wire.ParameterUpdateOrder(), 0)
     assert agent.cfg.rmc == packed_rmc(1)
 
 

@@ -62,12 +62,17 @@ def test_explicit_start_suppresses_implicit_ones():
 def test_options_section():
     text = (
         "wgiot-scenario v1\n[options]\nmax_time = 500\n"
-        "mpc_period = 9\nwbrac_id = 0x1234\n[registry]\n" + REGISTRY_LINE + "\n"
+        "mpc_period = 9\n[registry]\n" + REGISTRY_LINE + "\n"
     )
     sc = parse_scenario(text)
     assert sc.max_time == 500
     assert sc.mpc_period == 9
-    assert sc.wbrac_id == 0x1234
+
+
+def test_the_network_identifier_is_no_option():
+    # one network, one WBRAC: its identifier is `agent.WBRAC_ID`
+    with pytest.raises(ScenarioError, match="^line 3: unknown option 'wbrac_id'$"):
+        parse_scenario("wgiot-scenario v1\n[options]\nwbrac_id = 1\n[registry]\n" + REGISTRY_LINE)
 
 
 def test_links_section():
@@ -148,7 +153,6 @@ def test_comments_and_blanks_ignored():
         ("wgiot-scenario v1\n[registry]\n1 -1 " + REGISTRY_LINE[4:] + "\n", 3),
         ("wgiot-scenario v1\n[registry]\n" + REGISTRY_LINE[:-1] + f"{2**128}\n", 3),
         ("wgiot-scenario v1\n[options]\nbackend = nope\n", 3),
-        ("wgiot-scenario v1\n[options]\nwbrac_id = -1\n", 3),
         ("wgiot-scenario v1\n[options]\nmax_time = -5\n", 3),
         ("wgiot-scenario v1\n[options]\nmpc_period = -1\n", 3),
         ("wgiot-scenario v1\n[schedule]\nstart icd-1 at -100\n", 3),
@@ -473,12 +477,6 @@ CODE_REJECTED = [
         "unknown frame 'Nope'",
         id="frame-count-frame",
     ),
-    pytest.param(
-        "[options]\nwbrac_id = 0x10000000000000000\n",
-        {"wbrac_id": 2**64},
-        f"wbrac_id {2**64} does not fit in 64 bits",
-        id="wbrac-id-65-bits",
-    ),
 ]
 
 
@@ -519,7 +517,6 @@ CODE_ONLY_REJECTED = {
     "float-rmc": ({"subscribers": [replace(make_subscriber(), rmc=0.0)]}, "rmc 0.0 is not an int"),
     "float-max-time": ({"max_time": 1e3}, "max_time 1000.0 is not an int"),
     "none-mpc-period": ({"mpc_period": None}, "mpc_period None is not an int"),
-    "str-wbrac-id": ({"wbrac_id": "1"}, "wbrac_id '1' is not an int"),
     "inject-hex": (
         {"adversary": [Inject("050000", to="icd-1", at=1)]},
         "injected str is not a frame",

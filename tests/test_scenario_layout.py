@@ -35,7 +35,7 @@ def scenarios(draw) -> dict[str, list[str]]:
     ]
     options = [
         f"{name} = {draw(st.integers(0, 10**6))}"
-        for name in draw(st.lists(st.sampled_from(["max_time", "mpc_period", "wbrac_id"])))
+        for name in draw(st.lists(st.sampled_from(["max_time", "mpc_period"])))
     ]
     pairs = draw(st.lists(st.tuples(st.sampled_from(agents), st.sampled_from(agents)), unique=True))
     attrs = st.lists(

@@ -21,6 +21,7 @@ from wgiot.simnet import (
     Simulator,
     StartIcd,
     SubscriberSpec,
+    Trace,
     TraceEntry,
 )
 from wgiot.wbrac import SubscriberRecord
@@ -190,3 +191,43 @@ def test_the_copies_of_a_broadcast_share_one_payload():
     ]
     assert len(copies) == 4 and sum(note.startswith("dropped") for note, _ in copies) == 1
     assert len({id(payload) for _, payload in copies}) == 1
+
+
+def test_the_simulator_shares_every_note_it_writes():
+    """Dropped copies, duplicates, skipped starts and too-early rotations
+    each give equal notes more than once, and each distinct text is one
+    object; the trace itself keeps the note it is given."""
+    sc = Scenario(
+        SUBSCRIBERS,
+        links={
+            ("icd-1", "map-1"): LinkModel(drop_prob=1.0),
+            ("map-1", "icd-2"): LinkModel(dup_prob=1.0),
+            ("map-1", "icd-3"): LinkModel(dup_prob=1.0),
+        },
+        schedule=[
+            *(StartIcd(name, at=0) for name in STARTS),
+            StartIcd("icd-1", at=1),
+            StartIcd("icd-1", at=2),
+            RotateMpc(at=5, targets=("map-1",)),
+            RotateMpc(at=6, targets=("map-1",)),
+            RotateMpc(at=6, targets=("map-1",)),
+        ],
+        mpc_period=100,
+    )
+    notes = Simulator(sc, seed=0).run().notes
+    for text in (
+        "dropped",
+        "duplicate unexpected AuthAccept in Authenticated -> Authenticated",
+        "skipped: start() in AwaitingAuthResult",
+        "skipped: rotation at 6, last at 5",
+    ):
+        assert notes.count(text) == 2, text
+    first = {}
+    for note in notes:
+        assert note is first.setdefault(note, note)
+
+    trace = Trace()
+    given = [_fresh("a note"), _fresh("a note")]
+    for note in given:
+        trace.add(0, "-", "-", "-", None, note)
+    assert trace.notes[0] is given[0] and trace.notes[1] is given[1]

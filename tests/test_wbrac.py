@@ -6,7 +6,6 @@ import prf_oracle
 from wgiot import crypto, wire
 from wgiot.rng import SimRng
 from wgiot.wbrac import (
-    DuplicateIcd,
     MpcSchedule,
     NoPendingUpdate,
     TooEarly,
@@ -21,12 +20,6 @@ def make_wbrac(seed=0, period=100):
     r = random.Random(seed)
     svc.provision(1, 2, r.randbytes(16), sd=r.randbytes(16))
     return svc, rng
-
-
-def test_provision_initial_counter_and_duplicate():
-    svc, rng = make_wbrac()
-    with pytest.raises(DuplicateIcd):
-        svc.provision(1, svc.registry[1].esn, svc.registry[1].sc_auth_k, sd=svc.registry[1].sd)
 
 
 def test_expected_aac_matches_oracle():
@@ -118,7 +111,6 @@ def test_cross_agent_sd_agreement():
             sd=rec.sd,
             mpc=bytes(16),
             rmc=bytes(16),
-            wbrac_id=svc.wbrac_id,
         )
         icd = IcdAgent(cfg, rng)
         msg = svc.begin_update(1)

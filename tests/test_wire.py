@@ -127,6 +127,28 @@ def test_a_frame_class_reusing_a_tag_raises():
     assert wire.tag_name(wire.AuthRequest.TAG) == "AuthRequest"
 
 
+def test_defining_a_frame_compiles_its_encoder_once(monkeypatch):
+    """Only the slotted class that `value` builds is compiled and
+    registered; the class it is built from is only checked."""
+    monkeypatch.setattr(wire, "_BY_TAG", {})
+    compiled = []
+    encoder = wire._encoder
+
+    def counting_encoder(cls):
+        compiled.append(cls)
+        return encoder(cls)
+
+    monkeypatch.setattr(wire, "_encoder", counting_encoder)
+
+    @wire.value
+    class Probe(wire.WireMessage):
+        icd_in: "u64"  # a field kind by name, as wire's own frames declare it
+        TAG = 0x7F
+
+    assert compiled == [Probe] and wire._BY_TAG == {0x7F: Probe}
+    assert wire.encode(Probe(5)) == b"\x7f\x00\x08" + (5).to_bytes(8, "big")
+
+
 def test_every_frame_is_frozen():
     # the simulator hands the one frame a sender built to every receiver
     for cls in wire.MESSAGE_TYPES:
