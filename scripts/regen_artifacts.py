@@ -20,9 +20,9 @@ def main():
     golden.write_text(trace.serialize())
     print(f"wrote {golden}")
 
-    for name in ("hmac-sha256", "trunc16"):
+    for name, backend in crypto.BACKENDS.items():
         path = ROOT / "vectors" / f"{name}.txt"
-        path.write_text(crypto.generate_vectors(crypto.get_backend(name)))
+        path.write_text(crypto.generate_vectors(backend))
         print(f"wrote {path}")
 
     # the table and the list each run from their first row after their

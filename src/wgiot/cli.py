@@ -39,9 +39,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_vectors(args) -> int:
-    try:
-        backend = crypto.get_backend(args.backend)
-    except crypto.UnknownBackend:
+    backend = crypto.BACKENDS.get(args.backend)
+    if backend is None:
         print(f"error: unknown backend {args.backend!r}", file=sys.stderr)
         return EXIT_ERROR
     text = crypto.generate_vectors(backend)

@@ -17,8 +17,10 @@ a run is the wrap past 2**128 - 1, in `rmc_incremented`.  The
 update-value flow's RAND→SD derivation, which the device and the WBRAC
 both run, lives in `sd_from_rand`.
 
-Every derivation goes through a pluggable PRF backend; "first N bits" of a
-PRF output always means the most significant N bits (a byte-string prefix).
+Every derivation calls one PRF, `DEFAULT_BACKEND`, looked up when it runs;
+"first N bits" of a PRF output always means the most significant N bits (a
+byte-string prefix).  `BACKENDS` also holds `trunc16`, a deliberately
+weakened 16-bit PRF that only `generate_vectors` renders.
 
 The reference PRF is HMAC-SHA256 (RFC 2104), computed in one pass by
 `hmac_sha256`: the key, hashed first if longer than the 64-byte block, is
@@ -50,7 +52,7 @@ class CounterOverflow(CryptoError):
 
 U64_MAX = 2**64 - 1
 
-# Domain-separation tags for the PRF backend.
+# Domain-separation tags for the PRF.
 TAG_AUTH_SIGNATURE = 0x01
 TAG_SD_GENERATION = 0x02
 TAG_AUTHZ_SIGNATURE = 0x03
@@ -88,7 +90,7 @@ def rmc_incremented(rmc: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# PRF backends
+# PRFs
 
 _BLOCK = 64  # sha256 block size in bytes
 _IPAD = bytes(b ^ 0x36 for b in range(256))  # byte -> byte ^ ipad, for bytes.translate
@@ -105,22 +107,9 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     return sha256(key.translate(_OPAD) + inner).digest()
 
 
-class PrfBackend:
-    """Deterministic keyed PRF: evaluate(key, domain_tag, message) -> 32 bytes.
-
-    The simulator and its agents always use DEFAULT_BACKEND, whose name
-    heads every trace.  The derivations take another backend per call only
-    for the statistical forgery tests and the conformance vectors.
-    """
-
-    name: str
-
-    def evaluate(self, key: bytes, domain_tag: int, message: bytes) -> bytes:
-        raise NotImplementedError
-
-
-class HmacSha256Backend(PrfBackend):
-    """Reference backend: HMAC-SHA256(key, tag_byte ∥ message)."""
+class HmacSha256Backend:
+    """Reference PRF: HMAC-SHA256(key, tag_byte ∥ message), 32 bytes.  Every
+    derivation and the simulator use it; its name heads every trace."""
 
     name = "hmac-sha256"
 
@@ -128,12 +117,12 @@ class HmacSha256Backend(PrfBackend):
         return hmac_sha256(key, _TAG_BYTES[domain_tag] + message)
 
 
-class Trunc16Backend(PrfBackend):
-    """Test-only backend with 16 bits of effective output.
+class Trunc16Backend:
+    """Conformance-vector PRF with 16 bits of effective output.
 
     The first two bytes of the reference PRF are repeated to fill 32 bytes,
-    so random forgeries succeed with probability 2^-16.  Used by the
-    statistical forgery tests; never a deployment choice.
+    so a random forgery of its output succeeds with probability 2^-16.  No
+    derivation uses it; never a deployment choice.
     """
 
     name = "trunc16"
@@ -147,30 +136,17 @@ DEFAULT_BACKEND = HmacSha256Backend()
 BACKENDS = {b.name: b for b in (DEFAULT_BACKEND, Trunc16Backend())}
 
 
-class UnknownBackend(CryptoError):
-    pass
-
-
-def get_backend(name: str) -> PrfBackend:
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        raise UnknownBackend(name) from None
-
-
 # ---------------------------------------------------------------------------
 # Derivations
 
 
-def authenticate_signature(
-    sd: bytes, esn: int, icd_in: int, k: bytes, backend: PrfBackend = DEFAULT_BACKEND
-) -> bytes:
+def authenticate_signature(sd: bytes, esn: int, icd_in: int, k: bytes) -> bytes:
     """Derive the 128-bit AAC from the 16-byte service data and the device
     identifiers, keyed by the 16-byte SC_AUTH_K."""
-    return backend.evaluate(k, TAG_AUTH_SIGNATURE, sd + _pack_ids(esn, icd_in))[:16]
+    return DEFAULT_BACKEND.evaluate(k, TAG_AUTH_SIGNATURE, sd + _pack_ids(esn, icd_in))[:16]
 
 
-def sd_generation(aac: bytes, esn: int, k: bytes, backend: PrfBackend = DEFAULT_BACKEND) -> bytes:
+def sd_generation(aac: bytes, esn: int, k: bytes) -> bytes:
     """Derive a fresh 16-byte service data SD1∥SD2 during the update-value flow."""
     check_bytes("aac", aac, 16)
     try:
@@ -178,7 +154,7 @@ def sd_generation(aac: bytes, esn: int, k: bytes, backend: PrfBackend = DEFAULT_
     except OverflowError:
         _check_u64("esn", esn)
         raise
-    return backend.evaluate(k, TAG_SD_GENERATION, aac + packed_esn)[:16]
+    return DEFAULT_BACKEND.evaluate(k, TAG_SD_GENERATION, aac + packed_esn)[:16]
 
 
 def sd_from_rand(rand: bytes, esn: int, icd_in: int, k: bytes) -> bytes:
@@ -186,13 +162,7 @@ def sd_from_rand(rand: bytes, esn: int, icd_in: int, k: bytes) -> bytes:
     return sd_generation(authenticate_signature(rand, esn, icd_in, k), esn, k)
 
 
-def authorization_signature(
-    sd: bytes,
-    challenge: bytes,
-    esn: int,
-    icd_in: int,
-    backend: PrfBackend = DEFAULT_BACKEND,
-) -> bytes:
+def authorization_signature(sd: bytes, challenge: bytes, esn: int, icd_in: int) -> bytes:
     """Sign a challenge with the service data, yielding the AUTH_SIGN_MAP.
 
     The challenge is either a packed TO_MAP (32 bytes) or the 10-byte
@@ -201,13 +171,13 @@ def authorization_signature(
     if len(challenge) not in (32, 10):
         raise ChallengeLength(f"challenge must be 32 or 10 bytes, got {len(challenge)}")
     msg = challenge + _pack_ids(esn, icd_in)
-    return backend.evaluate(sd, TAG_AUTHZ_SIGNATURE, msg)[:16]
+    return DEFAULT_BACKEND.evaluate(sd, TAG_AUTHZ_SIGNATURE, msg)[:16]
 
 
-def derive_session_key(sd: bytes, backend: PrfBackend = DEFAULT_BACKEND) -> bytes:
+def derive_session_key(sd: bytes) -> bytes:
     """Derive the 128-bit confidentiality key from the privacy half SD2, the
     service data's last 8 bytes."""
-    return backend.evaluate(sd[8:], TAG_SESSION_KEY, b"")[:16]
+    return DEFAULT_BACKEND.evaluate(sd[8:], TAG_SESSION_KEY, b"")[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +240,8 @@ _VECTOR_INPUTS = [
 ]
 
 
-def generate_vectors(backend: PrfBackend) -> str:
-    """Render the conformance vectors for a backend as line-oriented text."""
+def generate_vectors(backend) -> str:
+    """Render the conformance vectors for a `BACKENDS` entry as line-oriented text."""
     lines = [f"# wgiot prf vectors backend={backend.name}"]
     for tag, key, msg in _VECTOR_INPUTS:
         out = backend.evaluate(key, tag, msg)

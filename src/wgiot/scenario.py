@@ -43,6 +43,7 @@ from sys import intern
 
 from . import wire
 from .simnet import (
+    FRAME_COUNT_OPS,
     CaptureMatching,
     CorruptBit,
     Inject,
@@ -61,15 +62,6 @@ from .simnet import (
 )
 
 SCENARIO_HEADER = "wgiot-scenario v1"
-
-_FRAME_COUNT_OPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">=": lambda a, b: a >= b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-}
 
 _OPTIONS = ("max_time", "mpc_period")  # each an int field of Scenario
 
@@ -342,7 +334,7 @@ def _parse_expect(no: int, text: str, base_dir: Path):
     n = len(parts)
     if n == 3 and parts[1] == "reaches":
         return ("reaches", parts[0], parts[2])
-    if n == 4 and parts[0] == "frame-count" and parts[2] in _FRAME_COUNT_OPS:
+    if n == 4 and parts[0] == "frame-count" and parts[2] in FRAME_COUNT_OPS:
         return ("frame-count", parts[1], parts[2], _parse_int(no, parts[3]))
     if n == 2 and parts[0] == "trace-golden":
         return ("trace-golden", base_dir / parts[1])
@@ -369,7 +361,7 @@ def check_expects(scenario: Scenario, sim, trace) -> list[str]:
         elif kind == "frame-count":
             _, tag, op, want = expect
             got = trace.frame_count(tag)
-            if not _FRAME_COUNT_OPS[op](got, want):
+            if not FRAME_COUNT_OPS[op](got, want):
                 failures.append(f"frame-count {tag}: got {got}, wanted {op} {want}")
         elif kind == "trace-golden":
             _, path = expect

@@ -81,6 +81,7 @@ from __future__ import annotations
 import functools
 import heapq
 import operator
+import os
 import sys
 from array import array
 from collections.abc import Mapping
@@ -242,6 +243,20 @@ def _device_names(count: int) -> tuple[str, ...]:
 _PAYLOAD_BITS = {cls.TAG: 8 * cls.SIZE for cls in wire.MESSAGE_TYPES}
 _FRAME_NAMES = {cls.__name__ for cls in wire.MESSAGE_TYPES}
 
+# A `frame-count` expectation's operator -> the test of (got, wanted).
+FRAME_COUNT_OPS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    "<=": operator.le,
+    ">": operator.gt,
+    "<": operator.lt,
+}
+
+# Each expectation kind -> the length of its tuple: ("reaches", agent,
+# state), ("frame-count", frame, operator, count) and ("trace-golden", path).
+_EXPECT_LENGTHS = {"reaches": 3, "frame-count": 4, "trace-golden": 2}
+
 
 def scenario_faults(sc: Scenario):
     """Yield (key, reason) for every value of `sc` that breaks a rule; this
@@ -262,8 +277,11 @@ def scenario_faults(sc: Scenario):
     agent, a start names a device and a broadcast has a target; a `reaches`
     state is a device state for a device and `-` for the others; a replay
     index is non-negative, an injected frame is a `wire.WireMessage` that
-    encodes, a capture or corrupt tag names a frame, a corrupted bit lies
-    inside its frame's payload and a `frame-count` names a frame.  A link
+    encodes, a capture or corrupt tag names a frame and a corrupted bit lies
+    inside its frame's payload; an expectation is a tuple of a known kind
+    and that kind's length, a `frame-count` names a frame by its `str`
+    name, its operator is a key of `FRAME_COUNT_OPS` and its count an
+    `int`, and a `trace-golden` path is a `str` or path object.  A link
     model that many links share is checked once, at the first of them, and
     so is a target tuple that many broadcasts share (the parser keeps one
     per distinct target text); equal but distinct tuples are each checked."""
@@ -368,16 +386,29 @@ def scenario_faults(sc: Scenario):
             if type(action.at) is not int or action.at < 0:
                 yield action, _int_fault("time", action.at)
     for expect in sc.expects:
-        if expect[0] == "reaches":
+        kind = expect[0] if type(expect) is tuple and expect else None
+        if type(kind) is not str or _EXPECT_LENGTHS.get(kind) != len(expect):
+            yield expect, f"unrecognized expectation {expect!r}"
+        elif kind == "reaches":
             _, agent, state = expect
             if type(agent) is not str:
                 yield expect, f"agent name {agent!r} is not a str"
             elif agent not in agents:
                 yield expect, f"unknown agent {agent!r}"
-            elif state not in (STATE_NAMES if agent in devices else ("-",)):
+            elif type(state) is not str or state not in (
+                STATE_NAMES if agent in devices else ("-",)
+            ):
                 yield expect, f"{agent} has no state {state!r}"
-        elif expect[0] == "frame-count" and expect[1] not in _FRAME_NAMES:
-            yield expect, f"unknown frame {expect[1]!r}"
+        elif kind == "frame-count":
+            _, frame, op, count = expect
+            if type(frame) is not str or frame not in _FRAME_NAMES:
+                yield expect, f"unknown frame {frame!r}"
+            if type(op) is not str or op not in FRAME_COUNT_OPS:
+                yield expect, f"unknown frame-count operator {op!r}"
+            if type(count) is not int:
+                yield expect, _int_fault("frame count", count)
+        elif not isinstance(expect[1], (str, os.PathLike)):
+            yield expect, f"golden trace path {expect[1]!r} is not a path"
 
 
 def _int_fault(name: str, value, bits: int | None = None) -> str:

@@ -59,10 +59,10 @@ class MpcSchedule:
 
 
 class WbracService:
-    def __init__(self, schedule: MpcSchedule | None = None, rng=None):
+    def __init__(self, schedule: MpcSchedule, rng):
         self.rng = rng
         self.registry: dict[int, SubscriberRecord] = {}
-        self.schedule = schedule or MpcSchedule()
+        self.schedule = schedule
 
     state_name = "-"
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import hmac
+import inspect
 import random
 
 import pytest
@@ -269,16 +270,11 @@ def test_vector_file_round_trip_and_oracle_agreement():
         assert prf_oracle.prf(key, tag, msg) == out
 
 
-def test_unknown_backend():
-    with pytest.raises(crypto.UnknownBackend):
-        crypto.get_backend("rot13")
-
-
 def test_prf_backends_and_oracle_equal_stdlib_hmac():
     # key lengths 0-130 cover empty, short, exactly one 64-byte block, and
     # keys longer than the block, which RFC 2104 hashes first
     r = random.Random(2104)
-    trunc16 = crypto.get_backend("trunc16")
+    trunc16 = crypto.BACKENDS["trunc16"]
     for key_len in range(131):
         key = r.randbytes(key_len)
         for tag, msg in ((0x01, b""), (0x03, r.randbytes(42)), (0xFF, r.randbytes(200))):
@@ -286,3 +282,16 @@ def test_prf_backends_and_oracle_equal_stdlib_hmac():
             assert crypto.DEFAULT_BACKEND.evaluate(key, tag, msg) == want
             assert trunc16.evaluate(key, tag, msg) == want[:2] * 16
             assert prf_oracle.prf(key, tag, msg) == want
+
+
+def test_every_derivation_uses_the_one_reference_prf():
+    # no per-call PRF choice: each derivation calls DEFAULT_BACKEND
+    for derivation in (
+        crypto.authenticate_signature,
+        crypto.sd_generation,
+        crypto.authorization_signature,
+        crypto.derive_session_key,
+    ):
+        assert "backend" not in inspect.signature(derivation).parameters, derivation.__name__
+    for name in ("PrfBackend", "get_backend", "UnknownBackend"):
+        assert not hasattr(crypto, name), name

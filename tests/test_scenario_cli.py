@@ -570,6 +570,43 @@ CODE_ONLY_REJECTED = {
         {"expects": [("reaches", ["icd-1"], "Idle")]},
         "agent name ['icd-1'] is not a str",
     ),
+    "reaches-list-state": (
+        {"expects": [("reaches", "icd-1", ["Idle"])]},
+        "icd-1 has no state ['Idle']",
+    ),
+    "expect-unknown-kind": ({"expects": [("bogus", 1)]}, "unrecognized expectation ('bogus', 1)"),
+    "expect-list": (
+        {"expects": [["reaches", "icd-1", "Idle"]]},
+        "unrecognized expectation ['reaches', 'icd-1', 'Idle']",
+    ),
+    "reaches-two-items": (
+        {"expects": [("reaches", "icd-1")]},
+        "unrecognized expectation ('reaches', 'icd-1')",
+    ),
+    "frame-count-five-items": (
+        {"expects": [("frame-count", "AuthAccept", "==", 1, 2)]},
+        "unrecognized expectation ('frame-count', 'AuthAccept', '==', 1, 2)",
+    ),
+    "frame-count-unknown-operator": (
+        {"expects": [("frame-count", "AuthAccept", "=~", 1)]},
+        "unknown frame-count operator '=~'",
+    ),
+    "frame-count-str-count": (
+        {"expects": [("frame-count", "AuthAccept", "==", "1")]},
+        "frame count '1' is not an int",
+    ),
+    "frame-count-bool-count": (
+        {"expects": [("frame-count", "AuthAccept", ">=", True)]},
+        "frame count True is not an int",
+    ),
+    "frame-count-list-frame": (
+        {"expects": [("frame-count", ["AuthAccept"], "==", 1)]},
+        "unknown frame ['AuthAccept']",
+    ),
+    "trace-golden-int-path": (
+        {"expects": [("trace-golden", 5)]},
+        "golden trace path 5 is not a path",
+    ),
 }
 
 
@@ -580,6 +617,20 @@ def test_scenarios_built_in_code_must_hold_ints_bytes_and_frames(fields, reason)
     sc = Scenario(**{"subscribers": [make_subscriber()], **fields})
     with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
         Simulator(sc, seed=0)
+
+
+@pytest.mark.parametrize(
+    "op,holds", [("==", True), ("!=", False), (">=", True), ("<=", True), (">", False), ("<", False)]
+)
+def test_a_frame_count_built_in_code_is_checked_with_the_parsers_operators(op, holds):
+    assert scenario.FRAME_COUNT_OPS is simnet.FRAME_COUNT_OPS
+    expect = ("frame-count", "AuthAccept", op, 1)
+    sc = Scenario([make_subscriber()], schedule=[StartIcd("icd-1", at=0)], expects=[expect])
+    sim = Simulator(sc, seed=0)
+    trace = sim.run()
+    assert trace.frame_count("AuthAccept") == 1
+    failures = scenario.check_expects(sc, sim, trace)
+    assert failures == ([] if holds else [f"frame-count AuthAccept: got 1, wanted {op} 1"])
 
 
 @pytest.mark.parametrize(
@@ -970,7 +1021,7 @@ def test_repeated_start_is_traced_as_skipped_not_raised(tmp_path):
 def test_vectors_stdout_matches_generate(capsys):
     assert cli.main(["vectors", "--backend", "hmac-sha256"]) == 0
     out = capsys.readouterr().out
-    assert out == crypto.generate_vectors(crypto.get_backend("hmac-sha256"))
+    assert out == crypto.generate_vectors(crypto.BACKENDS["hmac-sha256"])
 
 
 def test_vectors_out_file_matches_committed_artifact(tmp_path):

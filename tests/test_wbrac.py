@@ -22,6 +22,13 @@ def make_wbrac(seed=0, period=100):
     return svc, rng
 
 
+def test_a_service_needs_its_schedule_and_rng():
+    # no defaults: a service without an rng would fail at its first draw
+    for args in ((), (MpcSchedule(),)):
+        with pytest.raises(TypeError):
+            WbracService(*args)
+
+
 def test_expected_aac_matches_oracle():
     svc, _ = make_wbrac()
     rec = svc.registry[1]
