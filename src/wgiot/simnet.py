@@ -40,6 +40,16 @@ been consecutive events, since nothing is queued between two same-time
 copies of one broadcast, and what their delivery pushes at `now` runs
 after the last of them either way.
 
+Which copies join which burst depends only on the target tuple, the
+WBRAC's links to the targets and whether a hook looks at the tag, so
+`Simulator` works it out once per (targets, hooked) pair, at the first
+broadcast of that pair, as a plan (`Simulator._plan`): in target order, a
+burst group (its arrival delay and its targets) or a lone copy for
+`_transmit`.  Every broadcast replays its pair's plan, queueing a new
+burst per group, so the calendar, the draws and the trace are what working
+the copies out again would give.  A plan reads the link models once, so a
+scenario's links must not change while it runs.
+
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
 broadcast, a duplicate) shares that pair; frames are frozen.  Bytes the
@@ -531,7 +541,8 @@ class _Tick(NamedTuple):
 
 class _Burst(NamedTuple):
     """Same-time copies of one broadcast from the WBRAC, one per target, in
-    target order (see the module docstring)."""
+    target order: one group of the broadcast's plan, each time a new list
+    of the group's targets (see the module docstring)."""
 
     targets: list[str]
     frame: wire.WireMessage
@@ -574,6 +585,8 @@ class Simulator:
         self._calendar: dict[int, list] = {}  # pending time -> its events, in push order
         self._taken = 0  # events of the earliest time's list already stepped
         self._links = scenario.links
+        # (targets, hooked) -> the plan of a broadcast to them (`_plan`)
+        self._plans: dict[tuple[tuple[str, ...], bool], list] = {}
         # every note written, one string per text: a delivery's by its parts, any other by its text
         self._notes: dict[tuple[str, str, str] | str, str] = {}
         self.trace = Trace()
@@ -718,30 +731,49 @@ class Simulator:
         self._EVENT_HANDLERS[type(item)](self, item)
 
     def _broadcast(self, targets: tuple[str, ...], frame: wire.WireMessage) -> None:
-        """Send `frame` from the WBRAC to each target, in order: each copy
-        over a link that draws nothing and of a tag no hook looks at joins a
-        burst, and every other copy goes through `_transmit`."""
+        """Send `frame` from the WBRAC to each target, in order, by the plan
+        of (targets, hooked): a new burst per group, and each lone copy
+        through `_transmit`."""
         raw = wire.encode(frame)
         payload = raw[3:]
-        hooked = raw[0] in self._hooked_tags
-        links, calendar, now = self._links, self._calendar, self.now
-        bursts = {}  # arrival time -> the burst this broadcast queued there last
-        for target in targets:
-            link = links.get((WBRAC, target), NO_IMPAIRMENT)
-            if hooked or link.drop_prob > 0.0 or link.dup_prob > 0.0:
-                self._transmit(WBRAC, target, raw, frame, payload)
+        key = (targets, raw[0] in self._hooked_tags)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(*key)
+        calendar, now = self._calendar, self.now
+        for step in plan:
+            if type(step) is str:
+                self._transmit(WBRAC, step, raw, frame, payload)
                 continue
-            at = now + link.delay_ms
-            burst = bursts.get(at)
+            delay, group = step
+            at = now + delay
+            burst = _new(_Burst, (list(group), frame, payload))
             events = calendar.get(at)
-            if burst is not None and events[-1] is burst:
-                burst.targets.append(target)
-                continue
-            bursts[at] = burst = _new(_Burst, ([target], frame, payload))
             if events is None:
                 self._open(at, burst)
             else:
                 events.append(burst)
+
+    def _plan(self, targets: tuple[str, ...], hooked: bool) -> list:
+        """The steps of a broadcast to `targets`, in target order: a target
+        name for a copy that goes through `_transmit` (its tag is `hooked`
+        or its link draws), and (delay, targets) for a burst group.  A copy
+        over a link that draws nothing joins the group its broadcast queues
+        last at its delay, unless a lone copy is queued there after it."""
+        plan = []
+        groups = {}  # delay -> the group queued last there, while it is the last event
+        links = self._links
+        for target in targets:
+            link = links.get((WBRAC, target), NO_IMPAIRMENT)
+            if hooked or link.drop_prob > 0.0 or link.dup_prob > 0.0:
+                plan.append(target)
+                groups.pop(link.delay_ms, None)
+            elif link.delay_ms in groups:
+                groups[link.delay_ms].append(target)
+            else:
+                groups[link.delay_ms] = group = [target]
+                plan.append((link.delay_ms, group))
+        return plan
 
     def _on_tick(self, item: _Tick) -> None:
         result = self.agents[item.agent_id].tick(self.now)
@@ -802,7 +834,7 @@ class Simulator:
 
     def _on_burst(self, burst: _Burst) -> None:
         targets, msg, payload = burst
-        now, agents, notes = self.now, self.agents, self._notes
+        now, agents, notes, add = self.now, self.agents, self._notes, self.trace.add
         tag = type(msg).__name__
         for target in targets:
             agent = agents[target]
@@ -811,7 +843,7 @@ class Simulator:
             text = notes.get(key)
             if text is None:
                 text = self._delivery_note(key)
-            self.trace.add(now, WBRAC, target, tag, payload, text)
+            add(now, WBRAC, target, tag, payload, text)
             if result.out or result.tick_at is not None:
                 self._apply(target, result)
 
