@@ -250,6 +250,139 @@ def test_a_copy_made_just_before_a_burst_runs_to_the_same_trace():
     assert "mpc-updated -> AwaitingAuthResult" in sim.trace.notes and sim.trace.times[-1] > 10
 
 
+def _broadcast_copy_by_copy(sim, targets, frame):
+    """The reference of `Simulator._broadcast`: the per-target loop that
+    worked out each copy's burst on every broadcast, before plans."""
+    raw = wire.encode(frame)
+    payload = raw[3:]
+    hooked = raw[0] in sim._hooked_tags
+    links, calendar, now = sim._links, sim._calendar, sim.now
+    bursts = {}  # arrival time -> the burst this broadcast queued there last
+    for target in targets:
+        link = links.get((WBRAC, target), simnet.NO_IMPAIRMENT)
+        if hooked or link.drop_prob > 0.0 or link.dup_prob > 0.0:
+            sim._transmit(WBRAC, target, raw, frame, payload)
+            continue
+        at = now + link.delay_ms
+        burst = bursts.get(at)
+        events = calendar.get(at)
+        if burst is not None and events[-1] is burst:
+            burst.targets.append(target)
+            continue
+        bursts[at] = burst = simnet._Burst([target], frame, payload)
+        if events is None:
+            sim._open(at, burst)
+        else:
+            events.append(burst)
+
+
+def _pending(sim):
+    """The calendar as values: per pending time in order, its events not
+    yet stepped, a burst as its targets and a copy as (src, dst, dropped,
+    note, frame)."""
+    shown = []
+    for at in sorted(sim._heap):
+        events = sim._calendar[at][sim._taken if at == sim._heap[0] else 0:]
+        shown.append((at, [
+            ("burst", e.targets, e.frame) if type(e) is simnet._Burst
+            else ("copy", *e[:5]) if type(e) is list
+            else e
+            for e in events
+        ]))
+    return shown
+
+
+_PLAN_AGENTS = (MAP, "icd-1", "icd-2", "icd-3")
+_PLAN_LINKS = st.one_of(
+    st.none(),  # unlisted
+    st.builds(LinkModel, st.integers(0, 3)),
+    st.builds(LinkModel, st.integers(0, 3), st.sampled_from([0.5, 1.0])),
+    st.builds(LinkModel, st.integers(0, 3), st.just(0.0), st.sampled_from([0.5, 1.0])),
+)
+_MPC_TAG = wire.AccessParameterMessage.TAG
+_PLAN_HOOKS = st.sampled_from([
+    [],
+    [CaptureMatching(_MPC_TAG)],
+    [CorruptBit(_MPC_TAG, 77)],
+    [CaptureMatching(wire.AuthRequest.TAG)],  # hooks another tag only
+])
+
+
+@given(
+    targets=st.lists(st.sampled_from(_PLAN_AGENTS), min_size=1, max_size=8).map(tuple),
+    links=st.tuples(*[_PLAN_LINKS] * len(_PLAN_AGENTS)),
+    hooks=_PLAN_HOOKS,
+    starts=st.lists(st.tuples(st.sampled_from(_PLAN_AGENTS[1:]), st.integers(0, 3)), max_size=4),
+    steps_between=st.integers(0, 8),
+)
+def test_a_broadcast_by_its_plan_queues_draws_and_traces_as_copy_by_copy(
+    targets, links, hooks, starts, steps_between
+):
+    """Replaying a plan leaves the calendar, the rng and the trace as the
+    per-target loop does, over repeated targets, links that delay, drop or
+    duplicate, hooked and unhooked tags, and arrival times that already
+    have events pending."""
+    sc = Scenario(
+        subscribers=[make_subscriber(i, icd_in=i + 1) for i in range(3)],
+        links={(WBRAC, a): link for a, link in zip(_PLAN_AGENTS, links) if link is not None},
+        schedule=[StartIcd(d, at=at) for d, at in starts],
+        adversary=hooks,
+    )
+    planned, reference = Simulator(sc, seed=3), Simulator(sc, seed=3)
+    frame = wire.AccessParameterMessage(bytes(range(16)))
+
+    def broadcast():
+        planned._broadcast(targets, frame)
+        _broadcast_copy_by_copy(reference, targets, frame)
+        assert _pending(planned) == _pending(reference)
+        assert planned.rng._state == reference.rng._state
+
+    broadcast()
+    for _ in range(steps_between):
+        if planned._heap:
+            planned.step()
+            reference.step()
+    broadcast()  # the same tuple again, by the plan the first broadcast made
+    assert planned.run().serialize() == reference.run().serialize()
+    assert len(planned._plans) == 1
+
+
+def test_a_broadcast_plan_is_made_once_per_target_tuple_and_hooked_value():
+    class CountingLinks(dict):
+        gets = 0
+
+        def get(self, key, default=None):
+            self.gets += 1
+            return super().get(key, default)
+
+    targets = (MAP, "icd-1", "icd-2", "icd-3", "icd-1")
+    links = CountingLinks({(WBRAC, MAP): LinkModel(2), (WBRAC, "icd-2"): LinkModel(1)})
+    sc = Scenario(
+        subscribers=[make_subscriber(i, icd_in=i + 1) for i in range(3)],
+        links=links,
+        adversary=[CaptureMatching(wire.ParameterUpdateOrder.TAG)],
+    )
+    sim = Simulator(sc, seed=0)
+    mpc = wire.AccessParameterMessage(bytes(16))
+    sim._broadcast(targets, mpc)
+    assert links.gets == len(targets)  # the plan reads each target's link
+    links.gets = 0
+    sim._broadcast(targets, mpc)
+    sim._broadcast(tuple(list(targets)), mpc)  # an equal tuple shares the plan
+    assert links.gets == 0
+    # a hooked tag gets its own plan: every copy goes through `_transmit`,
+    # which reads its link too
+    sim._broadcast(targets, wire.ParameterUpdateOrder())
+    assert links.gets == 2 * len(targets)
+    assert list(sim._plans) == [(targets, False), (targets, True)]
+    # each rotation queued its own burst list at 0 ms, then come the lone copies
+    at_0 = sim._calendar[0]
+    assert [e.targets if type(e) is simnet._Burst else e[1] for e in at_0] == (
+        [["icd-1", "icd-3", "icd-1"]] * 3 + ["icd-1", "icd-3", "icd-1"]
+    )
+    assert len({id(e.targets) for e in at_0[:3]}) == 3
+
+
 def test_unknown_agent_in_schedule():
     sc = Scenario(subscribers=[], schedule=[StartIcd("icd-9", 0)])
     with pytest.raises(ScenarioError):
