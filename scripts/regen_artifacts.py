@@ -7,14 +7,13 @@ from pathlib import Path
 
 from wgiot import crypto, simnet, wire
 from wgiot.scenario import load_scenario
-from wgiot.simnet import sim_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def main():
     scenario = load_scenario(ROOT / "scenarios" / "honest.scn")
-    trace = sim_run(scenario, seed=0)
+    trace = simnet.Simulator(scenario, seed=0).run()
     golden = ROOT / "scenarios" / "golden" / "honest.trace"
     golden.parent.mkdir(exist_ok=True)
     golden.write_text(trace.serialize())

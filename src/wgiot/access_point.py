@@ -205,25 +205,22 @@ class MapAgent:
             ]
         )
 
-    def _on_confirmation(self, sender: str, msg: wire.UpdateConfirmation, now: int) -> Transition:
-        rec = self._pending_of(sender, msg.icd_in)
-        if rec is None:
+    def _on_update_outcome(
+        self, sender: str, msg: wire.UpdateConfirmation | wire.UpdateRejection, now: int
+    ) -> Transition:
+        rec = self._by_agent.get(sender)
+        if rec is None or rec.icd_in != msg.icd_in or rec.pending is None:
+            # unknown, not the sender's own icd_in, or no update pending
             return unexpected(self.state_name, msg)
-        response = rec.pending
+        response, rec.pending = rec.pending, None
+        if type(msg) is wire.UpdateRejection:
+            return Transition(out=[(WBRAC, msg)], note="update-discarded")
         if response is not AWAITING_RESPONSE:
             rec.expected_aac = response.expected_aac
             rec.wmap = response.wmap
             rec.challenge_sign = response.challenge_sign
             rec.challenge_outstanding = False
-        rec.pending = None
         return Transition(out=[(WBRAC, msg)], note="update-committed")
-
-    def _on_rejection(self, sender: str, msg: wire.UpdateRejection, now: int) -> Transition:
-        rec = self._pending_of(sender, msg.icd_in)
-        if rec is None:
-            return unexpected(self.state_name, msg)
-        rec.pending = None
-        return Transition(out=[(WBRAC, msg)], note="update-discarded")
 
     def _on_challenge_answer(
         self, sender: str, msg: wire.AuthChallengeAnswer, now: int
@@ -249,18 +246,8 @@ class MapAgent:
         wire.SecureActivation: _on_activation,
         wire.AuthRequest: _on_auth_request,
         wire.MobileAccessChallengeOrder: _on_challenge_order,
-        wire.UpdateConfirmation: _on_confirmation,
-        wire.UpdateRejection: _on_rejection,
+        wire.UpdateConfirmation: _on_update_outcome,
+        wire.UpdateRejection: _on_update_outcome,
         wire.AuthChallengeAnswer: _on_challenge_answer,
     }
     _BY_SENDER = {WBRAC: _FROM_WBRAC}
-
-    # -- internals --
-
-    def _pending_of(self, sender: str, icd_in: int) -> MapRecord | None:
-        """The sender's record if icd_in is its own and an update is pending
-        for it, else None."""
-        rec = self._by_agent.get(sender)
-        if rec is None or rec.icd_in != icd_in or rec.pending is None:
-            return None
-        return rec

@@ -14,7 +14,8 @@ backend, `crypto.DEFAULT_BACKEND`.
 Pending events sit in a calendar: a heap of the distinct pending times
 (`Simulator._heap`) and, for each time, a list of its events in push order.
 An event is a frame copy, a burst, a device's timer tick or a scheduled
-item (a start, a broadcast, a replay, an injection).  `step()` takes
+item (a start, a broadcast, a replay, an injection); a tick is queued as
+its device's name, the only event that is a `str`.  `step()` takes
 exactly one event, the next one in the earliest time's list; a time leaves
 the heap when its list is used up.  No event is pushed before `now`
 (`_open`, the one place a running simulator adds a time, raises
@@ -104,7 +105,7 @@ from .access_point import MapAgent
 from .agent import MAP, WBRAC, NotIdle
 from .icd import STATE_NAMES, IcdAgent, IcdConfig
 from .rng import SimRng
-from .wbrac import DEFAULT_MPC_PERIOD_MS, MpcSchedule, TooEarly, WbracService
+from .wbrac import DEFAULT_MPC_PERIOD_MS, TooEarly, WbracService
 from .wire import value
 
 DEFAULT_MAX_TIME_MS = 60_000
@@ -274,27 +275,29 @@ def scenario_faults(sc: Scenario):
     set: an option by its field name, a registry row by its device's agent
     name, a link by its (src, dst) pair, any other item by itself.
 
-    The rules: every option, a row's `icd_in`, `esn` and `rmc`, a link's
-    delay, every scheduled time, a replay index, a capture or corrupt tag
-    and a corrupted bit are `int`s (not `bool`s); `max_time`, `mpc_period`,
-    a link's delay and every scheduled time are non-negative; a row's
-    `icd_in` and `esn` fit in 64 bits and its `rmc` in 128; a row's
-    key, k and sd are `bytes` of their lengths and no two rows share an
-    `icd_in`; drop and dup probabilities are `int`s or `float`s in [0, 1];
-    a start's device, a broadcast's targets, an injection's target and
-    sender and a `reaches` agent are `str`s, the targets in a tuple; a link
-    endpoint, a broadcast or injection target and a `reaches` agent name an
-    agent, a start names a device and a broadcast has a target; a `reaches`
-    state is a device state for a device and `-` for the others; a replay
-    index is non-negative, an injected frame is a `wire.WireMessage` that
-    encodes, a capture or corrupt tag names a frame and a corrupted bit lies
-    inside its frame's payload; an expectation is a tuple of a known kind
-    and that kind's length, a `frame-count` names a frame by its `str`
-    name, its operator is a key of `FRAME_COUNT_OPS` and its count an
-    `int`, and a `trace-golden` path is a `str` or path object.  A link
-    model that many links share is checked once, at the first of them, and
-    so is a target tuple that many broadcasts share (the parser keeps one
-    per distinct target text); equal but distinct tuples are each checked."""
+    The rules: a registry row is a `SubscriberSpec`, a link's key a
+    (src, dst) pair and its model a `LinkModel`, and an adversary item a
+    capture, corrupt, replay or injection; every option, a row's `icd_in`,
+    `esn` and `rmc`, a link's delay, every scheduled time, a replay index, a
+    capture or corrupt tag and a corrupted bit are `int`s (not `bool`s);
+    `max_time`, `mpc_period`, a link's delay and every scheduled time are
+    non-negative; a row's `icd_in` and `esn` fit in 64 bits and its `rmc` in
+    128; a row's key, k and sd are `bytes` of their lengths and no two rows
+    share an `icd_in`; drop and dup probabilities are `int`s or `float`s in
+    [0, 1]; a start's device, a broadcast's targets, an injection's target
+    and sender and a `reaches` agent are `str`s, the targets in a tuple; a
+    link endpoint, a broadcast or injection target and a `reaches` agent
+    name an agent, a start names a device and a broadcast has a target; a
+    `reaches` state is a device state for a device and `-` for the others; a
+    replay index is non-negative, an injected frame is a `wire.WireMessage`
+    that encodes, a capture or corrupt tag names a frame and a corrupted bit
+    lies inside its frame's payload; an expectation is a tuple of a known
+    kind and that kind's length, a `frame-count` names a frame by its `str`
+    name, its operator is a key of `FRAME_COUNT_OPS` and its count an `int`,
+    and a `trace-golden` path is a `str` or path object.  A link model that
+    many links share is checked once, at the first of them, and so is a
+    target tuple that many broadcasts share (the parser keeps one per
+    distinct target text); equal but distinct tuples are each checked."""
     for name in ("max_time", "mpc_period"):
         value = getattr(sc, name)
         if type(value) is not int or value < 0:
@@ -302,6 +305,9 @@ def scenario_faults(sc: Scenario):
     names = device_ids(sc)
     first_with = {}  # icd_in -> the device registered with it first
     for device, sub in zip(names, sc.subscribers):
+        if not isinstance(sub, SubscriberSpec):
+            yield device, f"registry row {sub!r} is not a SubscriberSpec"
+            continue
         # spelled out rather than looped over a table: a fleet has thousands of rows
         if type(sub.icd_in) is not int or not 0 <= sub.icd_in < 1 << 64:
             yield device, _int_fault("icd_in", sub.icd_in, 64)
@@ -322,6 +328,9 @@ def scenario_faults(sc: Scenario):
     agents = devices | {WBRAC, MAP}
     checked = set()  # the id of each link model already checked
     for pair, link in sc.links.items():
+        if type(pair) is not tuple or len(pair) != 2:
+            yield pair, f"link {pair!r} is not a (src, dst) pair"
+            continue
         for name in pair:
             if name not in agents:
                 yield pair, f"unknown agent {name!r}"
@@ -330,6 +339,9 @@ def scenario_faults(sc: Scenario):
         if id(link) in checked:
             continue
         checked.add(id(link))
+        if not isinstance(link, LinkModel):
+            yield pair, f"link model {link!r} is not a LinkModel"
+            continue
         if type(link.delay_ms) is not int or link.delay_ms < 0:
             yield pair, _int_fault("delay", link.delay_ms)
         for name, p in (("drop", link.drop_prob), ("dup", link.dup_prob)):
@@ -392,6 +404,8 @@ def scenario_faults(sc: Scenario):
                 elif not 0 <= action.bit_index < bits:
                     name = wire.tag_name(action.tag)
                     yield action, f"bit {action.bit_index} outside the {bits}-bit payload of {name}"
+        else:
+            yield action, f"unknown adversary item {action!r}"
         if isinstance(action, (ReplayCaptured, Inject)):
             if type(action.at) is not int or action.at < 0:
                 yield action, _int_fault("time", action.at)
@@ -531,12 +545,9 @@ class Trace:
 # Simulator
 
 
-# A queued copy of a frame is a list (see the module docstring), so the
-# event table keys `_on_deliver` by `list`.
-
-
-class _Tick(NamedTuple):
-    agent_id: str
+# A queued copy of a frame is a list and a timer tick its device's name (see
+# the module docstring), so the event table keys `_on_deliver` by `list` and
+# `_on_tick` by `str`.
 
 
 class _Burst(NamedTuple):
@@ -604,9 +615,8 @@ class Simulator:
 
     def _build_agents(self):
         sc = self.scenario
-        schedule = MpcSchedule(period_ms=sc.mpc_period)
-        self.wbrac = WbracService(schedule, rng=self.rng)
-        mpc = schedule.current
+        self.wbrac = WbracService(self.rng, sc.mpc_period)
+        mpc = self.wbrac.mpc
         self.map = MapAgent(mpc)
         self.agents = agents = {WBRAC: self.wbrac, MAP: self.map}
         self.icds = _Devices(agents)
@@ -775,12 +785,12 @@ class Simulator:
                 plan.append((link.delay_ms, group))
         return plan
 
-    def _on_tick(self, item: _Tick) -> None:
-        result = self.agents[item.agent_id].tick(self.now)
+    def _on_tick(self, agent_id: str) -> None:
+        result = self.agents[agent_id].tick(self.now)
         if result.note:
-            self.trace.add(self.now, "-", item.agent_id, "tick", None, self._shared(result.note))
+            self.trace.add(self.now, "-", agent_id, "tick", None, self._shared(result.note))
         if result.out or result.tick_at is not None:
-            self._apply(item.agent_id, result)
+            self._apply(agent_id, result)
 
     def _on_start(self, item: StartIcd) -> None:
         try:
@@ -866,12 +876,12 @@ class Simulator:
         for dst, msg in result.out:
             self.send(agent_id, dst, msg)
         if result.tick_at is not None:
-            self._push(result.tick_at, _new(_Tick, (agent_id,)))
+            self._push(result.tick_at, agent_id)
 
     _EVENT_HANDLERS = {
         list: _on_deliver,
         _Burst: _on_burst,
-        _Tick: _on_tick,
+        str: _on_tick,
         StartIcd: _on_start,
         RotateMpc: _on_rotate,
         SendParameterUpdate: _on_parameter_update,
@@ -884,8 +894,3 @@ class Simulator:
         while heap and heap[0] <= max_time:
             self.step()
         return self.trace
-
-
-def sim_run(scenario: Scenario, seed: int) -> Trace:
-    """Run a scenario to quiescence (or max virtual time) and return the trace."""
-    return Simulator(scenario, seed).run()

@@ -1,9 +1,10 @@
 """The wireless base register authentication center (WBRAC).
 
-Holds the subscriber registry, rotates and broadcasts the MPC, and runs the
-server side of the update-value and unique-challenge computations.  Only the
-WBRAC holds device secrets; the access point receives precomputed
-expectations at registration and in each MapChallengeResponse.
+Holds the subscriber registry and the network's MPC, `mpc`, which it draws
+anew and broadcasts at most once per `mpc_period` ms, and runs the server
+side of the update-value and unique-challenge computations.  Only the WBRAC
+holds device secrets; the access point receives precomputed expectations at
+registration and in each MapChallengeResponse.
 
 Every frame it obeys names its device by icd_in and is answered to MAP; its
 dispatch tables say which frames it obeys from which sender (frames.md lists
@@ -48,21 +49,13 @@ class SubscriberRecord:
     pending_sd_new: bytes | None = None
 
 
-@dataclass(slots=True)
-class MpcSchedule:
-    """The network's MPC rotation.  `current` is the 16-byte MPC last drawn,
-    the bytes object its AccessParameterMessage carries."""
-
-    period_ms: int = DEFAULT_MPC_PERIOD_MS
-    current: bytes = bytes(16)
-    last_rotation: int | None = None
-
-
 class WbracService:
-    def __init__(self, schedule: MpcSchedule, rng):
+    def __init__(self, rng, mpc_period: int):
         self.rng = rng
         self.registry: dict[int, SubscriberRecord] = {}
-        self.schedule = schedule
+        self.mpc = bytes(16)  # the MPC last drawn, the bytes its AccessParameterMessage carries
+        self.mpc_period = mpc_period
+        self.last_rotation: int | None = None
 
     state_name = "-"
 
@@ -91,12 +84,12 @@ class WbracService:
     # -- MPC rotation --
 
     def rotate_mpc(self, now: int) -> wire.AccessParameterMessage:
-        sched = self.schedule
-        if sched.last_rotation is not None and now < sched.last_rotation + sched.period_ms:
-            raise TooEarly(f"rotation at {now}, last at {sched.last_rotation}")
-        sched.current = self.rng.draw_bytes(16)
-        sched.last_rotation = now
-        return wire.AccessParameterMessage(sched.current)
+        last = self.last_rotation
+        if last is not None and now < last + self.mpc_period:
+            raise TooEarly(f"rotation at {now}, last at {last}")
+        self.mpc = self.rng.draw_bytes(16)
+        self.last_rotation = now
+        return wire.AccessParameterMessage(self.mpc)
 
     # -- update-value flow --
 

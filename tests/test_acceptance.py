@@ -32,7 +32,6 @@ from wgiot.simnet import (
     Scenario,
     Simulator,
     StartIcd,
-    sim_run,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,7 +48,7 @@ def test_criterion_1_honest_run_reproduction():
     bad = [
         seed
         for seed in range(100)
-        if sim_run(load_scenario(ROOT / "scenarios" / "honest.scn"), seed).serialize()
+        if Simulator(load_scenario(ROOT / "scenarios" / "honest.scn"), seed).run().serialize()
         != golden
     ]
     report(1, "honest-run reproduction", not bad, f"seeds off golden: {bad}")
@@ -148,7 +147,7 @@ def test_criterion_4_replay_rejection():
             ],
             adversary=[CaptureMatching(wire.AuthRequest.TAG), ReplayCaptured(0, at=200)],
         )
-        trace = sim_run(sc, seed=seed)
+        trace = Simulator(sc, seed=seed).run()
         replayed = [e for e in trace.entries if "replayed" in e.note]
         ok = (
             len(replayed) == 1
@@ -219,10 +218,10 @@ def test_criterion_6_codec_totality():
 
 def test_criterion_7_determinism(tmp_path):
     honest = ROOT / "scenarios" / "honest.scn"
-    lib_a = sim_run(load_scenario(honest), seed=3).serialize()
-    lib_b = sim_run(load_scenario(honest), seed=3).serialize()
-    upd_a = sim_run(update_scenario(9), seed=9).serialize()
-    upd_b = sim_run(update_scenario(9), seed=9).serialize()
+    lib_a = Simulator(load_scenario(honest), seed=3).run().serialize()
+    lib_b = Simulator(load_scenario(honest), seed=3).run().serialize()
+    upd_a = Simulator(update_scenario(9), seed=9).run().serialize()
+    upd_b = Simulator(update_scenario(9), seed=9).run().serialize()
 
     out = tmp_path / "cli.trace"
     proc = subprocess.run(

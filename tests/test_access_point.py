@@ -212,11 +212,18 @@ def test_rejection_clears_pending_without_commit():
     agent = make_map()
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
     agent.handle("wbrac", response(), 0)
+    agent.handle("icd-1", auth_request(aac=bytes(16)), 0)  # arms a challenge
     result = agent.handle("icd-1", wire.UpdateRejection(ICD_IN), 0)
     assert result.out == [("wbrac", wire.UpdateRejection(ICD_IN))]
     rec = agent.records[ICD_IN]
     assert rec.pending is None
-    assert rec.expected_aac == EXPECTED_AAC  # the response's material discarded
+    # the response's material discarded, and the armed challenge kept
+    assert (rec.expected_aac, rec.wmap, rec.challenge_sign) == (
+        EXPECTED_AAC,
+        CHALLENGE_WMAP,
+        CHALLENGE_SIGN,
+    )
+    assert rec.challenge_outstanding
 
 
 def test_challenge_answer_right_and_wrong():

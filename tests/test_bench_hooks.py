@@ -77,7 +77,7 @@ def test_shared_results_are_unchanged_by_runs_that_return_them():
         "update-timeout",
     ]
     for build in (lossy_broadcasts, impaired_broadcasts):
-        simnet.sim_run(build(0), 0)
+        simnet.Simulator(build(0), 0).run()
     assert [name for name, result in shared.items() if result != fresh[name]] == []
 
 
@@ -87,7 +87,7 @@ def test_every_trace_line_and_event_goes_through_its_wrapped_name():
     event through `step`."""
     tracer = spans.Tracer()
     with tracer.installed():
-        trace = simnet.sim_run(lossy_broadcasts(0), 0)
+        trace = simnet.Simulator(lossy_broadcasts(0), 0).run()
     calls = tracer.calls
     assert calls["simnet.trace_add"] == len(trace.notes) > 0
     # the untraced `step()` calls that take the same scenario to max_time
@@ -101,5 +101,5 @@ def test_every_trace_line_and_event_goes_through_its_wrapped_name():
     # every wbrac -> icd-k link draws, so no copy to a device joins a burst
     tracer = spans.Tracer()
     with tracer.installed():
-        trace = simnet.sim_run(impaired_broadcasts(0), 0)
+        trace = simnet.Simulator(impaired_broadcasts(0), 0).run()
     assert tracer.calls["simnet.step"] >= len(trace.notes) > 0

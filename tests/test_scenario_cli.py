@@ -607,6 +607,27 @@ CODE_ONLY_REJECTED = {
         {"expects": [("trace-golden", 5)]},
         "golden trace path 5 is not a path",
     ),
+    "adversary-start": (
+        {"adversary": [StartIcd("icd-1", at=0)]},
+        "unknown adversary item StartIcd(agent_id='icd-1', at=0)",
+    ),
+    "adversary-str": ({"adversary": ["icd-1"]}, "unknown adversary item 'icd-1'"),
+    "registry-row-tuple": (
+        {"subscribers": [(1, 2)]},
+        "registry row (1, 2) is not a SubscriberSpec",
+    ),
+    "link-model-int": (
+        {"links": {("icd-1", "map-1"): 5}},
+        "link model 5 is not a LinkModel",
+    ),
+    "link-key-str": (
+        {"links": {"icd-1": LinkModel()}},
+        "link 'icd-1' is not a (src, dst) pair",
+    ),
+    "link-key-1-tuple": (
+        {"links": {("icd-1",): LinkModel()}},
+        "link ('icd-1',) is not a (src, dst) pair",
+    ),
 }
 
 

@@ -114,7 +114,7 @@ def test_a_fleet_trace_holds_no_entry_objects():
 def test_the_mpc_and_the_provisions_are_the_frames_bytes(monkeypatch):
     sim = Simulator(parse_scenario(TEXT), seed=3)
     sim.run()
-    mpc = sim.wbrac.schedule.current
+    mpc = sim.wbrac.mpc
     assert mpc != bytes(16)  # the rotation took
     assert sim.map.mpc is mpc
     for icd in sim.icds.values():

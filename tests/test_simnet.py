@@ -28,21 +28,20 @@ from wgiot.simnet import (
     StartIcd,
     TraceEntry,
     device_ids,
-    sim_run,
 )
 from wgiot.wbrac import WbracService
 
 
 def test_empty_scenario_empty_trace():
-    trace = sim_run(Scenario(subscribers=[]), seed=0)
+    trace = Simulator(Scenario(subscribers=[]), seed=0).run()
     assert trace.entries == []
 
 
 def test_trace_entries_read_the_columns():
-    empty = sim_run(Scenario(subscribers=[]), seed=0).entries
+    empty = Simulator(Scenario(subscribers=[]), seed=0).run().entries
     assert type(empty) is list and empty == []
 
-    trace = sim_run(update_scenario(0), seed=0)
+    trace = Simulator(update_scenario(0), seed=0).run()
     entries = trace.entries
     n = len(entries)
     assert n == len(trace.times) > 3
@@ -70,7 +69,7 @@ def test_trace_entries_read_the_columns():
 
 
 def test_honest_run_frame_sequence():
-    trace = sim_run(honest_scenario(), seed=0)
+    trace = Simulator(honest_scenario(), seed=0).run()
     tags = [e.tag for e in trace.entries]
     assert tags == ["SecureActivation", "AuthRequest", "AuthAccept"]
 
@@ -82,14 +81,14 @@ def test_honest_run_reaches_authenticated():
 
 
 def test_same_seed_byte_identical_traces():
-    a = sim_run(update_scenario(3), seed=3).serialize()
-    b = sim_run(update_scenario(3), seed=3).serialize()
+    a = Simulator(update_scenario(3), seed=3).run().serialize()
+    b = Simulator(update_scenario(3), seed=3).run().serialize()
     assert a == b
 
 
 def test_different_seeds_differ_in_update_flow():
-    a = sim_run(update_scenario(3), seed=3).serialize()
-    b = sim_run(update_scenario(3), seed=4).serialize()
+    a = Simulator(update_scenario(3), seed=3).run().serialize()
+    b = Simulator(update_scenario(3), seed=4).run().serialize()
     assert a != b  # nonces come from the seeded generator
 
 
@@ -100,7 +99,7 @@ def test_step_with_no_events_raises():
 
 
 def test_virtual_time_never_decreases():
-    trace = sim_run(update_scenario(0), seed=0)
+    trace = Simulator(update_scenario(0), seed=0).run()
     times = [e.time for e in trace.entries]
     assert times == sorted(times)
 
@@ -141,7 +140,7 @@ def test_events_run_in_time_then_push_order(ops):
             name = f"e{len(sim.agents)}"
             sim.agents[name] = _Recorder(name, log)
             at = sim.now + op[1]
-            sim._push(at, simnet._Tick(name))
+            sim._push(at, name)
             heapq.heappush(reference, (at, len(sim.agents), name))
         elif reference:
             sim.step()
@@ -156,10 +155,10 @@ def test_events_run_in_time_then_push_order(ops):
 def test_push_before_now_raises():
     sim = Simulator(Scenario(subscribers=[]), seed=0)
     sim.agents["e"] = _Recorder("e", [])
-    sim._push(5, simnet._Tick("e"))
+    sim._push(5, "e")
     sim.step()
     with pytest.raises(ValueError):
-        sim._push(4, simnet._Tick("e"))
+        sim._push(4, "e")
 
 
 def test_replies_sent_without_delay_follow_the_whole_broadcast():
@@ -205,7 +204,7 @@ def test_one_step_delivers_every_copy_of_a_broadcast_over_unlisted_links():
     assert [(e.time, e.sender, e.receiver, e.tag) for e in sim.trace.entries] == [
         (10, WBRAC, d, "AccessParameterMessage") for d in devices
     ]
-    assert {sim.icds[d].cfg.mpc for d in devices} == {sim.wbrac.schedule.current}
+    assert {sim.icds[d].cfg.mpc for d in devices} == {sim.wbrac.mpc}
     assert not sim._heap
 
 
@@ -439,7 +438,7 @@ def test_lossy_first_hop_auth_rate_matches_the_loss_model(drop):
 def test_dup_prob_one_duplicates_each_send():
     sc = honest_scenario()
     sc.links[("icd-1", "map-1")] = LinkModel(dup_prob=1.0)
-    trace = sim_run(sc, seed=0)
+    trace = Simulator(sc, seed=0).run()
     auth_requests = [e for e in trace.entries if e.tag == "AuthRequest"]
     assert len(auth_requests) == 2
     assert sum(1 for e in auth_requests if e.note.startswith("duplicate")) == 1
@@ -450,7 +449,7 @@ def test_frame_conservation():
     dropped, or duplicated-and-counted."""
     sc = update_scenario(0)
     sc.links[("map-1", "icd-1")] = LinkModel(drop_prob=0.3, dup_prob=0.3)
-    trace = sim_run(sc, seed=5)
+    trace = Simulator(sc, seed=5).run()
     for e in trace.entries:
         kinds = sum(("dropped" in e.note, e.note.startswith("duplicate")))
         assert kinds <= 1  # mutually exclusive accounting
@@ -460,7 +459,7 @@ def test_delayed_links_shift_delivery_times():
     sc = honest_scenario()
     sc.links[("icd-1", "map-1")] = LinkModel(delay_ms=40)
     sc.links[("map-1", "icd-1")] = LinkModel(delay_ms=25)
-    trace = sim_run(sc, seed=0)
+    trace = Simulator(sc, seed=0).run()
     by_tag = {e.tag: e.time for e in trace.entries}
     assert by_tag["AuthRequest"] == 40
     assert by_tag["AuthAccept"] == 65
@@ -487,7 +486,7 @@ def test_replay_after_rotation_routes_to_mismatch():
         RotateMpc(at=100, targets=("map-1", "icd-1")),
     ]
     sc.adversary = [CaptureMatching(wire.AuthRequest.TAG), ReplayCaptured(0, at=200)]
-    trace = sim_run(sc, seed=1)
+    trace = Simulator(sc, seed=1).run()
     replayed = [e for e in trace.entries if "replayed" in e.note]
     assert len(replayed) == 1
     assert "mismatch MPC" in replayed[0].note
@@ -563,7 +562,7 @@ def test_adversary_bytes_are_decoded_once_where_they_are_made(monkeypatch):
         CaptureMatching(wire.AuthRequest.TAG),
         ReplayCaptured(0, at=100),
     ]
-    trace = sim_run(sc, seed=0)
+    trace = Simulator(sc, seed=0).run()
     assert decoded == [wire.SecureActivation.TAG, wire.AuthRequest.TAG]
     # the trace of the same run when every adversary copy was decoded at delivery
     digest = hashlib.sha256(trace.serialize().encode()).hexdigest()
@@ -577,7 +576,7 @@ def test_adversary_bytes_are_decoded_once_where_they_are_made(monkeypatch):
 def test_replay_of_nothing_is_recorded_noop():
     sc = honest_scenario()
     sc.adversary = [ReplayCaptured(0, at=50)]
-    trace = sim_run(sc, seed=0)
+    trace = Simulator(sc, seed=0).run()
     assert any("no-op" in e.note for e in trace.entries)
 
 
@@ -608,7 +607,7 @@ def test_device_obeys_only_its_access_point_and_the_wbrac_broadcasts():
     provisioned = sim.icds["icd-1"].cfg.mpc
     trace = sim.run()
     icd = sim.icds["icd-1"]
-    assert icd.cfg.mpc == sim.wbrac.schedule.current != provisioned  # the broadcast took
+    assert icd.cfg.mpc == sim.wbrac.mpc != provisioned  # the broadcast took
     assert isinstance(icd.state, Idle)
     assert [e.note for e in trace.entries if e.sender == "icd-2"] == [
         "injected unexpected AccessParameterMessage in Idle -> Idle",
@@ -641,7 +640,7 @@ def test_start_of_a_busy_device_is_traced_as_skipped():
 def test_too_early_rotation_is_traced_as_skipped():
     sc = honest_scenario()
     sc.schedule = [RotateMpc(at=10, targets=("map-1",)), RotateMpc(at=20, targets=("map-1",))]
-    trace = sim_run(sc, seed=0)
+    trace = Simulator(sc, seed=0).run()
     assert trace.entries[-1] == (
         20, "wbrac", "-", "rotate", None, "skipped: rotation at 20, last at 10"
     )
@@ -729,7 +728,7 @@ def test_trace_times_of_64_bits_and_more_are_kept():
     entries = trace.entries
     assert [e.time for e in entries] == list(trace.times) and len(entries) == 3
     assert trace.serialize().splitlines()[2].startswith(f"{at}\ticd-1\tmap-1\tSecureActivation")
-    assert type(sim_run(honest_scenario(), seed=0).times) is not list
+    assert type(Simulator(honest_scenario(), seed=0).run().times) is not list
 
 
 def test_icds_is_a_read_only_view_of_the_devices_in_agents():

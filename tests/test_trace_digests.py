@@ -25,14 +25,13 @@ from wgiot.simnet import (
     Simulator,
     StartIcd,
     SubscriberSpec,
-    sim_run,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def digest(scenario: Scenario, seed: int) -> str:
-    return hashlib.sha256(sim_run(scenario, seed).serialize().encode()).hexdigest()
+    return hashlib.sha256(Simulator(scenario, seed).run().serialize().encode()).hexdigest()
 
 
 def _devices(r: random.Random, n: int, drop: float = 0.0, dup: float = 0.0):
@@ -226,7 +225,7 @@ def test_every_sent_frame_is_what_its_bytes_decode_to(monkeypatch, name):
     monkeypatch.setattr(Simulator, "_broadcast", spy_broadcast)
     build, seeds = PINNED_RUNS[name]
     for seed in range(seeds):
-        sim_run(build(seed), seed)
+        Simulator(build(seed), seed).run()
     assert sent
     for msg in sent:
         decoded = wire.decode(wire.encode(msg))

@@ -6,7 +6,6 @@ import prf_oracle
 from wgiot import crypto, wire
 from wgiot.rng import SimRng
 from wgiot.wbrac import (
-    MpcSchedule,
     NoPendingUpdate,
     TooEarly,
     UpdateInProgress,
@@ -16,15 +15,15 @@ from wgiot.wbrac import (
 
 def make_wbrac(seed=0, period=100):
     rng = SimRng(seed)
-    svc = WbracService(schedule=MpcSchedule(period_ms=period), rng=rng)
+    svc = WbracService(rng, mpc_period=period)
     r = random.Random(seed)
     svc.provision(1, 2, r.randbytes(16), sd=r.randbytes(16))
     return svc, rng
 
 
-def test_a_service_needs_its_schedule_and_rng():
+def test_a_service_needs_its_rng_and_mpc_period():
     # no defaults: a service without an rng would fail at its first draw
-    for args in ((), (MpcSchedule(),)):
+    for args in ((), (SimRng(0),)):
         with pytest.raises(TypeError):
             WbracService(*args)
 
@@ -41,9 +40,9 @@ def test_expected_aac_matches_oracle():
 
 def test_rotate_mpc_and_too_early():
     svc, rng = make_wbrac(period=100)
-    before = svc.schedule.current
+    before = svc.mpc
     frame = svc.rotate_mpc(now=0)
-    assert frame.mpc is svc.schedule.current != before
+    assert frame.mpc is svc.mpc != before
     with pytest.raises(TooEarly):
         svc.rotate_mpc(now=50)
     svc.rotate_mpc(now=100)
