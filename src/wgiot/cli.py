@@ -8,6 +8,7 @@ requested, is written even on failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ def _cmd_run(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if args.max_time is not None:
-            scenario.max_time = args.max_time  # scenario_faults checks it, as any value
+            scenario = dataclasses.replace(scenario, max_time=args.max_time)  # checked as built
         sim = Simulator(scenario, seed=args.seed)
         trace = sim.run()
     except (ScenarioError, crypto.CryptoError) as exc:

@@ -7,15 +7,14 @@ turns tokens into values and fails on text it cannot read: an unknown
 section, option or keyword, a malformed line, tokens after its end, a second
 line for the same link or a link attribute given twice.  Every rule on the
 values themselves (ranges, lengths, unique `icd_in`, agent and frame names)
-is `simnet.scenario_faults`, the check `Simulator` applies to every
-scenario; the parser runs it once the whole file is read, since sections
-may come in any order, and reports the lowest line holding a fault.  Either
-way a bad file fails at load time with its line number.  A parsed scenario
-is checked once, by the parser: its rows, schedule, adversary items and
-expectations are tuples and its links a `simnet.ReadOnlyLinks`, so none can
-change in place, and the parser records the field values it checked;
-`Simulator` checks the scenario again only when a field has been replaced
-since, as the CLI's `--max-time` replaces `max_time`.
+is `simnet.scenario_faults`, which every `Scenario` runs once, when it is
+built.  The parser keeps the rows, links, items and options in plain lists
+and dicts and builds the `Scenario` once the whole file is read, since
+sections may come in any order; it maps each fault the build raises to its
+line and reports the lowest one, so a bad file fails at load time with its
+line number.  The scenario it returns is frozen and cannot change in place,
+and a new one, such as the CLI's `--max-time` makes with
+`dataclasses.replace`, is checked as it is built.
 
 The file is read in one pass in file order, so the first line it cannot
 read fails first.  Lines end at `\n`, `\r\n` or `\r`, as universal
@@ -25,7 +24,7 @@ conversions: the current section's handler takes the line's number and
 stripped text, and no object is made for the line.  A registry row
 converts its six fields in one go; only a row that fails is parsed again
 field by field, to name the field at fault.  The line of each value is
-kept in a plain list parallel to the scenario's rows, links and items (an
+kept in a plain list parallel to the list of rows, links or items (an
 option keeps the line that set it last); the map from the keys
 `scenario_faults` names to their lines is built only when it names one.
 Equal texts are parsed once per file: each distinct link attribute text
@@ -48,7 +47,6 @@ from .simnet import (
     CorruptBit,
     Inject,
     LinkModel,
-    ReadOnlyLinks,
     ReplayCaptured,
     RotateMpc,
     Scenario,
@@ -57,8 +55,6 @@ from .simnet import (
     StartIcd,
     SubscriberSpec,
     device_ids,
-    record_checked,
-    scenario_faults,
 )
 
 SCENARIO_HEADER = "wgiot-scenario v1"
@@ -120,14 +116,14 @@ def load_scenario(path) -> Scenario:
 
 def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
     base_dir = base_dir or Path(".")
-    scenario = Scenario(subscribers=[])
-    subscribers, links = scenario.subscribers, scenario.links
-    schedule, adversary, expects = scenario.schedule, scenario.adversary, scenario.expects
+    options: dict[str, int] = {}  # an option's field name -> its value
+    links: dict[tuple[str, str], LinkModel] = {}
+    subscribers, schedule, adversary, expects = [], [], [], []
     link_models: dict[str, LinkModel] = {}  # attribute text -> its model, for this file
     target_lists: dict[str, tuple[str, ...]] = {}  # target text -> its tuple, for this file
     # where each value was set, read only to place a fault: an option's field
     # name -> the line that set it last, and the line of each registry row,
-    # link and item in a list parallel to the scenario's own
+    # link and item in a list parallel to the one that holds it
     option_lines: dict[str, int] = {}
     registry_lines: list[int] = []
     link_lines: list[int] = []
@@ -137,7 +133,7 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
 
     def set_option(no: int, text: str) -> None:
         name, value = _parse_option(no, text)
-        setattr(scenario, name, value)
+        options[name] = value
         option_lines[name] = no
 
     def add_subscriber(no: int, text: str) -> None:
@@ -215,33 +211,26 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
             continue
         add(no, line)
 
-    faults = list(scenario_faults(scenario))
-    if faults:
-        # each key scenario_faults names -> its line; an item given twice
-        # maps to its first line
-        line_of = dict(option_lines)
-        line_of.update(zip(device_ids(scenario), registry_lines))
-        line_of.update(zip(links, link_lines))
-        for items, numbers in (
-            (schedule, schedule_lines),
-            (adversary, adversary_lines),
-            (expects, expect_lines),
-        ):
-            for item, no in zip(items, numbers):
-                line_of.setdefault(item, no)
-        no, reason = min(((line_of[key], reason) for key, reason in faults), key=lambda f: f[0])
-        _fail(no, reason)
     if not any(isinstance(item, StartIcd) for item in schedule):
-        schedule += [StartIcd(a, at=0) for a in device_ids(scenario)]
-    scenario.subscribers = tuple(subscribers)
-    # copied whole at the end: a plain dict takes each link faster than
-    # dict.__setitem__ on a ReadOnlyLinks would
-    scenario.links = ReadOnlyLinks(links)
-    scenario.schedule = tuple(schedule)
-    scenario.adversary = tuple(adversary)
-    scenario.expects = tuple(expects)
-    record_checked(scenario)
-    return scenario
+        schedule += [StartIcd(a, at=0) for a in device_ids(len(subscribers))]
+    try:
+        return Scenario(subscribers, links, schedule, adversary, expects, **options)
+    except ScenarioError as exc:
+        faults = exc.faults
+    # each key the scenario's faults name -> its line; an item given twice
+    # maps to its first line
+    line_of = dict(option_lines)
+    line_of.update(zip(device_ids(len(subscribers)), registry_lines))
+    line_of.update(zip(links, link_lines))
+    for items, numbers in (
+        (schedule, schedule_lines),
+        (adversary, adversary_lines),
+        (expects, expect_lines),
+    ):
+        for item, no in zip(items, numbers):
+            line_of.setdefault(item, no)
+    no, reason = min(((line_of[key], reason) for key, reason in faults), key=lambda f: f[0])
+    _fail(no, reason)
 
 
 def _before_any_section(no: int, text: str) -> None:

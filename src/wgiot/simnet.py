@@ -4,12 +4,11 @@ One WBRAC, one access point (MAP), and any number of devices exchange
 frames over links with configurable delay/drop/duplication.  Virtual time is
 integer milliseconds; events at equal times process in insertion order, so a
 (scenario, seed) pair fully determines the trace.  An adversary can capture,
-replay, inject, and corrupt frames in flight.  Every scenario, built in code
-or parsed, is checked before it runs by `scenario_faults`, the one statement
-of the rules its values must meet: a parsed one by the parser, which
-records the values it checked (`record_checked`), and any other, or one with
-a field replaced since, by `Simulator`.  All PRF work uses the reference
-backend, `crypto.DEFAULT_BACKEND`.
+replay, inject, and corrupt frames in flight.  A `Scenario`, built in code
+or parsed, is a frozen value checked when it is built by `scenario_faults`,
+the one statement of the rules its values must meet, so `Simulator` checks
+only its seed.  All PRF work uses the reference backend,
+`crypto.DEFAULT_BACKEND`.
 
 Pending events sit in a calendar: a heap of the distinct pending times
 (`Simulator._heap`) and, for each time, a list of its events in push order.
@@ -48,8 +47,8 @@ broadcast of that pair, as a plan (`Simulator._plan`): in target order, a
 burst group (its arrival delay and its targets) or a lone copy for
 `_transmit`.  Every broadcast replays its pair's plan, queueing a new
 burst per group, so the calendar, the draws and the trace are what working
-the copies out again would give.  A plan reads the link models once, so a
-scenario's links must not change while it runs.
+the copies out again would give.  A plan reads the link models once, which
+holds because a scenario's links cannot change.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame and trace payload, and every copy on a link (all targets of a
@@ -81,8 +80,8 @@ checked and kept in the row, and no agent holds it.  A device's RMC is its
 row's `rmc` packed into 16 bytes once, one object that the device's config
 and the access point's `MapRecord` share, as do all rows with an equal
 `rmc`.  The scenario values (link models, registry rows, scheduled and
-adversary items) are frozen values built through `wire.value`; they,
-`Scenario` and `Trace` are slotted, with no per-instance attribute dict.
+adversary items) and `Scenario` itself are frozen values built through
+`wire.value`; they and `Trace` are slotted, with no per-instance dict.
 The adversary's capture and corrupt hooks run on the send path only for
 frames of an armed tag.
 """
@@ -96,7 +95,6 @@ import os
 import sys
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import NamedTuple
 
@@ -112,7 +110,12 @@ DEFAULT_MAX_TIME_MS = 60_000
 
 
 class ScenarioError(Exception):
-    pass
+    """A scenario that cannot be read or built; `faults` holds each (key,
+    reason) that `scenario_faults` found, the first reason being the message."""
+
+    def __init__(self, message: str, faults: tuple = ()):
+        super().__init__(message)
+        self.faults = faults
 
 
 class NoEvents(Exception):
@@ -195,59 +198,62 @@ class CorruptBit:
 
 
 class ReadOnlyLinks(dict):
-    """The links of a parsed scenario: a `dict` that refuses every change in
-    place, so that `Simulator._transmit` still looks a link up with the
-    dict's own C lookup.  `copy.copy`, `copy.deepcopy` and pickle give a
-    `ReadOnlyLinks` too; its `copy()` method, `dict`'s, a plain `dict`."""
+    """A scenario's links: a `dict` that refuses every change in place, so
+    that `Simulator._transmit` still looks a link up with the dict's own C
+    lookup.  It hashes by its items, which cannot change.  `copy.copy`,
+    `copy.deepcopy` and pickle give a `ReadOnlyLinks` too; its `copy()`
+    method, `dict`'s, a plain `dict`."""
 
     __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("a parsed scenario's links are read-only; assign a new dict to links")
+        raise TypeError("a scenario's links are read-only; dataclasses.replace makes new ones")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
 
     def __reduce__(self):
         return ReadOnlyLinks, (dict(self),)
 
 
-@dataclass(slots=True)
+@value
 class Scenario:
-    subscribers: list[SubscriberSpec]
-    links: dict[tuple[str, str], LinkModel] = field(default_factory=dict)
-    schedule: list = field(default_factory=list)
-    adversary: list = field(default_factory=list)
-    expects: list = field(default_factory=list)
+    """A run's input, checked when it is built, by `dataclasses.replace` too:
+    its sequences become tuples and `links` a `ReadOnlyLinks`, so nothing in
+    it can change, and any fault `scenario_faults` finds raises ScenarioError."""
+
+    subscribers: tuple[SubscriberSpec, ...]
+    links: ReadOnlyLinks = ReadOnlyLinks()  # (src, dst) -> LinkModel
+    schedule: tuple = ()
+    adversary: tuple = ()
+    expects: tuple = ()
     max_time: int = DEFAULT_MAX_TIME_MS
     mpc_period: int = DEFAULT_MPC_PERIOD_MS
-    # the field values that passed `scenario_faults`, as `record_checked` saw them
-    _checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-
-_field_values = operator.attrgetter(*(f.name for f in fields(Scenario) if f.init))
-
-
-def record_checked(sc: Scenario) -> None:
-    """Record that `sc`'s field values passed `scenario_faults`, so that
-    `Simulator` checks `sc` again only once a field has been replaced.  Only
-    for a scenario whose containers cannot change in place (tuples and a
-    `ReadOnlyLinks`), as `scenario.parse_scenario` builds them."""
-    sc._checked = _field_values(sc)
-
-
-def _unchanged_since_checked(sc: Scenario) -> bool:
-    checked = sc._checked
-    return checked is not None and all(map(operator.is_, checked, _field_values(sc)))
-
-
-def device_ids(sc: Scenario) -> tuple[str, ...]:
-    """The devices' agent names, in registry order, interned; built once per
-    registry size."""
-    return _device_names(len(sc.subscribers))
+    def __post_init__(self):
+        for name in ("subscribers", "schedule", "adversary", "expects"):
+            items = getattr(self, name)
+            if type(items) is not tuple:
+                if not isinstance(items, (list, tuple)):
+                    reason = f"{name} {items!r} is not a list or tuple"
+                    raise ScenarioError(reason, ((name, reason),))
+                object.__setattr__(self, name, tuple(items))
+        if not isinstance(self.links, ReadOnlyLinks):
+            if not isinstance(self.links, Mapping):
+                reason = f"links {self.links!r} is not a mapping"
+                raise ScenarioError(reason, (("links", reason),))
+            object.__setattr__(self, "links", ReadOnlyLinks(self.links))
+        faults = tuple(scenario_faults(self))
+        if faults:
+            raise ScenarioError(faults[0][1], faults)
 
 
 @functools.lru_cache(maxsize=8)
-def _device_names(count: int) -> tuple[str, ...]:
+def device_ids(count: int) -> tuple[str, ...]:
+    """The agent names of a registry of `count` rows, in registry order,
+    interned; built once per registry size."""
     return tuple(sys.intern(f"icd-{i}") for i in range(1, count + 1))
 
 
@@ -302,7 +308,7 @@ def scenario_faults(sc: Scenario):
         value = getattr(sc, name)
         if type(value) is not int or value < 0:
             yield name, _int_fault(name, value)
-    names = device_ids(sc)
+    names = device_ids(len(sc.subscribers))
     first_with = {}  # icd_in -> the device registered with it first
     for device, sub in zip(names, sc.subscribers):
         if not isinstance(sub, SubscriberSpec):
@@ -321,6 +327,8 @@ def scenario_faults(sc: Scenario):
             yield device, _bytes_fault("sc_auth_k", sub.sc_auth_k, 16)
         if not isinstance(sub.sd, bytes) or len(sub.sd) != 16:
             yield device, _bytes_fault("sd", sub.sd, 16)
+        if type(sub.icd_in) is not int:  # a fault already, and maybe unhashable
+            continue
         first = first_with.setdefault(sub.icd_in, device)
         if first != device:
             yield device, f"duplicate icd_in {sub.icd_in}, first registered by {first}"
@@ -586,9 +594,6 @@ class Simulator:
     def __init__(self, scenario: Scenario, seed: int):
         if type(seed) is not int or seed < 0:
             raise ScenarioError(_int_fault("seed", seed))
-        if not _unchanged_since_checked(scenario):
-            for _, reason in scenario_faults(scenario):
-                raise ScenarioError(reason)
         self.scenario = scenario
         self.rng = SimRng(seed)
         self.now = 0
@@ -621,7 +626,7 @@ class Simulator:
         self.agents = agents = {WBRAC: self.wbrac, MAP: self.map}
         self.icds = _Devices(agents)
         packed_rmcs: dict[int, bytes] = {}  # a row's rmc -> its 16 bytes, one object per value
-        for agent_id, sub in zip(device_ids(sc), sc.subscribers):
+        for agent_id, sub in zip(device_ids(len(sc.subscribers)), sc.subscribers):
             # both sides hold the row's own bytes, so its SD is one object
             rec = self.wbrac.provision(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd)
             rmc = packed_rmcs.get(sub.rmc)

@@ -116,10 +116,11 @@ def value(cls: type) -> type:
     compiled again, from the same fields, parameters, defaults and
     annotations, to store each field through its slot's descriptor; the
     frozen `__init__` goes through the slower `object.__setattr__` for each
-    field.  Everything else is the dataclass's own, so assignment still
-    raises `FrozenInstanceError`.  The frames, the scenario values and the
-    device states are built this way; the simulator builds thousands of
-    each."""
+    field, and then calls `__post_init__` if the class has one.  Everything
+    else is the dataclass's own, so assignment still raises
+    `FrozenInstanceError`.  The frames, the scenario values, the scenario
+    itself and the device states are built this way; the simulator builds
+    thousands of each."""
     cls = dataclass(frozen=True, slots=True)(cls)
     namespace, params, lines = {}, [], []
     for f in fields(cls):
@@ -132,6 +133,8 @@ def value(cls: type) -> type:
             namespace[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
         lines.append(f"    _set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):  # called last, as the dataclass's __init__ calls it
+        lines.append("    self.__post_init__()")
     source = f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(lines) or "    pass")
     exec(compile(source, f"<value {cls.__qualname__}>", "exec"), namespace)
     init = namespace["__init__"]

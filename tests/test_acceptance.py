@@ -5,6 +5,7 @@ line.  Run with `pytest -s tests/test_acceptance.py` to see the lines inline.
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import prf_oracle
@@ -163,8 +164,14 @@ def test_criterion_5_timer_semantics():
     failures = []
     for seed in range(25):
         commit = update_scenario(seed, start_at=600)
-        commit.links[("map-1", "wbrac")] = LinkModel(delay_ms=500)
-        commit.links[("wbrac", "map-1")] = LinkModel(delay_ms=500)
+        commit = replace(
+            commit,
+            links={
+                **commit.links,
+                ("map-1", "wbrac"): LinkModel(delay_ms=500),
+                ("wbrac", "map-1"): LinkModel(delay_ms=500),
+            },
+        )
         sim = Simulator(commit, seed=seed)
         trace = sim.run()
         if trace.frame_count("UpdateConfirmation") < 1:
@@ -173,8 +180,14 @@ def test_criterion_5_timer_semantics():
             failures.append((seed, "committed but sd diverged"))
 
         expire = update_scenario(seed, start_at=600)
-        expire.links[("map-1", "wbrac")] = LinkModel(delay_ms=501)
-        expire.links[("wbrac", "map-1")] = LinkModel(delay_ms=500)
+        expire = replace(
+            expire,
+            links={
+                **expire.links,
+                ("map-1", "wbrac"): LinkModel(delay_ms=501),
+                ("wbrac", "map-1"): LinkModel(delay_ms=500),
+            },
+        )
         sim = Simulator(expire, seed=seed)
         trace = sim.run()
         if trace.frame_count("UpdateConfirmation") != 0:

@@ -4,7 +4,8 @@ import copy
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import pytest
@@ -485,12 +486,20 @@ def test_scenarios_built_in_code_get_the_file_checks(section, fields, reason):
     with pytest.raises(ScenarioError, match=f"^line 5: {re.escape(reason)}$"):
         parse_scenario(MINIMAL + section)
     with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
-        Simulator(Scenario(**{"subscribers": [make_subscriber()], **fields}), seed=0)
+        Scenario(**{"subscribers": [make_subscriber()], **fields})
 
 
-# Values a scenario file cannot hold, since its parser makes ints, bytes
-# and frames: each is rejected before the run, like the rows of CODE_REJECTED.
+# Values a scenario file cannot hold, since its parser makes ints, bytes,
+# frames, lists and dicts: each is rejected when the scenario is built, like
+# the rows of CODE_REJECTED.
 CODE_ONLY_REJECTED = {
+    "registry-None": ({"subscribers": None}, "subscribers None is not a list or tuple"),
+    "schedule-None": ({"schedule": None}, "schedule None is not a list or tuple"),
+    "adversary-a-str": ({"adversary": "capture"}, "adversary 'capture' is not a list or tuple"),
+    "links-list": (
+        {"links": [("icd-1", "map-1")]},
+        "links [('icd-1', 'map-1')] is not a mapping",
+    ),
     "key-str": (
         {"subscribers": [replace(make_subscriber(), key="00" * 32)]},
         "key must be 32 bytes, got str",
@@ -514,6 +523,7 @@ CODE_ONLY_REJECTED = {
     ),
     "float-esn": ({"subscribers": [replace(make_subscriber(), esn=2.0)]}, "esn 2.0 is not an int"),
     "str-icd_in": ({"subscribers": [make_subscriber(icd_in="1")]}, "icd_in '1' is not an int"),
+    "list-icd_in": ({"subscribers": [make_subscriber(icd_in=[1])]}, "icd_in [1] is not an int"),
     "float-rmc": ({"subscribers": [replace(make_subscriber(), rmc=0.0)]}, "rmc 0.0 is not an int"),
     "float-max-time": ({"max_time": 1e3}, "max_time 1000.0 is not an int"),
     "none-mpc-period": ({"mpc_period": None}, "mpc_period None is not an int"),
@@ -635,9 +645,8 @@ CODE_ONLY_REJECTED = {
     "fields,reason", CODE_ONLY_REJECTED.values(), ids=CODE_ONLY_REJECTED.keys()
 )
 def test_scenarios_built_in_code_must_hold_ints_bytes_and_frames(fields, reason):
-    sc = Scenario(**{"subscribers": [make_subscriber()], **fields})
     with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
-        Simulator(sc, seed=0)
+        Scenario(**{"subscribers": [make_subscriber()], **fields})
 
 
 @pytest.mark.parametrize(
@@ -663,10 +672,9 @@ def test_a_frame_count_built_in_code_is_checked_with_the_parsers_operators(op, h
     ids=["guid-5-bytes", "reason-256"],
 )
 def test_an_injected_frame_that_does_not_encode_is_rejected_before_the_run(frame, reason):
-    sc = Scenario([make_subscriber()], adversary=[Inject(frame, to="map-1", at=3)])
     reason = f"injected {type(frame).__name__} does not encode: {reason}"
     with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
-        Simulator(sc, seed=0)
+        Scenario([make_subscriber()], adversary=[Inject(frame, to="map-1", at=3)])
 
 
 def test_sections_may_name_agents_before_the_registry():
@@ -722,7 +730,7 @@ def test_fault_line_rules(text, message):
         parse_scenario(text)
 
 
-# -- one check per parsed scenario ---------------------------------------------------
+# -- one check per scenario, when it is built ---------------------------------------
 
 # two devices, impaired links, and three broadcasts to the same targets
 FLEET_TEXT = MINIMAL + REGISTRY_LINE.replace("1 2", "2 3", 1) + (
@@ -733,9 +741,7 @@ FLEET_TEXT = MINIMAL + REGISTRY_LINE.replace("1 2", "2 3", 1) + (
 )
 
 
-def _count_checks(monkeypatch) -> list:
-    """The scenarios `scenario_faults` is called on from now on, in both
-    modules that call it."""
+def test_scenario_faults_runs_once_per_built_scenario_and_never_in_the_simulator(monkeypatch):
     calls = []
 
     def counting(sc):
@@ -743,18 +749,15 @@ def _count_checks(monkeypatch) -> list:
         return scenario_faults(sc)
 
     monkeypatch.setattr(simnet, "scenario_faults", counting)
-    monkeypatch.setattr(scenario, "scenario_faults", counting)
-    return calls
-
-
-def test_a_parsed_scenario_is_checked_once_and_a_built_one_by_the_simulator(monkeypatch):
-    calls = _count_checks(monkeypatch)
+    assert not hasattr(scenario, "scenario_faults")  # the parser checks by building
     sc = parse_scenario(FLEET_TEXT)
-    Simulator(sc, seed=0)
-    assert calls == [sc]
     built = Scenario([make_subscriber()])
-    Simulator(built, seed=0)
     assert calls == [sc, built]
+    Simulator(sc, seed=0).run()
+    Simulator(built, seed=0).run()
+    assert calls == [sc, built]
+    later = replace(sc, max_time=10)
+    assert calls == [sc, built, later]
 
 
 def test_a_parsed_scenario_cannot_change_in_place():
@@ -777,6 +780,24 @@ def test_a_parsed_scenario_cannot_change_in_place():
     assert sc.links[pair] == LinkModel(delay_ms=3, drop_prob=0.4) and len(sc.links) == 2
 
 
+def test_no_field_or_link_of_a_built_scenario_can_change():
+    pair = ("icd-1", "map-1")
+    links = {pair: LinkModel(delay_ms=3)}
+    schedule = [StartIcd("icd-1", at=0)]
+    built = Scenario([make_subscriber()], links, schedule)
+    for sc in (parse_scenario(FLEET_TEXT), built):
+        for field in dataclass_fields(sc):
+            with pytest.raises(FrozenInstanceError):
+                setattr(sc, field.name, getattr(sc, field.name))
+        with pytest.raises(TypeError, match="read-only"):
+            sc.links[pair] = LinkModel()
+    # the scenario holds copies of the containers it was given
+    links[pair] = LinkModel(drop_prob=1.0)
+    schedule.clear()
+    assert built.links == {pair: LinkModel(delay_ms=3)}
+    assert built.schedule == (StartIcd("icd-1", at=0),)
+
+
 @pytest.mark.parametrize(
     "field,value,reason",
     [
@@ -793,9 +814,8 @@ def test_a_parsed_scenario_cannot_change_in_place():
 )
 def test_a_replaced_field_of_a_parsed_scenario_is_checked_again(field, value, reason):
     sc = parse_scenario(FLEET_TEXT)
-    setattr(sc, field, value)
     with pytest.raises(ScenarioError, match=f"^{re.escape(reason)}$"):
-        Simulator(sc, seed=0)
+        replace(sc, **{field: value})
 
 
 def test_equal_broadcast_target_texts_share_one_tuple():
@@ -815,17 +835,20 @@ def test_an_unknown_name_in_a_shared_target_list_fails_at_its_first_line():
 def test_equal_but_distinct_target_tuples_are_each_checked():
     names = ["map-1", "icd-9"]
     shared = tuple(names)
-    sc = Scenario(
-        [make_subscriber()],
-        schedule=[RotateMpc(at=5, targets=shared), RotateMpc(at=9, targets=shared)],
+    with pytest.raises(ScenarioError) as one_check:
+        Scenario(
+            [make_subscriber()],
+            schedule=[RotateMpc(at=5, targets=shared), RotateMpc(at=9, targets=shared)],
+        )
+    assert [key.at for key, _ in one_check.value.faults] == [5]
+    schedule = [RotateMpc(at=5, targets=tuple(names)), RotateMpc(at=9, targets=tuple(names))]
+    assert schedule[0].targets is not schedule[1].targets
+    with pytest.raises(ScenarioError, match="^unknown agent 'icd-9'$") as two_checks:
+        Scenario([make_subscriber()], schedule=schedule)
+    assert two_checks.value.faults == (
+        (schedule[0], "unknown agent 'icd-9'"),
+        (schedule[1], "unknown agent 'icd-9'"),
     )
-    assert [key.at for key, _ in scenario_faults(sc)] == [5]
-    sc.schedule = [RotateMpc(at=5, targets=tuple(names)), RotateMpc(at=9, targets=tuple(names))]
-    assert sc.schedule[0].targets is not sc.schedule[1].targets
-    assert list(scenario_faults(sc)) == [
-        (sc.schedule[0], "unknown agent 'icd-9'"),
-        (sc.schedule[1], "unknown agent 'icd-9'"),
-    ]
 
 
 def test_a_deep_copied_simulator_of_a_parsed_scenario_runs_to_the_same_trace():

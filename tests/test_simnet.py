@@ -4,6 +4,7 @@ import heapq
 import math
 import re
 from collections.abc import Mapping, MutableMapping
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from wgiot.simnet import (
     Inject,
     LinkModel,
     NoEvents,
+    ReadOnlyLinks,
     ReplayCaptured,
     RotateMpc,
     Scenario,
@@ -347,7 +349,7 @@ def test_a_broadcast_by_its_plan_queues_draws_and_traces_as_copy_by_copy(
 
 
 def test_a_broadcast_plan_is_made_once_per_target_tuple_and_hooked_value():
-    class CountingLinks(dict):
+    class CountingLinks(ReadOnlyLinks):
         gets = 0
 
         def get(self, key, default=None):
@@ -361,6 +363,7 @@ def test_a_broadcast_plan_is_made_once_per_target_tuple_and_hooked_value():
         links=links,
         adversary=[CaptureMatching(wire.ParameterUpdateOrder.TAG)],
     )
+    assert sc.links is links
     sim = Simulator(sc, seed=0)
     mpc = wire.AccessParameterMessage(bytes(16))
     sim._broadcast(targets, mpc)
@@ -383,9 +386,8 @@ def test_a_broadcast_plan_is_made_once_per_target_tuple_and_hooked_value():
 
 
 def test_unknown_agent_in_schedule():
-    sc = Scenario(subscribers=[], schedule=[StartIcd("icd-9", 0)])
     with pytest.raises(ScenarioError):
-        Simulator(sc, seed=0)
+        Scenario(subscribers=[], schedule=[StartIcd("icd-9", 0)])
 
 
 @pytest.mark.parametrize(
@@ -405,7 +407,7 @@ def test_a_seed_that_is_not_a_non_negative_int_is_rejected(seed, reason):
 
 def test_drop_prob_one_records_dropped_and_receiver_untouched():
     sc = honest_scenario()
-    sc.links[("icd-1", "map-1")] = LinkModel(drop_prob=1.0)
+    sc = replace(sc, links={**sc.links, ("icd-1", "map-1"): LinkModel(drop_prob=1.0)})
     sim = Simulator(sc, seed=0)
     trace = sim.run()
     assert all("dropped" in e.note for e in trace.entries)
@@ -437,7 +439,7 @@ def test_lossy_first_hop_auth_rate_matches_the_loss_model(drop):
 
 def test_dup_prob_one_duplicates_each_send():
     sc = honest_scenario()
-    sc.links[("icd-1", "map-1")] = LinkModel(dup_prob=1.0)
+    sc = replace(sc, links={**sc.links, ("icd-1", "map-1"): LinkModel(dup_prob=1.0)})
     trace = Simulator(sc, seed=0).run()
     auth_requests = [e for e in trace.entries if e.tag == "AuthRequest"]
     assert len(auth_requests) == 2
@@ -448,7 +450,8 @@ def test_frame_conservation():
     """Every sent frame shows up exactly once per delivery attempt: delivered,
     dropped, or duplicated-and-counted."""
     sc = update_scenario(0)
-    sc.links[("map-1", "icd-1")] = LinkModel(drop_prob=0.3, dup_prob=0.3)
+    lossy = LinkModel(drop_prob=0.3, dup_prob=0.3)
+    sc = replace(sc, links={**sc.links, ("map-1", "icd-1"): lossy})
     trace = Simulator(sc, seed=5).run()
     for e in trace.entries:
         kinds = sum(("dropped" in e.note, e.note.startswith("duplicate")))
@@ -457,8 +460,8 @@ def test_frame_conservation():
 
 def test_delayed_links_shift_delivery_times():
     sc = honest_scenario()
-    sc.links[("icd-1", "map-1")] = LinkModel(delay_ms=40)
-    sc.links[("map-1", "icd-1")] = LinkModel(delay_ms=25)
+    delays = {("icd-1", "map-1"): LinkModel(delay_ms=40), ("map-1", "icd-1"): LinkModel(delay_ms=25)}
+    sc = replace(sc, links={**sc.links, **delays})
     trace = Simulator(sc, seed=0).run()
     by_tag = {e.tag: e.time for e in trace.entries}
     assert by_tag["AuthRequest"] == 40
@@ -466,9 +469,11 @@ def test_delayed_links_shift_delivery_times():
 
 
 def test_unsolicited_frame_traced_as_unexpected():
-    sc = honest_scenario()
-    sc.schedule = []  # never start the device
-    sc.adversary = [Inject(wire.ChallengeAck(), to="icd-1", at=10, src="map-1")]
+    sc = replace(
+        honest_scenario(),
+        schedule=[],  # never start the device
+        adversary=[Inject(wire.ChallengeAck(), to="icd-1", at=10, src="map-1")],
+    )
     sim = Simulator(sc, seed=0)
     trace = sim.run()
     assert any("unexpected" in e.note for e in trace.entries)
@@ -479,13 +484,15 @@ def test_unsolicited_frame_traced_as_unexpected():
 
 
 def test_replay_after_rotation_routes_to_mismatch():
-    sc = honest_scenario()
-    sc.mpc_period = 1
-    sc.schedule = [
-        StartIcd("icd-1", at=0),
-        RotateMpc(at=100, targets=("map-1", "icd-1")),
-    ]
-    sc.adversary = [CaptureMatching(wire.AuthRequest.TAG), ReplayCaptured(0, at=200)]
+    sc = replace(
+        honest_scenario(),
+        mpc_period=1,
+        schedule=[
+            StartIcd("icd-1", at=0),
+            RotateMpc(at=100, targets=("map-1", "icd-1")),
+        ],
+        adversary=[CaptureMatching(wire.AuthRequest.TAG), ReplayCaptured(0, at=200)],
+    )
     trace = Simulator(sc, seed=1).run()
     replayed = [e for e in trace.entries if "replayed" in e.note]
     assert len(replayed) == 1
@@ -494,8 +501,9 @@ def test_replay_after_rotation_routes_to_mismatch():
 
 
 def test_corrupt_response_order_triggers_rejection():
-    sc = update_scenario(0)
-    sc.adversary = [CorruptBit(wire.MapChallengeResponseOrder.TAG, bit_index=7)]
+    sc = replace(
+        update_scenario(0), adversary=[CorruptBit(wire.MapChallengeResponseOrder.TAG, bit_index=7)]
+    )
     sim = Simulator(sc, seed=2)
     trace = sim.run()
     assert trace.frame_count("UpdateRejection") >= 1
@@ -556,12 +564,15 @@ def test_adversary_bytes_are_decoded_once_where_they_are_made(monkeypatch):
     decode = wire.decode
     monkeypatch.setattr(wire, "decode", lambda raw: decoded.append(raw[0]) or decode(raw))
     sc = honest_scenario()
-    sc.links[("icd-1", MAP)] = LinkModel(dup_prob=1.0)
-    sc.adversary = [
-        CorruptBit(wire.SecureActivation.TAG, 5),
-        CaptureMatching(wire.AuthRequest.TAG),
-        ReplayCaptured(0, at=100),
-    ]
+    sc = replace(
+        sc,
+        links={**sc.links, ("icd-1", MAP): LinkModel(dup_prob=1.0)},
+        adversary=[
+            CorruptBit(wire.SecureActivation.TAG, 5),
+            CaptureMatching(wire.AuthRequest.TAG),
+            ReplayCaptured(0, at=100),
+        ],
+    )
     trace = Simulator(sc, seed=0).run()
     assert decoded == [wire.SecureActivation.TAG, wire.AuthRequest.TAG]
     # the trace of the same run when every adversary copy was decoded at delivery
@@ -574,8 +585,7 @@ def test_adversary_bytes_are_decoded_once_where_they_are_made(monkeypatch):
 
 
 def test_replay_of_nothing_is_recorded_noop():
-    sc = honest_scenario()
-    sc.adversary = [ReplayCaptured(0, at=50)]
+    sc = replace(honest_scenario(), adversary=[ReplayCaptured(0, at=50)])
     trace = Simulator(sc, seed=0).run()
     assert any("no-op" in e.note for e in trace.entries)
 
@@ -585,8 +595,10 @@ def test_injected_frames_indistinguishable_to_receiver():
     sim = Simulator(sc, seed=0)
     sim.run()
     # capture an identical request by re-running with the adversary attached
-    sc2 = honest_scenario()
-    sc2.adversary = [CaptureMatching(wire.AuthRequest.TAG), ReplayCaptured(0, at=500)]
+    sc2 = replace(
+        honest_scenario(),
+        adversary=[CaptureMatching(wire.AuthRequest.TAG), ReplayCaptured(0, at=500)],
+    )
     sim2 = Simulator(sc2, seed=0)
     trace = sim2.run()
     replayed = [e for e in trace.entries if "replayed" in e.note]
@@ -628,9 +640,11 @@ def test_wbrac_ignores_an_update_request_not_from_the_access_point():
 
 
 def test_start_of_a_busy_device_is_traced_as_skipped():
-    sc = honest_scenario()
-    sc.schedule = [StartIcd("icd-1", at=10)]
-    sc.adversary = [Inject(wire.AccessDenied(1), to="icd-1", at=0, src="map-1")]
+    sc = replace(
+        honest_scenario(),
+        schedule=[StartIcd("icd-1", at=10)],
+        adversary=[Inject(wire.AccessDenied(1), to="icd-1", at=0, src="map-1")],
+    )
     sim = Simulator(sc, seed=0)
     trace = sim.run()
     assert isinstance(sim.icds["icd-1"].state, Denied)
@@ -638,8 +652,10 @@ def test_start_of_a_busy_device_is_traced_as_skipped():
 
 
 def test_too_early_rotation_is_traced_as_skipped():
-    sc = honest_scenario()
-    sc.schedule = [RotateMpc(at=10, targets=("map-1",)), RotateMpc(at=20, targets=("map-1",))]
+    sc = replace(
+        honest_scenario(),
+        schedule=[RotateMpc(at=10, targets=("map-1",)), RotateMpc(at=20, targets=("map-1",))],
+    )
     trace = Simulator(sc, seed=0).run()
     assert trace.entries[-1] == (
         20, "wbrac", "-", "rotate", None, "skipped: rotation at 20, last at 10"
@@ -651,19 +667,20 @@ def test_fault_in_rotation_propagates_out_of_run(monkeypatch):
         raise RuntimeError("rotation fault")
 
     monkeypatch.setattr(WbracService, "rotate_mpc", rotate_mpc)
-    sc = honest_scenario()
-    sc.schedule = [RotateMpc(at=10, targets=("map-1",))]
+    sc = replace(honest_scenario(), schedule=[RotateMpc(at=10, targets=("map-1",))])
     sim = Simulator(sc, seed=0)
     with pytest.raises(RuntimeError, match="^rotation fault$"):
         sim.run()
 
 
 def test_parameter_update_broadcast_keeps_counters_in_sync():
-    sc = honest_scenario()
-    sc.schedule = [
-        SendParameterUpdate(at=0, targets=("icd-1", "map-1")),
-        StartIcd("icd-1", at=10),
-    ]
+    sc = replace(
+        honest_scenario(),
+        schedule=[
+            SendParameterUpdate(at=0, targets=("icd-1", "map-1")),
+            StartIcd("icd-1", at=10),
+        ],
+    )
     sim = Simulator(sc, seed=0)
     sim.run()
     assert isinstance(sim.icds["icd-1"].state, Authenticated)
@@ -684,8 +701,14 @@ def test_update_flow_syncs_sd_and_reauthenticates():
 
 def test_timer_commit_with_exact_1000ms_round_trip():
     sc = update_scenario(0, start_at=600)
-    sc.links[("map-1", "wbrac")] = LinkModel(delay_ms=500)
-    sc.links[("wbrac", "map-1")] = LinkModel(delay_ms=500)
+    sc = replace(
+        sc,
+        links={
+            **sc.links,
+            ("map-1", "wbrac"): LinkModel(delay_ms=500),
+            ("wbrac", "map-1"): LinkModel(delay_ms=500),
+        },
+    )
     sim = Simulator(sc, seed=0)
     trace = sim.run()
     assert trace.frame_count("UpdateConfirmation") >= 1
@@ -694,8 +717,14 @@ def test_timer_commit_with_exact_1000ms_round_trip():
 
 def test_timer_expiry_with_1001ms_round_trip():
     sc = update_scenario(0, start_at=600)
-    sc.links[("map-1", "wbrac")] = LinkModel(delay_ms=501)
-    sc.links[("wbrac", "map-1")] = LinkModel(delay_ms=500)
+    sc = replace(
+        sc,
+        links={
+            **sc.links,
+            ("map-1", "wbrac"): LinkModel(delay_ms=501),
+            ("wbrac", "map-1"): LinkModel(delay_ms=500),
+        },
+    )
     sim = Simulator(sc, seed=0)
     trace = sim.run()
     assert trace.frame_count("UpdateConfirmation") == 0
@@ -718,9 +747,7 @@ def test_trace_times_of_64_bits_and_more_are_kept():
     """The times column is an array of 8-byte integers until a time needs
     more; from then on it is a list, and the run still serializes."""
     at = 2**63 + 5
-    sc = honest_scenario()
-    sc.schedule = [StartIcd("icd-1", at=at)]
-    sc.max_time = 2**64
+    sc = replace(honest_scenario(), schedule=[StartIcd("icd-1", at=at)], max_time=2**64)
     sim = Simulator(sc, seed=0)
     trace = sim.run()
     assert type(trace.times) is list and trace.times[0] == at
@@ -735,7 +762,7 @@ def test_icds_is_a_read_only_view_of_the_devices_in_agents():
     sc = Scenario([make_subscriber(seed=n, icd_in=n) for n in (1, 2, 3)])
     sim = Simulator(sc, seed=0)
     assert list(sim.agents) == [WBRAC, MAP, "icd-1", "icd-2", "icd-3"]
-    assert list(sim.icds) == list(device_ids(sc)) == ["icd-1", "icd-2", "icd-3"]
+    assert list(sim.icds) == list(device_ids(len(sc.subscribers))) == ["icd-1", "icd-2", "icd-3"]
     assert len(sim.icds) == 3
     for name in sim.icds:
         assert sim.icds[name] is sim.agents[name]

@@ -11,7 +11,7 @@ import pkgutil
 import pytest
 
 import wgiot
-from wgiot import wire
+from wgiot import simnet, wire
 
 
 def _frozen_dataclasses() -> list[type]:
@@ -43,13 +43,28 @@ def _plain(cls: type) -> type:
 
 def _field_values(cls: type, tag: str = "") -> dict:
     """A distinct value for each field of `cls`, so a value stored in the
-    wrong slot shows."""
+    wrong slot shows.  A `Scenario` checks its fields as it is built, so its
+    values are valid ones that it keeps as given: tuples, a `ReadOnlyLinks`
+    and ints, another set of them for each `tag`."""
+    if cls is simnet.Scenario:
+        n = 1 + len(tag)
+        return {
+            "subscribers": tuple(
+                simnet.SubscriberSpec(i, 0, bytes(32), bytes(16), bytes(16)) for i in range(n)
+            ),
+            "links": simnet.ReadOnlyLinks({("map-1", "wbrac"): simnet.LinkModel(delay_ms=n)}),
+            "schedule": (simnet.StartIcd("icd-1"),) * n,
+            "adversary": (simnet.ReplayCaptured(index=n, at=5),),
+            "expects": (("reaches", "wbrac", "-"),) * (n + 1),
+            "max_time": 100_000 + n,
+            "mpc_period": 200_000 + n,
+        }
     return {f.name: f"{cls.__name__}.{f.name}{tag}" for f in dataclasses.fields(cls)}
 
 
 def test_every_frozen_dataclass_is_built_by_value():
-    # 18 frames, 9 scenario values and 6 device states
-    assert len(VALUES) == 33
+    # 18 frames, 9 scenario values, the scenario and 6 device states
+    assert len(VALUES) == 34
     assert {cls for cls in VALUES if issubclass(cls, wire.WireMessage)} == set(wire.MESSAGE_TYPES)
     for cls in VALUES:
         assert cls.__init__.__code__.co_filename == f"<value {cls.__qualname__}>", cls
@@ -99,6 +114,23 @@ def test_replace_and_pickle_round_trip_a_value(cls):
     replaced = dataclasses.replace(obj, **new)
     assert [getattr(replaced, name) for name in values] == list(new.values())
     assert dataclasses.replace(replaced, **values) == obj
+
+
+@pytest.mark.parametrize("by_keyword", [False, True], ids=["by-position", "by-keyword"])
+def test_a_value_runs_its_post_init(by_keyword):
+    @wire.value
+    class Checked:
+        a: int
+        b: int = 2
+
+        def __post_init__(self):
+            if self.a > self.b:
+                raise ValueError(f"{self.a} > {self.b}")
+            object.__setattr__(self, "b", self.b * 10)
+
+    assert (Checked(a=1, b=3) if by_keyword else Checked(1, 3)).b == 30
+    with pytest.raises(ValueError, match="^4 > 3$"):
+        Checked(a=4, b=3) if by_keyword else Checked(4, 3)
 
 
 def test_value_takes_plain_defaults_only():
