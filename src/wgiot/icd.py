@@ -4,6 +4,10 @@ The device initiates activation, assembles its GUID, answers update-value
 and unique-challenge flows, and enforces the 1 s confirmation timer.  The
 new service data computed during an update is committed exactly once (on a
 matching confirmation order) or discarded exactly once (mismatch/timeout).
+The AAC of its GUID is kept with its SD in `IcdConfig.aac`: the simulator
+hands the device the same object the WBRAC provisioned the access point
+with, and the device derives it again only when it commits a new SD, so a
+device whose SD never changes makes no PRF call to authenticate.
 An authenticated device's session key is derived from its SD when it is
 read (`IcdAgent.session`), not when the device is accepted: nothing in a run
 reads it, since the simulator models no data phase.
@@ -97,15 +101,18 @@ STATE_NAMES = frozenset(
 @dataclass(slots=True)
 class IcdConfig:
     """Provisioned material plus the mutable MPC/RMC mirrors.  The key and
-    the SD are the registry row's 16-byte `bytes`; the MPC is the 16 bytes
-    of the last AccessParameterMessage and the RMC the 16 bytes of the last
-    UpdateOrder (or the row's, packed once), each kept as its frame carries
-    it."""
+    the SD are the registry row's 16-byte `bytes`; `aac` is the AAC of `sd`
+    (`crypto.authenticate_signature` of sd, esn, icd_in and the key), given
+    when the config is built and derived again only where `sd` changes, on
+    the commit of an update flow; the MPC is the 16 bytes of the last
+    AccessParameterMessage and the RMC the 16 bytes of the last UpdateOrder
+    (or the row's, packed once), each kept as its frame carries it."""
 
     icd_in: int
     esn: int
     sc_auth_k: bytes
     sd: bytes
+    aac: bytes
     mpc: bytes
     rmc: bytes
 
@@ -135,8 +142,7 @@ class IcdAgent:
 
     def _auth_request(self) -> wire.AuthRequest:
         cfg = self.cfg
-        aac = crypto.authenticate_signature(cfg.sd, cfg.esn, cfg.icd_in, cfg.sc_auth_k)
-        return wire.AuthRequest(cfg.icd_in, cfg.esn, crypto.compose_guid(aac, cfg.mpc, cfg.rmc))
+        return wire.AuthRequest(cfg.icd_in, cfg.esn, crypto.compose_guid(cfg.aac, cfg.mpc, cfg.rmc))
 
     # -- transitions --
 
@@ -206,9 +212,12 @@ class IcdAgent:
         if now > state.deadline:
             self.state = IDLE
             return UPDATE_TIMEOUT
-        icd_in = self.cfg.icd_in
+        cfg = self.cfg
+        icd_in = cfg.icd_in
         if msg.auth_sign_map == state.local_sign:
-            self.cfg.sd = state.sd_new
+            # the only change of cfg.sd, so the only place its AAC is derived
+            cfg.sd = state.sd_new
+            cfg.aac = crypto.authenticate_signature(cfg.sd, cfg.esn, icd_in, cfg.sc_auth_k)
             self.state = AWAITING_AUTH_RESULT
             # re-authenticate with the committed service data
             return Transition(

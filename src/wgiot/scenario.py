@@ -321,8 +321,8 @@ def _parse_adversary(no: int, text: str):
 def _parse_expect(no: int, text: str, base_dir: Path):
     parts = text.split()
     n = len(parts)
-    if n == 3 and parts[1] == "reaches":
-        return ("reaches", parts[0], parts[2])
+    if n == 3 and parts[1] in ("reaches", "ends"):
+        return (parts[1], parts[0], parts[2])
     if n == 4 and parts[0] == "frame-count" and parts[2] in FRAME_COUNT_OPS:
         return ("frame-count", parts[1], parts[2], _parse_int(no, parts[3]))
     if n == 2 and parts[0] == "trace-golden":
@@ -331,7 +331,9 @@ def _parse_expect(no: int, text: str, base_dir: Path):
 
 
 def check_expects(scenario: Scenario, sim, trace) -> list[str]:
-    """Evaluate the [expect] assertions; return a list of failure messages."""
+    """Evaluate the [expect] assertions; return a list of failure messages.
+    `reaches` holds once the agent was ever in the state, `ends` only if the
+    run leaves it there."""
     failures = []
     for expect in scenario.expects:
         kind = expect[0]
@@ -347,6 +349,11 @@ def check_expects(scenario: Scenario, sim, trace) -> list[str]:
                     f"{agent_id} never reached {target} "
                     f"(final state {agent.state_name})"
                 )
+        elif kind == "ends":
+            _, agent_id, target = expect
+            final = sim.agents[agent_id].state_name
+            if final != target:
+                failures.append(f"{agent_id} ends {final}, expected {target}")
         elif kind == "frame-count":
             _, tag, op, want = expect
             got = trace.frame_count(tag)

@@ -79,9 +79,13 @@ WBRAC's record and the device's config share; the row's 32-byte WGIE key is
 checked and kept in the row, and no agent holds it.  A device's RMC is its
 row's `rmc` packed into 16 bytes once, one object that the device's config
 and the access point's `MapRecord` share, as do all rows with an equal
-`rmc`.  The scenario values (link models, registry rows, scheduled and
-adversary items) and `Scenario` itself are frozen values built through
-`wire.value`; they and `Trace` are slotted, with no per-instance dict.
+`rmc`.  A device's AAC is shared the same way: the WBRAC derives it once,
+in `map_provision`, and the device's config holds the object that the
+`MapRecord` holds as its expected AAC, so a device whose SD never changes
+derives no AAC of its own.  The scenario values (link models, registry
+rows, scheduled and adversary items) and `Scenario` itself are frozen
+values built through `wire.value`; they and `Trace` are slotted, with no
+per-instance dict.
 The adversary's capture and corrupt hooks run on the send path only for
 frames of an armed tag.
 """
@@ -271,8 +275,9 @@ FRAME_COUNT_OPS = {
 }
 
 # Each expectation kind -> the length of its tuple: ("reaches", agent,
-# state), ("frame-count", frame, operator, count) and ("trace-golden", path).
-_EXPECT_LENGTHS = {"reaches": 3, "frame-count": 4, "trace-golden": 2}
+# state), ("ends", agent, state), ("frame-count", frame, operator, count)
+# and ("trace-golden", path).
+_EXPECT_LENGTHS = {"reaches": 3, "ends": 3, "frame-count": 4, "trace-golden": 2}
 
 
 def scenario_faults(sc: Scenario):
@@ -291,19 +296,20 @@ def scenario_faults(sc: Scenario):
     128; a row's key, k and sd are `bytes` of their lengths and no two rows
     share an `icd_in`; drop and dup probabilities are `int`s or `float`s in
     [0, 1]; a start's device, a broadcast's targets, an injection's target
-    and sender and a `reaches` agent are `str`s, the targets in a tuple; a
-    link endpoint, a broadcast or injection target and a `reaches` agent
-    name an agent, a start names a device and a broadcast has a target; a
-    `reaches` state is a device state for a device and `-` for the others; a
-    replay index is non-negative, an injected frame is a `wire.WireMessage`
-    that encodes, a capture or corrupt tag names a frame and a corrupted bit
-    lies inside its frame's payload; an expectation is a tuple of a known
-    kind and that kind's length, a `frame-count` names a frame by its `str`
-    name, its operator is a key of `FRAME_COUNT_OPS` and its count an `int`,
-    and a `trace-golden` path is a `str` or path object.  A link model that
-    many links share is checked once, at the first of them, and so is a
-    target tuple that many broadcasts share (the parser keeps one per
-    distinct target text); equal but distinct tuples are each checked."""
+    and sender and a `reaches` or `ends` agent are `str`s, the targets in a
+    tuple; a link endpoint, a broadcast or injection target and a `reaches`
+    or `ends` agent name an agent, a start names a device and a broadcast
+    has a target; a `reaches` or `ends` state is a device state for a device
+    and `-` for the others; a replay index is non-negative, an injected
+    frame is a `wire.WireMessage` that encodes, a capture or corrupt tag
+    names a frame and a corrupted bit lies inside its frame's payload; an
+    expectation is a tuple of a known kind and that kind's length, a
+    `frame-count` names a frame by its `str` name, its operator is a key of
+    `FRAME_COUNT_OPS` and its count an `int`, and a `trace-golden` path is a
+    `str` or path object.  A link model that many links share is checked
+    once, at the first of them, and so is a target tuple that many
+    broadcasts share (the parser keeps one per distinct target text); equal
+    but distinct tuples are each checked."""
     for name in ("max_time", "mpc_period"):
         value = getattr(sc, name)
         if type(value) is not int or value < 0:
@@ -421,7 +427,7 @@ def scenario_faults(sc: Scenario):
         kind = expect[0] if type(expect) is tuple and expect else None
         if type(kind) is not str or _EXPECT_LENGTHS.get(kind) != len(expect):
             yield expect, f"unrecognized expectation {expect!r}"
-        elif kind == "reaches":
+        elif kind in ("reaches", "ends"):
             _, agent, state = expect
             if type(agent) is not str:
                 yield expect, f"agent name {agent!r} is not a str"
@@ -632,9 +638,11 @@ class Simulator:
             rmc = packed_rmcs.get(sub.rmc)
             if rmc is None:
                 rmc = packed_rmcs[sub.rmc] = sub.rmc.to_bytes(16, "big")
-            cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, mpc, rmc)
+            # the AAC the access point expects is the device's own, one object
+            aac, wmap, sign = self.wbrac.map_provision(rec)
+            cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, aac, mpc, rmc)
             agents[agent_id] = IcdAgent(cfg, self.rng)
-            self.map.provision(agent_id, sub.icd_in, rmc, *self.wbrac.map_provision(rec))
+            self.map.provision(agent_id, sub.icd_in, rmc, aac, wmap, sign)
 
     def _load_schedule(self):
         calendar = self._calendar

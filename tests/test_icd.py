@@ -41,7 +41,8 @@ def make_row(seed=0) -> tuple[SubscriberSpec, bytes]:
 def make_agent(seed=0):
     """The device of `make_row(seed)`, built from the row as the simulator builds it."""
     row, mpc = make_row(seed)
-    cfg = IcdConfig(row.icd_in, row.esn, row.sc_auth_k, row.sd, mpc, packed_rmc(row.rmc))
+    aac = crypto.authenticate_signature(row.sd, row.esn, row.icd_in, row.sc_auth_k)
+    cfg = IcdConfig(row.icd_in, row.esn, row.sc_auth_k, row.sd, aac, mpc, packed_rmc(row.rmc))
     return IcdAgent(cfg, SimRng(seed))
 
 

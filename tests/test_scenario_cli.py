@@ -365,6 +365,18 @@ CODE_REJECTED = [
         id="reaches-state",
     ),
     pytest.param(
+        "[expect]\nicd-2 ends Authenticated\n",
+        {"expects": [("ends", "icd-2", "Authenticated")]},
+        "unknown agent 'icd-2'",
+        id="ends-agent",
+    ),
+    pytest.param(
+        "[expect]\nicd-1 ends Authenticatd\n",
+        {"expects": [("ends", "icd-1", "Authenticatd")]},
+        "icd-1 has no state 'Authenticatd'",
+        id="ends-state",
+    ),
+    pytest.param(
         "[adversary]\ncorrupt AuthAccept bit 3\n",
         {"adversary": [CorruptBit(wire.AuthAccept.TAG, 3)]},
         "bit 3 outside the 0-bit payload of AuthAccept",
@@ -978,6 +990,36 @@ def test_failed_expectation_exits_two_and_still_writes_trace(tmp_path, capsys):
     body = out.read_text()
     assert body.startswith("wgiot-trace v1\n")
     assert "AuthAccept" in body
+
+
+@pytest.mark.parametrize(
+    "state,code,err",
+    [
+        ("Authenticated", 2, "expect failed: icd-1 ends Denied, expected Authenticated\n"),
+        ("Denied", 0, ""),
+    ],
+)
+def test_ends_checks_the_state_a_run_leaves_its_agent_in(tmp_path, state, code, err):
+    """A device that was accepted and then denied by an injected AccessDenied
+    passes `reaches Authenticated`, but not `ends Authenticated`."""
+    text = (SCENARIOS / "honest.scn").read_text().replace("trace-golden golden/honest.trace\n", "")
+    text = text.replace("icd-1 ends Authenticated\n", f"icd-1 ends {state}\n")
+    text += "[adversary]\ninject 11000101 to icd-1 at 5000 from map-1\n"
+    scn = tmp_path / "denied.scn"
+    scn.write_text(text)
+    assert ("ends", "icd-1", state) in load_scenario(scn).expects
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgiot.cli", "run", str(scn)], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+@pytest.mark.parametrize("name", ["honest", "update", "replay"])
+def test_each_shipped_scenario_ends_with_its_device_authenticated(name):
+    path = SCENARIOS / f"{name}.scn"
+    assert ("ends", "icd-1", "Authenticated") in load_scenario(path).expects
+    for seed in range(5):
+        assert cli.main(["run", str(path), "--seed", str(seed)]) == 0
 
 
 def test_non_utf8_golden_file_is_a_trace_mismatch(tmp_path):

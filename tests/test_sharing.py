@@ -1,8 +1,9 @@
 """The simulator keeps one copy of each agent name and trace note, its trace
 holds no object per line, and its per-device records carry no per-instance
 attribute dict.  A value an agent only stores is the frame's own bytes, so
-the MPC is one object everywhere, and a row's RMC is packed once per
-distinct value.  Sharing is only a memory saving: a
+the MPC is one object everywhere, a row's RMC is packed once per
+distinct value, and a device's AAC is derived once for it and the access
+point.  Sharing is only a memory saving: a
 scenario whose equal names are distinct objects runs the same."""
 
 import gc
@@ -152,6 +153,14 @@ def test_the_rmc_is_packed_once_per_value():
     assert sim.icds["icd-2"].cfg.rmc is sim.icds["icd-3"].cfg.rmc is sim.icds["icd-1"].cfg.rmc
     assert sim.icds["icd-4"].cfg.rmc == (5).to_bytes(16, "big")
     assert sim.icds["icd-4"].cfg.rmc is sim.map.records[4].expected_rmc
+
+
+def test_the_aac_is_derived_once_and_shared_with_the_access_point():
+    """Each device's config holds the AAC object that the WBRAC provisioned
+    the access point with as the device's expected AAC."""
+    sim = Simulator(lossy_broadcasts(0), seed=0)
+    for icd in sim.icds.values():
+        assert icd.cfg.aac is sim.map.records[icd.cfg.icd_in].expected_aac
 
 
 def test_names_built_at_run_time_give_the_same_trace():

@@ -8,11 +8,13 @@ and gives its reason in CHANGES.md.
 
 import hashlib
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from wgiot import wire
+from wgiot import crypto, wire
+from wgiot.icd import IcdAgent
 from wgiot.scenario import load_scenario
 from wgiot.simnet import (
     CaptureMatching,
@@ -26,6 +28,7 @@ from wgiot.simnet import (
     StartIcd,
     SubscriberSpec,
 )
+from wgiot.wbrac import WbracService
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -233,6 +236,59 @@ def test_every_sent_frame_is_what_its_bytes_decode_to(monkeypatch, name):
         assert type(decoded) is type(msg)
         for field, _ in msg.FIELDS:
             assert type(getattr(decoded, field)) is type(getattr(msg, field)), (msg, field)
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_every_device_ends_holding_the_aac_of_its_sd(name):
+    """A device derives its AAC only when it commits a new SD, so after
+    every pinned run the AAC it holds is the one its SD gives."""
+    build, seeds = PINNED_RUNS[name]
+    for seed in range(seeds):
+        sim = Simulator(build(seed), seed)
+        sim.run()
+        for icd in sim.icds.values():
+            cfg = icd.cfg
+            assert cfg.aac == crypto.authenticate_signature(
+                cfg.sd, cfg.esn, cfg.icd_in, cfg.sc_auth_k
+            ), (seed, cfg.icd_in)
+
+
+def _prf_calls_by_agent(monkeypatch, scenario: Scenario) -> dict[str, int]:
+    """The PRF evaluations of one run of `scenario` at seed 0, counted from
+    after the simulator is built, by the class of the agent that made each."""
+    sim = Simulator(scenario, 0)
+    calls = {}
+    evaluate = crypto.HmacSha256Backend.evaluate
+
+    def counted(self, key, domain_tag, message):
+        frame = sys._getframe(1)
+        while not isinstance(frame.f_locals.get("self"), (IcdAgent, WbracService)):
+            frame = frame.f_back
+        owner = type(frame.f_locals["self"]).__name__
+        calls[owner] = calls.get(owner, 0) + 1
+        return evaluate(self, key, domain_tag, message)
+
+    monkeypatch.setattr(crypto.HmacSha256Backend, "evaluate", counted)
+    sim.run()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,calls",
+    [
+        ("honest", {}),
+        ("update", {"IcdAgent": 4, "WbracService": 5}),
+        ("replay", {"IcdAgent": 4, "WbracService": 5}),
+    ],
+)
+def test_prf_calls_during_a_run(monkeypatch, name, calls):
+    """An in-sync device authenticates with the AAC it was provisioned with,
+    so an honest run makes no PRF call.  An update flow costs each side two
+    for the new SD and one to sign TO_MAP with it; the device then derives
+    the new SD's AAC at commit (4 calls), and the WBRAC the access point's
+    new AAC and challenge signature (5 calls)."""
+    scenario = load_scenario(SCENARIOS / f"{name}.scn")
+    assert _prf_calls_by_agent(monkeypatch, scenario) == calls
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -115,6 +115,7 @@ def test_cross_agent_sd_agreement():
             esn=rec.esn,
             sc_auth_k=rec.sc_auth_k,
             sd=rec.sd,
+            aac=crypto.authenticate_signature(rec.sd, rec.esn, rec.icd_in, rec.sc_auth_k),
             mpc=bytes(16),
             rmc=bytes(16),
         )
