@@ -3,8 +3,8 @@ holds no object per line, and its per-device records carry no per-instance
 attribute dict.  A value an agent only stores is the frame's own bytes, so
 the MPC is one object everywhere, a row's RMC is packed once per
 distinct value, and a device's AAC is derived once for it and the access
-point.  Sharing is only a memory saving: a
-scenario whose equal names are distinct objects runs the same."""
+point.  Sharing is only a memory saving: a scenario whose equal names are
+distinct objects runs the same."""
 
 import gc
 from dataclasses import replace

@@ -253,26 +253,6 @@ def test_every_device_ends_holding_the_aac_of_its_sd(name):
             ), (seed, cfg.icd_in)
 
 
-def _prf_calls_by_agent(monkeypatch, scenario: Scenario) -> dict[str, int]:
-    """The PRF evaluations of one run of `scenario` at seed 0, counted from
-    after the simulator is built, by the class of the agent that made each."""
-    sim = Simulator(scenario, 0)
-    calls = {}
-    evaluate = crypto.HmacSha256Backend.evaluate
-
-    def counted(self, key, domain_tag, message):
-        frame = sys._getframe(1)
-        while not isinstance(frame.f_locals.get("self"), (IcdAgent, WbracService)):
-            frame = frame.f_back
-        owner = type(frame.f_locals["self"]).__name__
-        calls[owner] = calls.get(owner, 0) + 1
-        return evaluate(self, key, domain_tag, message)
-
-    monkeypatch.setattr(crypto.HmacSha256Backend, "evaluate", counted)
-    sim.run()
-    return calls
-
-
 @pytest.mark.parametrize(
     "name,calls",
     [
@@ -286,9 +266,23 @@ def test_prf_calls_during_a_run(monkeypatch, name, calls):
     so an honest run makes no PRF call.  An update flow costs each side two
     for the new SD and one to sign TO_MAP with it; the device then derives
     the new SD's AAC at commit (4 calls), and the WBRAC the access point's
-    new AAC and challenge signature (5 calls)."""
-    scenario = load_scenario(SCENARIOS / f"{name}.scn")
-    assert _prf_calls_by_agent(monkeypatch, scenario) == calls
+    new AAC and challenge signature (5 calls).  Each call is counted from
+    after the simulator is built, for the agent whose handler made it."""
+    sim = Simulator(load_scenario(SCENARIOS / f"{name}.scn"), 0)
+    counted = {}
+    evaluate = crypto.HmacSha256Backend.evaluate
+
+    def counting_evaluate(self, key, domain_tag, message):
+        frame = sys._getframe(1)
+        while not isinstance(frame.f_locals.get("self"), (IcdAgent, WbracService)):
+            frame = frame.f_back
+        owner = type(frame.f_locals["self"]).__name__
+        counted[owner] = counted.get(owner, 0) + 1
+        return evaluate(self, key, domain_tag, message)
+
+    monkeypatch.setattr(crypto.HmacSha256Backend, "evaluate", counting_evaluate)
+    sim.run()
+    assert counted == calls
 
 
 @pytest.mark.parametrize("seed", range(3))
