@@ -10,6 +10,14 @@ is found by that id however many flows are in progress.  The access point
 acts on a device's AuthRequest, UpdateConfirmation or UpdateRejection only
 when its icd_in is the sending device's own.  Its dispatch tables say which
 frames it obeys from which sender (frames.md lists them; see agent.py).
+
+What is the same on every accept is built once.  The access point sends
+one module-level `AUTH_ACCEPT`, from both the GUID match and the passed
+challenge, and one `CHALLENGE_ACK`; frames are frozen, and a frame without
+fields has one encoding (see wire.py), so every accept shares its bytes as
+well.  `verify` still splits each GUID through `crypto.decompose_guid`,
+and when all three fields match it returns the one `NO_MISMATCH` at once;
+it builds a mismatch set only when a field does not match.
 """
 
 from __future__ import annotations
@@ -22,8 +30,12 @@ from .agent import MPC_UPDATED, RMC_INCREMENTED, WBRAC, ProtocolError, Transitio
 REASON_VERIFY_FAILED = 0x01
 REASON_UNKNOWN_ICD = 0x02
 
-# The access point's fixed results, shared (see agent.py).
+# The access point's fixed results and frames, shared (see agent.py);
+# frames are frozen.
 ACTIVATION = Transition(note="activation")
+AUTH_ACCEPT = wire.AuthAccept()
+CHALLENGE_ACK = wire.ChallengeAck()
+NO_MISMATCH = frozenset()  # `verify`'s result for a GUID that matches
 
 # `MapRecord.pending` while its update flow waits for the WBRAC's response
 AWAITING_RESPONSE = "awaiting-response"
@@ -96,11 +108,14 @@ class MapAgent:
 
     def verify(self, icd_in: int, req: wire.AuthRequest) -> frozenset:
         """Return the set of mismatched GUID fields; empty means accept.
-        The fields are compared as packed bytes."""
+        The fields are compared as packed bytes, and a match returns the
+        one `NO_MISMATCH` without building a set."""
         rec = self.records.get(icd_in)
         if rec is None:
             raise UnknownIcd(icd_in)
         aac, mpc, rmc = crypto.decompose_guid(req.guid)
+        if aac == rec.expected_aac and mpc == self.mpc and rmc == rec.expected_rmc:
+            return NO_MISMATCH
         mismatch = set()
         if aac != rec.expected_aac:
             mismatch.add("AAC")
@@ -167,7 +182,7 @@ class MapAgent:
             )
         mismatch = self.verify(msg.icd_in, msg)
         if not mismatch:
-            return Transition(out=[(sender, wire.AuthAccept())], note="guid-match")
+            return Transition(out=[(sender, AUTH_ACCEPT)], note="guid-match")
 
         action = remedy(mismatch)
         note = "mismatch " + ",".join(sorted(mismatch))
@@ -200,7 +215,7 @@ class MapAgent:
             return unexpected(self.state_name, msg)
         return Transition(
             out=[
-                (sender, wire.ChallengeAck()),
+                (sender, CHALLENGE_ACK),
                 (WBRAC, wire.MapChallengeForward(rec.icd_in, msg.to_map)),
             ]
         )
@@ -230,7 +245,7 @@ class MapAgent:
             return unexpected(self.state_name, msg)
         rec.challenge_outstanding = False
         if msg.auth_sign_map == rec.challenge_sign:
-            return Transition(out=[(sender, wire.AuthAccept())], note="challenge-passed")
+            return Transition(out=[(sender, AUTH_ACCEPT)], note="challenge-passed")
         return Transition(
             out=[(sender, wire.AccessDenied(REASON_VERIFY_FAILED))],
             note="challenge-failed -> deny",

@@ -21,15 +21,16 @@ the heap when its list is used up.  No event is pushed before `now`
 `ValueError`), so an event pushed at `now`, such as a reply sent with no
 delay while a broadcast is delivered, joins the end of the current list and
 runs after every event already pending at that time.  A queued copy of a
-frame is the list [src, dst, dropped, note, frame, payload], where payload
-is the frame's encoded bytes after the 3-byte header.  A list is the
-cheapest record to build once per copy (a NamedTuple is built from a
-temporary tuple), and a plain tuple would cost memory instead: CPython's
-free list keeps up to 2,000 dead tuples of each small size, so the 6-tuples
-of a broadcast would stay allocated after their delivery.
+frame is the list [src, dst, dropped, note, frame, raw], where raw is the
+frame's whole encoding, header included.  A list is the cheapest record to
+build once per copy (a NamedTuple is built from a temporary tuple), and a
+plain tuple would cost memory instead: CPython's free list keeps up to
+2,000 dead tuples of each small size, so the 6-tuples of a broadcast would
+stay allocated after their delivery.
 
 A burst (`_Burst`) is one event that delivers several copies of one
-broadcast, in target order, in one `step()`.  A copy joins a burst when
+broadcast, in target order, in one `step()`; it holds the broadcast's
+targets, its frame and its raw bytes.  A copy joins a burst when
 its link draws nothing (drop and dup probability 0) and no adversary hook
 looks at its tag; it joins the burst that its broadcast queued last at its
 arrival time, while that burst is still the last event there, and starts a
@@ -51,13 +52,18 @@ the copies out again would give.  A plan reads the link models once, which
 holds because a scenario's links cannot change.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
-frame and trace payload, and every copy on a link (all targets of a
-broadcast, a duplicate) shares that pair; frames are frozen.  Bytes the
-adversary makes are decoded where it makes them, so every queued copy holds
-a frame: a corrupted copy right after its bit is flipped (the bit lies
-inside the payload, whose every value decodes), and a replay when it is
-scheduled, from the bytes captured before any corruption.  An injection
-queues its own frame.  Nothing is decoded at delivery.
+frame, and every copy on a link (all targets of a broadcast, a duplicate)
+shares that pair; frames are frozen.  The bytes that `wire.encode`
+returned are the only bytes object a sent frame has: its queued copies,
+its burst, a capture of it and its trace lines all hold that one object,
+and the trace cuts the payload from it only when it is read.  `wire.encode`
+runs once per send, per broadcast and per injection.  Bytes the adversary
+makes are decoded where it makes them, so every queued copy holds a frame:
+a corrupted copy right after its bit is flipped (the bit lies inside the
+payload, whose every value decodes), and a replay when it is scheduled,
+from the bytes captured before any corruption, which the replayed copy
+holds.  An injection queues its own frame and its encoding.  Nothing is
+decoded at delivery.
 
 What the simulator keeps per device, frame or trace line is shared where it
 can be, as a memory saving that no result depends on; each agent's module
@@ -67,12 +73,14 @@ devices, not a second table.  The trace is held as columns, an array of
 8-byte times and one list per other field, so a line is eight bytes and five
 references and no object of its own (`Trace.entries` builds a list of
 `TraceEntry` tuples only when it is asked for); the copies of a broadcast
-share one payload.  The simulator shares every note it writes through one
-table, `Simulator._notes`, which holds one string per distinct note: a
-delivery's is composed once per (copy note, agent note, agent state) and
-kept under those parts, and every other note (of a dropped or sunk copy, a
-tick, a skipped start or rotation, a replay with nothing captured) under its
-text; `Trace.add` appends the note it is given.  Device names are interned
+share one encoded frame, and every frame without fields (an `AuthAccept`,
+a `ChallengeAck`, a `ParameterUpdateOrder`) is one shared frame with one
+encoding.  The simulator shares every note it writes through one table,
+`Simulator._notes`, which holds one string per distinct note: a delivery's
+is composed once per (copy note, agent note, agent state) and kept under
+those parts, and every other note (of a dropped or sunk copy, a tick, a
+skipped start or rotation, a replay with nothing captured) under its text;
+`Trace.add` appends the note it is given.  Device names are interned
 (`device_ids`), so a fleet holds one string per name.  A device's SC_AUTH_K
 and SD are its registry row's own `bytes`, one object each that the row, the
 WBRAC's record and the device's config share; the row's 32-byte WGIE key is
@@ -499,30 +507,34 @@ _entry = functools.partial(_new, TraceEntry)
 
 
 class Trace:
-    """The lines of a run, held as columns: one sequence per `TraceEntry`
-    field (`times`, `senders`, `receivers`, `tags`, `payloads`, `notes`),
-    where line i is the i-th item of each.  `times` is an `array('q')` of
+    """The lines of a run, held as columns: `times`, `senders`,
+    `receivers`, `tags`, `raws` and `notes`, where line i is the i-th item
+    of each.  `raws` holds a frame line's whole encoded frame, header
+    included, as the one bytes object `wire.encode` returned for it, and
+    `None` for a line that is not a frame.  `times` is an `array('q')` of
     8-byte machine integers, turned into a list by the first time that does
     not fit in one (2**63 ms or more); the other columns are lists.  A line
     costs eight bytes and five references and no object of its own; its
     other values are the objects the simulator passed in, so all copies of
-    a broadcast share one payload and equal notes one string (the simulator
-    shares the notes it writes, and `add` appends what it is given).
-    `entries` builds a new list of one `TraceEntry` per line, a copy
-    that later lines do not change; `serialize`, `frame_count` and
-    `scenario.check_expects` read the columns themselves."""
+    a broadcast share one encoded frame and equal notes one string (the
+    simulator shares the notes it writes, and `add` appends what it is
+    given).  `entries` builds a new list of one `TraceEntry` per line, a
+    copy that later lines do not change, whose `payload` is the frame's
+    bytes after its 3-byte header; `serialize` writes the hex of those
+    bytes, and it, `frame_count` and `scenario.check_expects` read the
+    columns themselves."""
 
-    __slots__ = ("times", "senders", "receivers", "tags", "payloads", "notes")
+    __slots__ = ("times", "senders", "receivers", "tags", "raws", "notes")
 
     def __init__(self):
         self.times: array | list[int] = array("q")  # a list from the first time >= 2**63
         self.senders: list[str] = []
         self.receivers: list[str] = []
         self.tags: list[str] = []
-        self.payloads: list[bytes | None] = []
+        self.raws: list[bytes | None] = []
         self.notes: list[str] = []
 
-    def add(self, time, sender, receiver, tag, payload, note):
+    def add(self, time, sender, receiver, tag, raw, note):
         try:
             self.times.append(time)
         except OverflowError:  # a time of 2**63 ms or more
@@ -530,12 +542,14 @@ class Trace:
         self.senders.append(sender)
         self.receivers.append(receiver)
         self.tags.append(tag)
-        self.payloads.append(payload)
+        self.raws.append(raw)
         self.notes.append(note)
 
     def _columns(self) -> tuple:
-        """The columns in `TraceEntry` field order."""
-        return self.times, self.senders, self.receivers, self.tags, self.payloads, self.notes
+        """The columns in `TraceEntry` field order, each payload cut from
+        its line's encoded frame as it is read."""
+        payloads = (None if raw is None else raw[3:] for raw in self.raws)
+        return self.times, self.senders, self.receivers, self.tags, payloads, self.notes
 
     @property
     def entries(self) -> list[TraceEntry]:
@@ -567,11 +581,12 @@ class Trace:
 class _Burst(NamedTuple):
     """Same-time copies of one broadcast from the WBRAC, one per target, in
     target order: one group of the broadcast's plan, each time a new list
-    of the group's targets (see the module docstring)."""
+    of the group's targets, with the broadcast's frame and the bytes its
+    one encode returned (see the module docstring)."""
 
     targets: list[str]
     frame: wire.WireMessage
-    payload: bytes
+    raw: bytes
 
 
 class _Devices(Mapping):
@@ -594,6 +609,11 @@ class _Devices(Mapping):
 
     def __len__(self) -> int:
         return len(self._agents) - 2
+
+
+# The frame of every parameter-update broadcast, shared as the access
+# point's fixed frames are (see access_point.py).
+PARAMETER_UPDATE_ORDER = wire.ParameterUpdateOrder()
 
 
 class Simulator:
@@ -673,21 +693,17 @@ class Simulator:
     # -- frame transport --
 
     def send(self, src: str, dst: str, msg: wire.WireMessage) -> None:
-        raw = wire.encode(msg)
-        self._transmit(src, dst, raw, msg, raw[3:])
+        self._transmit(src, dst, wire.encode(msg), msg)
 
-    def _transmit(
-        self, src: str, dst: str, raw: bytes, frame: wire.WireMessage, payload: bytes
-    ) -> None:
+    def _transmit(self, src: str, dst: str, raw: bytes, frame: wire.WireMessage) -> None:
         """Put one encoded frame on the src -> dst link: the adversary's
-        hooks, then the link's drop and duplicate draws.  `frame` and
-        `payload` are raw's frame and its bytes after the header; a
-        corrupted copy replaces both.  It queues the copy itself when its
-        time is already pending, as a broadcast copy at `now` is, and
-        through `_open` when the time is new."""
+        hooks, then the link's drop and duplicate draws.  `frame` is raw's
+        frame; a corrupted copy replaces both.  It queues the copy itself
+        when its time is already pending, as a broadcast copy at `now` is,
+        and through `_open` when the time is new."""
         note = ""
         if raw[0] in self._hooked_tags:
-            frame, payload, note = self._adversary_hooks(src, dst, raw, frame, payload)
+            frame, raw, note = self._adversary_hooks(src, dst, raw, frame)
         link = self._links.get((src, dst), NO_IMPAIRMENT)
         # chance() draws nothing at probability 0; skipping the call there
         # leaves the draws as they were
@@ -696,21 +712,20 @@ class Simulator:
         p = link.dup_prob
         duplicated = p > 0.0 and self.rng.chance(p)
         at = self.now + link.delay_ms
-        item = [src, dst, dropped, note, frame, payload]
+        item = [src, dst, dropped, note, frame, raw]
         events = self._calendar.get(at)
         if events is None:
             self._open(at, item)
         else:
             events.append(item)
         if duplicated and not dropped:
-            self._push(at, [src, dst, False, "duplicate", frame, payload])
+            self._push(at, [src, dst, False, "duplicate", frame, raw])
 
-    def _adversary_hooks(
-        self, src: str, dst: str, raw: bytes, frame: wire.WireMessage, payload: bytes
-    ):
+    def _adversary_hooks(self, src: str, dst: str, raw: bytes, frame: wire.WireMessage):
         """Capture and corrupt one frame on the send path, as armed; return
-        its (frame, payload, note) after them.  A corrupted copy is decoded
-        here, once, whatever becomes of it on the link."""
+        its (frame, raw, note) after them.  A capture holds the bytes as
+        sent, before any corruption; a corrupted copy is decoded here,
+        once, whatever becomes of it on the link."""
         tag = raw[0]
         note = ""
         if tag in self._capture_tags:
@@ -719,11 +734,11 @@ class Simulator:
         for i, action in enumerate(self._corrupt_queue):
             if action.tag == tag:
                 raw = self._flip_payload_bit(raw, action.bit_index)
-                frame, payload = wire.decode(raw), raw[3:]
+                frame = wire.decode(raw)
                 del self._corrupt_queue[i]
                 note = (note + " corrupted").strip()
                 break
-        return frame, payload, note
+        return frame, raw, note
 
     @staticmethod
     def _flip_payload_bit(raw: bytes, bit_index: int) -> bytes:
@@ -758,7 +773,6 @@ class Simulator:
         of (targets, hooked): a new burst per group, and each lone copy
         through `_transmit`."""
         raw = wire.encode(frame)
-        payload = raw[3:]
         key = (targets, raw[0] in self._hooked_tags)
         plan = self._plans.get(key)
         if plan is None:
@@ -766,11 +780,11 @@ class Simulator:
         calendar, now = self._calendar, self.now
         for step in plan:
             if type(step) is str:
-                self._transmit(WBRAC, step, raw, frame, payload)
+                self._transmit(WBRAC, step, raw, frame)
                 continue
             delay, group = step
             at = now + delay
-            burst = _new(_Burst, (list(group), frame, payload))
+            burst = _new(_Burst, (list(group), frame, raw))
             events = calendar.get(at)
             if events is None:
                 self._open(at, burst)
@@ -823,7 +837,7 @@ class Simulator:
         self._broadcast(item.targets, frame)
 
     def _on_parameter_update(self, item: SendParameterUpdate) -> None:
-        self._broadcast(item.targets, wire.ParameterUpdateOrder())
+        self._broadcast(item.targets, PARAMETER_UPDATE_ORDER)
 
     def _on_replay(self, item: ReplayCaptured) -> None:
         if item.index >= len(self.captured):
@@ -831,32 +845,32 @@ class Simulator:
             self.trace.add(self.now, "adversary", "-", "replay", None, note)
             return
         src, dst, raw = self.captured[item.index]
-        self._push(self.now, [src, dst, False, "replayed", wire.decode(raw), raw[3:]])
+        self._push(self.now, [src, dst, False, "replayed", wire.decode(raw), raw])
 
     def _on_inject(self, item: Inject) -> None:
-        payload = wire.encode(item.frame)[3:]
-        self._push(self.now, [item.src, item.to, False, "injected", item.frame, payload])
+        raw = wire.encode(item.frame)
+        self._push(self.now, [item.src, item.to, False, "injected", item.frame, raw])
 
     def _on_deliver(self, ev: list) -> None:
-        src, dst, dropped, note, msg, payload = ev
+        src, dst, dropped, note, msg, raw = ev
         now = self.now
         tag = type(msg).__name__
         agent = None if dropped else self.agents.get(dst)
         if agent is None:
             label = "dropped " if dropped else "sink "
-            self.trace.add(now, src, dst, tag, payload, self._shared((label + note).strip()))
+            self.trace.add(now, src, dst, tag, raw, self._shared((label + note).strip()))
             return
         result = agent.handle(src, msg, now)
         key = (note, result.note, agent.state_name)
         text = self._notes.get(key)
         if text is None:
             text = self._delivery_note(key)
-        self.trace.add(now, src, dst, tag, payload, text)
+        self.trace.add(now, src, dst, tag, raw, text)
         if result.out or result.tick_at is not None:
             self._apply(dst, result)
 
     def _on_burst(self, burst: _Burst) -> None:
-        targets, msg, payload = burst
+        targets, msg, raw = burst
         now, agents, notes, add = self.now, self.agents, self._notes, self.trace.add
         tag = type(msg).__name__
         for target in targets:
@@ -866,7 +880,7 @@ class Simulator:
             text = notes.get(key)
             if text is None:
                 text = self._delivery_note(key)
-            add(now, WBRAC, target, tag, payload, text)
+            add(now, WBRAC, target, tag, raw, text)
             if result.out or result.tick_at is not None:
                 self._apply(target, result)
 

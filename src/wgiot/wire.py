@@ -5,12 +5,15 @@ Payload fields are packed MSB-first in declaration order.  Each frame
 class's encoder and constructor are compiled once, when the class is
 created, from its field declaration.  The encoder makes one length check
 per byte-string field, then one struct pack of the whole frame; `encode`
-only dispatches to it.  The constructor, which `value` compiles for every
-frozen value type of the package, stores each field straight into its
-slot.  Decoding is strict: unknown tags, length mismatches, and trailing
-bytes are errors.  For a frame whose fields hold `int` and `bytes`,
-`decode(encode(m)) == m` with the same field types, so the simulator hands
-a sent frame to its receiver without decoding it.
+only dispatches to it.  A frame class with no fields has one encoding,
+packed when the class is created, and its encoder returns that one bytes
+object, so every encode of such a frame is the same object.  The
+constructor, which `value` compiles for every frozen value type of the
+package, stores each field straight into its slot.  Decoding is strict:
+unknown tags, length mismatches, and trailing bytes are errors.  For a
+frame whose fields hold `int` and `bytes`, `decode(encode(m)) == m` with
+the same field types, so the simulator hands a sent frame to its receiver
+without decoding it.
 """
 
 from __future__ import annotations
@@ -80,7 +83,16 @@ def _encoder(cls: type):
     """The encoder of frame class `cls`, compiled from its FIELDS: struct
     pads or truncates a wrong-length string silently, so each byte-string
     field is checked first.  An int field out of range fails the pack, and
-    only then does `_pack_fault` find which field it was."""
+    only then does `_pack_fault` find which field it was.  A class with no
+    fields has one encoding, packed here, and its encoder returns that one
+    object."""
+    if not cls.FIELDS:
+        raw = cls._frame.pack(cls.TAG, 0)
+
+        def _encode(m):
+            return raw
+
+        return _encode
     lines = ["def _encode(m):"]
     for name, kind in cls.FIELDS:
         if kind not in _INT_CODES:

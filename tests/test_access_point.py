@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from wgiot import crypto, wire
 from wgiot.access_point import (
+    AUTH_ACCEPT,
     AWAITING_RESPONSE,
     CHALLENGE,
+    CHALLENGE_ACK,
     DENY,
+    NO_MISMATCH,
     UPDATE,
     MapAgent,
     UnknownIcd,
@@ -119,6 +122,19 @@ def test_default_policy_covers_all_seven_subsets():
 def test_matching_guid_single_accept_frame():
     result = make_map().handle("icd-1", auth_request(), 0)
     assert [type(m) for _, m in result.out] == [wire.AuthAccept]
+
+
+def test_every_accept_sends_the_one_shared_frame():
+    """A match returns the one empty result, and the GUID match and the
+    passed challenge both send the module's `AUTH_ACCEPT`."""
+    agent = make_map()
+    assert agent.verify(ICD_IN, auth_request()) is NO_MISMATCH == frozenset()
+    (_, matched), = agent.handle("icd-1", auth_request(), 0).out
+    agent.handle("icd-1", auth_request(aac=bytes(16)), 1)  # arms the challenge
+    (_, passed), = agent.handle("icd-1", wire.AuthChallengeAnswer(CHALLENGE_SIGN), 2).out
+    assert matched is passed is AUTH_ACCEPT
+    (_, ack), _ = agent.handle("icd-1", wire.MobileAccessChallengeOrder(bytes(32)), 3).out
+    assert ack is CHALLENGE_ACK
 
 
 def test_mpc_mismatch_requests_update_and_refreshes_mpc():

@@ -4,6 +4,7 @@ Nor may a change inline a wrapped call on the per-frame path, which would
 make the bench's call counts lie."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -12,7 +13,7 @@ import prf_oracle  # noqa: E402
 import spans  # noqa: E402
 from conftest import make_subscriber  # noqa: E402
 from test_trace_digests import impaired_broadcasts, lossy_broadcasts  # noqa: E402
-from wgiot import access_point, agent, icd, simnet, wbrac  # noqa: E402
+from wgiot import access_point, agent, icd, simnet, wbrac, wire  # noqa: E402
 from wgiot.agent import Transition  # noqa: E402
 
 
@@ -103,3 +104,38 @@ def test_every_trace_line_and_event_goes_through_its_wrapped_name():
     with tracer.installed():
         trace = simnet.Simulator(impaired_broadcasts(0), 0).run()
     assert tracer.calls["simnet.step"] >= len(trace.notes) > 0
+
+
+def test_each_send_broadcast_and_injection_encodes_once(monkeypatch):
+    """`wire.encode` runs exactly once per `send`, per `_broadcast` and per
+    injection during a run: no path reuses bytes past the wrapped encode or
+    encodes one frame twice, so the per-layer counts stay true."""
+    lossy = lossy_broadcasts(0)
+    injections = (
+        simnet.Inject(wire.ChallengeAck(), to="icd-1", at=700, src="map-1"),
+        simnet.Inject(wire.UpdateRequest(1), to=agent.WBRAC, at=900),
+    )
+    with_injections = replace(lossy, adversary=lossy.adversary + injections)
+    for scenario in (lossy, impaired_broadcasts(0), with_injections):
+        sim = simnet.Simulator(scenario, 0)
+        calls = dict.fromkeys(("encode", "send", "_broadcast"), 0)
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(wire, "encode")
+        counted(simnet.Simulator, "send")
+        counted(simnet.Simulator, "_broadcast")
+        trace = sim.run()
+        monkeypatch.undo()
+        # an injected copy is queued as it is made, and traced as delivered
+        injected = sum(note.startswith("injected") for note in trace.notes)
+        assert injected == (len(injections) if scenario is with_injections else 0)
+        assert calls["send"] > 0 and calls["_broadcast"] > 0
+        assert calls["encode"] == calls["send"] + calls["_broadcast"] + injected

@@ -3,7 +3,9 @@ holds no object per line, and its per-device records carry no per-instance
 attribute dict.  A value an agent only stores is the frame's own bytes, so
 the MPC is one object everywhere, a row's RMC is packed once per
 distinct value, and a device's AAC is derived once for it and the access
-point.  Sharing is only a memory saving: a scenario whose equal names are
+point.  A sent frame is one bytes object, the one its encode returned,
+that its copies, a capture of it and its trace lines share.  Sharing is
+only a memory saving: a scenario whose equal names are
 distinct objects runs the same."""
 
 import gc
@@ -184,8 +186,8 @@ def test_names_built_at_run_time_give_the_same_trace():
 
 
 def test_the_copies_of_a_broadcast_share_one_payload():
-    """Every copy of one broadcast is traced with the one payload object,
-    delivered and dropped copies alike."""
+    """Every copy of one broadcast is traced with the one bytes object of
+    its encoding, delivered and dropped copies alike."""
     sc = Scenario(
         SUBSCRIBERS,
         links={("wbrac", "icd-2"): LinkModel(drop_prob=1.0)},
@@ -194,12 +196,56 @@ def test_the_copies_of_a_broadcast_share_one_payload():
     )
     trace = Simulator(sc, seed=0).run()
     copies = [
-        (note, payload)
-        for sender, tag, note, payload in zip(trace.senders, trace.tags, trace.notes, trace.payloads)
+        (note, raw)
+        for sender, tag, note, raw in zip(trace.senders, trace.tags, trace.notes, trace.raws)
         if sender == "wbrac" and tag == "AccessParameterMessage"
     ]
     assert len(copies) == 4 and sum(note.startswith("dropped") for note, _ in copies) == 1
-    assert len({id(payload) for _, payload in copies}) == 1
+    assert len({id(raw) for _, raw in copies}) == 1
+
+
+def test_every_traced_frame_is_the_bytes_its_encode_returned(monkeypatch):
+    """The trace holds each frame's encoding itself, not a copy of its
+    payload: every frame line's bytes are an object `wire.encode` returned."""
+    returned = []  # keeps each object alive, so no id is reused
+    encode = wire.encode
+
+    def recording_encode(msg):
+        raw = encode(msg)
+        returned.append(raw)
+        return raw
+
+    sim = Simulator(lossy_broadcasts(0), seed=0)
+    monkeypatch.setattr(wire, "encode", recording_encode)
+    trace = sim.run()
+    encoded = {id(raw) for raw in returned}
+    raws = [raw for raw in trace.raws if raw is not None]
+    assert len(raws) > 300 and "replayed" in " ".join(trace.notes)
+    assert [raw for raw in raws if id(raw) not in encoded] == []
+
+
+def test_a_capture_shares_its_bytes_with_its_copy_and_trace_line():
+    """Each captured frame is the bytes object of the trace line its copy
+    produced; the copies of one link arrive in the order they were sent.
+    A replayed copy is traced with the captured object too."""
+    sim = Simulator(lossy_broadcasts(0), seed=0)
+    trace = sim.run()
+    traced = {}  # (sender, receiver) -> the bytes of its captured copies' lines, in order
+    replayed = []
+    for sender, receiver, note, raw in zip(trace.senders, trace.receivers, trace.notes, trace.raws):
+        words = note.split()
+        if "captured" in words:
+            traced.setdefault((sender, receiver), []).append(raw)
+        elif "replayed" in words:
+            replayed.append(raw)
+    captured = {}
+    for src, dst, raw in sim.captured:
+        captured.setdefault((src, dst), []).append(raw)
+    assert len(sim.captured) > 30 and replayed
+    assert captured.keys() == traced.keys()
+    for link, raws in captured.items():
+        assert list(map(id, raws)) == list(map(id, traced[link])), link
+    assert {id(raw) for raw in replayed} <= {id(raw) for _, _, raw in sim.captured}
 
 
 def test_the_simulator_shares_every_note_it_writes():

@@ -54,7 +54,7 @@ def test_trace_entries_read_the_columns():
     assert type(entries[0]) is TraceEntry and entries[0].note == trace.notes[0]
     assert entries[-1] == entries[n - 1] == (
         trace.times[-1], trace.senders[-1], trace.receivers[-1],
-        trace.tags[-1], trace.payloads[-1], trace.notes[-1],
+        trace.tags[-1], trace.raws[-1][3:], trace.notes[-1],
     )
     for index in (n, -n - 1):
         with pytest.raises(IndexError):
@@ -255,14 +255,13 @@ def _broadcast_copy_by_copy(sim, targets, frame):
     """The reference of `Simulator._broadcast`: the per-target loop that
     worked out each copy's burst on every broadcast, before plans."""
     raw = wire.encode(frame)
-    payload = raw[3:]
     hooked = raw[0] in sim._hooked_tags
     links, calendar, now = sim._links, sim._calendar, sim.now
     bursts = {}  # arrival time -> the burst this broadcast queued there last
     for target in targets:
         link = links.get((WBRAC, target), simnet.NO_IMPAIRMENT)
         if hooked or link.drop_prob > 0.0 or link.dup_prob > 0.0:
-            sim._transmit(WBRAC, target, raw, frame, payload)
+            sim._transmit(WBRAC, target, raw, frame)
             continue
         at = now + link.delay_ms
         burst = bursts.get(at)
@@ -270,7 +269,7 @@ def _broadcast_copy_by_copy(sim, targets, frame):
         if burst is not None and events[-1] is burst:
             burst.targets.append(target)
             continue
-        bursts[at] = burst = simnet._Burst([target], frame, payload)
+        bursts[at] = burst = simnet._Burst([target], frame, raw)
         if events is None:
             sim._open(at, burst)
         else:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wgiot import simnet, wire
+from wgiot import access_point, simnet, wire
 
 
 def random_message(r: random.Random) -> wire.WireMessage:
@@ -26,6 +26,23 @@ def random_message(r: random.Random) -> wire.WireMessage:
 def test_challenge_ack_layout():
     assert wire.encode(wire.ChallengeAck()) == b"\x09\x00\x00"
     assert wire.decode(b"\x09\x00\x00") == wire.ChallengeAck()
+
+
+def test_a_frame_without_fields_has_one_encoding():
+    fixed = [cls for cls in wire.MESSAGE_TYPES if not cls.FIELDS]
+    names = ["ParameterUpdateOrder", "AuthAccept", "ChallengeAck"]
+    assert [cls.__name__ for cls in fixed] == names
+    for cls in fixed:
+        raw = wire.encode(cls())
+        assert raw is wire.encode(cls())
+        assert raw == bytes([cls.TAG, 0, 0])
+        assert wire.decode(raw) == cls()
+
+
+def test_the_shared_frames_equal_fresh_ones():
+    assert access_point.AUTH_ACCEPT == wire.AuthAccept()
+    assert access_point.CHALLENGE_ACK == wire.ChallengeAck()
+    assert simnet.PARAMETER_UPDATE_ORDER == wire.ParameterUpdateOrder()
 
 
 def test_update_order_layout():
