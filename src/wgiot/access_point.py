@@ -8,7 +8,10 @@ AAC-only mismatch gets a unique challenge, and all three wrong is denied.
 Every update-flow frame names its device by icd_in, so each flow's record
 is found by that id however many flows are in progress.  The access point
 acts on a device's AuthRequest, UpdateConfirmation or UpdateRejection only
-when its icd_in is the sending device's own.  Its dispatch tables say which
+when its icd_in is the sending device's own, and on an UpdateConfirmation
+only once it has relayed the flow's response: a device confirms only the
+order that carries it, so an earlier confirmation, such as a replayed one,
+is unexpected and changes nothing.  Its dispatch tables say which
 frames it obeys from which sender (frames.md lists them; see agent.py).
 
 What is the same on every accept is built once.  The access point sends
@@ -227,14 +230,18 @@ class MapAgent:
         if rec is None or rec.icd_in != msg.icd_in or rec.pending is None:
             # unknown, not the sender's own icd_in, or no update pending
             return unexpected(self.state_name, msg)
-        response, rec.pending = rec.pending, None
         if type(msg) is wire.UpdateRejection:
+            rec.pending = None
             return Transition(out=[(WBRAC, msg)], note="update-discarded")
-        if response is not AWAITING_RESPONSE:
-            rec.expected_aac = response.expected_aac
-            rec.wmap = response.wmap
-            rec.challenge_sign = response.challenge_sign
-            rec.challenge_outstanding = False
+        response = rec.pending
+        if response is AWAITING_RESPONSE:
+            # a device confirms only the order that carries the response
+            return unexpected(self.state_name, msg)
+        rec.pending = None
+        rec.expected_aac = response.expected_aac
+        rec.wmap = response.wmap
+        rec.challenge_sign = response.challenge_sign
+        rec.challenge_outstanding = False
         return Transition(out=[(WBRAC, msg)], note="update-committed")
 
     def _on_challenge_answer(

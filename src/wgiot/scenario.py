@@ -311,8 +311,8 @@ def _parse_adversary(no: int, text: str):
             and parts[4] == "at"
         ):
             frame = wire.decode(bytes.fromhex(parts[1]))
-            src = parts[7] if n == 8 else "adversary"
-            return Inject(frame=frame, to=parts[3], at=_parse_int(no, parts[5]), src=src)
+            sender = {"src": parts[7]} if n == 8 else {}  # else Inject's default
+            return Inject(frame=frame, to=parts[3], at=_parse_int(no, parts[5]), **sender)
     except (wire.WireError, ValueError) as exc:
         _fail(no, f"bad adversary line: {exc}")
     _fail(no, f"unrecognized adversary line {text!r}")

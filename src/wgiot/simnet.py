@@ -28,28 +28,17 @@ plain tuple would cost memory instead: CPython's free list keeps up to
 2,000 dead tuples of each small size, so the 6-tuples of a broadcast would
 stay allocated after their delivery.
 
-A burst (`_Burst`) is one event that delivers several copies of one
-broadcast, in target order, in one `step()`; it holds the broadcast's
-targets, its frame and its raw bytes.  A copy joins a burst when
-its link draws nothing (drop and dup probability 0) and no adversary hook
-looks at its tag; it joins the burst that its broadcast queued last at its
-arrival time, while that burst is still the last event there, and starts a
-new one otherwise.  Every other copy is queued on its own by `_transmit`,
-so each rng draw happens where it did when every copy was an event.  The
-order of delivery is unchanged as well: the copies of a burst would have
-been consecutive events, since nothing is queued between two same-time
-copies of one broadcast, and what their delivery pushes at `now` runs
-after the last of them either way.
-
-Which copies join which burst depends only on the target tuple, the
-WBRAC's links to the targets and whether a hook looks at the tag, so
-`Simulator` works it out once per (targets, hooked) pair, at the first
-broadcast of that pair, as a plan (`Simulator._plan`): in target order, a
-burst group (its arrival delay and its targets) or a lone copy for
-`_transmit`.  Every broadcast replays its pair's plan, queueing a new
-burst per group, so the calendar, the draws and the trace are what working
-the copies out again would give.  A plan reads the link models once, which
-holds because a scenario's links cannot change.
+A burst (`_Burst`) is one event that delivers, in one `step()`, the
+copies of one broadcast that arrive at one time, in target order; it holds
+their targets, the broadcast's frame and its raw bytes.  A broadcast is
+burst whole or not at all: when no WBRAC -> target link draws (drop and dup
+probability 0) and no adversary hook looks at its tag, it queues one burst
+per arrival delay, and otherwise every copy goes through `_transmit`, in
+target order.  The bursts deliver what the copies would have, in the same
+order: a burst's copies would have been consecutive events at its time, and
+what their delivery pushes at `now` runs after the last of them either way.
+The bursts depend only on the target tuple and the WBRAC's links, which a
+scenario cannot change, so `Simulator._plan` works them out once per tuple.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame, and every copy on a link (all targets of a broadcast, a duplicate)
@@ -119,6 +108,7 @@ from .wbrac import DEFAULT_MPC_PERIOD_MS, TooEarly, WbracService
 from .wire import value
 
 DEFAULT_MAX_TIME_MS = 60_000
+ADVERSARY = "adversary"  # the sender of an injection and of a no-op replay's line
 
 
 class ScenarioError(Exception):
@@ -200,7 +190,7 @@ class Inject:
     frame: wire.WireMessage
     to: str
     at: int
-    src: str = "adversary"
+    src: str = ADVERSARY
 
 
 @value
@@ -520,9 +510,9 @@ class Trace:
     simulator shares the notes it writes, and `add` appends what it is
     given).  `entries` builds a new list of one `TraceEntry` per line, a
     copy that later lines do not change, whose `payload` is the frame's
-    bytes after its 3-byte header; `serialize` writes the hex of those
-    bytes, and it, `frame_count` and `scenario.check_expects` read the
-    columns themselves."""
+    bytes after its header (`wire.HEADER_SIZE` bytes); `serialize` writes
+    the hex of those bytes, and it, `frame_count` and
+    `scenario.check_expects` read the columns themselves."""
 
     __slots__ = ("times", "senders", "receivers", "tags", "raws", "notes")
 
@@ -548,7 +538,8 @@ class Trace:
     def _columns(self) -> tuple:
         """The columns in `TraceEntry` field order, each payload cut from
         its line's encoded frame as it is read."""
-        payloads = (None if raw is None else raw[3:] for raw in self.raws)
+        header = wire.HEADER_SIZE
+        payloads = (None if raw is None else raw[header:] for raw in self.raws)
         return self.times, self.senders, self.receivers, self.tags, payloads, self.notes
 
     @property
@@ -582,7 +573,8 @@ class _Burst(NamedTuple):
     """Same-time copies of one broadcast from the WBRAC, one per target, in
     target order: one group of the broadcast's plan, each time a new list
     of the group's targets, with the broadcast's frame and the bytes its
-    one encode returned (see the module docstring)."""
+    one encode returned.  Only a broadcast whose every copy may be burst
+    makes bursts (see the module docstring)."""
 
     targets: list[str]
     frame: wire.WireMessage
@@ -627,8 +619,8 @@ class Simulator:
         self._calendar: dict[int, list] = {}  # pending time -> its events, in push order
         self._taken = 0  # events of the earliest time's list already stepped
         self._links = scenario.links
-        # (targets, hooked) -> the plan of a broadcast to them (`_plan`)
-        self._plans: dict[tuple[tuple[str, ...], bool], list] = {}
+        # targets -> the plan of a broadcast to them (`_plan`), None where a link draws
+        self._plans: dict[tuple[str, ...], list | None] = {}
         # every note written, one string per text: a delivery's by its parts, any other by its text
         self._notes: dict[tuple[str, str, str] | str, str] = {}
         self.trace = Trace()
@@ -698,9 +690,10 @@ class Simulator:
     def _transmit(self, src: str, dst: str, raw: bytes, frame: wire.WireMessage) -> None:
         """Put one encoded frame on the src -> dst link: the adversary's
         hooks, then the link's drop and duplicate draws.  `frame` is raw's
-        frame; a corrupted copy replaces both.  It queues the copy itself
-        when its time is already pending, as a broadcast copy at `now` is,
-        and through `_open` when the time is new."""
+        frame; a corrupted copy replaces both.  Every copy of a broadcast
+        that is not burst comes here.  It queues the copy itself when its
+        time is already pending, as a broadcast copy at `now` is, and
+        through `_open` when the time is new."""
         note = ""
         if raw[0] in self._hooked_tags:
             frame, raw, note = self._adversary_hooks(src, dst, raw, frame)
@@ -742,7 +735,7 @@ class Simulator:
 
     @staticmethod
     def _flip_payload_bit(raw: bytes, bit_index: int) -> bytes:
-        byte_at = 3 + bit_index // 8
+        byte_at = wire.HEADER_SIZE + bit_index // 8
         buf = bytearray(raw)
         buf[byte_at] ^= 0x80 >> (bit_index % 8)
         return bytes(buf)
@@ -769,48 +762,35 @@ class Simulator:
         self._EVENT_HANDLERS[type(item)](self, item)
 
     def _broadcast(self, targets: tuple[str, ...], frame: wire.WireMessage) -> None:
-        """Send `frame` from the WBRAC to each target, in order, by the plan
-        of (targets, hooked): a new burst per group, and each lone copy
-        through `_transmit`."""
+        """Send `frame` from the WBRAC to each target: a new burst per group
+        of the plan of `targets`, or, when a hook looks at the tag or the
+        plan is None, each copy through `_transmit`, in target order."""
         raw = wire.encode(frame)
-        key = (targets, raw[0] in self._hooked_tags)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._plan(*key)
-        calendar, now = self._calendar, self.now
-        for step in plan:
-            if type(step) is str:
-                self._transmit(WBRAC, step, raw, frame)
-                continue
-            delay, group = step
-            at = now + delay
-            burst = _new(_Burst, (list(group), frame, raw))
-            events = calendar.get(at)
-            if events is None:
-                self._open(at, burst)
-            else:
-                events.append(burst)
+        if raw[0] not in self._hooked_tags:
+            try:
+                plan = self._plans[targets]
+            except KeyError:
+                plan = self._plans[targets] = self._plan(targets)
+            if plan is not None:
+                now = self.now
+                for delay, group in plan:
+                    self._push(now + delay, _new(_Burst, (list(group), frame, raw)))
+                return
+        for target in targets:
+            self._transmit(WBRAC, target, raw, frame)
 
-    def _plan(self, targets: tuple[str, ...], hooked: bool) -> list:
-        """The steps of a broadcast to `targets`, in target order: a target
-        name for a copy that goes through `_transmit` (its tag is `hooked`
-        or its link draws), and (delay, targets) for a burst group.  A copy
-        over a link that draws nothing joins the group its broadcast queues
-        last at its delay, unless a lone copy is queued there after it."""
-        plan = []
-        groups = {}  # delay -> the group queued last there, while it is the last event
+    def _plan(self, targets: tuple[str, ...]) -> list | None:
+        """The bursts of a broadcast to `targets`: a (delay, targets) group
+        per arrival delay, in the order of the targets, which each group
+        keeps; None as soon as the WBRAC's link to a target draws."""
+        groups: dict[int, list[str]] = {}  # delay -> its targets
         links = self._links
         for target in targets:
             link = links.get((WBRAC, target), NO_IMPAIRMENT)
-            if hooked or link.drop_prob > 0.0 or link.dup_prob > 0.0:
-                plan.append(target)
-                groups.pop(link.delay_ms, None)
-            elif link.delay_ms in groups:
-                groups[link.delay_ms].append(target)
-            else:
-                groups[link.delay_ms] = group = [target]
-                plan.append((link.delay_ms, group))
-        return plan
+            if link.drop_prob > 0.0 or link.dup_prob > 0.0:
+                return None
+            groups.setdefault(link.delay_ms, []).append(target)
+        return list(groups.items())
 
     def _on_tick(self, agent_id: str) -> None:
         result = self.agents[agent_id].tick(self.now)
@@ -842,7 +822,7 @@ class Simulator:
     def _on_replay(self, item: ReplayCaptured) -> None:
         if item.index >= len(self.captured):
             note = self._shared("no-op: nothing captured")
-            self.trace.add(self.now, "adversary", "-", "replay", None, note)
+            self.trace.add(self.now, ADVERSARY, "-", "replay", None, note)
             return
         src, dst, raw = self.captured[item.index]
         self._push(self.now, [src, dst, False, "replayed", wire.decode(raw), raw])

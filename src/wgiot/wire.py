@@ -49,6 +49,8 @@ _INT_BITS = {"u64": 64, "u8": 8}
 
 _BY_TAG: dict[int, type[WireMessage]] = {}  # every frame class, by tag
 
+HEADER_SIZE = 3  # a frame's tag and payload length, before its payload
+
 
 class WireMessage:
     """Base of every frame.  A frame declares its payload once, as dataclass
@@ -74,7 +76,7 @@ class WireMessage:
         )
         codes = (_INT_CODES.get(kind) or f"{kind[1]}s" for _, kind in cls.FIELDS)
         cls._frame = struct.Struct(">BH" + "".join(codes))
-        cls.SIZE = cls._frame.size - 3
+        cls.SIZE = cls._frame.size - HEADER_SIZE
         cls._encode = _encoder(cls)
         _BY_TAG[cls.TAG] = cls
 
@@ -297,16 +299,16 @@ def encode(msg: WireMessage) -> bytes:
 
 
 def decode(raw: bytes) -> WireMessage:
-    if len(raw) < 3:
-        raise Truncated(f"frame shorter than 3-byte header ({len(raw)} bytes)")
+    if len(raw) < HEADER_SIZE:
+        raise Truncated(f"frame shorter than {HEADER_SIZE}-byte header ({len(raw)} bytes)")
     tag = raw[0]
-    declared = int.from_bytes(raw[1:3], "big")
+    declared = int.from_bytes(raw[1:HEADER_SIZE], "big")
     cls = _BY_TAG.get(tag)
     if cls is None:
         raise UnknownTag(f"tag {tag:#04x}")
     if declared != cls.SIZE:
         raise LengthMismatch(f"{cls.__name__}: declared {declared}, layout requires {cls.SIZE}")
-    payload = len(raw) - 3
+    payload = len(raw) - HEADER_SIZE
     if payload < declared:
         raise Truncated(f"{cls.__name__}: payload {payload} < declared {declared}")
     if payload > declared:

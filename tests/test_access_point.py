@@ -214,9 +214,11 @@ def test_confirmation_applies_the_responses_material_and_clears_pending():
 def test_confirmation_before_any_response_keeps_the_material():
     agent = make_map()
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
-    assert agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0).note == "update-committed"
+    # a device confirms only the order that carries the relayed response
+    result = agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0)
+    assert result.note == "unexpected UpdateConfirmation in -" and result.out == []
     rec = agent.records[ICD_IN]
-    assert rec.pending is None
+    assert rec.pending is AWAITING_RESPONSE
     assert (rec.expected_aac, rec.wmap, rec.challenge_sign) == (
         EXPECTED_AAC,
         CHALLENGE_WMAP,
@@ -284,8 +286,9 @@ def test_mpc_broadcast_reaches_every_provisioned_device():
 
 
 def test_no_pending_leak_after_adversarial_interleavings():
-    """pending is cleared by every confirmation/rejection; random frame soup
-    never accepts without a GUID or signature match."""
+    """pending is cleared by every rejection, and by every confirmation
+    unless no response had been relayed; random frame soup never accepts
+    without a GUID or signature match."""
     r = random.Random(8)
     for _ in range(10_000):
         agent = make_map()
@@ -299,8 +302,12 @@ def test_no_pending_leak_after_adversarial_interleavings():
             elif roll == 2:
                 res = agent.handle("wbrac", response(r.randbytes(16)), 0)
             elif roll == 3:
+                relayed = agent.records[ICD_IN].pending is not AWAITING_RESPONSE
                 res = agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0)
-                assert agent.records[ICD_IN].pending is None
+                if relayed:
+                    assert agent.records[ICD_IN].pending is None
+                else:
+                    assert agent.records[ICD_IN].pending is AWAITING_RESPONSE
             elif roll == 4:
                 res = agent.handle("icd-1", wire.UpdateRejection(ICD_IN), 0)
                 assert agent.records[ICD_IN].pending is None

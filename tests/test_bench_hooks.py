@@ -99,7 +99,7 @@ def test_every_trace_line_and_event_goes_through_its_wrapped_name():
         steps += 1
     assert calls["simnet.step"] == steps > 0
 
-    # every wbrac -> icd-k link draws, so no copy to a device joins a burst
+    # every wbrac -> icd-k link draws, so every broadcast goes copy by copy
     tracer = spans.Tracer()
     with tracer.installed():
         trace = simnet.Simulator(impaired_broadcasts(0), 0).run()

@@ -926,6 +926,15 @@ def test_run_update_and_replay_scenarios_exit_zero():
     assert cli.main(["run", str(SCENARIOS / "replay.scn")]) == 0
 
 
+def test_every_regression_scenario_exits_zero(capsys):
+    """Each file in scenarios/regress reproduces a fault that was mended;
+    its expectations hold only while the fault stays mended."""
+    paths = sorted((SCENARIOS / "regress").glob("*.scn"))
+    assert paths
+    failed = [path.name for path in paths if cli.main(["run", str(path)]) != 0]
+    assert failed == [], capsys.readouterr().err
+
+
 def test_run_missing_scenario_exits_one(capsys):
     assert cli.main(["run", "/nonexistent/path.scn"]) == 1
     assert "error:" in capsys.readouterr().err

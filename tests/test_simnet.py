@@ -215,8 +215,9 @@ def test_a_burst_keeps_the_target_order_across_links_that_draw_and_delay():
     links = {(WBRAC, "icd-2"): LinkModel(0, drop_prob=0.5), (WBRAC, MAP): LinkModel(5)}
     sim = Simulator(_broadcast_to(targets, links), seed=0)
     sim.step()
-    # icd-2's copy is queued on its own between two bursts of one copy each
-    assert [type(e).__name__ for e in sim._calendar[10]] == ["_Burst", "list", "_Burst"]
+    # icd-2's link draws, so every copy is queued on its own, in target order
+    assert [e[1] for e in sim._calendar[10]] == ["icd-1", "icd-2", "icd-3"]
+    assert [e[1] for e in sim._calendar[15]] == [MAP]
     trace = sim.run()
     assert [(e.time, e.receiver) for e in trace.entries] == [
         (10, "icd-1"), (10, "icd-2"), (10, "icd-3"), (15, MAP)
@@ -251,44 +252,31 @@ def test_a_copy_made_just_before_a_burst_runs_to_the_same_trace():
     assert "mpc-updated -> AwaitingAuthResult" in sim.trace.notes and sim.trace.times[-1] > 10
 
 
-def _broadcast_copy_by_copy(sim, targets, frame):
-    """The reference of `Simulator._broadcast`: the per-target loop that
-    worked out each copy's burst on every broadcast, before plans."""
-    raw = wire.encode(frame)
-    hooked = raw[0] in sim._hooked_tags
-    links, calendar, now = sim._links, sim._calendar, sim.now
-    bursts = {}  # arrival time -> the burst this broadcast queued there last
-    for target in targets:
-        link = links.get((WBRAC, target), simnet.NO_IMPAIRMENT)
-        if hooked or link.drop_prob > 0.0 or link.dup_prob > 0.0:
-            sim._transmit(WBRAC, target, raw, frame)
-            continue
-        at = now + link.delay_ms
-        burst = bursts.get(at)
-        events = calendar.get(at)
-        if burst is not None and events[-1] is burst:
-            burst.targets.append(target)
-            continue
-        bursts[at] = burst = simnet._Burst([target], frame, raw)
-        if events is None:
-            sim._open(at, burst)
-        else:
-            events.append(burst)
+class _CopyByCopy(Simulator):
+    """The reference of `Simulator._broadcast`: every copy of a broadcast
+    goes through `_transmit`, in target order, as when each copy was an
+    event of its own."""
+
+    def _broadcast(self, targets, frame):
+        raw = wire.encode(frame)
+        for target in targets:
+            self._transmit(WBRAC, target, raw, frame)
 
 
-def _pending(sim):
+def _pending_copies(sim):
     """The calendar as values: per pending time in order, its events not
-    yet stepped, a burst as its targets and a copy as (src, dst, dropped,
-    note, frame)."""
+    yet stepped, each burst expanded into its copies and a copy shown as
+    (src, dst, dropped, note, frame)."""
     shown = []
     for at in sorted(sim._heap):
         events = sim._calendar[at][sim._taken if at == sim._heap[0] else 0:]
-        shown.append((at, [
-            ("burst", e.targets, e.frame) if type(e) is simnet._Burst
-            else ("copy", *e[:5]) if type(e) is list
-            else e
-            for e in events
-        ]))
+        copies = []
+        for e in events:
+            if type(e) is simnet._Burst:
+                copies.extend(("copy", WBRAC, t, False, "", e.frame) for t in e.targets)
+            else:
+                copies.append(("copy", *e[:5]) if type(e) is list else e)
+        shown.append((at, copies))
     return shown
 
 
@@ -304,50 +292,53 @@ _PLAN_HOOKS = st.sampled_from([
     [],
     [CaptureMatching(_MPC_TAG)],
     [CorruptBit(_MPC_TAG, 77)],
+    [CaptureMatching(wire.ParameterUpdateOrder.TAG), ReplayCaptured(0, at=6)],
     [CaptureMatching(wire.AuthRequest.TAG)],  # hooks another tag only
 ])
+_PLAN_TARGETS = st.lists(st.sampled_from(_PLAN_AGENTS), min_size=1, max_size=6).map(tuple)
+_PLAN_BROADCASTS = st.lists(
+    st.tuples(st.sampled_from([RotateMpc, SendParameterUpdate]), st.integers(0, 12), _PLAN_TARGETS),
+    max_size=4,
+)
 
 
 @given(
-    targets=st.lists(st.sampled_from(_PLAN_AGENTS), min_size=1, max_size=8).map(tuple),
+    targets=_PLAN_TARGETS,
     links=st.tuples(*[_PLAN_LINKS] * len(_PLAN_AGENTS)),
     hooks=_PLAN_HOOKS,
-    starts=st.lists(st.tuples(st.sampled_from(_PLAN_AGENTS[1:]), st.integers(0, 3)), max_size=4),
-    steps_between=st.integers(0, 8),
+    broadcasts=_PLAN_BROADCASTS,
+    starts=st.lists(st.tuples(st.sampled_from(_PLAN_AGENTS[1:]), st.integers(0, 6)), max_size=4),
+    seed=st.integers(0, 3),
 )
-def test_a_broadcast_by_its_plan_queues_draws_and_traces_as_copy_by_copy(
-    targets, links, hooks, starts, steps_between
+def test_a_run_with_bursts_traces_and_draws_as_copy_by_copy(
+    targets, links, hooks, broadcasts, starts, seed
 ):
-    """Replaying a plan leaves the calendar, the rng and the trace as the
-    per-target loop does, over repeated targets, links that delay, drop or
-    duplicate, hooked and unhooked tags, and arrival times that already
-    have events pending."""
+    """A run whose broadcasts go by their plans gives the trace, the rng
+    state and the captures of one whose every copy goes through
+    `_transmit`, over scheduled broadcasts with repeated targets, links
+    that delay, drop or duplicate, hooked and unhooked tags, starts and
+    seeds.  Right after one broadcast, the calendar with its bursts
+    expanded is the per-copy one."""
     sc = Scenario(
         subscribers=[make_subscriber(i, icd_in=i + 1) for i in range(3)],
         links={(WBRAC, a): link for a, link in zip(_PLAN_AGENTS, links) if link is not None},
-        schedule=[StartIcd(d, at=at) for d, at in starts],
+        schedule=[StartIcd(d, at=at) for d, at in starts]
+        + [kind(at=at, targets=to) for kind, at, to in broadcasts],
         adversary=hooks,
+        mpc_period=1,
     )
-    planned, reference = Simulator(sc, seed=3), Simulator(sc, seed=3)
+    planned, reference = Simulator(sc, seed=seed), _CopyByCopy(sc, seed=seed)
     frame = wire.AccessParameterMessage(bytes(range(16)))
-
-    def broadcast():
-        planned._broadcast(targets, frame)
-        _broadcast_copy_by_copy(reference, targets, frame)
-        assert _pending(planned) == _pending(reference)
-        assert planned.rng._state == reference.rng._state
-
-    broadcast()
-    for _ in range(steps_between):
-        if planned._heap:
-            planned.step()
-            reference.step()
-    broadcast()  # the same tuple again, by the plan the first broadcast made
+    planned._broadcast(targets, frame)
+    reference._broadcast(targets, frame)
+    assert _pending_copies(planned) == _pending_copies(reference)
+    assert planned.rng._state == reference.rng._state
     assert planned.run().serialize() == reference.run().serialize()
-    assert len(planned._plans) == 1
+    assert planned.rng._state == reference.rng._state
+    assert planned.captured == reference.captured
 
 
-def test_a_broadcast_plan_is_made_once_per_target_tuple_and_hooked_value():
+def test_a_broadcast_plan_is_made_once_per_target_tuple():
     class CountingLinks(ReadOnlyLinks):
         gets = 0
 
@@ -371,17 +362,41 @@ def test_a_broadcast_plan_is_made_once_per_target_tuple_and_hooked_value():
     sim._broadcast(targets, mpc)
     sim._broadcast(tuple(list(targets)), mpc)  # an equal tuple shares the plan
     assert links.gets == 0
-    # a hooked tag gets its own plan: every copy goes through `_transmit`,
-    # which reads its link too
+    # a hooked tag skips the plan: every copy goes through `_transmit`,
+    # which reads its link once
     sim._broadcast(targets, wire.ParameterUpdateOrder())
-    assert links.gets == 2 * len(targets)
-    assert list(sim._plans) == [(targets, False), (targets, True)]
-    # each rotation queued its own burst list at 0 ms, then come the lone copies
+    assert links.gets == len(targets)
+    assert list(sim._plans) == [targets]
+    # each rotation queued its own burst list at 0 ms, then come the hooked copies
     at_0 = sim._calendar[0]
     assert [e.targets if type(e) is simnet._Burst else e[1] for e in at_0] == (
         [["icd-1", "icd-3", "icd-1"]] * 3 + ["icd-1", "icd-3", "icd-1"]
     )
     assert len({id(e.targets) for e in at_0[:3]}) == 3
+
+
+def test_a_broadcast_over_a_link_that_draws_goes_copy_by_copy():
+    class CountingLinks(ReadOnlyLinks):
+        gets = 0
+
+        def get(self, key, default=None):
+            self.gets += 1
+            return super().get(key, default)
+
+    targets = ("icd-1", "icd-2", "icd-3")
+    links = CountingLinks({(WBRAC, "icd-2"): LinkModel(0, dup_prob=1.0)})
+    sim = Simulator(Scenario([make_subscriber(i, icd_in=i + 1) for i in range(3)], links), seed=0)
+    mpc = wire.AccessParameterMessage(bytes(16))
+    sim._broadcast(targets, mpc)
+    # the plan stops at icd-2's link, then every copy reads its own
+    assert links.gets == 2 + len(targets)
+    assert sim._plans == {targets: None}
+    links.gets = 0
+    sim._broadcast(targets, mpc)
+    assert links.gets == len(targets)  # the None plan is kept, not made again
+    assert [(e[1], e[3]) for e in sim._calendar[0]] == 2 * [
+        ("icd-1", ""), ("icd-2", ""), ("icd-2", "duplicate"), ("icd-3", "")
+    ]
 
 
 def test_unknown_agent_in_schedule():
