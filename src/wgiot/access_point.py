@@ -6,7 +6,8 @@ between device and WBRAC.  A failed comparison is remedied by a fixed rule
 (`remedy`): an MPC or RMC mismatch starts the update-value flow, an
 AAC-only mismatch gets a unique challenge, and all three wrong is denied.
 Every update-flow frame names its device by icd_in, so each flow's record
-is found by that id however many flows are in progress.  The access point
+is found by that id however many flows are in progress; one that names no
+registered device is unexpected and changes nothing.  The access point
 acts on a device's AuthRequest, UpdateConfirmation or UpdateRejection only
 when its icd_in is the sending device's own, and on an UpdateConfirmation
 only once it has relayed the flow's response: a device confirms only the
@@ -154,7 +155,7 @@ class MapAgent:
     def _on_update_message(self, sender: str, msg: wire.UpdateMessage, now: int) -> Transition:
         rec = self.records.get(msg.icd_in)
         if rec is None:
-            return Transition(note=f"update for unknown icd {msg.icd_in}")
+            return unexpected(self.state_name, msg)
         rec.pending = AWAITING_RESPONSE
         order = wire.UpdateOrder(msg.rand, rec.expected_rmc)
         return Transition(out=[(rec.icd_agent_id, order)])

@@ -10,6 +10,14 @@ WbracService) offers the same interface:
 - tick(now) -> Transition: only on agents that ever return tick_at (which
   only IcdAgent does), called when the requested time arrives.
 
+The device's `start(now)` returns a Transition too.  An entry point that
+cannot act returns a result and changes nothing; it does not raise: a start
+of a device that is not Idle returns a `skipped:` note, and a frame that an
+agent has no handler for, or that names no registered device or no update
+flow in progress, returns unexpected(...), the one answer to a frame an
+agent cannot act on.  The only agent exception the simulator catches is
+`wbrac.TooEarly`, from a scheduled MPC rotation.
+
 All three dispatch a frame the same way.  Every handler takes (self,
 sender, msg, now).  `handle` picks the agent's table for the sender,
 `_BY_SENDER[sender]` for WBRAC or MAP and `_FROM_DEVICE` for any other
@@ -45,10 +53,6 @@ NO_HANDLERS = MappingProxyType({})  # the table of a sender an agent does not ob
 
 
 class ProtocolError(Exception):
-    pass
-
-
-class NotIdle(ProtocolError):
     pass
 
 

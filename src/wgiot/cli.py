@@ -33,7 +33,7 @@ def _cmd_run(args) -> int:
         return EXIT_ERROR
     if args.trace and not _write(args.trace, trace.serialize()):
         return EXIT_ERROR
-    failures = check_expects(scenario, sim, trace)
+    failures = check_expects(sim)
     for failure in failures:
         print(f"expect failed: {failure}", file=sys.stderr)
     return EXIT_EXPECT_FAILED if failures else EXIT_OK

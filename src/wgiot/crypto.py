@@ -11,7 +11,7 @@ RMC, a 128-bit update counter, is its 16 bytes, MSB-first.  Their lengths
 are checked where a wrong one would matter: the AAC in `sd_generation` and
 `compose_guid`, the MPC and the RMC in `compose_guid`, the WMAP in
 `compose_unique_challenge`, and the 32-byte TO_MAP in
-`WbracService.answer_challenge`, which would otherwise sign a 10-byte
+`WbracService._on_challenge_forward`, which would otherwise sign a 10-byte
 value in the unique-challenge domain.  The one RMC check that can fail in
 a run is the wrap past 2**128 - 1, in `rmc_incremented`.  The
 update-value flow's RAND→SD derivation, which the device and the WBRAC

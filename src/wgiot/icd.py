@@ -1,9 +1,12 @@
 """State machine for the ICD (internet connected device).
 
 The device initiates activation, assembles its GUID, answers update-value
-and unique-challenge flows, and enforces the 1 s confirmation timer.  The
-new service data computed during an update is committed exactly once (on a
-matching confirmation order) or discarded exactly once (mismatch/timeout).
+and unique-challenge flows, and enforces the 1 s confirmation timer.  A
+start of a device that is not Idle changes nothing and returns a `skipped:`
+note, as a frame the device cannot act on returns unexpected(...) (see
+agent.py).  The new service data computed during an update is committed
+exactly once (on a matching confirmation order) or discarded exactly once
+(mismatch/timeout).
 The AAC of its GUID is kept with its SD in `IcdConfig.aac`: the simulator
 hands the device the same object the WBRAC provisioned the access point
 with, and the device derives it again only when it commits a new SD, so a
@@ -27,7 +30,6 @@ from .agent import (
     RMC_INCREMENTED,
     WBRAC,
     WBRAC_ID,
-    NotIdle,
     Transition,
     unexpected,
 )
@@ -147,9 +149,10 @@ class IcdAgent:
     # -- transitions --
 
     def start(self, now: int) -> Transition:
-        """Send the secure activation signal followed by the GUID."""
+        """Send the secure activation signal followed by the GUID; a device
+        that is not Idle changes nothing and returns a `skipped:` note."""
         if not isinstance(self.state, Idle):
-            raise NotIdle(f"start() in {self.state_name}")
+            return Transition(note=f"skipped: start() in {self.state_name}")
         self.state = AWAITING_AUTH_RESULT
         return Transition(
             out=[

@@ -330,12 +330,13 @@ def _parse_expect(no: int, text: str, base_dir: Path):
     _fail(no, f"unrecognized expectation {text!r}")
 
 
-def check_expects(scenario: Scenario, sim, trace) -> list[str]:
-    """Evaluate the [expect] assertions; return a list of failure messages.
-    `reaches` holds once the agent was ever in the state, `ends` only if the
-    run leaves it there."""
+def check_expects(sim) -> list[str]:
+    """Evaluate the [expect] assertions of `sim`'s scenario against its run
+    so far; return a list of failure messages.  `reaches` holds once the
+    agent was ever in the state, `ends` only if the run leaves it there."""
+    trace = sim.trace
     failures = []
-    for expect in scenario.expects:
+    for expect in sim.scenario.expects:
         kind = expect[0]
         if kind == "reaches":
             _, agent_id, target = expect

@@ -13,32 +13,36 @@ only its seed.  All PRF work uses the reference backend,
 Pending events sit in a calendar: a heap of the distinct pending times
 (`Simulator._heap`) and, for each time, a list of its events in push order.
 An event is a frame copy, a burst, a device's timer tick or a scheduled
-item (a start, a broadcast, a replay, an injection); a tick is queued as
-its device's name, the only event that is a `str`.  `step()` takes
-exactly one event, the next one in the earliest time's list; a time leaves
-the heap when its list is used up.  No event is pushed before `now`
-(`_open`, the one place a running simulator adds a time, raises
-`ValueError`), so an event pushed at `now`, such as a reply sent with no
-delay while a broadcast is delivered, joins the end of the current list and
-runs after every event already pending at that time.  A queued copy of a
-frame is the list [src, dst, dropped, note, frame, raw], where raw is the
-frame's whole encoding, header included.  A list is the cheapest record to
-build once per copy (a NamedTuple is built from a temporary tuple), and a
-plain tuple would cost memory instead: CPython's free list keeps up to
-2,000 dead tuples of each small size, so the 6-tuples of a broadcast would
-stay allocated after their delivery.
+item (a start, a broadcast, a replay, an injection), and its type alone
+says which: a copy is a `list`, a burst the only `tuple`, a tick its
+device's name, the only `str`, and a scheduled item one of the scenario's
+values (`scenario_faults` refuses a schedule item of any other type, a
+tuple included).  `step()` takes exactly one event, the next one in the
+earliest time's list; a time leaves the heap when its list is used up.  No
+event is pushed before `now` (`_open`, the one place a running simulator
+adds a time, raises `ValueError`), so an event pushed at `now`, such as a
+reply sent with no delay while a broadcast is delivered, joins the end of
+the current list and runs after every event already pending at that time.
+A queued copy of a frame is the list [src, dst, dropped, note, frame, raw],
+where raw is the frame's whole encoding, header included.  A list is the
+cheapest record to build once per copy (a NamedTuple is built from a
+temporary tuple), and a plain tuple would cost memory instead: CPython's
+free list keeps up to 2,000 dead tuples of each small size, so the 6-tuples
+of a broadcast would stay allocated after their delivery.
 
-A burst (`_Burst`) is one event that delivers, in one `step()`, the
-copies of one broadcast that arrive at one time, in target order; it holds
-their targets, the broadcast's frame and its raw bytes.  A broadcast is
-burst whole or not at all: when no WBRAC -> target link draws (drop and dup
-probability 0) and no adversary hook looks at its tag, it queues one burst
-per arrival delay, and otherwise every copy goes through `_transmit`, in
-target order.  The bursts deliver what the copies would have, in the same
-order: a burst's copies would have been consecutive events at its time, and
-what their delivery pushes at `now` runs after the last of them either way.
-The bursts depend only on the target tuple and the WBRAC's links, which a
-scenario cannot change, so `Simulator._plan` works them out once per tuple.
+A burst is one event that delivers, in one `step()`, the copies of one
+broadcast that arrive at one time, in target order: the plain tuple
+(targets, frame, raw) of their targets, a tuple, the broadcast's frame and
+its raw bytes.  A broadcast is burst whole or not at all: when no WBRAC ->
+target link draws (drop and dup probability 0) and no adversary hook looks
+at its tag, it queues one burst per arrival delay, and otherwise every copy
+goes through `_transmit`, in target order.  The bursts deliver what the
+copies would have, in the same order: a burst's copies would have been
+consecutive events at its time, and what their delivery pushes at `now`
+runs after the last of them either way.  The bursts depend only on the
+target tuple and the WBRAC's links, which a scenario cannot change, so
+`Simulator._plan` works them out once per tuple, and every burst of one
+group of the plan holds that group's one tuple of targets.
 
 A frame reaches its receiver as it was sent: each encode is paired with its
 frame, and every copy on a link (all targets of a broadcast, a duplicate)
@@ -101,7 +105,7 @@ from typing import NamedTuple
 
 from . import crypto, wire
 from .access_point import MapAgent
-from .agent import MAP, WBRAC, NotIdle
+from .agent import MAP, WBRAC
 from .icd import STATE_NAMES, IcdAgent, IcdConfig
 from .rng import SimRng
 from .wbrac import DEFAULT_MPC_PERIOD_MS, TooEarly, WbracService
@@ -479,11 +483,6 @@ def route_table() -> str:
 # Trace
 
 
-# Builds a named tuple from a tuple of its fields without the NamedTuple's
-# Python-level __new__; the per-frame paths use it.
-_new = tuple.__new__
-
-
 class TraceEntry(NamedTuple):
     time: int
     sender: str
@@ -491,9 +490,6 @@ class TraceEntry(NamedTuple):
     tag: str
     payload: bytes | None
     note: str
-
-
-_entry = functools.partial(_new, TraceEntry)
 
 
 class Trace:
@@ -544,7 +540,7 @@ class Trace:
 
     @property
     def entries(self) -> list[TraceEntry]:
-        return list(map(_entry, zip(*self._columns())))
+        return list(map(TraceEntry._make, zip(*self._columns())))
 
     def frame_count(self, tag: str) -> int:
         return sum(
@@ -564,21 +560,9 @@ class Trace:
 # Simulator
 
 
-# A queued copy of a frame is a list and a timer tick its device's name (see
-# the module docstring), so the event table keys `_on_deliver` by `list` and
-# `_on_tick` by `str`.
-
-
-class _Burst(NamedTuple):
-    """Same-time copies of one broadcast from the WBRAC, one per target, in
-    target order: one group of the broadcast's plan, each time a new list
-    of the group's targets, with the broadcast's frame and the bytes its
-    one encode returned.  Only a broadcast whose every copy may be burst
-    makes bursts (see the module docstring)."""
-
-    targets: list[str]
-    frame: wire.WireMessage
-    raw: bytes
+# A queued copy of a frame is a list, a burst a tuple and a timer tick its
+# device's name (see the module docstring), so the event table keys
+# `_on_deliver` by `list`, `_on_burst` by `tuple` and `_on_tick` by `str`.
 
 
 class _Devices(Mapping):
@@ -774,15 +758,16 @@ class Simulator:
             if plan is not None:
                 now = self.now
                 for delay, group in plan:
-                    self._push(now + delay, _new(_Burst, (list(group), frame, raw)))
+                    self._push(now + delay, (group, frame, raw))
                 return
         for target in targets:
             self._transmit(WBRAC, target, raw, frame)
 
     def _plan(self, targets: tuple[str, ...]) -> list | None:
         """The bursts of a broadcast to `targets`: a (delay, targets) group
-        per arrival delay, in the order of the targets, which each group
-        keeps; None as soon as the WBRAC's link to a target draws."""
+        per arrival delay, its targets a tuple in the order of `targets`,
+        which every burst of the group shares; None as soon as the WBRAC's
+        link to a target draws."""
         groups: dict[int, list[str]] = {}  # delay -> its targets
         links = self._links
         for target in targets:
@@ -790,7 +775,7 @@ class Simulator:
             if link.drop_prob > 0.0 or link.dup_prob > 0.0:
                 return None
             groups.setdefault(link.delay_ms, []).append(target)
-        return list(groups.items())
+        return [(delay, tuple(group)) for delay, group in groups.items()]
 
     def _on_tick(self, agent_id: str) -> None:
         result = self.agents[agent_id].tick(self.now)
@@ -800,13 +785,11 @@ class Simulator:
             self._apply(agent_id, result)
 
     def _on_start(self, item: StartIcd) -> None:
-        try:
-            result = self.agents[item.agent_id].start(self.now)
-        except NotIdle as exc:
-            note = self._shared(f"skipped: {exc}")
-            self.trace.add(self.now, "-", item.agent_id, "start", None, note)
-            return
-        self._apply(item.agent_id, result)
+        agent_id = item.agent_id
+        result = self.agents[agent_id].start(self.now)
+        if result.note:
+            self.trace.add(self.now, "-", agent_id, "start", None, self._shared(result.note))
+        self._apply(agent_id, result)
 
     def _on_rotate(self, item: RotateMpc) -> None:
         try:
@@ -849,7 +832,7 @@ class Simulator:
         if result.out or result.tick_at is not None:
             self._apply(dst, result)
 
-    def _on_burst(self, burst: _Burst) -> None:
+    def _on_burst(self, burst: tuple) -> None:
         targets, msg, raw = burst
         now, agents, notes, add = self.now, self.agents, self._notes, self.trace.add
         tag = type(msg).__name__
@@ -887,7 +870,7 @@ class Simulator:
 
     _EVENT_HANDLERS = {
         list: _on_deliver,
-        _Burst: _on_burst,
+        tuple: _on_burst,
         str: _on_tick,
         StartIcd: _on_start,
         RotateMpc: _on_rotate,

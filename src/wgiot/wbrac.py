@@ -8,7 +8,12 @@ registration and in each MapChallengeResponse.
 
 Every frame it obeys names its device by icd_in and is answered to MAP; its
 dispatch tables say which frames it obeys from which sender (frames.md lists
-them; see agent.py).  Its agent name, WBRAC, is not its 64-bit network
+them; see agent.py).  A frame that names no registered device, or an update
+frame of a device with no update in progress, is unexpected and changes
+nothing; an UpdateRequest for a device whose update is already in progress
+changes nothing either, with its own note.  The 32-byte TO_MAP is checked
+before it is signed, so a 10-byte value is never signed in the
+unique-challenge domain.  Its agent name, WBRAC, is not its 64-bit network
 identifier, WBRAC_ID: the simulator models one network, so that identifier
 is a constant, and the WBRAC and every device read the same one.
 """
@@ -101,16 +106,6 @@ class WbracService:
         rec.pending_sd_new = crypto.sd_from_rand(rand, rec.esn, rec.icd_in, rec.sc_auth_k)
         return wire.UpdateMessage(icd_in, rand)
 
-    def answer_challenge(self, icd_in: int, to_map: bytes) -> bytes:
-        """Sign the device's 32-byte TO_MAP with the pending service data.
-        The length check keeps a 10-byte value from being signed in the
-        unique-challenge domain."""
-        crypto.check_bytes("to_map", to_map, 32)
-        rec = self.registry[icd_in]
-        if rec.pending_sd_new is None:
-            raise NoPendingUpdate(icd_in)
-        return crypto.authorization_signature(rec.pending_sd_new, to_map, rec.esn, rec.icd_in)
-
     def commit(self, icd_in: int, confirmed: bool) -> None:
         rec = self.registry[icd_in]
         if rec.pending_sd_new is None:
@@ -128,9 +123,8 @@ class WbracService:
         return handler(self, sender, msg, now)
 
     def _on_update_request(self, sender: str, msg: wire.UpdateRequest, now: int) -> Transition:
-        rec = self.registry.get(msg.icd_in)
-        if rec is None:
-            return Transition(note=f"update request for unknown icd {msg.icd_in}")
+        if msg.icd_in not in self.registry:
+            return unexpected(self.state_name, msg)
         try:
             update = self.begin_update(msg.icd_in)
         except UpdateInProgress:
@@ -141,16 +135,17 @@ class WbracService:
         self, sender: str, msg: wire.MapChallengeForward, now: int
     ) -> Transition:
         rec = self.registry.get(msg.icd_in)
-        if rec is None:
-            return Transition(note=f"challenge for unknown icd {msg.icd_in}")
-        try:
-            sign = self.answer_challenge(msg.icd_in, msg.to_map)
-        except NoPendingUpdate:
-            return Transition(note="no pending update")
+        if rec is None or rec.pending_sd_new is None:
+            return unexpected(self.state_name, msg)
+        # the device's TO_MAP, signed with the pending service data, and
+        # nothing shorter (see the module docstring)
+        crypto.check_bytes("to_map", msg.to_map, 32)
+        sd_new = rec.pending_sd_new
+        sign = crypto.authorization_signature(sd_new, msg.to_map, rec.esn, rec.icd_in)
         # the expectations the access point verifies the device's
         # re-authentication with ride with the signature, so the two cannot
         # be lost apart (frames.md)
-        material = self.map_provision(rec, sd=rec.pending_sd_new)
+        material = self.map_provision(rec, sd=sd_new)
         return Transition(out=[(MAP, wire.MapChallengeResponse(msg.icd_in, sign, *material))])
 
     def _on_update_outcome(

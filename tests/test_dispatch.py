@@ -61,13 +61,13 @@ FROM_WBRAC = {
 }
 
 
-def simulator(icd_ins=(30, 10, 20)) -> Simulator:
+def simulator(icd_ins=(30, 10, 20), adversary=()) -> Simulator:
     r = random.Random(0)
     subscribers = [
         SubscriberSpec(icd_in, 2, r.randbytes(32), r.randbytes(16), r.randbytes(16))
         for icd_in in icd_ins
     ]
-    return Simulator(Scenario(subscribers=subscribers), seed=0)
+    return Simulator(Scenario(subscribers=subscribers, adversary=adversary), seed=0)
 
 
 def random_frame(cls, r: random.Random) -> wire.WireMessage:
@@ -193,6 +193,37 @@ def test_update_frames_reach_the_device_they_name():
         result = sim.wbrac.handle("map-1", frame, 0)
         assert result.note == f"unexpected {type(frame).__name__} in -" and result.out == []
     assert registry[20].sd == new_sd_20 and registry[10].pending_sd_new is not None
+
+
+# Update-flow frames, each from the sender its receiver obeys, that name no
+# registered device (icd_in 999) or a device with no update in progress.
+NOTHING_TO_ACT_ON = {
+    "update-request-unknown": ("map-1", "wbrac", wire.UpdateRequest(999)),
+    "challenge-nothing-pending": ("map-1", "wbrac", wire.MapChallengeForward(10, bytes(32))),
+    "challenge-unknown": ("map-1", "wbrac", wire.MapChallengeForward(999, bytes(32))),
+    "update-unknown": ("wbrac", "map-1", wire.UpdateMessage(999, bytes(16))),
+}
+
+
+@pytest.mark.parametrize(
+    "src, dst, frame", NOTHING_TO_ACT_ON.values(), ids=NOTHING_TO_ACT_ON.keys()
+)
+def test_a_flow_frame_naming_no_device_or_no_flow_is_unexpected(src, dst, frame):
+    """The agent answers it as it answers a frame it has no handler for:
+    unexpected, nothing sent, nothing changed."""
+    name = type(frame).__name__
+    sim = simulator()
+    registry, records = copy.deepcopy(sim.wbrac.registry), copy.deepcopy(sim.map.records)
+    result = sim.agents[dst].handle(src, frame, 0)
+    assert result.note == f"unexpected {name} in -"
+    assert result.out == [] and result.tick_at is None
+    assert sim.wbrac.registry == registry and sim.map.records == records
+    # injected into a run, it is one trace line, and the run draws nothing
+    sim = simulator(adversary=[Inject(frame, to=dst, at=0, src=src)])
+    rng_state = sim.rng._state
+    assert sim.run().notes == [f"injected unexpected {name} in - -> -"]
+    assert sim.wbrac.registry == registry and sim.map.records == records
+    assert sim.rng._state == rng_state
 
 
 def test_frames_md_route_list_is_rendered_from_the_dispatch_tables():

@@ -1,3 +1,4 @@
+import copy
 import random
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 import prf_oracle
 from wgiot import crypto, wire
-from wgiot.agent import WBRAC_ID, NotIdle
+from wgiot.agent import WBRAC_ID
 from wgiot.icd import (
     AUTHENTICATED,
     AWAITING_AUTH_RESULT,
@@ -69,11 +70,14 @@ def test_start_emits_activation_then_guid():
     assert isinstance(agent.state, AwaitingAuthResult)
 
 
-def test_start_twice_raises():
+def test_start_twice_returns_a_skip_note():
     agent = make_agent()
     agent.start(0)
-    with pytest.raises(NotIdle):
-        agent.start(1)
+    cfg = copy.deepcopy(agent.cfg)
+    result = agent.start(1)
+    assert result.note == "skipped: start() in AwaitingAuthResult"
+    assert result.out == [] and result.tick_at is None
+    assert agent.state is AWAITING_AUTH_RESULT and agent.cfg == cfg
 
 
 def test_unsolicited_frame_is_dropped():

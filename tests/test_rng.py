@@ -7,7 +7,10 @@ import pytest
 from wgiot.rng import SimRng
 
 
-@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 + 5, 2**127 + 3, 2**73 + 12345])
+# seeds wider than 128 bits have entropy words beyond the seed sequence's 4-word pool
+@pytest.mark.parametrize(
+    "seed", [0, 1, 42, 2**63 + 5, 2**64 + 5, 2**127 + 3, 2**73 + 12345, 2**128 + 7, 2**200 + 7]
+)
 def test_draws_match_numpy_generator_in_order(seed):
     from numpy.random import PCG64, Generator  # only this test needs it
 

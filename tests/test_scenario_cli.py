@@ -507,6 +507,9 @@ def test_scenarios_built_in_code_get_the_file_checks(section, fields, reason):
 CODE_ONLY_REJECTED = {
     "registry-None": ({"subscribers": None}, "subscribers None is not a list or tuple"),
     "schedule-None": ({"schedule": None}, "schedule None is not a list or tuple"),
+    # a tick is queued as a str and a burst as a tuple, so neither may be a schedule item
+    "schedule-str": ({"schedule": ["icd-1"]}, "unknown schedule item 'icd-1'"),
+    "schedule-tuple": ({"schedule": [("icd-1", 0)]}, "unknown schedule item ('icd-1', 0)"),
     "adversary-a-str": ({"adversary": "capture"}, "adversary 'capture' is not a list or tuple"),
     "links-list": (
         {"links": [("icd-1", "map-1")]},
@@ -671,7 +674,7 @@ def test_a_frame_count_built_in_code_is_checked_with_the_parsers_operators(op, h
     sim = Simulator(sc, seed=0)
     trace = sim.run()
     assert trace.frame_count("AuthAccept") == 1
-    failures = scenario.check_expects(sc, sim, trace)
+    failures = scenario.check_expects(sim)
     assert failures == ([] if holds else [f"frame-count AuthAccept: got 1, wanted {op} 1"])
 
 
@@ -999,6 +1002,21 @@ def test_failed_expectation_exits_two_and_still_writes_trace(tmp_path, capsys):
     body = out.read_text()
     assert body.startswith("wgiot-trace v1\n")
     assert "AuthAccept" in body
+
+
+def test_a_state_never_reached_and_a_missing_golden_file_each_fail(tmp_path, capsys):
+    text = (SCENARIOS / "honest.scn").read_text().replace(
+        "trace-golden golden/honest.trace\n", "trace-golden missing.trace\nicd-1 reaches Denied\n"
+    )
+    scn = tmp_path / "honest.scn"
+    scn.write_text(text)
+    missing = tmp_path / "missing.trace"
+    assert ("trace-golden", missing) in load_scenario(scn).expects
+    assert cli.main(["run", str(scn)]) == 2
+    assert capsys.readouterr().err == (
+        f"expect failed: trace-golden: [Errno 2] No such file or directory: '{missing}'\n"
+        "expect failed: icd-1 never reached Denied (final state Authenticated)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import honest_scenario, make_subscriber, update_scenario
-from wgiot import simnet, wire
+from wgiot import wire
 from wgiot.agent import MAP, MPC_UPDATED, WBRAC, Transition
 from wgiot.icd import Authenticated, Denied, Idle
 from wgiot.simnet import (
@@ -240,12 +240,12 @@ def test_a_copy_made_just_before_a_burst_runs_to_the_same_trace():
     links = {(d, MAP): LinkModel(7) for d in devices}
     starts = [StartIcd(d, at=2 * i) for i, d in enumerate(devices)]
     sim = Simulator(_broadcast_to(devices, links, schedule=starts), seed=0)
-    while type(sim._calendar[sim._heap[0]][sim._taken]) is not simnet._Burst:
+    while type(sim._calendar[sim._heap[0]][sim._taken]) is not tuple:
         sim.step()
     clone = copy.deepcopy(sim)
     burst = sim._calendar[sim._heap[0]][sim._taken]
     assert clone._calendar[clone._heap[0]][clone._taken] == burst
-    assert clone._calendar[clone._heap[0]][clone._taken].targets is not burst.targets
+    assert type(clone._calendar[clone._heap[0]][clone._taken][0]) is tuple
     assert clone.run().serialize() == sim.run().serialize()
     # the burst reached devices mid-flow, and their flows went on after it
     assert sim.trace.tags.count("AccessParameterMessage") == len(devices)
@@ -265,15 +265,16 @@ class _CopyByCopy(Simulator):
 
 def _pending_copies(sim):
     """The calendar as values: per pending time in order, its events not
-    yet stepped, each burst expanded into its copies and a copy shown as
-    (src, dst, dropped, note, frame)."""
+    yet stepped, each burst (a tuple) expanded into its copies and a copy
+    shown as (src, dst, dropped, note, frame)."""
     shown = []
     for at in sorted(sim._heap):
         events = sim._calendar[at][sim._taken if at == sim._heap[0] else 0:]
         copies = []
         for e in events:
-            if type(e) is simnet._Burst:
-                copies.extend(("copy", WBRAC, t, False, "", e.frame) for t in e.targets)
+            if type(e) is tuple:
+                targets, frame, _ = e
+                copies.extend(("copy", WBRAC, t, False, "", frame) for t in targets)
             else:
                 copies.append(("copy", *e[:5]) if type(e) is list else e)
         shown.append((at, copies))
@@ -367,12 +368,13 @@ def test_a_broadcast_plan_is_made_once_per_target_tuple():
     sim._broadcast(targets, wire.ParameterUpdateOrder())
     assert links.gets == len(targets)
     assert list(sim._plans) == [targets]
-    # each rotation queued its own burst list at 0 ms, then come the hooked copies
+    # each rotation queued a burst at 0 ms, then come the hooked copies
     at_0 = sim._calendar[0]
-    assert [e.targets if type(e) is simnet._Burst else e[1] for e in at_0] == (
-        [["icd-1", "icd-3", "icd-1"]] * 3 + ["icd-1", "icd-3", "icd-1"]
+    assert [e[0] if type(e) is tuple else e[1] for e in at_0] == (
+        [("icd-1", "icd-3", "icd-1")] * 3 + ["icd-1", "icd-3", "icd-1"]
     )
-    assert len({id(e.targets) for e in at_0[:3]}) == 3
+    # the three bursts share their group's one tuple of targets
+    assert len({id(e[0]) for e in at_0[:3]}) == 1
 
 
 def test_a_broadcast_over_a_link_that_draws_goes_copy_by_copy():

@@ -1,9 +1,11 @@
+import copy
 import random
 
 import pytest
 
 import prf_oracle
 from wgiot import crypto, wire
+from wgiot.agent import MAP
 from wgiot.rng import SimRng
 from wgiot.wbrac import (
     NoPendingUpdate,
@@ -19,6 +21,11 @@ def make_wbrac(seed=0, period=100):
     r = random.Random(seed)
     svc.provision(1, 2, r.randbytes(16), sd=r.randbytes(16))
     return svc, rng
+
+
+def forward_challenge(svc, to_map):
+    """Hand the WBRAC the access point's MapChallengeForward for device 1."""
+    return svc.handle(MAP, wire.MapChallengeForward(1, to_map), 0)
 
 
 def test_a_service_needs_its_rng_and_mpc_period():
@@ -66,24 +73,28 @@ def test_update_derivation_matches_oracle_chain():
     assert rec.pending_sd_new == prf_oracle.sd_gen(aac_from_rand, rec.esn, rec.sc_auth_k)
 
 
-def test_answer_challenge_requires_pending():
+def test_a_forwarded_challenge_needs_a_pending_update():
     svc, rng = make_wbrac()
-    with pytest.raises(NoPendingUpdate):
-        svc.answer_challenge(1, bytes(32))
+    registry = copy.deepcopy(svc.registry)
+    result = forward_challenge(svc, bytes(32))
+    assert result.note == "unexpected MapChallengeForward in -" and result.out == []
+    assert svc.registry == registry
     svc.begin_update(1)
-    sign = svc.answer_challenge(1, bytes(32))
+    (dst, response), = forward_challenge(svc, bytes(32)).out
+    assert dst == MAP and type(response) is wire.MapChallengeResponse and response.icd_in == 1
+    sign = response.auth_sign_map
     assert len(sign) == 16
     rec = svc.registry[1]
     assert sign == prf_oracle.authz(rec.pending_sd_new, bytes(32), rec.esn, rec.icd_in)
 
 
 @pytest.mark.parametrize("length", [10, 31])
-def test_answer_challenge_rejects_wrong_length_to_map(length):
+def test_a_forwarded_challenge_rejects_wrong_length_to_map(length):
     svc, rng = make_wbrac()
     svc.begin_update(1)
     pending = svc.registry[1].pending_sd_new
     with pytest.raises(crypto.BadLength):
-        svc.answer_challenge(1, bytes(length))
+        forward_challenge(svc, bytes(length))
     assert svc.registry[1].pending_sd_new is pending
 
 
@@ -123,7 +134,8 @@ def test_cross_agent_sd_agreement():
         msg = svc.begin_update(1)
         (_, order), = icd.handle("map-1", wire.UpdateOrder(msg.rand, cfg.rmc), 0).out
         assert icd.state.sd_new == rec.pending_sd_new
-        assert icd.state.local_sign == svc.answer_challenge(1, order.to_map)
+        (_, response), = forward_challenge(svc, order.to_map).out
+        assert icd.state.local_sign == response.auth_sign_map
 
 
 def test_commit_atomicity():
