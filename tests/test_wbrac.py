@@ -73,7 +73,7 @@ def test_update_derivation_matches_oracle_chain():
     assert rec.pending_sd_new == prf_oracle.sd_gen(aac_from_rand, rec.esn, rec.sc_auth_k)
 
 
-def test_a_forwarded_challenge_needs_a_pending_update():
+def test_answer_challenge_requires_pending():
     svc, rng = make_wbrac()
     registry = copy.deepcopy(svc.registry)
     result = forward_challenge(svc, bytes(32))
@@ -89,7 +89,7 @@ def test_a_forwarded_challenge_needs_a_pending_update():
 
 
 @pytest.mark.parametrize("length", [10, 31])
-def test_a_forwarded_challenge_rejects_wrong_length_to_map(length):
+def test_answer_challenge_rejects_wrong_length_to_map(length):
     svc, rng = make_wbrac()
     svc.begin_update(1)
     pending = svc.registry[1].pending_sd_new
