@@ -2,9 +2,12 @@
 
 The access point verifies presented GUIDs against expectations provisioned
 by the WBRAC (it never holds device secrets) and relays challenge traffic
-between device and WBRAC.  A failed comparison is remedied by a fixed rule
-(`remedy`): an MPC or RMC mismatch starts the update-value flow, an
-AAC-only mismatch gets a unique challenge, and all three wrong is denied.
+between device and WBRAC.  A device's registration pair is signed only when
+its first unique-challenge answer arrives, by the WBRAC's signer that the
+access point is built with (see `MapRecord`).  A failed comparison is
+remedied by a fixed rule (`remedy`): an MPC or RMC mismatch starts the
+update-value flow, an AAC-only mismatch gets a unique challenge, and all
+three wrong is denied.
 Every update-flow frame names its device by icd_in, so each flow's record
 is found by that id however many flows are in progress; one that names no
 registered device is unexpected and changes nothing.  The access point
@@ -71,24 +74,30 @@ def remedy(mismatch: frozenset) -> str:
 @dataclass(slots=True)
 class MapRecord:
     """Per-device expectations: the 16-byte RMC, the expected AAC and the
-    unique-challenge pair the device's GUID and answer must match.  During
-    an update flow `pending` is `AWAITING_RESPONSE`, then the relayed
-    `wire.MapChallengeResponse`, whose material the record takes, as the
-    frame's own bytes, when the device confirms."""
+    unique-challenge pair the device's GUID and answer must match.  The
+    pair a device is registered with has no signature, `None`, until an
+    answer first needs one; the access point then asks the WBRAC's signer
+    and keeps what it returns, so a second answer signs nothing.  During an
+    update flow `pending` is `AWAITING_RESPONSE`, then the relayed
+    `wire.MapChallengeResponse`, whose material, its pair signed, the
+    record takes, as the frame's own bytes, when the device confirms."""
 
     icd_in: int
     icd_agent_id: str
     expected_rmc: bytes
     expected_aac: bytes
     wmap: bytes
-    challenge_sign: bytes
+    challenge_sign: bytes | None = None
     challenge_outstanding: bool = False
     pending: str | wire.MapChallengeResponse | None = None
 
 
 class MapAgent:
-    def __init__(self, mpc: bytes):
+    def __init__(self, mpc: bytes, sign_challenge):
         self.mpc = mpc  # network-wide 16 bytes; every device's GUID is checked against it
+        # (icd_in, wmap) -> the signature of a registration pair, from the WBRAC
+        # out of band, as `provision` is
+        self.sign_challenge = sign_challenge
         self.records: dict[int, MapRecord] = {}
         self._by_agent: dict[str, MapRecord] = {}
 
@@ -101,10 +110,9 @@ class MapAgent:
         rmc: bytes,
         expected_aac: bytes,
         wmap: bytes,
-        challenge_sign: bytes,
     ) -> None:
-        """Register a device with the material of the WBRAC's `map_provision`."""
-        rec = MapRecord(icd_in, icd_agent_id, rmc, expected_aac, wmap, challenge_sign)
+        """Register a device with the material of the WBRAC's `map_expectations`."""
+        rec = MapRecord(icd_in, icd_agent_id, rmc, expected_aac, wmap)
         self.records[rec.icd_in] = rec
         self._by_agent[icd_agent_id] = rec
 
@@ -252,7 +260,10 @@ class MapAgent:
         if rec is None or not rec.challenge_outstanding:
             return unexpected(self.state_name, msg)
         rec.challenge_outstanding = False
-        if msg.auth_sign_map == rec.challenge_sign:
+        sign = rec.challenge_sign
+        if sign is None:
+            sign = rec.challenge_sign = self.sign_challenge(rec.icd_in, rec.wmap)
+        if msg.auth_sign_map == sign:
             return Transition(out=[(sender, AUTH_ACCEPT)], note="challenge-passed")
         return Transition(
             out=[(sender, wire.AccessDenied(REASON_VERIFY_FAILED))],

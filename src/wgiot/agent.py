@@ -1,9 +1,10 @@
 """Shared plumbing for the three protocol agents.
 
 The topology is fixed and named here once: one network, whose WBRAC is the
-agent WBRAC and has the 64-bit network identifier WBRAC_ID, one access
-point, MAP, and the devices, icd-<n>.  Every agent (IcdAgent, MapAgent,
-WbracService) offers the same interface:
+agent WBRAC (its 64-bit network identifier is `crypto.WBRAC_ID`, which only
+the unique challenge reads), one access point, MAP, and the devices,
+icd-<n>.  Every agent (IcdAgent, MapAgent, WbracService) offers the same
+interface:
 
 - state_name: a short name of its current state, written to the trace;
 - handle(sender, msg, now) -> Transition: feed one delivered frame;
@@ -46,8 +47,6 @@ from types import MappingProxyType
 from . import wire
 
 WBRAC = "wbrac"  # the authentication center's agent name
-# the network identifier; a unique challenge signs its low 16 bits
-WBRAC_ID = 0x5747_0000_0000_0001
 MAP = "map-1"  # the access point's agent name
 NO_HANDLERS = MappingProxyType({})  # the table of a sender an agent does not obey
 

@@ -15,7 +15,9 @@ are checked where a wrong one would matter: the AAC in `sd_generation` and
 value in the unique-challenge domain.  The one RMC check that can fail in
 a run is the wrap past 2**128 - 1, in `rmc_incremented`.  The
 update-value flow's RAND→SD derivation, which the device and the WBRAC
-both run, lives in `sd_from_rand`.
+both run, lives in `sd_from_rand`, and the signature that answers a unique
+challenge, which the device and the WBRAC both make, in
+`unique_challenge_signature`.
 
 Every derivation calls one PRF, `DEFAULT_BACKEND`, looked up when it runs;
 "first N bits" of a PRF output always means the most significant N bits (a
@@ -51,6 +53,10 @@ class CounterOverflow(CryptoError):
 
 
 U64_MAX = 2**64 - 1
+
+# The network identifier: the simulator models one network with one WBRAC,
+# and a unique challenge signs the identifier's low 16 bits.
+WBRAC_ID = 0x5747_0000_0000_0001
 
 # Domain-separation tags for the PRF.
 TAG_AUTH_SIGNATURE = 0x01
@@ -206,6 +212,15 @@ def compose_unique_challenge(wmap: bytes, wbrac_id: int) -> bytes:
     check_bytes("wmap", wmap, 8)
     _check_u64("wbrac_id", wbrac_id)
     return wmap + (wbrac_id & 0xFFFF).to_bytes(2, "big")
+
+
+def unique_challenge_signature(sd: bytes, wmap: bytes, esn: int, icd_in: int) -> bytes:
+    """The AUTH_SIGN_MAP that answers the unique challenge WMAP: the
+    composite of the WMAP and the network's `WBRAC_ID`, signed with the
+    service data.  The device, the WBRAC and the access point's first-use
+    signer all sign through it."""
+    composite = compose_unique_challenge(wmap, WBRAC_ID)
+    return authorization_signature(sd, composite, esn, icd_in)
 
 
 # ---------------------------------------------------------------------------

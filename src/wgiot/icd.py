@@ -29,7 +29,6 @@ from .agent import (
     NO_HANDLERS,
     RMC_INCREMENTED,
     WBRAC,
-    WBRAC_ID,
     Transition,
     unexpected,
 )
@@ -235,8 +234,7 @@ class IcdAgent:
 
     def _on_challenge(self, sender: str, msg: wire.AuthenticationChallenge, now: int) -> Transition:
         cfg = self.cfg
-        composite = crypto.compose_unique_challenge(msg.wmap, WBRAC_ID)
-        answer = crypto.authorization_signature(cfg.sd, composite, cfg.esn, cfg.icd_in)
+        answer = crypto.unique_challenge_signature(cfg.sd, msg.wmap, cfg.esn, cfg.icd_in)
         return Transition(out=[(MAP, wire.AuthChallengeAnswer(answer))])
 
     def _on_access_denied(self, sender: str, msg: wire.AccessDenied, now: int) -> Transition:

@@ -76,14 +76,18 @@ skipped start or rotation, a replay with nothing captured) under its text;
 `Trace.add` appends the note it is given.  Device names are interned
 (`device_ids`), so a fleet holds one string per name.  A device's SC_AUTH_K
 and SD are its registry row's own `bytes`, one object each that the row, the
-WBRAC's record and the device's config share; the row's 32-byte WGIE key is
+WBRAC's record (whose `provisioned_sd` keeps the SD after an update moves
+`sd`) and the device's config share; the row's 32-byte WGIE key is
 checked and kept in the row, and no agent holds it.  A device's RMC is its
 row's `rmc` packed into 16 bytes once, one object that the device's config
 and the access point's `MapRecord` share, as do all rows with an equal
 `rmc`.  A device's AAC is shared the same way: the WBRAC derives it once,
-in `map_provision`, and the device's config holds the object that the
+in `map_expectations`, and the device's config holds the object that the
 `MapRecord` holds as its expected AAC, so a device whose SD never changes
-derives no AAC of its own.  The scenario values (link models, registry
+derives no AAC of its own.  That AAC is the one PRF call set-up makes per
+device: the signature of the access point's unique-challenge pair is made
+when a device's answer first needs it (see access_point.py), and most
+devices never get a challenge.  The scenario values (link models, registry
 rows, scheduled and adversary items) and `Scenario` itself are frozen
 values built through `wire.value`; they and `Trace` are slotted, with no
 per-instance dict.
@@ -624,7 +628,7 @@ class Simulator:
         sc = self.scenario
         self.wbrac = WbracService(self.rng, sc.mpc_period)
         mpc = self.wbrac.mpc
-        self.map = MapAgent(mpc)
+        self.map = MapAgent(mpc, self.wbrac.sign_challenge)
         self.agents = agents = {WBRAC: self.wbrac, MAP: self.map}
         self.icds = _Devices(agents)
         packed_rmcs: dict[int, bytes] = {}  # a row's rmc -> its 16 bytes, one object per value
@@ -635,10 +639,10 @@ class Simulator:
             if rmc is None:
                 rmc = packed_rmcs[sub.rmc] = sub.rmc.to_bytes(16, "big")
             # the AAC the access point expects is the device's own, one object
-            aac, wmap, sign = self.wbrac.map_provision(rec)
+            aac, wmap = self.wbrac.map_expectations(rec)
             cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, aac, mpc, rmc)
             agents[agent_id] = IcdAgent(cfg, self.rng)
-            self.map.provision(agent_id, sub.icd_in, rmc, aac, wmap, sign)
+            self.map.provision(agent_id, sub.icd_in, rmc, aac, wmap)
 
     def _load_schedule(self):
         calendar = self._calendar

@@ -3,8 +3,12 @@
 Holds the subscriber registry and the network's MPC, `mpc`, which it draws
 anew and broadcasts at most once per `mpc_period` ms, and runs the server
 side of the update-value and unique-challenge computations.  Only the WBRAC
-holds device secrets; the access point receives precomputed expectations at
-registration and in each MapChallengeResponse.
+holds device secrets.  The access point receives a device's expected AAC
+and the WMAP of its unique challenge at registration (`map_expectations`),
+and that pair's signature from `sign_challenge` when the device's first
+answer needs it, which few devices ever give; a MapChallengeResponse
+carries material for after the update, its pair signed at once, since the
+frame is on the wire (`map_provision`).
 
 Every frame it obeys names its device by icd_in and is answered to MAP; its
 dispatch tables say which frames it obeys from which sender (frames.md lists
@@ -14,8 +18,8 @@ nothing; an UpdateRequest for a device whose update is already in progress
 changes nothing either, with its own note.  The 32-byte TO_MAP is checked
 before it is signed, so a 10-byte value is never signed in the
 unique-challenge domain.  Its agent name, WBRAC, is not its 64-bit network
-identifier, WBRAC_ID: the simulator models one network, so that identifier
-is a constant, and the WBRAC and every device read the same one.
+identifier, `crypto.WBRAC_ID`: the simulator models one network, so that
+identifier is a constant, and every unique-challenge signature reads it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .agent import MAP, NO_HANDLERS, WBRAC_ID, ProtocolError, Transition, unexpected
+from .agent import MAP, NO_HANDLERS, ProtocolError, Transition, unexpected
 
 
 class TooEarly(ProtocolError):
@@ -47,10 +51,15 @@ REJECTED = Transition(note="rejected")
 
 @dataclass(slots=True)
 class SubscriberRecord:
+    """A device's registry row.  `sd` is its current SD, which a confirmed
+    update moves; `provisioned_sd` is the SD it was registered with, the
+    row's own bytes, which signs the access point's registration pair."""
+
     icd_in: int
     esn: int
     sc_auth_k: bytes
     sd: bytes
+    provisioned_sd: bytes
     pending_sd_new: bytes | None = None
 
 
@@ -69,22 +78,39 @@ class WbracService:
     def provision(self, icd_in: int, esn: int, sc_auth_k: bytes, sd: bytes) -> SubscriberRecord:
         """Register a device; `simnet.scenario_faults` has already refused a
         registry in which two rows share an `icd_in`."""
-        rec = SubscriberRecord(icd_in, esn, sc_auth_k, sd)
+        rec = SubscriberRecord(icd_in, esn, sc_auth_k, sd, sd)
         self.registry[icd_in] = rec
         return rec
+
+    def map_expectations(self, rec: SubscriberRecord) -> tuple[bytes, bytes]:
+        """A newly registered device's material for the access point: the
+        expected AAC and the WMAP of its unique challenge, under the SD it
+        was registered with.  The pair's signature is left to
+        `sign_challenge`, at its first use."""
+        wmap = crypto.gen_wmap(self.rng)
+        sd = rec.provisioned_sd
+        return crypto.authenticate_signature(sd, rec.esn, rec.icd_in, rec.sc_auth_k), wmap
 
     def map_provision(
         self, rec: SubscriberRecord, sd: bytes | None = None
     ) -> tuple[bytes, bytes, bytes]:
         """Verification material for an access point: the expected AAC plus a
-        precomputed unique-challenge pair (WMAP, its signature) for the given
+        signed unique-challenge pair (WMAP, its signature) for the given
         (default: current) service data."""
         sd = sd or rec.sd
         wmap = crypto.gen_wmap(self.rng)
-        composite = crypto.compose_unique_challenge(wmap, WBRAC_ID)
-        sign = crypto.authorization_signature(sd, composite, rec.esn, rec.icd_in)
+        sign = crypto.unique_challenge_signature(sd, wmap, rec.esn, rec.icd_in)
         aac = crypto.authenticate_signature(sd, rec.esn, rec.icd_in, rec.sc_auth_k)
         return aac, wmap, sign
+
+    def sign_challenge(self, icd_in: int, wmap: bytes) -> bytes:
+        """The signature of a registration pair's WMAP, which the access
+        point asks for when a device's answer first needs it: a provisioning
+        channel, as `map_expectations` is, not a frame.  It signs with the
+        SD the device was registered with, not `sd`, which a confirmation
+        the access point never acted on may have moved."""
+        rec = self.registry[icd_in]
+        return crypto.unique_challenge_signature(rec.provisioned_sd, wmap, rec.esn, icd_in)
 
     # -- MPC rotation --
 

@@ -92,8 +92,8 @@ def _challenged_map(trunc16: bool) -> tuple[MapAgent, bytes]:
     sign = crypto.authorization_signature(sub.sd, challenge, sub.esn, sub.icd_in)
     if trunc16:
         sign = sign[:2] * 8
-    agent = MapAgent(bytes(16))
-    agent.provision("icd-1", sub.icd_in, bytes(16), bytes(16), wmap, sign)
+    agent = MapAgent(bytes(16), lambda icd_in, wmap: sign)
+    agent.provision("icd-1", sub.icd_in, bytes(16), bytes(16), wmap)
     return agent, sign
 
 

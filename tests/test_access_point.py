@@ -29,14 +29,20 @@ def packed_rmc(counter: int) -> bytes:
     return counter.to_bytes(16, "big")
 
 
-def make_map():
-    agent = MapAgent(EXPECTED_MPC)
-    agent.provision("icd-1", ICD_IN, packed_rmc(0), EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
+def sign_challenge(icd_in: int, wmap: bytes) -> bytes:
+    """The WBRAC's first-use signer, standing in: every registration pair's
+    signature is CHALLENGE_SIGN."""
+    return CHALLENGE_SIGN
+
+
+def make_map(signer=sign_challenge):
+    agent = MapAgent(EXPECTED_MPC, signer)
+    agent.provision("icd-1", ICD_IN, packed_rmc(0), EXPECTED_AAC, CHALLENGE_WMAP)
     return agent
 
 
 def add_icd_2(agent: MapAgent) -> None:
-    agent.provision("icd-2", 8, packed_rmc(0), EXPECTED_AAC, CHALLENGE_WMAP, CHALLENGE_SIGN)
+    agent.provision("icd-2", 8, packed_rmc(0), EXPECTED_AAC, CHALLENGE_WMAP)
 
 
 def response(sign=b"\x99" * 16, icd_in=ICD_IN):
@@ -222,7 +228,7 @@ def test_confirmation_before_any_response_keeps_the_material():
     assert (rec.expected_aac, rec.wmap, rec.challenge_sign) == (
         EXPECTED_AAC,
         CHALLENGE_WMAP,
-        CHALLENGE_SIGN,
+        None,
     )
 
 
@@ -239,7 +245,7 @@ def test_rejection_clears_pending_without_commit():
     assert (rec.expected_aac, rec.wmap, rec.challenge_sign) == (
         EXPECTED_AAC,
         CHALLENGE_WMAP,
-        CHALLENGE_SIGN,
+        None,
     )
     assert rec.challenge_outstanding
 
@@ -256,6 +262,45 @@ def test_challenge_answer_right_and_wrong():
     (_, denied), = bad.out
     assert denied == wire.AccessDenied(0x01)
     assert not agent.records[ICD_IN].challenge_outstanding
+
+
+def test_the_registration_pair_is_signed_once_at_its_first_answer():
+    """The access point asks the signer for a registration pair's signature
+    when an answer first needs it, not when it issues the challenge, and
+    keeps it: a second answer signs nothing."""
+    asked = []
+
+    def signer(icd_in, wmap):
+        asked.append((icd_in, wmap))
+        return CHALLENGE_SIGN
+
+    agent = make_map(signer)
+    rec = agent.records[ICD_IN]
+    agent.handle("icd-1", auth_request(aac=bytes(16)), 0)  # arms the challenge
+    assert asked == [] and rec.challenge_sign is None
+    ok = agent.handle("icd-1", wire.AuthChallengeAnswer(CHALLENGE_SIGN), 1)
+    assert asked == [(ICD_IN, CHALLENGE_WMAP)] and rec.challenge_sign is CHALLENGE_SIGN
+    assert ok.note == "challenge-passed"
+    agent.handle("icd-1", auth_request(aac=bytes(16)), 2)
+    bad = agent.handle("icd-1", wire.AuthChallengeAnswer(bytes(16)), 3)
+    assert bad.note == "challenge-failed -> deny" and len(asked) == 1
+
+
+def test_a_committed_responses_pair_needs_no_signer():
+    """After an update commits, the record holds the response's signed
+    pair, and an answer is checked against it without the signer."""
+
+    def signer(icd_in, wmap):
+        raise AssertionError("signed a pair that the response carried")
+
+    agent = make_map(signer)
+    frame = response()
+    agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
+    agent.handle("wbrac", frame, 0)
+    agent.handle("icd-1", wire.UpdateConfirmation(ICD_IN), 0)
+    agent.handle("icd-1", auth_request(aac=bytes(16)), 1)  # arms the challenge
+    result = agent.handle("icd-1", wire.AuthChallengeAnswer(frame.challenge_sign), 2)
+    assert result.note == "challenge-passed"
 
 
 def test_unsolicited_challenge_answer_never_accepts():
@@ -330,7 +375,7 @@ def test_wbrac_frames_from_a_device_are_ignored():
         result = agent.handle("icd-2", frame, 0)
         assert result.out == [] and result.note == f"unexpected {type(frame).__name__} in -"
     assert agent.mpc == EXPECTED_MPC
-    assert rec.expected_aac == EXPECTED_AAC and rec.challenge_sign == CHALLENGE_SIGN
+    assert rec.expected_aac == EXPECTED_AAC and rec.challenge_sign is None
     assert rec.expected_rmc == packed_rmc(0) and rec.pending is None
     forged = agent.handle("icd-2", auth_request(aac=bytes(16), mpc=bytes(16), icd_in=ICD_IN), 0)
     assert not any(isinstance(m, wire.AuthAccept) for _, m in forged.out)

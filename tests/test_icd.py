@@ -6,7 +6,7 @@ import pytest
 
 import prf_oracle
 from wgiot import crypto, wire
-from wgiot.agent import WBRAC_ID
+from wgiot.crypto import WBRAC_ID
 from wgiot.icd import (
     AUTHENTICATED,
     AWAITING_AUTH_RESULT,

@@ -71,7 +71,7 @@ def test_options_section():
 
 
 def test_the_network_identifier_is_no_option():
-    # one network, one WBRAC: its identifier is `agent.WBRAC_ID`
+    # one network, one WBRAC: its identifier is `crypto.WBRAC_ID`
     with pytest.raises(ScenarioError, match="^line 3: unknown option 'wbrac_id'$"):
         parse_scenario("wgiot-scenario v1\n[options]\nwbrac_id = 1\n[registry]\n" + REGISTRY_LINE)
 
@@ -1041,7 +1041,7 @@ def test_ends_checks_the_state_a_run_leaves_its_agent_in(tmp_path, state, code, 
     assert (proc.returncode, proc.stderr) == (code, err)
 
 
-@pytest.mark.parametrize("name", ["honest", "update", "replay"])
+@pytest.mark.parametrize("name", ["honest", "update", "replay", "challenge"])
 def test_each_shipped_scenario_ends_with_its_device_authenticated(name):
     path = SCENARIOS / f"{name}.scn"
     assert ("ends", "icd-1", "Authenticated") in load_scenario(path).expects

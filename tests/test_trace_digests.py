@@ -6,6 +6,7 @@ behaviour change (such as retransmitting lost frames) replaces the digests
 and gives its reason in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import random
 import sys
@@ -124,6 +125,18 @@ def burst_broadcasts(seed: int) -> Scenario:
 
 
 SCN_DIGESTS = {  # seeds 0-9
+    "challenge": [
+        "439a3e5ae366f0bfdb00a2df211d01ca2edc3c3bcd0c2f6f9fb61e5a4112ba64",
+        "aa5cb8dee2699a025af09907f99848bc587f53173598f56067a847ad0f50e88f",
+        "2b255559e83764ea7746821571115ee1aba1d7f53cc590ee57cfdcbd990d402b",
+        "c8538cf28760751f685471a85fa72c122159b3b1924de178c7b3d6ecb3bab9b1",
+        "167809f81078d4ba06b4f2d7a6c98aa456245266c12078150ea48d2e6a90e0e5",
+        "bc3f845eac0c4444c14f3eeb90e5a1b435d16bda0d3ed318646bfd28ebd4d553",
+        "a413d82b28f926cafcace15a8f76eb3ab170e7f422c47b7231e44b537563f98a",
+        "12663725445322561196429ca6085adb924c2920bc8b7568a2f6ae55336f7bac",
+        "ae7c7f4a781c13dc7b51d5f66d0bb98c18c909c990ea6659399e926b80b839df",
+        "ebd28a38c9db3d05fe95d5136f363b655199a1d5079992f4ddb5a4f26551f914",
+    ],
     "honest": [
         "4d0d95733661b7f4273b0a691fdb8faec5812404e020c1a87fea6dbcc62672ac",
         "4d0d95733661b7f4273b0a691fdb8faec5812404e020c1a87fea6dbcc62672ac",
@@ -253,12 +266,40 @@ def test_every_device_ends_holding_the_aac_of_its_sd(name):
             ), (seed, cfg.icd_in)
 
 
+def challenged_twice(seed: int) -> Scenario:
+    """challenge.scn with its wrong-AAC request injected again once the
+    device is authenticated: two challenges, each answered."""
+    scenario = load_scenario(SCENARIOS / "challenge.scn")
+    (inject,) = scenario.adversary
+    again = dataclasses.replace(inject, at=500)
+    return dataclasses.replace(scenario, adversary=(inject, again), expects=())
+
+
+@pytest.mark.parametrize("name", ["honest", "burst_broadcasts"])
+def test_set_up_makes_one_prf_call_per_device(monkeypatch, name):
+    """Building a simulator derives each device's AAC, once, and signs no
+    unique-challenge pair: the access point's is signed at its first use."""
+    scenario = PINNED_RUNS[name][0](0)
+    tags = []
+    evaluate = crypto.HmacSha256Backend.evaluate
+
+    def counting_evaluate(self, key, domain_tag, message):
+        tags.append(domain_tag)
+        return evaluate(self, key, domain_tag, message)
+
+    monkeypatch.setattr(crypto.HmacSha256Backend, "evaluate", counting_evaluate)
+    Simulator(scenario, 0)
+    assert tags == [crypto.TAG_AUTH_SIGNATURE] * len(scenario.subscribers)
+
+
 @pytest.mark.parametrize(
     "name,calls",
     [
         ("honest", {}),
         ("update", {"IcdAgent": 4, "WbracService": 5}),
         ("replay", {"IcdAgent": 4, "WbracService": 5}),
+        ("challenge", {"IcdAgent": 1, "WbracService": 1}),
+        ("challenged_twice", {"IcdAgent": 2, "WbracService": 1}),
     ],
 )
 def test_prf_calls_during_a_run(monkeypatch, name, calls):
@@ -266,9 +307,14 @@ def test_prf_calls_during_a_run(monkeypatch, name, calls):
     so an honest run makes no PRF call.  An update flow costs each side two
     for the new SD and one to sign TO_MAP with it; the device then derives
     the new SD's AAC at commit (4 calls), and the WBRAC the access point's
-    new AAC and challenge signature (5 calls).  Each call is counted from
-    after the simulator is built, for the agent whose handler made it."""
-    sim = Simulator(load_scenario(SCENARIOS / f"{name}.scn"), 0)
+    new AAC and challenge signature (5 calls).  A unique challenge costs
+    the device one call per answer and the WBRAC one at the first answer,
+    when the access point asks it for the registration pair's signature,
+    and none at a second, since the access point keeps that signature.
+    Each call is counted from after the simulator is built, for the agent
+    whose handler made it."""
+    build = challenged_twice if name == "challenged_twice" else _scenario_file(name)
+    sim = Simulator(build(0), 0)
     counted = {}
     evaluate = crypto.HmacSha256Backend.evaluate
 

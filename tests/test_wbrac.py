@@ -4,9 +4,13 @@ import random
 import pytest
 
 import prf_oracle
+from test_trace_digests import SCENARIOS, burst_broadcasts
 from wgiot import crypto, wire
 from wgiot.agent import MAP
+from wgiot.crypto import WBRAC_ID
 from wgiot.rng import SimRng
+from wgiot.scenario import load_scenario
+from wgiot.simnet import Simulator
 from wgiot.wbrac import (
     NoPendingUpdate,
     TooEarly,
@@ -146,3 +150,66 @@ def test_commit_atomicity():
     svc.commit(1, confirmed=True)
     assert svc.registry[1].sd in (old, new)
     assert svc.registry[1].sd == new
+
+
+def eager_sign(sd: bytes, wmap: bytes, esn: int, icd_in: int) -> bytes:
+    """The unique-challenge signature a WBRAC that signed at registration
+    made, through the oracle: WMAP ∥ low 16 bits of WBRAC_ID, signed with sd."""
+    composite = wmap + (WBRAC_ID & 0xFFFF).to_bytes(2, "big")
+    return prf_oracle.authz(sd, composite, esn, icd_in)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: load_scenario(SCENARIOS / "honest.scn"), lambda: burst_broadcasts(0)],
+    ids=["honest", "burst_broadcasts"],
+)
+def test_the_first_use_signature_is_the_one_registration_made(build):
+    """Each device's registration WMAP is the 8-byte draw it was at
+    registration, in device order, and the WBRAC's signer returns the
+    signature that signing at registration gave for it."""
+    scenario = build()
+    sim = Simulator(scenario, seed=0)
+    rng = SimRng(0)
+    for sub in scenario.subscribers:
+        rec = sim.map.records[sub.icd_in]
+        assert rec.wmap == rng.draw_bytes(8) and rec.challenge_sign is None
+        got = sim.wbrac.sign_challenge(sub.icd_in, rec.wmap)
+        assert got == eager_sign(sub.sd, rec.wmap, sub.esn, sub.icd_in)
+
+
+@pytest.mark.parametrize("new_sd_first", [False, True], ids=["provisioned-first", "new-first"])
+def test_a_commit_the_access_point_missed_leaves_the_registration_pair(new_sd_first):
+    """A forged UpdateConfirmation in the access point's name commits a new
+    SD at the WBRAC alone.  The access point still holds the registration
+    pair, so an answer under the registration SD passes and one under the
+    new SD fails, whichever comes first."""
+    sim = Simulator(load_scenario(SCENARIOS / "honest.scn"), seed=0)
+    cfg = sim.icds["icd-1"].cfg
+    sim.wbrac.handle(MAP, wire.UpdateRequest(cfg.icd_in), 0)
+    assert sim.wbrac.handle(MAP, wire.UpdateConfirmation(cfg.icd_in), 0).note == "committed"
+    new_sd = sim.wbrac.registry[cfg.icd_in].sd
+    assert new_sd != cfg.sd
+    wmap = sim.map.records[cfg.icd_in].wmap
+
+    def answer(sd):
+        # the MPC and the RMC match, the AAC does not: a challenge
+        sim.map.handle("icd-1", wire.AuthRequest(cfg.icd_in, cfg.esn, bytes(48)), 1)
+        signed = eager_sign(sd, wmap, cfg.esn, cfg.icd_in)
+        return sim.map.handle("icd-1", wire.AuthChallengeAnswer(signed), 2).note
+
+    verdicts = {}
+    for sd in (new_sd, cfg.sd) if new_sd_first else (cfg.sd, new_sd):
+        verdicts[sd] = answer(sd)
+    assert verdicts == {cfg.sd: "challenge-passed", new_sd: "challenge-failed -> deny"}
+
+
+def test_a_copied_simulators_access_point_signs_through_the_copys_wbrac():
+    sim = Simulator(load_scenario(SCENARIOS / "challenge.scn"), seed=0)
+    clone = copy.deepcopy(sim)
+    assert clone.map.sign_challenge.__self__ is clone.wbrac
+    sim.wbrac.registry.clear()  # the original's WBRAC can sign for no device now
+    trace = clone.run()
+    assert "challenge-passed -> -" in trace.notes
+    assert clone.icds["icd-1"].state_name == "Authenticated"
+    assert sim.map.records[1].challenge_sign is None
