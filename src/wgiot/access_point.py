@@ -29,6 +29,7 @@ it builds a mismatch set only when a field does not match.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import crypto, wire
@@ -93,7 +94,7 @@ class MapRecord:
 
 
 class MapAgent:
-    def __init__(self, mpc: bytes, sign_challenge):
+    def __init__(self, mpc: bytes, sign_challenge: Callable[[int, bytes], bytes]):
         self.mpc = mpc  # network-wide 16 bytes; every device's GUID is checked against it
         # (icd_in, wmap) -> the signature of a registration pair, from the WBRAC
         # out of band, as `provision` is
