@@ -2,9 +2,10 @@
 
 The access point verifies presented GUIDs against expectations provisioned
 by the WBRAC (it never holds device secrets) and relays challenge traffic
-between device and WBRAC.  A device's registration pair is signed only when
-its first unique-challenge answer arrives, by the WBRAC's signer that the
-access point is built with (see `MapRecord`).  A failed comparison is
+between device and WBRAC.  A device's registration pair, the WMAP of its
+unique challenge and that WMAP's signature, reaches the access point only
+when it first challenges the device, from the WBRAC's `registration_pair`
+that the access point is built with (see `MapRecord`).  A failed comparison is
 remedied by a fixed rule (`remedy`): an MPC or RMC mismatch starts the
 update-value flow, an AAC-only mismatch gets a unique challenge, and all
 three wrong is denied.
@@ -76,9 +77,10 @@ def remedy(mismatch: frozenset) -> str:
 class MapRecord:
     """Per-device expectations: the 16-byte RMC, the expected AAC and the
     unique-challenge pair the device's GUID and answer must match.  The
-    pair a device is registered with has no signature, `None`, until an
-    answer first needs one; the access point then asks the WBRAC's signer
-    and keeps what it returns, so a second answer signs nothing.  During an
+    pair a device is registered with, `wmap` and `challenge_sign`, is
+    `None` until the access point first challenges the device; it then
+    asks the WBRAC for the pair and keeps it, so a second challenge asks
+    for nothing.  During an
     update flow `pending` is `AWAITING_RESPONSE`, then the relayed
     `wire.MapChallengeResponse`, whose material, its pair signed, the
     record takes, as the frame's own bytes, when the device confirms."""
@@ -87,18 +89,18 @@ class MapRecord:
     icd_agent_id: str
     expected_rmc: bytes
     expected_aac: bytes
-    wmap: bytes
+    wmap: bytes | None = None
     challenge_sign: bytes | None = None
     challenge_outstanding: bool = False
     pending: str | wire.MapChallengeResponse | None = None
 
 
 class MapAgent:
-    def __init__(self, mpc: bytes, sign_challenge: Callable[[int, bytes], bytes]):
+    def __init__(self, mpc: bytes, registration_pair: Callable[[int], tuple[bytes, bytes]]):
         self.mpc = mpc  # network-wide 16 bytes; every device's GUID is checked against it
-        # (icd_in, wmap) -> the signature of a registration pair, from the WBRAC
-        # out of band, as `provision` is
-        self.sign_challenge = sign_challenge
+        # icd_in -> the device's registration pair (WMAP, signature), from the
+        # WBRAC out of band, as `provision` is
+        self.registration_pair = registration_pair
         self.records: dict[int, MapRecord] = {}
         self._by_agent: dict[str, MapRecord] = {}
 
@@ -110,10 +112,9 @@ class MapAgent:
         icd_in: int,
         rmc: bytes,
         expected_aac: bytes,
-        wmap: bytes,
     ) -> None:
         """Register a device with the material of the WBRAC's `map_expectations`."""
-        rec = MapRecord(icd_in, icd_agent_id, rmc, expected_aac, wmap)
+        rec = MapRecord(icd_in, icd_agent_id, rmc, expected_aac)
         self.records[rec.icd_in] = rec
         self._by_agent[icd_agent_id] = rec
 
@@ -195,11 +196,15 @@ class MapAgent:
             )
         mismatch = self.verify(msg.icd_in, msg)
         if not mismatch:
+            # a challenge sent earlier is answered by this accept
+            rec.challenge_outstanding = False
             return Transition(out=[(sender, AUTH_ACCEPT)], note="guid-match")
 
         action = remedy(mismatch)
         note = "mismatch " + ",".join(sorted(mismatch))
         if action == CHALLENGE:
+            if rec.wmap is None:
+                rec.wmap, rec.challenge_sign = self.registration_pair(rec.icd_in)
             rec.challenge_outstanding = True
             return Transition(
                 out=[(sender, wire.AuthenticationChallenge(rec.wmap))],
@@ -261,10 +266,7 @@ class MapAgent:
         if rec is None or not rec.challenge_outstanding:
             return unexpected(self.state_name, msg)
         rec.challenge_outstanding = False
-        sign = rec.challenge_sign
-        if sign is None:
-            sign = rec.challenge_sign = self.sign_challenge(rec.icd_in, rec.wmap)
-        if msg.auth_sign_map == sign:
+        if msg.auth_sign_map == rec.challenge_sign:
             return Transition(out=[(sender, AUTH_ACCEPT)], note="challenge-passed")
         return Transition(
             out=[(sender, wire.AccessDenied(REASON_VERIFY_FAILED))],

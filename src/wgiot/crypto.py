@@ -217,8 +217,8 @@ def compose_unique_challenge(wmap: bytes, wbrac_id: int) -> bytes:
 def unique_challenge_signature(sd: bytes, wmap: bytes, esn: int, icd_in: int) -> bytes:
     """The AUTH_SIGN_MAP that answers the unique challenge WMAP: the
     composite of the WMAP and the network's `WBRAC_ID`, signed with the
-    service data.  The device, the WBRAC and the access point's first-use
-    signer all sign through it."""
+    service data.  The device and the WBRAC, for a response and for a
+    registration pair, all sign through it."""
     composite = compose_unique_challenge(wmap, WBRAC_ID)
     return authorization_signature(sd, composite, esn, icd_in)
 

@@ -15,6 +15,16 @@ Nonces are whole 64-bit output words, each written as 8 little-endian bytes:
 NumPy's `Generator.bytes(n)` for n a multiple of 8.  For any other n NumPy
 buffers the spare half-word and shifts every later draw, so `draw_bytes`
 accepts only multiples of 8.
+
+The stream can also be jumped: `advance(n)` moves it n words ahead without
+drawing them, as NumPy's `PCG64.advance(n)` does, and `word_at` reads any
+one of the words it skipped, the 8 bytes `draw_bytes(8)` would have given
+there, without moving the stream.  A step is the affine map s -> a*s + c
+modulo 2**128, so n steps are one affine map too, which squaring the map
+builds in O(log n) multiplications (Brown, "Random Number Generation with
+Arbitrary Strides", 1994).  The simulator jumps past the registration
+WMAPs at set-up and reads each at its first challenge (see wbrac.py), so
+what it draws later is where those draws would have left it.
 """
 
 from __future__ import annotations
@@ -69,6 +79,28 @@ def _seed_sequence_state(seed: int) -> list[int]:
     return [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
 
 
+def _jump(state: int, inc: int, n: int) -> int:
+    """The LCG state n steps after `state`: the step's affine map, squared
+    for each bit of n and applied where the bit is set (Brown 1994)."""
+    mult, plus = 1, 0  # the map of the steps taken so far
+    step_mult, step_plus = _MULTIPLIER, inc  # the map of 2**i steps
+    while n:
+        if n & 1:
+            mult = (mult * step_mult) & _MASK128
+            plus = (plus * step_mult + step_plus) & _MASK128
+        step_plus = ((step_mult + 1) * step_plus) & _MASK128
+        step_mult = (step_mult * step_mult) & _MASK128
+        n >>= 1
+    return (mult * state + plus) & _MASK128
+
+
+def _output(state: int) -> int:
+    """XSL-RR: the output word of an LCG state."""
+    rot = state >> 122
+    x = ((state >> 64) ^ state) & _MASK64
+    return ((x >> rot) | (x << (64 - rot))) & _MASK64
+
+
 class SimRng:
     """PCG64 with the few draw shapes the harness needs."""
 
@@ -86,7 +118,8 @@ class SimRng:
         self._next_word()
 
     def _next_word(self) -> int:
-        """One LCG step, then the XSL-RR output of the new state."""
+        """One LCG step, then the XSL-RR output of the new state (`_output`,
+        written out here, where every draw runs it)."""
         self._state = state = (self._state * _MULTIPLIER + self._inc) & _MASK128
         rot = state >> 122
         x = ((state >> 64) ^ state) & _MASK64
@@ -100,6 +133,20 @@ class SimRng:
         for shift in range(0, 8 * n, 64):
             value |= self._next_word() << shift
         return value.to_bytes(n, "little")
+
+    def advance(self, n: int) -> int:
+        """Jump n words ahead (modulo 2**128) without drawing them; return
+        the position jumped from, at which `word_at` reads the words jumped
+        past."""
+        position = self._state
+        self._state = _jump(position, self._inc, n % (1 << 128))
+        return position
+
+    def word_at(self, position: int, k: int) -> bytes:
+        """The 8 bytes that `draw_bytes(8)` gives as the k-th word (from 0)
+        drawn from `position`, a value `advance` returned; a pure read,
+        which moves nothing."""
+        return _output(_jump(position, self._inc, k + 1)).to_bytes(8, "little")
 
     def chance(self, probability: float) -> bool:
         """One Bernoulli draw; probability 0 and 1 short-circuit without a draw

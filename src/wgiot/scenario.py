@@ -95,7 +95,9 @@ def _split_lines(text: str) -> list[str]:
     """`text` cut at each `\\n`, `\\r\\n` or `\\r`, as universal newlines cuts
     it; `str.splitlines` also cuts at form feeds and other separators an
     editor shows inside a line."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def load_scenario(path) -> Scenario:
@@ -170,7 +172,15 @@ def parse_scenario(text: str, base_dir: Path | None = None) -> Scenario:
         link_lines.append(no)
 
     def add_schedule(no: int, text: str) -> None:
-        schedule.append(_parse_schedule(no, text, target_lists))
+        try:
+            kind, agent_id, word, at = text.split()
+            if kind != "start" or word != "at":
+                raise ValueError
+            item = StartIcd(intern(agent_id), int(at, 0))
+        except ValueError:  # not a start line, or one whose time does not convert
+            # a broadcast line, or a fault, which it raises naming
+            item = _parse_schedule(no, text, target_lists)
+        schedule.append(item)
         schedule_lines.append(no)
 
     def add_adversary(no: int, text: str) -> None:

@@ -85,9 +85,11 @@ and the access point's `MapRecord` share, as do all rows with an equal
 in `map_expectations`, and the device's config holds the object that the
 `MapRecord` holds as its expected AAC, so a device whose SD never changes
 derives no AAC of its own.  That AAC is the one PRF call set-up makes per
-device: the signature of the access point's unique-challenge pair is made
-when a device's answer first needs it (see access_point.py), and most
-devices never get a challenge.  The scenario values (link models, registry
+device, and set-up draws nothing: the access point's unique-challenge pair
+is made when it first challenges a device (see access_point.py), and most
+devices never get a challenge.  The pair's WMAP is the device's word of the
+rng stream all the same, which set-up jumps past, one word per device, in
+one `SimRng.advance` (see rng.py and wbrac.py).  The scenario values (link models, registry
 rows, scheduled and adversary items) and `Scenario` itself are frozen
 values built through `wire.value`; they and `Trace` are slotted, with no
 per-instance dict.
@@ -626,23 +628,28 @@ class Simulator:
 
     def _build_agents(self):
         sc = self.scenario
-        self.wbrac = WbracService(self.rng, sc.mpc_period)
-        mpc = self.wbrac.mpc
-        self.map = MapAgent(mpc, self.wbrac.sign_challenge)
-        self.agents = agents = {WBRAC: self.wbrac, MAP: self.map}
+        self.wbrac = wbrac = WbracService(self.rng, sc.mpc_period)
+        mpc = wbrac.mpc
+        self.map = MapAgent(mpc, wbrac.registration_pair)
+        self.agents = agents = {WBRAC: wbrac, MAP: self.map}
         self.icds = _Devices(agents)
+        rng = self.rng
+        # bound once, not per device
+        register, expect, provision_map = wbrac.provision, wbrac.map_expectations, self.map.provision
         packed_rmcs: dict[int, bytes] = {}  # a row's rmc -> its 16 bytes, one object per value
         for agent_id, sub in zip(device_ids(len(sc.subscribers)), sc.subscribers):
             # both sides hold the row's own bytes, so its SD is one object
-            rec = self.wbrac.provision(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd)
+            rec = register(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd)
             rmc = packed_rmcs.get(sub.rmc)
             if rmc is None:
                 rmc = packed_rmcs[sub.rmc] = sub.rmc.to_bytes(16, "big")
             # the AAC the access point expects is the device's own, one object
-            aac, wmap = self.wbrac.map_expectations(rec)
+            aac = expect(rec)
             cfg = IcdConfig(sub.icd_in, sub.esn, sub.sc_auth_k, sub.sd, aac, mpc, rmc)
-            agents[agent_id] = IcdAgent(cfg, self.rng)
-            self.map.provision(agent_id, sub.icd_in, rmc, aac, wmap)
+            agents[agent_id] = IcdAgent(cfg, rng)
+            provision_map(agent_id, sub.icd_in, rmc, aac)
+        # the registration WMAPs, read at a device's first challenge
+        wbrac.jump_past_wmaps()
 
     def _load_schedule(self):
         calendar = self._calendar

@@ -3,12 +3,16 @@
 Holds the subscriber registry and the network's MPC, `mpc`, which it draws
 anew and broadcasts at most once per `mpc_period` ms, and runs the server
 side of the update-value and unique-challenge computations.  Only the WBRAC
-holds device secrets.  The access point receives a device's expected AAC
-and the WMAP of its unique challenge at registration (`map_expectations`),
-and that pair's signature from `sign_challenge` when the device's first
-answer needs it, which few devices ever give; a MapChallengeResponse
-carries material for after the update, its pair signed at once, since the
-frame is on the wire (`map_provision`).
+holds device secrets.  The access point receives a device's expected AAC at
+registration (`map_expectations`), and the WMAP of its unique challenge
+with that pair's signature from `registration_pair` when it first
+challenges the device, which few devices ever need.  The WMAP is drawn at
+registration all the same: it is the device's word of the rng stream,
+which the simulator jumps past at set-up (`jump_past_wmaps`) and which is
+read by its position only then, so it is the 8 bytes that drawing it at
+registration gave, and the stream's later draws are unchanged.  A
+MapChallengeResponse carries material for after the update, its pair
+drawn and signed at once, since the frame is on the wire (`map_provision`).
 
 Every frame it obeys names its device by icd_in and is answered to MAP; its
 dispatch tables say which frames it obeys from which sender (frames.md lists
@@ -53,13 +57,16 @@ REJECTED = Transition(note="rejected")
 class SubscriberRecord:
     """A device's registry row.  `sd` is its current SD, which a confirmed
     update moves; `provisioned_sd` is the SD it was registered with, the
-    row's own bytes, which signs the access point's registration pair."""
+    row's own bytes, which signs the access point's registration pair;
+    `wmap_index` is the pair's WMAP, as the device's place among the words
+    that `jump_past_wmaps` jumped past: its order of registration."""
 
     icd_in: int
     esn: int
     sc_auth_k: bytes
     sd: bytes
     provisioned_sd: bytes
+    wmap_index: int
     pending_sd_new: bytes | None = None
 
 
@@ -70,6 +77,8 @@ class WbracService:
         self.mpc = bytes(16)  # the MPC last drawn, the bytes its AccessParameterMessage carries
         self.mpc_period = mpc_period
         self.last_rotation: int | None = None
+        # the stream position of the registration WMAPs (`jump_past_wmaps`)
+        self.wmap_origin: int | None = None
 
     state_name = "-"
 
@@ -78,18 +87,23 @@ class WbracService:
     def provision(self, icd_in: int, esn: int, sc_auth_k: bytes, sd: bytes) -> SubscriberRecord:
         """Register a device; `simnet.scenario_faults` has already refused a
         registry in which two rows share an `icd_in`."""
-        rec = SubscriberRecord(icd_in, esn, sc_auth_k, sd, sd)
+        rec = SubscriberRecord(icd_in, esn, sc_auth_k, sd, sd, len(self.registry))
         self.registry[icd_in] = rec
         return rec
 
-    def map_expectations(self, rec: SubscriberRecord) -> tuple[bytes, bytes]:
-        """A newly registered device's material for the access point: the
-        expected AAC and the WMAP of its unique challenge, under the SD it
-        was registered with.  The pair's signature is left to
-        `sign_challenge`, at its first use."""
-        wmap = crypto.gen_wmap(self.rng)
+    def jump_past_wmaps(self) -> None:
+        """Jump the rng stream past its next words, one per registered
+        device in the order of registration: the registration WMAPs, which
+        `registration_pair` reads by position.  Called once, when every
+        device is registered."""
+        self.wmap_origin = self.rng.advance(len(self.registry))
+
+    def map_expectations(self, rec: SubscriberRecord) -> bytes:
+        """A newly registered device's expected AAC, the access point's
+        material for it, under the SD it was registered with.  Its unique
+        challenge pair is left to `registration_pair`, at first use."""
         sd = rec.provisioned_sd
-        return crypto.authenticate_signature(sd, rec.esn, rec.icd_in, rec.sc_auth_k), wmap
+        return crypto.authenticate_signature(sd, rec.esn, rec.icd_in, rec.sc_auth_k)
 
     def map_provision(
         self, rec: SubscriberRecord, sd: bytes | None = None
@@ -103,14 +117,17 @@ class WbracService:
         aac = crypto.authenticate_signature(sd, rec.esn, rec.icd_in, rec.sc_auth_k)
         return aac, wmap, sign
 
-    def sign_challenge(self, icd_in: int, wmap: bytes) -> bytes:
-        """The signature of a registration pair's WMAP, which the access
-        point asks for when a device's answer first needs it: a provisioning
-        channel, as `map_expectations` is, not a frame.  It signs with the
-        SD the device was registered with, not `sd`, which a confirmation
-        the access point never acted on may have moved."""
+    def registration_pair(self, icd_in: int) -> tuple[bytes, bytes]:
+        """A device's registration pair, (WMAP, its signature), which the
+        access point asks for when it first challenges the device: a
+        provisioning channel, as `map_expectations` is, not a frame.  The
+        WMAP is the device's word that `jump_past_wmaps` jumped past, read
+        without a draw.  It is signed with the SD the device was registered
+        with, not `sd`, which a confirmation the access point never acted
+        on may have moved."""
         rec = self.registry[icd_in]
-        return crypto.unique_challenge_signature(rec.provisioned_sd, wmap, rec.esn, icd_in)
+        wmap = self.rng.word_at(self.wmap_origin, rec.wmap_index)
+        return wmap, crypto.unique_challenge_signature(rec.provisioned_sd, wmap, rec.esn, icd_in)
 
     # -- MPC rotation --
 

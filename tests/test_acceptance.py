@@ -92,8 +92,11 @@ def _challenged_map(trunc16: bool) -> tuple[MapAgent, bytes]:
     sign = crypto.authorization_signature(sub.sd, challenge, sub.esn, sub.icd_in)
     if trunc16:
         sign = sign[:2] * 8
-    agent = MapAgent(bytes(16), lambda icd_in, wmap: sign)
-    agent.provision("icd-1", sub.icd_in, bytes(16), bytes(16), wmap)
+    agent = MapAgent(bytes(16), lambda icd_in: (wmap, sign))
+    agent.provision("icd-1", sub.icd_in, bytes(16), bytes(16))
+    # an AAC-only mismatch, so the access point takes the pair and challenges
+    guid = crypto.compose_guid(b"\x01" * 16, bytes(16), bytes(16))
+    agent.handle("icd-1", wire.AuthRequest(sub.icd_in, sub.esn, guid), now=0)
     return agent, sign
 
 

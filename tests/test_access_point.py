@@ -29,20 +29,20 @@ def packed_rmc(counter: int) -> bytes:
     return counter.to_bytes(16, "big")
 
 
-def sign_challenge(icd_in: int, wmap: bytes) -> bytes:
-    """The WBRAC's first-use signer, standing in: every registration pair's
-    signature is CHALLENGE_SIGN."""
-    return CHALLENGE_SIGN
+def registration_pair(icd_in: int) -> tuple[bytes, bytes]:
+    """The WBRAC's `registration_pair`, standing in: every device's
+    registration pair is (CHALLENGE_WMAP, CHALLENGE_SIGN)."""
+    return CHALLENGE_WMAP, CHALLENGE_SIGN
 
 
-def make_map(signer=sign_challenge):
-    agent = MapAgent(EXPECTED_MPC, signer)
-    agent.provision("icd-1", ICD_IN, packed_rmc(0), EXPECTED_AAC, CHALLENGE_WMAP)
+def make_map(pair=registration_pair):
+    agent = MapAgent(EXPECTED_MPC, pair)
+    agent.provision("icd-1", ICD_IN, packed_rmc(0), EXPECTED_AAC)
     return agent
 
 
 def add_icd_2(agent: MapAgent) -> None:
-    agent.provision("icd-2", 8, packed_rmc(0), EXPECTED_AAC, CHALLENGE_WMAP)
+    agent.provision("icd-2", 8, packed_rmc(0), EXPECTED_AAC)
 
 
 def response(sign=b"\x99" * 16, icd_in=ICD_IN):
@@ -225,11 +225,7 @@ def test_confirmation_before_any_response_keeps_the_material():
     assert result.note == "unexpected UpdateConfirmation in -" and result.out == []
     rec = agent.records[ICD_IN]
     assert rec.pending is AWAITING_RESPONSE
-    assert (rec.expected_aac, rec.wmap, rec.challenge_sign) == (
-        EXPECTED_AAC,
-        CHALLENGE_WMAP,
-        None,
-    )
+    assert (rec.expected_aac, rec.wmap, rec.challenge_sign) == (EXPECTED_AAC, None, None)
 
 
 def test_rejection_clears_pending_without_commit():
@@ -241,11 +237,12 @@ def test_rejection_clears_pending_without_commit():
     assert result.out == [("wbrac", wire.UpdateRejection(ICD_IN))]
     rec = agent.records[ICD_IN]
     assert rec.pending is None
-    # the response's material discarded, and the armed challenge kept
+    # the response's material discarded, and the armed challenge and its
+    # registration pair kept
     assert (rec.expected_aac, rec.wmap, rec.challenge_sign) == (
         EXPECTED_AAC,
         CHALLENGE_WMAP,
-        None,
+        CHALLENGE_SIGN,
     )
     assert rec.challenge_outstanding
 
@@ -264,36 +261,47 @@ def test_challenge_answer_right_and_wrong():
     assert not agent.records[ICD_IN].challenge_outstanding
 
 
-def test_the_registration_pair_is_signed_once_at_its_first_answer():
-    """The access point asks the signer for a registration pair's signature
-    when an answer first needs it, not when it issues the challenge, and
-    keeps it: a second answer signs nothing."""
+def test_the_registration_pair_is_fetched_once_at_its_first_challenge():
+    """The access point asks the WBRAC for a device's registration pair
+    when it first challenges the device, sends that WMAP, and keeps the
+    pair: a second challenge asks for nothing."""
     asked = []
 
-    def signer(icd_in, wmap):
-        asked.append((icd_in, wmap))
-        return CHALLENGE_SIGN
+    def pair(icd_in):
+        asked.append(icd_in)
+        return CHALLENGE_WMAP, CHALLENGE_SIGN
 
-    agent = make_map(signer)
+    agent = make_map(pair)
     rec = agent.records[ICD_IN]
-    agent.handle("icd-1", auth_request(aac=bytes(16)), 0)  # arms the challenge
-    assert asked == [] and rec.challenge_sign is None
+    assert asked == [] and rec.wmap is None and rec.challenge_sign is None
+    (_, challenge), = agent.handle("icd-1", auth_request(aac=bytes(16)), 0).out
+    assert asked == [ICD_IN] and challenge == wire.AuthenticationChallenge(CHALLENGE_WMAP)
+    assert (rec.wmap, rec.challenge_sign) == (CHALLENGE_WMAP, CHALLENGE_SIGN)
     ok = agent.handle("icd-1", wire.AuthChallengeAnswer(CHALLENGE_SIGN), 1)
-    assert asked == [(ICD_IN, CHALLENGE_WMAP)] and rec.challenge_sign is CHALLENGE_SIGN
     assert ok.note == "challenge-passed"
     agent.handle("icd-1", auth_request(aac=bytes(16)), 2)
     bad = agent.handle("icd-1", wire.AuthChallengeAnswer(bytes(16)), 3)
-    assert bad.note == "challenge-failed -> deny" and len(asked) == 1
+    assert bad.note == "challenge-failed -> deny" and asked == [ICD_IN]
+
+
+def test_a_guid_match_disarms_an_earlier_challenge():
+    """A GUID match accepts the device, so an answer to a challenge sent
+    before it is late: it is unexpected and sends no second accept."""
+    agent = make_map()
+    agent.handle("icd-1", auth_request(aac=bytes(16)), 0)  # arms the challenge
+    assert agent.handle("icd-1", auth_request(), 1).note == "guid-match"
+    late = agent.handle("icd-1", wire.AuthChallengeAnswer(CHALLENGE_SIGN), 2)
+    assert late.out == [] and late.note == "unexpected AuthChallengeAnswer in -"
 
 
 def test_a_committed_responses_pair_needs_no_signer():
     """After an update commits, the record holds the response's signed
-    pair, and an answer is checked against it without the signer."""
+    pair, and a challenge and its answer use it without asking the WBRAC."""
 
-    def signer(icd_in, wmap):
-        raise AssertionError("signed a pair that the response carried")
+    def pair(icd_in):
+        raise AssertionError("asked for a pair that the response carried")
 
-    agent = make_map(signer)
+    agent = make_map(pair)
     frame = response()
     agent.handle("wbrac", wire.UpdateMessage(ICD_IN, bytes(16)), 0)
     agent.handle("wbrac", frame, 0)

@@ -126,16 +126,16 @@ def burst_broadcasts(seed: int) -> Scenario:
 
 SCN_DIGESTS = {  # seeds 0-9
     "challenge": [
-        "439a3e5ae366f0bfdb00a2df211d01ca2edc3c3bcd0c2f6f9fb61e5a4112ba64",
-        "aa5cb8dee2699a025af09907f99848bc587f53173598f56067a847ad0f50e88f",
-        "2b255559e83764ea7746821571115ee1aba1d7f53cc590ee57cfdcbd990d402b",
-        "c8538cf28760751f685471a85fa72c122159b3b1924de178c7b3d6ecb3bab9b1",
-        "167809f81078d4ba06b4f2d7a6c98aa456245266c12078150ea48d2e6a90e0e5",
-        "bc3f845eac0c4444c14f3eeb90e5a1b435d16bda0d3ed318646bfd28ebd4d553",
-        "a413d82b28f926cafcace15a8f76eb3ab170e7f422c47b7231e44b537563f98a",
-        "12663725445322561196429ca6085adb924c2920bc8b7568a2f6ae55336f7bac",
-        "ae7c7f4a781c13dc7b51d5f66d0bb98c18c909c990ea6659399e926b80b839df",
-        "ebd28a38c9db3d05fe95d5136f363b655199a1d5079992f4ddb5a4f26551f914",
+        "c1a40589144a57eee6cdb7ecd757f2ba780a7586fda00ed42c72586450f7075a",
+        "a60380c8bc4b9dfb2ac8bfb103d0cb354445f9568f1bb0605a30c8b3255c4dec",
+        "5f2efb8a6f0863bcacda744757a384cf6edb1d9a8231ff687b1ad5a97233897d",
+        "3ce5d9c9c5a6e2fed5f565a5abb16de98cc5f4bf6a7e145956bc30eb0b9ad904",
+        "72ded27f9f35673bb6f998fe56a37da1319de346d5b10e55a79ae45d24c27900",
+        "918b598e4fd4d4da47760513799e4f31671cac8f23e7430c199b71b9eef9ca29",
+        "3d08cbd9292852a67835db6a0384b4da88dc65a8979ca95f3c20c7f7e6aeb4ed",
+        "2efebef44341d752c86ae9b9931b47a3104e2e9b452b832f03fb1585bd2e9957",
+        "35b813f4a48ccabcef45361d8ce7fe753adcf922e656256d2f6af5afaf352ca9",
+        "24889deb60e1d4f8d749e233a58e52e758b90a2bc62626b625492938d744b121",
     ],
     "honest": [
         "4d0d95733661b7f4273b0a691fdb8faec5812404e020c1a87fea6dbcc62672ac",
@@ -278,7 +278,8 @@ def challenged_twice(seed: int) -> Scenario:
 @pytest.mark.parametrize("name", ["honest", "burst_broadcasts"])
 def test_set_up_makes_one_prf_call_per_device(monkeypatch, name):
     """Building a simulator derives each device's AAC, once, and signs no
-    unique-challenge pair: the access point's is signed at its first use."""
+    unique-challenge pair: the access point's is signed at its first
+    challenge."""
     scenario = PINNED_RUNS[name][0](0)
     tags = []
     evaluate = crypto.HmacSha256Backend.evaluate
@@ -308,9 +309,9 @@ def test_prf_calls_during_a_run(monkeypatch, name, calls):
     for the new SD and one to sign TO_MAP with it; the device then derives
     the new SD's AAC at commit (4 calls), and the WBRAC the access point's
     new AAC and challenge signature (5 calls).  A unique challenge costs
-    the device one call per answer and the WBRAC one at the first answer,
-    when the access point asks it for the registration pair's signature,
-    and none at a second, since the access point keeps that signature.
+    the device one call per answer and the WBRAC one at the first
+    challenge, when the access point asks it for the registration pair,
+    and none at a second, since the access point keeps that pair.
     Each call is counted from after the simulator is built, for the agent
     whose handler made it."""
     build = challenged_twice if name == "challenged_twice" else _scenario_file(name)

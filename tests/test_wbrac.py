@@ -165,37 +165,63 @@ def eager_sign(sd: bytes, wmap: bytes, esn: int, icd_in: int) -> bytes:
     ids=["honest", "burst_broadcasts"],
 )
 def test_the_first_use_signature_is_the_one_registration_made(build):
-    """Each device's registration WMAP is the 8-byte draw it was at
-    registration, in device order, and the WBRAC's signer returns the
-    signature that signing at registration gave for it."""
+    """The pair the access point gets at a device's first challenge is the
+    one that drawing and signing at registration gave: its WMAP is the
+    device's 8-byte draw, in device order, and its signature the oracle's
+    for that WMAP.  The access point holds no pair before it."""
     scenario = build()
     sim = Simulator(scenario, seed=0)
     rng = SimRng(0)
     for sub in scenario.subscribers:
         rec = sim.map.records[sub.icd_in]
-        assert rec.wmap == rng.draw_bytes(8) and rec.challenge_sign is None
-        got = sim.wbrac.sign_challenge(sub.icd_in, rec.wmap)
-        assert got == eager_sign(sub.sd, rec.wmap, sub.esn, sub.icd_in)
+        assert rec.wmap is None and rec.challenge_sign is None
+        wmap = rng.draw_bytes(8)
+        assert sim.wbrac.registration_pair(sub.icd_in) == (
+            wmap,
+            eager_sign(sub.sd, wmap, sub.esn, sub.icd_in),
+        )
+
+
+@pytest.mark.parametrize("name", ["honest", "challenge"])
+def test_set_up_jumps_the_stream_past_one_word_per_device(monkeypatch, name):
+    """Building a simulator draws nothing: it leaves the stream where one
+    8-byte draw per device left it."""
+    draws = []
+    draw = SimRng.draw_bytes
+
+    def counting_draw(self, n):
+        draws.append(n)
+        return draw(self, n)
+
+    monkeypatch.setattr(SimRng, "draw_bytes", counting_draw)
+    scenario = load_scenario(SCENARIOS / f"{name}.scn")
+    sim = Simulator(scenario, seed=3)
+    monkeypatch.undo()
+    assert draws == []
+    eager = SimRng(3)
+    for _ in scenario.subscribers:
+        eager.draw_bytes(8)
+    assert sim.rng._state == eager._state
 
 
 @pytest.mark.parametrize("new_sd_first", [False, True], ids=["provisioned-first", "new-first"])
 def test_a_commit_the_access_point_missed_leaves_the_registration_pair(new_sd_first):
     """A forged UpdateConfirmation in the access point's name commits a new
-    SD at the WBRAC alone.  The access point still holds the registration
-    pair, so an answer under the registration SD passes and one under the
-    new SD fails, whichever comes first."""
+    SD at the WBRAC alone.  The access point still challenges with the
+    registration pair, so an answer under the registration SD passes and
+    one under the new SD fails, whichever comes first."""
     sim = Simulator(load_scenario(SCENARIOS / "honest.scn"), seed=0)
     cfg = sim.icds["icd-1"].cfg
     sim.wbrac.handle(MAP, wire.UpdateRequest(cfg.icd_in), 0)
     assert sim.wbrac.handle(MAP, wire.UpdateConfirmation(cfg.icd_in), 0).note == "committed"
     new_sd = sim.wbrac.registry[cfg.icd_in].sd
     assert new_sd != cfg.sd
-    wmap = sim.map.records[cfg.icd_in].wmap
 
     def answer(sd):
         # the MPC and the RMC match, the AAC does not: a challenge
-        sim.map.handle("icd-1", wire.AuthRequest(cfg.icd_in, cfg.esn, bytes(48)), 1)
-        signed = eager_sign(sd, wmap, cfg.esn, cfg.icd_in)
+        request = wire.AuthRequest(cfg.icd_in, cfg.esn, bytes(48))
+        ((_, challenge),) = sim.map.handle("icd-1", request, 1).out
+        signed = eager_sign(sd, challenge.wmap, cfg.esn, cfg.icd_in)
         return sim.map.handle("icd-1", wire.AuthChallengeAnswer(signed), 2).note
 
     verdicts = {}
@@ -207,9 +233,9 @@ def test_a_commit_the_access_point_missed_leaves_the_registration_pair(new_sd_fi
 def test_a_copied_simulators_access_point_signs_through_the_copys_wbrac():
     sim = Simulator(load_scenario(SCENARIOS / "challenge.scn"), seed=0)
     clone = copy.deepcopy(sim)
-    assert clone.map.sign_challenge.__self__ is clone.wbrac
-    sim.wbrac.registry.clear()  # the original's WBRAC can sign for no device now
+    assert clone.map.registration_pair.__self__ is clone.wbrac
+    sim.wbrac.registry.clear()  # the original's WBRAC has a pair for no device now
     trace = clone.run()
     assert "challenge-passed -> -" in trace.notes
     assert clone.icds["icd-1"].state_name == "Authenticated"
-    assert sim.map.records[1].challenge_sign is None
+    assert sim.map.records[1].wmap is None and sim.map.records[1].challenge_sign is None
