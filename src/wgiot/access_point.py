@@ -5,10 +5,10 @@ by the WBRAC (it never holds device secrets) and relays challenge traffic
 between device and WBRAC.  A device's registration pair, the WMAP of its
 unique challenge and that WMAP's signature, reaches the access point only
 when it first challenges the device, from the WBRAC's `registration_pair`
-that the access point is built with (see `MapRecord`).  A failed comparison is
-remedied by a fixed rule (`remedy`): an MPC or RMC mismatch starts the
-update-value flow, an AAC-only mismatch gets a unique challenge, and all
-three wrong is denied.
+that the access point is built with (see `MapRecord`).  A failed
+comparison is remedied by a fixed rule (`remedy`): an MPC or RMC mismatch
+starts the update-value flow, an AAC-only mismatch gets a unique
+challenge, and all three wrong is denied.
 Every update-flow frame names its device by icd_in, so each flow's record
 is found by that id however many flows are in progress; one that names no
 registered device is unexpected and changes nothing.  The access point
@@ -80,10 +80,10 @@ class MapRecord:
     pair a device is registered with, `wmap` and `challenge_sign`, is
     `None` until the access point first challenges the device; it then
     asks the WBRAC for the pair and keeps it, so a second challenge asks
-    for nothing.  During an
-    update flow `pending` is `AWAITING_RESPONSE`, then the relayed
-    `wire.MapChallengeResponse`, whose material, its pair signed, the
-    record takes, as the frame's own bytes, when the device confirms."""
+    for nothing.  During an update flow `pending` is `AWAITING_RESPONSE`,
+    then the relayed `wire.MapChallengeResponse`, whose material, its pair
+    signed, the record takes, as the frame's own bytes, when the device
+    confirms."""
 
     icd_in: int
     icd_agent_id: str

@@ -89,10 +89,10 @@ device, and set-up draws nothing: the access point's unique-challenge pair
 is made when it first challenges a device (see access_point.py), and most
 devices never get a challenge.  The pair's WMAP is the device's word of the
 rng stream all the same, which set-up jumps past, one word per device, in
-one `SimRng.advance` (see rng.py and wbrac.py).  The scenario values (link models, registry
-rows, scheduled and adversary items) and `Scenario` itself are frozen
-values built through `wire.value`; they and `Trace` are slotted, with no
-per-instance dict.
+one `SimRng.advance` (see rng.py and wbrac.py).  The scenario values (link
+models, registry rows, scheduled and adversary items) and `Scenario` itself
+are frozen values built through `wire.value`; they and `Trace` are slotted,
+with no per-instance dict.
 The adversary's capture and corrupt hooks run on the send path only for
 frames of an armed tag.
 """
