@@ -63,12 +63,14 @@ can be, as a memory saving that no result depends on; each agent's module
 says what the agent itself shares.  One table, `Simulator.agents`, maps each
 agent name to its agent; `Simulator.icds` is a read-only view of its
 devices, not a second table.  The trace is held as columns, an array of
-8-byte times and one list per other field, so a line is eight bytes and five
-references and no object of its own (`Trace.entries` builds a list of
-`TraceEntry` tuples only when it is asked for); the copies of a broadcast
-share one encoded frame, and every frame without fields (an `AuthAccept`,
-a `ChallengeAck`, a `ParameterUpdateOrder`) is one shared frame with one
-encoding.  The simulator shares every note it writes through one table,
+4-byte times and one list each of senders, receivers, encoded frames and
+notes, so a line is four bytes and four references and no object of its own;
+a frame line's tag is read from its frame's header byte, and only a line
+without a frame keeps its tag, in a table by line number (`Trace.entries`
+builds a list of `TraceEntry` tuples only when it is asked for); the copies
+of a broadcast share one encoded frame, and every frame without fields (an
+`AuthAccept`, a `ChallengeAck`, a `ParameterUpdateOrder`) is one shared frame
+with one encoding.  The simulator shares every note it writes through one table,
 `Simulator._notes`, which holds one string per distinct note: a delivery's
 is composed once per (copy note, agent note, agent state) and kept under
 those parts, and every other note (of a dropped or sunk copy, a tick, a
@@ -271,6 +273,8 @@ def device_ids(count: int) -> tuple[str, ...]:
 
 _PAYLOAD_BITS = {cls.TAG: 8 * cls.SIZE for cls in wire.MESSAGE_TYPES}
 _FRAME_NAMES = {cls.__name__ for cls in wire.MESSAGE_TYPES}
+# a header byte -> the name of its frame, the tag of a frame's trace lines
+_TAG_NAMES = tuple(wire.tag_name(tag) for tag in range(256))
 
 # A `frame-count` expectation's operator -> the test of (got, wanted).
 FRAME_COUNT_OPS = {
@@ -500,13 +504,17 @@ class TraceEntry(NamedTuple):
 
 class Trace:
     """The lines of a run, held as columns: `times`, `senders`,
-    `receivers`, `tags`, `raws` and `notes`, where line i is the i-th item
-    of each.  `raws` holds a frame line's whole encoded frame, header
-    included, as the one bytes object `wire.encode` returned for it, and
-    `None` for a line that is not a frame.  `times` is an `array('q')` of
-    8-byte machine integers, turned into a list by the first time that does
-    not fit in one (2**63 ms or more); the other columns are lists.  A line
-    costs eight bytes and five references and no object of its own; its
+    `receivers`, `raws` and `notes`, where line i is the i-th item of each.
+    `raws` holds a frame line's whole encoded frame, header included, as the
+    one bytes object `wire.encode` returned for it, and `None` for a line
+    that is not a frame.  A frame line's tag is the name of the frame whose
+    `TAG` is its header byte, `raw[0]`, and is not stored; `add` keeps the
+    tag of a line that is not a frame (a tick, a skipped start or rotation,
+    a no-op replay) in a table keyed by line number, and `tags` builds the
+    column from both when it is read.  `times` is an `array('I')` of 4-byte
+    machine integers, turned into a list by the first time that does not
+    fit in one (2**32 ms or more); the other columns are lists.  A line
+    costs four bytes and four references and no object of its own; its
     other values are the objects the simulator passed in, so all copies of
     a broadcast share one encoded frame and equal notes one string (the
     simulator shares the notes it writes, and `add` appends what it is
@@ -516,26 +524,37 @@ class Trace:
     the hex of those bytes, and it, `frame_count` and
     `scenario.check_expects` read the columns themselves."""
 
-    __slots__ = ("times", "senders", "receivers", "tags", "raws", "notes")
+    __slots__ = ("times", "senders", "receivers", "raws", "notes", "_line_tags")
 
     def __init__(self):
-        self.times: array | list[int] = array("q")  # a list from the first time >= 2**63
+        self.times: array | list[int] = array("I")  # a list from the first time >= 2**32
         self.senders: list[str] = []
         self.receivers: list[str] = []
-        self.tags: list[str] = []
         self.raws: list[bytes | None] = []
         self.notes: list[str] = []
+        self._line_tags: dict[int, str] = {}  # line number -> tag, for each line without a frame
 
     def add(self, time, sender, receiver, tag, raw, note):
+        """Append one line; `tag` is kept only when `raw` is None, since a
+        frame line's tag is read from `raw`."""
         try:
             self.times.append(time)
-        except OverflowError:  # a time of 2**63 ms or more
+        except OverflowError:  # a time of 2**32 ms or more
             self.times = [*self.times, time]
+        if raw is None:
+            self._line_tags[len(self.notes)] = tag
         self.senders.append(sender)
         self.receivers.append(receiver)
-        self.tags.append(tag)
         self.raws.append(raw)
         self.notes.append(note)
+
+    @property
+    def tags(self) -> list[str]:
+        """Each line's tag, in a new list."""
+        names, line_tags = _TAG_NAMES, self._line_tags
+        return [
+            line_tags[i] if raw is None else names[raw[0]] for i, raw in enumerate(self.raws)
+        ]
 
     def _columns(self) -> tuple:
         """The columns in `TraceEntry` field order, each payload cut from
@@ -828,25 +847,23 @@ class Simulator:
     def _on_deliver(self, ev: list) -> None:
         src, dst, dropped, note, msg, raw = ev
         now = self.now
-        tag = type(msg).__name__
         agent = None if dropped else self.agents.get(dst)
         if agent is None:
             label = "dropped " if dropped else "sink "
-            self.trace.add(now, src, dst, tag, raw, self._shared((label + note).strip()))
+            self.trace.add(now, src, dst, None, raw, self._shared((label + note).strip()))
             return
         result = agent.handle(src, msg, now)
         key = (note, result.note, agent.state_name)
         text = self._notes.get(key)
         if text is None:
             text = self._delivery_note(key)
-        self.trace.add(now, src, dst, tag, raw, text)
+        self.trace.add(now, src, dst, None, raw, text)
         if result.out or result.tick_at is not None:
             self._apply(dst, result)
 
     def _on_burst(self, burst: tuple) -> None:
         targets, msg, raw = burst
         now, agents, notes, add = self.now, self.agents, self._notes, self.trace.add
-        tag = type(msg).__name__
         for target in targets:
             agent = agents[target]
             result = agent.handle(WBRAC, msg, now)
@@ -854,7 +871,7 @@ class Simulator:
             text = notes.get(key)
             if text is None:
                 text = self._delivery_note(key)
-            add(now, WBRAC, target, tag, raw, text)
+            add(now, WBRAC, target, None, raw, text)
             if result.out or result.tick_at is not None:
                 self._apply(target, result)
 
