@@ -938,6 +938,33 @@ def test_every_regression_scenario_exits_zero(capsys):
     assert failed == [], capsys.readouterr().err
 
 
+# Each file in scenarios/open -> the failure of its last expectation, the
+# one that the fix of its defect must make hold.
+OPEN_DEFECTS = {
+    "pending_flow_never_expires.scn": "icd-1 ends AwaitingAuthResult, expected Authenticated",
+    "spoofed_auth_accept.scn": "icd-1 ends Authenticated, expected AwaitingAuthResult",
+    "lost_update_confirmation.scn": "icd-1 ends Denied, expected Authenticated",
+    "replayed_request_ends_session.scn": "icd-1 ends Idle, expected Authenticated",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_DEFECTS))
+def test_every_open_defect_scenario_still_fails_its_last_expectation(name, capsys):
+    """Each file in scenarios/open reproduces a defect that is not mended
+    yet, and fails only its last expectation.  A fix that makes it hold
+    fails this test until the file moves to scenarios/regress."""
+    path = SCENARIOS / "open" / name
+    _, agent, state = load_scenario(path).expects[-1]
+    failure = OPEN_DEFECTS[name]
+    assert failure.startswith(f"{agent} ends ") and failure.endswith(f", expected {state}")
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"expect failed: {failure}\n"
+
+
+def test_every_open_defect_scenario_is_listed():
+    assert sorted(path.name for path in (SCENARIOS / "open").glob("*.scn")) == sorted(OPEN_DEFECTS)
+
+
 def test_run_missing_scenario_exits_one(capsys):
     assert cli.main(["run", "/nonexistent/path.scn"]) == 1
     assert "error:" in capsys.readouterr().err
