@@ -57,3 +57,13 @@ def update_scenario(seed: int = 0, start_at: int = 20) -> simnet.Scenario:
 @pytest.fixture
 def subscriber():
     return make_subscriber()
+
+
+def assert_line_tag(trace: simnet.Trace, note: str, tag: str, count: int) -> None:
+    """The first line of `trace` noted `note` reads as `tag` in `tags`,
+    `entries` and `serialize`, and `frame_count(tag)` counts `count` lines."""
+    i = trace.notes.index(note)
+    assert trace.tags[i] == tag
+    assert trace.entries[i].tag == tag
+    assert trace.serialize().splitlines()[i + 2].split("\t")[3] == tag
+    assert trace.frame_count(tag) == count

@@ -9,9 +9,10 @@ only a memory saving: a scenario whose equal names are
 distinct objects runs the same."""
 
 import gc
+import tracemalloc
 from dataclasses import replace
 
-from conftest import make_subscriber
+from conftest import assert_line_tag, make_subscriber
 from test_trace_digests import SCENARIOS, lossy_broadcasts
 from wgiot import wire
 from wgiot.access_point import MapRecord
@@ -248,6 +249,27 @@ def test_a_capture_shares_its_bytes_with_its_copy_and_trace_line():
     assert {id(raw) for raw in replayed} <= {id(raw) for _, _, raw in sim.captured}
 
 
+def test_a_frame_line_costs_at_most_42_bytes():
+    """A frame line is a 4-byte time and four references, and keeps no tag:
+    20,000 lines that share one frame and one note take at most 42 bytes
+    each, the columns' spare room included."""
+    raw = wire.encode(wire.AuthAccept())
+    note = "authenticated -> Authenticated"
+    lines = 20_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = Trace()
+        for time in range(lines):
+            trace.add(time, "map-1", "icd-1", "AuthAccept", raw, note)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.notes) == lines and trace.tags[-1] == "AuthAccept"
+    assert used / lines <= 42
+
+
 def test_the_simulator_shares_every_note_it_writes():
     """Dropped copies, duplicates, skipped starts and too-early rotations
     each give equal notes more than once, and each distinct text is one
@@ -269,7 +291,8 @@ def test_the_simulator_shares_every_note_it_writes():
         ],
         mpc_period=100,
     )
-    notes = Simulator(sc, seed=0).run().notes
+    trace = Simulator(sc, seed=0).run()
+    notes = trace.notes
     for text in (
         "dropped",
         "duplicate unexpected AuthAccept in Authenticated -> Authenticated",
@@ -277,6 +300,15 @@ def test_the_simulator_shares_every_note_it_writes():
         "skipped: rotation at 6, last at 5",
     ):
         assert notes.count(text) == 2, text
+    # a frame line's tag is read from its frame, a line without one keeps its own
+    for text, tag, count in (
+        ("dropped", "SecureActivation", 2),
+        ("authenticated -> Authenticated", "AuthAccept", 4),
+        ("duplicate unexpected AuthAccept in Authenticated -> Authenticated", "AuthAccept", 4),
+        ("skipped: start() in AwaitingAuthResult", "start", 2),
+        ("skipped: rotation at 6, last at 5", "rotate", 2),
+    ):
+        assert_line_tag(trace, text, tag, count)
     first = {}
     for note in notes:
         assert note is first.setdefault(note, note)

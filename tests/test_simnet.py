@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import honest_scenario, make_subscriber, update_scenario
+from conftest import assert_line_tag, honest_scenario, make_subscriber, update_scenario
 from wgiot import wire
 from wgiot.agent import MAP, MPC_UPDATED, WBRAC, Transition
 from wgiot.icd import Authenticated, Denied, Idle
@@ -52,6 +52,7 @@ def test_trace_entries_read_the_columns():
         "injected unexpected UpdateRequest in - -> -",
     )
     assert type(entries[0]) is TraceEntry and entries[0].note == trace.notes[0]
+    assert_line_tag(trace, "injected unexpected UpdateRequest in - -> -", "UpdateRequest", 2)
     assert entries[-1] == entries[n - 1] == (
         trace.times[-1], trace.senders[-1], trace.receivers[-1],
         trace.tags[-1], trace.raws[-1][3:], trace.notes[-1],
@@ -598,12 +599,25 @@ def test_adversary_bytes_are_decoded_once_where_they_are_made(monkeypatch):
         "corrupted activation -> -",
         "duplicate activation -> -",
     ]
+    assert_line_tag(trace, "corrupted activation -> -", "SecureActivation", 2)
+    assert_line_tag(trace, "replayed guid-match -> -", "AuthRequest", 3)
 
 
 def test_replay_of_nothing_is_recorded_noop():
     sc = replace(honest_scenario(), adversary=[ReplayCaptured(0, at=50)])
     trace = Simulator(sc, seed=0).run()
     assert any("no-op" in e.note for e in trace.entries)
+    assert_line_tag(trace, "no-op: nothing captured", "replay", 1)
+
+
+def test_a_reply_to_a_sender_that_is_no_agent_is_sunk():
+    """A request injected in the name of no agent is answered, and the
+    answer is traced as sunk, tagged with its frame's name."""
+    request = wire.AuthRequest(icd_in=1, esn=2, guid=bytes(48))
+    sc = replace(honest_scenario(), schedule=[], adversary=[Inject(request, to=MAP, at=5, src="eve")])
+    trace = Simulator(sc, seed=0).run()
+    assert list(zip(trace.senders, trace.receivers)) == [("eve", MAP), (MAP, "eve")]
+    assert_line_tag(trace, "sink", "AccessDenied", 1)
 
 
 def test_injected_frames_indistinguishable_to_receiver():
@@ -745,6 +759,7 @@ def test_timer_expiry_with_1001ms_round_trip():
     trace = sim.run()
     assert trace.frame_count("UpdateConfirmation") == 0
     assert any(e.note == "update-timeout" for e in trace.entries)
+    assert_line_tag(trace, "update-timeout", "tick", 1)
     assert sim.icds["icd-1"].cfg.sd == sc.subscribers[0].sd
 
 
@@ -760,17 +775,22 @@ def test_two_subscribers_authenticate_independently():
 
 
 def test_trace_times_of_64_bits_and_more_are_kept():
-    """The times column is an array of 8-byte integers until a time needs
-    more; from then on it is a list, and the run still serializes."""
-    at = 2**63 + 5
+    """The times column is an array of 4-byte integers until a time needs
+    more, from 2**32 ms on; from then on it is a list, and the run still
+    serializes."""
+    for at in (2**32, 2**63 + 5):
+        sc = replace(honest_scenario(), schedule=[StartIcd("icd-1", at=at)], max_time=2**64)
+        sim = Simulator(sc, seed=0)
+        trace = sim.run()
+        assert type(trace.times) is list and trace.times[0] == at
+        assert sim.icds["icd-1"].state_name == "Authenticated"
+        entries = trace.entries
+        assert [e.time for e in entries] == list(trace.times) and len(entries) == 3
+        assert trace.serialize().splitlines()[2].startswith(f"{at}\ticd-1\tmap-1\tSecureActivation")
+    at = 2**32 - 1
     sc = replace(honest_scenario(), schedule=[StartIcd("icd-1", at=at)], max_time=2**64)
-    sim = Simulator(sc, seed=0)
-    trace = sim.run()
-    assert type(trace.times) is list and trace.times[0] == at
-    assert sim.icds["icd-1"].state_name == "Authenticated"
-    entries = trace.entries
-    assert [e.time for e in entries] == list(trace.times) and len(entries) == 3
-    assert trace.serialize().splitlines()[2].startswith(f"{at}\ticd-1\tmap-1\tSecureActivation")
+    trace = Simulator(sc, seed=0).run()
+    assert type(trace.times) is not list and list(trace.times) == [at] * 3
     assert type(Simulator(honest_scenario(), seed=0).run().times) is not list
 
 
