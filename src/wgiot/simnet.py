@@ -70,10 +70,10 @@ without a frame keeps its tag, in a table by line number (`Trace.entries`
 builds a list of `TraceEntry` tuples only when it is asked for); the copies
 of a broadcast share one encoded frame, and every frame without fields (an
 `AuthAccept`, a `ChallengeAck`, a `ParameterUpdateOrder`) is one shared frame
-with one encoding.  The simulator shares every note it writes through one table,
-`Simulator._notes`, which holds one string per distinct note: a delivery's
-is composed once per (copy note, agent note, agent state) and kept under
-those parts, and every other note (of a dropped or sunk copy, a tick, a
+with one encoding.  The simulator shares every note it writes through one
+table, `Simulator._notes`, which holds one string per distinct note: a
+delivery's is composed once per (copy note, agent note, agent state) and kept
+under those parts, and every other note (of a dropped or sunk copy, a tick, a
 skipped start or rotation, a replay with nothing captured) under its text;
 `Trace.add` appends the note it is given.  Device names are interned
 (`device_ids`), so a fleet holds one string per name.  A device's SC_AUTH_K
